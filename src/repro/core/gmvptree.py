@@ -28,33 +28,17 @@ farthest/outside-range — live on the classic classes).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro._util import (
-    RngLike,
-    as_rng,
-    check_non_empty,
-    definitely_greater,
-    definitely_less,
-    gather,
-    slack,
-)
+from repro._util import RngLike, as_rng, check_non_empty, gather
 from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
-from repro.obs.stats import (
-    PRUNE_KNN_RADIUS,
-    PRUNE_PATH_FILTER,
-    QueryStats,
-    leaf_dist_kind,
-    vp_shell_kind,
-)
-from repro.obs.trace import Observation, TraceSink, make_observation
+from repro.obs.stats import QueryStats
+from repro.obs.trace import TraceSink, make_observation
 
 
 class GMVPInternalNode:
@@ -339,87 +323,6 @@ class GMVPTree(MetricIndex):
         obs = make_observation(stats, trace)
         return kernels.gmvp_range(self, query, radius, obs)
 
-    def _vp_distances(
-        self, node, query, obs: Optional[Observation] = None
-    ) -> np.ndarray:
-        return np.array(
-            [self._dist(obs, query, self._objects[vp_id]) for vp_id in node.vp_ids]
-        )
-
-    def _range(
-        self, node: _Node, query, radius, path_q, level, out,
-        obs: Optional[Observation] = None,
-    ) -> None:
-        """Recursive range-search walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if obs is not None:
-            if isinstance(node, GMVPLeafNode):
-                obs.enter_leaf(len(node.ids))
-            else:
-                obs.enter_internal()
-        dq = self._vp_distances(node, query, obs)
-        out.extend(
-            vp_id for vp_id, d in zip(node.vp_ids, dq) if d <= radius
-        )
-
-        if isinstance(node, GMVPLeafNode):
-            if not node.ids:
-                return
-            loose = radius + slack(radius)
-            mask = np.ones(len(node.ids), dtype=bool)
-            for t in range(len(node.vp_ids)):
-                mask_t = np.abs(node.dists[t] - dq[t]) <= loose
-                if obs is not None:
-                    # First-bound-wins attribution: count only points
-                    # the t-th distance array newly eliminated.
-                    obs.filter_points(
-                        leaf_dist_kind(t), int(np.count_nonzero(mask & ~mask_t))
-                    )
-                mask &= mask_t
-            if node.path_len:
-                path_mask = np.all(
-                    np.abs(node.paths - path_q[: node.path_len]) <= loose,
-                    axis=1,
-                )
-                if obs is not None:
-                    obs.filter_points(
-                        PRUNE_PATH_FILTER,
-                        int(np.count_nonzero(mask & ~path_mask)),
-                    )
-                mask &= path_mask
-            candidates = [node.ids[i] for i in np.nonzero(mask)[0]]
-            if obs is not None:
-                obs.leaf_scan(len(node.ids), len(candidates))
-            if candidates:
-                distances = self._batch_dist(
-                    obs, gather(self._objects, candidates), query
-                )
-                out.extend(
-                    idx
-                    for idx, distance in zip(candidates, distances)
-                    if distance <= radius
-                )
-            return
-
-        for t, d in enumerate(dq):
-            if level + t <= self.p:
-                path_q[level + t - 1] = d
-        for child, child_bounds in zip(node.children, node.bounds):
-            if child is None:
-                continue
-            pruned = False
-            for t, (lo, hi) in enumerate(child_bounds):
-                if definitely_greater(dq[t] - radius, hi) or definitely_less(
-                    dq[t] + radius, lo
-                ):
-                    pruned = True
-                    if obs is not None:
-                        obs.prune(vp_shell_kind(t))
-                    break
-            if not pruned:
-                self._range(child, query, radius, path_q, level + self.v, out, obs)
-
     # ------------------------------------------------------------------
     # k-NN search
     # ------------------------------------------------------------------
@@ -439,116 +342,6 @@ class GMVPTree(MetricIndex):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
         return kernels.gmvp_knn(self, query, k, 1.0 + epsilon, obs)
-
-    def _knn_legacy(
-        self,
-        query,
-        k: int,
-        epsilon: float = 0.0,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> list[Neighbor]:
-        """Sequential best-first k-NN (the pre-kernel hot path), kept as
-        the reference implementation for kernel-parity tests."""
-        k = self.validate_k(k)
-        obs = make_observation(stats, trace)
-        approximation = 1.0 + epsilon
-        best: list[tuple[float, int]] = []
-
-        def consider(distance: float, idx: int) -> None:
-            item = (-distance, -idx)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
-
-        def threshold() -> float:
-            return -best[0][0] if len(best) == k else float("inf")
-
-        counter = itertools.count()
-        frontier: list[tuple[float, int, _Node, tuple[float, ...], int]] = [
-            (0.0, next(counter), self._root, (), 1)
-        ]
-        while frontier:
-            lower_bound, __, node, path_q, level = heapq.heappop(frontier)
-            if node is None or definitely_greater(
-                lower_bound * approximation, threshold()
-            ):
-                if obs is not None and node is not None:
-                    obs.prune(PRUNE_KNN_RADIUS)
-                continue
-            if obs is not None:
-                if isinstance(node, GMVPLeafNode):
-                    obs.enter_leaf(len(node.ids))
-                else:
-                    obs.enter_internal()
-            dq = self._vp_distances(node, query, obs)
-            for vp_id, d in zip(node.vp_ids, dq):
-                consider(float(d), vp_id)
-
-            if isinstance(node, GMVPLeafNode):
-                self._knn_scan_leaf(
-                    node, query, dq, path_q, consider, threshold, approximation,
-                    obs,
-                )
-                continue
-
-            child_path = list(path_q)
-            for t, d in enumerate(dq):
-                if level + t <= self.p:
-                    child_path.append(float(d))
-            child_path_t = tuple(child_path)
-
-            for child, child_bounds in zip(node.children, node.bounds):
-                if child is None:
-                    continue
-                bound = lower_bound
-                bound_t = -1  # which vp's shell bound is decisive
-                for t, (lo, hi) in enumerate(child_bounds):
-                    shell = max(dq[t] - hi, lo - dq[t])
-                    if shell > bound:
-                        bound = shell
-                        bound_t = t
-                if not definitely_greater(bound * approximation, threshold()):
-                    heapq.heappush(
-                        frontier,
-                        (bound, next(counter), child, child_path_t, level + self.v),
-                    )
-                elif obs is not None:
-                    if bound_t >= 0:
-                        obs.prune(vp_shell_kind(bound_t))
-                    else:
-                        obs.prune(PRUNE_KNN_RADIUS)
-
-        return sorted(
-            (Neighbor(-d, -i) for d, i in best), key=lambda n: (n.distance, n.id)
-        )
-
-    def _knn_scan_leaf(
-        self, node, query, dq, path_q, consider, threshold, approximation,
-        obs: Optional[Observation] = None,
-    ) -> None:
-        if not node.ids:
-            return
-        lower = np.zeros(len(node.ids))
-        for t in range(len(node.vp_ids)):
-            lower = np.maximum(lower, np.abs(node.dists[t] - dq[t]))
-        if node.path_len:
-            window = np.asarray(path_q[: node.path_len])
-            lower = np.maximum(
-                lower, np.max(np.abs(node.paths - window), axis=1, initial=0.0)
-            )
-        scanned = 0
-        for pos in np.argsort(lower, kind="stable"):
-            if definitely_greater(float(lower[pos]) * approximation, threshold()):
-                break
-            scanned += 1
-            distance = self._dist(obs, query, self._objects[node.ids[pos]])
-            consider(float(distance), node.ids[pos])
-        if obs is not None:
-            obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-            obs.leaf_scan(len(node.ids), scanned)
 
     @property
     def root(self) -> _Node:

@@ -45,16 +45,8 @@ from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
-from repro.obs.stats import (
-    PRUNE_KNN_RADIUS,
-    PRUNE_LEAF_D1,
-    PRUNE_LEAF_D2,
-    PRUNE_PATH_FILTER,
-    PRUNE_VP1_SHELL,
-    PRUNE_VP2_SHELL,
-    QueryStats,
-)
-from repro.obs.trace import Observation, TraceSink, make_observation
+from repro.obs.stats import QueryStats
+from repro.obs.trace import TraceSink, make_observation
 
 _Node = Union[MVPInternalNode, MVPLeafNode, None]
 
@@ -367,110 +359,6 @@ class MVPTree(MetricIndex):
         obs = make_observation(stats, trace)
         return kernels.mvp_range(self, query, radius, obs)
 
-    def _range(
-        self,
-        node: _Node,
-        query,
-        radius: float,
-        path_q: np.ndarray,
-        level: int,
-        out: list[int],
-        obs: Optional[Observation] = None,
-    ) -> None:
-        """Recursive range-search walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        is_leaf = isinstance(node, MVPLeafNode)
-        if obs is not None:
-            if is_leaf:
-                obs.enter_leaf(len(node.ids))
-            else:
-                obs.enter_internal()
-        dq1 = self._dist(obs, query, self._objects[node.vp1_id])
-        if dq1 <= radius:
-            out.append(node.vp1_id)
-
-        if is_leaf:
-            if node.vp2_id is None:
-                return
-            dq2 = self._dist(obs, query, self._objects[node.vp2_id])
-            if dq2 <= radius:
-                out.append(node.vp2_id)
-            if not node.ids:
-                return
-            # The mvp-tree's signature filter (paper step 2.2): a data
-            # point survives only if *every* precomputed distance is
-            # consistent with it lying inside the query ball.  The
-            # comparison carries epsilon slack: bounds are float
-            # subtractions that may overshoot the exact value, and a
-            # borderline candidate must be computed rather than dropped.
-            loose_radius = radius + slack(radius)
-            mask1 = np.abs(node.d1 - dq1) <= loose_radius
-            mask = mask1 & (np.abs(node.d2 - dq2) <= loose_radius)
-            if obs is not None:
-                obs.filter_points(
-                    PRUNE_LEAF_D1, int(np.count_nonzero(~mask1))
-                )
-                obs.filter_points(
-                    PRUNE_LEAF_D2, int(np.count_nonzero(mask1 & ~mask))
-                )
-            if node.path_len:
-                path_mask = np.all(
-                    np.abs(node.paths - path_q[: node.path_len]) <= loose_radius,
-                    axis=1,
-                )
-                if obs is not None:
-                    obs.filter_points(
-                        PRUNE_PATH_FILTER,
-                        int(np.count_nonzero(mask & ~path_mask)),
-                    )
-                mask &= path_mask
-            candidates = [node.ids[i] for i in np.nonzero(mask)[0]]
-            if obs is not None:
-                obs.leaf_scan(len(node.ids), len(candidates))
-            if candidates:
-                distances = self._batch_dist(
-                    obs, gather(self._objects, candidates), query
-                )
-                out.extend(
-                    idx
-                    for idx, distance in zip(candidates, distances)
-                    if distance <= radius
-                )
-            return
-
-        dq2 = self._dist(obs, query, self._objects[node.vp2_id])
-        if dq2 <= radius:
-            out.append(node.vp2_id)
-        if level <= self.p:
-            path_q[level - 1] = dq1
-        if level + 1 <= self.p:
-            path_q[level] = dq2
-
-        m = self.m
-        for i in range(m):
-            lo1, hi1 = node.bounds1[i]
-            if definitely_greater(dq1 - radius, hi1) or definitely_less(
-                dq1 + radius, lo1
-            ):
-                if obs is not None and any(
-                    node.children[i * m + j] is not None for j in range(m)
-                ):
-                    obs.prune(PRUNE_VP1_SHELL)
-                continue
-            for j in range(m):
-                child = node.children[i * m + j]
-                if child is None:
-                    continue
-                lo2, hi2 = node.bounds2[i][j]
-                if definitely_greater(dq2 - radius, hi2) or definitely_less(
-                    dq2 + radius, lo2
-                ):
-                    if obs is not None:
-                        obs.prune(PRUNE_VP2_SHELL)
-                    continue
-                self._range(child, query, radius, path_q, level + 2, out, obs)
-
     # ------------------------------------------------------------------
     # k-nearest-neighbor search (best-first generalisation; the paper
     # lists nearest/k-nearest queries in section 2)
@@ -494,133 +382,6 @@ class MVPTree(MetricIndex):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
         return kernels.mvp_knn(self, query, k, 1.0 + epsilon, obs)
-
-    def _knn_legacy(
-        self,
-        query,
-        k: int,
-        epsilon: float = 0.0,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> list[Neighbor]:
-        """Sequential best-first k-NN (the pre-kernel hot path), kept as
-        the reference implementation for kernel-parity tests."""
-        k = self.validate_k(k)
-        obs = make_observation(stats, trace)
-        approximation = 1.0 + epsilon
-        best: list[tuple[float, int]] = []  # max-heap via negation
-
-        def consider(distance: float, idx: int) -> None:
-            item = (-distance, -idx)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
-
-        def threshold() -> float:
-            return -best[0][0] if len(best) == k else float("inf")
-
-        counter = itertools.count()
-        root_path: tuple[float, ...] = ()
-        frontier: list[tuple[float, int, _Node, tuple[float, ...], int]] = [
-            (0.0, next(counter), self._root, root_path, 1)
-        ]
-        while frontier:
-            lower_bound, __, node, path_q, level = heapq.heappop(frontier)
-            if node is None or definitely_greater(
-                lower_bound * approximation, threshold()
-            ):
-                if obs is not None and node is not None:
-                    obs.prune(PRUNE_KNN_RADIUS)
-                continue
-            if obs is not None:
-                if isinstance(node, MVPLeafNode):
-                    obs.enter_leaf(len(node.ids))
-                else:
-                    obs.enter_internal()
-            dq1 = self._dist(obs, query, self._objects[node.vp1_id])
-            consider(dq1, node.vp1_id)
-
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is None:
-                    continue
-                dq2 = self._dist(obs, query, self._objects[node.vp2_id])
-                consider(dq2, node.vp2_id)
-                self._knn_scan_leaf(
-                    node, query, dq1, dq2, path_q, consider, threshold,
-                    approximation, obs,
-                )
-                continue
-
-            dq2 = self._dist(obs, query, self._objects[node.vp2_id])
-            consider(dq2, node.vp2_id)
-            child_path = list(path_q)
-            if level <= self.p:
-                child_path.append(dq1)
-            if level + 1 <= self.p:
-                child_path.append(dq2)
-            child_path_t = tuple(child_path)
-
-            m = self.m
-            for i in range(m):
-                lo1, hi1 = node.bounds1[i]
-                bound1 = max(lower_bound, dq1 - hi1, lo1 - dq1, 0.0)
-                if definitely_greater(bound1 * approximation, threshold()):
-                    if obs is not None and any(
-                        node.children[i * m + j] is not None for j in range(m)
-                    ):
-                        obs.prune(PRUNE_VP1_SHELL)
-                    continue
-                for j in range(m):
-                    child = node.children[i * m + j]
-                    if child is None:
-                        continue
-                    lo2, hi2 = node.bounds2[i][j]
-                    bound = max(bound1, dq2 - hi2, lo2 - dq2)
-                    if not definitely_greater(bound * approximation, threshold()):
-                        heapq.heappush(
-                            frontier,
-                            (bound, next(counter), child, child_path_t, level + 2),
-                        )
-                    elif obs is not None:
-                        obs.prune(PRUNE_VP2_SHELL)
-
-        return sorted(
-            (Neighbor(-d, -i) for d, i in best), key=lambda n: (n.distance, n.id)
-        )
-
-    def _knn_scan_leaf(
-        self,
-        node: MVPLeafNode,
-        query,
-        dq1,
-        dq2,
-        path_q,
-        consider,
-        threshold,
-        approximation: float = 1.0,
-        obs: Optional[Observation] = None,
-    ) -> None:
-        """Visit leaf points in lower-bound order, stopping early."""
-        if not node.ids:
-            return
-        lower = np.maximum(np.abs(node.d1 - dq1), np.abs(node.d2 - dq2))
-        if node.path_len:
-            path_arr = np.asarray(path_q[: node.path_len])
-            lower = np.maximum(
-                lower, np.max(np.abs(node.paths - path_arr), axis=1, initial=0.0)
-            )
-        scanned = 0
-        for pos in np.argsort(lower, kind="stable"):
-            if definitely_greater(float(lower[pos]) * approximation, threshold()):
-                break
-            scanned += 1
-            distance = self._dist(obs, query, self._objects[node.ids[pos]])
-            consider(float(distance), node.ids[pos])
-        if obs is not None:
-            obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-            obs.leaf_scan(len(node.ids), scanned)
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning)

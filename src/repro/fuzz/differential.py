@@ -619,7 +619,7 @@ def _check_engine_approx(
     manager: ShardManager,
     qi: int,
     query: ConcreteQuery,
-    q_obj,
+    request: Query,
     result,
     fault_replica: Optional[int],
 ) -> list[Discrepancy]:
@@ -631,59 +631,29 @@ def _check_engine_approx(
     manager's own sequential path always lands on replica 0, which a
     budget-cut traversal is allowed to answer differently.
     """
-    from repro.approx import merge_reports, split_budget
-    from repro.serve.sharding import merge_knn, merge_range
+    from repro.approx import merge_reports
+    from repro.serve.sharding import merge_knn, merge_range, unit_query
 
     out: list[Discrepancy] = []
     replica = None
     if fault_replica is not None:
         replica = 1 if fault_replica == 0 else 0
-    budgets = split_budget(query.budget, manager.n_shards)
     values = []
     reports = []
     for shard in range(manager.n_shards):
-        if query.kind == "range":
-            value, report = manager.shard_approx_range_search(
-                shard,
-                q_obj,
-                query.radius,
-                budget=budgets[shard],
-                epsilon=query.epsilon,
-                replica=replica,
-            )
-        else:
-            value, report = manager.shard_approx_knn_search(
-                shard,
-                q_obj,
-                query.k,
-                budget=budgets[shard],
-                epsilon=query.epsilon,
-                replica=replica,
-            )
+        value, report = manager.shard_search(
+            shard, unit_query(request, shard, manager.n_shards), replica=replica
+        )
         values.append(value)
         reports.append(report)
-    if query.kind == "range":
-        want_value = merge_range(values)
-        want_report = merge_reports(
-            "range",
-            reports,
-            want_value,
-            budget=query.budget,
-            epsilon=query.epsilon,
-        )
-        diff = compare_range(result.ids, want_value)
-    else:
-        k_eff = min(query.k, len(manager))
-        want_value = merge_knn(values, k_eff)
-        want_report = merge_reports(
-            "knn",
-            reports,
-            want_value,
-            budget=query.budget,
-            epsilon=query.epsilon,
-            target=k_eff,
-        )
-        diff = compare_knn(result.neighbors, want_value)
+    knn = query.kind == "knn"
+    k_eff = min(query.k, len(manager)) if knn else None
+    want_value = merge_knn(values, k_eff) if knn else merge_range(values)
+    want_report = merge_reports(
+        query.kind, reports, want_value,
+        budget=query.budget, epsilon=query.epsilon, target=k_eff,
+    )
+    diff = (compare_knn if knn else compare_range)(result.value, want_value)
     if diff:
         out.append(
             Discrepancy(
@@ -857,7 +827,8 @@ def _check_sharded(case: ConcreteCase, objects) -> list[Discrepancy]:
             # checked on the sequential surface below.
             out.extend(
                 _check_engine_approx(
-                    case, manager, qi, query, q_obj, result, fault_replica
+                    case, manager, qi, query, engine_queries[qi], result,
+                    fault_replica,
                 )
             )
             out.extend(stats_invariants(case.name, result.stats, qi))

@@ -1,32 +1,31 @@
 """Array-backed frontier kernels for the tree indexes.
 
-The recursive searches in :mod:`repro.indexes.vptree`,
-:mod:`repro.core.mvptree` and :mod:`repro.core.gmvptree` evaluate one
-vantage-point distance per Python call frame, which puts the interpreter
-— not the metric — on the hot path and serialises the whole traversal
-on the GIL.  The kernels here run the same searches level-synchronously:
-every wave batches *all* of its vantage-point distances through one
-``_batch_dist`` call, applies the paper's section 4.3 pruning bounds as
-numpy boolean masks over the whole frontier, and gathers the surviving
-leaf candidates into a single batched distance computation.
+These are the search paths of :mod:`repro.indexes.vptree`,
+:mod:`repro.core.mvptree` and :mod:`repro.core.gmvptree`.  They run
+level-synchronously: every wave batches *all* of its vantage-point
+distances through one ``_batch_dist`` call, applies the paper's section
+4.3 pruning bounds as numpy boolean masks over the whole frontier, and
+gathers the surviving leaf candidates into a single batched distance
+computation, so the metric, not the interpreter, sits on the hot path.
 
-Semantics are preserved exactly:
+Invariants:
 
-* every metric evaluation still goes through the counting gateway
+* every metric evaluation goes through the counting gateway
   (``_dist`` / ``_batch_dist``), so ``QueryStats.distance_calls``
-  equals the :class:`~repro.metric.base.CountingMetric` delta as before;
-* range search visits the *identical* node set as the recursion —
-  range pruning decisions are independent of visit order — so range
-  ``QueryStats`` match the legacy walk counter for counter;
-* k-NN keeps the exact answer set and ``(distance, id)`` tie-breaks.
+  equals the :class:`~repro.metric.base.CountingMetric` delta;
+* range search visits exactly the nodes the section 4.3 bounds admit —
+  a node is entered iff no ancestor shell (and, at leaves, no D1/D2 or
+  PATH filter) excludes the query ball, independent of visit order — and
+  its ``QueryStats`` match a node-at-a-time walk counter for counter;
+* k-NN returns the exact answer set with ``(distance, id)`` tie-breaks.
   The running k-th-distance threshold is refreshed once per wave rather
   than per node, which can only *loosen* pruning (a stale threshold
   admits extra candidates, never drops true answers), so batched k-NN
-  may pay slightly more distance computations than the strictly
+  may pay slightly more distance computations than a strictly
   sequential best-first order in exchange for vectorised execution;
-* prune accounting is unchanged in total, but one trace event may now
-  carry ``count > 1`` where the recursion emitted ``count`` unit events
-  (the same aggregation :meth:`Observation.filter_points` already uses).
+* prune accounting is per bound and exact in total; one trace event may
+  carry ``count > 1`` (the same aggregation
+  :meth:`Observation.filter_points` uses).
 
 Tree structure is flattened into numpy arrays once per index and cached
 on the instance (``_kernel_cache``); mutating structures
@@ -74,7 +73,7 @@ def _slack_of(values: np.ndarray) -> np.ndarray:
 
 
 def _shell_miss(dq, radius: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorised shell-intersection test of the recursive walks.
+    """Vectorised shell-intersection test (paper section 4.3).
 
     True where ``definitely_greater(dq - radius, hi)`` or
     ``definitely_less(dq + radius, lo)`` — the query ball provably misses
@@ -93,9 +92,9 @@ def _admitted(bounds: np.ndarray, approximation: float, threshold: float) -> np.
 class _KBest:
     """Running k-best set with exact ``(distance, id)`` tie-breaks.
 
-    Same max-heap-via-negation the recursive searches use; the k-best
-    set is determined by the item values alone, so insertion order (and
-    therefore wave order) cannot change the final answer.
+    A max-heap via negation; the k-best set is determined by the item
+    values alone, so insertion order (and therefore wave order) cannot
+    change the final answer.
     """
 
     __slots__ = ("k", "heap")
@@ -189,8 +188,8 @@ def _vp_arrays(tree) -> _VPArrays:
 
 
 def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous vp-tree range search (visits the exact node set
-    of :meth:`VPTree._range`, with identical stats)."""
+    """Level-synchronous vp-tree range search: visits exactly the nodes
+    whose shells the query ball can reach."""
     arrays = _vp_arrays(tree)
     objects = tree._objects
     hits: list[np.ndarray] = []
@@ -424,7 +423,7 @@ def _mvp_wave_roots(arrays):
 
 def _grow_paths(paths: np.ndarray, level: int, p: int, cols: list) -> np.ndarray:
     """Append this wave's vantage-point distances to the query's PATH
-    prefix (the recursion's ``path_q[level + t - 1] = dq[t]`` updates)."""
+    prefix (``path_q[level + t - 1] = dq[t]``)."""
     added = [c[:, None] for t, c in enumerate(cols) if level + t <= p]
     if not added:
         return paths
@@ -432,8 +431,8 @@ def _grow_paths(paths: np.ndarray, level: int, p: int, cols: list) -> np.ndarray
 
 
 def mvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous mvp-tree range search (paper section 4.3),
-    visiting the exact node set of :meth:`MVPTree._range`."""
+    """Level-synchronous mvp-tree range search (paper section 4.3):
+    visits exactly the nodes the section 4.3 bounds admit."""
     if tree._root is None:
         return []
     arrays = _mvp_arrays(tree)
@@ -766,8 +765,8 @@ def _gmvp_leaf_distances(leaf_nodes, dall, offset):
 
 
 def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous gmvp-tree range search, visiting the exact node
-    set of :meth:`GMVPTree._range`."""
+    """Level-synchronous gmvp-tree range search: visits exactly the nodes
+    the shell and PATH bounds admit."""
     arrays = _gmvp_arrays(tree)
     objects = tree._objects
     p = tree.p
@@ -855,7 +854,7 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
             if obs is not None:
                 pruned = exists & any_miss
                 if pruned.any():
-                    # First-bound-wins attribution, as in the recursion.
+                    # First-bound-wins attribution: the lowest vp index.
                     first_t = np.argmax(miss_t, axis=2)
                     for t in range(v):
                         count = int(np.count_nonzero(pruned & (first_t == t)))
@@ -1271,7 +1270,7 @@ class _MVPApprox:
 
     Entries carry ``(kind, slot, level, path)`` where ``path`` is the
     tuple of ancestor vantage-point distances accumulated so far (the
-    recursion's ``path_q`` prefix, grown exactly like :func:`_grow_paths`).
+    query's PATH prefix, grown exactly like :func:`_grow_paths`).
     """
 
     __slots__ = ("arrays", "p", "internal_sizes", "leaf_sizes")

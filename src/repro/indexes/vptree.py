@@ -38,8 +38,8 @@ from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
-from repro.obs.stats import PRUNE_KNN_RADIUS, PRUNE_VP_SHELL, QueryStats
-from repro.obs.trace import Observation, TraceSink, make_observation
+from repro.obs.stats import QueryStats
+from repro.obs.trace import TraceSink, make_observation
 
 
 class VPInternalNode:
@@ -239,49 +239,6 @@ class VPTree(MetricIndex):
         obs = make_observation(stats, trace)
         return kernels.vp_range(self, query, radius, obs)
 
-    def _range(
-        self,
-        node,
-        query,
-        radius: float,
-        out: list[int],
-        obs: Optional[Observation] = None,
-    ) -> None:
-        """Recursive range-search walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, VPLeafNode):
-            if obs is not None:
-                # vp-tree leaves hold no precomputed distances; every
-                # bucketed point pays a real distance computation.
-                obs.enter_leaf(len(node.ids))
-                obs.leaf_scan(len(node.ids), len(node.ids))
-            distances = self._batch_dist(obs, gather(self._objects, node.ids), query)
-            out.extend(
-                node.ids[i] for i in range(len(node.ids)) if distances[i] <= radius
-            )
-            return
-        if obs is not None:
-            obs.enter_internal()
-        dq = self._dist(obs, query, self._objects[node.vp_id])
-        if dq <= radius:
-            out.append(node.vp_id)
-        for child, (lo, hi) in zip(node.children, node.bounds):
-            # Descend iff the query ball [dq - r, dq + r] intersects the
-            # child's spherical shell [lo, hi] (triangle inequality; see
-            # the paper's Appendix for the proof on the binary tree;
-            # comparisons carry epsilon slack so floating-point noise in
-            # the bounds can never drop a true answer).
-            if child is None:
-                continue
-            if definitely_greater(dq - radius, hi) or definitely_less(
-                dq + radius, lo
-            ):
-                if obs is not None:
-                    obs.prune(PRUNE_VP_SHELL)
-                continue
-            self._range(child, query, radius, out, obs)
-
     # ------------------------------------------------------------------
     # k-nearest-neighbor search (best-first branch and bound, [Chi94])
     # ------------------------------------------------------------------
@@ -304,71 +261,6 @@ class VPTree(MetricIndex):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
         return kernels.vp_knn(self, query, k, 1.0 + epsilon, obs)
-
-    def _knn_legacy(
-        self,
-        query,
-        k: int,
-        epsilon: float = 0.0,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> list[Neighbor]:
-        """Sequential best-first k-NN (the pre-kernel hot path), kept as
-        the reference implementation for kernel-parity tests."""
-        k = self.validate_k(k)
-        obs = make_observation(stats, trace)
-        approximation = 1.0 + epsilon
-        # Max-heap of current k best as (-distance, -id); tie-break on id
-        # keeps results deterministic.
-        best: list[tuple[float, int]] = []
-
-        def consider(distance: float, idx: int) -> None:
-            item = (-distance, -idx)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
-
-        def threshold() -> float:
-            return -best[0][0] if len(best) == k else float("inf")
-
-        counter = itertools.count()
-        frontier: list[tuple[float, int, object]] = [(0.0, next(counter), self._root)]
-        while frontier:
-            lower_bound, __, node = heapq.heappop(frontier)
-            if node is None or definitely_greater(
-                lower_bound * approximation, threshold()
-            ):
-                if obs is not None and node is not None:
-                    obs.prune(PRUNE_KNN_RADIUS)
-                continue
-            if isinstance(node, VPLeafNode):
-                if obs is not None:
-                    obs.enter_leaf(len(node.ids))
-                    obs.leaf_scan(len(node.ids), len(node.ids))
-                distances = self._batch_dist(
-                    obs, gather(self._objects, node.ids), query
-                )
-                for idx, distance in zip(node.ids, distances):
-                    consider(float(distance), idx)
-                continue
-            if obs is not None:
-                obs.enter_internal()
-            dq = self._dist(obs, query, self._objects[node.vp_id])
-            consider(dq, node.vp_id)
-            for child, (lo, hi) in zip(node.children, node.bounds):
-                if child is None:
-                    continue
-                child_bound = max(lower_bound, dq - hi, lo - dq, 0.0)
-                if not definitely_greater(child_bound * approximation, threshold()):
-                    heapq.heappush(frontier, (child_bound, next(counter), child))
-                elif obs is not None:
-                    obs.prune(PRUNE_VP_SHELL)
-
-        return sorted(
-            (Neighbor(-d, -i) for d, i in best), key=lambda n: (n.distance, n.id)
-        )
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning; paper section 2 lists

@@ -45,17 +45,14 @@ import inspect
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 from repro.approx import (
     ApproxDowngrade,
     ApproxReport,
-    approx_knn_search,
-    approx_range_search,
     merge_reports,
     missing_shard_report,
-    split_budget,
 )
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.obs.stats import (
@@ -68,9 +65,17 @@ from repro.obs.stats import (
 )
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.breaker import CircuitBreaker
-from repro.serve.cache import DistanceCacheMetric, LRUCache, query_cache_key
+from repro.serve.cache import DistanceCacheMetric, LRUCache
 from repro.serve.procpool import ProcessExecutor
-from repro.serve.sharding import ShardManager, merge_knn, merge_range
+from repro.serve.sharding import (
+    Query,
+    ReplicaUnavailable,
+    ShardManager,
+    merge_knn,
+    merge_range,
+    search,
+    unit_query,
+)
 
 
 class ShardFailure(RuntimeError):
@@ -85,79 +90,6 @@ class ShardFailure(RuntimeError):
 FaultHook = Union[
     Callable[[int, int, int], None], Callable[[int, int, int, int], None]
 ]
-
-
-@dataclass(frozen=True)
-class Query:
-    """One similarity query in a batch.
-
-    ``kind`` is ``"range"`` (uses ``radius``) or ``"knn"`` (uses ``k``).
-    Use the :meth:`range` / :meth:`knn` constructors rather than spelling
-    the fields out.
-
-    ``budget``/``epsilon`` opt a query into the approximate tier (see
-    :mod:`repro.approx` and ``docs/approximate.md``): ``budget`` caps
-    distance computations (split deterministically across a manager's
-    shards), ``epsilon`` relaxes k-NN to the (1+epsilon) contract.  The
-    engine then attaches a merged :class:`~repro.approx.ApproxReport`
-    to the result.
-    """
-
-    kind: str
-    query: object
-    radius: Optional[float] = None
-    k: Optional[int] = None
-    budget: Optional[int] = None
-    epsilon: float = 0.0
-
-    @classmethod
-    def range(
-        cls,
-        query,
-        radius: float,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-    ) -> "Query":
-        """A near-neighbor query: all objects within ``radius``."""
-        return cls(
-            "range",
-            query,
-            radius=float(radius),
-            budget=budget,
-            epsilon=float(epsilon),
-        )
-
-    @classmethod
-    def knn(
-        cls,
-        query,
-        k: int,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-    ) -> "Query":
-        """A k-nearest-neighbor query."""
-        return cls(
-            "knn", query, k=int(k), budget=budget, epsilon=float(epsilon)
-        )
-
-    @property
-    def is_approximate(self) -> bool:
-        """Does this query run on the budgeted/relaxed tier?"""
-        return self.budget is not None or self.epsilon > 0
-
-    def cache_key(self):
-        """Hashable identity for the result cache (None = uncacheable).
-
-        Budget and epsilon are part of the identity: a budgeted answer
-        must never satisfy an exact lookup (or a differently budgeted
-        one).
-        """
-        base = query_cache_key(self.query)
-        if base is None:
-            return None
-        return (self.kind, self.radius, self.k, self.budget, self.epsilon, base)
 
 
 @dataclass
@@ -556,19 +488,6 @@ class QueryEngine:
         else:
             self.fault_hook(qi, shard, attempt)
 
-    def _unit_budget(self, budget: Optional[int], shard: Optional[int]):
-        """The slice of a query budget one shard unit may spend.
-
-        Uses the same deterministic :func:`~repro.approx.split_budget`
-        as :meth:`ShardManager.approx_knn_search`, so engine answers
-        match the manager's sequential approximate path exactly.
-        """
-        if budget is None or shard is None:
-            return budget
-        if not isinstance(self.index, ShardManager):
-            return budget
-        return split_budget(budget, self.index.n_shards)[shard]
-
     def _search_unit(
         self,
         query: Query,
@@ -581,93 +500,25 @@ class QueryEngine:
         Returns ``(value, report)``; ``report`` is ``None`` on the exact
         tier and an :class:`~repro.approx.ApproxReport` (in this unit's
         *local* frame: spent/missed mass for this shard only) on the
-        approximate tier.
+        approximate tier.  A shard unit runs its slice of the budget —
+        the same split :meth:`ShardManager.search` uses, so engine
+        answers match the sequential path exactly.
         """
-        index = self.index
-        approximate = query.is_approximate
-        budget = self._unit_budget(query.budget, shard)
+        if shard is not None:
+            query = unit_query(query, shard, self.index.n_shards)
         if isinstance(self.executor, ProcessExecutor):
-            # The search itself runs in a forked worker; only the
+            # The search itself runs in a worker process; only the
             # orchestration (this thread) stays parent-side.  The
             # worker's stats come back by value and merge into the
             # unit's stats, preserving every per-query identity except
             # the parent CountingMetric delta (the worker charged its
             # own forked copy).
-            target = shard if isinstance(index, ShardManager) else None
             value, remote_stats, report = self.executor.search(
-                query.kind,
-                query.query,
-                query.radius,
-                query.k,
-                target,
-                replica,
-                budget=budget,
-                epsilon=query.epsilon,
+                query, shard, replica
             )
             stats.merge(remote_stats)
             return value, report
-        if shard is not None and isinstance(index, ShardManager):
-            if approximate:
-                if query.kind == "range":
-                    return index.shard_approx_range_search(
-                        shard,
-                        query.query,
-                        query.radius,
-                        budget=budget,
-                        epsilon=query.epsilon,
-                        replica=replica,
-                        stats=stats,
-                    )
-                return index.shard_approx_knn_search(
-                    shard,
-                    query.query,
-                    query.k,
-                    budget=budget,
-                    epsilon=query.epsilon,
-                    replica=replica,
-                    stats=stats,
-                )
-            if query.kind == "range":
-                return (
-                    index.shard_range_search(
-                        shard,
-                        query.query,
-                        query.radius,
-                        replica=replica,
-                        stats=stats,
-                    ),
-                    None,
-                )
-            return (
-                index.shard_knn_search(
-                    shard, query.query, query.k, replica=replica, stats=stats
-                ),
-                None,
-            )
-        if approximate:
-            if query.kind == "range":
-                return approx_range_search(
-                    index,
-                    query.query,
-                    query.radius,
-                    budget=budget,
-                    epsilon=query.epsilon,
-                    stats=stats,
-                )
-            return approx_knn_search(
-                index,
-                query.query,
-                query.k,
-                budget=budget,
-                epsilon=query.epsilon,
-                stats=stats,
-            )
-        if query.kind == "range":
-            return (
-                index.range_search(query.query, query.radius, stats=stats),
-                None,
-            )
-        return index.knn_search(query.query, query.k, stats=stats), None
+        return search(self.index, query, shard=shard, replica=replica, stats=stats)
 
     def _unit_replicas(self, shard: Optional[int]) -> list[Optional[int]]:
         """Failover candidates for a unit, preferred replica first.
@@ -832,18 +683,22 @@ class QueryEngine:
         explicitly budgeted query would get.
         """
         policy = self.approximate
-        downgraded = Query(
-            query.kind,
-            query.query,
-            radius=query.radius,
-            k=query.k,
-            budget=policy.budget,
-            epsilon=policy.epsilon,
+        downgraded = replace(
+            query, budget=policy.budget, epsilon=policy.epsilon
         )
+        replica = None
+        if shard is not None and isinstance(self.index, ShardManager):
+            # Resolve the replica here, against the parent's replica
+            # table: a worker resolving ``None`` itself could pick a
+            # replica the parent has already dropped.
+            live = self.index.live_replicas(shard)
+            if not live:
+                raise ReplicaUnavailable(f"shard {shard} has no live replica")
+            replica = live[0]
         if self.distance_cache is not None:
             with self.distance_cache.observe(stats):
-                return self._search_unit(downgraded, shard, None, stats)
-        return self._search_unit(downgraded, shard, None, stats)
+                return self._search_unit(downgraded, shard, replica, stats)
+        return self._search_unit(downgraded, shard, replica, stats)
 
     def _gather(
         self,

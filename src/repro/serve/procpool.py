@@ -11,22 +11,25 @@ throughput.  The :class:`ProcessExecutor` fixes that by running the
   a :class:`~repro.serve.sharding.ShardManager`) is placed in the
   module-level :data:`_FORK_REGISTRY` *before* the pool forks, so every
   worker finds it in its own copy-on-write memory under a small integer
-  token.  Queries ship only ``(token, kind, query, radius/k, shard,
-  replica)`` — the index itself is **never pickled**, not at setup and
-  not per query.
+  token.  Each unit ships only its :class:`~repro.serve.sharding.Query`,
+  shard and replica — the index itself is **never pickled**, not at
+  setup and not per query.
 * **Orchestration stays in the parent.**  Retry rounds, replica
   failover, circuit breakers, deadlines, backpressure and the fault
   hook all run on a parent-side thread pool exactly as they do for the
   threaded executor; only the leaf call —
-  :func:`_remote_search` — crosses the process boundary, returning a
-  picklable ``(value, QueryStats, ApproxReport | None)`` triple that
-  the parent merges into the unit's stats (the report is ``None`` on
-  the exact tier).
+  :func:`_remote_search`, which runs the same
+  :func:`repro.serve.sharding.search` an in-thread unit runs — crosses
+  the process boundary, returning a picklable ``(value, QueryStats,
+  ApproxReport | None)`` triple that the parent merges into the unit's
+  stats (the report is ``None`` on the exact tier).
 * **Parent-side replica state is authoritative.**  Workers never see
   replicas dropped *after* the fork (their copy-on-write snapshot still
   has them), which is safe precisely because the engine checks
-  ``index.replica(shard, replica)`` in the parent before dispatching —
-  a dropped replica is skipped without ever reaching a worker.
+  ``index.slot_available(shard, replica)`` in the parent before
+  dispatching, and resolves a concrete replica for a deadline
+  downgrade there too — a dropped replica is skipped without ever
+  reaching a worker.
 
 Consequences callers must accept:
 
@@ -73,9 +76,10 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import Optional
 
+from repro.approx import ApproxReport
 from repro.indexes.base import MetricIndex
 from repro.obs.stats import QueryStats
-from repro.serve.sharding import ShardManager
+from repro.serve.sharding import Query, search
 from repro.store.spec import MetricSpec
 from repro.store.worker import remote_store_search
 
@@ -103,26 +107,17 @@ def _ping(delay_s: float) -> int:
 
 
 def _remote_search(
-    token: int,
-    kind: str,
-    query: object,
-    radius: Optional[float],
-    k: Optional[int],
-    shard: Optional[int],
-    replica: Optional[int],
-    budget: Optional[int] = None,
-    epsilon: float = 0.0,
-) -> tuple[object, QueryStats, Optional["ApproxReport"]]:
+    token: int, query: Query, shard: Optional[int], replica: Optional[int]
+) -> tuple[object, QueryStats, Optional[ApproxReport]]:
     """Run one unit's search inside a worker; the picklable leaf call.
 
-    Looks the index up in the fork-inherited registry and returns the
-    answer together with the worker-side :class:`QueryStats` (which the
-    parent merges into the unit's stats) and, when ``budget``/``epsilon``
-    put the unit on the approximate tier, the unit-local
-    :class:`~repro.approx.ApproxReport` (``None`` on the exact tier).
-    Exceptions propagate through the future into the parent's failover
-    logic unchanged.  ``budget`` arrives already split per shard by the
-    engine.
+    Looks the index up in the fork-inherited registry, answers with
+    :func:`~repro.serve.sharding.search`, and returns the value with the
+    worker-side :class:`QueryStats` (which the parent merges into the
+    unit's stats) and the unit-local report (``None`` on the exact
+    tier).  Exceptions propagate through the future into the parent's
+    failover logic unchanged.  ``query.budget`` arrives already split
+    per shard by the engine.
     """
     index = _FORK_REGISTRY.get(token)
     if index is None:
@@ -131,54 +126,8 @@ def _remote_search(
             "predates the registration (pool built before the index?)"
         )
     stats = QueryStats()
-    approximate = budget is not None or epsilon > 0
-    if approximate:
-        from repro.approx import approx_knn_search, approx_range_search
-
-        if shard is not None and isinstance(index, ShardManager):
-            if kind == "range":
-                value, report = index.shard_approx_range_search(
-                    shard,
-                    query,
-                    radius,
-                    budget=budget,
-                    epsilon=epsilon,
-                    replica=replica,
-                    stats=stats,
-                )
-            else:
-                value, report = index.shard_approx_knn_search(
-                    shard,
-                    query,
-                    k,
-                    budget=budget,
-                    epsilon=epsilon,
-                    replica=replica,
-                    stats=stats,
-                )
-        elif kind == "range":
-            value, report = approx_range_search(
-                index, query, radius, budget=budget, epsilon=epsilon, stats=stats
-            )
-        else:
-            value, report = approx_knn_search(
-                index, query, k, budget=budget, epsilon=epsilon, stats=stats
-            )
-        return value, stats, report
-    if shard is not None and isinstance(index, ShardManager):
-        if kind == "range":
-            value = index.shard_range_search(
-                shard, query, radius, replica=replica, stats=stats
-            )
-        else:
-            value = index.shard_knn_search(
-                shard, query, k, replica=replica, stats=stats
-            )
-    elif kind == "range":
-        value = index.range_search(query, radius, stats=stats)
-    else:
-        value = index.knn_search(query, k, stats=stats)
-    return value, stats, None
+    value, report = search(index, query, shard=shard, replica=replica, stats=stats)
+    return value, stats, report
 
 
 class ProcessExecutor:
@@ -309,60 +258,33 @@ class ProcessExecutor:
         return self._threads.submit(fn, *args)
 
     def search(
-        self,
-        kind: str,
-        query: object,
-        radius: Optional[float],
-        k: Optional[int],
-        shard: Optional[int],
-        replica: Optional[int],
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-    ) -> tuple[object, QueryStats, object]:
-        """Dispatch one search to a forked worker and await its answer.
+        self, query: Query, shard: Optional[int], replica: Optional[int]
+    ) -> tuple[object, QueryStats, Optional[ApproxReport]]:
+        """Dispatch one unit to a worker process and await its answer.
 
         Called by the engine's ``_search_unit`` from an orchestration
         thread; worker exceptions re-raise here and feed the engine's
         breaker/failover path exactly like an in-thread failure.
         Returns ``(value, stats, report)``; ``report`` is the unit's
-        :class:`~repro.approx.ApproxReport` on the approximate tier
-        (``budget``/``epsilon`` set), else ``None``.
+        :class:`~repro.approx.ApproxReport` on the approximate tier,
+        else ``None``.
 
         In disk-backed mode the unit's ``(shard, replica)`` selects a
         store path; a slot with no file (empty shard, unsaved replica)
         answers empty without leaving the parent.
         """
-        if self._store_paths is not None:
-            key = (shard or 0, replica or 0)
-            path = self._store_paths.get(key)
-            if path is None:
-                # Nothing to search: exact-empty, so no report needed —
-                # the engine phrases it as a zero-mass certificate.
-                return [], QueryStats(), None
+        if self._store_paths is None:
             future = self._processes.submit(
-                remote_store_search,
-                path,
-                self._metric_spec,
-                kind,
-                query,
-                radius,
-                k,
-                budget,
-                epsilon,
+                _remote_search, self.token, query, shard, replica
             )
             return future.result()
+        path = self._store_paths.get((shard or 0, replica or 0))
+        if path is None:
+            # Nothing to search: exact-empty, so no report needed —
+            # the engine phrases it as a zero-mass certificate.
+            return [], QueryStats(), None
         future = self._processes.submit(
-            _remote_search,
-            self.token,
-            kind,
-            query,
-            radius,
-            k,
-            shard,
-            replica,
-            budget,
-            epsilon,
+            remote_store_search, path, self._metric_spec, query
         )
         return future.result()
 

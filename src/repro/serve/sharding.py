@@ -58,11 +58,19 @@ from __future__ import annotations
 
 import heapq
 import threading
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro._util import RngLike, as_rng, check_non_empty, gather
+from repro.approx import (
+    approx_knn_search,
+    approx_range_search,
+    build_report,
+    merge_reports,
+    split_budget,
+)
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
@@ -78,6 +86,7 @@ from repro.indexes.vptree import VPTree
 from repro.metric.base import Metric
 from repro.obs.stats import PRUNE_BUDGET, SHARD_OK, QueryStats
 from repro.obs.trace import TraceSink, make_observation
+from repro.serve.cache import query_cache_key
 
 #: ``builder(objects, metric, rng) -> MetricIndex`` per backend name.
 ShardBuilder = Callable[[Sequence, Metric, np.random.Generator], MetricIndex]
@@ -147,6 +156,79 @@ def assign_shards(n_objects: int, n_shards: int, assignment: str) -> list[list[i
     raise ValueError(
         f"unknown assignment {assignment!r}; choose from {_ASSIGNMENTS}"
     )
+
+
+@dataclass(frozen=True)
+class Query:
+    """One similarity query: the request every search path answers.
+
+    ``kind`` is ``"range"`` (uses ``radius``) or ``"knn"`` (uses ``k``).
+    Use the :meth:`range` / :meth:`knn` constructors rather than spelling
+    the fields out.
+
+    ``budget``/``epsilon`` opt a query into the approximate tier (see
+    :mod:`repro.approx` and ``docs/approximate.md``): ``budget`` caps
+    distance computations (split deterministically across a manager's
+    shards), ``epsilon`` relaxes k-NN to the (1+epsilon) contract.  The
+    engine then attaches a merged :class:`~repro.approx.ApproxReport`
+    to the result.
+    """
+
+    kind: str
+    query: object
+    radius: Optional[float] = None
+    k: Optional[int] = None
+    budget: Optional[int] = None
+    epsilon: float = 0.0
+
+    @classmethod
+    def range(
+        cls,
+        query,
+        radius: float,
+        *,
+        budget: Optional[int] = None,
+        epsilon: float = 0.0,
+    ) -> "Query":
+        """A near-neighbor query: all objects within ``radius``."""
+        return cls(
+            "range",
+            query,
+            radius=float(radius),
+            budget=budget,
+            epsilon=float(epsilon),
+        )
+
+    @classmethod
+    def knn(
+        cls,
+        query,
+        k: int,
+        *,
+        budget: Optional[int] = None,
+        epsilon: float = 0.0,
+    ) -> "Query":
+        """A k-nearest-neighbor query."""
+        return cls(
+            "knn", query, k=int(k), budget=budget, epsilon=float(epsilon)
+        )
+
+    @property
+    def is_approximate(self) -> bool:
+        """Does this query run on the budgeted/relaxed tier?"""
+        return self.budget is not None or self.epsilon > 0
+
+    def cache_key(self):
+        """Hashable identity for the result cache (None = uncacheable).
+
+        Budget and epsilon are part of the identity: a budgeted answer
+        must never satisfy an exact lookup (or a differently budgeted
+        one).
+        """
+        base = query_cache_key(self.query)
+        if base is None:
+            return None
+        return (self.kind, self.radius, self.k, self.budget, self.epsilon, base)
 
 
 def merge_knn(candidates: Sequence[Sequence[Neighbor]], k: int) -> list[Neighbor]:
@@ -850,24 +932,8 @@ class ShardManager(MetricIndex):
             self._epochs[dst] += 1
 
     # ------------------------------------------------------------------
-    # Per-shard searches (the engine's unit of parallel work)
+    # Search: one Query per shard (the engine's unit of parallel work)
     # ------------------------------------------------------------------
-
-    def _replica_for(self, shard: int, replica: Optional[int]) -> MetricIndex:
-        """Resolve the index a shard search should run on.
-
-        ``replica=None`` picks the first live replica (the sequential
-        path); a specific replica must itself be live.  Raises
-        :class:`ReplicaUnavailable` when nothing can answer — an exact
-        search can't silently skip a populated shard.
-        """
-        with self._replicas_lock:
-            index, _slot = self._resolve_locked(shard, replica)
-        if index is None:
-            raise ReplicaUnavailable(
-                f"shard {shard} replica {replica} has no base index"
-            )
-        return index
 
     def _slot_snapshot(self, shard: int, replica: Optional[int]) -> _ShardView:
         """One consistent view of a shard for a search.
@@ -913,20 +979,12 @@ class ShardManager(MetricIndex):
         if stats is not None:
             stats.record_shard_outcome(shard, SHARD_OK)
 
-    def _scan_rows(self, rows, query, *, stats, trace) -> np.ndarray:
-        """One exact batched scan of buffered rows (observed like a
-        linear leaf scan, mirroring ``StoreBackedIndex``'s delta tail)."""
-        obs = make_observation(stats, trace)
-        n = len(rows)
-        if obs is not None:
-            obs.enter_leaf(n)
-            obs.leaf_scan(n, n)
-        return np.asarray(self._batch_dist(obs, rows, query), dtype=np.float64)
-
     def _scan_memtable(self, rows, query, budget, *, stats, trace):
         """Budgeted exact scan of buffered rows: an id-ordered prefix
         under ``budget``, the unscanned suffix as missed mass (the same
-        contract as :func:`repro.approx.search`'s prefix scans).
+        contract as :func:`repro.approx.search`'s prefix scans).  With
+        ``budget=None`` every row is scanned and observed exactly like a
+        linear leaf scan.
 
         Returns ``(distances, take, spent, missed)``.
         """
@@ -948,370 +1006,233 @@ class ShardManager(MetricIndex):
         missed = n - take
         return distances, take, tracker.spent, missed
 
-    def shard_range_search(
+    def shard_search(
         self,
         shard: int,
-        query,
-        radius: float,
+        query: Query,
         *,
         replica: Optional[int] = None,
         stats: Optional[QueryStats] = None,
         trace: Optional[TraceSink] = None,
-    ) -> list[int]:
-        """Range-search one shard; hits are returned as *global* ids.
+        approximate: Optional[bool] = None,
+    ):
+        """Answer ``query`` on one shard; returns ``(value, report)``.
+
+        ``value`` carries *global* ids: range hits, or k-NN neighbors
+        (``k`` clamped to the shard's live size — the global merge only
+        needs each shard's local top-``min(k, |shard|)``).  ``report`` is
+        the shard-local :class:`~repro.approx.ApproxReport` on the
+        approximate tier and ``None`` on the exact tier.  ``query.budget``
+        is this shard's own allowance (see :func:`unit_query`).
 
         ``replica`` targets one replica (the engine's failover path);
-        ``None`` uses the first live one.  Empty shards answer ``[]``;
-        a populated shard with no live target raises
-        :class:`ReplicaUnavailable`.  Tombstoned points are filtered and
-        memtable points unioned in via an exact scan, so the answer is
-        always exact over the shard's live id-set.
+        ``None`` uses the first live one.  Empty shards answer ``[]``; a
+        populated shard with no live target raises
+        :class:`ReplicaUnavailable`.  ``approximate`` overrides the tier
+        (default: :attr:`Query.is_approximate`); ``True`` certifies even
+        an unbudgeted, ``epsilon=0`` query on the budgeted kernels.
+
+        The tier only picks the base-index call (the exact kernels, or
+        :mod:`repro.approx`).  Everything else is shared: on a mutated
+        shard the base is over-fetched by the tombstone count (so ``k``
+        live answers survive the filter), tombstoned points are dropped,
+        the memtable is scanned with whatever budget the base left, and
+        the union merges by ``(distance, global id)`` — exact over the
+        shard's live id-set, with certificates merged the same way.
         """
+        if approximate is None:
+            approximate = query.is_approximate
+        knn = query.kind == "knn"
         view = self._slot_snapshot(shard, replica)
-        if view.n_live == 0:
-            self._record_ok(stats, shard)
-            return []
-        if not view.mutated:
-            local = view.index.range_search(
-                query, radius, stats=stats, trace=trace
-            )
-            self._record_ok(stats, shard)
-            return [view.ids[i] for i in local]
-        hits: list[int] = []
+        kk = min(query.k, view.n_live) if knn else 0
+        found: list = []
+        reports = []
+        remaining = query.budget
         if view.index is not None and view.ids:
-            local = view.index.range_search(
-                query, radius, stats=stats, trace=trace
+            param = min(kk + len(view.dead), len(view.ids)) if knn else query.radius
+            local, report = _base_search(
+                view.index, query, param, approximate, stats=stats, trace=trace
             )
-            hits = [
-                gid
-                for gid in (view.ids[i] for i in local)
-                if gid not in view.dead
-            ]
+            ids, dead = view.ids, view.dead
+            if knn:
+                found = [
+                    Neighbor(n.distance, int(ids[n.id]))
+                    for n in local
+                    if ids[n.id] not in dead
+                ]
+            else:
+                found = [gid for gid in (ids[i] for i in local) if gid not in dead]
+            if not view.mutated:
+                self._record_ok(stats, shard)
+                return found, report
+            if report is not None:
+                reports.append(report)
+                if remaining is not None:
+                    remaining = max(0, remaining - report.spent)
         if view.extra_ids:
-            distances = self._scan_rows(
-                view.extra_rows, query, stats=stats, trace=trace
+            distances, take, spent, missed = self._scan_memtable(
+                view.extra_rows, query.query, remaining, stats=stats, trace=trace
             )
-            hits.extend(
-                int(view.extra_ids[j])
-                for j in np.nonzero(distances <= radius)[0]
-            )
-            hits.sort()
+            if knn:
+                mem = [
+                    Neighbor(d, int(gid))
+                    for d, gid in heapq.nsmallest(
+                        kk, zip(distances.tolist(), view.extra_ids)
+                    )
+                ]
+            else:
+                mem = [
+                    int(view.extra_ids[j])
+                    for j in np.nonzero(distances <= query.radius)[0]
+                ]
+            if approximate:
+                reports.append(
+                    build_report(
+                        query.kind, mem, budget=remaining,
+                        epsilon=query.epsilon, spent=spent,
+                        exhausted=missed > 0, possible_missed=missed,
+                        min_missed_lb=0.0 if missed else float("inf"),
+                        target=min(kk, len(view.extra_ids)) if knn else None,
+                    )
+                )
+            found.extend(mem)
+            if not knn:
+                found.sort()
+        if knn:
+            found = heapq.nsmallest(kk, found)
         self._record_ok(stats, shard)
-        return hits
+        if not approximate:
+            return found, None
+        return found, merge_reports(
+            query.kind, reports, found, budget=query.budget,
+            epsilon=query.epsilon, target=kk if knn else None,
+        )
+
+    def search(
+        self,
+        query: Query,
+        *,
+        stats: Optional[QueryStats] = None,
+        trace: Optional[TraceSink] = None,
+        approximate: Optional[bool] = None,
+    ):
+        """Sequential pass of ``query`` over every shard, exactly merged.
+
+        Each shard runs its deterministic slice of the budget
+        (:func:`unit_query`), the same allowance the concurrent engine
+        hands it, so both paths answer identically.  Returns
+        ``(value, report)`` like :meth:`shard_search`, the report being
+        the exact cross-shard certificate merge.
+        """
+        if approximate is None:
+            approximate = query.is_approximate
+        knn = query.kind == "knn"
+        if knn:
+            k = self.validate_k(query.k)
+        else:
+            self.validate_radius(query.radius)
+        n_shards = self.n_shards
+        values, reports = [], []
+        for shard in range(n_shards):
+            value, report = self.shard_search(
+                shard, unit_query(query, shard, n_shards),
+                stats=stats, trace=trace, approximate=approximate,
+            )
+            values.append(value)
+            reports.append(report)
+        merged = merge_knn(values, k) if knn else merge_range(values)
+        if not approximate:
+            return merged, None
+        return merged, merge_reports(
+            query.kind, reports, merged, budget=query.budget,
+            epsilon=query.epsilon, target=k if knn else None,
+        )
+
+    # Thin per-kind entry points over search()/shard_search(): the
+    # MetricIndex interface, plus the names benchmark and test code call.
+
+    def shard_range_search(
+        self, shard: int, query, radius: float, *, replica=None, stats=None, trace=None
+    ) -> list[int]:
+        """Exact range search of one shard (global ids)."""
+        q = Query.range(query, radius)
+        return self.shard_search(shard, q, replica=replica, stats=stats, trace=trace)[0]
 
     def shard_knn_search(
-        self,
-        shard: int,
-        query,
-        k: int,
-        *,
-        replica: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
+        self, shard: int, query, k: int, *, replica=None, stats=None, trace=None
     ) -> list[Neighbor]:
-        """k-NN one shard; neighbors carry *global* ids.
-
-        ``k`` is clamped to the shard's live size; the global merge only
-        needs each shard's local top-``min(k, |shard|)``.  On a mutated
-        shard the base is over-fetched by the tombstone count (so ``k``
-        live answers survive the filter) and merged with the memtable
-        scan by ``(distance, global id)`` — the same deterministic order
-        as everywhere else.  ``replica`` as in :meth:`shard_range_search`.
-        """
-        view = self._slot_snapshot(shard, replica)
-        if view.n_live == 0:
-            self._record_ok(stats, shard)
-            return []
-        kk = min(k, view.n_live)
-        if not view.mutated:
-            local = view.index.knn_search(query, kk, stats=stats, trace=trace)
-            self._record_ok(stats, shard)
-            return [Neighbor(n.distance, int(view.ids[n.id])) for n in local]
-        merged: list[tuple[float, int]] = []
-        if view.index is not None and view.ids:
-            base_k = min(kk + len(view.dead), len(view.ids))
-            local = view.index.knn_search(
-                query, base_k, stats=stats, trace=trace
-            )
-            merged.extend(
-                (n.distance, int(view.ids[n.id]))
-                for n in local
-                if view.ids[n.id] not in view.dead
-            )
-        if view.extra_ids:
-            distances = self._scan_rows(
-                view.extra_rows, query, stats=stats, trace=trace
-            )
-            merged.extend(
-                (float(d), int(gid))
-                for gid, d in zip(view.extra_ids, distances)
-            )
-        merged.sort()
-        self._record_ok(stats, shard)
-        return [Neighbor(d, gid) for d, gid in merged[:kk]]
-
-    def shard_approx_range_search(
-        self,
-        shard: int,
-        query,
-        radius: float,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-        replica: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ):
-        """Budgeted range search of one shard; global ids + certificate.
-
-        On a mutated shard the base structure runs under the budget
-        first and whatever remains pays for a prefix of the memtable
-        (mirroring the store-backed base/delta split); the two partial
-        certificates merge exactly.
-        """
-        # Module-attribute call: the free function shares this method's
-        # name, and a bare name here would read as (mutual) recursion.
-        from repro import approx
-        from repro.approx import build_report, merge_reports
-
-        view = self._slot_snapshot(shard, replica)
-        if view.n_live == 0:
-            self._record_ok(stats, shard)
-            return [], build_report(
-                "range", [], budget=budget, epsilon=epsilon,
-                spent=0, exhausted=False,
-                possible_missed=0, min_missed_lb=float("inf"),
-            )
-        if not view.mutated:
-            local, report = approx.approx_range_search(
-                view.index, query, radius,
-                budget=budget, epsilon=epsilon, stats=stats, trace=trace,
-            )
-            self._record_ok(stats, shard)
-            return [view.ids[i] for i in local], report
-        reports = []
-        hits: list[int] = []
-        remaining = budget
-        if view.index is not None and view.ids:
-            local, base_report = approx.approx_range_search(
-                view.index, query, radius,
-                budget=budget, epsilon=epsilon, stats=stats, trace=trace,
-            )
-            reports.append(base_report)
-            hits = [
-                gid
-                for gid in (view.ids[i] for i in local)
-                if gid not in view.dead
-            ]
-            if budget is not None:
-                remaining = max(0, budget - base_report.spent)
-        if view.extra_ids:
-            distances, take, spent, missed = self._scan_memtable(
-                view.extra_rows, query, remaining, stats=stats, trace=trace
-            )
-            mem_hits = [
-                int(view.extra_ids[j])
-                for j in np.nonzero(distances <= radius)[0]
-            ]
-            reports.append(
-                build_report(
-                    "range", mem_hits, budget=remaining, epsilon=epsilon,
-                    spent=spent, exhausted=missed > 0,
-                    possible_missed=missed,
-                    min_missed_lb=0.0 if missed else float("inf"),
-                )
-            )
-            hits.extend(mem_hits)
-            hits.sort()
-        self._record_ok(stats, shard)
-        return hits, merge_reports(
-            "range", reports, hits, budget=budget, epsilon=epsilon
-        )
-
-    def shard_approx_knn_search(
-        self,
-        shard: int,
-        query,
-        k: int,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-        replica: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ):
-        """Budgeted k-NN of one shard; neighbors carry global ids.
-
-        Mutated shards run the base under the budget (over-fetched by
-        the tombstone count), spend the remainder on a memtable prefix,
-        and merge results and certificates exactly as the exact path
-        does.
-        """
-        # Module-attribute call: the free function shares this method's
-        # name, and a bare name here would read as (mutual) recursion.
-        from repro import approx
-        from repro.approx import build_report, merge_reports
-
-        view = self._slot_snapshot(shard, replica)
-        if view.n_live == 0:
-            self._record_ok(stats, shard)
-            return [], build_report(
-                "knn", [], budget=budget, epsilon=epsilon,
-                spent=0, exhausted=False,
-                possible_missed=0, min_missed_lb=float("inf"),
-            )
-        kk = min(k, view.n_live)
-        if not view.mutated:
-            local, report = approx.approx_knn_search(
-                view.index, query, kk,
-                budget=budget, epsilon=epsilon, stats=stats, trace=trace,
-            )
-            self._record_ok(stats, shard)
-            return [Neighbor(n.distance, int(view.ids[n.id])) for n in local], report
-        reports = []
-        candidates: list[Neighbor] = []
-        remaining = budget
-        if view.index is not None and view.ids:
-            base_k = min(kk + len(view.dead), len(view.ids))
-            local, base_report = approx.approx_knn_search(
-                view.index, query, base_k,
-                budget=budget, epsilon=epsilon, stats=stats, trace=trace,
-            )
-            reports.append(base_report)
-            candidates.extend(
-                Neighbor(n.distance, int(view.ids[n.id]))
-                for n in local
-                if view.ids[n.id] not in view.dead
-            )
-            if budget is not None:
-                remaining = max(0, budget - base_report.spent)
-        if view.extra_ids:
-            distances, take, spent, missed = self._scan_memtable(
-                view.extra_rows, query, remaining, stats=stats, trace=trace
-            )
-            mem_all = [
-                Neighbor(float(distances[j]), int(view.extra_ids[j]))
-                for j in range(take)
-            ]
-            mem_results = heapq.nsmallest(kk, mem_all)
-            reports.append(
-                build_report(
-                    "knn", mem_results, budget=remaining, epsilon=epsilon,
-                    spent=spent, exhausted=missed > 0,
-                    possible_missed=missed,
-                    min_missed_lb=0.0 if missed else float("inf"),
-                    target=min(kk, len(view.extra_ids)),
-                )
-            )
-            candidates.extend(mem_results)
-        results = heapq.nsmallest(kk, candidates)
-        self._record_ok(stats, shard)
-        return results, merge_reports(
-            "knn", reports, results, budget=budget, epsilon=epsilon, target=kk
-        )
+        """Exact k-NN of one shard (global ids)."""
+        q = Query.knn(query, k)
+        return self.shard_search(shard, q, replica=replica, stats=stats, trace=trace)[0]
 
     def approx_range_search(
-        self,
-        query,
-        radius: float,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
+        self, query, radius: float, *, budget=None, epsilon=0.0, stats=None, trace=None
     ):
-        """Sequential budgeted range search over every shard.
-
-        The budget splits deterministically (:func:`repro.approx.split_budget`)
-        so this path and the concurrent engine hand each shard the same
-        allowance and answer identically; certificates merge exactly.
-        """
-        from repro.approx import merge_reports, split_budget
-
-        radius = self.validate_radius(radius)
-        n_shards = self.n_shards
-        budgets = split_budget(budget, n_shards)
-        hit_lists = []
-        reports = []
-        for shard in range(n_shards):
-            hits, report = self.shard_approx_range_search(
-                shard, query, radius,
-                budget=budgets[shard], epsilon=epsilon,
-                stats=stats, trace=trace,
-            )
-            hit_lists.append(hits)
-            reports.append(report)
-        merged = merge_range(hit_lists)
-        return merged, merge_reports(
-            "range", reports, merged, budget=budget, epsilon=epsilon
-        )
+        """Sequential budgeted range search; ``(hits, certificate)``."""
+        q = Query.range(query, radius, budget=budget, epsilon=epsilon)
+        return self.search(q, stats=stats, trace=trace, approximate=True)
 
     def approx_knn_search(
-        self,
-        query,
-        k: int,
-        *,
-        budget: Optional[int] = None,
-        epsilon: float = 0.0,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
+        self, query, k: int, *, budget=None, epsilon=0.0, stats=None, trace=None
     ):
-        """Sequential budgeted k-NN over every shard (exact merge)."""
-        from repro.approx import merge_reports, split_budget
-
-        k = self.validate_k(k)
-        n_shards = self.n_shards
-        budgets = split_budget(budget, n_shards)
-        candidate_lists = []
-        reports = []
-        for shard in range(n_shards):
-            candidates, report = self.shard_approx_knn_search(
-                shard, query, k,
-                budget=budgets[shard], epsilon=epsilon,
-                stats=stats, trace=trace,
-            )
-            candidate_lists.append(candidates)
-            reports.append(report)
-        merged = merge_knn(candidate_lists, k)
-        return merged, merge_reports(
-            "knn", reports, merged, budget=budget, epsilon=epsilon, target=k
-        )
-
-    # ------------------------------------------------------------------
-    # MetricIndex interface: sequential execution over every shard
-    # ------------------------------------------------------------------
+        """Sequential budgeted k-NN; ``(neighbors, certificate)``."""
+        q = Query.knn(query, k, budget=budget, epsilon=epsilon)
+        return self.search(q, stats=stats, trace=trace, approximate=True)
 
     def range_search(
-        self,
-        query,
-        radius: float,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
+        self, query, radius: float, *, stats=None, trace=None
     ) -> list[int]:
-        radius = self.validate_radius(radius)
-        return merge_range(
-            [
-                self.shard_range_search(
-                    shard, query, radius, stats=stats, trace=trace
-                )
-                for shard in range(self.n_shards)
-            ]
-        )
+        return self.search(Query.range(query, radius), stats=stats, trace=trace)[0]
 
     def knn_search(
-        self,
-        query,
-        k: int,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
+        self, query, k: int, *, stats=None, trace=None
     ) -> list[Neighbor]:
-        k = self.validate_k(k)
-        return merge_knn(
-            [
-                self.shard_knn_search(shard, query, k, stats=stats, trace=trace)
-                for shard in range(self.n_shards)
-            ],
-            k,
+        return self.search(Query.knn(query, k), stats=stats, trace=trace)[0]
+
+
+def unit_query(query: Query, shard: int, n_shards: int) -> Query:
+    """The query one shard unit runs: its deterministic slice of the
+    budget (:func:`repro.approx.split_budget`)."""
+    if query.budget is None:
+        return query
+    return replace(query, budget=split_budget(query.budget, n_shards)[shard])
+
+
+def _base_search(index, query: Query, param, approximate: bool, *, stats, trace):
+    """The leaf call: ``query`` on one plain index, ``param`` being the
+    radius or k.  The exact tier runs the index's own kernels, the
+    budgeted tier :mod:`repro.approx`; returns ``(value, report)``."""
+    if approximate:
+        fn = approx_range_search if query.kind == "range" else approx_knn_search
+        return fn(
+            index, query.query, param, budget=query.budget,
+            epsilon=query.epsilon, stats=stats, trace=trace,
         )
+    fn = index.range_search if query.kind == "range" else index.knn_search
+    return fn(query.query, param, stats=stats, trace=trace), None
+
+
+def search(
+    index: MetricIndex,
+    query: Query,
+    *,
+    shard: Optional[int] = None,
+    replica: Optional[int] = None,
+    stats: Optional[QueryStats] = None,
+    trace: Optional[TraceSink] = None,
+):
+    """Answer one :class:`Query` unit: ``shard`` of a :class:`ShardManager`
+    (see :meth:`ShardManager.shard_search`), or a whole plain index.
+
+    The one search entry the engine, process workers and disk workers
+    share; returns ``(value, report)`` with ``report`` ``None`` on the
+    exact tier.
+    """
+    if shard is not None and isinstance(index, ShardManager):
+        return index.shard_search(
+            shard, query, replica=replica, stats=stats, trace=trace
+        )
+    param = query.k if query.kind == "knn" else query.radius
+    return _base_search(
+        index, query, param, query.is_approximate, stats=stats, trace=trace
+    )

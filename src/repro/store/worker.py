@@ -20,7 +20,6 @@ later forks (see RC009).
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.indexes.base import Neighbor
 from repro.obs.stats import QueryStats
@@ -52,58 +51,25 @@ def open_worker_index(path: str, metric_spec: MetricSpec) -> StoreBackedIndex:
 
 
 def remote_store_search(
-    path: str,
-    metric_spec: MetricSpec,
-    kind: str,
-    query: object,
-    radius: Optional[float],
-    k: Optional[int],
-    budget: Optional[int] = None,
-    epsilon: float = 0.0,
+    path: str, metric_spec: MetricSpec, query
 ) -> tuple[object, QueryStats, object]:
     """Answer one (query, shard) unit from the shard's store file.
 
-    Mirrors :meth:`ShardManager.shard_range_search` /
-    :meth:`~ShardManager.shard_knn_search`: results carry the *global*
-    ids recorded in the store, k is clamped to the shard size, and the
-    worker-side :class:`QueryStats` ride back for the parent to merge.
-
-    ``budget``/``epsilon`` switch the unit to the approximate tier
-    (:mod:`repro.approx`); the returned third element is then the
-    unit-local :class:`~repro.approx.ApproxReport` (``None`` on the
-    exact tier).  ``budget`` arrives already split per shard.
+    Runs the same :func:`repro.serve.sharding.search` as every other
+    search path (``query`` is the unit's
+    :class:`~repro.serve.sharding.Query`, its budget already split per
+    shard), then maps the store's local ids to the *global* ids
+    recorded in it.  Returns ``(value, stats, report)``: the worker-side
+    :class:`QueryStats` ride back for the parent to merge, and
+    ``report`` is ``None`` on the exact tier.
     """
+    from repro.serve.sharding import search
+
     index = open_worker_index(path, metric_spec)
     stats = QueryStats()
-    if budget is not None or epsilon > 0:
-        from repro.approx import approx_knn_search, approx_range_search
-
-        if kind == "range":
-            local, report = approx_range_search(
-                index, query, radius, budget=budget, epsilon=epsilon, stats=stats
-            )
-            return index.to_global(local), stats, report
-        local, report = approx_knn_search(
-            index,
-            query,
-            min(k, len(index)),
-            budget=budget,
-            epsilon=epsilon,
-            stats=stats,
-        )
-        globals_ = index.to_global([n.id for n in local])
-        return (
-            [Neighbor(n.distance, g) for n, g in zip(local, globals_)],
-            stats,
-            report,
-        )
-    if kind == "range":
-        local = index.range_search(query, radius, stats=stats)
-        return index.to_global(local), stats, None
-    local = index.knn_search(query, min(k, len(index)), stats=stats)
+    local, report = search(index, query, stats=stats)
+    if query.kind == "range":
+        return index.to_global(local), stats, report
     globals_ = index.to_global([n.id for n in local])
-    return (
-        [Neighbor(n.distance, g) for n, g in zip(local, globals_)],
-        stats,
-        None,
-    )
+    neighbors = [Neighbor(n.distance, g) for n, g in zip(local, globals_)]
+    return neighbors, stats, report

@@ -5,6 +5,8 @@ engine's answers must stay *exactly* what a single-threaded pass over
 the same deployment produces — same ids, same distances, same per-query
 ``QueryStats`` (the workers report their stats by value) — for every
 backend in :data:`SHARD_BACKENDS`, vectors and discrete objects alike.
+Budgeted queries ride along: their answers, stats and recall
+certificates must equal the sequential ``ShardManager.approx_*`` pass.
 """
 
 import os
@@ -51,6 +53,8 @@ def _deployment(backend, uniform_data, word_data):
             Query.knn(objects[5], 6),
             Query.range(objects[9], 0.0),
             Query.knn(objects[11], 1),
+            Query.range(objects[7], 2.0, budget=40),
+            Query.knn(objects[13], 6, budget=25),
         ]
     else:
         # 120 points keeps the O(n^2/shards) matrix backend affordable.
@@ -64,7 +68,40 @@ def _deployment(backend, uniform_data, word_data):
                 queries.append(Query.range(vector, 0.6))
             else:
                 queries.append(Query.knn(vector, 7))
+        queries += [
+            Query.range(rng.random(objects.shape[1]), 0.8, budget=40),
+            Query.knn(rng.random(objects.shape[1]), 7, budget=25),
+            Query.knn(rng.random(objects.shape[1]), 5, budget=60, epsilon=0.2),
+        ]
     return objects, metric, queries
+
+
+def _sequential_pass(manager, queries):
+    """One single-threaded pass: answers, stats and (approximate tier
+    only) certificates, through the manager's own entry points."""
+    answers, all_stats, reports = [], [], []
+    for query in queries:
+        stats = QueryStats()
+        report = None
+        if query.is_approximate:
+            search = (
+                manager.approx_range_search
+                if query.kind == "range"
+                else manager.approx_knn_search
+            )
+            param = query.radius if query.kind == "range" else query.k
+            answer, report = search(
+                query.query, param,
+                budget=query.budget, epsilon=query.epsilon, stats=stats,
+            )
+        elif query.kind == "range":
+            answer = manager.range_search(query.query, query.radius, stats=stats)
+        else:
+            answer = manager.knn_search(query.query, query.k, stats=stats)
+        answers.append(answer)
+        all_stats.append(stats)
+        reports.append(report)
+    return answers, all_stats, reports
 
 
 @pytest.mark.parametrize("backend", sorted(SHARD_BACKENDS))
@@ -76,28 +113,27 @@ def test_process_pool_matches_sequential_oracle(
     oracle = LinearScan(objects, metric)
 
     # Sequential single-threaded pass over the very same deployment.
-    sequential_answers = []
-    sequential_stats = []
-    for query in queries:
-        stats = QueryStats()
-        if query.kind == "range":
-            answer = manager.range_search(query.query, query.radius, stats=stats)
-        else:
-            answer = manager.knn_search(query.query, query.k, stats=stats)
-        sequential_answers.append(answer)
-        sequential_stats.append(stats)
+    sequential_answers, sequential_stats, sequential_reports = _sequential_pass(
+        manager, queries
+    )
 
     with QueryEngine(manager, executor="process", workers=2) as engine:
         outcome = engine.run_batch(queries)
 
-    for query, result, answer, stats in zip(
-        queries, outcome.results, sequential_answers, sequential_stats
+    for query, result, answer, stats, report in zip(
+        queries, outcome.results, sequential_answers, sequential_stats,
+        sequential_reports,
     ):
         assert not result.degraded
         assert result.shards_ok == 3
         # Exact answers: equal to the sequential deployment AND to the
-        # ground-truth linear scan.
+        # ground-truth linear scan.  A budget-cut answer is pinned to
+        # the sequential pass (value, stats, certificate) only.
         assert result.value == answer
+        assert result.approx == report
+        if query.is_approximate:
+            assert result.stats.to_dict() == stats.to_dict()
+            continue
         if query.kind == "range":
             assert result.ids == oracle.range_search(query.query, query.radius)
         else:
@@ -167,19 +203,6 @@ STORABLE_BACKENDS = sorted(
 )
 
 
-def _sequential_pass(manager, queries):
-    answers, all_stats = [], []
-    for query in queries:
-        stats = QueryStats()
-        if query.kind == "range":
-            answer = manager.range_search(query.query, query.radius, stats=stats)
-        else:
-            answer = manager.knn_search(query.query, query.k, stats=stats)
-        answers.append(answer)
-        all_stats.append(stats)
-    return answers, all_stats
-
-
 @pytest.mark.parametrize("backend", STORABLE_BACKENDS)
 def test_store_backed_pool_matches_sequential_oracle(
     backend, uniform_data, word_data, tmp_path
@@ -191,7 +214,9 @@ def test_store_backed_pool_matches_sequential_oracle(
     objects, metric, queries = _deployment(backend, uniform_data, word_data)
     manager = ShardManager(objects, metric, n_shards=3, backend=backend, rng=5)
     paths = save_shard_stores(manager, tmp_path)
-    sequential_answers, sequential_stats = _sequential_pass(manager, queries)
+    sequential_answers, sequential_stats, sequential_reports = _sequential_pass(
+        manager, queries
+    )
     oracle = LinearScan(objects, metric)
 
     with QueryEngine(
@@ -203,12 +228,17 @@ def test_store_backed_pool_matches_sequential_oracle(
     ) as engine:
         outcome = engine.run_batch(queries)
 
-    for query, result, answer, stats in zip(
-        queries, outcome.results, sequential_answers, sequential_stats
+    for query, result, answer, stats, report in zip(
+        queries, outcome.results, sequential_answers, sequential_stats,
+        sequential_reports,
     ):
         assert not result.degraded
         assert result.shards_ok == 3
         assert result.value == answer
+        assert result.approx == report
+        if query.is_approximate:
+            assert result.stats.to_dict() == stats.to_dict()
+            continue
         if query.kind == "range":
             assert result.ids == oracle.range_search(query.query, query.radius)
         else:
@@ -230,7 +260,9 @@ def test_store_backed_pool_under_spawn(
     objects, metric, queries = _deployment(backend, uniform_data, word_data)
     manager = ShardManager(objects, metric, n_shards=3, backend=backend, rng=5)
     paths = save_shard_stores(manager, tmp_path)
-    sequential_answers, sequential_stats = _sequential_pass(manager, queries)
+    sequential_answers, sequential_stats, sequential_reports = _sequential_pass(
+        manager, queries
+    )
 
     executor = ProcessExecutor(
         None,
@@ -246,11 +278,13 @@ def test_store_backed_pool_under_spawn(
     finally:
         executor.shutdown()
 
-    for result, answer, stats in zip(
-        outcome.results, sequential_answers, sequential_stats
+    for result, answer, stats, report in zip(
+        outcome.results, sequential_answers, sequential_stats,
+        sequential_reports,
     ):
         assert not result.degraded
         assert result.value == answer
+        assert result.approx == report
         assert result.stats.to_dict() == stats.to_dict()
 
 

@@ -148,6 +148,48 @@ class TestDowngradePolicy:
         assert second.approx is None
         assert second.stats.result_cache_hits == 0
 
+    def test_process_downgrade_reads_a_live_replica(self, data, tmp_path):
+        """A downgrade dispatched to disk-backed workers targets a
+        replica the parent still holds: with replica 0 of shard 0
+        dropped (and its store file gone), the budgeted re-run answers
+        from replica 1 instead of failing on the missing file."""
+        import os
+
+        from repro.store import save_shard_stores
+
+        manager = ShardManager(
+            data, L2(), n_shards=3, backend="vpt", rng=11,
+            replication_factor=2,
+        )
+        paths = save_shard_stores(manager, tmp_path)
+        manager.drop_replica(0, 0)
+        os.remove(paths[(0, 0)])
+        release = threading.Event()
+
+        def stall(qi, shard, attempt):
+            if shard == 0:
+                release.wait(timeout=5.0)
+
+        try:
+            with QueryEngine(
+                manager,
+                executor="process",
+                workers=2,
+                timeout=0.5,
+                fault_hook=stall,
+                store_paths=paths,
+                metric_spec="l2",
+                approximate=ApproxDowngrade(budget=12),
+            ) as engine:
+                outcome = engine.run_batch([Query.knn(data[4], 5)])
+                release.set()
+        finally:
+            release.set()
+        result = outcome.results[0]
+        assert result.shards_downgraded == 1
+        assert result.shards_timed_out == 0
+        assert result.degraded is False
+
 
 class TestShardOutcomes:
     """Satellite regression: every unit's fate is observable."""

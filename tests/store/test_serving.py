@@ -12,7 +12,7 @@ import pytest
 
 from repro.metric import L2
 from repro.metric.base import CountingMetric
-from repro.serve.sharding import ShardManager
+from repro.serve.sharding import Query, ShardManager
 from repro.store import (
     METRIC_SPECS,
     metric_from_spec,
@@ -100,8 +100,11 @@ class TestWorkerCache:
         paths = save_shard_stores(manager, tmp_path)
         query = data[3]
         for kind in ("range", "knn"):
+            request = (
+                Query.range(query, 0.5) if kind == "range" else Query.knn(query, 5)
+            )
             value, stats, report = remote_store_search(
-                str(paths[(0, 0)]), "l2", kind, query, 0.5, 5
+                str(paths[(0, 0)]), "l2", request
             )
             assert report is None  # exact tier: no approx certificate
             if kind == "range":
