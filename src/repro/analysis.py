@@ -17,8 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.gmvptree import GMVPLeafNode, GMVPTree
-from repro.core.mvptree import MVPTree
-from repro.core.nodes import MVPLeafNode
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
 from repro.indexes.ghtree import GHLeafNode, GHTree
@@ -109,10 +107,8 @@ def analyze(index: MetricIndex) -> TreeReport:
     dynamic variant, gh-tree, GNAT, BK-tree).
     """
     report = TreeReport(type(index).__name__, len(index.objects))
-    if isinstance(index, GMVPTree):
+    if isinstance(index, GMVPTree):  # MVPTree and DynamicMVPTree too
         _walk_gmvp(index.root, 1, report)
-    elif isinstance(index, MVPTree):
-        _walk_mvp(index.root, 1, report)
     elif isinstance(index, VPTree):
         _walk_vp(index.root, 1, report)
     elif isinstance(index, GHTree):
@@ -138,7 +134,8 @@ def _leaf(report: TreeReport, size: int, depth: int) -> None:
 
 
 def _walk_gmvp(node, depth: int, report: TreeReport) -> None:
-    """Accumulate gmvp-tree stats (recursive; depth <= tree height)."""
+    """Accumulate multi-vantage tree stats (recursive; depth <= tree
+    height); D1/D2 (``dists``) and PATH rows are its stored distances."""
     if node is None:
         return
     if isinstance(node, GMVPLeafNode):
@@ -152,26 +149,6 @@ def _walk_gmvp(node, depth: int, report: TreeReport) -> None:
     report.height = max(report.height, depth)
     for child in node.children:
         _walk_gmvp(child, depth + 1, report)
-
-
-def _walk_mvp(node, depth: int, report: TreeReport) -> None:
-    """Accumulate mvp-tree stats (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, MVPLeafNode):
-        _leaf(report, len(node.ids), depth)
-        report.vantage_point_count += 1 if node.vp2_id is None else 2
-        # D1 + D2 + PATH rows are the mvp-tree's stored distances.
-        report.precomputed_distances += (
-            len(node.d1) + len(node.d2) + node.paths.size
-        )
-        return
-    report.node_count += 1
-    report.internal_count += 1
-    report.vantage_point_count += 2
-    report.height = max(report.height, depth)
-    for child in node.children:
-        _walk_mvp(child, depth + 1, report)
 
 
 def _walk_vp(node, depth: int, report: TreeReport) -> None:

@@ -13,13 +13,14 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
 * ``cutoff-monotone`` — M1 cutoffs and every M2 row are non-decreasing
   (section 4.2: cutoffs are order statistics of sorted distances).
 * ``m1-shape`` / ``m2-shape`` — M1 has ``m - 1`` entries, M2 is
-  ``m x (m - 1)``, children/bounds have the advertised fanout.
+  ``m x (m - 1)`` (a ``v``-vantage node keeps ``m**t`` such rows for
+  its t-th vantage point), children/bounds have the advertised fanout.
 * ``bounds-order`` — every stored shell satisfies ``0 <= lo <= hi``
   (the ``(inf, -inf)`` empty-partition sentinel is exempt).
 * ``bounds-cutoff-consistent`` — shell radii fall inside the cutoff
   interval their partition claims (section 4.3 prunes against both).
-* ``partition-membership`` — every point under child ``(i, j)`` really
-  lies inside that child's claimed shells around both vantage points.
+* ``partition-membership`` — every point under a child really lies
+  inside that child's claimed shells around every vantage point.
 * ``leaf-distance`` — leaf D1/D2 entries equal recomputed distances to
   the leaf's vantage points (section 4.2 step 2.1/2.5).
 * ``leaf-capacity`` — leaves respect ``k`` (or the dynamic overflow
@@ -70,8 +71,6 @@ import numpy as np
 
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPLeafNode, GMVPTree
-from repro.core.mvptree import MVPTree
-from repro.core.nodes import MVPLeafNode
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
@@ -176,269 +175,7 @@ def _check_id_partition(
 
 
 # ----------------------------------------------------------------------
-# mvp-tree family (MVPTree, DynamicMVPTree)
-# ----------------------------------------------------------------------
-
-
-def _mvp_subtree_ids(node) -> Iterator[int]:
-    """Yield every id under ``node`` (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    yield node.vp1_id
-    if isinstance(node, MVPLeafNode):
-        if node.vp2_id is not None:
-            yield node.vp2_id
-        yield from node.ids
-        return
-    yield node.vp2_id
-    for child in node.children:
-        yield from _mvp_subtree_ids(child)
-
-
-def verify_mvptree(index: MVPTree) -> list[Violation]:
-    """Check MVPTree / DynamicMVPTree invariants (sections 4.1-4.3)."""
-    out: list[Violation] = []
-    dist = index._metric.distance
-    objects = index._objects
-    m = index.m
-    if isinstance(index, DynamicMVPTree):
-        expected = set(range(len(objects))) - (
-            index.removed_ids - index.tombstone_ids
-        )
-        leaf_cap = int(index.overflow_factor * index.k)
-    else:
-        expected = set(range(len(objects)))
-        leaf_cap = index.k
-    root = index.root
-    if root is None:
-        if expected:
-            out.append(
-                Violation(
-                    "id-partition", "root", f"empty tree but {len(expected)} ids expected"
-                )
-            )
-        return out
-
-    seen: list[int] = []
-
-    def visit(node, loc: str, ancestors: list[int]) -> None:
-        """Recursive structural walk (depth bounded by tree height)."""
-        seen.append(node.vp1_id)
-        if isinstance(node, MVPLeafNode):
-            _visit_leaf(node, loc, ancestors)
-            return
-        seen.append(node.vp2_id)
-
-        if len(node.cutoffs1) != m - 1:
-            out.append(
-                Violation(
-                    "m1-shape",
-                    loc,
-                    f"cutoffs1 has {len(node.cutoffs1)} entries, expected {m - 1}",
-                )
-            )
-        if len(node.cutoffs2) != m or any(
-            len(row) != m - 1 for row in node.cutoffs2
-        ):
-            out.append(
-                Violation(
-                    "m2-shape",
-                    loc,
-                    f"cutoffs2 is not {m} rows of {m - 1} entries",
-                )
-            )
-        if (
-            len(node.bounds1) != m
-            or len(node.bounds2) != m
-            or any(len(row) != m for row in node.bounds2)
-            or len(node.children) != m * m
-        ):
-            out.append(
-                Violation(
-                    "m2-shape",
-                    loc,
-                    f"bounds/children fanout inconsistent with m={m}",
-                )
-            )
-            return  # subsequent indexed checks would be meaningless
-
-        if not _nondecreasing(node.cutoffs1):
-            out.append(
-                Violation(
-                    "cutoff-monotone",
-                    loc,
-                    f"cutoffs1 not non-decreasing: {node.cutoffs1}",
-                )
-            )
-        for i, row in enumerate(node.cutoffs2):
-            if not _nondecreasing(row):
-                out.append(
-                    Violation(
-                        "cutoff-monotone",
-                        loc,
-                        f"cutoffs2[{i}] not non-decreasing: {row}",
-                    )
-                )
-
-        for i in range(m):
-            if not _is_empty_bound(node.bounds1[i]):
-                _check_bounds(node.bounds1[i], node.cutoffs1, i, f"bounds1[{i}]", loc)
-            for j in range(m):
-                if not _is_empty_bound(node.bounds2[i][j]):
-                    _check_bounds(
-                        node.bounds2[i][j],
-                        node.cutoffs2[i],
-                        j,
-                        f"bounds2[{i}][{j}]",
-                        loc,
-                    )
-
-        child_ancestors = ancestors + [node.vp1_id, node.vp2_id]
-        for i in range(m):
-            lo1, hi1 = node.bounds1[i]
-            for j in range(m):
-                child = node.children[i * m + j]
-                if child is None:
-                    continue
-                lo2, hi2 = node.bounds2[i][j]
-                child_loc = f"{loc}.children[{i * m + j}]"
-                for idx in _mvp_subtree_ids(child):
-                    d1 = dist(objects[idx], objects[node.vp1_id])
-                    d2 = dist(objects[idx], objects[node.vp2_id])
-                    if not _within(d1, lo1, hi1):
-                        out.append(
-                            Violation(
-                                "partition-membership",
-                                child_loc,
-                                f"point {idx}: d(x, vp1)={d1:.6g} outside "
-                                f"bounds1[{i}]=({lo1:.6g}, {hi1:.6g})",
-                            )
-                        )
-                    if not _within(d2, lo2, hi2):
-                        out.append(
-                            Violation(
-                                "partition-membership",
-                                child_loc,
-                                f"point {idx}: d(x, vp2)={d2:.6g} outside "
-                                f"bounds2[{i}][{j}]=({lo2:.6g}, {hi2:.6g})",
-                            )
-                        )
-                visit(child, child_loc, child_ancestors)
-
-    def _check_bounds(bound, cutoffs, i, name: str, loc: str) -> None:
-        lo, hi = bound
-        if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
-            out.append(
-                Violation(
-                    "bounds-order",
-                    loc,
-                    f"{name}=({lo:.6g}, {hi:.6g}) violates 0 <= lo <= hi",
-                )
-            )
-            return
-        c_lo, c_hi = _cutoff_interval(cutoffs, i)
-        if not (_within(lo, c_lo, c_hi) and _within(hi, c_lo, c_hi)):
-            out.append(
-                Violation(
-                    "bounds-cutoff-consistent",
-                    loc,
-                    f"{name}=({lo:.6g}, {hi:.6g}) outside cutoff interval "
-                    f"({c_lo:.6g}, {c_hi:.6g})",
-                )
-            )
-
-    def _visit_leaf(node: MVPLeafNode, loc: str, ancestors: list[int]) -> None:
-        if node.vp2_id is None:
-            if node.ids:
-                out.append(
-                    Violation(
-                        "leaf-distance",
-                        loc,
-                        "leaf has data points but no second vantage point",
-                    )
-                )
-            return
-        seen.append(node.vp2_id)
-        seen.extend(node.ids)
-
-        if len(node.ids) > leaf_cap and not _zero_diameter(
-            dist, objects, node.ids
-        ):
-            out.append(
-                Violation(
-                    "leaf-capacity",
-                    loc,
-                    f"leaf holds {len(node.ids)} points > capacity {leaf_cap}",
-                )
-            )
-        if len(node.d1) != len(node.ids) or len(node.d2) != len(node.ids):
-            out.append(
-                Violation(
-                    "leaf-distance",
-                    loc,
-                    f"D1/D2 lengths ({len(node.d1)}, {len(node.d2)}) != "
-                    f"{len(node.ids)} points",
-                )
-            )
-            return
-
-        expected_path_len = min(index.p, len(ancestors))
-        if node.path_len != expected_path_len or node.paths.shape != (
-            len(node.ids),
-            node.path_len,
-        ):
-            out.append(
-                Violation(
-                    "path-shape",
-                    loc,
-                    f"paths shape {node.paths.shape} / path_len "
-                    f"{node.path_len}, expected ({len(node.ids)}, "
-                    f"{expected_path_len})",
-                )
-            )
-            return
-
-        for t, idx in enumerate(node.ids):
-            d1 = dist(objects[idx], objects[node.vp1_id])
-            if not _close(float(node.d1[t]), d1):
-                out.append(
-                    Violation(
-                        "leaf-distance",
-                        loc,
-                        f"D1[{t}] (point {idx}) = {float(node.d1[t]):.6g}, "
-                        f"recomputed {d1:.6g}",
-                    )
-                )
-            d2 = dist(objects[idx], objects[node.vp2_id])
-            if not _close(float(node.d2[t]), d2):
-                out.append(
-                    Violation(
-                        "leaf-distance",
-                        loc,
-                        f"D2[{t}] (point {idx}) = {float(node.d2[t]):.6g}, "
-                        f"recomputed {d2:.6g}",
-                    )
-                )
-            for s in range(node.path_len):
-                expected_d = dist(objects[idx], objects[ancestors[s]])
-                if not _close(float(node.paths[t, s]), expected_d):
-                    out.append(
-                        Violation(
-                            "path-consistency",
-                            loc,
-                            f"PATH[{t}, {s}] (point {idx}, ancestor vp "
-                            f"{ancestors[s]}) = {float(node.paths[t, s]):.6g}, "
-                            f"recomputed {expected_d:.6g}",
-                        )
-                    )
-
-    visit(root, "root", [])
-    _check_id_partition(seen, expected, out, "mvp-tree")
-    return out
-
-
-# ----------------------------------------------------------------------
-# GMVPTree
+# Multi-vantage trees (GMVPTree, MVPTree = v=2, DynamicMVPTree)
 # ----------------------------------------------------------------------
 
 
@@ -455,11 +192,28 @@ def _gmvp_subtree_ids(node) -> Iterator[int]:
 
 
 def verify_gmvptree(index: GMVPTree) -> list[Violation]:
-    """Check GMVPTree invariants (the v-vantage-point generalisation)."""
+    """Check GMVPTree / MVPTree / DynamicMVPTree invariants (sections
+    4.1-4.3, for any number ``v`` of vantage points per node)."""
     out: list[Violation] = []
     dist = index._metric.distance
     objects = index._objects
     m, v = index.m, index.v
+    if isinstance(index, DynamicMVPTree):
+        expected = set(range(len(objects))) - (
+            index.removed_ids - index.tombstone_ids
+        )
+        leaf_cap = int(index.overflow_factor * index.k)
+    else:
+        expected = set(range(len(objects)))
+        leaf_cap = index.k
+    if index.root is None:
+        if expected:
+            out.append(
+                Violation(
+                    "id-partition", "root", f"empty tree but {len(expected)} ids expected"
+                )
+            )
+        return out
     seen: list[int] = []
 
     def visit(node, loc: str, ancestors: list[int]) -> None:
@@ -478,6 +232,22 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                     f"expected {v}",
                 )
             )
+        cutoff_shapes = [len(node.cutoffs) == v] + [
+            len(rows) == m**t and all(len(row) == m - 1 for row in rows)
+            for t, rows in enumerate(node.cutoffs)
+        ]
+        if not all(cutoff_shapes):
+            # M1 is vantage point 0's single row; M2 and beyond follow.
+            m1_ok = len(cutoff_shapes) > 1 and cutoff_shapes[1]
+            out.append(
+                Violation(
+                    "m2-shape" if m1_ok else "m1-shape",
+                    loc,
+                    f"cutoffs are not {v} levels of m**t rows of {m - 1} "
+                    "entries",
+                )
+            )
+            return  # subsequent indexed checks would be meaningless
         if len(node.children) != m**v or len(node.bounds) != m**v or any(
             len(row) != v for row in node.bounds
         ):
@@ -490,64 +260,113 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
             )
             return
 
-        child_ancestors = ancestors + list(node.vp_ids)
+        for t, rows in enumerate(node.cutoffs):
+            for r, row in enumerate(rows):
+                if not _nondecreasing(row):
+                    out.append(
+                        Violation(
+                            "cutoff-monotone",
+                            loc,
+                            f"cutoffs[{t}][{r}] not non-decreasing: {row}",
+                        )
+                    )
+
         for c, child in enumerate(node.children):
-            if child is None:
-                continue
-            child_loc = f"{loc}.children[{c}]"
-            for t in range(len(node.vp_ids)):
+            for t in range(v):
+                width = m ** (v - 1 - t)
+                row = node.cutoffs[t][c // (width * m)]
+                if not _check_shell(
+                    node.bounds[c][t], child, row, c // width % m,
+                    f"bounds[{c}][{t}]", loc,
+                ):
+                    continue
+                if child is None:
+                    continue
                 lo, hi = node.bounds[c][t]
-                if _is_empty_bound(node.bounds[c][t]):
-                    out.append(
-                        Violation(
-                            "bounds-order",
-                            loc,
-                            f"bounds[{c}][{t}] is the empty sentinel but "
-                            "the child is non-empty",
-                        )
-                    )
-                    continue
-                if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
-                    out.append(
-                        Violation(
-                            "bounds-order",
-                            loc,
-                            f"bounds[{c}][{t}]=({lo:.6g}, {hi:.6g}) violates "
-                            "0 <= lo <= hi",
-                        )
-                    )
-                    continue
                 for idx in _gmvp_subtree_ids(child):
                     d = dist(objects[idx], objects[node.vp_ids[t]])
                     if not _within(d, lo, hi):
                         out.append(
                             Violation(
                                 "partition-membership",
-                                child_loc,
-                                f"point {idx}: d(x, vp{t})={d:.6g} outside "
+                                f"{loc}.children[{c}]",
+                                f"point {idx}: d(x, vp{t + 1})={d:.6g} outside "
                                 f"bounds[{c}][{t}]=({lo:.6g}, {hi:.6g})",
                             )
                         )
-            visit(child, child_loc, child_ancestors)
+
+        child_ancestors = ancestors + list(node.vp_ids)
+        for c, child in enumerate(node.children):
+            if child is not None:
+                visit(child, f"{loc}.children[{c}]", child_ancestors)
+
+    def _check_shell(bound, child, cutoffs, g: int, name: str, loc: str) -> bool:
+        """``bounds-order`` and ``bounds-cutoff-consistent`` for one
+        shell; False when the shell is unusable for membership checks."""
+        if _is_empty_bound(bound):
+            if child is not None:
+                out.append(
+                    Violation(
+                        "bounds-order",
+                        loc,
+                        f"{name} is the empty sentinel but the child is "
+                        "non-empty",
+                    )
+                )
+            return False
+        lo, hi = bound
+        if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
+            out.append(
+                Violation(
+                    "bounds-order",
+                    loc,
+                    f"{name}=({lo:.6g}, {hi:.6g}) violates 0 <= lo <= hi",
+                )
+            )
+            return False
+        c_lo, c_hi = _cutoff_interval(cutoffs, g)
+        if not (_within(lo, c_lo, c_hi) and _within(hi, c_lo, c_hi)):
+            out.append(
+                Violation(
+                    "bounds-cutoff-consistent",
+                    loc,
+                    f"{name}=({lo:.6g}, {hi:.6g}) outside cutoff interval "
+                    f"({c_lo:.6g}, {c_hi:.6g})",
+                )
+            )
+        return True
 
     def _visit_leaf(node: GMVPLeafNode, loc: str, ancestors: list[int]) -> None:
         seen.extend(node.ids)
-        if len(node.ids) > index.k:
+        if not len(node.ids):
+            return
+        if len(node.vp_ids) != v:
+            out.append(
+                Violation(
+                    "leaf-distance",
+                    loc,
+                    f"leaf has data points but {len(node.vp_ids)} of {v} "
+                    "vantage points",
+                )
+            )
+            return
+        if len(node.ids) > leaf_cap and not _zero_diameter(
+            dist, objects, node.ids
+        ):
             out.append(
                 Violation(
                     "leaf-capacity",
                     loc,
-                    f"leaf holds {len(node.ids)} points > capacity {index.k}",
+                    f"leaf holds {len(node.ids)} points > capacity {leaf_cap}",
                 )
             )
-        expected_rows = len(node.vp_ids) if node.ids else node.dists.shape[0]
-        if node.dists.shape != (expected_rows, len(node.ids)):
+        if node.dists.shape != (v, len(node.ids)):
             out.append(
                 Violation(
                     "leaf-distance",
                     loc,
                     f"dists shape {node.dists.shape}, expected "
-                    f"({expected_rows}, {len(node.ids)})",
+                    f"({v}, {len(node.ids)})",
                 )
             )
             return
@@ -566,7 +385,7 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                 )
             )
             return
-        for t, vp_id in enumerate(node.vp_ids[: node.dists.shape[0]]):
+        for t, vp_id in enumerate(node.vp_ids):
             for i, idx in enumerate(node.ids):
                 d = dist(objects[idx], objects[vp_id])
                 if not _close(float(node.dists[t, i]), d):
@@ -574,7 +393,7 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                         Violation(
                             "leaf-distance",
                             loc,
-                            f"dists[{t}, {i}] (point {idx}, vp {vp_id}) = "
+                            f"D{t + 1}[{i}] (point {idx}, vp {vp_id}) = "
                             f"{float(node.dists[t, i]):.6g}, recomputed {d:.6g}",
                         )
                     )
@@ -593,7 +412,7 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                     )
 
     visit(index.root, "root", [])
-    _check_id_partition(seen, set(range(len(objects))), out, "gmvp-tree")
+    _check_id_partition(seen, expected, out, "multi-vantage tree")
     return out
 
 
@@ -1357,8 +1176,6 @@ def verify_breaker_machine() -> list[Violation]:
 #: Ordered (class, verifier) registry; subclasses must precede parents.
 VERIFIERS: list[tuple[type, Callable[[MetricIndex], list[Violation]]]] = [
     (ShardManager, verify_shard_manager),
-    (DynamicMVPTree, verify_mvptree),
-    (MVPTree, verify_mvptree),
     (GMVPTree, verify_gmvptree),
     (VPTree, verify_vptree),
     (GHTree, verify_ghtree),

@@ -12,17 +12,22 @@ An mvp-tree (section 4 of the paper) differs from a vp-tree in two ways:
    arrays) and to the first ``p`` vantage points on its root path (the
    PATH array) are retained from construction and used at query time to
    filter points *without computing any new distance*.
+
+One build, node layout and set of search kernels serve both:
+:class:`GMVPTree` keeps ``v >= 2`` vantage points per node (the
+paper's "more than 2 vantage points" remark, section 4.2) and
+:class:`MVPTree` is its ``v = 2`` case with the paper's region-wide
+shells.  :class:`DynamicMVPTree` adds insertion and deletion.
 """
 
 from repro.core.dynamic import DynamicMVPTree
-from repro.core.gmvptree import GMVPTree
+from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode, GMVPTree
 from repro.core.mvptree import MVPTree
-from repro.core.nodes import MVPInternalNode, MVPLeafNode
 
 __all__ = [
     "MVPTree",
     "DynamicMVPTree",
     "GMVPTree",
-    "MVPInternalNode",
-    "MVPLeafNode",
+    "GMVPInternalNode",
+    "GMVPLeafNode",
 ]

@@ -38,11 +38,11 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from repro._util import RngLike, as_rng, gather
+from repro._util import RngLike, gather
+from repro.core.gmvptree import GMVPLeafNode
 from repro.core.mvptree import MVPTree
-from repro.core.nodes import MVPLeafNode
-from repro.indexes.base import MetricIndex, Neighbor
-from repro.indexes.selection import VantagePointSelector, get_selector
+from repro.indexes.base import Neighbor
+from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -77,6 +77,9 @@ class DynamicMVPTree(MVPTree):
     [0]
     """
 
+    #: The first insert builds the root of an empty tree.
+    _empty_ok = True
+
     def __init__(
         self,
         objects: Sequence = (),
@@ -107,35 +110,9 @@ class DynamicMVPTree(MVPTree):
         self._removed: set[int] = set()
         self.rebuild_count = 0
         self.leaf_rebuild_count = 0
-
-        objects = list(objects)
-        if objects:
-            super().__init__(
-                objects, metric, m=m, k=k, p=p, selector=selector, rng=rng
-            )
-        else:
-            # Mirror MVPTree.__init__ without the non-empty requirement;
-            # the first insert builds the root.
-            if m < 2:
-                raise ValueError(f"partition count m must be >= 2, got {m}")
-            if k < 1:
-                raise ValueError(f"leaf capacity k must be >= 1, got {k}")
-            if p < 0:
-                raise ValueError(f"path length p must be >= 0, got {p}")
-            MetricIndex.__init__(self, objects, metric)
-            self.m = m
-            self.k = k
-            self.p = p
-            self.bounds_mode = "tight"
-            self._selector = get_selector(selector)
-            self._rng = as_rng(rng)
-            self.node_count = 0
-            self.leaf_count = 0
-            self.internal_count = 0
-            self.vantage_point_count = 0
-            self.leaf_data_point_count = 0
-            self.height = 0
-            self._root = None
+        super().__init__(
+            list(objects), metric, m=m, k=k, p=p, selector=selector, rng=rng
+        )
 
     # ------------------------------------------------------------------
     # Live-set bookkeeping
@@ -206,47 +183,47 @@ class DynamicMVPTree(MVPTree):
         Recursive descent; depth is bounded by the tree height.
         """
         obj = self._objects[idx]
-        d1 = self._dist(None, obj, self._objects[node.vp1_id])
+        d_first = self._dist(None, obj, self._objects[node.vp_ids[0]])
 
-        if isinstance(node, MVPLeafNode):
+        if isinstance(node, GMVPLeafNode):
             return self._insert_into_leaf(
-                node, idx, d1, level, depth, path_entries, ancestors
+                node, idx, d_first, level, depth, path_entries, ancestors
             )
 
-        d2 = self._dist(None, obj, self._objects[node.vp2_id])
-        if level <= self.p:
-            path_entries.append(d1)
-        if level + 1 <= self.p:
-            path_entries.append(d2)
-        ancestors.extend([node.vp1_id, node.vp2_id])
+        ds = [d_first] + [
+            self._dist(None, obj, self._objects[vp]) for vp in node.vp_ids[1:]
+        ]
+        path_entries.extend(d for t, d in enumerate(ds) if level + t <= self.p)
+        ancestors.extend(node.vp_ids)
 
-        m = self.m
-        i = self._route(d1, node.cutoffs1)
-        j = self._route(d2, node.cutoffs2[i])
-
-        # Expand the traversed shells so triangle-inequality pruning
+        # Route digit by digit through the cutoffs, then expand every
+        # traversed region's shell so triangle-inequality pruning
         # remains exact for the inserted point.
-        lo1, hi1 = node.bounds1[i]
-        node.bounds1[i] = (min(lo1, d1), max(hi1, d1))
-        lo2, hi2 = node.bounds2[i][j]
-        node.bounds2[i][j] = (min(lo2, d2), max(hi2, d2))
+        m, v = self.m, self.v
+        slot = 0
+        for t, d in enumerate(ds):
+            slot = slot * m + self._route(d, node.cutoffs[t][slot])
+        for t, d in enumerate(ds):
+            width = m ** (v - 1 - t)
+            start = slot // width * width
+            for c in range(start, start + width):
+                lo, hi = node.bounds[c][t]
+                node.bounds[c][t] = (min(lo, d), max(hi, d))
 
-        slot = i * m + j
         child = node.children[slot]
         if child is None:
-            leaf_level = level + 2
+            leaf_level = level + v
             path_len = min(self.p, leaf_level - 1)
             self.node_count += 1
             self.leaf_count += 1
             self.vantage_point_count += 1
             self.height = max(self.height, depth + 1)
-            node.children[slot] = MVPLeafNode(
-                idx, None, [], np.empty(0), np.empty(0),
-                np.empty((0, path_len)), path_len,
+            node.children[slot] = GMVPLeafNode(
+                [idx], [], np.empty((0, 0)), np.empty((0, path_len)), path_len
             )
         else:
             node.children[slot] = self._insert_into(
-                child, idx, level + 2, depth + 1, path_entries, ancestors
+                child, idx, level + v, depth + 1, path_entries, ancestors
             )
         return node
 
@@ -260,30 +237,38 @@ class DynamicMVPTree(MVPTree):
 
     def _insert_into_leaf(
         self,
-        leaf: MVPLeafNode,
+        leaf: GMVPLeafNode,
         idx: int,
-        d1: float,
+        d_first: float,
         level: int,
         depth: int,
         path_entries: list[float],
         ancestors: list[int],
     ):
-        if leaf.vp2_id is None:
-            # A single-object leaf: the newcomer becomes the second
+        if len(leaf.vp_ids) < self.v:
+            # A leaf without data points: the newcomer becomes its next
             # vantage point (with two objects it is trivially the
             # farthest from the first, matching static construction).
-            leaf.vp2_id = idx
+            leaf.vp_ids.append(idx)
             self.vantage_point_count += 1
             return leaf
 
-        d2 = self._dist(None, self._objects[idx], self._objects[leaf.vp2_id])
+        obj = self._objects[idx]
+        column = [d_first] + [
+            self._dist(None, obj, self._objects[vp]) for vp in leaf.vp_ids[1:]
+        ]
+        n_prev = len(leaf.ids)
         leaf.ids.append(idx)
-        leaf.d1 = np.append(leaf.d1, d1)
-        leaf.d2 = np.append(leaf.d2, d2)
+        leaf.dists = np.hstack(
+            [
+                leaf.dists.reshape(len(leaf.vp_ids), n_prev),
+                np.asarray(column, dtype=float).reshape(-1, 1),
+            ]
+        )
         row = np.asarray(path_entries[: leaf.path_len], dtype=float)
         # reshape with an explicit row count: (-1, 0) is invalid when
         # path_len == 0 (a leaf directly under the root keeps no PATH).
-        previous = leaf.paths.reshape(len(leaf.ids) - 1, leaf.path_len)
+        previous = leaf.paths.reshape(n_prev, leaf.path_len)
         leaf.paths = np.vstack([previous, row.reshape(1, leaf.path_len)])
         self.leaf_data_point_count += 1
 
@@ -292,18 +277,19 @@ class DynamicMVPTree(MVPTree):
         return leaf
 
     def _rebuild_leaf(
-        self, leaf: MVPLeafNode, level: int, depth: int, ancestors: list[int]
+        self, leaf: GMVPLeafNode, level: int, depth: int, ancestors: list[int]
     ):
         """Rebuild an overflowing leaf into a proper mvp-subtree."""
         self.leaf_rebuild_count += 1
-        member_ids = [leaf.vp1_id, leaf.vp2_id] + list(leaf.ids)
+        vp_count = len(leaf.vp_ids)
+        member_ids = list(leaf.vp_ids) + list(leaf.ids)
 
         # Per-member PATH prefixes: the stored rows for data points, and
-        # freshly computed ancestor distances for the two vantage points
+        # freshly computed ancestor distances for the vantage points
         # (the static leaf never needed to keep theirs).
         path_len = leaf.path_len
         paths = np.full((len(member_ids), self.p), np.nan)
-        for vp_row, vp_id in enumerate((leaf.vp1_id, leaf.vp2_id)):
+        for vp_row, vp_id in enumerate(leaf.vp_ids):
             if path_len:
                 paths[vp_row, :path_len] = self._batch_dist(
                     None,
@@ -311,12 +297,12 @@ class DynamicMVPTree(MVPTree):
                     self._objects[vp_id],
                 )
         if leaf.ids:
-            paths[2:, :path_len] = leaf.paths
+            paths[vp_count:, :path_len] = leaf.paths
 
         # Retire the old leaf's accounting; _build re-counts the subtree.
         self.node_count -= 1
         self.leaf_count -= 1
-        self.vantage_point_count -= 2
+        self.vantage_point_count -= vp_count
         self.leaf_data_point_count -= len(leaf.ids)
         return self._build(member_ids, paths, level, depth)
 

@@ -1,7 +1,8 @@
 """The multi-vantage-point tree (paper section 4).
 
-Construction follows the paper's algorithm (section 4.2) generalised
-from m=2 to arbitrary ``m``:
+:class:`MVPTree` is the paper's structure: the ``v = 2`` case of
+:class:`~repro.core.gmvptree.GMVPTree`, which holds the one build
+(section 4.2, generalised from m=2 to arbitrary ``m``):
 
 * **Internal node** (more than ``k + 2`` objects): choose a first
   vantage point, partition the remaining objects into ``m`` spherical
@@ -21,53 +22,39 @@ intersect the query ball and — the structure's signature move — filters
 leaf objects through up to ``p + 2`` precomputed distances before paying
 for a real distance computation.  Construction costs ``O(n log_m n)``
 distance computations, the same as a vp-tree of equal fanout.
+
+The one difference from ``GMVPTree(v=2)`` is the shells the search
+prunes against.  The paper keeps one shell per *region*: the first
+vantage point's shell covers a whole first-level cut, shared by its
+``m`` sub-cuts.  ``MVPTree`` widens the per-child shells to that layout
+(``bounds="tight"``: the region's exact inner/outer radii) or further
+to the M1/M2 cutoff intervals (``bounds="cutoff"``), so it pays a few
+more distance computations per query than ``GMVPTree(v=2)`` built from
+the same seed, whose per-child shells admit a subset of the children.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro._util import (
     RngLike,
-    as_rng,
-    check_non_empty,
     definitely_greater,
     definitely_less,
     gather,
     slack,
 )
-from repro.core.nodes import MVPInternalNode, MVPLeafNode
-from repro.indexes import kernels
-from repro.indexes.base import MetricIndex, Neighbor
-from repro.indexes.selection import VantagePointSelector, get_selector
+from repro.core.gmvptree import EMPTY_SHELL, GMVPLeafNode, GMVPTree
+from repro.indexes.base import Neighbor
+from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
-from repro.obs.stats import QueryStats
-from repro.obs.trace import TraceSink, make_observation
-
-_Node = Union[MVPInternalNode, MVPLeafNode, None]
 
 
-def _cutoff_intervals(
-    cutoffs: list, tight: list
-) -> list:
-    """Replace non-empty partitions' radii with the cutoff intervals the
-    paper's pseudo-code prunes against (0 and infinity at the ends)."""
-    out = []
-    for g, bounds in enumerate(tight):
-        if bounds[0] > bounds[1]:  # empty-partition sentinel
-            out.append(bounds)
-            continue
-        lo = 0.0 if g == 0 else cutoffs[g - 1]
-        hi = cutoffs[g] if g < len(cutoffs) else float("inf")
-        out.append((lo, hi))
-    return out
-
-
-class MVPTree(MetricIndex):
+class MVPTree(GMVPTree):
     """Multi-vantage-point tree with parameters ``(m, k, p)``.
 
     Parameters
@@ -120,268 +107,48 @@ class MVPTree(MetricIndex):
         bounds: str = "tight",
         rng: RngLike = None,
     ):
-        check_non_empty(objects, "MVPTree")
-        if m < 2:
-            raise ValueError(f"partition count m must be >= 2, got {m}")
-        if k < 1:
-            raise ValueError(f"leaf capacity k must be >= 1, got {k}")
-        if p < 0:
-            raise ValueError(f"path length p must be >= 0, got {p}")
         if bounds not in ("tight", "cutoff"):
             raise ValueError(f"bounds must be 'tight' or 'cutoff', got {bounds!r}")
-        super().__init__(objects, metric)
-        self.m = m
-        self.k = k
-        self.p = p
         self.bounds_mode = bounds
-        self._selector = get_selector(selector)
-        self._rng = as_rng(rng)
+        super().__init__(
+            objects, metric, m=m, v=2, k=k, p=p, selector=selector, rng=rng
+        )
 
-        self.node_count = 0
-        self.leaf_count = 0
-        self.internal_count = 0
-        self.vantage_point_count = 0
-        self.leaf_data_point_count = 0
-        self.height = 0
+    def _shells(self, bounds, cutoffs):
+        """Widen every child's shell around vantage point ``t`` to its
+        depth-``t`` region: the region's exact radii (``"tight"``) or
+        the cutoff interval (``"cutoff"``; 0 and infinity at the ends).
 
-        ids = list(range(len(objects)))
-        paths = np.full((len(ids), p), np.nan)
-        self._root = self._build(ids, paths, level=1, depth=1)
-        self._kernel_cache = None  # flat arrays, built lazily on first search
-
-    # ------------------------------------------------------------------
-    # Construction (paper section 4.2)
-    # ------------------------------------------------------------------
-
-    def _build(
-        self, ids: list[int], paths: np.ndarray, level: int, depth: int
-    ) -> _Node:
-        """Build a subtree (mutually recursive with ``_build_internal``).
-
-        Recursion depth is bounded by the tree height (each sub-cut is
-        strictly smaller), so the default interpreter stack suffices.
+        Empty children inside a non-empty region share the region's
+        shell, so an insertion that later fills them stays inside it.
         """
-        if not ids:
-            return None
-        self.height = max(self.height, depth)
-        if len(ids) <= self.k + 2:
-            return self._build_leaf(ids, paths, level)
-        return self._build_internal(ids, paths, level, depth)
-
-    def _select(self, candidate_ids: Sequence[int]) -> int:
-        return self._selector.select(
-            candidate_ids, self._objects, self._metric, self._rng
-        )
-
-    def _build_leaf(
-        self, ids: list[int], paths: np.ndarray, level: int
-    ) -> MVPLeafNode:
-        self.node_count += 1
-        self.leaf_count += 1
-        path_len = min(self.p, level - 1)
-
-        vp1_id = self._select(ids)
-        vp1_pos = ids.index(vp1_id)
-        rest_ids = ids[:vp1_pos] + ids[vp1_pos + 1 :]
-        rest_paths = np.delete(paths, vp1_pos, axis=0)
-
-        if not rest_ids:
-            self.vantage_point_count += 1
-            empty = np.empty(0)
-            return MVPLeafNode(
-                vp1_id, None, [], empty, empty, rest_paths[:, :path_len], path_len
-            )
-
-        d_to_vp1 = np.asarray(
-            self._batch_dist(
-                None, gather(self._objects, rest_ids), self._objects[vp1_id]
-            )
-        )
-        # Second vantage point: the farthest object from the first
-        # (paper step 2.4) — near-coincident vantage points cannot
-        # partition the bucket.
-        vp2_pos = int(np.argmax(d_to_vp1))
-        vp2_id = rest_ids[vp2_pos]
-        point_ids = rest_ids[:vp2_pos] + rest_ids[vp2_pos + 1 :]
-        d1 = np.delete(d_to_vp1, vp2_pos)
-        point_paths = np.delete(rest_paths, vp2_pos, axis=0)
-
-        if point_ids:
-            d2 = np.asarray(
-                self._batch_dist(
-                    None, gather(self._objects, point_ids), self._objects[vp2_id]
-                )
-            )
-        else:
-            d2 = np.empty(0)
-
-        self.vantage_point_count += 2
-        self.leaf_data_point_count += len(point_ids)
-        return MVPLeafNode(
-            vp1_id,
-            vp2_id,
-            point_ids,
-            d1,
-            d2,
-            point_paths[:, :path_len],
-            path_len,
-        )
-
-    def _build_internal(
-        self, ids: list[int], paths: np.ndarray, level: int, depth: int
-    ) -> _Node:
-        """Partition into ``m**2`` sub-cuts and recurse via ``_build``.
-
-        Part of the mutually recursive build; depth is bounded by the
-        tree height.  Zero-diameter groups come back as leaves.
-        """
-        m = self.m
-
-        # --- first vantage point and first-level partition -------------
-        vp1_id = self._select(ids)
-        vp1_pos = ids.index(vp1_id)
-        rest_ids = ids[:vp1_pos] + ids[vp1_pos + 1 :]
-        rest_paths = np.delete(paths, vp1_pos, axis=0)
-
-        d1 = np.asarray(
-            self._batch_dist(
-                None, gather(self._objects, rest_ids), self._objects[vp1_id]
-            )
-        )
-        if d1.size and float(d1.max()) == 0.0:
-            # Zero-diameter group (by the triangle inequality): every
-            # cutoff collapses onto 0 and the m**2 sub-cuts cannot
-            # separate identical points.  Fall back to an (oversized)
-            # leaf instead of recursing one vantage point at a time.
-            return self._build_leaf(ids, paths, level)
-        if level <= self.p:
-            rest_paths[:, level - 1] = d1
-
-        order = np.argsort(d1, kind="stable")
-        groups = [list(g) for g in np.array_split(order, m)]
-
-        cutoffs1: list[float] = []
-        for g in range(m - 1):
-            if groups[g]:
-                cutoffs1.append(float(d1[groups[g][-1]]))
-            else:
-                cutoffs1.append(cutoffs1[-1] if cutoffs1 else 0.0)
-
-        # --- second vantage point: from the farthest partition ---------
-        last = max(g for g in range(m) if groups[g])
-        vp2_id = self._select([rest_ids[pos] for pos in groups[last]])
-        vp2_pos = rest_ids.index(vp2_id)
-        groups[last].remove(vp2_pos)
-
-        remaining = [pos for group in groups for pos in group]
-        d2 = np.full(len(rest_ids), np.nan)
-        if remaining:
-            d2_vals = np.asarray(
-                self._batch_dist(
-                    None,
-                    gather(self._objects, [rest_ids[pos] for pos in remaining]),
-                    self._objects[vp2_id],
-                )
-            )
-            d2[remaining] = d2_vals
-            if level + 1 <= self.p:
-                rest_paths[remaining, level] = d2_vals
-
-        # --- second-level partitions and recursion ----------------------
-        bounds1: list[tuple[float, float]] = []
-        bounds2: list[list[tuple[float, float]]] = []
-        cutoffs2: list[list[float]] = []
-        children: list[_Node] = []
-        empty_bound = (float("inf"), float("-inf"))
-
-        for group in groups:
-            if group:
-                group_d1 = d1[group]
-                bounds1.append((float(group_d1.min()), float(group_d1.max())))
-            else:
-                bounds1.append(empty_bound)
-
-            sub_order = sorted(group, key=lambda pos: (d2[pos], pos))
-            sub_groups = [list(sg) for sg in np.array_split(np.asarray(sub_order), m)]
-
-            group_cutoffs: list[float] = []
-            group_bounds: list[tuple[float, float]] = []
-            for j, sub in enumerate(sub_groups):
-                if sub:
-                    sub_d2 = d2[sub]
-                    group_bounds.append((float(sub_d2.min()), float(sub_d2.max())))
-                else:
-                    group_bounds.append(empty_bound)
-                if j < m - 1:
-                    if sub:
-                        group_cutoffs.append(float(d2[sub[-1]]))
-                    else:
-                        group_cutoffs.append(
-                            group_cutoffs[-1] if group_cutoffs else 0.0
-                        )
-                children.append(
-                    self._build(
-                        [rest_ids[int(pos)] for pos in sub],
-                        rest_paths[[int(pos) for pos in sub], :],
-                        level + 2,
-                        depth + 1,
+        m, v = self.m, self.v
+        out = [list(child) for child in bounds]
+        for t in range(v):
+            width = m ** (v - 1 - t)  # children per partition of vp t
+            for start in range(0, len(bounds), width):
+                members = [
+                    bounds[c][t]
+                    for c in range(start, start + width)
+                    if bounds[c][t] != EMPTY_SHELL
+                ]
+                if not members:
+                    continue
+                if self.bounds_mode == "cutoff":
+                    row = cutoffs[t][start // (width * m)]
+                    g = (start // width) % m
+                    shell = (
+                        0.0 if g == 0 else row[g - 1],
+                        row[g] if g < m - 1 else float("inf"),
                     )
-                )
-            bounds2.append(group_bounds)
-            cutoffs2.append(group_cutoffs)
-
-        if self.bounds_mode == "cutoff":
-            bounds1 = _cutoff_intervals(cutoffs1, bounds1)
-            bounds2 = [
-                _cutoff_intervals(cutoffs2[i], bounds2[i]) for i in range(m)
-            ]
-
-        self.node_count += 1
-        self.internal_count += 1
-        self.vantage_point_count += 2
-        return MVPInternalNode(
-            vp1_id, vp2_id, cutoffs1, cutoffs2, bounds1, bounds2, children
-        )
-
-    # ------------------------------------------------------------------
-    # Range search (paper section 4.3)
-    # ------------------------------------------------------------------
-
-    def range_search(
-        self,
-        query,
-        radius: float,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> list[int]:
-        radius = self.validate_radius(radius)
-        obs = make_observation(stats, trace)
-        return kernels.mvp_range(self, query, radius, obs)
-
-    # ------------------------------------------------------------------
-    # k-nearest-neighbor search (best-first generalisation; the paper
-    # lists nearest/k-nearest queries in section 2)
-    # ------------------------------------------------------------------
-
-    def knn_search(
-        self,
-        query,
-        k: int,
-        epsilon: float = 0.0,
-        *,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> list[Neighbor]:
-        """Best-first k-NN; ``epsilon > 0`` gives (1+epsilon)-approximate
-        results: the reported k-th distance is at most ``(1 + epsilon)``
-        times the true k-th distance, with correspondingly more
-        aggressive pruning (fewer distance computations)."""
-        k = self.validate_k(k)
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        obs = make_observation(stats, trace)
-        return kernels.mvp_knn(self, query, k, 1.0 + epsilon, obs)
+                else:
+                    shell = (
+                        min(lo for lo, _ in members),
+                        max(hi for _, hi in members),
+                    )
+                for c in range(start, start + width):
+                    out[c][t] = shell
+        return out
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning)
@@ -402,60 +169,45 @@ class MVPTree(MetricIndex):
             return best[0][0] if len(best) == k else float("-inf")
 
         counter = itertools.count()
-        frontier: list[tuple[float, int, _Node, tuple[float, ...], int]] = [
-            (float("-inf"), next(counter), self._root, (), 1)
-        ]
+        frontier = [(float("-inf"), next(counter), self._root, (), 1)]
         while frontier:
             neg_upper, __, node, path_q, level = heapq.heappop(frontier)
             if node is None or definitely_less(-neg_upper, threshold()):
                 continue
-            dq1 = self._dist(None, query, self._objects[node.vp1_id])
-            consider(dq1, node.vp1_id)
+            dq = []
+            for vp_id in node.vp_ids:
+                dq.append(self._dist(None, query, self._objects[vp_id]))
+                consider(dq[-1], vp_id)
 
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is None:
-                    continue
-                dq2 = self._dist(None, query, self._objects[node.vp2_id])
-                consider(dq2, node.vp2_id)
+            if isinstance(node, GMVPLeafNode):
                 self._farthest_scan_leaf(
-                    node, query, dq1, dq2, path_q, consider, threshold
+                    node, query, np.asarray(dq), path_q, consider, threshold
                 )
                 continue
 
-            dq2 = self._dist(None, query, self._objects[node.vp2_id])
-            consider(dq2, node.vp2_id)
-            child_path = list(path_q)
-            if level <= self.p:
-                child_path.append(dq1)
-            if level + 1 <= self.p:
-                child_path.append(dq2)
-            child_path_t = tuple(child_path)
-
-            m = self.m
-            for i in range(m):
-                __, hi1 = node.bounds1[i]
-                for j in range(m):
-                    child = node.children[i * m + j]
-                    if child is None:
-                        continue
-                    __, hi2 = node.bounds2[i][j]
-                    upper = min(dq1 + hi1, dq2 + hi2)
-                    if not definitely_less(upper, threshold()):
-                        heapq.heappush(
-                            frontier,
-                            (-upper, next(counter), child, child_path_t, level + 2),
-                        )
+            child_path = path_q + tuple(
+                d for t, d in enumerate(dq) if level + t <= self.p
+            )
+            for child, shells in zip(node.children, node.bounds):
+                if child is None:
+                    continue
+                upper = min(d + hi for d, (__, hi) in zip(dq, shells))
+                if not definitely_less(upper, threshold()):
+                    heapq.heappush(
+                        frontier,
+                        (-upper, next(counter), child, child_path, level + self.v),
+                    )
 
         return sorted(
             (Neighbor(d, -i) for d, i in best), key=lambda n: (-n.distance, n.id)
         )
 
     def _farthest_scan_leaf(
-        self, node: MVPLeafNode, query, dq1, dq2, path_q, consider, threshold
+        self, node: GMVPLeafNode, query, dq, path_q, consider, threshold
     ) -> None:
-        if not node.ids:
+        if not len(node.ids):
             return
-        upper = np.minimum(node.d1 + dq1, node.d2 + dq2)
+        upper = np.min(node.dists + dq[:, None], axis=0)
         if node.path_len:
             path_arr = np.asarray(path_q[: node.path_len])
             upper = np.minimum(upper, np.min(node.paths + path_arr, axis=1))
@@ -473,13 +225,14 @@ class MVPTree(MetricIndex):
         radius = self.validate_radius(radius)
         out: list[int] = []
         path_q = np.full(self.p, np.nan)
-        self._outside(self._root, query, radius, path_q, 1, out)
+        if self._root is not None:
+            self._outside(self._root, query, radius, path_q, 1, out)
         out.sort()
         return out
 
     def _outside(
         self,
-        node: _Node,
+        node,
         query,
         radius: float,
         path_q: np.ndarray,
@@ -487,25 +240,19 @@ class MVPTree(MetricIndex):
         out: list[int],
     ) -> None:
         """Recursive outside-range walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        dq1 = self._dist(None, query, self._objects[node.vp1_id])
-        if dq1 > radius:
-            out.append(node.vp1_id)
+        dq = np.asarray(
+            [self._dist(None, query, self._objects[vp]) for vp in node.vp_ids]
+        )
+        out.extend(vp for vp, d in zip(node.vp_ids, dq) if d > radius)
 
-        if isinstance(node, MVPLeafNode):
-            if node.vp2_id is None:
-                return
-            dq2 = self._dist(None, query, self._objects[node.vp2_id])
-            if dq2 > radius:
-                out.append(node.vp2_id)
-            if not node.ids:
+        if isinstance(node, GMVPLeafNode):
+            if not len(node.ids):
                 return
             # Precomputed distances give both bounds per point: accept
             # provably-outside points and drop provably-inside points
             # without computing anything; compute only the borderline.
-            lower = np.maximum(np.abs(node.d1 - dq1), np.abs(node.d2 - dq2))
-            upper = np.minimum(node.d1 + dq1, node.d2 + dq2)
+            lower = np.max(np.abs(node.dists - dq[:, None]), axis=0)
+            upper = np.min(node.dists + dq[:, None], axis=0)
             if node.path_len:
                 window = path_q[: node.path_len]
                 lower = np.maximum(
@@ -529,54 +276,34 @@ class MVPTree(MetricIndex):
                 )
             return
 
-        dq2 = self._dist(None, query, self._objects[node.vp2_id])
-        if dq2 > radius:
-            out.append(node.vp2_id)
-        if level <= self.p:
-            path_q[level - 1] = dq1
-        if level + 1 <= self.p:
-            path_q[level] = dq2
-
-        m = self.m
-        for i in range(m):
-            lo1, hi1 = node.bounds1[i]
-            for j in range(m):
-                child = node.children[i * m + j]
-                if child is None:
-                    continue
-                lo2, hi2 = node.bounds2[i][j]
-                upper = min(dq1 + hi1, dq2 + hi2)
-                lower = max(dq1 - hi1, lo1 - dq1, dq2 - hi2, lo2 - dq2, 0.0)
-                if definitely_less(upper, radius):
-                    continue  # provably entirely inside the ball
-                if definitely_greater(lower, radius):
-                    _collect_subtree_ids(child, out)
-                    continue
-                self._outside(child, query, radius, path_q, level + 2, out)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def root(self) -> _Node:
-        """The root node (read-only introspection for tests/persistence)."""
-        return self._root
+        for t, d in enumerate(dq):
+            if level + t <= self.p:
+                path_q[level + t - 1] = d
+        for child, shells in zip(node.children, node.bounds):
+            if child is None:
+                continue
+            upper = min(d + hi for d, (__, hi) in zip(dq, shells))
+            lower = max(
+                max(d - hi, lo - d) for d, (lo, hi) in zip(dq, shells)
+            )
+            if definitely_less(upper, radius):
+                continue  # provably entirely inside the ball
+            if definitely_greater(max(lower, 0.0), radius):
+                _collect_subtree_ids(child, out)
+                continue
+            self._outside(child, query, radius, path_q, level + self.v, out)
 
 
-def _collect_subtree_ids(node: _Node, out: list[int]) -> None:
+def _collect_subtree_ids(node, out: list[int]) -> None:
     """Append every id stored under ``node`` (no distance computations).
 
     Recursive; depth is bounded by the tree height.
     """
     if node is None:
         return
-    out.append(node.vp1_id)
-    if isinstance(node, MVPLeafNode):
-        if node.vp2_id is not None:
-            out.append(node.vp2_id)
+    out.extend(node.vp_ids)
+    if isinstance(node, GMVPLeafNode):
         out.extend(node.ids)
         return
-    out.append(node.vp2_id)
     for child in node.children:
         _collect_subtree_ids(child, out)

@@ -1,7 +1,8 @@
 """Array-backed frontier kernels for the tree indexes.
 
-These are the search paths of :mod:`repro.indexes.vptree`,
-:mod:`repro.core.mvptree` and :mod:`repro.core.gmvptree`.  They run
+These are the search paths of :mod:`repro.indexes.vptree` and of the
+multi-vantage trees in :mod:`repro.core.gmvptree` (``MVPTree`` is its
+``v = 2`` case, with region-wide shells; the kernels are shared).  They run
 level-synchronously: every wave batches *all* of its vantage-point
 distances through one ``_batch_dist`` call, applies the paper's section
 4.3 pruning bounds as numpy boolean masks over the whole frontier, and
@@ -47,12 +48,8 @@ from repro.indexes.base import Neighbor
 from repro.obs.stats import (
     PRUNE_BUDGET,
     PRUNE_KNN_RADIUS,
-    PRUNE_LEAF_D1,
-    PRUNE_LEAF_D2,
     PRUNE_LOWER_BOUND,
     PRUNE_PATH_FILTER,
-    PRUNE_VP1_SHELL,
-    PRUNE_VP2_SHELL,
     PRUNE_VP_SHELL,
     leaf_dist_kind,
     vp_shell_kind,
@@ -332,367 +329,21 @@ def vp_knn(
 
 
 # ----------------------------------------------------------------------
-# mvp-tree: flattened internal structure + kernels
-# ----------------------------------------------------------------------
-
-
-class _MVPArrays:
-    """Flat array view of an mvp-tree's internal nodes (leaves keep
-    their node objects: ``d1``/``d2``/``paths`` are already numpy)."""
-
-    __slots__ = (
-        "vp1",
-        "vp2",
-        "b1lo",
-        "b1hi",
-        "b2lo",
-        "b2hi",
-        "child_kind",
-        "child_idx",
-        "leaves",
-        "root_kind",
-        "root_idx",
-        "sizes",
-    )
-
-
-def _mvp_arrays(tree) -> _MVPArrays:
-    cached = getattr(tree, "_kernel_cache", None)
-    if cached is not None:
-        return cached
-    from repro.core.nodes import MVPLeafNode
-
-    m = tree.m
-    internal_nodes: list = []
-    leaf_nodes: list = []
-    slot_of: dict[int, tuple[int, int]] = {}
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MVPLeafNode):
-            slot_of[id(node)] = (_LEAF, len(leaf_nodes))
-            leaf_nodes.append(node)
-        else:
-            slot_of[id(node)] = (_INTERNAL, len(internal_nodes))
-            internal_nodes.append(node)
-            stack.extend(c for c in node.children if c is not None)
-
-    count = len(internal_nodes)
-    arrays = _MVPArrays()
-    arrays.vp1 = np.empty(count, dtype=np.intp)
-    arrays.vp2 = np.empty(count, dtype=np.intp)
-    arrays.b1lo = np.full((count, m), -np.inf)
-    arrays.b1hi = np.full((count, m), np.inf)
-    arrays.b2lo = np.full((count, m, m), -np.inf)
-    arrays.b2hi = np.full((count, m, m), np.inf)
-    arrays.child_kind = np.zeros((count, m, m), dtype=np.int8)
-    arrays.child_idx = np.zeros((count, m, m), dtype=np.intp)
-    for n, node in enumerate(internal_nodes):
-        arrays.vp1[n] = node.vp1_id
-        arrays.vp2[n] = node.vp2_id
-        for i in range(m):
-            lo1, hi1 = node.bounds1[i]
-            if lo1 <= hi1:  # empty partitions keep the never-prune sentinel
-                arrays.b1lo[n, i] = lo1
-                arrays.b1hi[n, i] = hi1
-            for j in range(m):
-                child = node.children[i * m + j]
-                if child is None:
-                    continue
-                kind, pos = slot_of[id(child)]
-                arrays.child_kind[n, i, j] = kind
-                arrays.child_idx[n, i, j] = pos
-                lo2, hi2 = node.bounds2[i][j]
-                if lo2 <= hi2:
-                    arrays.b2lo[n, i, j] = lo2
-                    arrays.b2hi[n, i, j] = hi2
-    arrays.leaves = leaf_nodes
-    arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
-    tree._kernel_cache = arrays
-    return arrays
-
-
-def _mvp_wave_roots(arrays):
-    """Initial (internal, leaf) wave arrays for the root node."""
-    root = np.array([arrays.root_idx], dtype=np.intp)
-    no_path = np.empty((1, 0))
-    if arrays.root_kind == _INTERNAL:
-        return root, no_path, _EMPTY_IDS, np.empty((0, 0))
-    return _EMPTY_IDS, np.empty((0, 0)), root, no_path
-
-
-def _grow_paths(paths: np.ndarray, level: int, p: int, cols: list) -> np.ndarray:
-    """Append this wave's vantage-point distances to the query's PATH
-    prefix (``path_q[level + t - 1] = dq[t]``)."""
-    added = [c[:, None] for t, c in enumerate(cols) if level + t <= p]
-    if not added:
-        return paths
-    return np.hstack([paths] + added)
-
-
-def mvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous mvp-tree range search (paper section 4.3):
-    visits exactly the nodes the section 4.3 bounds admit."""
-    if tree._root is None:
-        return []
-    arrays = _mvp_arrays(tree)
-    objects = tree._objects
-    p = tree.p
-    loose = radius + slack(radius)
-    out: list[int] = []
-    iidx, ipaths, lidx, lpaths = _mvp_wave_roots(arrays)
-    level = 1
-
-    while iidx.size or lidx.size:
-        n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
-
-        # One batch for every vantage-point distance of the wave.
-        leaf_vp1 = np.asarray([n.vp1_id for n in leaf_nodes], dtype=np.intp)
-        leaf_has_vp2 = np.asarray(
-            [n.vp2_id is not None for n in leaf_nodes], dtype=bool
-        )
-        leaf_vp2 = np.asarray(
-            [n.vp2_id for n in leaf_nodes if n.vp2_id is not None], dtype=np.intp
-        )
-        all_vps = np.concatenate([arrays.vp1[iidx], arrays.vp2[iidx], leaf_vp1, leaf_vp2])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        dq1, dq2 = dall[:n_int], dall[n_int : 2 * n_int]
-        ld1 = dall[2 * n_int : 2 * n_int + len(leaf_nodes)]
-        ld2 = np.full(len(leaf_nodes), np.nan)
-        ld2[leaf_has_vp2] = dall[2 * n_int + len(leaf_nodes) :]
-        out.extend(np.asarray(all_vps[dall <= radius]).tolist())
-
-        # Leaf candidate selection: D1/D2 + PATH precomputed-distance
-        # filters per leaf (paper step 2.2), one batched verification.
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if node.vp2_id is None or len(node.ids) == 0:
-                continue
-            mask1 = np.abs(node.d1 - ld1[w]) <= loose
-            mask = mask1 & (np.abs(node.d2 - ld2[w]) <= loose)
-            if obs is not None:
-                obs.filter_points(PRUNE_LEAF_D1, int(np.count_nonzero(~mask1)))
-                obs.filter_points(PRUNE_LEAF_D2, int(np.count_nonzero(mask1 & ~mask)))
-            if node.path_len:
-                path_mask = np.all(
-                    np.abs(node.paths - lpaths[w, : node.path_len]) <= loose, axis=1
-                )
-                if obs is not None:
-                    obs.filter_points(
-                        PRUNE_PATH_FILTER, int(np.count_nonzero(mask & ~path_mask))
-                    )
-                mask &= path_mask
-            candidates = np.asarray(node.ids, dtype=np.intp)[mask]
-            if obs is not None:
-                obs.leaf_scan(len(node.ids), int(candidates.size))
-            if candidates.size:
-                candidate_arrays.append(candidates)
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            out.extend(candidates[distances <= radius].tolist())
-
-        # Children of the internal wave: both shell filters vectorised.
-        if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq1, dq2])
-            miss1 = _shell_miss(
-                dq1[:, None], radius, arrays.b1lo[iidx], arrays.b1hi[iidx]
-            )
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            if obs is not None:
-                pruned = int(np.count_nonzero(miss1 & exists.any(axis=2)))
-                if pruned:
-                    obs.prune(PRUNE_VP1_SHELL, pruned)
-            miss2 = _shell_miss(
-                dq2[:, None, None], radius, arrays.b2lo[iidx], arrays.b2hi[iidx]
-            )
-            alive1 = exists & ~miss1[:, :, None]
-            if obs is not None:
-                pruned = int(np.count_nonzero(alive1 & miss2))
-                if pruned:
-                    obs.prune(PRUNE_VP2_SHELL, pruned)
-            admit = alive1 & ~miss2
-            w_sel, i_sel, j_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, i_sel, j_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, i_sel, j_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths = child_slots[internal_sel], rows[internal_sel]
-            lidx, lpaths = child_slots[~internal_sel], rows[~internal_sel]
-        else:
-            iidx, ipaths = _EMPTY_IDS, np.empty((0, 0))
-            lidx, lpaths = _EMPTY_IDS, np.empty((0, 0))
-        level += 2
-
-    out.sort()
-    return out
-
-
-def mvp_knn(
-    tree, query, k: int, approximation: float, obs: Optional[Observation]
-) -> list[Neighbor]:
-    """Wave-batched best-first mvp-tree k-NN (exact answers)."""
-    if tree._root is None:
-        return []
-    arrays = _mvp_arrays(tree)
-    objects = tree._objects
-    p = tree.p
-    best = _KBest(k)
-    iidx, ipaths, lidx, lpaths = _mvp_wave_roots(arrays)
-    ib = np.zeros(iidx.size)
-    lb = np.zeros(lidx.size)
-    level = 1
-
-    while iidx.size or lidx.size:
-        threshold = best.threshold()
-        ialive = _admitted(ib, approximation, threshold)
-        lalive = _admitted(lb, approximation, threshold)
-        if obs is not None:
-            stale = int(np.count_nonzero(~ialive)) + int(np.count_nonzero(~lalive))
-            if stale:
-                obs.prune(PRUNE_KNN_RADIUS, stale)
-        iidx, ipaths, ib = iidx[ialive], ipaths[ialive], ib[ialive]
-        lidx, lpaths = lidx[lalive], lpaths[lalive]
-        n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if not n_int and not leaf_nodes:
-            break
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
-
-        leaf_vp1 = np.asarray([n.vp1_id for n in leaf_nodes], dtype=np.intp)
-        leaf_has_vp2 = np.asarray(
-            [n.vp2_id is not None for n in leaf_nodes], dtype=bool
-        )
-        leaf_vp2 = np.asarray(
-            [n.vp2_id for n in leaf_nodes if n.vp2_id is not None], dtype=np.intp
-        )
-        all_vps = np.concatenate([arrays.vp1[iidx], arrays.vp2[iidx], leaf_vp1, leaf_vp2])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        best.consider_many(dall.tolist(), all_vps.tolist())
-        dq1, dq2 = dall[:n_int], dall[n_int : 2 * n_int]
-        ld1 = dall[2 * n_int : 2 * n_int + len(leaf_nodes)]
-        ld2 = np.full(len(leaf_nodes), np.nan)
-        ld2[leaf_has_vp2] = dall[2 * n_int + len(leaf_nodes) :]
-
-        # Leaf scans: precomputed-distance lower bounds select the scan
-        # set against the post-vantage-point threshold, one batch pays
-        # all surviving candidates.
-        threshold = best.threshold()
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if node.vp2_id is None or len(node.ids) == 0:
-                continue
-            lower = np.maximum(np.abs(node.d1 - ld1[w]), np.abs(node.d2 - ld2[w]))
-            if node.path_len:
-                lower = np.maximum(
-                    lower,
-                    np.max(
-                        np.abs(node.paths - lpaths[w, : node.path_len]),
-                        axis=1,
-                        initial=0.0,
-                    ),
-                )
-            scan = _admitted(lower, approximation, threshold)
-            scanned = int(np.count_nonzero(scan))
-            if obs is not None:
-                obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-                obs.leaf_scan(len(node.ids), scanned)
-            if scanned:
-                candidate_arrays.append(np.asarray(node.ids, dtype=np.intp)[scan])
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            best.consider_many(distances.tolist(), candidates.tolist())
-
-        if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq1, dq2])
-            threshold = best.threshold()
-            bound1 = np.maximum(
-                np.maximum(
-                    ib[:, None], dq1[:, None] - arrays.b1hi[iidx]
-                ),
-                np.maximum(arrays.b1lo[iidx] - dq1[:, None], 0.0),
-            )
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            keep1 = _admitted(bound1, approximation, threshold)
-            if obs is not None:
-                pruned = int(np.count_nonzero(~keep1 & exists.any(axis=2)))
-                if pruned:
-                    obs.prune(PRUNE_VP1_SHELL, pruned)
-            bound = np.maximum(
-                np.maximum(
-                    bound1[:, :, None], dq2[:, None, None] - arrays.b2hi[iidx]
-                ),
-                arrays.b2lo[iidx] - dq2[:, None, None],
-            )
-            alive1 = exists & keep1[:, :, None]
-            keep = _admitted(bound, approximation, threshold)
-            if obs is not None:
-                pruned = int(np.count_nonzero(alive1 & ~keep))
-                if pruned:
-                    obs.prune(PRUNE_VP2_SHELL, pruned)
-            admit = alive1 & keep
-            w_sel, i_sel, j_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, i_sel, j_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, i_sel, j_sel]
-            child_bounds = bound[w_sel, i_sel, j_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths, ib = (
-                child_slots[internal_sel],
-                rows[internal_sel],
-                child_bounds[internal_sel],
-            )
-            lidx, lpaths, lb = (
-                child_slots[~internal_sel],
-                rows[~internal_sel],
-                child_bounds[~internal_sel],
-            )
-        else:
-            iidx, ipaths, ib = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-            lidx, lpaths, lb = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-        level += 2
-
-    return best.sorted_neighbors()
-
-
-# ----------------------------------------------------------------------
-# gmvp-tree: flattened internal structure + kernels
+# multi-vantage tree (GMVPTree, MVPTree = v=2): flat structure + kernels
 # ----------------------------------------------------------------------
 
 
 class _GMVPArrays:
-    """Flat array view of a gmvp-tree's internal nodes."""
+    """Flat array view of a multi-vantage tree (built once, cached).
+
+    Internal nodes become ``(count, m**v[, v])`` tables.  Leaves become
+    offset-indexed flat tables — vantage points, ids, the D_t rows
+    (``(rows, n)`` row-major per leaf) and the PATH rows (``(n,
+    path_len)`` per leaf) — under the same names as the ``.rsx``
+    sections they are written to, so a store maps them back unchanged
+    and a wave gathers every leaf's points with a handful of numpy
+    calls instead of a Python loop per leaf.
+    """
 
     __slots__ = (
         "vp_ids",
@@ -700,11 +351,49 @@ class _GMVPArrays:
         "bhi",
         "child_kind",
         "child_idx",
-        "leaves",
+        "leaf_vp_offsets",
+        "leaf_vp_ids",
+        "leaf_offsets",
+        "leaf_ids",
+        "leaf_dist_offsets",
+        "leaf_dists",
+        "leaf_path_len",
+        "leaf_path_offsets",
+        "leaf_paths",
         "root_kind",
         "root_idx",
         "sizes",
     )
+
+
+#: The flat leaf tables of :class:`_GMVPArrays` (also the ``.rsx``
+#: section names of the ``mvpt`` and ``gmvpt`` families).
+GMVP_LEAF_TABLES = (
+    "leaf_vp_offsets",
+    "leaf_vp_ids",
+    "leaf_offsets",
+    "leaf_ids",
+    "leaf_dist_offsets",
+    "leaf_dists",
+    "leaf_path_len",
+    "leaf_path_offsets",
+    "leaf_paths",
+)
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    """Offsets of consecutive segments with the given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    if counts:
+        np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
+    return out
+
+
+def _concat(chunks: list, dtype) -> np.ndarray:
+    """Every chunk raveled and concatenated into one flat array."""
+    if not chunks:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate([np.asarray(c, dtype=dtype).ravel() for c in chunks])
 
 
 def _gmvp_arrays(tree) -> _GMVPArrays:
@@ -716,14 +405,14 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
     v = tree.v
     fanout = tree.m**v
     internal_nodes: list = []
-    leaf_nodes: list = []
+    leaves: list = []
     slot_of: dict[int, tuple[int, int]] = {}
     stack = [tree._root]
     while stack:
         node = stack.pop()
         if isinstance(node, GMVPLeafNode):
-            slot_of[id(node)] = (_LEAF, len(leaf_nodes))
-            leaf_nodes.append(node)
+            slot_of[id(node)] = (_LEAF, len(leaves))
+            leaves.append(node)
         else:
             slot_of[id(node)] = (_INTERNAL, len(internal_nodes))
             internal_nodes.append(node)
@@ -748,103 +437,165 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
                 if lo <= hi:
                     arrays.blo[n, c, t] = lo
                     arrays.bhi[n, c, t] = hi
-    arrays.leaves = leaf_nodes
+    # int64/float64 throughout: the tables are written to stores as is.
+    arrays.leaf_vp_offsets = _offsets([len(n.vp_ids) for n in leaves])
+    arrays.leaf_vp_ids = _concat([n.vp_ids for n in leaves], np.int64)
+    arrays.leaf_offsets = _offsets([len(n.ids) for n in leaves])
+    arrays.leaf_ids = _concat([n.ids for n in leaves], np.int64)
+    arrays.leaf_dist_offsets = _offsets([n.dists.size for n in leaves])
+    arrays.leaf_dists = _concat([n.dists for n in leaves], np.float64)
+    arrays.leaf_path_len = np.asarray([n.path_len for n in leaves], dtype=np.int64)
+    arrays.leaf_path_offsets = _offsets([n.paths.size for n in leaves])
+    arrays.leaf_paths = _concat([n.paths for n in leaves], np.float64)
     arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
     tree._kernel_cache = arrays
     return arrays
 
 
-def _gmvp_leaf_distances(leaf_nodes, dall, offset):
-    """Split the batched wave distances back into per-leaf vp arrays."""
-    per_leaf = []
-    for node in leaf_nodes:
-        width = len(node.vp_ids)
-        per_leaf.append(dall[offset : offset + width])
-        offset += width
-    return per_leaf
+def _segments(starts: np.ndarray, lens: np.ndarray):
+    """Positions of the concatenated ranges ``[starts[i], starts[i] +
+    lens[i])``, with each position's range number and offset in it."""
+    seg = np.repeat(np.arange(lens.size), lens)
+    local = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    return starts[seg] + local, seg, local
+
+
+def _wave_roots(arrays):
+    """Initial (internal, leaf) wave arrays for the root node."""
+    root = np.array([arrays.root_idx], dtype=np.intp)
+    no_path = np.empty((1, 0))
+    if arrays.root_kind == _INTERNAL:
+        return root, no_path, _EMPTY_IDS, np.empty((0, 0))
+    return _EMPTY_IDS, np.empty((0, 0)), root, no_path
+
+
+def _grow_paths(paths: np.ndarray, level: int, p: int, dq: np.ndarray) -> np.ndarray:
+    """Append this wave's vantage-point distances to the query's PATH
+    prefix (``path_q[level + t - 1] = dq[:, t]``)."""
+    keep = max(0, min(dq.shape[1], p - level + 1))
+    if not keep:
+        return paths
+    return np.hstack([paths, dq[:, :keep]])
+
+
+class _LeafWave:
+    """Every point of one wave's leaves, gathered from the flat tables:
+    ids, the query-minus-precomputed distance gaps ``|D_t - d(q, vp_t)|``
+    as a ``(v, n)`` block, and the PATH gaps as ``(n, path_len)``."""
+
+    __slots__ = ("lens", "seg", "ids", "dist_gap", "path_gap")
+
+    def __init__(self, arrays, lidx, lpaths, dall, offset: int):
+        self.lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
+        pos, seg, local = _segments(arrays.leaf_offsets[lidx], self.lens)
+        self.seg = seg
+        self.ids = arrays.leaf_ids[pos]
+        widths = arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx]
+        # Every leaf holding points keeps all v vantage points, so its
+        # D_t row t sits t * n past row 0 and d(q, vp_t) t past d(q, vp_0).
+        rows = np.arange(arrays.vp_ids.shape[1])[:, None]
+        first_vp = offset + np.cumsum(widths) - widths
+        dist_pos = arrays.leaf_dist_offsets[lidx][seg] + local
+        self.dist_gap = np.abs(
+            arrays.leaf_dists[dist_pos + rows * self.lens[seg]]
+            - dall[first_vp[seg] + rows]
+        )
+        # A leaf keeps min(p, vantage points above it) PATH entries: the
+        # width of the query's PATH prefix at this level.
+        path_len = lpaths.shape[1]
+        self.path_gap = None
+        if path_len and seg.size:
+            path_pos = arrays.leaf_path_offsets[lidx][seg] + local * path_len
+            self.path_gap = np.abs(
+                arrays.leaf_paths[path_pos[:, None] + np.arange(path_len)]
+                - lpaths[seg]
+            )
+
+    def scans(self, obs: Optional[Observation], keep: np.ndarray) -> None:
+        """One ``leaf_scan`` per non-empty leaf of the wave."""
+        if obs is not None:
+            scanned = np.bincount(self.seg[keep], minlength=self.lens.size)
+            for seen, count in zip(self.lens.tolist(), scanned.tolist()):
+                if seen:
+                    obs.leaf_scan(seen, count)
+
+
+def _wave_distances(tree, arrays, iidx, lidx, query, obs):
+    """One batch for every vantage-point distance of a wave: returns the
+    batched ids and distances and the internal ``(n_int, v)`` block."""
+    n_int = iidx.size
+    if obs is not None:
+        for _ in range(n_int):
+            obs.enter_internal()
+        for size in (arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]).tolist():
+            obs.enter_leaf(size)
+    leaf_vps, _, _ = _segments(
+        arrays.leaf_vp_offsets[lidx],
+        arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx],
+    )
+    all_vps = np.concatenate(
+        [arrays.vp_ids[iidx].ravel(), arrays.leaf_vp_ids[leaf_vps]]
+    )
+    dall = np.asarray(
+        tree._batch_dist(obs, gather(tree._objects, all_vps), query),
+        dtype=np.float64,
+    )
+    v = arrays.vp_ids.shape[1]
+    return all_vps, dall, dall[: n_int * v].reshape(n_int, v)
 
 
 def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous gmvp-tree range search: visits exactly the nodes
-    the shell and PATH bounds admit."""
+    """Level-synchronous range search (paper section 4.3): visits
+    exactly the nodes the shell and PATH bounds admit."""
+    if tree._root is None:
+        return []
     arrays = _gmvp_arrays(tree)
-    objects = tree._objects
     p = tree.p
-    v = tree.v
     loose = radius + slack(radius)
     out: list[int] = []
-    if arrays.root_kind == _INTERNAL:
-        iidx = np.array([arrays.root_idx], dtype=np.intp)
-        ipaths = np.empty((1, 0))
-        lidx, lpaths = _EMPTY_IDS, np.empty((0, 0))
-    else:
-        iidx, ipaths = _EMPTY_IDS, np.empty((0, 0))
-        lidx = np.array([arrays.root_idx], dtype=np.intp)
-        lpaths = np.empty((1, 0))
+    iidx, ipaths, lidx, lpaths = _wave_roots(arrays)
     level = 1
 
     while iidx.size or lidx.size:
         n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
+        all_vps, dall, dq = _wave_distances(tree, arrays, iidx, lidx, query, obs)
+        v = dq.shape[1]
+        out.extend(all_vps[dall <= radius].tolist())
 
-        leaf_vps = (
-            np.concatenate([np.asarray(n.vp_ids, dtype=np.intp) for n in leaf_nodes])
-            if leaf_nodes
-            else _EMPTY_IDS
-        )
-        all_vps = np.concatenate([arrays.vp_ids[iidx].ravel(), leaf_vps])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        out.extend(np.asarray(all_vps[dall <= radius]).tolist())
-        dq = dall[: n_int * v].reshape(n_int, v)
-        leaf_dq = _gmvp_leaf_distances(leaf_nodes, dall, n_int * v)
-
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if len(node.ids) == 0:
-                continue
-            mask = np.ones(len(node.ids), dtype=bool)
-            for t in range(len(node.vp_ids)):
-                mask_t = np.abs(node.dists[t] - leaf_dq[w][t]) <= loose
+        # Leaf candidate selection: the D_t filters, then the PATH
+        # filter (paper step 2.2), over every leaf point of the wave;
+        # one batched verification pays the survivors.
+        if lidx.size:
+            wave = _LeafWave(arrays, lidx, lpaths, dall, n_int * v)
+            ok = wave.dist_gap <= loose
+            if obs is None:
+                keep = ok.all(axis=0)
+            else:
+                # Each point is booked to the first row that rejects it.
+                passed = np.logical_and.accumulate(ok, axis=0)
+                before = wave.ids.size
+                for t, after in enumerate(np.count_nonzero(passed, axis=1).tolist()):
+                    obs.filter_points(leaf_dist_kind(t), before - after)
+                    before = after
+                keep = passed[-1]
+            if wave.path_gap is not None:
+                path_ok = np.all(wave.path_gap <= loose, axis=1)
                 if obs is not None:
                     obs.filter_points(
-                        leaf_dist_kind(t), int(np.count_nonzero(mask & ~mask_t))
+                        PRUNE_PATH_FILTER, int(np.count_nonzero(keep & ~path_ok))
                     )
-                mask &= mask_t
-            if node.path_len:
-                path_mask = np.all(
-                    np.abs(node.paths - lpaths[w, : node.path_len]) <= loose, axis=1
-                )
-                if obs is not None:
-                    obs.filter_points(
-                        PRUNE_PATH_FILTER, int(np.count_nonzero(mask & ~path_mask))
-                    )
-                mask &= path_mask
-            candidates = np.asarray(node.ids, dtype=np.intp)[mask]
-            if obs is not None:
-                obs.leaf_scan(len(node.ids), int(candidates.size))
+                keep &= path_ok
+            wave.scans(obs, keep)
+            candidates = wave.ids[keep]
             if candidates.size:
-                candidate_arrays.append(candidates)
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            out.extend(candidates[distances <= radius].tolist())
+                distances = np.asarray(
+                    tree._batch_dist(obs, gather(tree._objects, candidates), query),
+                    dtype=np.float64,
+                )
+                out.extend(candidates[distances <= radius].tolist())
 
         if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq[:, t] for t in range(v)])
+            child_paths = _grow_paths(ipaths, level, p, dq)
             miss_t = _shell_miss(
                 dq[:, None, :], radius, arrays.blo[iidx], arrays.bhi[iidx]
             )
@@ -854,7 +605,8 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
             if obs is not None:
                 pruned = exists & any_miss
                 if pruned.any():
-                    # First-bound-wins attribution: the lowest vp index.
+                    # First-bound-wins attribution: the lowest vp index,
+                    # one prune per child subtree.
                     first_t = np.argmax(miss_t, axis=2)
                     for t in range(v):
                         count = int(np.count_nonzero(pruned & (first_t == t)))
@@ -880,20 +632,13 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
 def gmvp_knn(
     tree, query, k: int, approximation: float, obs: Optional[Observation]
 ) -> list[Neighbor]:
-    """Wave-batched best-first gmvp-tree k-NN (exact answers)."""
+    """Wave-batched best-first k-NN (exact answers)."""
+    if tree._root is None:
+        return []
     arrays = _gmvp_arrays(tree)
-    objects = tree._objects
     p = tree.p
-    v = tree.v
     best = _KBest(k)
-    if arrays.root_kind == _INTERNAL:
-        iidx = np.array([arrays.root_idx], dtype=np.intp)
-        ipaths = np.empty((1, 0))
-        lidx, lpaths = _EMPTY_IDS, np.empty((0, 0))
-    else:
-        iidx, ipaths = _EMPTY_IDS, np.empty((0, 0))
-        lidx = np.array([arrays.root_idx], dtype=np.intp)
-        lpaths = np.empty((1, 0))
+    iidx, ipaths, lidx, lpaths = _wave_roots(arrays)
     ib = np.zeros(iidx.size)
     lb = np.zeros(lidx.size)
     level = 1
@@ -909,66 +654,36 @@ def gmvp_knn(
         iidx, ipaths, ib = iidx[ialive], ipaths[ialive], ib[ialive]
         lidx, lpaths = lidx[lalive], lpaths[lalive]
         n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if not n_int and not leaf_nodes:
+        if not n_int and not lidx.size:
             break
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
-
-        leaf_vps = (
-            np.concatenate([np.asarray(n.vp_ids, dtype=np.intp) for n in leaf_nodes])
-            if leaf_nodes
-            else _EMPTY_IDS
-        )
-        all_vps = np.concatenate([arrays.vp_ids[iidx].ravel(), leaf_vps])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
+        all_vps, dall, dq = _wave_distances(tree, arrays, iidx, lidx, query, obs)
+        v = dq.shape[1]
         best.consider_many(dall.tolist(), all_vps.tolist())
-        dq = dall[: n_int * v].reshape(n_int, v)
-        leaf_dq = _gmvp_leaf_distances(leaf_nodes, dall, n_int * v)
 
-        threshold = best.threshold()
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if len(node.ids) == 0:
-                continue
-            lower = np.zeros(len(node.ids))
-            for t in range(len(node.vp_ids)):
-                lower = np.maximum(lower, np.abs(node.dists[t] - leaf_dq[w][t]))
-            if node.path_len:
-                lower = np.maximum(
-                    lower,
-                    np.max(
-                        np.abs(node.paths - lpaths[w, : node.path_len]),
-                        axis=1,
-                        initial=0.0,
-                    ),
-                )
-            scan = _admitted(lower, approximation, threshold)
-            scanned = int(np.count_nonzero(scan))
+        # Leaf scans: precomputed-distance lower bounds select the scan
+        # set against the post-vantage-point threshold, one batch pays
+        # all surviving candidates.
+        if lidx.size:
+            wave = _LeafWave(arrays, lidx, lpaths, dall, n_int * v)
+            lower = wave.dist_gap.max(axis=0, initial=0.0)
+            if wave.path_gap is not None:
+                lower = np.maximum(lower, wave.path_gap.max(axis=1))
+            scan = _admitted(lower, approximation, best.threshold())
             if obs is not None:
-                obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-                obs.leaf_scan(len(node.ids), scanned)
-            if scanned:
-                candidate_arrays.append(np.asarray(node.ids, dtype=np.intp)[scan])
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            best.consider_many(distances.tolist(), candidates.tolist())
+                obs.filter_points(
+                    PRUNE_KNN_RADIUS, wave.ids.size - int(np.count_nonzero(scan))
+                )
+            wave.scans(obs, scan)
+            candidates = wave.ids[scan]
+            if candidates.size:
+                distances = np.asarray(
+                    tree._batch_dist(obs, gather(tree._objects, candidates), query),
+                    dtype=np.float64,
+                )
+                best.consider_many(distances.tolist(), candidates.tolist())
 
         if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq[:, t] for t in range(v)])
+            child_paths = _grow_paths(ipaths, level, p, dq)
             threshold = best.threshold()
             shells = np.maximum(
                 dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
@@ -1143,50 +858,13 @@ def _vp_sizes(arrays: _VPArrays):
     return arrays.sizes
 
 
-def _mvp_sizes(arrays: _MVPArrays):
-    cached = getattr(arrays, "sizes", None)
-    if cached is not None:
-        return cached
-    leaf_sizes = np.array(
-        [
-            len(node.ids) + 1 + (1 if node.vp2_id is not None else 0)
-            for node in arrays.leaves
-        ],
-        dtype=np.int64,
-    )
-    internal_sizes = np.zeros(arrays.vp1.shape[0], dtype=np.int64)
-
-    def children_of(idx):
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        m = kinds.shape[0]
-        return [
-            (int(kinds[i, j]), int(slots[i, j]))
-            for i in range(m)
-            for j in range(m)
-            if kinds[i, j] != _NONE
-        ]
-
-    _fill_subtree_sizes(
-        arrays.root_kind,
-        arrays.root_idx,
-        internal_sizes,
-        leaf_sizes,
-        children_of,
-        lambda idx: 2,
-    )
-    arrays.sizes = (internal_sizes, leaf_sizes)
-    return arrays.sizes
-
-
 def _gmvp_sizes(arrays: _GMVPArrays):
     cached = getattr(arrays, "sizes", None)
     if cached is not None:
         return cached
-    leaf_sizes = np.array(
-        [len(node.ids) + len(node.vp_ids) for node in arrays.leaves],
-        dtype=np.int64,
-    )
+    leaf_sizes = (
+        np.diff(arrays.leaf_offsets) + np.diff(arrays.leaf_vp_offsets)
+    ).astype(np.int64)
     internal_sizes = np.zeros(arrays.vp_ids.shape[0], dtype=np.int64)
     own = arrays.vp_ids.shape[1]
 
@@ -1265,98 +943,9 @@ class _VPApprox:
         return ids, np.full(ids.size, parent_lb, dtype=np.float64)
 
 
-class _MVPApprox:
-    """Frontier adapter exposing an mvp-tree to the budgeted engines.
-
-    Entries carry ``(kind, slot, level, path)`` where ``path`` is the
-    tuple of ancestor vantage-point distances accumulated so far (the
-    query's PATH prefix, grown exactly like :func:`_grow_paths`).
-    """
-
-    __slots__ = ("arrays", "p", "internal_sizes", "leaf_sizes")
-
-    def __init__(self, tree):
-        self.arrays = _mvp_arrays(tree)
-        self.p = tree.p
-        self.internal_sizes, self.leaf_sizes = _mvp_sizes(self.arrays)
-
-    def roots(self):
-        arrays = self.arrays
-        return [(0.0, (arrays.root_kind, int(arrays.root_idx), 1, ()))]
-
-    def is_leaf(self, entry):
-        return entry[0] == _LEAF
-
-    def size(self, entry):
-        table = self.leaf_sizes if entry[0] == _LEAF else self.internal_sizes
-        return int(table[entry[1]])
-
-    def internal_cost(self, entry):
-        return 2
-
-    def open_internal(self, entry, batch):
-        arrays = self.arrays
-        idx = entry[1]
-        d = batch(np.array([arrays.vp1[idx], arrays.vp2[idx]], dtype=np.intp))
-        return float(d[0]), float(d[1])
-
-    def children(self, entry, dqs, parent_lb):
-        arrays = self.arrays
-        _, idx, level, path = entry
-        dq1, dq2 = dqs
-        if level <= self.p:
-            path = path + (dq1,)
-        if level + 1 <= self.p:
-            path = path + (dq2,)
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        b1lo, b1hi = arrays.b1lo[idx], arrays.b1hi[idx]
-        b2lo, b2hi = arrays.b2lo[idx], arrays.b2hi[idx]
-        m = kinds.shape[0]
-        out = []
-        for i in range(m):
-            bound1 = max(parent_lb, dq1 - b1hi[i], b1lo[i] - dq1, 0.0)
-            for j in range(m):
-                kind = int(kinds[i, j])
-                if kind == _NONE:
-                    continue
-                bound = max(bound1, dq2 - b2hi[i, j], b2lo[i, j] - dq2)
-                out.append(
-                    (float(bound), (kind, int(slots[i, j]), level + 2, path))
-                )
-        return out
-
-    def leaf_cost(self, entry):
-        node = self.arrays.leaves[entry[1]]
-        return 1 + (1 if node.vp2_id is not None else 0)
-
-    def leaf_points(self, entry):
-        return len(self.arrays.leaves[entry[1]].ids)
-
-    def open_leaf(self, entry, batch):
-        node = self.arrays.leaves[entry[1]]
-        if node.vp2_id is None:
-            return float(batch(np.array([node.vp1_id], dtype=np.intp))[0]), None
-        d = batch(np.array([node.vp1_id, node.vp2_id], dtype=np.intp))
-        return float(d[0]), float(d[1])
-
-    def candidates(self, entry, info, parent_lb):
-        node = self.arrays.leaves[entry[1]]
-        if node.vp2_id is None or len(node.ids) == 0:
-            return _EMPTY_IDS, _EMPTY_F64
-        ld1, ld2 = info
-        lower = np.maximum(np.abs(node.d1 - ld1), np.abs(node.d2 - ld2))
-        if node.path_len:
-            row = np.asarray(entry[3][: node.path_len], dtype=np.float64)
-            lower = np.maximum(
-                lower, np.max(np.abs(node.paths - row), axis=1, initial=0.0)
-            )
-        lower = np.maximum(lower, parent_lb)
-        return np.asarray(node.ids, dtype=np.intp), lower
-
-
 class _GMVPApprox:
-    """Frontier adapter exposing a gmvp-tree to the budgeted engines."""
+    """Frontier adapter exposing a multi-vantage tree to the budgeted
+    engines."""
 
     __slots__ = ("arrays", "p", "internal_sizes", "leaf_sizes")
 
@@ -1402,32 +991,39 @@ class _GMVPApprox:
         ]
 
     def leaf_cost(self, entry):
-        return len(self.arrays.leaves[entry[1]].vp_ids)
+        offsets = self.arrays.leaf_vp_offsets
+        return int(offsets[entry[1] + 1] - offsets[entry[1]])
 
     def leaf_points(self, entry):
-        return len(self.arrays.leaves[entry[1]].ids)
+        offsets = self.arrays.leaf_offsets
+        return int(offsets[entry[1] + 1] - offsets[entry[1]])
 
     def open_leaf(self, entry, batch):
-        node = self.arrays.leaves[entry[1]]
-        return batch(np.asarray(node.vp_ids, dtype=np.intp))
+        offsets = self.arrays.leaf_vp_offsets
+        j = entry[1]
+        return batch(self.arrays.leaf_vp_ids[offsets[j] : offsets[j + 1]])
 
     def candidates(self, entry, ldq, parent_lb):
-        node = self.arrays.leaves[entry[1]]
-        if len(node.ids) == 0:
+        arrays = self.arrays
+        j = entry[1]
+        ids = arrays.leaf_ids[arrays.leaf_offsets[j] : arrays.leaf_offsets[j + 1]]
+        if not ids.size:
             return _EMPTY_IDS, _EMPTY_F64
-        lower = np.zeros(len(node.ids))
-        for t in range(len(node.vp_ids)):
-            lower = np.maximum(lower, np.abs(node.dists[t] - ldq[t]))
-        if node.path_len:
-            row = np.asarray(entry[3][: node.path_len], dtype=np.float64)
-            lower = np.maximum(
-                lower, np.max(np.abs(node.paths - row), axis=1, initial=0.0)
-            )
-        lower = np.maximum(lower, parent_lb)
-        return np.asarray(node.ids, dtype=np.intp), lower
+        dists = arrays.leaf_dists[
+            arrays.leaf_dist_offsets[j] : arrays.leaf_dist_offsets[j + 1]
+        ].reshape(-1, ids.size)
+        lower = np.abs(dists - ldq[:, None]).max(axis=0)
+        path_len = int(arrays.leaf_path_len[j])
+        if path_len:
+            paths = arrays.leaf_paths[
+                arrays.leaf_path_offsets[j] : arrays.leaf_path_offsets[j + 1]
+            ].reshape(ids.size, path_len)
+            row = np.asarray(entry[3][:path_len], dtype=np.float64)
+            lower = np.maximum(lower, np.abs(paths - row).max(axis=1))
+        return ids, np.maximum(lower, parent_lb)
 
 
-_APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _MVPApprox, "gmvpt": _GMVPApprox}
+_APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _GMVPApprox, "gmvpt": _GMVPApprox}
 
 
 def _approx_adapter(tree, family: str):

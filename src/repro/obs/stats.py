@@ -23,10 +23,16 @@ so reports can compare structures column-by-column:
 =====================  ==========  ==========================================
 kind                   granularity meaning
 =====================  ==========  ==========================================
-``vp1-shell``          subtrees    first vantage point's spherical shell
-                                   missed the query ball (mvp-tree level 1;
-                                   ``vpN-shell`` for GMVPTree's later vps)
-``vp2-shell``          subtrees    second vantage point's shell missed
+``vp1-shell``          child       first vantage point's spherical shell
+                       subtrees    missed the query ball: one event per
+                                   pruned child of an mvp/gmvp node, booked
+                                   to the lowest-numbered shell that
+                                   excludes it (k-NN: the shell giving the
+                                   largest bound; ``knn-radius`` when the
+                                   inherited bound decides); ``vpN-shell``
+                                   for the N-th vantage point
+``vp2-shell``          child       second vantage point's shell missed
+                       subtrees    (and the first did not)
 ``vp-shell``           subtrees    vp-tree shell (its single vantage point)
 ``hyperplane``         subtrees    gh-tree generalized-hyperplane rule
 ``covering-radius``    subtrees    gh-tree covering-ball rule

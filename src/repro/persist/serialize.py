@@ -22,7 +22,6 @@ from repro._util import gather
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode, GMVPTree
 from repro.core.mvptree import MVPTree
-from repro.core.nodes import MVPInternalNode, MVPLeafNode
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
@@ -38,7 +37,7 @@ from repro.transforms.filter import TransformIndex
 from repro.transforms.fourier import DFTTransform
 from repro.transforms.subsequence import SubsequenceIndex
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Serialisation coverage per index class, surfaced by ``repro-check
 #: invariants``.  Every class the verification builders construct MUST
@@ -101,61 +100,6 @@ def _decode_vp_node(data: Optional[dict]):
     )
 
 
-def _encode_mvp_node(node) -> Optional[dict]:
-    """Encode one mvp node (recursive; depth <= tree height)."""
-    if node is None:
-        return None
-    if isinstance(node, MVPLeafNode):
-        return {
-            "leaf": True,
-            "vp1_id": node.vp1_id,
-            "vp2_id": node.vp2_id,
-            "ids": list(node.ids),
-            "d1": node.d1.tolist(),
-            "d2": node.d2.tolist(),
-            "paths": node.paths.tolist(),
-            "path_len": node.path_len,
-        }
-    return {
-        "leaf": False,
-        "vp1_id": node.vp1_id,
-        "vp2_id": node.vp2_id,
-        "cutoffs1": list(node.cutoffs1),
-        "cutoffs2": [list(row) for row in node.cutoffs2],
-        "bounds1": [list(b) for b in node.bounds1],
-        "bounds2": [[list(b) for b in row] for row in node.bounds2],
-        "children": [_encode_mvp_node(c) for c in node.children],
-    }
-
-
-def _decode_mvp_node(data: Optional[dict]):
-    """Decode one mvp node (recursive; depth <= tree height)."""
-    if data is None:
-        return None
-    if data["leaf"]:
-        path_len = data["path_len"]
-        n_points = len(data["ids"])
-        paths = np.asarray(data["paths"], dtype=float).reshape(n_points, path_len)
-        return MVPLeafNode(
-            data["vp1_id"],
-            data["vp2_id"],
-            list(data["ids"]),
-            np.asarray(data["d1"], dtype=float),
-            np.asarray(data["d2"], dtype=float),
-            paths,
-            path_len,
-        )
-    return MVPInternalNode(
-        data["vp1_id"],
-        data["vp2_id"],
-        list(data["cutoffs1"]),
-        [list(row) for row in data["cutoffs2"]],
-        [tuple(b) for b in data["bounds1"]],
-        [[tuple(b) for b in row] for row in data["bounds2"]],
-        [_decode_mvp_node(c) for c in data["children"]],
-    )
-
-
 def _encode_gmvp_node(node) -> Optional[dict]:
     """Encode one gmvp node (recursive; depth <= tree height)."""
     if node is None:
@@ -172,6 +116,7 @@ def _encode_gmvp_node(node) -> Optional[dict]:
     return {
         "leaf": False,
         "vp_ids": list(node.vp_ids),
+        "cutoffs": [[list(row) for row in level] for level in node.cutoffs],
         "bounds": [[list(b) for b in row] for row in node.bounds],
         "children": [_encode_gmvp_node(c) for c in node.children],
     }
@@ -196,6 +141,7 @@ def _decode_gmvp_node(data: Optional[dict]):
         )
     return GMVPInternalNode(
         list(data["vp_ids"]),
+        [[list(row) for row in level] for level in data["cutoffs"]],
         [[tuple(b) for b in row] for row in data["bounds"]],
         [_decode_gmvp_node(c) for c in data["children"]],
     )
@@ -385,22 +331,6 @@ def index_to_dict(index: MetricIndex) -> dict:
             },
             "deleted": sorted(index._deleted),
             "removed": sorted(index._removed),
-            "root": _encode_mvp_node(index.root),
-        }
-    if isinstance(index, GMVPTree):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "GMVPTree",
-            "n_objects": len(index.objects),
-            "params": {"m": index.m, "v": index.v, "k": index.k, "p": index.p},
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "internal_count": index.internal_count,
-                "vantage_point_count": index.vantage_point_count,
-                "leaf_data_point_count": index.leaf_data_point_count,
-                "height": index.height,
-            },
             "root": _encode_gmvp_node(index.root),
         }
     if isinstance(index, MVPTree):
@@ -422,7 +352,23 @@ def index_to_dict(index: MetricIndex) -> dict:
                 "leaf_data_point_count": index.leaf_data_point_count,
                 "height": index.height,
             },
-            "root": _encode_mvp_node(index.root),
+            "root": _encode_gmvp_node(index.root),
+        }
+    if isinstance(index, GMVPTree):
+        return {
+            "format": _FORMAT_VERSION,
+            "type": "GMVPTree",
+            "n_objects": len(index.objects),
+            "params": {"m": index.m, "v": index.v, "k": index.k, "p": index.p},
+            "stats": {
+                "node_count": index.node_count,
+                "leaf_count": index.leaf_count,
+                "internal_count": index.internal_count,
+                "vantage_point_count": index.vantage_point_count,
+                "leaf_data_point_count": index.leaf_data_point_count,
+                "height": index.height,
+            },
+            "root": _encode_gmvp_node(index.root),
         }
     if isinstance(index, GHTree):
         return {
@@ -655,17 +601,19 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         index = MVPTree.__new__(MVPTree)
         MetricIndex.__init__(index, objects, metric)
         index.m = params["m"]
+        index.v = 2
         index.k = params["k"]
         index.p = params["p"]
         index.bounds_mode = params.get("bounds", "tight")
         index._selector = None
         index._rng = None
-        index._root = _decode_mvp_node(data["root"])
+        index._root = _decode_gmvp_node(data["root"])
     elif kind == "DynamicMVPTree":
         index = DynamicMVPTree.__new__(DynamicMVPTree)
         # The dynamic tree owns a mutable object list.
         MetricIndex.__init__(index, list(objects), metric)
         index.m = params["m"]
+        index.v = 2
         index.k = params["k"]
         index.p = params["p"]
         index.overflow_factor = params["overflow_factor"]
@@ -677,7 +625,7 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         index._rng = np.random.default_rng()
         index._deleted = set(data["deleted"])
         index._removed = set(data["removed"])
-        index._root = _decode_mvp_node(data["root"])
+        index._root = _decode_gmvp_node(data["root"])
     elif kind == "GMVPTree":
         index = GMVPTree.__new__(GMVPTree)
         MetricIndex.__init__(index, objects, metric)

@@ -25,8 +25,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.gmvptree import GMVPLeafNode
-from repro.core.nodes import MVPLeafNode
 from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.gnat import GNAT, GNATInternalNode, GNATLeafNode
@@ -65,63 +63,11 @@ def _vp_cache(store: Store) -> kernels._VPArrays:
     return arrays
 
 
-def _mvp_cache(store: Store) -> kernels._MVPArrays:
-    arrays = kernels._MVPArrays()
-    arrays.vp1 = store.section("vp1")
-    arrays.vp2 = store.section("vp2")
-    arrays.b1lo = store.section("b1lo")
-    arrays.b1hi = store.section("b1hi")
-    arrays.b2lo = store.section("b2lo")
-    arrays.b2hi = store.section("b2hi")
-    arrays.child_kind = store.section("child_kind")
-    arrays.child_idx = store.section("child_idx")
-    vp1 = store.section("leaf_vp1")
-    vp2 = store.section("leaf_vp2")
-    ids = _segments(store, "leaf_offsets", "leaf_ids")
-    d1 = _segments(store, "leaf_offsets", "leaf_d1")
-    d2 = _segments(store, "leaf_offsets", "leaf_d2")
-    path_len = store.section("leaf_path_len")
-    paths = _segments(store, "leaf_path_offsets", "leaf_paths")
-    arrays.leaves = [
-        MVPLeafNode(
-            int(vp1[i]),
-            None if vp2[i] < 0 else int(vp2[i]),
-            ids[i],
-            d1[i],
-            d2[i],
-            paths[i].reshape(len(ids[i]), int(path_len[i])),
-            int(path_len[i]),
-        )
-        for i in range(len(vp1))
-    ]
-    arrays.root_kind = int(store.meta["tree"]["root_kind"])
-    arrays.root_idx = int(store.meta["tree"]["root_idx"])
-    return arrays
-
-
 def _gmvp_cache(store: Store) -> kernels._GMVPArrays:
     arrays = kernels._GMVPArrays()
-    arrays.vp_ids = store.section("vp_ids")
-    arrays.blo = store.section("blo")
-    arrays.bhi = store.section("bhi")
-    arrays.child_kind = store.section("child_kind")
-    arrays.child_idx = store.section("child_idx")
-    vp_ids = _segments(store, "leaf_vp_offsets", "leaf_vp_ids")
-    ids = _segments(store, "leaf_offsets", "leaf_ids")
-    dist_rows = store.section("leaf_dist_rows")
-    dists = _segments(store, "leaf_dist_offsets", "leaf_dists")
-    path_len = store.section("leaf_path_len")
-    paths = _segments(store, "leaf_path_offsets", "leaf_paths")
-    arrays.leaves = [
-        GMVPLeafNode(
-            vp_ids[i],
-            ids[i],
-            dists[i].reshape(int(dist_rows[i]), len(ids[i])),
-            paths[i].reshape(len(ids[i]), int(path_len[i])),
-            int(path_len[i]),
-        )
-        for i in range(len(dist_rows))
-    ]
+    node_tables = ("vp_ids", "blo", "bhi", "child_kind", "child_idx")
+    for name in node_tables + kernels.GMVP_LEAF_TABLES:
+        setattr(arrays, name, store.section(name))
     arrays.root_kind = int(store.meta["tree"]["root_kind"])
     arrays.root_idx = int(store.meta["tree"]["root_idx"])
     return arrays
@@ -228,16 +174,13 @@ class StoreBackedIndex(MetricIndex):
                 self._kernel_cache = _vp_cache(store)
                 self.leaf_capacity = self.params["leaf_capacity"]
                 self.bounds_mode = self.params["bounds"]
-            elif self.family == "mvpt":
-                self._kernel_cache = _mvp_cache(store)
-                self.k = self.params["k"]
-                self.p = self.params["p"]
-                self.bounds_mode = self.params["bounds"]
-            else:  # gmvpt
+            else:  # mvpt (v = 2, region shells) or gmvpt
                 self._kernel_cache = _gmvp_cache(store)
                 self.v = self.params["v"]
                 self.k = self.params["k"]
                 self.p = self.params["p"]
+                if self.family == "mvpt":
+                    self.bounds_mode = self.params["bounds"]
             self.m = self.params["m"]
             self._root = _MAPPED_ROOT
         deltas = deltas or []
@@ -277,8 +220,6 @@ class StoreBackedIndex(MetricIndex):
         obs = make_observation(stats, trace)
         if self.family == "vpt":
             return kernels.vp_range(self, query, radius, obs)
-        if self.family == "mvpt":
-            return kernels.mvp_range(self, query, radius, obs)
         return kernels.gmvp_range(self, query, radius, obs)
 
     def _base_knn(
@@ -299,8 +240,6 @@ class StoreBackedIndex(MetricIndex):
         obs = make_observation(stats, trace)
         if self.family == "vpt":
             return kernels.vp_knn(self, query, k, approximation, obs)
-        if self.family == "mvpt":
-            return kernels.mvp_knn(self, query, k, approximation, obs)
         return kernels.gmvp_knn(self, query, k, approximation, obs)
 
     def _delta_distances(self, query, *, stats, trace) -> np.ndarray:

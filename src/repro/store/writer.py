@@ -2,7 +2,7 @@
 
 The node tables written here are exactly the flattened arrays the
 frontier kernels in :mod:`repro.indexes.kernels` search — vp ids,
-shell bounds, child kind/slot tables, and the mvp/gmvp leaves'
+shell bounds, child kind/slot tables, and the multi-vantage leaves'
 precomputed D1/D2/PATH distance arrays — so a reopened store
 reconstructs the kernel cache by reshaping mmap views, with bit-exact
 values and therefore byte-identical answers and ``QueryStats``.
@@ -71,19 +71,6 @@ def _points_of(index) -> np.ndarray:
     return np.ascontiguousarray(points, dtype=np.float64)
 
 
-def _offsets(counts: list[int]) -> np.ndarray:
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
-    return out
-
-
-def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    if not chunks:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate([np.asarray(c, dtype=dtype).ravel() for c in chunks])
-
-
 def _vpt_payload(tree: VPTree):
     arrays = kernels._vp_arrays(tree)
     sections = {
@@ -92,8 +79,8 @@ def _vpt_payload(tree: VPTree):
         "child_hi": np.asarray(arrays.child_hi, dtype=np.float64),
         "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
         "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-        "leaf_offsets": _offsets([len(ids) for ids in arrays.leaf_ids]),
-        "leaf_ids": _concat(list(arrays.leaf_ids), np.int64),
+        "leaf_offsets": kernels._offsets([len(ids) for ids in arrays.leaf_ids]),
+        "leaf_ids": kernels._concat(list(arrays.leaf_ids), np.int64),
     }
     tree_meta = {
         "root_kind": int(arrays.root_kind),
@@ -114,89 +101,29 @@ def _vpt_payload(tree: VPTree):
     return sections, tree_meta, params, build_stats
 
 
-def _mvpt_payload(tree: MVPTree):
-    arrays = kernels._mvp_arrays(tree)
-    leaves = arrays.leaves
-    path_counts = [len(n.ids) * n.path_len for n in leaves]
-    sections = {
-        "vp1": np.asarray(arrays.vp1, dtype=np.int64),
-        "vp2": np.asarray(arrays.vp2, dtype=np.int64),
-        "b1lo": np.asarray(arrays.b1lo, dtype=np.float64),
-        "b1hi": np.asarray(arrays.b1hi, dtype=np.float64),
-        "b2lo": np.asarray(arrays.b2lo, dtype=np.float64),
-        "b2hi": np.asarray(arrays.b2hi, dtype=np.float64),
-        "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
-        "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-        "leaf_vp1": np.asarray([n.vp1_id for n in leaves], dtype=np.int64),
-        "leaf_vp2": np.asarray(
-            [-1 if n.vp2_id is None else n.vp2_id for n in leaves],
-            dtype=np.int64,
-        ),
-        "leaf_offsets": _offsets([len(n.ids) for n in leaves]),
-        "leaf_ids": _concat([np.asarray(n.ids) for n in leaves], np.int64),
-        "leaf_d1": _concat([n.d1 for n in leaves], np.float64),
-        "leaf_d2": _concat([n.d2 for n in leaves], np.float64),
-        "leaf_path_len": np.asarray(
-            [n.path_len for n in leaves], dtype=np.int64
-        ),
-        "leaf_path_offsets": _offsets(path_counts),
-        "leaf_paths": _concat([n.paths for n in leaves], np.float64),
-    }
-    tree_meta = {
-        "root_kind": int(arrays.root_kind),
-        "root_idx": int(arrays.root_idx),
-        "n_leaves": len(leaves),
-    }
-    params = {
-        "m": tree.m,
-        "k": tree.k,
-        "p": tree.p,
-        "bounds": tree.bounds_mode,
-    }
-    build_stats = {
-        "node_count": tree.node_count,
-        "leaf_count": tree.leaf_count,
-        "internal_count": tree.internal_count,
-        "vantage_point_count": tree.vantage_point_count,
-        "leaf_data_point_count": tree.leaf_data_point_count,
-        "height": tree.height,
-    }
-    return sections, tree_meta, params, build_stats
-
-
 def _gmvpt_payload(tree: GMVPTree):
+    """Flat tables of a multi-vantage tree; an ``MVPTree`` (family
+    ``mvpt``) writes the same layout with ``v = 2`` and records its
+    ``bounds`` mode, its region-wide shells already in ``blo``/``bhi``."""
     arrays = kernels._gmvp_arrays(tree)
-    leaves = arrays.leaves
-    dist_rows = [np.asarray(n.dists).shape[0] for n in leaves]
-    dist_counts = [rows * len(leaves[i].ids) for i, rows in enumerate(dist_rows)]
-    path_counts = [len(n.ids) * n.path_len for n in leaves]
     sections = {
         "vp_ids": np.asarray(arrays.vp_ids, dtype=np.int64),
         "blo": np.asarray(arrays.blo, dtype=np.float64),
         "bhi": np.asarray(arrays.bhi, dtype=np.float64),
         "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
         "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-        "leaf_vp_offsets": _offsets([len(n.vp_ids) for n in leaves]),
-        "leaf_vp_ids": _concat(
-            [np.asarray(n.vp_ids) for n in leaves], np.int64
-        ),
-        "leaf_offsets": _offsets([len(n.ids) for n in leaves]),
-        "leaf_ids": _concat([np.asarray(n.ids) for n in leaves], np.int64),
-        "leaf_dist_rows": np.asarray(dist_rows, dtype=np.int64),
-        "leaf_dist_offsets": _offsets(dist_counts),
-        "leaf_dists": _concat([n.dists for n in leaves], np.float64),
-        "leaf_path_len": np.asarray(
-            [n.path_len for n in leaves], dtype=np.int64
-        ),
-        "leaf_path_offsets": _offsets(path_counts),
-        "leaf_paths": _concat([n.paths for n in leaves], np.float64),
     }
+    sections.update(
+        (name, getattr(arrays, name)) for name in kernels.GMVP_LEAF_TABLES
+    )
     tree_meta = {
         "root_kind": int(arrays.root_kind),
         "root_idx": int(arrays.root_idx),
-        "n_leaves": len(leaves),
+        "n_leaves": len(arrays.leaf_path_len),
     }
     params = {"m": tree.m, "v": tree.v, "k": tree.k, "p": tree.p}
+    if isinstance(tree, MVPTree):
+        params["bounds"] = tree.bounds_mode
     build_stats = {
         "node_count": tree.node_count,
         "leaf_count": tree.leaf_count,
@@ -254,23 +181,23 @@ def _gnat_payload(index: GNAT):
     ]
     sections = {
         "node_degree": np.asarray(degrees, dtype=np.int64),
-        "split_offsets": _offsets(degrees),
-        "split_ids": _concat(
+        "split_offsets": kernels._offsets(degrees),
+        "split_ids": kernels._concat(
             [np.asarray(node.split_ids) for node in internals], np.int64
         ),
-        "range_offsets": _offsets([d * d for d in degrees]),
-        "range_lo": _concat(range_lo, np.float64),
-        "range_hi": _concat(range_hi, np.float64),
-        "child_kind": _concat(
+        "range_offsets": kernels._offsets([d * d for d in degrees]),
+        "range_lo": kernels._concat(range_lo, np.float64),
+        "range_hi": kernels._concat(range_hi, np.float64),
+        "child_kind": kernels._concat(
             [np.asarray([kind for kind, _ in refs]) for refs in child_refs],
             np.int8,
         ),
-        "child_idx": _concat(
+        "child_idx": kernels._concat(
             [np.asarray([idx for _, idx in refs]) for refs in child_refs],
             np.int64,
         ),
-        "leaf_offsets": _offsets([len(leaf.ids) for leaf in leaves]),
-        "leaf_ids": _concat([np.asarray(leaf.ids) for leaf in leaves], np.int64),
+        "leaf_offsets": kernels._offsets([len(leaf.ids) for leaf in leaves]),
+        "leaf_ids": kernels._concat([np.asarray(leaf.ids) for leaf in leaves], np.int64),
     }
     tree_meta = {
         "root_kind": int(root_kind),
@@ -307,7 +234,7 @@ def _linear_payload(index: LinearScan):
 
 _PAYLOADS = {
     "vpt": _vpt_payload,
-    "mvpt": _mvpt_payload,
+    "mvpt": _gmvpt_payload,
     "gmvpt": _gmvpt_payload,
     "gnat": _gnat_payload,
     "laesa": _laesa_payload,

@@ -10,7 +10,6 @@ import pytest
 from repro.check.builders import build_verification_indexes
 from repro.check.invariants import Violation, verify_structure
 from repro.core.gmvptree import GMVPLeafNode
-from repro.core.nodes import MVPLeafNode
 from repro.indexes.gnat import GNATLeafNode
 
 ALL_CLASSES = [
@@ -54,18 +53,6 @@ class TestCleanBuilds:
         assert v.format() == "leaf-distance @ root.children[3]: boom"
 
 
-def first_mvp_leaf(node):
-    """Depth-first search for a non-empty mvp leaf (depth <= height)."""
-    if isinstance(node, MVPLeafNode):
-        return node if node.ids else None
-    for child in node.children:
-        if child is not None:
-            leaf = first_mvp_leaf(child)
-            if leaf is not None:
-                return leaf
-    return None
-
-
 def first_gmvp_leaf(node):
     """Depth-first search for a non-empty gmvp leaf (depth <= height)."""
     if isinstance(node, GMVPLeafNode):
@@ -78,21 +65,25 @@ def first_gmvp_leaf(node):
     return None
 
 
+first_mvp_leaf = first_gmvp_leaf  # MVPTree is GMVPTree(v=2)
+
+
 def corrupt_mvp_cutoff(index):
-    index.root.cutoffs1[0] = index.root.cutoffs1[-1] + 1.0
+    m1 = index.root.cutoffs[0][0]
+    m1[0] = m1[-1] + 1.0
 
 
 def corrupt_mvp_m2_cell(index):
-    row = index.root.cutoffs2[0]
+    row = index.root.cutoffs[1][0]
     row[0] = row[-1] + 1.0
 
 
 def corrupt_mvp_leaf_d1(index):
-    first_mvp_leaf(index.root).d1[0] += 0.25
+    first_mvp_leaf(index.root).dists[0, 0] += 0.25
 
 
 def corrupt_mvp_leaf_d2(index):
-    first_mvp_leaf(index.root).d2[-1] -= 0.25
+    first_mvp_leaf(index.root).dists[1, -1] -= 0.25
 
 
 def corrupt_mvp_path_cell(index):
@@ -108,12 +99,17 @@ def corrupt_mvp_path_shape(index):
 
 
 def corrupt_mvp_bounds(index):
-    for i, bound in enumerate(index.root.bounds1):
-        lo, hi = bound
+    """Move one first-level region's vp1 shell (shared by its m
+    children) past every member."""
+    m = index.m
+    for c, shells in enumerate(index.root.bounds):
+        lo, hi = shells[0]
         if lo != float("inf"):
-            index.root.bounds1[i] = (hi + 1.0, hi + 2.0)
+            region = c // m * m
+            for child in range(region, region + m):
+                index.root.bounds[child][0] = (hi + 1.0, hi + 2.0)
             return
-    raise AssertionError("no non-empty bounds1 entry")
+    raise AssertionError("no non-empty vp1 shell")
 
 
 def corrupt_vp_cutoff(index):
@@ -245,8 +241,7 @@ class TestCorruptions:
         index = fresh("MVPTree")
         leaf = first_mvp_leaf(index.root)
         dropped = leaf.ids.pop()
-        leaf.d1 = leaf.d1[:-1]
-        leaf.d2 = leaf.d2[:-1]
+        leaf.dists = leaf.dists[:, :-1]
         leaf.paths = leaf.paths[:-1]
         violations = verify_structure(index)
         reported = {v.invariant for v in violations}

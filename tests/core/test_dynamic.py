@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicMVPTree, LinearScan
-from repro.core.nodes import MVPLeafNode
+from repro.core.gmvptree import GMVPLeafNode
 from repro.metric import L2, CountingMetric
 
 
@@ -105,13 +105,13 @@ class TestInsert:
         def walk(node, ancestors):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 for pos, idx in enumerate(node.ids):
                     for t in range(node.path_len):
                         expected = l2.distance(data[idx], data[ancestors[t]])
                         assert node.paths[pos, t] == pytest.approx(expected)
                 return
-            extended = ancestors + [node.vp1_id, node.vp2_id]
+            extended = ancestors + list(node.vp_ids)
             for child in node.children:
                 walk(child, extended)
 
@@ -128,7 +128,7 @@ class TestInsert:
         def max_leaf(node):
             if node is None:
                 return 0
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 return len(node.ids)
             return max(max_leaf(child) for child in node.children)
 

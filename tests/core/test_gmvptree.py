@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import GMVPTree, LinearScan, MVPTree
+from repro import GMVPTree, LinearScan, MVPTree, QueryStats
+from repro.check.invariants import verify_structure
 from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode
 from repro.metric import L2, CountingMetric
 
@@ -191,27 +192,83 @@ class TestSearch:
             )
 
 
+def _pairs(a, b):
+    """Walk two trees in lockstep, yielding matching node pairs
+    (recursive; depth <= tree height)."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert type(a) is type(b)
+    yield a, b
+    if isinstance(a, GMVPInternalNode):
+        for child_a, child_b in zip(a.children, b.children, strict=True):
+            yield from _pairs(child_a, child_b)
+
+
 class TestVersusClassic:
+    @pytest.mark.parametrize("bounds", ["tight", "cutoff"])
+    def test_v2_builds_the_mvptree_node_for_node(self, uniform_data, l2, bounds):
+        # MVPTree is GMVPTree(v=2): one build, so the same seed gives
+        # the same vantage points, children, D1/D2, PATH and cutoffs.
+        # Only the shells differ, and every MVP (region) shell contains
+        # the GMVP (per-child) one.
+        gmvp = GMVPTree(uniform_data, l2, m=3, v=2, k=9, p=5, rng=7)
+        mvp = MVPTree(uniform_data, l2, m=3, k=9, p=5, bounds=bounds, rng=7)
+        for name in ("node_count", "leaf_count", "vantage_point_count", "height"):
+            assert getattr(gmvp, name) == getattr(mvp, name)
+        internal = 0
+        for g, c in _pairs(gmvp.root, mvp.root):
+            assert g.vp_ids == c.vp_ids
+            if isinstance(g, GMVPLeafNode):
+                assert g.ids == c.ids and g.path_len == c.path_len
+                np.testing.assert_array_equal(g.dists, c.dists)
+                np.testing.assert_array_equal(g.paths, c.paths)
+                continue
+            internal += 1
+            assert g.cutoffs == c.cutoffs
+            for child, g_shells, c_shells in zip(g.children, g.bounds, c.bounds):
+                if child is None:
+                    continue
+                for (g_lo, g_hi), (c_lo, c_hi) in zip(g_shells, c_shells):
+                    assert c_lo <= g_lo <= g_hi <= c_hi
+        assert internal == gmvp.internal_count > 0
+
     def test_v2_costs_match_mvptree_closely(self, l2):
-        # v=2 is the classic mvp-tree layout; the implementations differ
-        # only in leaf vantage-point selection details, so their search
-        # costs should land in the same band.
+        # Per-child shells admit a subset of the children the region
+        # shells admit, so GMVPTree(v=2) answers every range query
+        # exactly like MVPTree from the same seed and never pays more
+        # distance computations for it.
         data = np.random.default_rng(5).random((2000, 15))
         queries = [np.random.default_rng(6).random(15) for __ in range(10)]
-        costs = {}
-        for name, build in {
-            "gmvp": lambda metric: GMVPTree(
-                data, metric, m=2, v=2, k=40, p=6, rng=0
-            ),
-            "mvp": lambda metric: MVPTree(data, metric, m=2, k=40, p=6, rng=0),
-        }.items():
-            counting = CountingMetric(L2())
-            index = build(counting)
-            counting.reset()
-            for query in queries:
-                index.range_search(query, 0.4)
-            costs[name] = counting.count
-        assert 0.7 < costs["gmvp"] / costs["mvp"] < 1.4
+        queries += list(data[:10])  # members: the shells cut into their balls
+        gmvp = GMVPTree(data, l2, m=2, v=2, k=40, p=6, rng=0)
+        mvp = MVPTree(data, l2, m=2, k=40, p=6, rng=0)
+        cheaper = 0
+        for query in queries:
+            for radius in (0.4, 0.8):
+                g_stats, m_stats = QueryStats(), QueryStats()
+                assert gmvp.range_search(
+                    query, radius, stats=g_stats
+                ) == mvp.range_search(query, radius, stats=m_stats)
+                assert g_stats.distance_calls <= m_stats.distance_calls
+                cheaper += g_stats.distance_calls < m_stats.distance_calls
+        assert cheaper > 0
+
+    def test_zero_diameter_groups_become_one_leaf_for_every_v(self, l2):
+        # 2,950 identical points: no shell can separate them, so every
+        # v falls back to one oversized leaf instead of peeling one
+        # vantage point per level.
+        rng = np.random.default_rng(8)
+        data = np.vstack([np.full((2950, 4), 0.5), rng.random((50, 4))])
+        rng.shuffle(data)
+        mvp = MVPTree(data, l2, m=3, k=9, p=5, rng=0)
+        gmvp = GMVPTree(data, l2, m=3, v=2, k=9, p=5, rng=0)
+        assert gmvp.node_count == mvp.node_count < 100
+        v3 = GMVPTree(data, l2, m=3, v=3, k=9, p=5, rng=0)
+        assert v3.node_count < 100
+        for tree in (mvp, gmvp, v3):
+            assert verify_structure(tree) == []
+            assert len(tree.range_search(data[0], 0.0)) >= 2950
 
     def test_more_vps_shrink_height(self, uniform_data, l2):
         shallow = GMVPTree(uniform_data, l2, m=2, v=4, k=10, p=4, rng=0)

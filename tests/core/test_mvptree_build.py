@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import MVPTree
-from repro.core.nodes import MVPInternalNode, MVPLeafNode
+from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode
 from repro.metric import L2, CountingMetric
 
 
@@ -74,13 +74,10 @@ class TestStructureInvariants:
         def walk(node):
             if node is None:
                 return
-            seen.append(node.vp1_id)
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is not None:
-                    seen.append(node.vp2_id)
+            seen.extend(node.vp_ids)
+            if isinstance(node, GMVPLeafNode):
                 seen.extend(node.ids)
                 return
-            seen.append(node.vp2_id)
             for child in node.children:
                 walk(child)
 
@@ -89,14 +86,18 @@ class TestStructureInvariants:
 
     def test_internal_fanout_is_m_squared(self, tree):
         def walk(node):
-            if node is None or isinstance(node, MVPLeafNode):
+            if node is None or isinstance(node, GMVPLeafNode):
                 return
+            assert len(node.vp_ids) == 2
             assert len(node.children) == tree.m**2
-            assert len(node.cutoffs1) == tree.m - 1
-            assert len(node.cutoffs2) == tree.m
-            assert all(len(row) == tree.m - 1 for row in node.cutoffs2)
-            assert len(node.bounds1) == tree.m
-            assert len(node.bounds2) == tree.m
+            # M1: one row of m - 1 cutoffs; M2: m rows of m - 1.
+            assert len(node.cutoffs[0]) == 1
+            assert len(node.cutoffs[0][0]) == tree.m - 1
+            assert len(node.cutoffs[1]) == tree.m
+            assert all(len(row) == tree.m - 1 for row in node.cutoffs[1])
+            # One (vp1 shell, vp2 shell) pair per child.
+            assert len(node.bounds) == tree.m**2
+            assert all(len(shells) == 2 for shells in node.bounds)
             for child in node.children:
                 walk(child)
 
@@ -106,7 +107,7 @@ class TestStructureInvariants:
         def walk(node):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 assert len(node.ids) <= tree.k
                 return
             for child in node.children:
@@ -120,17 +121,14 @@ class TestStructureInvariants:
         def walk(node):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
-                vp1 = uniform_data[node.vp1_id]
-                for pos, idx in enumerate(node.ids):
-                    assert node.d1[pos] == pytest.approx(
-                        l2.distance(uniform_data[idx], vp1)
-                    )
-                if node.vp2_id is not None:
-                    vp2 = uniform_data[node.vp2_id]
+            if isinstance(node, GMVPLeafNode):
+                if node.ids:
+                    assert len(node.vp_ids) == 2
+                # D1 = dists[0], D2 = dists[1].
+                for t, vp_id in enumerate(node.vp_ids[: node.dists.shape[0]]):
                     for pos, idx in enumerate(node.ids):
-                        assert node.d2[pos] == pytest.approx(
-                            l2.distance(uniform_data[idx], vp2)
+                        assert node.dists[t][pos] == pytest.approx(
+                            l2.distance(uniform_data[idx], uniform_data[vp_id])
                         )
                 return
             for child in node.children:
@@ -145,11 +143,11 @@ class TestStructureInvariants:
         def walk(node):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is not None and node.ids:
-                    vp1 = uniform_data[node.vp1_id]
-                    vp2_distance = l2.distance(uniform_data[node.vp2_id], vp1)
-                    assert vp2_distance >= node.d1.max() - 1e-12
+            if isinstance(node, GMVPLeafNode):
+                if len(node.vp_ids) == 2 and node.ids:
+                    vp1 = uniform_data[node.vp_ids[0]]
+                    vp2_distance = l2.distance(uniform_data[node.vp_ids[1]], vp1)
+                    assert vp2_distance >= node.dists[0].max() - 1e-12
                 return
             for child in node.children:
                 walk(child)
@@ -162,7 +160,7 @@ class TestStructureInvariants:
         def walk(node, ancestors):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 assert node.path_len == min(tree.p, len(ancestors))
                 assert node.paths.shape == (len(node.ids), node.path_len)
                 for pos, idx in enumerate(node.ids):
@@ -172,7 +170,7 @@ class TestStructureInvariants:
                         )
                         assert node.paths[pos, t] == pytest.approx(expected)
                 return
-            extended = ancestors + [node.vp1_id, node.vp2_id]
+            extended = ancestors + list(node.vp_ids)
             for child in node.children:
                 walk(child, extended)
 
@@ -182,7 +180,7 @@ class TestStructureInvariants:
         def walk(node):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 assert not np.isnan(node.paths).any()
                 return
             for child in node.children:
@@ -196,28 +194,24 @@ class TestStructureInvariants:
         def leaf_members(node, out):
             if node is None:
                 return
-            out.append(node.vp1_id)
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is not None:
-                    out.append(node.vp2_id)
+            out.extend(node.vp_ids)
+            if isinstance(node, GMVPLeafNode):
                 out.extend(node.ids)
                 return
-            out.append(node.vp2_id)
             for child in node.children:
                 leaf_members(child, out)
 
         root = tree.root
-        assert isinstance(root, MVPInternalNode)
-        vp1 = uniform_data[root.vp1_id]
-        vp2 = uniform_data[root.vp2_id]
+        assert isinstance(root, GMVPInternalNode)
+        vp1 = uniform_data[root.vp_ids[0]]
+        vp2 = uniform_data[root.vp_ids[1]]
         m = tree.m
         for i in range(m):
-            lo1, hi1 = root.bounds1[i]
             for j in range(m):
                 child = root.children[i * m + j]
                 if child is None:
                     continue
-                lo2, hi2 = root.bounds2[i][j]
+                (lo1, hi1), (lo2, hi2) = root.bounds[i * m + j]
                 members: list[int] = []
                 leaf_members(child, members)
                 for idx in members:

@@ -74,8 +74,9 @@ class TestThinShellObservation:
 class TestOutsideVantagePointObservation:
     def test_mvp_second_vantage_point_partitions_all_first_cuts(self):
         # Observation 1: vp2 lives in the outermost cut of vp1's
-        # partition, yet partitions *every* cut — each child's bounds2
-        # interval must be non-degenerate for populated regions.
+        # partition, yet partitions *every* cut — each child's vp2 shell
+        # (bounds[i * m + j][1]) must be non-degenerate for populated
+        # regions.
         data = uniform_vectors(1000, dim=10, rng=3)
         tree = MVPTree(data, L2(), m=3, k=9, p=0, rng=4)
         root = tree.root
@@ -83,7 +84,7 @@ class TestOutsideVantagePointObservation:
         for i in range(tree.m):
             spans = [
                 hi - lo
-                for (lo, hi) in root.bounds2[i]
+                for __, (lo, hi) in root.bounds[i * tree.m : (i + 1) * tree.m]
                 if lo <= hi  # skip empty-child sentinels
             ]
             if spans:
@@ -97,10 +98,12 @@ class TestOutsideVantagePointObservation:
         data = uniform_vectors(1000, dim=10, rng=5)
         tree = MVPTree(data, L2(), m=3, k=9, p=0, rng=6)
         root = tree.root
-        d_vp2_vp1 = L2().distance(data[root.vp2_id], data[root.vp1_id])
+        vp1_id, vp2_id = root.vp_ids
+        d_vp2_vp1 = L2().distance(data[vp2_id], data[vp1_id])
         # vp2 was drawn from the farthest cut: at least the innermost
-        # cut's outer radius away.
-        __, hi_inner = root.bounds1[0]
+        # cut's outer radius away (vp1's shell of region 0, shared by
+        # its children).
+        __, hi_inner = root.bounds[0][0]
         assert d_vp2_vp1 >= hi_inner - 1e-9
 
 
@@ -113,12 +116,12 @@ class TestPathFilterObservation:
         metric = L2()
         tree = MVPTree(data, metric, m=2, k=8, p=4, rng=8)
 
-        from repro.core.nodes import MVPLeafNode
+        from repro.core.gmvptree import GMVPLeafNode
 
         def walk(node, ancestors):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 for pos, idx in enumerate(node.ids):
                     for t in range(node.path_len):
                         stored = node.paths[pos, t]
@@ -128,6 +131,6 @@ class TestPathFilterObservation:
                         assert stored == pytest.approx(recomputed, abs=1e-12)
                 return
             for child in node.children:
-                walk(child, ancestors + [node.vp1_id, node.vp2_id])
+                walk(child, ancestors + list(node.vp_ids))
 
         walk(tree.root, [])

@@ -59,7 +59,7 @@ class TestRoundTrips:
     def test_mvptree_path_arrays_survive(self, data):
         # The serialised form must preserve the precomputed PATH
         # distances exactly, since they drive leaf filtering.
-        from repro.core.nodes import MVPLeafNode
+        from repro.core.gmvptree import GMVPLeafNode
 
         metric = L2()
         original = MVPTree(data, metric, m=2, k=6, p=3, rng=1)
@@ -68,7 +68,7 @@ class TestRoundTrips:
         def leaves(node, out):
             if node is None:
                 return
-            if isinstance(node, MVPLeafNode):
+            if isinstance(node, GMVPLeafNode):
                 out.append(node)
                 return
             for child in node.children:
@@ -82,8 +82,8 @@ class TestRoundTrips:
         for a, b in zip(original_leaves, restored_leaves):
             assert a.ids == b.ids
             np.testing.assert_allclose(a.paths, b.paths)
-            np.testing.assert_allclose(a.d1, b.d1)
-            np.testing.assert_allclose(a.d2, b.d2)
+            # D1/D2 are the rows of ``dists``.
+            np.testing.assert_allclose(a.dists, b.dists)
 
     def test_ghtree(self, data, queries):
         metric = L2()

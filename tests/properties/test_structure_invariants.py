@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro import MVPTree, VPTree
-from repro.core.nodes import MVPLeafNode
+from repro.core.gmvptree import GMVPLeafNode
 from repro.indexes.vptree import VPLeafNode
 from repro.metric import L2, CountingMetric
 
@@ -45,13 +45,10 @@ class TestMVPTreeInvariants:
         def walk(node):
             if node is None:
                 return
-            seen.append(node.vp1_id)
-            if isinstance(node, MVPLeafNode):
-                if node.vp2_id is not None:
-                    seen.append(node.vp2_id)
+            seen.extend(node.vp_ids)
+            if isinstance(node, GMVPLeafNode):
                 seen.extend(node.ids)
                 return
-            seen.append(node.vp2_id)
             for child in node.children:
                 walk(child)
 
@@ -74,7 +71,7 @@ class TestMVPTreeInvariants:
         tree = MVPTree(data, metric, m=m, k=k, p=p, rng=seed)
 
         def walk(node):
-            if node is None or not isinstance(node, MVPLeafNode):
+            if node is None or not isinstance(node, GMVPLeafNode):
                 if node is not None:
                     for child in node.children:
                         walk(child)
@@ -93,14 +90,11 @@ class TestMVPTreeInvariants:
             assert node.path_len <= p
             assert node.paths.shape == (len(node.ids), node.path_len)
             assert not np.isnan(node.paths).any()
-            # D1/D2 are truthful.
+            # D1/D2 (dists rows 0/1) are truthful.
             for pos, idx in enumerate(node.ids):
-                assert node.d1[pos] == pytest.approx(
-                    metric.distance(data[idx], data[node.vp1_id])
-                )
-                if node.vp2_id is not None:
-                    assert node.d2[pos] == pytest.approx(
-                        metric.distance(data[idx], data[node.vp2_id])
+                for t, vp_id in enumerate(node.vp_ids):
+                    assert node.dists[t][pos] == pytest.approx(
+                        metric.distance(data[idx], data[vp_id])
                     )
 
         walk(tree.root)
