@@ -5,7 +5,8 @@ The two entry points — :func:`approx_range_search` and
 package builds and return ``(answer, ApproxReport)``:
 
 * the tree families (vpt / mvpt / gmvpt, in-memory or store-backed) run
-  the best-first budgeted kernels in :mod:`repro.indexes.kernels`;
+  the best-first frontier loop in :mod:`repro.indexes.kernels` — the
+  loop their exact k-NN runs without a budget;
 * LAESA pays its pivots first, then refines rows in lower-bound order
   under the remaining budget;
 * linear scans (and any family without a budget-aware traversal: GHTree,
@@ -57,9 +58,6 @@ from repro.approx.report import (
 )
 
 _INF = float("inf")
-
-#: Outcome of a search that provably missed nothing.
-_EXACT_OUTCOME = ApproxOutcome(0, False, 0, _INF)
 
 _TREE_FAMILIES = ("vpt", "mvpt", "gmvpt")
 
@@ -330,8 +328,6 @@ def _laesa_knn(
 def _dynamic_range(
     tree: DynamicMVPTree, query, radius, *, epsilon, budget, obs
 ) -> tuple[list[int], ApproxOutcome]:
-    if tree._root is None:
-        return [], _EXACT_OUTCOME
     hits, outcome = kernels.approx_tree_range(
         tree, "mvpt", query, radius, epsilon=epsilon, budget=budget, obs=obs
     )
@@ -341,8 +337,6 @@ def _dynamic_range(
 def _dynamic_knn(
     tree: DynamicMVPTree, query, k, *, epsilon, budget, obs
 ) -> tuple[list[Neighbor], ApproxOutcome]:
-    if tree._root is None:
-        return [], _EXACT_OUTCOME
     # Over-fetch so tombstones cannot push live answers out, exactly
     # like the exact dynamic search; the report's missed mass counts
     # deleted points too, which only makes the bound more conservative.

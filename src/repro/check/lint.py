@@ -90,10 +90,13 @@ _PRAGMA = re.compile(r"#\s*repro-check:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 _OBS_EVENTS = {
     "distance",
     "enter_internal",
+    "enter_internals",
     "enter_leaf",
+    "enter_leaves",
     "prune",
     "filter_points",
     "leaf_scan",
+    "leaf_scans",
 }
 
 #: Names conventionally bound to ``make_observation(...)`` results.

@@ -377,7 +377,9 @@ class GMVPTree(MetricIndex):
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
-        return kernels.gmvp_knn(self, query, k, 1.0 + epsilon, obs)
+        return kernels.approx_tree_knn(
+            self, "gmvpt", query, k, epsilon=epsilon, obs=obs
+        )[0]
 
     @property
     def root(self) -> _Node:

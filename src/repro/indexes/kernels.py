@@ -2,12 +2,22 @@
 
 These are the search paths of :mod:`repro.indexes.vptree` and of the
 multi-vantage trees in :mod:`repro.core.gmvptree` (``MVPTree`` is its
-``v = 2`` case, with region-wide shells; the kernels are shared).  They run
-level-synchronously: every wave batches *all* of its vantage-point
-distances through one ``_batch_dist`` call, applies the paper's section
-4.3 pruning bounds as numpy boolean masks over the whole frontier, and
-gathers the surviving leaf candidates into a single batched distance
-computation, so the metric, not the interpreter, sits on the hot path.
+``v = 2`` case, with region-wide shells; the kernels are shared).  Tree
+structure is flattened into numpy arrays; every step batches its
+vantage-point distances through one ``_batch_dist`` call, applies the
+paper's section 4.3 pruning bounds as numpy boolean masks, and pays the
+surviving leaf candidates in one more batched call, so the metric, not
+the interpreter, sits on the hot path.  Two traversals share the arrays:
+
+* **range search** (:func:`vp_range`, :func:`gmvp_range`) runs
+  level-synchronous waves: a range query's visit set does not depend on
+  visit order, so a whole frontier level is one batch;
+* **k-NN search**, exact or budgeted (:func:`approx_tree_knn`), and
+  budgeted range search (:func:`approx_tree_range`) run one best-first
+  frontier loop (:func:`_frontier`): each iteration orders the admitted
+  frontier by ``(lower bound, seq)`` and expands a cost-capped prefix of
+  it, so every distance it pays tightens the k-th-distance threshold
+  before the next batch is chosen.
 
 Invariants:
 
@@ -19,11 +29,15 @@ Invariants:
   PATH filter) excludes the query ball, independent of visit order — and
   its ``QueryStats`` match a node-at-a-time walk counter for counter;
 * k-NN returns the exact answer set with ``(distance, id)`` tie-breaks.
-  The running k-th-distance threshold is refreshed once per wave rather
-  than per node, which can only *loosen* pruning (a stale threshold
-  admits extra candidates, never drops true answers), so batched k-NN
-  may pay slightly more distance computations than a strictly
-  sequential best-first order in exchange for vectorised execution;
+  An entry or leaf point is dropped only when its lower bound
+  definitely exceeds the running k-th distance, which never drops a
+  true answer, and the k-best merge keeps the ``(distance, id)``-least
+  k of everything paid, whatever the batch order;
+* under a budget the evaluation sequence is fixed by the frontier
+  schedule, which reads only what was paid so far (``spent`` and
+  whether the k-best is full), never the budget's value: a budget
+  truncates that one sequence, so the ids paid under ``B1`` are a
+  prefix of the ids paid under ``B2 >= B1``;
 * prune accounting is per bound and exact in total; one trace event may
   carry ``count > 1`` (the same aggregation
   :meth:`Observation.filter_points` uses).
@@ -38,7 +52,6 @@ vectorised comparisons never see them as prunable (and never produce
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,9 +69,9 @@ from repro.obs.stats import (
 )
 from repro.obs.trace import Observation
 
+_INF = float("inf")
 _EMPTY_IDS = np.empty(0, dtype=np.intp)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
-_EMPTY_KIND = np.empty(0, dtype=np.int8)
 
 #: ``child_kind`` codes in the flattened arrays.
 _NONE, _INTERNAL, _LEAF = 0, 1, 2
@@ -86,46 +99,40 @@ def _admitted(bounds: np.ndarray, approximation: float, threshold: float) -> np.
     return ~(bounds * approximation > threshold + slack(threshold))
 
 
-class _KBest:
-    """Running k-best set with exact ``(distance, id)`` tie-breaks.
+def _offsets(counts: list[int]) -> np.ndarray:
+    """Offsets of consecutive segments with the given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    if counts:
+        np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
+    return out
 
-    A max-heap via negation; the k-best set is determined by the item
-    values alone, so insertion order (and therefore wave order) cannot
-    change the final answer.
-    """
 
-    __slots__ = ("k", "heap")
+def _concat(chunks: list, dtype) -> np.ndarray:
+    """Every chunk raveled and concatenated into one flat array."""
+    if not chunks:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate([np.asarray(c, dtype=dtype).ravel() for c in chunks])
 
-    def __init__(self, k: int):
-        self.k = k
-        self.heap: list[tuple[float, int]] = []
 
-    def consider_many(self, distances: list, ids: list) -> None:
-        heap, k = self.heap, self.k
-        for distance, idx in zip(distances, ids):
-            item = (-distance, -idx)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-
-    def threshold(self) -> float:
-        return -self.heap[0][0] if len(self.heap) == self.k else float("inf")
-
-    def sorted_neighbors(self) -> list[Neighbor]:
-        return sorted(
-            (Neighbor(-d, -i) for d, i in self.heap),
-            key=lambda n: (n.distance, n.id),
-        )
+def _segments(starts: np.ndarray, lens: np.ndarray):
+    """Positions of the concatenated ranges ``[starts[i], starts[i] +
+    lens[i])``, with each position's range number and offset in it."""
+    seg = np.repeat(np.arange(lens.size), lens)
+    local = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    return starts[seg] + local, seg, local
 
 
 # ----------------------------------------------------------------------
-# vp-tree: flattened structure + kernels
+# vp-tree: flattened structure + range kernel
 # ----------------------------------------------------------------------
 
 
 class _VPArrays:
-    """Flat array view of a static vp-tree (built once, cached)."""
+    """Flat array view of a static vp-tree (built once, cached).
+
+    Leaves are offset-indexed flat tables (``leaf_offsets``,
+    ``leaf_ids``) under the names of their ``.rsx`` sections.
+    """
 
     __slots__ = (
         "vp_ids",
@@ -133,9 +140,11 @@ class _VPArrays:
         "child_hi",
         "child_kind",
         "child_idx",
+        "leaf_offsets",
         "leaf_ids",
         "root_kind",
         "root_idx",
+        "child_cost",
         "sizes",
     )
 
@@ -178,7 +187,8 @@ def _vp_arrays(tree) -> _VPArrays:
             arrays.child_idx[n, c] = pos
             arrays.child_lo[n, c] = lo
             arrays.child_hi[n, c] = hi
-    arrays.leaf_ids = [np.asarray(node.ids, dtype=np.intp) for node in leaf_nodes]
+    arrays.leaf_offsets = _offsets([len(node.ids) for node in leaf_nodes])
+    arrays.leaf_ids = _concat([node.ids for node in leaf_nodes], np.int64)
     arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
     tree._kernel_cache = arrays
     return arrays
@@ -201,8 +211,7 @@ def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int
         next_frontier = _EMPTY_IDS
         if frontier.size:
             if obs is not None:
-                for _ in range(frontier.size):
-                    obs.enter_internal()
+                obs.enter_internals(frontier.size)
             vps = arrays.vp_ids[frontier]
             dq = np.asarray(
                 tree._batch_dist(obs, gather(objects, vps), query), dtype=np.float64
@@ -224,12 +233,12 @@ def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int
             next_frontier = child_idx[admit & (kind == _INTERNAL)]
             leaf_wave = child_idx[admit & (kind == _LEAF)]
         if leaf_wave.size:
-            segments = [arrays.leaf_ids[j] for j in leaf_wave.tolist()]
+            lens = arrays.leaf_offsets[leaf_wave + 1] - arrays.leaf_offsets[leaf_wave]
             if obs is not None:
-                for segment in segments:
-                    obs.enter_leaf(len(segment))
-                    obs.leaf_scan(len(segment), len(segment))
-            candidates = segments[0] if len(segments) == 1 else np.concatenate(segments)
+                obs.enter_leaves(lens)
+                obs.leaf_scans(lens, lens)
+            pos, _, _ = _segments(arrays.leaf_offsets[leaf_wave], lens)
+            candidates = arrays.leaf_ids[pos]
             distances = np.asarray(
                 tree._batch_dist(obs, gather(objects, candidates), query),
                 dtype=np.float64,
@@ -247,89 +256,8 @@ def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int
     return out.tolist()
 
 
-def vp_knn(
-    tree, query, k: int, approximation: float, obs: Optional[Observation]
-) -> list[Neighbor]:
-    """Wave-batched best-first vp-tree k-NN (exact answers; threshold
-    refreshed per wave instead of per node)."""
-    arrays = _vp_arrays(tree)
-    objects = tree._objects
-    best = _KBest(k)
-    bounds = np.zeros(1)
-    kinds = np.array([arrays.root_kind], dtype=np.int8)
-    idxs = np.array([arrays.root_idx], dtype=np.intp)
-
-    while bounds.size:
-        alive = _admitted(bounds, approximation, best.threshold())
-        if obs is not None:
-            stale = int(np.count_nonzero(~alive))
-            if stale:
-                obs.prune(PRUNE_KNN_RADIUS, stale)
-        bounds, kinds, idxs = bounds[alive], kinds[alive], idxs[alive]
-        is_internal = kinds == _INTERNAL
-        iidx, ib = idxs[is_internal], bounds[is_internal]
-
-        dq = _EMPTY_F64
-        if iidx.size:
-            if obs is not None:
-                for _ in range(iidx.size):
-                    obs.enter_internal()
-            vps = arrays.vp_ids[iidx]
-            dq = np.asarray(
-                tree._batch_dist(obs, gather(objects, vps), query), dtype=np.float64
-            )
-            best.consider_many(dq.tolist(), vps.tolist())
-
-        lidx, lb = idxs[~is_internal], bounds[~is_internal]
-        if lidx.size:
-            # vp distances above may have tightened the threshold; leaves
-            # admitted at wave start can be pruned before paying their scan.
-            scan = _admitted(lb, approximation, best.threshold())
-            if obs is not None:
-                stale = int(np.count_nonzero(~scan))
-                if stale:
-                    obs.prune(PRUNE_KNN_RADIUS, stale)
-            segments = [arrays.leaf_ids[j] for j in lidx[scan].tolist()]
-            if segments:
-                if obs is not None:
-                    for segment in segments:
-                        obs.enter_leaf(len(segment))
-                        obs.leaf_scan(len(segment), len(segment))
-                candidates = (
-                    segments[0] if len(segments) == 1 else np.concatenate(segments)
-                )
-                distances = np.asarray(
-                    tree._batch_dist(obs, gather(objects, candidates), query),
-                    dtype=np.float64,
-                )
-                best.consider_many(distances.tolist(), candidates.tolist())
-
-        if iidx.size:
-            lo = arrays.child_lo[iidx]
-            hi = arrays.child_hi[iidx]
-            dqc = dq[:, None]
-            child_bound = np.maximum(
-                np.maximum(ib[:, None], dqc - hi), np.maximum(lo - dqc, 0.0)
-            )
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            admit = _admitted(child_bound, approximation, best.threshold())
-            if obs is not None:
-                pruned = int(np.count_nonzero(exists & ~admit))
-                if pruned:
-                    obs.prune(PRUNE_VP_SHELL, pruned)
-            take = exists & admit
-            bounds = child_bound[take]
-            kinds = kind[take]
-            idxs = arrays.child_idx[iidx][take]
-        else:
-            bounds, kinds, idxs = _EMPTY_F64, _EMPTY_KIND, _EMPTY_IDS
-
-    return best.sorted_neighbors()
-
-
 # ----------------------------------------------------------------------
-# multi-vantage tree (GMVPTree, MVPTree = v=2): flat structure + kernels
+# multi-vantage tree (GMVPTree, MVPTree = v=2): flat structure + range
 # ----------------------------------------------------------------------
 
 
@@ -341,7 +269,7 @@ class _GMVPArrays:
     (``(rows, n)`` row-major per leaf) and the PATH rows (``(n,
     path_len)`` per leaf) — under the same names as the ``.rsx``
     sections they are written to, so a store maps them back unchanged
-    and a wave gathers every leaf's points with a handful of numpy
+    and a batch gathers every leaf's points with a handful of numpy
     calls instead of a Python loop per leaf.
     """
 
@@ -362,6 +290,7 @@ class _GMVPArrays:
         "leaf_paths",
         "root_kind",
         "root_idx",
+        "child_cost",
         "sizes",
     )
 
@@ -379,21 +308,6 @@ GMVP_LEAF_TABLES = (
     "leaf_path_offsets",
     "leaf_paths",
 )
-
-
-def _offsets(counts: list[int]) -> np.ndarray:
-    """Offsets of consecutive segments with the given lengths."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
-    return out
-
-
-def _concat(chunks: list, dtype) -> np.ndarray:
-    """Every chunk raveled and concatenated into one flat array."""
-    if not chunks:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate([np.asarray(c, dtype=dtype).ravel() for c in chunks])
 
 
 def _gmvp_arrays(tree) -> _GMVPArrays:
@@ -452,14 +366,6 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
     return arrays
 
 
-def _segments(starts: np.ndarray, lens: np.ndarray):
-    """Positions of the concatenated ranges ``[starts[i], starts[i] +
-    lens[i])``, with each position's range number and offset in it."""
-    seg = np.repeat(np.arange(lens.size), lens)
-    local = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    return starts[seg] + local, seg, local
-
-
 def _wave_roots(arrays):
     """Initial (internal, leaf) wave arrays for the root node."""
     root = np.array([arrays.root_idx], dtype=np.intp)
@@ -479,9 +385,14 @@ def _grow_paths(paths: np.ndarray, level: int, p: int, dq: np.ndarray) -> np.nda
 
 
 class _LeafWave:
-    """Every point of one wave's leaves, gathered from the flat tables:
+    """Every point of a batch of leaves, gathered from the flat tables:
     ids, the query-minus-precomputed distance gaps ``|D_t - d(q, vp_t)|``
-    as a ``(v, n)`` block, and the PATH gaps as ``(n, path_len)``."""
+    as a ``(v, n)`` block, and the PATH gaps as ``(n, width)``.
+
+    ``lpaths`` holds one query PATH row per leaf, at least as wide as
+    the leaf's own ``leaf_path_len``; PATH gaps past a leaf's length are
+    zero, so leaves from different depths share one batch.
+    """
 
     __slots__ = ("lens", "seg", "ids", "dist_gap", "path_gap")
 
@@ -500,24 +411,27 @@ class _LeafWave:
             arrays.leaf_dists[dist_pos + rows * self.lens[seg]]
             - dall[first_vp[seg] + rows]
         )
-        # A leaf keeps min(p, vantage points above it) PATH entries: the
-        # width of the query's PATH prefix at this level.
-        path_len = lpaths.shape[1]
+        # A leaf keeps min(p, vantage points above it) PATH entries.
         self.path_gap = None
-        if path_len and seg.size:
+        path_len = arrays.leaf_path_len[lidx][seg]
+        width = int(path_len.max()) if seg.size else 0
+        if width:
             path_pos = arrays.leaf_path_offsets[lidx][seg] + local * path_len
-            self.path_gap = np.abs(
-                arrays.leaf_paths[path_pos[:, None] + np.arange(path_len)]
-                - lpaths[seg]
-            )
+            positions = path_pos[:, None] + np.arange(width)
+            past = None
+            if (path_len < width).any():
+                past = np.arange(width) >= path_len[:, None]
+                positions[past] = 0
+            self.path_gap = np.abs(arrays.leaf_paths[positions] - lpaths[seg, :width])
+            if past is not None:
+                self.path_gap[past] = 0.0
 
     def scans(self, obs: Optional[Observation], keep: np.ndarray) -> None:
-        """One ``leaf_scan`` per non-empty leaf of the wave."""
+        """One ``leaf_scan`` per non-empty leaf of the batch."""
         if obs is not None:
             scanned = np.bincount(self.seg[keep], minlength=self.lens.size)
-            for seen, count in zip(self.lens.tolist(), scanned.tolist()):
-                if seen:
-                    obs.leaf_scan(seen, count)
+            seen = self.lens > 0
+            obs.leaf_scans(self.lens[seen], scanned[seen])
 
 
 def _wave_distances(tree, arrays, iidx, lidx, query, obs):
@@ -525,23 +439,25 @@ def _wave_distances(tree, arrays, iidx, lidx, query, obs):
     batched ids and distances and the internal ``(n_int, v)`` block."""
     n_int = iidx.size
     if obs is not None:
-        for _ in range(n_int):
-            obs.enter_internal()
-        for size in (arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]).tolist():
-            obs.enter_leaf(size)
-    leaf_vps, _, _ = _segments(
-        arrays.leaf_vp_offsets[lidx],
-        arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx],
-    )
-    all_vps = np.concatenate(
-        [arrays.vp_ids[iidx].ravel(), arrays.leaf_vp_ids[leaf_vps]]
-    )
+        obs.enter_internals(n_int)
+        obs.enter_leaves(arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx])
+    all_vps = _vantage_ids(arrays, iidx, lidx)
     dall = np.asarray(
         tree._batch_dist(obs, gather(tree._objects, all_vps), query),
         dtype=np.float64,
     )
     v = arrays.vp_ids.shape[1]
     return all_vps, dall, dall[: n_int * v].reshape(n_int, v)
+
+
+def _vantage_ids(arrays, iidx, lidx) -> np.ndarray:
+    """Vantage points of internal nodes ``iidx`` (row by row), then of
+    leaves ``lidx``."""
+    leaf_vps, _, _ = _segments(
+        arrays.leaf_vp_offsets[lidx],
+        arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx],
+    )
+    return np.concatenate([arrays.vp_ids[iidx].ravel(), arrays.leaf_vp_ids[leaf_vps]])
 
 
 def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
@@ -629,131 +545,33 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
     return out
 
 
-def gmvp_knn(
-    tree, query, k: int, approximation: float, obs: Optional[Observation]
-) -> list[Neighbor]:
-    """Wave-batched best-first k-NN (exact answers)."""
-    if tree._root is None:
-        return []
-    arrays = _gmvp_arrays(tree)
-    p = tree.p
-    best = _KBest(k)
-    iidx, ipaths, lidx, lpaths = _wave_roots(arrays)
-    ib = np.zeros(iidx.size)
-    lb = np.zeros(lidx.size)
-    level = 1
-
-    while iidx.size or lidx.size:
-        threshold = best.threshold()
-        ialive = _admitted(ib, approximation, threshold)
-        lalive = _admitted(lb, approximation, threshold)
-        if obs is not None:
-            stale = int(np.count_nonzero(~ialive)) + int(np.count_nonzero(~lalive))
-            if stale:
-                obs.prune(PRUNE_KNN_RADIUS, stale)
-        iidx, ipaths, ib = iidx[ialive], ipaths[ialive], ib[ialive]
-        lidx, lpaths = lidx[lalive], lpaths[lalive]
-        n_int = iidx.size
-        if not n_int and not lidx.size:
-            break
-        all_vps, dall, dq = _wave_distances(tree, arrays, iidx, lidx, query, obs)
-        v = dq.shape[1]
-        best.consider_many(dall.tolist(), all_vps.tolist())
-
-        # Leaf scans: precomputed-distance lower bounds select the scan
-        # set against the post-vantage-point threshold, one batch pays
-        # all surviving candidates.
-        if lidx.size:
-            wave = _LeafWave(arrays, lidx, lpaths, dall, n_int * v)
-            lower = wave.dist_gap.max(axis=0, initial=0.0)
-            if wave.path_gap is not None:
-                lower = np.maximum(lower, wave.path_gap.max(axis=1))
-            scan = _admitted(lower, approximation, best.threshold())
-            if obs is not None:
-                obs.filter_points(
-                    PRUNE_KNN_RADIUS, wave.ids.size - int(np.count_nonzero(scan))
-                )
-            wave.scans(obs, scan)
-            candidates = wave.ids[scan]
-            if candidates.size:
-                distances = np.asarray(
-                    tree._batch_dist(obs, gather(tree._objects, candidates), query),
-                    dtype=np.float64,
-                )
-                best.consider_many(distances.tolist(), candidates.tolist())
-
-        if n_int:
-            child_paths = _grow_paths(ipaths, level, p, dq)
-            threshold = best.threshold()
-            shells = np.maximum(
-                dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
-            )
-            shell_max = shells.max(axis=2)
-            bound = np.maximum(ib[:, None], shell_max)
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            keep = _admitted(bound, approximation, threshold)
-            if obs is not None:
-                pruned = exists & ~keep
-                if pruned.any():
-                    # Attribute each prune to the decisive vantage point
-                    # (first index achieving the max shell bound), or to
-                    # the inherited bound when no shell tightened it.
-                    decisive = shell_max > ib[:, None]
-                    first_t = np.argmax(shells, axis=2)
-                    for t in range(v):
-                        count = int(
-                            np.count_nonzero(pruned & decisive & (first_t == t))
-                        )
-                        if count:
-                            obs.prune(vp_shell_kind(t), count)
-                    count = int(np.count_nonzero(pruned & ~decisive))
-                    if count:
-                        obs.prune(PRUNE_KNN_RADIUS, count)
-            admit = exists & keep
-            w_sel, c_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, c_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, c_sel]
-            child_bounds = bound[w_sel, c_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths, ib = (
-                child_slots[internal_sel],
-                rows[internal_sel],
-                child_bounds[internal_sel],
-            )
-            lidx, lpaths, lb = (
-                child_slots[~internal_sel],
-                rows[~internal_sel],
-                child_bounds[~internal_sel],
-            )
-        else:
-            iidx, ipaths, ib = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-            lidx, lpaths, lb = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-        level += v
-
-    return best.sorted_neighbors()
-
-
 # ----------------------------------------------------------------------
-# Budgeted best-first traversal (the approximate tier, repro.approx)
+# Best-first frontier: every k-NN search and the budgeted tier
 # ----------------------------------------------------------------------
 #
-# The wave kernels above expand a whole frontier level per batch; the
-# budgeted kernels instead pop one frontier entry at a time from a
-# priority queue ordered by the entry's section 4.3 lower bound (ties
-# broken by insertion sequence, so traversal order is deterministic).
-# The search stops when the best outstanding lower bound exceeds the
-# current k-th distance / (1+eps)*r, or at the *first* expansion the
-# distance budget cannot cover.  Stopping at the first unaffordable
-# expansion — rather than skipping it and continuing — makes the set of
-# expansions under budget B1 a strict prefix of the set under B2 > B1,
-# which is what gives measured recall its monotone-in-budget guarantee
-# (tests/properties/test_approx_monotonicity.py).
+# The frontier is one float matrix of rows — lower bound, node kind,
+# node slot, cost, plus the family's columns — kept sorted by ``(lower
+# bound, seq)``, where ``seq`` is insertion order.  Each iteration:
 #
-# Everything the traversal did NOT pay for is classified when it stops:
-# entries whose bound definitely exceeds the (unscaled) threshold are
-# provably answer-free; the rest contribute their subtree's point count
+# 1. the admitted entries (bound not definitely above the threshold)
+#    are a prefix of the frontier; when none are left the search ends;
+# 2. the batch is the longest admitted prefix whose cost (vantage points
+#    plus leaf points per entry) fits the schedule's cap, and at least
+#    one entry: ``max(k, 2 * spent)`` without a budget; under a budget one
+#    entry per iteration until the k-best holds k, then
+#    ``max(k, spent // 8)``.  Neither reads the budget, so a budget only
+#    truncates one fixed evaluation sequence (internal vantage points,
+#    leaf vantage points, then surviving leaf points in ``(lower, id)``
+#    order, batch after batch), and recall is monotone in the budget;
+# 3. one ``_batch_dist`` call pays the batch's vantage points, the leaf
+#    points are filtered by the shell, D_t and PATH bounds against the
+#    refreshed threshold, one more call pays the survivors, and the
+#    admitted children of the batch's internal nodes join the frontier.
+#
+# Everything the traversal did NOT pay for is classified when it stops,
+# against the final threshold: entries and points whose bound definitely
+# exceeds it are provably answer-free prunes; the rest (epsilon-scaled
+# drops, and whatever the budget stranded) contribute their point count
 # to ``possible_missed`` and their bound to ``min_missed_lb``, from
 # which repro.approx derives the conservative recall lower bound.
 
@@ -775,10 +593,6 @@ class BudgetTracker:
                 raise ValueError(f"budget must be >= 0, got {budget}")
         self.limit = budget
         self.spent = 0
-
-    def can(self, cost: int) -> bool:
-        """Whether ``cost`` more evaluations fit under the budget."""
-        return self.limit is None or self.spent + cost <= self.limit
 
     def affordable(self, want: int) -> int:
         """How many of ``want`` evaluations the remaining budget covers."""
@@ -807,230 +621,371 @@ class ApproxOutcome(NamedTuple):
     min_missed_lb: float
 
 
-def _fill_subtree_sizes(
-    root_kind, root_idx, internal_sizes, leaf_sizes, children_of, own_points
-):
-    """Iterative postorder point counts for every internal node."""
-    if root_kind != _INTERNAL:
-        return
-    stack = [(int(root_idx), False)]
-    while stack:
-        idx, ready = stack.pop()
-        if ready:
-            total = own_points(idx)
-            for kind, slot in children_of(idx):
-                total += int(
-                    leaf_sizes[slot] if kind == _LEAF else internal_sizes[slot]
-                )
-            internal_sizes[idx] = total
+_NO_OUTCOME = ApproxOutcome(0, False, 0, _INF)
+
+
+class _TopK:
+    """Running k-best set with exact ``(distance, id)`` tie-breaks, kept
+    as sorted numpy arrays.  The set depends on the merged values alone,
+    so batch order cannot change the answer."""
+
+    __slots__ = ("k", "dist", "ids")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.dist = _EMPTY_F64
+        self.ids = _EMPTY_IDS
+
+    def full(self) -> bool:
+        return self.dist.size == self.k
+
+    def threshold(self) -> float:
+        return float(self.dist[-1]) if self.dist.size == self.k else _INF
+
+    def add(self, distances: np.ndarray, ids: np.ndarray) -> None:
+        k = self.k
+        if self.dist.size == k:
+            near = distances <= self.dist[-1]
+            distances, ids = distances[near], ids[near]
+            if not distances.size:
+                return
+        dist = np.concatenate((self.dist, distances))
+        ids = np.concatenate((self.ids, ids))
+        if dist.size > k:
+            # Keep every tie of the k-th distance; the lexsort breaks them.
+            near = dist <= dist[np.argpartition(dist, k - 1)[k - 1]]
+            dist, ids = dist[near], ids[near]
+        order = np.lexsort((ids, dist))[:k]
+        self.dist, self.ids = dist[order], ids[order]
+
+    def answer(self) -> list[Neighbor]:
+        return [Neighbor(d, i) for d, i in zip(self.dist.tolist(), self.ids.tolist())]
+
+
+class _Hits:
+    """Range collector: a fixed threshold and the verified hits."""
+
+    __slots__ = ("radius", "found")
+
+    k = 1
+
+    def __init__(self, radius: float):
+        self.radius = radius
+        self.found: list[np.ndarray] = []
+
+    def full(self) -> bool:
+        return True
+
+    def threshold(self) -> float:
+        return self.radius
+
+    def add(self, distances: np.ndarray, ids: np.ndarray) -> None:
+        inside = ids[distances <= self.radius]
+        if inside.size:
+            self.found.append(inside)
+
+    def answer(self) -> list[int]:
+        return sorted(_concat(self.found, np.int64).tolist())
+
+
+#: Frontier row layout: lower bound, node kind, node slot, cost
+#: (vantage points plus leaf points), then family columns.
+_LB, _KIND, _SLOT, _COST = range(4)
+
+
+class _Adapter:
+    """What the frontier loop needs from a family: its vantage points,
+    child rows with their section 4.3 bounds, and leaf-point bounds."""
+
+    __slots__ = ("arrays", "v", "width")
+
+    def leaf_costs(self) -> np.ndarray:
+        """Vantage points plus points per leaf (also its point count)."""
+        offsets = self.arrays.leaf_offsets
+        return self.leaf_widths(np.arange(offsets.size - 1)) + np.diff(offsets)
+
+    def root(self) -> np.ndarray:
+        arrays = self.arrays
+        row = np.zeros((1, self.width))
+        row[0, _KIND] = arrays.root_kind
+        row[0, _SLOT] = arrays.root_idx
+        if arrays.root_kind == _LEAF:
+            row[0, _COST] = self.leaf_costs()[arrays.root_idx]
         else:
-            stack.append((idx, True))
-            for kind, slot in children_of(idx):
-                if kind == _INTERNAL:
-                    stack.append((slot, False))
+            row[0, _COST] = self.v
+        return row
+
+    def child_rows(self, iidx: np.ndarray, bound: np.ndarray):
+        """One row per existing child of internal nodes ``iidx`` (and
+        the parent row each came from)."""
+        arrays = self.arrays
+        costs = getattr(arrays, "child_cost", None)
+        if costs is None:
+            kind, slot = arrays.child_kind, arrays.child_idx
+            costs = np.where(kind == _INTERNAL, self.v, 0)
+            leaf = kind == _LEAF
+            costs[leaf] = self.leaf_costs()[slot[leaf]]
+            arrays.child_cost = costs
+        w, c = np.nonzero(arrays.child_kind[iidx])
+        parent = iidx[w]
+        rows = np.empty((w.size, self.width))
+        rows[:, _LB] = bound[w, c]
+        rows[:, _KIND] = arrays.child_kind[parent, c]
+        rows[:, _SLOT] = arrays.child_idx[parent, c]
+        rows[:, _COST] = costs[parent, c]
+        return rows, w
+
+    def subtree_sizes(self):
+        """``(internal, leaf)`` point counts per subtree, cached on the
+        arrays; children always sit at higher internal slots than
+        their parent."""
+        arrays = self.arrays
+        cached = getattr(arrays, "sizes", None)
+        if cached is not None:
+            return cached
+        leaf_sizes = self.leaf_costs()
+        internal_sizes = np.zeros(arrays.child_kind.shape[0], dtype=np.int64)
+        for n in range(internal_sizes.size - 1, -1, -1):
+            kind, slot = arrays.child_kind[n], arrays.child_idx[n]
+            internal_sizes[n] = (
+                self.v
+                + leaf_sizes[slot[kind == _LEAF]].sum()
+                + internal_sizes[slot[kind == _INTERNAL]].sum()
+            )
+        arrays.sizes = (internal_sizes, leaf_sizes)
+        return arrays.sizes
 
 
-def _vp_sizes(arrays: _VPArrays):
-    cached = getattr(arrays, "sizes", None)
-    if cached is not None:
-        return cached
-    leaf_sizes = np.array([ids.size for ids in arrays.leaf_ids], dtype=np.int64)
-    internal_sizes = np.zeros(arrays.vp_ids.shape[0], dtype=np.int64)
+class _VPApprox(_Adapter):
+    """vp-tree frontier adapter: one vantage point per internal node,
+    none per leaf, no family columns."""
 
-    def children_of(idx):
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        return [
-            (int(kinds[c]), int(slots[c]))
-            for c in range(kinds.shape[0])
-            if kinds[c] != _NONE
-        ]
-
-    _fill_subtree_sizes(
-        arrays.root_kind,
-        arrays.root_idx,
-        internal_sizes,
-        leaf_sizes,
-        children_of,
-        lambda idx: 1,
-    )
-    arrays.sizes = (internal_sizes, leaf_sizes)
-    return arrays.sizes
-
-
-def _gmvp_sizes(arrays: _GMVPArrays):
-    cached = getattr(arrays, "sizes", None)
-    if cached is not None:
-        return cached
-    leaf_sizes = (
-        np.diff(arrays.leaf_offsets) + np.diff(arrays.leaf_vp_offsets)
-    ).astype(np.int64)
-    internal_sizes = np.zeros(arrays.vp_ids.shape[0], dtype=np.int64)
-    own = arrays.vp_ids.shape[1]
-
-    def children_of(idx):
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        return [
-            (int(kinds[c]), int(slots[c]))
-            for c in range(kinds.shape[0])
-            if kinds[c] != _NONE
-        ]
-
-    _fill_subtree_sizes(
-        arrays.root_kind,
-        arrays.root_idx,
-        internal_sizes,
-        leaf_sizes,
-        children_of,
-        lambda idx: own,
-    )
-    arrays.sizes = (internal_sizes, leaf_sizes)
-    return arrays.sizes
-
-
-class _VPApprox:
-    """Frontier adapter exposing a vp-tree to the budgeted engines."""
-
-    __slots__ = ("arrays", "internal_sizes", "leaf_sizes")
+    __slots__ = ()
 
     def __init__(self, tree):
         self.arrays = _vp_arrays(tree)
-        self.internal_sizes, self.leaf_sizes = _vp_sizes(self.arrays)
+        self.v = 1
+        self.width = 4
 
-    def roots(self):
-        return [(0.0, (self.arrays.root_kind, int(self.arrays.root_idx)))]
+    def leaf_widths(self, lidx: np.ndarray) -> np.ndarray:
+        return np.zeros(lidx.size, dtype=np.int64)
 
-    def is_leaf(self, entry):
-        return entry[0] == _LEAF
+    def vantage(self, iidx: np.ndarray, lidx: np.ndarray) -> np.ndarray:
+        return self.arrays.vp_ids[iidx]
 
-    def size(self, entry):
-        table = self.leaf_sizes if entry[0] == _LEAF else self.internal_sizes
-        return int(table[entry[1]])
-
-    def internal_cost(self, entry):
-        return 1
-
-    def open_internal(self, entry, batch):
-        idx = entry[1]
-        return float(batch(self.arrays.vp_ids[idx : idx + 1])[0])
-
-    def children(self, entry, dq, parent_lb):
+    def children(self, iidx, dq, parents):
         arrays = self.arrays
-        idx = entry[1]
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        lo = arrays.child_lo[idx]
-        hi = arrays.child_hi[idx]
-        bound = np.maximum(np.maximum(parent_lb, dq - hi), np.maximum(lo - dq, 0.0))
-        return [
-            (float(bound[c]), (int(kinds[c]), int(slots[c])))
-            for c in range(kinds.shape[0])
-            if kinds[c] != _NONE
-        ]
+        bound = np.maximum(
+            np.maximum(parents[:, _LB, None], dq - arrays.child_hi[iidx]),
+            np.maximum(arrays.child_lo[iidx] - dq, 0.0),
+        )
+        return self.child_rows(iidx, bound)[0]
 
-    def leaf_cost(self, entry):
-        return 0
-
-    def leaf_points(self, entry):
-        return int(self.leaf_sizes[entry[1]])
-
-    def open_leaf(self, entry, batch):
-        return None
-
-    def candidates(self, entry, info, parent_lb):
-        ids = self.arrays.leaf_ids[entry[1]]
-        return ids, np.full(ids.size, parent_lb, dtype=np.float64)
+    def points(self, lidx, parents, dall, offset):
+        arrays = self.arrays
+        lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
+        pos, seg, _ = _segments(arrays.leaf_offsets[lidx], lens)
+        return arrays.leaf_ids[pos], parents[seg, _LB], seg, lens
 
 
-class _GMVPApprox:
-    """Frontier adapter exposing a multi-vantage tree to the budgeted
-    engines."""
+class _GMVPApprox(_Adapter):
+    """Multi-vantage frontier adapter: ``v`` vantage points per internal
+    node, the leaf's own per leaf; family columns are the entry's level
+    and its query PATH row (``p`` wide, zero past the entry's depth)."""
 
-    __slots__ = ("arrays", "p", "internal_sizes", "leaf_sizes")
+    __slots__ = ("p",)
 
     def __init__(self, tree):
         self.arrays = _gmvp_arrays(tree)
         self.p = tree.p
-        self.internal_sizes, self.leaf_sizes = _gmvp_sizes(self.arrays)
+        self.v = int(self.arrays.vp_ids.shape[1])
+        self.width = 5 + self.p
 
-    def roots(self):
+    def root(self) -> np.ndarray:
+        row = super().root()
+        row[0, 4] = 1  # level
+        return row
+
+    def leaf_widths(self, lidx: np.ndarray) -> np.ndarray:
+        offsets = self.arrays.leaf_vp_offsets
+        return offsets[lidx + 1] - offsets[lidx]
+
+    def vantage(self, iidx: np.ndarray, lidx: np.ndarray) -> np.ndarray:
+        return _vantage_ids(self.arrays, iidx, lidx)
+
+    def children(self, iidx, dq, parents):
         arrays = self.arrays
-        return [(0.0, (arrays.root_kind, int(arrays.root_idx), 1, ()))]
-
-    def is_leaf(self, entry):
-        return entry[0] == _LEAF
-
-    def size(self, entry):
-        table = self.leaf_sizes if entry[0] == _LEAF else self.internal_sizes
-        return int(table[entry[1]])
-
-    def internal_cost(self, entry):
-        return int(self.arrays.vp_ids.shape[1])
-
-    def open_internal(self, entry, batch):
-        return batch(self.arrays.vp_ids[entry[1]])
-
-    def children(self, entry, dq, parent_lb):
-        arrays = self.arrays
-        _, idx, level, path = entry
-        for t in range(dq.shape[0]):
-            if level + t <= self.p:
-                path = path + (float(dq[t]),)
         shells = np.maximum(
-            dq[None, :] - arrays.bhi[idx], arrays.blo[idx] - dq[None, :]
+            dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
         )
-        bound = np.maximum(parent_lb, shells.max(axis=1))
-        kinds = arrays.child_kind[idx]
-        slots = arrays.child_idx[idx]
-        next_level = level + dq.shape[0]
-        return [
-            (float(bound[c]), (int(kinds[c]), int(slots[c]), next_level, path))
-            for c in range(kinds.shape[0])
-            if kinds[c] != _NONE
-        ]
+        bound = np.maximum(parents[:, _LB, None], shells.max(axis=2))
+        rows, w = self.child_rows(iidx, bound)
+        # path_q[level + t - 1] = d(q, vp_t) while the PATH has room.
+        level = parents[:, 4].astype(np.intp)
+        paths = parents[:, 5:].copy()
+        for t in range(self.v):
+            col = level - 1 + t
+            room = col < self.p
+            paths[room, col[room]] = dq[room, t]
+        rows[:, 4] = parents[w, 4] + self.v
+        rows[:, 5:] = paths[w]
+        return rows
 
-    def leaf_cost(self, entry):
-        offsets = self.arrays.leaf_vp_offsets
-        return int(offsets[entry[1] + 1] - offsets[entry[1]])
-
-    def leaf_points(self, entry):
-        offsets = self.arrays.leaf_offsets
-        return int(offsets[entry[1] + 1] - offsets[entry[1]])
-
-    def open_leaf(self, entry, batch):
-        offsets = self.arrays.leaf_vp_offsets
-        j = entry[1]
-        return batch(self.arrays.leaf_vp_ids[offsets[j] : offsets[j + 1]])
-
-    def candidates(self, entry, ldq, parent_lb):
-        arrays = self.arrays
-        j = entry[1]
-        ids = arrays.leaf_ids[arrays.leaf_offsets[j] : arrays.leaf_offsets[j + 1]]
-        if not ids.size:
-            return _EMPTY_IDS, _EMPTY_F64
-        dists = arrays.leaf_dists[
-            arrays.leaf_dist_offsets[j] : arrays.leaf_dist_offsets[j + 1]
-        ].reshape(-1, ids.size)
-        lower = np.abs(dists - ldq[:, None]).max(axis=0)
-        path_len = int(arrays.leaf_path_len[j])
-        if path_len:
-            paths = arrays.leaf_paths[
-                arrays.leaf_path_offsets[j] : arrays.leaf_path_offsets[j + 1]
-            ].reshape(ids.size, path_len)
-            row = np.asarray(entry[3][:path_len], dtype=np.float64)
-            lower = np.maximum(lower, np.abs(paths - row).max(axis=1))
-        return ids, np.maximum(lower, parent_lb)
+    def points(self, lidx, parents, dall, offset):
+        wave = _LeafWave(self.arrays, lidx, parents[:, 5:], dall, offset)
+        lower = wave.dist_gap.max(axis=0, initial=0.0)
+        if wave.path_gap is not None:
+            lower = np.maximum(lower, wave.path_gap.max(axis=1))
+        return wave.ids, np.maximum(lower, parents[wave.seg, _LB]), wave.seg, wave.lens
 
 
 _APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _GMVPApprox, "gmvpt": _GMVPApprox}
 
 
 def _approx_adapter(tree, family: str):
+    """The family's adapter over ``tree``, or ``None`` for an empty tree."""
     try:
-        return _APPROX_ADAPTERS[family](tree)
+        adapter = _APPROX_ADAPTERS[family]
     except KeyError:
         raise ValueError(f"no budgeted kernel for family {family!r}") from None
+    return None if tree._root is None else adapter(tree)
+
+
+def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind):
+    """The best-first frontier loop (see the section comment above).
+
+    ``sink`` is a :class:`_TopK` or :class:`_Hits`; returns its answer
+    and the :class:`ApproxOutcome`.  ``stale_kind`` books every prune
+    the threshold decides.
+    """
+    objects = tree._objects
+    tracker = BudgetTracker(budget)
+    v = adapter.v
+
+    def pay(ids: np.ndarray) -> np.ndarray:
+        take = tracker.affordable(ids.size)
+        if not take:
+            return _EMPTY_F64
+        ids = ids[:take]
+        tracker.charge(take)
+        distances = np.asarray(
+            tree._batch_dist(obs, gather(objects, ids), query), dtype=np.float64
+        )
+        sink.add(distances, ids)
+        return distances
+
+    front = adapter.root()  # sorted by lower bound, then insertion order
+    dropped: list[np.ndarray] = []  # child rows the threshold dropped
+    dropped_points: list[np.ndarray] = []  # their lower bounds
+    stranded: list[np.ndarray] = []  # frontier rows the budget never opened
+    stranded_points = _EMPTY_F64  # leaf points the budget never paid
+    cut = False
+
+    while True:
+        # The admitted entries are a prefix of the sorted frontier.
+        admitted = int(
+            np.count_nonzero(_admitted(front[:, _LB], approximation, sink.threshold()))
+        )
+        if not admitted:
+            break
+        if budget is None:
+            cap = max(sink.k, 2 * tracker.spent)
+        elif sink.full():
+            cap = max(sink.k, tracker.spent // 8)
+        else:
+            cap = 0
+        take = int(np.searchsorted(np.cumsum(front[:admitted, _COST]), cap, "right"))
+        take = min(admitted, max(1, take))
+        batch, front = front[:take], front[take:]
+
+        kind = batch[:, _KIND]
+        internal = batch[kind == _INTERNAL]
+        leaves = batch[kind == _LEAF]
+        iidx = internal[:, _SLOT].astype(np.intp)
+        lidx = leaves[:, _SLOT].astype(np.intp)
+        vantage = adapter.vantage(iidx, lidx)
+        dall = pay(vantage)
+        paid = dall.size
+        # An entry is opened once all of its vantage points are paid.
+        n_int = min(iidx.size, paid // v)
+        ends = iidx.size * v + np.cumsum(adapter.leaf_widths(lidx))
+        n_leaf = int(np.searchsorted(ends, paid, "right"))
+        if paid < vantage.size:
+            cut = True
+            stranded += [internal[n_int:], leaves[n_leaf:]]
+        if obs is not None:
+            obs.enter_internals(n_int)
+
+        if n_leaf:
+            ids, lower, seg, lens = adapter.points(
+                lidx[:n_leaf], leaves[:n_leaf], dall, iidx.size * v
+            )
+            if obs is not None:
+                obs.enter_leaves(lens)
+            keep = _admitted(lower, approximation, sink.threshold())
+            if not keep.all():
+                dropped_points.append(lower[~keep])
+                ids, lower, seg = ids[keep], lower[keep], seg[keep]
+            if budget is not None:
+                order = np.lexsort((ids, lower))
+                ids, lower, seg = ids[order], lower[order], seg[order]
+            scanned = pay(ids).size
+            if scanned < ids.size:
+                cut = True
+                stranded_points = lower[scanned:]
+            if obs is not None:
+                obs.leaf_scans(lens, np.bincount(seg[:scanned], minlength=lens.size))
+
+        if n_int:
+            rows = adapter.children(
+                iidx[:n_int], dall[: n_int * v].reshape(n_int, v), internal[:n_int]
+            )
+            keep = _admitted(rows[:, _LB], approximation, sink.threshold())
+            if not keep.all():
+                dropped.append(rows[~keep])
+                rows = rows[keep]
+            # A stable sort puts new rows after equal bounds already there.
+            front = np.concatenate((front, rows))
+            front = front[np.argsort(front[:, _LB], kind="stable")]
+
+        if cut:
+            stranded.append(front)
+            break
+
+    # Classify everything left unpaid against the final threshold.
+    threshold = sink.threshold()
+    limit = threshold + slack(threshold)
+    missed = 0
+    min_missed_lb = _INF
+    if not cut:
+        dropped.append(front)
+    groups = [(rows, False) for rows in dropped] + [(rows, True) for rows in stranded]
+    groups += [(lower, False) for lower in dropped_points]
+    groups.append((stranded_points, True))
+    for rows, budget_cut in groups:
+        is_points = rows.ndim == 1
+        bounds = rows if is_points else rows[:, _LB]
+        inside = ~(bounds > limit)
+        n_in = int(np.count_nonzero(inside))
+        if n_in:
+            min_missed_lb = min(min_missed_lb, float(bounds[inside].min()))
+            if is_points:
+                missed += n_in
+            else:
+                internal_sizes, leaf_sizes = adapter.subtree_sizes()
+                slot = rows[inside, _SLOT].astype(np.intp)
+                is_leaf = rows[inside, _KIND] == _LEAF
+                missed += int(leaf_sizes[slot[is_leaf]].sum())
+                missed += int(internal_sizes[slot[~is_leaf]].sum())
+        if obs is not None:
+            book = obs.filter_points if is_points else obs.prune
+            n_out = bounds.size - n_in
+            if n_out:
+                book(stale_kind, n_out)
+            if n_in:
+                book(PRUNE_BUDGET if budget_cut else stale_kind, n_in)
+
+    return sink.answer(), ApproxOutcome(tracker.spent, cut, missed, min_missed_lb)
 
 
 def approx_tree_knn(
@@ -1043,113 +998,18 @@ def approx_tree_knn(
     budget: Optional[int] = None,
     obs: Optional[Observation] = None,
 ) -> tuple[list[Neighbor], ApproxOutcome]:
-    """Budgeted best-first k-NN over a vp/mvp/gmvp tree.
+    """Best-first k-NN over a vp/mvp/gmvp tree, exact or budgeted.
 
-    With ``budget=None`` and ``epsilon=0`` this reproduces the exact
-    answer byte-identically: pop-time pruning expands a subset of the
-    node set the exact search admits, and the exact ``(distance, id)``
-    k-best set is unique.
+    With ``budget=None`` and ``epsilon=0`` this is the exact search
+    every tree's ``knn_search`` runs: the ``(distance, id)`` k-best set
+    is unique, so the answer does not depend on the batch schedule.
+    Every prune is booked as ``knn-radius``.
     """
     adapter = _approx_adapter(tree, family)
-    objects = tree._objects
-    approximation = 1.0 + epsilon
-    best = _KBest(k)
-    tracker = BudgetTracker(budget)
-    heap: list[tuple[float, int, tuple]] = []
-    seq = 0
-    for root_lb, root_entry in adapter.roots():
-        heap.append((root_lb, seq, root_entry))
-        seq += 1
-    heapq.heapify(heap)
-    possible_missed = 0
-    min_missed_lb = float("inf")
-    exhausted = False
-
-    def batch(ids: np.ndarray) -> np.ndarray:
-        if ids.size == 0:
-            return _EMPTY_F64
-        tracker.charge(ids.size)
-        distances = np.asarray(
-            tree._batch_dist(obs, gather(objects, ids), query), dtype=np.float64
-        )
-        best.consider_many(distances.tolist(), np.asarray(ids).tolist())
-        return distances
-
-    def strand(first: list, budget_strand: bool) -> None:
-        # Classify everything the traversal will not pay for: provably
-        # answer-free entries are ordinary prunes, the rest are counted
-        # as possibly-missed mass at their lower bound.
-        nonlocal possible_missed, min_missed_lb
-        threshold = best.threshold()
-        pending = first + [(lb_e, entry_e) for lb_e, _, entry_e in heap]
-        heap.clear()
-        for lb_e, entry_e in pending:
-            if lb_e > threshold + slack(threshold):
-                if obs is not None:
-                    obs.prune(PRUNE_LOWER_BOUND)
-            else:
-                possible_missed += adapter.size(entry_e)
-                min_missed_lb = min(min_missed_lb, lb_e)
-                if obs is not None:
-                    obs.prune(PRUNE_BUDGET if budget_strand else PRUNE_LOWER_BOUND)
-
-    while heap:
-        lb, _, entry = heapq.heappop(heap)
-        threshold = best.threshold()
-        if lb * approximation > threshold + slack(threshold):
-            strand([(lb, entry)], budget_strand=False)
-            break
-        if adapter.is_leaf(entry):
-            if not tracker.can(adapter.leaf_cost(entry)):
-                exhausted = True
-                strand([(lb, entry)], budget_strand=True)
-                break
-            if obs is not None:
-                obs.enter_leaf(adapter.leaf_points(entry))
-            info = adapter.open_leaf(entry, batch)
-            ids, lowers = adapter.candidates(entry, info, lb)
-            threshold = best.threshold()
-            miss = lowers > threshold + slack(threshold)
-            if obs is not None:
-                obs.filter_points(PRUNE_LOWER_BOUND, int(np.count_nonzero(miss)))
-            keep_ids = ids[~miss]
-            keep_lowers = lowers[~miss]
-            order = np.lexsort((keep_ids, keep_lowers))
-            keep_ids = keep_ids[order]
-            keep_lowers = keep_lowers[order]
-            afford = tracker.affordable(int(keep_ids.size))
-            if afford:
-                batch(keep_ids[:afford])
-            if obs is not None:
-                obs.leaf_scan(adapter.leaf_points(entry), afford)
-            if afford < keep_ids.size:
-                skipped = int(keep_ids.size - afford)
-                if obs is not None:
-                    obs.filter_points(PRUNE_BUDGET, skipped)
-                possible_missed += skipped
-                min_missed_lb = min(min_missed_lb, float(keep_lowers[afford]))
-                exhausted = True
-                strand([], budget_strand=True)
-                break
-        else:
-            if not tracker.can(adapter.internal_cost(entry)):
-                exhausted = True
-                strand([(lb, entry)], budget_strand=True)
-                break
-            if obs is not None:
-                obs.enter_internal()
-            info = adapter.open_internal(entry, batch)
-            threshold = best.threshold()
-            for child_lb, child in adapter.children(entry, info, lb):
-                if child_lb > threshold + slack(threshold):
-                    if obs is not None:
-                        obs.prune(PRUNE_LOWER_BOUND)
-                else:
-                    heapq.heappush(heap, (child_lb, seq, child))
-                    seq += 1
-
-    return best.sorted_neighbors(), ApproxOutcome(
-        tracker.spent, exhausted, possible_missed, min_missed_lb
+    if adapter is None:
+        return [], _NO_OUTCOME
+    return _frontier(
+        tree, adapter, query, _TopK(k), 1.0 + epsilon, budget, obs, PRUNE_KNN_RADIUS
     )
 
 
@@ -1169,114 +1029,11 @@ def approx_tree_range(
     reporting), so approximate range answers have precision 1; the
     outcome's missed mass bounds how many in-range points may have been
     skipped.  ``budget=None``/``epsilon=0`` reproduces the exact answer.
+    Every prune is booked as ``lower-bound``.
     """
     adapter = _approx_adapter(tree, family)
-    objects = tree._objects
-    approximation = 1.0 + epsilon
-    loose = radius + slack(radius)
-    hits: list[int] = []
-    tracker = BudgetTracker(budget)
-    heap: list[tuple[float, int, tuple]] = []
-    seq = 0
-    for root_lb, root_entry in adapter.roots():
-        heap.append((root_lb, seq, root_entry))
-        seq += 1
-    heapq.heapify(heap)
-    possible_missed = 0
-    min_missed_lb = float("inf")
-    exhausted = False
-
-    def batch(ids: np.ndarray) -> np.ndarray:
-        if ids.size == 0:
-            return _EMPTY_F64
-        tracker.charge(ids.size)
-        distances = np.asarray(
-            tree._batch_dist(obs, gather(objects, ids), query), dtype=np.float64
-        )
-        inside = np.asarray(ids)[distances <= radius]
-        hits.extend(int(x) for x in inside)
-        return distances
-
-    def strand(first: list, budget_strand: bool) -> None:
-        nonlocal possible_missed, min_missed_lb
-        pending = first + [(lb_e, entry_e) for lb_e, _, entry_e in heap]
-        heap.clear()
-        for lb_e, entry_e in pending:
-            if lb_e > loose:
-                if obs is not None:
-                    obs.prune(PRUNE_LOWER_BOUND)
-            else:
-                possible_missed += adapter.size(entry_e)
-                min_missed_lb = min(min_missed_lb, lb_e)
-                if obs is not None:
-                    obs.prune(PRUNE_BUDGET if budget_strand else PRUNE_LOWER_BOUND)
-
-    while heap:
-        lb, _, entry = heapq.heappop(heap)
-        if lb * approximation > loose:
-            strand([(lb, entry)], budget_strand=False)
-            break
-        if adapter.is_leaf(entry):
-            if not tracker.can(adapter.leaf_cost(entry)):
-                exhausted = True
-                strand([(lb, entry)], budget_strand=True)
-                break
-            if obs is not None:
-                obs.enter_leaf(adapter.leaf_points(entry))
-            info = adapter.open_leaf(entry, batch)
-            ids, lowers = adapter.candidates(entry, info, lb)
-            exact_miss = lowers > loose
-            eps_miss = ~exact_miss & (lowers * approximation > loose)
-            n_eps = int(np.count_nonzero(eps_miss))
-            if obs is not None:
-                obs.filter_points(
-                    PRUNE_LOWER_BOUND, int(np.count_nonzero(exact_miss)) + n_eps
-                )
-            if n_eps:
-                possible_missed += n_eps
-                min_missed_lb = min(min_missed_lb, float(lowers[eps_miss].min()))
-            keep = ~(exact_miss | eps_miss)
-            keep_ids = ids[keep]
-            keep_lowers = lowers[keep]
-            order = np.lexsort((keep_ids, keep_lowers))
-            keep_ids = keep_ids[order]
-            keep_lowers = keep_lowers[order]
-            afford = tracker.affordable(int(keep_ids.size))
-            if afford:
-                batch(keep_ids[:afford])
-            if obs is not None:
-                obs.leaf_scan(adapter.leaf_points(entry), afford)
-            if afford < keep_ids.size:
-                skipped = int(keep_ids.size - afford)
-                if obs is not None:
-                    obs.filter_points(PRUNE_BUDGET, skipped)
-                possible_missed += skipped
-                min_missed_lb = min(min_missed_lb, float(keep_lowers[afford]))
-                exhausted = True
-                strand([], budget_strand=True)
-                break
-        else:
-            if not tracker.can(adapter.internal_cost(entry)):
-                exhausted = True
-                strand([(lb, entry)], budget_strand=True)
-                break
-            if obs is not None:
-                obs.enter_internal()
-            info = adapter.open_internal(entry, batch)
-            for child_lb, child in adapter.children(entry, info, lb):
-                if child_lb > loose:
-                    if obs is not None:
-                        obs.prune(PRUNE_LOWER_BOUND)
-                elif child_lb * approximation > loose:
-                    possible_missed += adapter.size(child)
-                    min_missed_lb = min(min_missed_lb, child_lb)
-                    if obs is not None:
-                        obs.prune(PRUNE_LOWER_BOUND)
-                else:
-                    heapq.heappush(heap, (child_lb, seq, child))
-                    seq += 1
-
-    hits.sort()
-    return hits, ApproxOutcome(
-        tracker.spent, exhausted, possible_missed, min_missed_lb
+    if adapter is None:
+        return [], _NO_OUTCOME
+    return _frontier(
+        tree, adapter, query, _Hits(radius), 1.0 + epsilon, budget, obs, PRUNE_LOWER_BOUND
     )

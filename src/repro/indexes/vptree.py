@@ -260,7 +260,9 @@ class VPTree(MetricIndex):
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
-        return kernels.vp_knn(self, query, k, 1.0 + epsilon, obs)
+        return kernels.approx_tree_knn(
+            self, "vpt", query, k, epsilon=epsilon, obs=obs
+        )[0]
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning; paper section 2 lists

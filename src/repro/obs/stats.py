@@ -25,15 +25,15 @@ kind                   granularity meaning
 =====================  ==========  ==========================================
 ``vp1-shell``          child       first vantage point's spherical shell
                        subtrees    missed the query ball: one event per
-                                   pruned child of an mvp/gmvp node, booked
-                                   to the lowest-numbered shell that
-                                   excludes it (k-NN: the shell giving the
-                                   largest bound; ``knn-radius`` when the
-                                   inherited bound decides); ``vpN-shell``
-                                   for the N-th vantage point
+                                   pruned child of an mvp/gmvp node in a
+                                   range search, booked to the
+                                   lowest-numbered shell that excludes it;
+                                   ``vpN-shell`` for the N-th vantage
+                                   point
 ``vp2-shell``          child       second vantage point's shell missed
                        subtrees    (and the first did not)
 ``vp-shell``           subtrees    vp-tree shell (its single vantage point)
+                                   in a range search
 ``hyperplane``         subtrees    gh-tree generalized-hyperplane rule
 ``covering-radius``    subtrees    gh-tree covering-ball rule
 ``range-table``        subtrees    GNAT pairwise range table eliminated a
@@ -41,14 +41,16 @@ kind                   granularity meaning
 ``edge-interval``      subtrees    BK-tree discrete edge outside
                                    ``[d - r, d + r]``
 ``knn-radius``         subtrees/   k-NN radius shrink: a frontier entry or
-                       points      leaf tail proven farther than the k-th
-                                   best
-``lower-bound``        subtrees/   the budgeted best-first kernels'
-                       points      fused section 4.3 lower bound (max over
+                       points      leaf point proven farther than the k-th
+                                   best (the VP/MVP/GMVP trees book every
+                                   k-NN prune here, whichever shell, D_t
+                                   or PATH bound decided it)
+``lower-bound``        subtrees/   the budgeted range frontier's fused
+                       points      section 4.3 lower bound (max over
                                    shell/leaf/PATH components) proved a
                                    frontier entry or leaf point out of
                                    range, or an epsilon-scaled bound
-                                   ended the traversal early
+                                   dropped it
 ``budget-exhausted``   subtrees/   the distance-computation budget ran
                        points      out before this subtree or leaf point
                                    could be paid for (approximate search

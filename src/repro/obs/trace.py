@@ -124,6 +124,35 @@ class Observation:
         stats.leaf_points_seen += size
         self.trace.on_node_enter("leaf", size)
 
+    def enter_internals(self, count: int) -> None:
+        """``count`` internal nodes entered: the counters move once, a
+        real sink still gets one callback per node."""
+        stats = self.stats
+        stats.nodes_visited += count
+        stats.internal_visited += count
+        if self.trace is not NULL_TRACE:
+            for _ in range(count):
+                self.trace.on_node_enter("internal", 0)
+
+    def enter_leaves(self, sizes) -> None:
+        """Leaves holding ``sizes`` points (an integer array) entered, in
+        order; one callback per leaf for a real sink."""
+        stats = self.stats
+        stats.nodes_visited += len(sizes)
+        stats.leaf_visited += len(sizes)
+        stats.leaf_points_seen += int(sizes.sum())
+        if self.trace is not NULL_TRACE:
+            for size in sizes.tolist():
+                self.trace.on_node_enter("leaf", size)
+
+    def leaf_scans(self, seen, scanned) -> None:
+        """One :meth:`leaf_scan` per pair of the integer arrays ``seen``
+        and ``scanned``, with the counters moved once."""
+        self.stats.leaf_points_scanned += int(scanned.sum())
+        if self.trace is not NULL_TRACE:
+            for pair in zip(seen.tolist(), scanned.tolist()):
+                self.trace.on_leaf_scan(*pair)
+
     def prune(self, bound: str, count: int = 1) -> None:
         """A subtree-granularity prune (``count`` subtrees skipped)."""
         self.stats.record_prune(bound, count)

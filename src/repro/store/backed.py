@@ -57,7 +57,8 @@ def _vp_cache(store: Store) -> kernels._VPArrays:
     arrays.child_hi = store.section("child_hi")
     arrays.child_kind = store.section("child_kind")
     arrays.child_idx = store.section("child_idx")
-    arrays.leaf_ids = _segments(store, "leaf_offsets", "leaf_ids")
+    arrays.leaf_offsets = store.section("leaf_offsets")
+    arrays.leaf_ids = store.section("leaf_ids")
     arrays.root_kind = int(store.meta["tree"]["root_kind"])
     arrays.root_idx = int(store.meta["tree"]["root_idx"])
     return arrays
@@ -223,24 +224,24 @@ class StoreBackedIndex(MetricIndex):
         return kernels.gmvp_range(self, query, radius, obs)
 
     def _base_knn(
-        self, query, k: int, approximation: float, *, stats, trace
+        self, query, k: int, epsilon: float, *, stats, trace
     ) -> list[Neighbor]:
         if self._impl is not None:
             if self.family == "gnat":
                 # GNAT's k-NN has no epsilon relaxation (matching the
                 # in-memory class, whose signature takes none).
-                if approximation != 1.0:
+                if epsilon != 0.0:
                     raise ValueError(
                         "GNAT k-NN does not support epsilon approximation"
                     )
                 return self._impl.knn_search(query, k, stats=stats, trace=trace)
             return self._impl.knn_search(
-                query, k, approximation - 1.0, stats=stats, trace=trace
+                query, k, epsilon, stats=stats, trace=trace
             )
         obs = make_observation(stats, trace)
-        if self.family == "vpt":
-            return kernels.vp_knn(self, query, k, approximation, obs)
-        return kernels.gmvp_knn(self, query, k, approximation, obs)
+        return kernels.approx_tree_knn(
+            self, self.family, query, k, epsilon=epsilon, obs=obs
+        )[0]
 
     def _delta_distances(self, query, *, stats, trace) -> np.ndarray:
         """One exact batched scan of the delta tail (observed like a
@@ -286,16 +287,14 @@ class StoreBackedIndex(MetricIndex):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         if self._delta_rows is None:
             k = self.validate_k(k)
-            return self._base_knn(
-                query, k, 1.0 + epsilon, stats=stats, trace=trace
-            )
+            return self._base_knn(query, k, epsilon, stats=stats, trace=trace)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(k, len(self))
         base_hits = self._base_knn(
             query,
             min(k, len(self._objects)),
-            1.0 + epsilon,
+            epsilon,
             stats=stats,
             trace=trace,
         )

@@ -79,13 +79,13 @@ def _vpt_payload(tree: VPTree):
         "child_hi": np.asarray(arrays.child_hi, dtype=np.float64),
         "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
         "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-        "leaf_offsets": kernels._offsets([len(ids) for ids in arrays.leaf_ids]),
-        "leaf_ids": kernels._concat(list(arrays.leaf_ids), np.int64),
+        "leaf_offsets": arrays.leaf_offsets,
+        "leaf_ids": arrays.leaf_ids,
     }
     tree_meta = {
         "root_kind": int(arrays.root_kind),
         "root_idx": int(arrays.root_idx),
-        "n_leaves": len(arrays.leaf_ids),
+        "n_leaves": len(arrays.leaf_offsets) - 1,
     }
     params = {
         "m": tree.m,

@@ -43,18 +43,18 @@ def family_index(request, data):
 class TestBudgetTracker:
     def test_unlimited_always_affords(self):
         tracker = BudgetTracker(None)
-        assert tracker.can(10**9)
+        assert tracker.affordable(10**9) == 10**9
         assert tracker.affordable(123) == 123
         tracker.charge(50)
-        assert tracker.spent == 50 and tracker.can(10**9)
+        assert tracker.spent == 50 and tracker.affordable(10**9) == 10**9
 
     def test_limited_accounting(self):
         tracker = BudgetTracker(10)
-        assert tracker.can(10) and not tracker.can(11)
+        assert tracker.affordable(10) == 10 and tracker.affordable(11) == 10
         assert tracker.affordable(25) == 10
         tracker.charge(7)
         assert tracker.affordable(25) == 3
-        assert tracker.can(3) and not tracker.can(4)
+        assert tracker.affordable(3) == 3 and tracker.affordable(4) == 3
 
     def test_affordable_clamps_at_zero(self):
         tracker = BudgetTracker(4)
@@ -70,7 +70,7 @@ class TestBudgetTracker:
 
     def test_zero_budget_affords_nothing(self):
         tracker = BudgetTracker(0)
-        assert not tracker.can(1)
+        assert tracker.affordable(1) == 0
         assert tracker.affordable(5) == 0
 
 

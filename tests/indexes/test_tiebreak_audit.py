@@ -111,6 +111,65 @@ class TestDynamicAfterChurn:
         assert got == [i for i in want if i != victim][:8]
 
 
+def duplicate_heavy():
+    """2,000 points in R^6, 400 of them exact copies of the query at
+    ids spread over the whole dataset: the k-th distance's tie group
+    (distance 0) spans many leaves and many frontier batches."""
+    rng = np.random.default_rng(7)
+    data = rng.random((2000, 6))
+    query = rng.random(6)
+    data[np.sort(rng.choice(len(data), 400, replace=False))] = query
+    return data, query
+
+
+class TestTieGroupAcrossBatches:
+    @staticmethod
+    def trees(data, tmp_path):
+        from repro.store import open_index, write_store
+
+        metric = L2()
+        out = {
+            "VPTree": VPTree(data, metric, m=2, leaf_capacity=4, rng=0),
+            "MVPTree": MVPTree(data, metric, m=3, k=13, p=4, rng=0),
+            "GMVPTree": GMVPTree(data, metric, m=2, v=3, k=8, p=4, rng=0),
+        }
+        for family in ("VPTree", "MVPTree"):
+            path = tmp_path / f"{family}.rsx"
+            write_store(out[family], path)
+            out[f"store-{family}"] = open_index(path, metric)
+        return out
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_smallest_ids_win_the_tie(self, k, tmp_path):
+        from repro.approx import approx_knn_search
+
+        data, query = duplicate_heavy()
+        want = expected_order(data, query)[:k]
+        for name, index in self.trees(data, tmp_path).items():
+            got = index.knn_search(query, k)
+            assert [n.id for n in got] == want, f"{name} k={k}"
+            assert all(n.distance == 0.0 for n in got)
+            approx, report = approx_knn_search(index, query, k, budget=None)
+            assert approx == got and report.exact, f"{name} approx k={k}"
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_dynamic_deletes_inside_the_tie_group(self, k):
+        from repro.approx import approx_knn_search
+
+        data, query = duplicate_heavy()
+        tree = DynamicMVPTree(data[:1000], L2(), m=3, k=13, p=4, rng=0)
+        for row in data[1000:]:
+            tree.insert(row)
+        ties = expected_order(data, query)[:400]
+        victims = ties[:5] + ties[k - 2 : k + 2] + ties[200:203]
+        for victim in victims:
+            tree.delete(victim)
+        want = [i for i in ties if i not in victims][:k]
+        assert [n.id for n in tree.knn_search(query, k)] == want
+        approx, report = approx_knn_search(tree, query, k, budget=None)
+        assert [n.id for n in approx] == want and report.exact
+
+
 class TestEditDistanceTies:
     def test_bktree_tie_order(self):
         # Every word is at edit distance exactly 1 from "aaaa".

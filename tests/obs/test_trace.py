@@ -70,6 +70,32 @@ class TestObservation:
         obs.leaf_scan(5, 5)
         assert stats.leaf_points_scanned == 9
 
+    def test_batch_events_match_per_node_events(self):
+        sizes, scanned = np.array([9, 0, 4]), np.array([3, 0, 4])
+        per_node, batched = RecordingTraceSink(), RecordingTraceSink()
+        one = Observation(QueryStats(), per_node)
+        for _ in range(3):
+            one.enter_internal()
+        for size in sizes:
+            one.enter_leaf(int(size))
+        for seen, paid in zip(sizes, scanned):
+            one.leaf_scan(int(seen), int(paid))
+        many = Observation(QueryStats(), batched)
+        many.enter_internals(3)
+        many.enter_leaves(sizes)
+        many.leaf_scans(sizes, scanned)
+        assert many.stats == one.stats
+        assert batched.events == per_node.events
+
+    def test_batch_events_skip_the_null_sink(self):
+        stats = QueryStats()
+        obs = make_observation(stats, None)
+        obs.enter_internals(2)
+        obs.enter_leaves(np.array([5, 6]))
+        obs.leaf_scans(np.array([5, 6]), np.array([1, 6]))
+        assert (stats.nodes_visited, stats.internal_visited) == (4, 2)
+        assert (stats.leaf_points_seen, stats.leaf_points_scanned) == (11, 7)
+
 
 class TestRecordingTraceSink:
     def test_records_event_tuples(self):

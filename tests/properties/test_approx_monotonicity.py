@@ -8,6 +8,9 @@ array-pure family:
   result position only improves under ``(distance, id)`` order (the
   evaluation order is budget-independent, so a bigger budget sees a
   superset of candidates);
+* **budget prefix** — the ids a search pays for under budget ``B`` are
+  a prefix, in evaluation order, of the ids it pays for under ``2n``:
+  the evaluation order never reads the budget's value;
 * **prefix compatibility** — an approximate k-NN answer is a strictly
   ``(distance, id)``-sorted list whose sound-certified results form a
   prefix equal to the exact ranking's prefix;
@@ -108,6 +111,51 @@ def test_knn_results_are_a_subset_compatible_prefix(case):
             for got, earlier in zip(results, previous):
                 assert (got.distance, got.id) <= (earlier.distance, earlier.id)
         previous = results
+
+
+class RecordingL2(L2):
+    """L2 that logs the id of every dataset row it evaluates, in order."""
+
+    def __init__(self, data):
+        super().__init__()
+        self.row_id = {row.tobytes(): i for i, row in enumerate(data)}
+        self.log: list[int] = []
+
+    def _note(self, row):
+        i = self.row_id.get(np.asarray(row, dtype=float).tobytes())
+        if i is not None:
+            self.log.append(i)
+
+    def distance(self, a, b):
+        self._note(a)
+        self._note(b)
+        return super().distance(a, b)
+
+    def batch_distance(self, xs, y):
+        for row in np.asarray(xs, dtype=float).reshape(len(xs), -1):
+            self._note(row)
+        return super().batch_distance(xs, y)
+
+
+@given(case=approx_cases())
+def test_budget_truncates_one_evaluation_sequence(case):
+    family, data, query, k, seed = case
+    n = len(data)
+    metric = RecordingL2(data)
+    index = FAMILIES[family](data, metric, seed)
+    radius = 0.4
+    for search, arg in ((approx_knn_search, k), (approx_range_search, radius)):
+        metric.log.clear()
+        search(index, query, arg, budget=2 * n)
+        full = list(metric.log)
+        for budget in sorted({0, 1, n // 3, n}):
+            metric.log.clear()
+            search(index, query, arg, budget=budget)
+            assert len(metric.log) <= budget
+            assert metric.log == full[: len(metric.log)], (
+                f"{family} {search.__name__} budget {budget}: paid ids are "
+                "not a prefix of the budget-2n evaluation sequence"
+            )
 
 
 # ----------------------------------------------------------------------
