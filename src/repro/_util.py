@@ -19,11 +19,13 @@ def as_rng(rng: RngLike) -> np.random.Generator:
 def gather(objects: Sequence, ids: Sequence[int]):
     """Collect ``objects[i] for i in ids`` efficiently.
 
-    numpy arrays use fancy indexing (keeping batch distance computations
-    vectorised); generic sequences fall back to a list.
+    numpy arrays use ``take`` along the first axis (keeping batch
+    distance computations vectorised; for rows of a 2-D array it is
+    several times faster than fancy indexing); generic sequences fall
+    back to a list.
     """
     if isinstance(objects, np.ndarray):
-        return objects[np.asarray(ids, dtype=np.intp)]
+        return objects.take(np.asarray(ids, dtype=np.intp), axis=0)
     return [objects[i] for i in ids]
 
 

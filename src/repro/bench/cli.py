@@ -11,6 +11,7 @@ Examples::
     repro-bench ratchet --baseline BENCH_serve_v1.json
     repro-bench coldstart --check BENCH_coldstart_v1.json
     repro-bench recall --check BENCH_recall_v1.json
+    repro-bench digest
 
 The ``stats`` subcommand reruns search experiments with per-query
 observability on (:class:`~repro.obs.QueryStats`) and prints the
@@ -109,6 +110,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.bench.recall import recall_main
 
         return recall_main(argv[1:])
+    if argv and argv[0] == "digest":
+        # ``repro-bench digest``: one SHA-256 per pinned input over the
+        # answers, stats, certificates and evaluated ids (see
+        # repro.bench.digest).
+        from repro.bench.digest import digest_main
+
+        return digest_main(argv[1:])
     collect_stats = False
     if argv and argv[0] == "stats":
         # ``repro-bench stats ...``: same flags, but range searches run

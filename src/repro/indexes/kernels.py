@@ -48,6 +48,18 @@ on the instance (``_kernel_cache``); mutating structures
 update.  Missing children carry ``(-inf, +inf)`` sentinel bounds so the
 vectorised comparisons never see them as prunable (and never produce
 ``inf - inf`` NaNs); an existence mask excludes them from every count.
+
+Leaves are point-major (:data:`GMVP_LEAF_TABLES`): a leaf's points are
+one run of rows, and each point's D_t row ``(v,)`` and PATH row
+``(p,)``, zero past its leaf's length, share that row.  A batch of
+leaves is one :func:`_segments` call plus one row gather per table.  A
+frontier iteration costs numpy calls, not distances: on concentrated
+data the tree touches most points anyway, so per-iteration overhead
+sets the wall time.  The loop therefore reads precomputed per-leaf
+widths and ready-made child rows, gathers 2-D rows with ``take`` and
+``compress`` (several times faster than fancy or boolean indexing),
+reduces over long axes only, and calls ndarray methods rather than
+their ``np.*`` wrappers.
 """
 
 from __future__ import annotations
@@ -76,6 +88,10 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 #: ``child_kind`` codes in the flattened arrays.
 _NONE, _INTERNAL, _LEAF = 0, 1, 2
 
+#: Tables the frontier derives from a family's arrays on its first
+#: search and caches beside them (see :meth:`_Adapter.__init__`).
+_DERIVED = ("leaf_size", "leaf_width", "child_rows", "path_cols", "sizes")
+
 
 def _slack_of(values: np.ndarray) -> np.ndarray:
     """Vectorised :func:`repro._util.slack` (same constant, same formula)."""
@@ -91,12 +107,6 @@ def _shell_miss(dq, radius: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     epsilon slack the scalar comparisons carry.
     """
     return ((dq - radius) > hi + _slack_of(hi)) | ((dq + radius) < lo - _slack_of(lo))
-
-
-def _admitted(bounds: np.ndarray, approximation: float, threshold: float) -> np.ndarray:
-    """Mask of entries whose lower bound does NOT definitely exceed the
-    current k-th distance (``not definitely_greater(b * approx, thr)``)."""
-    return ~(bounds * approximation > threshold + slack(threshold))
 
 
 def _offsets(counts: list[int]) -> np.ndarray:
@@ -116,10 +126,9 @@ def _concat(chunks: list, dtype) -> np.ndarray:
 
 def _segments(starts: np.ndarray, lens: np.ndarray):
     """Positions of the concatenated ranges ``[starts[i], starts[i] +
-    lens[i])``, with each position's range number and offset in it."""
-    seg = np.repeat(np.arange(lens.size), lens)
-    local = np.arange(seg.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    return starts[seg] + local, seg, local
+    lens[i])``, with each position's range number."""
+    seg = np.arange(lens.size).repeat(lens)
+    return (starts - lens.cumsum() + lens)[seg] + np.arange(seg.size), seg
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +153,7 @@ class _VPArrays:
         "leaf_ids",
         "root_kind",
         "root_idx",
-        "child_cost",
-        "sizes",
+        *_DERIVED,
     )
 
 
@@ -237,7 +245,7 @@ def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int
             if obs is not None:
                 obs.enter_leaves(lens)
                 obs.leaf_scans(lens, lens)
-            pos, _, _ = _segments(arrays.leaf_offsets[leaf_wave], lens)
+            pos, _ = _segments(arrays.leaf_offsets[leaf_wave], lens)
             candidates = arrays.leaf_ids[pos]
             distances = np.asarray(
                 tree._batch_dist(obs, gather(objects, candidates), query),
@@ -265,12 +273,10 @@ class _GMVPArrays:
     """Flat array view of a multi-vantage tree (built once, cached).
 
     Internal nodes become ``(count, m**v[, v])`` tables.  Leaves become
-    offset-indexed flat tables — vantage points, ids, the D_t rows
-    (``(rows, n)`` row-major per leaf) and the PATH rows (``(n,
-    path_len)`` per leaf) — under the same names as the ``.rsx``
-    sections they are written to, so a store maps them back unchanged
-    and a batch gathers every leaf's points with a handful of numpy
-    calls instead of a Python loop per leaf.
+    point-major tables under the same names as the ``.rsx`` sections
+    they are written to (:data:`GMVP_LEAF_TABLES`), so a store maps them
+    back unchanged and a batch gathers every leaf's points with a
+    handful of row gathers instead of a Python loop per leaf.
     """
 
     __slots__ = (
@@ -279,33 +285,35 @@ class _GMVPArrays:
         "bhi",
         "child_kind",
         "child_idx",
-        "leaf_vp_offsets",
         "leaf_vp_ids",
         "leaf_offsets",
         "leaf_ids",
-        "leaf_dist_offsets",
         "leaf_dists",
-        "leaf_path_len",
-        "leaf_path_offsets",
         "leaf_paths",
         "root_kind",
         "root_idx",
-        "child_cost",
-        "sizes",
+        *_DERIVED,
     )
 
 
-#: The flat leaf tables of :class:`_GMVPArrays` (also the ``.rsx``
-#: section names of the ``mvpt`` and ``gmvpt`` families).
+#: The leaf tables of :class:`_GMVPArrays`, which are also the ``.rsx``
+#: section names of the ``mvpt`` and ``gmvpt`` families:
+#:
+#: * ``leaf_vp_ids`` ``(leaves, v)``: each leaf's vantage points, ``-1``
+#:   past its count (only a leaf without points has fewer than ``v``);
+#: * ``leaf_offsets`` ``(leaves + 1,)`` and ``leaf_ids`` ``(N,)``: each
+#:   leaf's points, a contiguous run of rows;
+#: * ``leaf_dists`` ``(N, v)``: row ``i`` holds point ``i``'s distances
+#:   to its leaf's vantage points (the paper's D1/D2 at ``v = 2``);
+#: * ``leaf_paths`` ``(N, p)``: point ``i``'s PATH row, zero past its
+#:   leaf's ``path_len``.
+#:
+#: All three point tables share the rows of ``leaf_ids``.
 GMVP_LEAF_TABLES = (
-    "leaf_vp_offsets",
     "leaf_vp_ids",
     "leaf_offsets",
     "leaf_ids",
-    "leaf_dist_offsets",
     "leaf_dists",
-    "leaf_path_len",
-    "leaf_path_offsets",
     "leaf_paths",
 )
 
@@ -352,15 +360,17 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
                     arrays.blo[n, c, t] = lo
                     arrays.bhi[n, c, t] = hi
     # int64/float64 throughout: the tables are written to stores as is.
-    arrays.leaf_vp_offsets = _offsets([len(n.vp_ids) for n in leaves])
-    arrays.leaf_vp_ids = _concat([n.vp_ids for n in leaves], np.int64)
     arrays.leaf_offsets = _offsets([len(n.ids) for n in leaves])
     arrays.leaf_ids = _concat([n.ids for n in leaves], np.int64)
-    arrays.leaf_dist_offsets = _offsets([n.dists.size for n in leaves])
-    arrays.leaf_dists = _concat([n.dists for n in leaves], np.float64)
-    arrays.leaf_path_len = np.asarray([n.path_len for n in leaves], dtype=np.int64)
-    arrays.leaf_path_offsets = _offsets([n.paths.size for n in leaves])
-    arrays.leaf_paths = _concat([n.paths for n in leaves], np.float64)
+    arrays.leaf_vp_ids = np.full((len(leaves), v), -1, dtype=np.int64)
+    arrays.leaf_dists = np.zeros((arrays.leaf_ids.size, v))
+    arrays.leaf_paths = np.zeros((arrays.leaf_ids.size, tree.p))
+    for n, (node, start) in enumerate(zip(leaves, arrays.leaf_offsets.tolist())):
+        arrays.leaf_vp_ids[n, : len(node.vp_ids)] = node.vp_ids
+        if node.ids:
+            rows = slice(start, start + len(node.ids))
+            arrays.leaf_dists[rows] = np.asarray(node.dists).T
+            arrays.leaf_paths[rows, : node.path_len] = node.paths
     arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
     tree._kernel_cache = arrays
     return arrays
@@ -384,47 +394,53 @@ def _grow_paths(paths: np.ndarray, level: int, p: int, dq: np.ndarray) -> np.nda
     return np.hstack([paths, dq[:, :keep]])
 
 
-class _LeafWave:
-    """Every point of a batch of leaves, gathered from the flat tables:
-    ids, the query-minus-precomputed distance gaps ``|D_t - d(q, vp_t)|``
-    as a ``(v, n)`` block, and the PATH gaps as ``(n, width)``.
+def _vantage(arrays, iidx, lidx):
+    """Vantage points of internal nodes ``iidx`` (row by row), then of
+    leaves ``lidx``, and the ``(leaves, v)`` mask of the leaves' real
+    vantage points."""
+    leaf_vps = arrays.leaf_vp_ids.take(lidx, axis=0)
+    real = leaf_vps >= 0
+    internal_vps = arrays.vp_ids.take(iidx, axis=0).ravel()
+    return np.concatenate((internal_vps, leaf_vps[real])), real
 
-    ``lpaths`` holds one query PATH row per leaf, at least as wide as
-    the leaf's own ``leaf_path_len``; PATH gaps past a leaf's length are
-    zero, so leaves from different depths share one batch.
+
+class _LeafWave:
+    """Every point of a batch of leaves, gathered from the point-major
+    tables: ids, and one ``(v + w, n)`` block of gaps, the D_t gaps
+    ``|D_t - d(q, vp_t)|`` in its first ``v`` rows and the PATH gaps in
+    the other ``w`` (gap-major, so reductions over a point's gaps run
+    along the long axis).
+
+    ``real`` is :func:`_vantage`'s mask and ``dall[offset:]`` the paid
+    leaf vantage distances in its order.  ``lpaths`` holds one query
+    PATH row per leaf, ``w`` wide and zero past the entry's depth.  A
+    leaf at level ``L`` keeps ``min(p, L - 1)`` PATH entries, exactly
+    the prefix the query row has filled there, so past it both sides
+    are zero and so is the gap: leaves from different depths share one
+    batch without a per-leaf length.
     """
 
-    __slots__ = ("lens", "seg", "ids", "dist_gap", "path_gap")
+    __slots__ = ("lens", "seg", "ids", "gap")
 
-    def __init__(self, arrays, lidx, lpaths, dall, offset: int):
-        self.lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
-        pos, seg, local = _segments(arrays.leaf_offsets[lidx], self.lens)
+    def __init__(self, arrays, lidx, lens, real, dall, offset: int, lpaths):
+        self.lens = lens
+        pos, seg = _segments(arrays.leaf_offsets[lidx], lens)
         self.seg = seg
         self.ids = arrays.leaf_ids[pos]
-        widths = arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx]
-        # Every leaf holding points keeps all v vantage points, so its
-        # D_t row t sits t * n past row 0 and d(q, vp_t) t past d(q, vp_0).
-        rows = np.arange(arrays.vp_ids.shape[1])[:, None]
-        first_vp = offset + np.cumsum(widths) - widths
-        dist_pos = arrays.leaf_dist_offsets[lidx][seg] + local
-        self.dist_gap = np.abs(
-            arrays.leaf_dists[dist_pos + rows * self.lens[seg]]
-            - dall[first_vp[seg] + rows]
+        dq = np.zeros(real.shape)
+        dq[real] = dall[offset:]
+        v, width = real.shape[1], lpaths.shape[1]
+        gap = np.empty((v + width, pos.size))
+        np.subtract(
+            arrays.leaf_dists.take(pos, axis=0).T, dq.take(seg, axis=0).T, out=gap[:v]
         )
-        # A leaf keeps min(p, vantage points above it) PATH entries.
-        self.path_gap = None
-        path_len = arrays.leaf_path_len[lidx][seg]
-        width = int(path_len.max()) if seg.size else 0
         if width:
-            path_pos = arrays.leaf_path_offsets[lidx][seg] + local * path_len
-            positions = path_pos[:, None] + np.arange(width)
-            past = None
-            if (path_len < width).any():
-                past = np.arange(width) >= path_len[:, None]
-                positions[past] = 0
-            self.path_gap = np.abs(arrays.leaf_paths[positions] - lpaths[seg, :width])
-            if past is not None:
-                self.path_gap[past] = 0.0
+            np.subtract(
+                arrays.leaf_paths[:, :width].take(pos, axis=0).T,
+                lpaths.take(seg, axis=0).T,
+                out=gap[v:],
+            )
+        self.gap = np.abs(gap, out=gap)
 
     def scans(self, obs: Optional[Observation], keep: np.ndarray) -> None:
         """One ``leaf_scan`` per non-empty leaf of the batch."""
@@ -434,39 +450,15 @@ class _LeafWave:
             obs.leaf_scans(self.lens[seen], scanned[seen])
 
 
-def _wave_distances(tree, arrays, iidx, lidx, query, obs):
-    """One batch for every vantage-point distance of a wave: returns the
-    batched ids and distances and the internal ``(n_int, v)`` block."""
-    n_int = iidx.size
-    if obs is not None:
-        obs.enter_internals(n_int)
-        obs.enter_leaves(arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx])
-    all_vps = _vantage_ids(arrays, iidx, lidx)
-    dall = np.asarray(
-        tree._batch_dist(obs, gather(tree._objects, all_vps), query),
-        dtype=np.float64,
-    )
-    v = arrays.vp_ids.shape[1]
-    return all_vps, dall, dall[: n_int * v].reshape(n_int, v)
-
-
-def _vantage_ids(arrays, iidx, lidx) -> np.ndarray:
-    """Vantage points of internal nodes ``iidx`` (row by row), then of
-    leaves ``lidx``."""
-    leaf_vps, _, _ = _segments(
-        arrays.leaf_vp_offsets[lidx],
-        arrays.leaf_vp_offsets[lidx + 1] - arrays.leaf_vp_offsets[lidx],
-    )
-    return np.concatenate([arrays.vp_ids[iidx].ravel(), arrays.leaf_vp_ids[leaf_vps]])
-
-
 def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
     """Level-synchronous range search (paper section 4.3): visits
     exactly the nodes the shell and PATH bounds admit."""
     if tree._root is None:
         return []
     arrays = _gmvp_arrays(tree)
+    objects = tree._objects
     p = tree.p
+    v = arrays.vp_ids.shape[1]
     loose = radius + slack(radius)
     out: list[int] = []
     iidx, ipaths, lidx, lpaths = _wave_roots(arrays)
@@ -474,16 +466,22 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
 
     while iidx.size or lidx.size:
         n_int = iidx.size
-        all_vps, dall, dq = _wave_distances(tree, arrays, iidx, lidx, query, obs)
-        v = dq.shape[1]
+        lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
+        if obs is not None:
+            obs.enter_internals(n_int)
+            obs.enter_leaves(lens)
+        all_vps, real = _vantage(arrays, iidx, lidx)
+        dall = np.asarray(
+            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
+        )
         out.extend(all_vps[dall <= radius].tolist())
 
         # Leaf candidate selection: the D_t filters, then the PATH
         # filter (paper step 2.2), over every leaf point of the wave;
         # one batched verification pays the survivors.
         if lidx.size:
-            wave = _LeafWave(arrays, lidx, lpaths, dall, n_int * v)
-            ok = wave.dist_gap <= loose
+            wave = _LeafWave(arrays, lidx, lens, real, dall, n_int * v, lpaths)
+            ok = wave.gap[:v] <= loose
             if obs is None:
                 keep = ok.all(axis=0)
             else:
@@ -494,8 +492,8 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
                     obs.filter_points(leaf_dist_kind(t), before - after)
                     before = after
                 keep = passed[-1]
-            if wave.path_gap is not None:
-                path_ok = np.all(wave.path_gap <= loose, axis=1)
+            if wave.gap.shape[0] > v:
+                path_ok = np.all(wave.gap[v:] <= loose, axis=0)
                 if obs is not None:
                     obs.filter_points(
                         PRUNE_PATH_FILTER, int(np.count_nonzero(keep & ~path_ok))
@@ -505,12 +503,13 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
             candidates = wave.ids[keep]
             if candidates.size:
                 distances = np.asarray(
-                    tree._batch_dist(obs, gather(tree._objects, candidates), query),
+                    tree._batch_dist(obs, gather(objects, candidates), query),
                     dtype=np.float64,
                 )
                 out.extend(candidates[distances <= radius].tolist())
 
         if n_int:
+            dq = dall[: n_int * v].reshape(n_int, v)
             child_paths = _grow_paths(ipaths, level, p, dq)
             miss_t = _shell_miss(
                 dq[:, None, :], radius, arrays.blo[iidx], arrays.bhi[iidx]
@@ -646,14 +645,14 @@ class _TopK:
         k = self.k
         if self.dist.size == k:
             near = distances <= self.dist[-1]
-            distances, ids = distances[near], ids[near]
-            if not distances.size:
+            if not near.any():
                 return
+            distances, ids = distances[near], ids[near]
         dist = np.concatenate((self.dist, distances))
         ids = np.concatenate((self.ids, ids))
         if dist.size > k:
             # Keep every tie of the k-th distance; the lexsort breaks them.
-            near = dist <= dist[np.argpartition(dist, k - 1)[k - 1]]
+            near = dist <= dist[dist.argpartition(k - 1)[k - 1]]
             dist, ids = dist[near], ids[near]
         order = np.lexsort((ids, dist))[:k]
         self.dist, self.ids = dist[order], ids[order]
@@ -689,20 +688,44 @@ class _Hits:
 
 
 #: Frontier row layout: lower bound, node kind, node slot, cost
-#: (vantage points plus leaf points), then family columns.
+#: (vantage points plus leaf points), then the family's columns.
 _LB, _KIND, _SLOT, _COST = range(4)
 
 
 class _Adapter:
     """What the frontier loop needs from a family: its vantage points,
-    child rows with their section 4.3 bounds, and leaf-point bounds."""
+    child rows with their section 4.3 bounds, and leaf-point bounds.
+
+    The first search over a family's arrays derives the tables named in
+    :data:`_DERIVED` and caches them on the arrays: per-leaf point and
+    vantage-point counts, and one ready frontier row (kind, slot, cost)
+    per child, so an iteration copies rows instead of filling columns.
+    """
 
     __slots__ = ("arrays", "v", "width")
 
+    def __init__(self, arrays, v: int, width: int):
+        self.arrays, self.v, self.width = arrays, v, width
+        if getattr(arrays, "child_rows", None) is None:
+            self._derive()
+
+    def _derive(self) -> None:
+        arrays = self.arrays
+        arrays.leaf_size = np.diff(arrays.leaf_offsets)
+        self._derive_family()
+        kind, slot = arrays.child_kind, arrays.child_idx
+        rows = np.zeros(kind.shape + (4,))
+        rows[..., _KIND] = kind
+        rows[..., _SLOT] = slot
+        rows[..., _COST] = np.where(kind == _INTERNAL, self.v, 0)
+        leaf = kind == _LEAF
+        rows[leaf, _COST] = self.leaf_costs()[slot[leaf]]
+        # Last: a concurrent search derives again until this is set.
+        arrays.child_rows = rows
+
     def leaf_costs(self) -> np.ndarray:
         """Vantage points plus points per leaf (also its point count)."""
-        offsets = self.arrays.leaf_offsets
-        return self.leaf_widths(np.arange(offsets.size - 1)) + np.diff(offsets)
+        return self.arrays.leaf_width + self.arrays.leaf_size
 
     def root(self) -> np.ndarray:
         arrays = self.arrays
@@ -716,24 +739,15 @@ class _Adapter:
         return row
 
     def child_rows(self, iidx: np.ndarray, bound: np.ndarray):
-        """One row per existing child of internal nodes ``iidx`` (and
-        the parent row each came from)."""
+        """The first four columns of one row per existing child of
+        internal nodes ``iidx``, and each child's flat ``(parent,
+        child)`` position.  Row gathers use ``take``, several times
+        faster than fancy indexing on 2-D tables."""
         arrays = self.arrays
-        costs = getattr(arrays, "child_cost", None)
-        if costs is None:
-            kind, slot = arrays.child_kind, arrays.child_idx
-            costs = np.where(kind == _INTERNAL, self.v, 0)
-            leaf = kind == _LEAF
-            costs[leaf] = self.leaf_costs()[slot[leaf]]
-            arrays.child_cost = costs
-        w, c = np.nonzero(arrays.child_kind[iidx])
-        parent = iidx[w]
-        rows = np.empty((w.size, self.width))
-        rows[:, _LB] = bound[w, c]
-        rows[:, _KIND] = arrays.child_kind[parent, c]
-        rows[:, _SLOT] = arrays.child_idx[parent, c]
-        rows[:, _COST] = costs[parent, c]
-        return rows, w
+        flat = arrays.child_kind.take(iidx, axis=0).ravel().nonzero()[0]
+        rows = arrays.child_rows.take(iidx, axis=0).reshape(-1, 4).take(flat, axis=0)
+        rows[:, _LB] = bound.ravel().take(flat)
+        return rows, flat
 
     def subtree_sizes(self):
         """``(internal, leaf)`` point counts per subtree, cached on the
@@ -763,80 +777,97 @@ class _VPApprox(_Adapter):
     __slots__ = ()
 
     def __init__(self, tree):
-        self.arrays = _vp_arrays(tree)
-        self.v = 1
-        self.width = 4
+        super().__init__(_vp_arrays(tree), 1, 4)
 
-    def leaf_widths(self, lidx: np.ndarray) -> np.ndarray:
-        return np.zeros(lidx.size, dtype=np.int64)
+    def _derive_family(self) -> None:
+        self.arrays.leaf_width = np.zeros_like(self.arrays.leaf_size)
 
-    def vantage(self, iidx: np.ndarray, lidx: np.ndarray) -> np.ndarray:
-        return self.arrays.vp_ids[iidx]
+    def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
+        return self.arrays.vp_ids[iidx], None
 
     def children(self, iidx, dq, parents):
         arrays = self.arrays
         bound = np.maximum(
-            np.maximum(parents[:, _LB, None], dq - arrays.child_hi[iidx]),
-            np.maximum(arrays.child_lo[iidx] - dq, 0.0),
+            np.maximum(parents[:, _LB, None], dq - arrays.child_hi.take(iidx, axis=0)),
+            np.maximum(arrays.child_lo.take(iidx, axis=0) - dq, 0.0),
         )
         return self.child_rows(iidx, bound)[0]
 
-    def points(self, lidx, parents, dall, offset):
+    def points(self, lidx, leaves, dall, offset, real):
         arrays = self.arrays
-        lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
-        pos, seg, _ = _segments(arrays.leaf_offsets[lidx], lens)
-        return arrays.leaf_ids[pos], parents[seg, _LB], seg, lens
+        lens = arrays.leaf_size[lidx]
+        pos, seg = _segments(arrays.leaf_offsets[lidx], lens)
+        return arrays.leaf_ids[pos], leaves[:, _LB][seg], seg, lens
 
 
 class _GMVPApprox(_Adapter):
     """Multi-vantage frontier adapter: ``v`` vantage points per internal
-    node, the leaf's own per leaf; family columns are the entry's level
-    and its query PATH row (``p`` wide, zero past the entry's depth)."""
+    node, the leaf's own per leaf.  The family columns are the entry's
+    query PATH row, ``p`` wide and zero past the entry's depth, plus one
+    scratch column that absorbs the distances the PATH has no room for.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, tree):
-        self.arrays = _gmvp_arrays(tree)
         self.p = tree.p
-        self.v = int(self.arrays.vp_ids.shape[1])
-        self.width = 5 + self.p
+        arrays = _gmvp_arrays(tree)
+        super().__init__(arrays, int(arrays.vp_ids.shape[1]), 5 + self.p)
 
-    def root(self) -> np.ndarray:
-        row = super().root()
-        row[0, 4] = 1  # level
-        return row
+    def _derive_family(self) -> None:
+        arrays, v = self.arrays, self.v
+        arrays.leaf_width = np.count_nonzero(arrays.leaf_vp_ids >= 0, axis=1)
+        # Internal nodes by level (root 1, children v further down).
+        level = np.zeros(arrays.vp_ids.shape[0], dtype=np.intp)
+        nodes = np.array([arrays.root_idx] if arrays.root_kind == _INTERNAL else [])
+        depth = 1
+        while nodes.size:
+            level[nodes] = depth
+            internal = arrays.child_kind[nodes] == _INTERNAL
+            nodes, depth = arrays.child_idx[nodes][internal], depth + v
+        # path_q[level + t - 1] = d(q, vp_t) while the PATH has room;
+        # the scratch column takes the rest.
+        arrays.path_cols = 4 + np.minimum(level[:, None] - 1 + np.arange(v), self.p)
 
-    def leaf_widths(self, lidx: np.ndarray) -> np.ndarray:
-        offsets = self.arrays.leaf_vp_offsets
-        return offsets[lidx + 1] - offsets[lidx]
-
-    def vantage(self, iidx: np.ndarray, lidx: np.ndarray) -> np.ndarray:
-        return _vantage_ids(self.arrays, iidx, lidx)
+    def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
+        return _vantage(self.arrays, iidx, lidx)
 
     def children(self, iidx, dq, parents):
         arrays = self.arrays
+        dq3 = dq[:, None, :]
         shells = np.maximum(
-            dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
+            dq3 - arrays.bhi.take(iidx, axis=0), arrays.blo.take(iidx, axis=0) - dq3
         )
-        bound = np.maximum(parents[:, _LB, None], shells.max(axis=2))
-        rows, w = self.child_rows(iidx, bound)
-        # path_q[level + t - 1] = d(q, vp_t) while the PATH has room.
-        level = parents[:, 4].astype(np.intp)
-        paths = parents[:, 5:].copy()
+        # The max over the v shells one column at a time: a reduction
+        # over a short last axis is ten times slower.
+        bound = parents[:, _LB, None]
         for t in range(self.v):
-            col = level - 1 + t
-            room = col < self.p
-            paths[room, col[room]] = dq[room, t]
-        rows[:, 4] = parents[w, 4] + self.v
-        rows[:, 5:] = paths[w]
+            bound = np.maximum(bound, shells[..., t])
+        # ``parents`` is the loop's own copy of the rows: extend their
+        # PATH in place, then hand it down.
+        width = self.width
+        parents.put(
+            np.arange(0, iidx.size * width, width)[:, None]
+            + arrays.path_cols.take(iidx, axis=0),
+            dq,
+        )
+        head, flat = self.child_rows(iidx, bound)
+        rows = parents.take(flat // arrays.child_kind.shape[1], axis=0)
+        rows[:, :4] = head
         return rows
 
-    def points(self, lidx, parents, dall, offset):
-        wave = _LeafWave(self.arrays, lidx, parents[:, 5:], dall, offset)
-        lower = wave.dist_gap.max(axis=0, initial=0.0)
-        if wave.path_gap is not None:
-            lower = np.maximum(lower, wave.path_gap.max(axis=1))
-        return wave.ids, np.maximum(lower, parents[wave.seg, _LB]), wave.seg, wave.lens
+    def points(self, lidx, leaves, dall, offset, real):
+        wave = _LeafWave(
+            self.arrays,
+            lidx,
+            self.arrays.leaf_size[lidx],
+            real,
+            dall,
+            offset,
+            leaves[:, 4 : 4 + self.p],
+        )
+        lower = np.maximum(wave.gap.max(axis=0), leaves[:, _LB][wave.seg])
+        return wave.ids, lower, wave.seg, wave.lens
 
 
 _APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _GMVPApprox, "gmvpt": _GMVPApprox}
@@ -874,6 +905,17 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
         sink.add(distances, ids)
         return distances
 
+    def scale(bounds: np.ndarray) -> np.ndarray:
+        """Bounds as compared with :func:`cutoff` (``x * 1.0 == x``, so
+        the exact search skips the multiply)."""
+        return bounds * approximation if approximation != 1.0 else bounds
+
+    def cutoff() -> float:
+        """Scaled bounds above this definitely exceed the running
+        threshold."""
+        threshold = sink.threshold()
+        return threshold + slack(threshold)
+
     front = adapter.root()  # sorted by lower bound, then insertion order
     dropped: list[np.ndarray] = []  # child rows the threshold dropped
     dropped_points: list[np.ndarray] = []  # their lower bounds
@@ -883,9 +925,7 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
 
     while True:
         # The admitted entries are a prefix of the sorted frontier.
-        admitted = int(
-            np.count_nonzero(_admitted(front[:, _LB], approximation, sink.threshold()))
-        )
+        admitted = int(scale(front[:, _LB]).searchsorted(cutoff(), "right"))
         if not admitted:
             break
         if budget is None:
@@ -894,37 +934,41 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             cap = max(sink.k, tracker.spent // 8)
         else:
             cap = 0
-        take = int(np.searchsorted(np.cumsum(front[:admitted, _COST]), cap, "right"))
+        take = int(front[:admitted, _COST].cumsum().searchsorted(cap, "right"))
         take = min(admitted, max(1, take))
         batch, front = front[:take], front[take:]
 
-        kind = batch[:, _KIND]
-        internal = batch[kind == _INTERNAL]
-        leaves = batch[kind == _LEAF]
+        is_leaf = batch[:, _KIND] == _LEAF
+        internal = batch.compress(~is_leaf, axis=0)
+        leaves = batch.compress(is_leaf, axis=0)
         iidx = internal[:, _SLOT].astype(np.intp)
         lidx = leaves[:, _SLOT].astype(np.intp)
-        vantage = adapter.vantage(iidx, lidx)
+        vantage, real = adapter.vantage(iidx, lidx)
         dall = pay(vantage)
-        paid = dall.size
-        # An entry is opened once all of its vantage points are paid.
-        n_int = min(iidx.size, paid // v)
-        ends = iidx.size * v + np.cumsum(adapter.leaf_widths(lidx))
-        n_leaf = int(np.searchsorted(ends, paid, "right"))
-        if paid < vantage.size:
+        n_int, n_leaf = iidx.size, lidx.size
+        if dall.size < vantage.size:
+            # An entry is opened once all of its vantage points are paid.
             cut = True
+            paid = dall.size
+            n_int = min(n_int, paid // v)
+            ends = iidx.size * v + adapter.arrays.leaf_width[lidx].cumsum()
+            n_leaf = int(ends.searchsorted(paid, "right"))
             stranded += [internal[n_int:], leaves[n_leaf:]]
+            # Pad to full length; the unpaid slots are never read.
+            dall = np.concatenate((dall, np.zeros(vantage.size - paid)))
         if obs is not None:
             obs.enter_internals(n_int)
 
         if n_leaf:
             ids, lower, seg, lens = adapter.points(
-                lidx[:n_leaf], leaves[:n_leaf], dall, iidx.size * v
+                lidx[:n_leaf], leaves[:n_leaf], dall, iidx.size * v, real
             )
             if obs is not None:
                 obs.enter_leaves(lens)
-            keep = _admitted(lower, approximation, sink.threshold())
-            if not keep.all():
-                dropped_points.append(lower[~keep])
+            drop = scale(lower) > cutoff()
+            if drop.any():
+                dropped_points.append(lower[drop])
+                keep = ~drop
                 ids, lower, seg = ids[keep], lower[keep], seg[keep]
             if budget is not None:
                 order = np.lexsort((ids, lower))
@@ -940,13 +984,13 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             rows = adapter.children(
                 iidx[:n_int], dall[: n_int * v].reshape(n_int, v), internal[:n_int]
             )
-            keep = _admitted(rows[:, _LB], approximation, sink.threshold())
-            if not keep.all():
-                dropped.append(rows[~keep])
-                rows = rows[keep]
+            drop = scale(rows[:, _LB]) > cutoff()
+            if drop.any():
+                dropped.append(rows.compress(drop, axis=0))
+                rows = rows.compress(~drop, axis=0)
             # A stable sort puts new rows after equal bounds already there.
             front = np.concatenate((front, rows))
-            front = front[np.argsort(front[:, _LB], kind="stable")]
+            front = front.take(front[:, _LB].argsort(kind="stable"), axis=0)
 
         if cut:
             stranded.append(front)

@@ -143,7 +143,7 @@ class VPTree(MetricIndex):
         self.leaf_count = 0
         self.vantage_point_count = 0
         self.height = 0
-        self._root = self._build(list(range(len(objects))), depth=1)
+        self._root = self._build(np.arange(len(objects)), depth=1)
         self._kernel_cache = None  # flat arrays, built lazily on first search
 
     # ------------------------------------------------------------------
@@ -151,37 +151,43 @@ class VPTree(MetricIndex):
     # ------------------------------------------------------------------
 
     def _build(
-        self, ids: list[int], depth: int
+        self, ids: np.ndarray, depth: int
     ) -> Union[VPInternalNode, VPLeafNode, None]:
-        """Recursively partition ``ids`` into spherical shells.
+        """Recursively partition ``ids`` (an integer array) into
+        spherical shells.
 
         Recursion depth is bounded by the tree height (groups shrink by
         a factor of ``m`` per level), so the default interpreter stack
         suffices.
         """
-        if not ids:
+        if not ids.size:
             return None
         self.height = max(self.height, depth)
-        if len(ids) <= self.leaf_capacity:
+        if ids.size <= self.leaf_capacity:
             self.node_count += 1
             self.leaf_count += 1
-            return VPLeafNode(list(ids))
+            return VPLeafNode(ids.tolist())
 
         vp_id = self._selector.select(ids, self._objects, self._metric, self._rng)
-        rest = [i for i in ids if i != vp_id]
+        rest = ids[ids != vp_id]
         distances = np.asarray(
             self._batch_dist(None, gather(self._objects, rest), self._objects[vp_id])
         )
-        if distances.size and float(distances.max()) == 0.0:
+        # Sorted, so every group's extremes are its first and last.
+        order = distances.argsort(kind="stable")
+        if distances.size and float(distances[order[-1]]) == 0.0:
             # Zero-diameter group (all points identical under the
             # metric, by the triangle inequality): no shell can ever
             # separate them, so recursing just peels one vantage point
             # per level.  Fall back to an (oversized) leaf.
             self.node_count += 1
             self.leaf_count += 1
-            return VPLeafNode(list(ids))
-        order = np.argsort(distances, kind="stable")
-        groups = np.array_split(order, self.m)
+            return VPLeafNode(ids.tolist())
+        # np.array_split's sections: the first ``extra`` groups take one
+        # more point.
+        size, extra = divmod(order.size, self.m)
+        ends = [g * size + min(g, extra) for g in range(self.m + 1)]
+        groups = [order[ends[g] : ends[g + 1]] for g in range(self.m)]
 
         cutoffs: list[float] = []
         bounds: list[tuple[float, float]] = []
@@ -191,11 +197,10 @@ class VPTree(MetricIndex):
                 children.append(None)
                 bounds.append((float("inf"), float("-inf")))
             else:
-                group_dist = distances[group]
-                bounds.append((float(group_dist.min()), float(group_dist.max())))
-                children.append(
-                    self._build([rest[int(i)] for i in group], depth + 1)
+                bounds.append(
+                    (float(distances[group[0]]), float(distances[group[-1]]))
                 )
+                children.append(self._build(rest[group], depth + 1))
             if g < len(groups) - 1:
                 # Boundary between this group and the next: the paper's
                 # cutoff value (the median for m=2).

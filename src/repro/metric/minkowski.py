@@ -41,33 +41,54 @@ class Minkowski(Metric):
             raise ValueError(f"scale must be positive, got {scale}")
         self.p = float(p)
         self.scale = float(scale)
+        # Decided once: the norm's shape, and whether to divide at all
+        # (x / 1.0 == x, so skipping it changes no bit).
+        self._kind = (
+            "max" if np.isinf(self.p)
+            else "sum" if self.p == 1.0
+            else "l2" if self.p == 2.0
+            else "power"
+        )
+        self._rescale = self.scale != 1.0
 
     def distance(self, a, b) -> float:
-        diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        return self._norm(diff, axis=None)
+        return self._norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), None)
 
     def batch_distance(self, xs: Sequence, y) -> np.ndarray:
+        if (
+            type(xs) is np.ndarray
+            and xs.ndim == 2
+            and xs.dtype == np.float64
+            and type(y) is np.ndarray
+            and y.ndim == 1
+            and y.dtype == np.float64
+        ):
+            # The kernels' case: gathered rows against one query.
+            return self._norm(xs - y, 1)
         if len(xs) == 0:
             return np.empty(0)
         matrix = np.asarray(xs, dtype=float)
         if matrix.ndim == 1:  # a batch of scalars
             matrix = matrix[:, np.newaxis]
             y = np.atleast_1d(np.asarray(y, dtype=float))
-        diff = np.abs(
-            matrix.reshape(len(matrix), -1) - np.ravel(np.asarray(y, dtype=float))
+        return self._norm(
+            matrix.reshape(len(matrix), -1) - np.ravel(np.asarray(y, dtype=float)), 1
         )
-        return self._norm(diff, axis=1)
 
     def _norm(self, diff: np.ndarray, axis):
-        if np.isinf(self.p):
-            value = diff.max(axis=axis)
-        elif self.p == 1.0:
-            value = diff.sum(axis=axis)
-        elif self.p == 2.0:
+        """The scaled Lp norm of the differences ``diff``."""
+        kind = self._kind
+        if kind == "l2":
+            # x * x == |x| * |x| bit for bit, so no abs.
             value = np.sqrt(np.square(diff).sum(axis=axis))
+        elif kind == "sum":
+            value = np.abs(diff).sum(axis=axis)
+        elif kind == "max":
+            value = np.abs(diff).max(axis=axis)
         else:
-            value = np.power(np.power(diff, self.p).sum(axis=axis), 1.0 / self.p)
-        return value / self.scale
+            powered = np.power(np.abs(diff), self.p)
+            value = np.power(powered.sum(axis=axis), 1.0 / self.p)
+        return value / self.scale if self._rescale else value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         scale = f", scale={self.scale}" if self.scale != 1.0 else ""

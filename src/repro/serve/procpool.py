@@ -140,6 +140,14 @@ class ProcessExecutor:
     search through :meth:`search`, which blocks the orchestration
     thread on the forked worker's answer.
 
+    The thread pool holds ``2 * max_workers`` orchestrators.  A blocked
+    orchestrator holds one unit, so with one thread per worker at most
+    ``max_workers`` units ever reached the process pool: a worker that
+    finished a unit idled until a parent thread woke, collected the
+    answer and picked up the next unit.  With two per worker, each
+    worker has one unit running and the next already pickled in the
+    pool's call queue.
+
     Parameters
     ----------
     index:
@@ -147,8 +155,8 @@ class ProcessExecutor:
         under a fresh token, then inherited by every worker at fork.
         May be ``None`` in disk-backed mode.
     max_workers:
-        Worker process count (an equal number of orchestration threads
-        is created so no search ever waits for an orchestrator).
+        Worker process count (twice as many orchestration threads are
+        created, see above).
     warm_timeout_s:
         How long ``__init__`` may spend forking the full complement of
         workers up front.  Eager forking is a *fork-safety* measure,
@@ -224,7 +232,7 @@ class ProcessExecutor:
         )
         self._warm(warm_timeout_s)
         self._threads = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve-orch"
+            max_workers=2 * max_workers, thread_name_prefix="repro-serve-orch"
         )
 
     def _warm(self, timeout_s: float) -> None:

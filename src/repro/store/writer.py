@@ -119,7 +119,7 @@ def _gmvpt_payload(tree: GMVPTree):
     tree_meta = {
         "root_kind": int(arrays.root_kind),
         "root_idx": int(arrays.root_idx),
-        "n_leaves": len(arrays.leaf_path_len),
+        "n_leaves": len(arrays.leaf_offsets) - 1,
     }
     params = {"m": tree.m, "v": tree.v, "k": tree.k, "p": tree.p}
     if isinstance(tree, MVPTree):

@@ -90,6 +90,22 @@ class TestBatchConsistency:
         singles = [metric.distance(x, y) for x in xs]
         np.testing.assert_allclose(batch, singles)
 
+    @pytest.mark.parametrize(
+        "metric",
+        [L1(), L2(), LInf(), Minkowski(3), L2(scale=100.0), LInf(scale=0.3)],
+        ids=["L1", "L2", "LInf", "L3", "L2/100", "LInf/0.3"],
+    )
+    def test_array_fast_path_is_bit_identical(self, metric):
+        # A 2-D float64 array against a 1-D float64 query skips the
+        # generic coercions; a list of rows takes them.
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=(30, 9))
+        y = rng.normal(size=9)
+        xs[4] = y
+        fast = metric.batch_distance(xs, y)
+        generic = metric.batch_distance(list(xs), y)
+        assert fast.tobytes() == generic.tobytes()
+
     def test_batch_on_list_of_arrays(self):
         xs = [np.array([0.0, 0.0]), np.array([3.0, 4.0])]
         np.testing.assert_allclose(L2().batch_distance(xs, np.zeros(2)), [0.0, 5.0])

@@ -10,6 +10,7 @@ certificates must equal the sequential ``ShardManager.approx_*`` pass.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +166,31 @@ def test_process_pool_replicated_failover_stays_exact(uniform_data):
     assert range_result.ids == oracle.range_search(objects[0], 0.5)
     assert knn_result.neighbors == oracle.knn_search(objects[1], 5)
     assert range_result.stats.failovers == 3  # every shard failed over
+
+
+def test_process_pool_keeps_every_worker_fed(uniform_data):
+    """Two orchestrators per worker: one query over ``2N`` shards puts
+    all ``2N`` units in flight together (each worker has one running
+    and the next queued), so a hook that waits for all of them at a
+    barrier lets every unit through and the answer stays exact."""
+    workers = 2
+    objects = uniform_data[:160]
+    manager = ShardManager(
+        objects, L2(), n_shards=2 * workers, backend="vpt", rng=3
+    )
+    barrier = threading.Barrier(2 * workers, timeout=5.0)
+
+    def meet_all_units(qi, shard, attempt):
+        barrier.wait()
+
+    with QueryEngine(
+        manager, executor="process", workers=workers, retries=0,
+        fault_hook=meet_all_units,
+    ) as engine:
+        result = engine.run_batch([Query.knn(objects[5], 6)]).results[0]
+    assert not barrier.broken
+    assert not result.degraded
+    assert result.neighbors == LinearScan(objects, L2()).knn_search(objects[5], 6)
 
 
 def test_thread_executor_under_lockwatch_is_inversion_free(uniform_data):
