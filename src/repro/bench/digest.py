@@ -1,17 +1,20 @@
-"""Evaluation-sequence digest: one SHA-256 per pinned (family, data set).
+"""Evaluation-sequence digest: one SHA-256 per pinned (family, data set,
+call).
 
 ``repro-bench digest`` builds every tree family over two pinned data
 sets, runs a fixed query mix against each, and prints one line per
-input::
+input and call of the mix (``knn k=…``, ``bknn b=… eps=…``, ``range``,
+``brange b=…``)::
 
-    <family> <data set> <sha256>
+    <family> <data set> <call> <sha256>
 
-The hash covers, per query and in order: the answer, every
+The hash covers, per query of that call and in order: the answer, every
 :class:`~repro.obs.QueryStats` field, the
 :class:`~repro.approx.ApproxReport` (budgeted calls), and the ordered
 ids the metric was asked to evaluate, recorded by a wrapping metric.
-Two code versions that print the same lines answer the same, count the
-same, certify the same, and pay the same distances in the same order.
+Two code versions that print the same line answer that call the same,
+count the same, certify the same, and pay the same distances in the
+same order; a change to one kind of search moves only its own lines.
 
 The module imports only public APIs, so the same file also runs as a
 script against another checkout's sources::
@@ -144,10 +147,11 @@ def _calls(index, radius: float):
     return calls
 
 
-def digest_index(index, metric: RecordingMetric, queries, radius: float) -> str:
-    """SHA-256 over the pinned query mix against ``index``."""
-    sha = hashlib.sha256()
+def digest_index(index, metric: RecordingMetric, queries, radius: float):
+    """Yield ``(call label, SHA-256)`` for each call of the pinned query
+    mix against ``index``."""
     for label, call in _calls(index, radius):
+        sha = hashlib.sha256()
         for q in queries:
             stats = QueryStats()
             metric.seen = []
@@ -167,25 +171,28 @@ def digest_index(index, metric: RecordingMetric, queries, radius: float) -> str:
                 "evaluated": metric.seen,
             }
             sha.update(json.dumps(record, sort_keys=True).encode())
-    return sha.hexdigest()
+        yield label, sha.hexdigest()
 
 
 def run_digest(workdir: Path):
-    """Yield ``(family, data set, digest)`` for every pinned input."""
+    """Yield ``(family, data set, call label, digest)`` for every pinned
+    input and call."""
     for data_name, (points, radius) in datasets().items():
         queries = _query_points(points)
         built = {}
         for family, builder in FAMILIES.items():
             metric = RecordingMetric(points)
             index = built[family] = builder(points, metric)
-            yield family, data_name, digest_index(index, metric, queries, radius)
+            for label, digest in digest_index(index, metric, queries, radius):
+                yield family, data_name, label, digest
         for family, source in STORED.items():
             path = workdir / f"{data_name}-{family}.rsx"
             write_store(built[source], path)
             metric = RecordingMetric(points)
             index = open_index(path, metric)
             try:
-                yield family, data_name, digest_index(index, metric, queries, radius)
+                for label, digest in digest_index(index, metric, queries, radius):
+                    yield family, data_name, label, digest
             finally:
                 index.close()
 
@@ -195,13 +202,13 @@ def digest_main(argv: Optional[Sequence[str]] = None) -> int:
     argparse.ArgumentParser(
         prog="repro-bench digest",
         description=(
-            "Print one SHA-256 per pinned (family, data set) over answers, "
-            "QueryStats, ApproxReports and the ordered evaluated ids."
+            "Print one SHA-256 per pinned (family, data set, call) over "
+            "answers, QueryStats, ApproxReports and the ordered evaluated ids."
         ),
     ).parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        for family, data_name, digest in run_digest(Path(workdir)):
-            print(f"{family} {data_name} {digest}", flush=True)
+        for family, data_name, label, digest in run_digest(Path(workdir)):
+            print(f"{family} {data_name} {label} {digest}", flush=True)
     return 0
 
 

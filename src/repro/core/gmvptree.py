@@ -354,7 +354,7 @@ class GMVPTree(MetricIndex):
     ) -> list[int]:
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
-        return kernels.gmvp_range(self, query, radius, obs)
+        return kernels.approx_tree_range(self, "gmvpt", query, radius, obs=obs)[0]
 
     # ------------------------------------------------------------------
     # k-NN search

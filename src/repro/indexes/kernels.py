@@ -1,33 +1,35 @@
-"""Array-backed frontier kernels for the tree indexes.
+"""Array-backed frontier kernel for the tree indexes.
 
-These are the search paths of :mod:`repro.indexes.vptree` and of the
+This is the one search path of :mod:`repro.indexes.vptree` and of the
 multi-vantage trees in :mod:`repro.core.gmvptree` (``MVPTree`` is its
-``v = 2`` case, with region-wide shells; the kernels are shared).  Tree
+``v = 2`` case, with region-wide shells; the kernel is shared).  Tree
 structure is flattened into numpy arrays; every step batches its
 vantage-point distances through one ``_batch_dist`` call, applies the
 paper's section 4.3 pruning bounds as numpy boolean masks, and pays the
 surviving leaf candidates in one more batched call, so the metric, not
-the interpreter, sits on the hot path.  Two traversals share the arrays:
+the interpreter, sits on the hot path.
 
-* **range search** (:func:`vp_range`, :func:`gmvp_range`) runs
-  level-synchronous waves: a range query's visit set does not depend on
-  visit order, so a whole frontier level is one batch;
-* **k-NN search**, exact or budgeted (:func:`approx_tree_knn`), and
-  budgeted range search (:func:`approx_tree_range`) run one best-first
-  frontier loop (:func:`_frontier`): each iteration orders the admitted
-  frontier by ``(lower bound, seq)`` and expands a cost-capped prefix of
-  it, so every distance it pays tightens the k-th-distance threshold
-  before the next batch is chosen.
+Every search, range or k-NN, exact or budgeted
+(:func:`approx_tree_range`, :func:`approx_tree_knn`), runs one frontier
+loop (:func:`_frontier`) over one family adapter, where the section 4.3
+bounds are written once (``children`` for shells, ``points`` for the
+D_t and PATH filters).  Only the batch rule depends on the search: an
+unbudgeted range search has a fixed threshold, so its batch is the whole
+frontier, one tree level per iteration; k-NN and budgeted searches order
+the admitted frontier by ``(lower bound, seq)`` and expand a cost-capped
+prefix of it, so every distance paid tightens the k-th-distance
+threshold before the next batch is chosen.
 
 Invariants:
 
 * every metric evaluation goes through the counting gateway
   (``_dist`` / ``_batch_dist``), so ``QueryStats.distance_calls``
   equals the :class:`~repro.metric.base.CountingMetric` delta;
-* range search visits exactly the nodes the section 4.3 bounds admit —
-  a node is entered iff no ancestor shell (and, at leaves, no D1/D2 or
-  PATH filter) excludes the query ball, independent of visit order — and
-  its ``QueryStats`` match a node-at-a-time walk counter for counter;
+* exact range search visits exactly the nodes the section 4.3 bounds
+  admit — a node is entered iff no ancestor shell (and, at leaves, no
+  D1/D2 or PATH filter) excludes the query ball, independent of visit
+  order — and its ``QueryStats``, per-bound prunes included, match a
+  node-at-a-time walk counter for counter;
 * k-NN returns the exact answer set with ``(distance, id)`` tie-breaks.
   An entry or leaf point is dropped only when its lower bound
   definitely exceeds the running k-th distance, which never drops a
@@ -68,7 +70,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro._util import PRUNE_EPSILON, gather, slack
+from repro._util import gather, slack
 from repro.indexes.base import Neighbor
 from repro.obs.stats import (
     PRUNE_BUDGET,
@@ -91,22 +93,6 @@ _NONE, _INTERNAL, _LEAF = 0, 1, 2
 #: Tables the frontier derives from a family's arrays on its first
 #: search and caches beside them (see :meth:`_Adapter.__init__`).
 _DERIVED = ("leaf_size", "leaf_width", "child_rows", "path_cols", "sizes")
-
-
-def _slack_of(values: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`repro._util.slack` (same constant, same formula)."""
-    return PRUNE_EPSILON * (1.0 + np.abs(values))
-
-
-def _shell_miss(dq, radius: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorised shell-intersection test (paper section 4.3).
-
-    True where ``definitely_greater(dq - radius, hi)`` or
-    ``definitely_less(dq + radius, lo)`` — the query ball provably misses
-    the spherical shell ``[lo, hi]`` (paper Appendix), with the same
-    epsilon slack the scalar comparisons carry.
-    """
-    return ((dq - radius) > hi + _slack_of(hi)) | ((dq + radius) < lo - _slack_of(lo))
 
 
 def _offsets(counts: list[int]) -> np.ndarray:
@@ -132,7 +118,7 @@ def _segments(starts: np.ndarray, lens: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# vp-tree: flattened structure + range kernel
+# vp-tree: flattened structure
 # ----------------------------------------------------------------------
 
 
@@ -202,70 +188,8 @@ def _vp_arrays(tree) -> _VPArrays:
     return arrays
 
 
-def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous vp-tree range search: visits exactly the nodes
-    whose shells the query ball can reach."""
-    arrays = _vp_arrays(tree)
-    objects = tree._objects
-    hits: list[np.ndarray] = []
-    if arrays.root_kind == _INTERNAL:
-        frontier = np.array([arrays.root_idx], dtype=np.intp)
-        leaf_wave = _EMPTY_IDS
-    else:
-        frontier = _EMPTY_IDS
-        leaf_wave = np.array([arrays.root_idx], dtype=np.intp)
-
-    while frontier.size or leaf_wave.size:
-        next_frontier = _EMPTY_IDS
-        if frontier.size:
-            if obs is not None:
-                obs.enter_internals(frontier.size)
-            vps = arrays.vp_ids[frontier]
-            dq = np.asarray(
-                tree._batch_dist(obs, gather(objects, vps), query), dtype=np.float64
-            )
-            inside = vps[dq <= radius]
-            if inside.size:
-                hits.append(inside)
-            miss = _shell_miss(
-                dq[:, None], radius, arrays.child_lo[frontier], arrays.child_hi[frontier]
-            )
-            kind = arrays.child_kind[frontier]
-            exists = kind != _NONE
-            if obs is not None:
-                pruned = int(np.count_nonzero(exists & miss))
-                if pruned:
-                    obs.prune(PRUNE_VP_SHELL, pruned)
-            admit = exists & ~miss
-            child_idx = arrays.child_idx[frontier]
-            next_frontier = child_idx[admit & (kind == _INTERNAL)]
-            leaf_wave = child_idx[admit & (kind == _LEAF)]
-        if leaf_wave.size:
-            lens = arrays.leaf_offsets[leaf_wave + 1] - arrays.leaf_offsets[leaf_wave]
-            if obs is not None:
-                obs.enter_leaves(lens)
-                obs.leaf_scans(lens, lens)
-            pos, _ = _segments(arrays.leaf_offsets[leaf_wave], lens)
-            candidates = arrays.leaf_ids[pos]
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            inside = candidates[distances <= radius]
-            if inside.size:
-                hits.append(inside)
-            leaf_wave = _EMPTY_IDS
-        frontier = next_frontier
-
-    if not hits:
-        return []
-    out = hits[0] if len(hits) == 1 else np.concatenate(hits)
-    out.sort()
-    return out.tolist()
-
-
 # ----------------------------------------------------------------------
-# multi-vantage tree (GMVPTree, MVPTree = v=2): flat structure + range
+# multi-vantage tree (GMVPTree, MVPTree = v=2): flattened structure
 # ----------------------------------------------------------------------
 
 
@@ -376,188 +300,24 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
     return arrays
 
 
-def _wave_roots(arrays):
-    """Initial (internal, leaf) wave arrays for the root node."""
-    root = np.array([arrays.root_idx], dtype=np.intp)
-    no_path = np.empty((1, 0))
-    if arrays.root_kind == _INTERNAL:
-        return root, no_path, _EMPTY_IDS, np.empty((0, 0))
-    return _EMPTY_IDS, np.empty((0, 0)), root, no_path
-
-
-def _grow_paths(paths: np.ndarray, level: int, p: int, dq: np.ndarray) -> np.ndarray:
-    """Append this wave's vantage-point distances to the query's PATH
-    prefix (``path_q[level + t - 1] = dq[:, t]``)."""
-    keep = max(0, min(dq.shape[1], p - level + 1))
-    if not keep:
-        return paths
-    return np.hstack([paths, dq[:, :keep]])
-
-
-def _vantage(arrays, iidx, lidx):
-    """Vantage points of internal nodes ``iidx`` (row by row), then of
-    leaves ``lidx``, and the ``(leaves, v)`` mask of the leaves' real
-    vantage points."""
-    leaf_vps = arrays.leaf_vp_ids.take(lidx, axis=0)
-    real = leaf_vps >= 0
-    internal_vps = arrays.vp_ids.take(iidx, axis=0).ravel()
-    return np.concatenate((internal_vps, leaf_vps[real])), real
-
-
-class _LeafWave:
-    """Every point of a batch of leaves, gathered from the point-major
-    tables: ids, and one ``(v + w, n)`` block of gaps, the D_t gaps
-    ``|D_t - d(q, vp_t)|`` in its first ``v`` rows and the PATH gaps in
-    the other ``w`` (gap-major, so reductions over a point's gaps run
-    along the long axis).
-
-    ``real`` is :func:`_vantage`'s mask and ``dall[offset:]`` the paid
-    leaf vantage distances in its order.  ``lpaths`` holds one query
-    PATH row per leaf, ``w`` wide and zero past the entry's depth.  A
-    leaf at level ``L`` keeps ``min(p, L - 1)`` PATH entries, exactly
-    the prefix the query row has filled there, so past it both sides
-    are zero and so is the gap: leaves from different depths share one
-    batch without a per-leaf length.
-    """
-
-    __slots__ = ("lens", "seg", "ids", "gap")
-
-    def __init__(self, arrays, lidx, lens, real, dall, offset: int, lpaths):
-        self.lens = lens
-        pos, seg = _segments(arrays.leaf_offsets[lidx], lens)
-        self.seg = seg
-        self.ids = arrays.leaf_ids[pos]
-        dq = np.zeros(real.shape)
-        dq[real] = dall[offset:]
-        v, width = real.shape[1], lpaths.shape[1]
-        gap = np.empty((v + width, pos.size))
-        np.subtract(
-            arrays.leaf_dists.take(pos, axis=0).T, dq.take(seg, axis=0).T, out=gap[:v]
-        )
-        if width:
-            np.subtract(
-                arrays.leaf_paths[:, :width].take(pos, axis=0).T,
-                lpaths.take(seg, axis=0).T,
-                out=gap[v:],
-            )
-        self.gap = np.abs(gap, out=gap)
-
-    def scans(self, obs: Optional[Observation], keep: np.ndarray) -> None:
-        """One ``leaf_scan`` per non-empty leaf of the batch."""
-        if obs is not None:
-            scanned = np.bincount(self.seg[keep], minlength=self.lens.size)
-            seen = self.lens > 0
-            obs.leaf_scans(self.lens[seen], scanned[seen])
-
-
-def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous range search (paper section 4.3): visits
-    exactly the nodes the shell and PATH bounds admit."""
-    if tree._root is None:
-        return []
-    arrays = _gmvp_arrays(tree)
-    objects = tree._objects
-    p = tree.p
-    v = arrays.vp_ids.shape[1]
-    loose = radius + slack(radius)
-    out: list[int] = []
-    iidx, ipaths, lidx, lpaths = _wave_roots(arrays)
-    level = 1
-
-    while iidx.size or lidx.size:
-        n_int = iidx.size
-        lens = arrays.leaf_offsets[lidx + 1] - arrays.leaf_offsets[lidx]
-        if obs is not None:
-            obs.enter_internals(n_int)
-            obs.enter_leaves(lens)
-        all_vps, real = _vantage(arrays, iidx, lidx)
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        out.extend(all_vps[dall <= radius].tolist())
-
-        # Leaf candidate selection: the D_t filters, then the PATH
-        # filter (paper step 2.2), over every leaf point of the wave;
-        # one batched verification pays the survivors.
-        if lidx.size:
-            wave = _LeafWave(arrays, lidx, lens, real, dall, n_int * v, lpaths)
-            ok = wave.gap[:v] <= loose
-            if obs is None:
-                keep = ok.all(axis=0)
-            else:
-                # Each point is booked to the first row that rejects it.
-                passed = np.logical_and.accumulate(ok, axis=0)
-                before = wave.ids.size
-                for t, after in enumerate(np.count_nonzero(passed, axis=1).tolist()):
-                    obs.filter_points(leaf_dist_kind(t), before - after)
-                    before = after
-                keep = passed[-1]
-            if wave.gap.shape[0] > v:
-                path_ok = np.all(wave.gap[v:] <= loose, axis=0)
-                if obs is not None:
-                    obs.filter_points(
-                        PRUNE_PATH_FILTER, int(np.count_nonzero(keep & ~path_ok))
-                    )
-                keep &= path_ok
-            wave.scans(obs, keep)
-            candidates = wave.ids[keep]
-            if candidates.size:
-                distances = np.asarray(
-                    tree._batch_dist(obs, gather(objects, candidates), query),
-                    dtype=np.float64,
-                )
-                out.extend(candidates[distances <= radius].tolist())
-
-        if n_int:
-            dq = dall[: n_int * v].reshape(n_int, v)
-            child_paths = _grow_paths(ipaths, level, p, dq)
-            miss_t = _shell_miss(
-                dq[:, None, :], radius, arrays.blo[iidx], arrays.bhi[iidx]
-            )
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            any_miss = miss_t.any(axis=2)
-            if obs is not None:
-                pruned = exists & any_miss
-                if pruned.any():
-                    # First-bound-wins attribution: the lowest vp index,
-                    # one prune per child subtree.
-                    first_t = np.argmax(miss_t, axis=2)
-                    for t in range(v):
-                        count = int(np.count_nonzero(pruned & (first_t == t)))
-                        if count:
-                            obs.prune(vp_shell_kind(t), count)
-            admit = exists & ~any_miss
-            w_sel, c_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, c_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, c_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths = child_slots[internal_sel], rows[internal_sel]
-            lidx, lpaths = child_slots[~internal_sel], rows[~internal_sel]
-        else:
-            iidx, ipaths = _EMPTY_IDS, np.empty((0, 0))
-            lidx, lpaths = _EMPTY_IDS, np.empty((0, 0))
-        level += v
-
-    out.sort()
-    return out
-
-
 # ----------------------------------------------------------------------
-# Best-first frontier: every k-NN search and the budgeted tier
+# The frontier: every tree search
 # ----------------------------------------------------------------------
 #
-# The frontier is one float matrix of rows — lower bound, node kind,
-# node slot, cost, plus the family's columns — kept sorted by ``(lower
-# bound, seq)``, where ``seq`` is insertion order.  Each iteration:
+# The frontier is one float matrix of rows: lower bound, node kind, node
+# slot, cost, plus the family's columns.  Each iteration:
 #
 # 1. the admitted entries (bound not definitely above the threshold)
-#    are a prefix of the frontier; when none are left the search ends;
-# 2. the batch is the longest admitted prefix whose cost (vantage points
-#    plus leaf points per entry) fits the schedule's cap, and at least
-#    one entry: ``max(k, 2 * spent)`` without a budget; under a budget one
-#    entry per iteration until the k-best holds k, then
+#    are taken; when none are left the search ends;
+# 2. a range search without a budget has a fixed threshold, so nothing
+#    one batch pays can change the next: its batch is the whole
+#    frontier, every entry of which was admitted when it joined, and the
+#    frontier needs no order.  Every other search keeps the frontier
+#    sorted by ``(lower bound, seq)``, where ``seq`` is insertion order,
+#    and its batch is the longest admitted prefix whose cost (vantage
+#    points plus leaf points per entry) fits the schedule's cap, and at
+#    least one entry: ``max(k, 2 * spent)`` without a budget; under a
+#    budget one entry per iteration until the k-best holds k, then
 #    ``max(k, spent // 8)``.  Neither reads the budget, so a budget only
 #    truncates one fixed evaluation sequence (internal vantage points,
 #    leaf vantage points, then surviving leaf points in ``(lower, id)``
@@ -567,12 +327,16 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
 #    refreshed threshold, one more call pays the survivors, and the
 #    admitted children of the batch's internal nodes join the frontier.
 #
-# Everything the traversal did NOT pay for is classified when it stops,
-# against the final threshold: entries and points whose bound definitely
-# exceeds it are provably answer-free prunes; the rest (epsilon-scaled
-# drops, and whatever the budget stranded) contribute their point count
-# to ``possible_missed`` and their bound to ``min_missed_lb``, from
-# which repro.approx derives the conservative recall lower bound.
+# An exact range search books each drop as it happens, to the section
+# 4.3 bound that decided it: a child to the lowest-numbered shell that
+# excludes it, a leaf point to the first D_t row that rejects it, else
+# to the PATH filter.  Every other search classifies what it did NOT pay
+# for when it stops, against the final threshold: entries and points
+# whose bound definitely exceeds it are provably answer-free prunes; the
+# rest (epsilon-scaled drops, and whatever the budget stranded)
+# contribute their point count to ``possible_missed`` and their bound to
+# ``min_missed_lb``, from which repro.approx derives the conservative
+# recall lower bound.
 
 
 class BudgetTracker:
@@ -772,9 +536,12 @@ class _Adapter:
 
 class _VPApprox(_Adapter):
     """vp-tree frontier adapter: one vantage point per internal node,
-    none per leaf, no family columns."""
+    none per leaf, no family columns.  A child's one bound is its
+    shell, and a leaf point's is its leaf's."""
 
     __slots__ = ()
+
+    shell_kinds = point_kinds = (PRUNE_VP_SHELL,)
 
     def __init__(self, tree):
         super().__init__(_vp_arrays(tree), 1, 4)
@@ -787,17 +554,18 @@ class _VPApprox(_Adapter):
 
     def children(self, iidx, dq, parents):
         arrays = self.arrays
+        # An entry's bound is never negative, so neither is its children's.
         bound = np.maximum(
             np.maximum(parents[:, _LB, None], dq - arrays.child_hi.take(iidx, axis=0)),
-            np.maximum(arrays.child_lo.take(iidx, axis=0) - dq, 0.0),
+            arrays.child_lo.take(iidx, axis=0) - dq,
         )
-        return self.child_rows(iidx, bound)[0]
+        return (*self.child_rows(iidx, bound), None)
 
     def points(self, lidx, leaves, dall, offset, real):
         arrays = self.arrays
         lens = arrays.leaf_size[lidx]
         pos, seg = _segments(arrays.leaf_offsets[lidx], lens)
-        return arrays.leaf_ids[pos], leaves[:, _LB][seg], seg, lens
+        return arrays.leaf_ids[pos], leaves[:, _LB][seg], seg, lens, None
 
 
 class _GMVPApprox(_Adapter):
@@ -807,12 +575,15 @@ class _GMVPApprox(_Adapter):
     scratch column that absorbs the distances the PATH has no room for.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "shell_kinds", "point_kinds")
 
     def __init__(self, tree):
         self.p = tree.p
         arrays = _gmvp_arrays(tree)
-        super().__init__(arrays, int(arrays.vp_ids.shape[1]), 5 + self.p)
+        v = int(arrays.vp_ids.shape[1])
+        super().__init__(arrays, v, 5 + self.p)
+        self.shell_kinds = tuple(map(vp_shell_kind, range(v)))
+        self.point_kinds = (*map(leaf_dist_kind, range(v)), PRUNE_PATH_FILTER)
 
     def _derive_family(self) -> None:
         arrays, v = self.arrays, self.v
@@ -830,7 +601,14 @@ class _GMVPApprox(_Adapter):
         arrays.path_cols = 4 + np.minimum(level[:, None] - 1 + np.arange(v), self.p)
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
-        return _vantage(self.arrays, iidx, lidx)
+        """Vantage points of internal nodes ``iidx`` (row by row), then
+        of leaves ``lidx``, and the ``(leaves, v)`` mask of the leaves'
+        real vantage points."""
+        arrays = self.arrays
+        leaf_vps = arrays.leaf_vp_ids.take(lidx, axis=0)
+        real = leaf_vps >= 0
+        internal_vps = arrays.vp_ids.take(iidx, axis=0).ravel()
+        return np.concatenate((internal_vps, leaf_vps[real])), real
 
     def children(self, iidx, dq, parents):
         arrays = self.arrays
@@ -854,20 +632,40 @@ class _GMVPApprox(_Adapter):
         head, flat = self.child_rows(iidx, bound)
         rows = parents.take(flat // arrays.child_kind.shape[1], axis=0)
         rows[:, :4] = head
-        return rows
+        return rows, flat, shells.reshape(-1, self.v)
 
     def points(self, lidx, leaves, dall, offset, real):
-        wave = _LeafWave(
-            self.arrays,
-            lidx,
-            self.arrays.leaf_size[lidx],
-            real,
-            dall,
-            offset,
-            leaves[:, 4 : 4 + self.p],
+        """Every point of leaves ``lidx`` with its lower bound, and one
+        ``(v + w, n)`` block of gaps: the D_t gaps ``|D_t - d(q, vp_t)|``
+        in its first ``v`` rows and the PATH gaps in the other ``w``
+        (gap-major, so reductions over a point's gaps run along the
+        long axis).
+
+        ``real`` is :meth:`vantage`'s mask and ``dall[offset:]`` the
+        paid leaf vantage distances in its order.  A leaf at level ``L``
+        keeps ``min(p, L - 1)`` PATH entries, exactly the prefix its
+        entry's query PATH row has filled, so past it both sides are
+        zero and so is the gap: leaves from different depths share one
+        batch without a per-leaf length.
+        """
+        arrays = self.arrays
+        lens = arrays.leaf_size[lidx]
+        pos, seg = _segments(arrays.leaf_offsets[lidx], lens)
+        dq = np.zeros(real.shape)
+        dq[real] = dall[offset:]
+        v, width = self.v, self.p
+        gap = np.empty((v + width, pos.size))
+        np.subtract(
+            arrays.leaf_dists.take(pos, axis=0).T, dq.take(seg, axis=0).T, out=gap[:v]
         )
-        lower = np.maximum(wave.gap.max(axis=0), leaves[:, _LB][wave.seg])
-        return wave.ids, lower, wave.seg, wave.lens
+        np.subtract(
+            arrays.leaf_paths.take(pos, axis=0).T,
+            leaves[:, 4 : 4 + width].take(seg, axis=0).T,
+            out=gap[v:],
+        )
+        gap = np.abs(gap, out=gap)
+        lower = np.maximum(gap.max(axis=0), leaves[:, _LB][seg])
+        return arrays.leaf_ids[pos], lower, seg, lens, gap
 
 
 _APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _GMVPApprox, "gmvpt": _GMVPApprox}
@@ -882,16 +680,36 @@ def _approx_adapter(tree, family: str):
     return None if tree._root is None else adapter(tree)
 
 
+def _book_by_bound(book, kinds, parts, count: int, limit: float) -> None:
+    """Book ``count`` dropped items, each to the first of ``kinds`` whose
+    bound exceeds ``limit``.  ``parts`` holds one row of bounds per kind
+    and one column per item, any rows past the last kind booking to it;
+    ``None`` books every item to the only kind."""
+    if parts is None:
+        book(kinds[0], count)
+        return
+    first = np.minimum((parts > limit).argmax(axis=0), len(kinds) - 1)
+    for kind, n in zip(kinds, np.bincount(first, minlength=len(kinds)).tolist()):
+        if n:
+            book(kind, n)
+
+
 def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind):
-    """The best-first frontier loop (see the section comment above).
+    """The frontier loop (see the section comment above).
 
     ``sink`` is a :class:`_TopK` or :class:`_Hits`; returns its answer
     and the :class:`ApproxOutcome`.  ``stale_kind`` books every prune
-    the threshold decides.
+    the threshold decides, except in an exact range search, which books
+    each to its own bound.
     """
     objects = tree._objects
     tracker = BudgetTracker(budget)
     v = adapter.v
+    # A range search without a budget has a fixed threshold, so each of
+    # its batches is the whole frontier; the exact one books every prune
+    # to its own bound as it happens, and never misses anything.
+    whole = budget is None and isinstance(sink, _Hits)
+    exact_range = whole and approximation == 1.0
 
     def pay(ids: np.ndarray) -> np.ndarray:
         take = tracker.affordable(ids.size)
@@ -916,7 +734,7 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
         threshold = sink.threshold()
         return threshold + slack(threshold)
 
-    front = adapter.root()  # sorted by lower bound, then insertion order
+    front = adapter.root()
     dropped: list[np.ndarray] = []  # child rows the threshold dropped
     dropped_points: list[np.ndarray] = []  # their lower bounds
     stranded: list[np.ndarray] = []  # frontier rows the budget never opened
@@ -924,23 +742,29 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
     cut = False
 
     while True:
-        # The admitted entries are a prefix of the sorted frontier.
-        admitted = int(scale(front[:, _LB]).searchsorted(cutoff(), "right"))
-        if not admitted:
-            break
-        if budget is None:
-            cap = max(sink.k, 2 * tracker.spent)
-        elif sink.full():
-            cap = max(sink.k, tracker.spent // 8)
+        if whole:
+            take = len(front)
         else:
-            cap = 0
-        take = int(front[:admitted, _COST].cumsum().searchsorted(cap, "right"))
-        take = min(admitted, max(1, take))
+            # The admitted entries are a prefix of the sorted frontier.
+            admitted = int(scale(front[:, _LB]).searchsorted(cutoff(), "right"))
+            if budget is None:
+                cap = max(sink.k, 2 * tracker.spent)
+            elif sink.full():
+                cap = max(sink.k, tracker.spent // 8)
+            else:
+                cap = 0
+            take = int(front[:admitted, _COST].cumsum().searchsorted(cap, "right"))
+            take = min(admitted, max(1, take))
+        if not take:
+            break
         batch, front = front[:take], front[take:]
 
         is_leaf = batch[:, _KIND] == _LEAF
-        internal = batch.compress(~is_leaf, axis=0)
-        leaves = batch.compress(is_leaf, axis=0)
+        if np.count_nonzero(is_leaf):
+            internal = batch.compress(~is_leaf, axis=0)
+            leaves = batch.compress(is_leaf, axis=0)
+        else:
+            internal, leaves = batch, batch[:0]
         iidx = internal[:, _SLOT].astype(np.intp)
         lidx = leaves[:, _SLOT].astype(np.intp)
         vantage, real = adapter.vantage(iidx, lidx)
@@ -960,14 +784,25 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             obs.enter_internals(n_int)
 
         if n_leaf:
-            ids, lower, seg, lens = adapter.points(
+            ids, lower, seg, lens, gap = adapter.points(
                 lidx[:n_leaf], leaves[:n_leaf], dall, iidx.size * v, real
             )
             if obs is not None:
                 obs.enter_leaves(lens)
-            drop = scale(lower) > cutoff()
-            if drop.any():
-                dropped_points.append(lower[drop])
+            limit = cutoff()
+            drop = scale(lower) > limit
+            n_drop = int(np.count_nonzero(drop))
+            if n_drop:
+                if not exact_range:
+                    dropped_points.append(lower[drop])
+                elif obs is not None:
+                    _book_by_bound(
+                        obs.filter_points,
+                        adapter.point_kinds,
+                        None if gap is None else gap.compress(drop, axis=1),
+                        n_drop,
+                        limit,
+                    )
                 keep = ~drop
                 ids, lower, seg = ids[keep], lower[keep], seg[keep]
             if budget is not None:
@@ -981,16 +816,30 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
                 obs.leaf_scans(lens, np.bincount(seg[:scanned], minlength=lens.size))
 
         if n_int:
-            rows = adapter.children(
+            rows, flat, shells = adapter.children(
                 iidx[:n_int], dall[: n_int * v].reshape(n_int, v), internal[:n_int]
             )
-            drop = scale(rows[:, _LB]) > cutoff()
-            if drop.any():
-                dropped.append(rows.compress(drop, axis=0))
+            limit = cutoff()
+            drop = scale(rows[:, _LB]) > limit
+            n_drop = int(np.count_nonzero(drop))
+            if n_drop:
+                if not exact_range:
+                    dropped.append(rows.compress(drop, axis=0))
+                elif obs is not None:
+                    _book_by_bound(
+                        obs.prune,
+                        adapter.shell_kinds,
+                        None if shells is None else shells.take(flat[drop], axis=0).T,
+                        n_drop,
+                        limit,
+                    )
                 rows = rows.compress(~drop, axis=0)
-            # A stable sort puts new rows after equal bounds already there.
-            front = np.concatenate((front, rows))
-            front = front.take(front[:, _LB].argsort(kind="stable"), axis=0)
+            if whole:
+                front = rows
+            else:
+                # A stable sort puts new rows after equal bounds already there.
+                front = np.concatenate((front, rows))
+                front = front.take(front[:, _LB].argsort(kind="stable"), axis=0)
 
         if cut:
             stranded.append(front)
@@ -1067,13 +916,17 @@ def approx_tree_range(
     budget: Optional[int] = None,
     obs: Optional[Observation] = None,
 ) -> tuple[list[int], ApproxOutcome]:
-    """Budgeted best-first range search over a vp/mvp/gmvp tree.
+    """Range search over a vp/mvp/gmvp tree, exact or budgeted.
 
-    Every returned id is a true hit (distances are verified before
-    reporting), so approximate range answers have precision 1; the
-    outcome's missed mass bounds how many in-range points may have been
-    skipped.  ``budget=None``/``epsilon=0`` reproduces the exact answer.
-    Every prune is booked as ``lower-bound``.
+    With ``budget=None`` and ``epsilon=0`` this is the exact search
+    every tree's ``range_search`` runs: whole-frontier batches, one tree
+    level each, and every prune booked to the section 4.3 bound that
+    decided it (``vp-shell``/``vpN-shell``, ``leaf-dN``, ``path-filter``).
+    Otherwise every returned id is still a true hit (distances are
+    verified before reporting), so approximate range answers have
+    precision 1; the outcome's missed mass bounds how many in-range
+    points may have been skipped, and every prune is booked as
+    ``lower-bound``.
     """
     adapter = _approx_adapter(tree, family)
     if adapter is None:

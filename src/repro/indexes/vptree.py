@@ -242,7 +242,7 @@ class VPTree(MetricIndex):
     ) -> list[int]:
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
-        return kernels.vp_range(self, query, radius, obs)
+        return kernels.approx_tree_range(self, "vpt", query, radius, obs=obs)[0]
 
     # ------------------------------------------------------------------
     # k-nearest-neighbor search (best-first branch and bound, [Chi94])

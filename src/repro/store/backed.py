@@ -219,9 +219,9 @@ class StoreBackedIndex(MetricIndex):
                 query, radius, stats=stats, trace=trace
             )
         obs = make_observation(stats, trace)
-        if self.family == "vpt":
-            return kernels.vp_range(self, query, radius, obs)
-        return kernels.gmvp_range(self, query, radius, obs)
+        return kernels.approx_tree_range(
+            self, self.family, query, radius, obs=obs
+        )[0]
 
     def _base_knn(
         self, query, k: int, epsilon: float, *, stats, trace

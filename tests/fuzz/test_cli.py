@@ -43,7 +43,7 @@ class TestRun:
         assert manifest["cases"] == 2
 
     def test_failing_run_shrinks_and_saves(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_slack_of", lambda values: -0.05)
+        monkeypatch.setattr(kernels_module, "slack", lambda value: -0.05)
         code = main(
             [
                 "run",
@@ -115,7 +115,7 @@ class TestShrinkCommand:
     def test_shrink_failing_case_saves_reproducer(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(kernels_module, "_slack_of", lambda values: -0.05)
+        monkeypatch.setattr(kernels_module, "slack", lambda value: -0.05)
         code = main(
             [
                 "shrink",

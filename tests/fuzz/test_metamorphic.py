@@ -74,7 +74,7 @@ class TestRegistry:
 
 class TestRelationsCatchBrokenBound:
     def test_some_relation_fires_on_injected_bug(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_slack_of", lambda values: -0.05)
+        monkeypatch.setattr(kernels_module, "slack", lambda value: -0.05)
         # Relations alone (no oracle) must still expose the broken bound
         # on at least one vpt case of the first rotation sweep.
         failed = []

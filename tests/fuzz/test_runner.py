@@ -21,7 +21,7 @@ class TestCleanSweep:
         assert "failures=0" in report.summary()
 
     def test_fail_fast_stops_after_first_failure(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "_slack_of", lambda values: -0.05)
+        monkeypatch.setattr(kernels_module, "slack", lambda value: -0.05)
         report = run_fuzz(0, 48, fail_fast=True)
         assert len(report.failures) == 1
         assert report.results[-1] is report.failures[0]
@@ -52,13 +52,13 @@ class TestErrorCapture:
 def broken_vpt_bound(monkeypatch):
     """An off-by-one in the kernels' section-4.3 pruning comparison.
 
-    Negative slack makes the vectorized shell test over-prune borderline
-    nodes — the canary bug the differential runner must catch.  The
-    kernels are the hot path for VP/MVP/GMVP searches, so this is the
-    modern equivalent of breaking ``definitely_greater`` in the old
-    recursive traversal.
+    Negative slack makes the frontier's threshold comparison over-prune
+    borderline nodes and leaf points — the canary bug the differential
+    runner must catch.  The frontier is the one search loop of the
+    VP/MVP/GMVP trees, so this is the modern equivalent of breaking
+    ``definitely_greater`` in the old recursive traversal.
     """
-    monkeypatch.setattr(kernels_module, "_slack_of", lambda values: -0.05)
+    monkeypatch.setattr(kernels_module, "slack", lambda value: -0.05)
 
 
 class TestInjection:

@@ -3,7 +3,10 @@
 * Observation never changes what a search evaluates: with stats off,
   with a :class:`QueryStats`, and with a recording trace sink, every
   tree family pays the same ids in the same order and returns the same
-  answer and certificate (exact k-NN, budgeted k-NN, budgeted range).
+  answer and certificate (exact k-NN, budgeted k-NN, exact range,
+  budgeted range).  Exact range books each prune to its own section 4.3
+  bound only when observed, so this also pins that the attribution
+  never changes what is paid.
 * The point-major leaf tables the multi-vantage kernels search match
   the tree's leaf nodes, in memory and mapped from a store.
 """
@@ -75,6 +78,7 @@ def _calls(index):
         "bknn-eps": lambda q, obs: approx_knn_search(
             index, q, 7, budget=150, epsilon=0.3, **obs
         ),
+        "range": lambda q, obs: (index.range_search(q, 0.35, **obs), None),
         "brange": lambda q, obs: approx_range_search(
             index, q, 0.35, budget=80, **obs
         ),
