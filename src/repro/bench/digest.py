@@ -8,6 +8,12 @@ input and call of the mix (``knn k=…``, ``bknn b=… eps=…``, ``range``,
 
     <family> <data set> <call> <sha256>
 
+Each input also gets one ``build`` line first.  For a tree it hashes
+the persisted form (:func:`repro.persist.index_to_dict` as sorted-key
+JSON), the node counters and the construction distance count; for a
+store-backed input, the bytes of its ``.rsx`` file.  Equal build lines
+mean two code versions build the same tree at the same cost.
+
 The hash covers, per query of that call and in order: the answer, every
 :class:`~repro.obs.QueryStats` field, the
 :class:`~repro.approx.ApproxReport` (budgeted calls), and the ordered
@@ -37,7 +43,8 @@ import numpy as np
 from repro import DynamicMVPTree, GMVPTree, MVPTree, QueryStats, VPTree
 from repro.approx import approx_knn_search, approx_range_search
 from repro.datasets import clustered_vectors, uniform_vectors
-from repro.metric import L2, Metric
+from repro.metric import L2, CountingMetric, Metric
+from repro.persist import index_to_dict
 from repro.store import open_index, write_store
 
 
@@ -174,20 +181,46 @@ def digest_index(index, metric: RecordingMetric, queries, radius: float):
         yield label, sha.hexdigest()
 
 
+#: Node counters a ``build`` line covers (``None`` where a family has none).
+COUNTERS = (
+    "node_count",
+    "leaf_count",
+    "internal_count",
+    "vantage_point_count",
+    "leaf_data_point_count",
+    "height",
+)
+
+
+def digest_build(index, construction: int) -> str:
+    """SHA-256 of a built tree: its persisted form, its node counters
+    and the distances its construction paid."""
+    record = {
+        "tree": index_to_dict(index),
+        "counters": {name: getattr(index, name, None) for name in COUNTERS},
+        "construction": construction,
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
 def run_digest(workdir: Path):
     """Yield ``(family, data set, call label, digest)`` for every pinned
-    input and call."""
+    input and call, each input's ``build`` line first."""
     for data_name, (points, radius) in datasets().items():
         queries = _query_points(points)
         built = {}
         for family, builder in FAMILIES.items():
             metric = RecordingMetric(points)
-            index = built[family] = builder(points, metric)
+            counting = CountingMetric(metric)
+            index = built[family] = builder(points, counting)
+            yield family, data_name, "build", digest_build(index, counting.count)
             for label, digest in digest_index(index, metric, queries, radius):
                 yield family, data_name, label, digest
         for family, source in STORED.items():
             path = workdir / f"{data_name}-{family}.rsx"
             write_store(built[source], path)
+            stored = hashlib.sha256(path.read_bytes()).hexdigest()
+            yield family, data_name, "build", stored
             metric = RecordingMetric(points)
             index = open_index(path, metric)
             try:

@@ -4,9 +4,11 @@ The rules encode contracts that ordinary linters cannot see because
 they are conventions of *this* codebase:
 
 RC001  Index/search code must route metric evaluations through the
-       ``MetricIndex._dist`` / ``_batch_dist`` counting gateway; a raw
-       ``*.distance(...)`` / ``*.batch_distance(...)`` call on a
-       metric-like receiver silently bypasses per-query accounting.
+       ``MetricIndex._dist`` / ``_batch_dist`` / ``_segment_dist``
+       counting gateway; a raw ``*.distance(...)`` /
+       ``*.batch_distance(...)`` / ``*.segmented_distance(...)`` call on
+       a metric-like receiver silently bypasses per-query accounting,
+       and only ``_segment_dist`` may call ``segmented_distance``.
        Kernel modules (``kernels.py`` / ``*_kernels.py``) are linted in
        *strict mode*: every ``.distance``/``.batch_distance`` call is
        flagged regardless of receiver name, because the vectorized hot
@@ -199,6 +201,14 @@ def _enclosing_functions(file: SourceFile, node: ast.AST) -> Iterator[ast.AST]:
             yield ancestor
 
 
+#: Metric evaluation methods RC001 checks, each with the one gateway
+#: allowed to call it.
+_METRIC_CALLS = {
+    "distance": "_dist",
+    "batch_distance": "_batch_dist",
+    "segmented_distance": "_segment_dist",
+}
+
 #: Modules holding vectorized search hot loops; RC001 strict scope.
 _KERNEL_MODULE = re.compile(r"(^|/)([a-z0-9_]+_)?kernels\.py$")
 
@@ -213,10 +223,10 @@ class RawMetricCallRule(Rule):
 
     code = "RC001"
     description = (
-        "metric.distance/batch_distance called directly in index code; "
-        "route through MetricIndex._dist/_batch_dist so per-query stats "
-        "stay equal to the true metric evaluation count (kernel modules "
-        "are strict: any receiver counts)"
+        "metric.distance/batch_distance/segmented_distance called directly "
+        "in index code; route through MetricIndex._dist/_batch_dist/"
+        "_segment_dist so per-query stats stay equal to the true metric "
+        "evaluation count (kernel modules are strict: any receiver counts)"
     )
 
     def applies_to(self, file: SourceFile) -> bool:
@@ -238,7 +248,7 @@ class RawMetricCallRule(Rule):
         for node in ast.walk(file.tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
-            if node.func.attr not in ("distance", "batch_distance"):
+            if node.func.attr not in _METRIC_CALLS:
                 continue
             receiver = _receiver_name(node.func)
             metric_like = receiver is not None and receiver.lower().endswith(
@@ -247,10 +257,10 @@ class RawMetricCallRule(Rule):
             if not metric_like and not strict:
                 continue
             if any(
-                fn.name in ("_dist", "_batch_dist")
+                fn.name == _METRIC_CALLS[node.func.attr]
                 for fn in _enclosing_functions(file, node)
             ):
-                continue  # the gateway itself
+                continue  # the call's own gateway
             shown = receiver or "<expr>"
             if strict and not metric_like:
                 yield node, (
@@ -860,7 +870,7 @@ class BudgetGatewayRule(Rule):
                 and isinstance(node.func, ast.Attribute)
             ):
                 continue
-            if node.func.attr not in ("distance", "batch_distance"):
+            if node.func.attr not in _METRIC_CALLS:
                 continue
             holder = next(
                 (

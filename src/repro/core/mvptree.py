@@ -126,6 +126,8 @@ class MVPTree(GMVPTree):
         out = [list(child) for child in bounds]
         for t in range(v):
             width = m ** (v - 1 - t)  # children per partition of vp t
+            if width == 1 and self.bounds_mode == "tight":
+                continue  # a one-child region's radii are the child's own
             for start in range(0, len(bounds), width):
                 members = [
                     bounds[c][t]

@@ -8,9 +8,12 @@ static, section 6) and then answers the similarity queries of section 2:
 * farthest / k-farthest search (supported where the structure admits
   upper-bound pruning).
 
-Indexes never copy data objects; they store integer ids into the dataset
-sequence they were built over, and results are reported as ids (range
-search) or ``(id, distance)`` pairs (k-NN).
+Indexes store integer ids into the dataset sequence they were built
+over, and results are reported as ids (range search) or
+``(id, distance)`` pairs (k-NN).  They never copy data objects, with one
+exception: a numpy array that is not C-contiguous (a strided view such
+as ``data[::2]``) is copied to C order once, at construction, because
+every row gather from a strided array copies the whole array.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 from repro.metric.base import Metric
 
@@ -45,7 +50,8 @@ class MetricIndex(ABC):
     ----------
     objects:
         The dataset; any sequence (numpy matrix rows, list of strings,
-        ...).  Held by reference.
+        ...).  Held by reference (a non-contiguous numpy array is
+        copied to C order once).
     metric:
         The metric distance function.  Wrap it in
         :class:`repro.metric.CountingMetric` *before* constructing the
@@ -53,6 +59,8 @@ class MetricIndex(ABC):
     """
 
     def __init__(self, objects: Sequence, metric: Metric):
+        if isinstance(objects, np.ndarray) and not objects.flags.c_contiguous:
+            objects = np.ascontiguousarray(objects)
         self._objects = objects
         self._metric = metric
 
@@ -80,8 +88,9 @@ class MetricIndex(ABC):
     # Search paths pass their live ``Observation``; construction paths
     # pass ``None`` (build cost is accounted by wrapping the metric in a
     # ``CountingMetric`` before construction).  ``repro.check`` rule
-    # RC001 flags any raw ``metric.distance``/``batch_distance`` call in
-    # index modules that bypasses this gateway.
+    # RC001 flags any raw ``metric.distance``/``batch_distance``/
+    # ``segmented_distance`` call in index modules that bypasses these
+    # gateways.
 
     def _dist(self, obs: Optional["Observation"], a, b) -> float:
         """One metric evaluation, charged to ``obs`` when observing."""
@@ -95,6 +104,13 @@ class MetricIndex(ABC):
         if obs is not None:
             obs.distance(len(out))
         return out
+
+    def _segment_dist(self, xs: Sequence, starts, ys: Sequence):
+        """One construction pass: run ``i`` measures
+        ``xs[starts[i]:starts[i+1]]`` against ``ys[i]`` (see
+        :meth:`Metric.segmented_distance`); builds only, so nothing is
+        observed."""
+        return self._metric.segmented_distance(xs, starts, ys)
 
     # ------------------------------------------------------------------
     # Queries

@@ -18,6 +18,14 @@ can also be applied to the mvp-trees").  Three strategies are provided:
 Selection happens through the index's metric, so any distance
 computations a strategy spends are charged to construction — exactly the
 trade-off [Bri95] reports for GNAT (costlier builds, cheaper searches).
+
+Every strategy splits into a count-only *draw* (all its rng calls, which
+depend only on the number of candidates) and a data *pick* from the
+distances its *runs* name.  The level-synchronous tree builds make the
+draws in the recursive build's order from counts alone, then pay one
+tree level's runs in one segmented metric call through the index's
+counting gateway; :meth:`VantagePointSelector.select` is the two steps
+composed.
 """
 
 from __future__ import annotations
@@ -32,9 +40,34 @@ from repro.metric.base import Metric
 
 
 class VantagePointSelector(ABC):
-    """Strategy object choosing one vantage point among candidate ids."""
+    """Strategy object choosing one vantage point among candidate ids.
+
+    A choice is two steps.  :meth:`draw` makes all of the strategy's
+    rng calls and depends only on the candidate count, so a tree can
+    make its nodes' draws from counts alone, before it computes their
+    distances.  :meth:`runs` names the distances the data step
+    needs and :meth:`pick` makes the choice from them; a level build
+    pays one level's runs in one metric call.  :meth:`select` is the
+    two steps composed.
+    """
 
     @abstractmethod
+    def draw(self, n: int, rng: np.random.Generator):
+        """Count-only step: make the rng calls for ``n`` candidates and
+        return what they drew."""
+
+    def runs(self, n: int, draw):
+        """The distances :meth:`pick` needs, as candidate positions
+        ``(rows, starts, points)``: run ``i`` measures
+        ``rows[starts[i]:starts[i+1]]`` against ``points[i]``.  ``None``
+        when it needs none."""
+        return None
+
+    @abstractmethod
+    def pick(self, draw, distances) -> int:
+        """Data step: the chosen candidate's position, from the draw and
+        the distances of :meth:`runs` (``None`` when there are none)."""
+
     def select(
         self,
         candidate_ids: Sequence[int],
@@ -43,13 +76,30 @@ class VantagePointSelector(ABC):
         rng: np.random.Generator,
     ) -> int:
         """Return the chosen vantage point's id (a member of candidates)."""
+        candidate_ids = np.asarray(candidate_ids)
+        draw = self.draw(len(candidate_ids), rng)
+        runs = self.runs(len(candidate_ids), draw)
+        distances = None
+        if runs is not None:
+            rows, starts, points = runs
+            # Standalone selection has no index gateway to charge; a
+            # CountingMetric still sees every evaluation.
+            distances = metric.segmented_distance(  # repro-check: ignore[RC001]
+                gather(objects, candidate_ids[rows]),
+                starts,
+                gather(objects, candidate_ids[points]),
+            )
+        return int(candidate_ids[self.pick(draw, distances)])
 
 
 class RandomSelector(VantagePointSelector):
     """Pick a uniformly random candidate (the paper's default)."""
 
-    def select(self, candidate_ids, objects, metric, rng) -> int:
-        return int(candidate_ids[int(rng.integers(len(candidate_ids)))])
+    def draw(self, n, rng) -> int:
+        return int(rng.integers(n))
+
+    def pick(self, draw, distances) -> int:
+        return draw
 
 
 class FarthestSelector(VantagePointSelector):
@@ -60,14 +110,14 @@ class FarthestSelector(VantagePointSelector):
     computations over the candidates.
     """
 
-    def select(self, candidate_ids, objects, metric, rng) -> int:
-        reference = objects[int(candidate_ids[int(rng.integers(len(candidate_ids)))])]
-        # Construction-time cost: charged to the build via CountingMetric,
-        # not to any per-query observation.
-        distances = metric.batch_distance(  # repro-check: ignore[RC001]
-            gather(objects, candidate_ids), reference
-        )
-        return int(candidate_ids[int(np.argmax(distances))])
+    def draw(self, n, rng) -> int:
+        return int(rng.integers(n))
+
+    def runs(self, n, draw):
+        return np.arange(n), np.array([0, n]), np.array([draw])
+
+    def pick(self, draw, distances) -> int:
+        return int(np.argmax(distances))
 
 
 class MaxSpreadSelector(VantagePointSelector):
@@ -90,29 +140,31 @@ class MaxSpreadSelector(VantagePointSelector):
         self.n_candidates = n_candidates
         self.sample_size = sample_size
 
-    def select(self, candidate_ids, objects, metric, rng) -> int:
-        n = len(candidate_ids)
+    def draw(self, n, rng):
+        """Candidate and sample positions; no draw for one candidate."""
         if n == 1:
-            return int(candidate_ids[0])
-        candidate_ids = np.asarray(candidate_ids)
-        candidates = rng.choice(
-            candidate_ids, size=min(self.n_candidates, n), replace=False
-        )
-        sample = rng.choice(
-            candidate_ids, size=min(self.sample_size, n), replace=False
-        )
-        sample_objects = gather(objects, sample)
-        best_id, best_spread = int(candidates[0]), -1.0
-        for candidate in candidates:
-            # Construction-time cost: charged to the build via
-            # CountingMetric, not to any per-query observation.
-            distances = metric.batch_distance(  # repro-check: ignore[RC001]
-                sample_objects, objects[int(candidate)]
-            )
-            spread = float(np.var(distances))
+            return None
+        candidates = rng.choice(n, size=min(self.n_candidates, n), replace=False)
+        sample = rng.choice(n, size=min(self.sample_size, n), replace=False)
+        return candidates, sample
+
+    def runs(self, n, draw):
+        if draw is None:
+            return None
+        candidates, sample = draw
+        starts = np.arange(len(candidates) + 1) * len(sample)
+        return np.tile(sample, len(candidates)), starts, candidates
+
+    def pick(self, draw, distances) -> int:
+        if draw is None:
+            return 0
+        candidates, sample = draw
+        best, best_spread = int(candidates[0]), -1.0
+        for at, candidate in enumerate(candidates):
+            spread = float(np.var(distances[at * len(sample) : (at + 1) * len(sample)]))
             if spread > best_spread:
-                best_id, best_spread = int(candidate), spread
-        return best_id
+                best, best_spread = int(candidate), spread
+        return best
 
 
 _SELECTORS = {

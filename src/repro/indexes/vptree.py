@@ -15,7 +15,13 @@ This implementation generalises the binary tree to order ``m``
 and supports a configurable leaf capacity, random / max-spread /
 farthest vantage-point selection, range, k-NN and farthest queries.
 
-Construction requires ``O(n log_m n)`` distance computations.
+Construction requires ``O(n log_m n)`` distance computations, and pays
+them one tree level at a time: a count-only pass fixes the shape, the
+vantage-point draws are made in the recursive order as the passes reach
+them, and each level pass measures all of its nodes' groups against
+their vantage points in one segmented metric call and splits them with
+one sort (see :mod:`repro.indexes.levels`).  The tree is the one a node-at-a-time
+recursion builds, node for node.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro._util import (
     definitely_less,
     gather,
 )
-from repro.indexes import kernels
+from repro.indexes import kernels, levels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
@@ -153,80 +159,125 @@ class VPTree(MetricIndex):
     def _build(
         self, ids: np.ndarray, depth: int
     ) -> Union[VPInternalNode, VPLeafNode, None]:
-        """Recursively partition ``ids`` (an integer array) into
-        spherical shells.
-
-        Recursion depth is bounded by the tree height (groups shrink by
-        a factor of ``m`` per level), so the default interpreter stack
-        suffices.
-        """
+        """Partition ``ids`` (an integer array) into spherical shells,
+        one tree level per pass (see :mod:`repro.indexes.levels`); adds
+        the subtree to the node counters and returns its root."""
+        ids = np.asarray(ids, dtype=np.intp)
         if not ids.size:
             return None
-        self.height = max(self.height, depth)
-        if ids.size <= self.leaf_capacity:
-            self.node_count += 1
-            self.leaf_count += 1
-            return VPLeafNode(ids.tolist())
+        plan, nodes = levels.build(lambda zero: self._grow(ids, depth, zero), self._rng)
+        internal = np.flatnonzero(plan.split & plan.live)
+        live = int(plan.live.sum())
+        self.node_count += live
+        self.leaf_count += live - len(internal)
+        self.vantage_point_count += len(internal)
+        self.height = max(self.height, int(plan.depth[plan.live].max()))
+        kids, m = plan.kids[internal].ravel().tolist(), self.m
+        for at, node in enumerate(internal.tolist()):
+            nodes[node].children = [nodes.get(kid) for kid in kids[at * m : at * m + m]]
+        return nodes[0]
 
-        vp_id = self._selector.select(ids, self._objects, self._metric, self._rng)
-        rest = ids[ids != vp_id]
-        distances = np.asarray(
-            self._batch_dist(None, gather(self._objects, rest), self._objects[vp_id])
+    def _plan(self, n: int, depth: int, zero: set) -> levels.Plan:
+        """Count-only pass: every group of more than ``leaf_capacity``
+        points draws its vantage point over the whole group and splits
+        the rest into ``m`` chunks."""
+        return levels.Plan(
+            n,
+            depth,
+            self.leaf_capacity,
+            lambda sizes: (sizes[:, None], levels.split_sizes(sizes - 1, self.m)),
+            0,
+            1,
+            zero,
+            self._selector,
+            self._rng,
         )
-        # Sorted, so every group's extremes are its first and last.
-        order = distances.argsort(kind="stable")
-        if distances.size and float(distances[order[-1]]) == 0.0:
-            # Zero-diameter group (all points identical under the
-            # metric, by the triangle inequality): no shell can ever
-            # separate them, so recursing just peels one vantage point
-            # per level.  Fall back to an (oversized) leaf.
-            self.node_count += 1
-            self.leaf_count += 1
-            return VPLeafNode(ids.tolist())
-        # np.array_split's sections: the first ``extra`` groups take one
-        # more point.
-        size, extra = divmod(order.size, self.m)
-        ends = [g * size + min(g, extra) for g in range(self.m + 1)]
-        groups = [order[ends[g] : ends[g + 1]] for g in range(self.m)]
 
-        cutoffs: list[float] = []
-        bounds: list[tuple[float, float]] = []
-        children: list[Union[VPInternalNode, VPLeafNode, None]] = []
-        for g, group in enumerate(groups):
-            if len(group) == 0:
-                children.append(None)
-                bounds.append((float("inf"), float("-inf")))
-            else:
-                bounds.append(
-                    (float(distances[group[0]]), float(distances[group[-1]]))
-                )
-                children.append(self._build(rest[group], depth + 1))
-            if g < len(groups) - 1:
-                # Boundary between this group and the next: the paper's
-                # cutoff value (the median for m=2).
-                if len(group):
-                    upper = float(distances[group[-1]])
-                else:
-                    upper = cutoffs[-1] if cutoffs else 0.0
-                cutoffs.append(upper)
-
-        if self.bounds_mode == "cutoff":
-            # The paper's pseudo-code prunes against cutoff values only:
-            # child i covers [c_{i-1}, c_i] with 0 and infinity at the
-            # ends.  Exact, but looser than the true shell radii.
-            bounds = [
-                (
-                    0.0 if g == 0 else cutoffs[g - 1],
-                    cutoffs[g] if g < len(cutoffs) else float("inf"),
-                )
-                if bounds[g][0] <= bounds[g][1]
-                else bounds[g]
-                for g in range(len(bounds))
-            ]
-
-        self.node_count += 1
-        self.vantage_point_count += 1
-        return VPInternalNode(vp_id, cutoffs, bounds, children)
+    def _grow(self, ids: np.ndarray, depth: int, zero: set):
+        """The level passes: returns the plan and every node by preorder
+        index (internal nodes still without children).  Raises
+        :class:`~repro.indexes.levels.Replan` when a zero-diameter group
+        turns up after draws that depend on it."""
+        m, cap = self.m, self.leaf_capacity
+        plan = self._plan(len(ids), depth, zero)
+        nodes: dict = {}
+        if len(ids) <= cap:
+            nodes[0] = VPLeafNode(ids.tolist())
+            return plan, nodes
+        # The groups of more than leaf_capacity points still to split;
+        # their rows are point ids.  A zero-diameter group of up to
+        # m * cap + 1 points draws what its planned subtree would (one
+        # draw, leaf chunks), so only larger ties can move later draws.
+        frontier = levels.Frontier(ids, m * cap + 1)
+        while frontier.nodes.size:
+            batch, rows, size = frontier.take()
+            starts = levels.offsets(size)
+            draws = plan.draws(batch)
+            vp_rows = levels.pick(self, self._selector, draws, rows, starts[:-1], size)
+            keep = np.ones(len(rows), dtype=bool)
+            keep[vp_rows] = False
+            rest = rows[keep]
+            rest_starts = starts - np.arange(len(starts))
+            distances = np.asarray(
+                self._segment_dist(
+                    gather(self._objects, rest),
+                    rest_starts,
+                    gather(self._objects, rows[vp_rows]),
+                ),
+                dtype=float,
+            )
+            flat = np.maximum.reduceat(distances, rest_starts[:-1]) == 0.0
+            if flat.any():
+                # Zero-diameter groups (all points identical under the
+                # metric, by the triangle inequality): no shell can ever
+                # separate them, so each becomes one (oversized) leaf.
+                for b in np.flatnonzero(flat).tolist():
+                    plan.flatten(int(batch[b]))
+                    group = rows[starts[b] : starts[b + 1]]
+                    nodes[int(batch[b])] = VPLeafNode(group.tolist())
+                row_live = np.repeat(~flat, size - 1)
+                batch, size, vp_rows = batch[~flat], size[~flat], vp_rows[~flat]
+                rest, distances = rest[row_live], distances[row_live]
+                rest_starts = levels.offsets(size - 1)
+            count = len(batch)
+            # Sorted, so every chunk's extremes are its first and last;
+            # ties keep the group's order.
+            order = np.lexsort((distances, np.repeat(np.arange(count), size - 1)))
+            rest, values = rest[order], distances[order]
+            chunk = levels.split_sizes(size - 1, m)
+            chunk_starts = rest_starts[:-1, None] + np.cumsum(chunk, axis=1) - chunk
+            cuts = levels.chunk_cutoffs(values, rest_starts[:-1], chunk)
+            top = max(len(values) - 1, 0)
+            lo = np.where(chunk > 0, values[np.minimum(chunk_starts, top)], np.inf)
+            hi = np.where(
+                chunk > 0, values[np.clip(chunk_starts + chunk - 1, 0, top)], -np.inf
+            )
+            if self.bounds_mode == "cutoff":
+                # The paper's pseudo-code prunes against cutoff values
+                # only: child i covers [c_{i-1}, c_i] with 0 and infinity
+                # at the ends.  Exact, but looser than the true radii.
+                lo = np.where(chunk > 0, np.c_[np.zeros(count), cuts], lo)
+                hi = np.where(chunk > 0, np.c_[cuts, np.full(count, np.inf)], hi)
+            # Flat lists, sliced per node: no container per row.
+            cut_at = cuts.ravel().tolist()
+            shells = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+            for b, (node, vp_id) in enumerate(
+                zip(batch.tolist(), rows[vp_rows].tolist())
+            ):
+                cut = cut_at[b * (m - 1) : (b + 1) * (m - 1)]
+                bounds = shells[b * m : b * m + m]
+                nodes[node] = VPInternalNode(vp_id, cut, bounds, None)
+            child = plan.kids[batch]
+            inner = chunk > cap
+            leaf = (chunk > 0) & ~inner
+            leaf_ids = rest[np.repeat(leaf.ravel(), chunk.ravel())].tolist()
+            start = 0
+            for node, n in zip(child[leaf].tolist(), chunk[leaf].tolist()):
+                nodes[node] = VPLeafNode(leaf_ids[start : start + n])
+                start += n
+            descend = np.repeat(inner.ravel(), chunk.ravel())
+            frontier.push(child[inner], chunk[inner], rest[descend], values[descend])
+        return plan, nodes
 
     # ------------------------------------------------------------------
     # Range search (paper section 3.3, generalised to m-way)

@@ -46,6 +46,21 @@ class Metric(ABC):
         """
         return np.array([self.distance(x, y) for x in xs], dtype=float)
 
+    def segmented_distance(self, xs: Sequence, starts, ys: Sequence) -> np.ndarray:
+        """Return the distances of consecutive runs of ``xs``, each run
+        against its own object: run ``i`` is ``xs[starts[i]:starts[i+1]]``
+        against ``ys[i]``, so ``starts`` has ``len(ys) + 1`` entries.
+
+        The default calls :meth:`batch_distance` once per run;
+        vectorised metrics override it with one pass whose values equal
+        the per-run calls.  A batch of ``n`` rows counts as ``n``.
+        """
+        parts = [
+            np.asarray(self.batch_distance(xs[a:b], y), dtype=float)
+            for a, b, y in zip(starts[:-1], starts[1:], ys)
+        ]
+        return np.concatenate(parts) if parts else np.empty(0)
+
     def __call__(self, a, b) -> float:
         return self.distance(a, b)
 
@@ -243,6 +258,12 @@ class CountingMetric(Metric):
 
     def batch_distance(self, xs: Sequence, y) -> np.ndarray:
         out = self.inner.batch_distance(xs, y)
+        with self._lock:
+            self.count += len(out)
+        return out
+
+    def segmented_distance(self, xs: Sequence, starts, ys: Sequence) -> np.ndarray:
+        out = self.inner.segmented_distance(xs, starts, ys)
         with self._lock:
             self.count += len(out)
         return out

@@ -52,7 +52,11 @@ class Minkowski(Metric):
         self._rescale = self.scale != 1.0
 
     def distance(self, a, b) -> float:
-        return self._norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), None)
+        # np.asarray: a difference of scalars is a numpy scalar, which
+        # cannot take the norm's in-place writes.
+        return self._norm(
+            np.asarray(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)), None
+        )
 
     def batch_distance(self, xs: Sequence, y) -> np.ndarray:
         if (
@@ -75,18 +79,37 @@ class Minkowski(Metric):
             matrix.reshape(len(matrix), -1) - np.ravel(np.asarray(y, dtype=float)), 1
         )
 
+    def segmented_distance(self, xs: Sequence, starts, ys: Sequence) -> np.ndarray:
+        if type(self).batch_distance is not Minkowski.batch_distance:
+            # A subclass that overrides batch_distance (to record or
+            # count calls, say) keeps it: one call per run.
+            return super().segmented_distance(xs, starts, ys)
+        counts = np.diff(np.asarray(starts, dtype=np.intp))
+        if not len(counts) or not counts.sum():
+            return np.empty(0)
+        matrix = np.asarray(xs, dtype=float)
+        points = np.asarray(ys, dtype=float)
+        if matrix.ndim == 1:  # runs of scalars
+            matrix = matrix[:, np.newaxis]
+        matrix = matrix.reshape(len(matrix), -1)
+        # Row for row the same subtraction and reduction as
+        # batch_distance, so every value matches a per-run call.
+        diff = np.repeat(points.reshape(len(points), -1), counts, axis=0)
+        return self._norm(np.subtract(matrix, diff, out=diff), 1)
+
     def _norm(self, diff: np.ndarray, axis):
-        """The scaled Lp norm of the differences ``diff``."""
+        """The scaled Lp norm of the differences ``diff``, which it
+        overwrites (every caller passes a fresh difference array)."""
         kind = self._kind
         if kind == "l2":
             # x * x == |x| * |x| bit for bit, so no abs.
-            value = np.sqrt(np.square(diff).sum(axis=axis))
+            value = np.sqrt(np.square(diff, out=diff).sum(axis=axis))
         elif kind == "sum":
-            value = np.abs(diff).sum(axis=axis)
+            value = np.abs(diff, out=diff).sum(axis=axis)
         elif kind == "max":
-            value = np.abs(diff).max(axis=axis)
+            value = np.abs(diff, out=diff).max(axis=axis)
         else:
-            powered = np.power(np.abs(diff), self.p)
+            powered = np.power(np.abs(diff, out=diff), self.p, out=diff)
             value = np.power(powered.sum(axis=axis), 1.0 / self.p)
         return value / self.scale if self._rescale else value
 

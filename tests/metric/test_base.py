@@ -27,6 +27,20 @@ class TestFunctionMetric:
         out = metric.batch_distance([1, 2, 10], 4)
         assert out.tolist() == [3.0, 2.0, 6.0]
 
+    def test_segmented_default_loops_over_batches(self):
+        calls = []
+
+        class Logged(FunctionMetric):
+            def batch_distance(self, xs, y):
+                calls.append((list(xs), y))
+                return super().batch_distance(xs, y)
+
+        metric = Logged(lambda a, b: abs(a - b))
+        out = metric.segmented_distance([1, 2, 10, 7], [0, 1, 1, 4], [4, 0, 5])
+        assert out.tolist() == [3.0, 3.0, 5.0, 2.0]
+        assert calls == [([1], 4), ([], 0), ([2, 10, 7], 5)]
+        assert metric.segmented_distance([], [0], []).shape == (0,)
+
     def test_batch_returns_float_array(self):
         metric = FunctionMetric(lambda a, b: abs(a - b))
         out = metric.batch_distance([1, 2], 0)
@@ -85,6 +99,14 @@ class TestCountingMetric:
         np.testing.assert_allclose(
             counting.batch_distance(xs, y), inner.batch_distance(xs, y)
         )
+
+    def test_counts_segmented_runs_by_length(self):
+        counting = CountingMetric(L2())
+        xs = np.random.default_rng(0).random((9, 3))
+        out = counting.segmented_distance(xs, [0, 4, 4, 9], xs[:3])
+        assert counting.count == len(out) == 9
+        plain = L2().segmented_distance(xs, [0, 4, 4, 9], xs[:3])
+        assert out.tobytes() == plain.tobytes()
 
     def test_empty_batch_counts_zero(self):
         counting = CountingMetric(L2())

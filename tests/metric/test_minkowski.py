@@ -106,6 +106,73 @@ class TestBatchConsistency:
         generic = metric.batch_distance(list(xs), y)
         assert fast.tobytes() == generic.tobytes()
 
+    @pytest.mark.parametrize(
+        "metric",
+        [L1(), L2(), LInf(), Minkowski(3), L2(scale=100.0), LInf(scale=0.3)],
+        ids=["L1", "L2", "LInf", "L3", "L2/100", "LInf/0.3"],
+    )
+    def test_norms_leave_the_callers_arrays_unchanged(self, metric):
+        # The norms square or take absolute values in place, on the
+        # difference array only.
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(12, 5))
+        y = rng.normal(size=5)
+        before = xs.copy(), y.copy()
+        metric.batch_distance(xs, y)
+        metric.distance(xs[0], y)
+        metric.segmented_distance(xs, [0, 5, 12], xs[:2])
+        assert xs.tobytes() == before[0].tobytes()
+        assert y.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "metric",
+        [L1(), L2(), LInf(), Minkowski(3), L2(scale=100.0)],
+        ids=["L1", "L2", "LInf", "L3", "L2/100"],
+    )
+    @pytest.mark.parametrize("dim", [1, 7, 16, 20, 33])
+    def test_segmented_rows_match_per_run_batches_bit_for_bit(self, metric, dim):
+        rng = np.random.default_rng(dim)
+        counts = rng.integers(0, 40, size=25)
+        xs = rng.normal(size=(int(counts.sum()), dim))
+        ys = rng.normal(size=(25, dim))
+        starts = np.r_[0, np.cumsum(counts)]
+        runs = zip(starts, starts[1:], ys)
+        expected = np.concatenate(
+            [metric.batch_distance(xs[a:b], y) for a, b, y in runs]
+        )
+        segmented = metric.segmented_distance(xs, starts, ys)
+        assert segmented.tobytes() == expected.tobytes()
+        generic = metric.segmented_distance(list(xs), starts, list(ys))
+        assert generic.tobytes() == expected.tobytes()
+
+    def test_segmented_scalars_and_empty_runs(self):
+        xs = np.array([1.0, 4.0, 6.0])
+        scalars = L1().segmented_distance(xs, [0, 0, 3], [9.0, 5.0])
+        assert scalars.tolist() == [4.0, 1.0, 1.0]
+        empty = L2().segmented_distance(np.zeros((0, 3)), [0, 0], np.zeros((1, 3)))
+        assert empty.shape == (0,)
+
+    def test_segmented_keeps_a_subclass_batch_override(self):
+        """A subclass that overrides batch_distance (here, to record its
+        calls) sees one call per run, as with the base class."""
+
+        class RecordingL2(L2):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def batch_distance(self, xs, y):
+                self.calls.append(len(xs))
+                return super().batch_distance(xs, y)
+
+        metric = RecordingL2()
+        xs = np.arange(12.0).reshape(6, 2)
+        out = metric.segmented_distance(xs, [0, 2, 2, 6], np.zeros((3, 2)))
+        assert metric.calls == [2, 0, 4]
+        assert out.tobytes() == L2().segmented_distance(
+            xs, [0, 2, 2, 6], np.zeros((3, 2))
+        ).tobytes()
+
     def test_batch_on_list_of_arrays(self):
         xs = [np.array([0.0, 0.0]), np.array([3.0, 4.0])]
         np.testing.assert_allclose(L2().batch_distance(xs, np.zeros(2)), [0.0, 5.0])
