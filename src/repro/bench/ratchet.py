@@ -6,7 +6,10 @@ and the throughput it achieved.  ``repro-bench ratchet`` replays the
 *identical* configuration — every knob comes from the baseline's
 ``config`` block, never from the current defaults — and fails when the
 fresh ``qps`` falls more than ``--max-regression`` (default 25%) below
-the recorded one.
+the recorded one, or when the replay pays more distance computations
+than the recorded run.  The workload is seeded, so its answers and
+distance counts repeat exactly: that half of the verdict does not
+depend on the host.
 
 The pinned config uses a simulated per-call metric cost
 (``simulated_cost_us``), which makes the benchmark *sleep-dominated*:
@@ -16,8 +19,8 @@ property a cross-machine CI ratchet needs.  Improvements don't
 auto-tighten the floor; to ratchet *up*, re-run with ``--write`` on a
 representative machine and commit the new baseline.
 
-Exit codes: 0 pass, 1 throughput regression (or result mismatch),
-2 unusable baseline.
+Exit codes: 0 pass, 1 throughput or distance-count regression (or
+result mismatch), 2 unusable baseline.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ def ratchet_main(argv: Optional[Sequence[str]] = None) -> int:
     result = rerun_baseline_config(baseline)
     floor = baseline["qps"] * (1.0 - args.max_regression)
     regressed = result.engine_qps < floor
+    recorded_calls = baseline.get("sequential_distance_calls")
+    more_calls = (
+        recorded_calls is not None
+        and result.sequential_distance_calls > recorded_calls
+    )
     verdict = {
         "schema": "repro-bench-ratchet/v1",
         "baseline_qps": baseline["qps"],
@@ -122,8 +130,12 @@ def ratchet_main(argv: Optional[Sequence[str]] = None) -> int:
         "ratio": (
             result.engine_qps / baseline["qps"] if baseline["qps"] else 0.0
         ),
+        "baseline_distance_calls": recorded_calls,
+        "current_distance_calls": result.sequential_distance_calls,
         "results_identical": result.results_identical,
-        "passed": bool(not regressed and result.results_identical),
+        "passed": bool(
+            not regressed and not more_calls and result.results_identical
+        ),
         "current": result.to_dict(),
     }
     if args.write:
@@ -139,6 +151,12 @@ def ratchet_main(argv: Optional[Sequence[str]] = None) -> int:
             f"{baseline['qps']:.0f} q/s "
             f"(floor {floor:.0f}, ratio {verdict['ratio']:.2f}x)"
         )
+        if recorded_calls is not None:
+            print(
+                f"distance calls: {result.sequential_distance_calls:,} vs "
+                f"baseline {recorded_calls:,}"
+                + (" (MORE)" if more_calls else "")
+            )
         if not result.results_identical:
             print("engine answers DIFFER from the sequential baseline")
     return 0 if verdict["passed"] else 1

@@ -157,15 +157,17 @@ class DynamicMVPTree(MVPTree):
         """Index a new object; returns its id (stable forever)."""
         self._objects.append(obj)
         idx = len(self._objects) - 1
-        # Shell expansion and leaf appends mutate node state in place;
-        # the vectorised kernels must rebuild their flat-array view.
-        self._kernel_cache = None
-        if self._root is None:
+        if self._is_empty():
             paths = np.full((1, self.p), np.nan)
-            self._root = self._build([idx], paths, level=1, depth=1)
+            self._plant(self._build([idx], paths, level=1, depth=1))
             return idx
+        # Shell expansion and leaf appends mutate the node graph in
+        # place: the tree starts from nodes from now on, and its tables
+        # go before the first change.
+        root = self._root
+        self._kernel_cache = None
         self._root = self._insert_into(
-            self._root, idx, level=1, depth=1, path_entries=[], ancestors=[]
+            root, idx, level=1, depth=1, path_entries=[], ancestors=[]
         )
         return idx
 
@@ -304,7 +306,7 @@ class DynamicMVPTree(MVPTree):
         self.leaf_count -= 1
         self.vantage_point_count -= vp_count
         self.leaf_data_point_count -= len(leaf.ids)
-        return self._build(member_ids, paths, level, depth)
+        return self._node_view(self._build(member_ids, paths, level, depth), level)
 
     # ------------------------------------------------------------------
     # Deletion
@@ -331,7 +333,6 @@ class DynamicMVPTree(MVPTree):
         entries — and restores a fresh balanced structure.
         """
         self.rebuild_count += 1
-        self._kernel_cache = None
         # Filter against the permanent record: ids purged by an earlier
         # rebuild are no longer tombstoned but must never resurrect.
         live_ids = [
@@ -344,11 +345,8 @@ class DynamicMVPTree(MVPTree):
         self.vantage_point_count = 0
         self.leaf_data_point_count = 0
         self.height = 0
-        if live_ids:
-            paths = np.full((len(live_ids), self.p), np.nan)
-            self._root = self._build(live_ids, paths, level=1, depth=1)
-        else:
-            self._root = None
+        paths = np.full((len(live_ids), self.p), np.nan)
+        self._plant(self._build(live_ids, paths, level=1, depth=1))
 
     # ------------------------------------------------------------------
     # Queries (filtering tombstones)
@@ -363,7 +361,7 @@ class DynamicMVPTree(MVPTree):
         trace: Optional["TraceSink"] = None,
     ) -> list[int]:
         radius = self.validate_radius(radius)
-        if self._root is None:
+        if self._is_empty():
             return []
         hits = super().range_search(query, radius, stats=stats, trace=trace)
         if not self._deleted:
@@ -372,7 +370,7 @@ class DynamicMVPTree(MVPTree):
 
     def outside_range_search(self, query, radius: float) -> list[int]:
         radius = self.validate_radius(radius)
-        if self._root is None:
+        if self._is_empty():
             return []
         hits = super().outside_range_search(query, radius)
         if not self._deleted:
@@ -390,7 +388,7 @@ class DynamicMVPTree(MVPTree):
     ) -> list[Neighbor]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self._root is None:
+        if self._is_empty():
             return []
         # Over-fetch by the tombstone count so k live answers survive
         # the filter (bounded by the rebuild threshold).
@@ -404,7 +402,7 @@ class DynamicMVPTree(MVPTree):
     def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self._root is None:
+        if self._is_empty():
             return []
         fetch = min(len(self._objects), k + len(self._deleted))
         raw = super().farthest_search(query, fetch)

@@ -28,13 +28,16 @@ recursive order as the passes reach them, each level pass measures all
 of its internal nodes against their ``t``-th vantage points in one
 segmented metric call per ``t``, and one last set of ``v`` passes
 builds every leaf of the tree at once.  The tree is the one a node-at-a-time recursion
-builds, node for node.
+builds, node for node.  The passes write the search kernel's flat
+tables (:mod:`repro.indexes.kernels`); the nodes below are a view made
+from them for the code that walks nodes.
 
 Every internal node records, per vantage point ``t``, the ``m - 1``
 cutoffs of each of the ``m**t`` regions it refines (the paper's M1 and
 M2 arrays at ``v = 2``) and a per-child shell ``bounds[c][t]``.  The
 search kernels prune against ``bounds`` only; which shells they hold is
-the class's choice (:meth:`GMVPTree._shells`).
+the class's choice (:meth:`GMVPTree._shells`), made for a whole level
+of nodes at once.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class GMVPLeafNode:
 _Node = Union[GMVPInternalNode, GMVPLeafNode, None]
 
 
-class GMVPTree(MetricIndex):
+class GMVPTree(kernels.TableTree, MetricIndex):
     """Multi-vantage-point tree with parameters (m, v, k, p).
 
     Parameters
@@ -166,39 +169,104 @@ class GMVPTree(MetricIndex):
 
         ids = list(range(len(objects)))
         paths = np.full((len(ids), p), np.nan)
-        self._root = self._build(ids, paths, level=1, depth=1)
-        self._kernel_cache = None  # flat arrays, built lazily on first search
+        self._plant(self._build(ids, paths, level=1, depth=1))
 
     # ------------------------------------------------------------------
     # Construction (paper section 4.2)
     # ------------------------------------------------------------------
 
-    def _build(self, ids, paths, level: int, depth: int) -> _Node:
+    def _build(
+        self, ids, paths, level: int, depth: int
+    ) -> Optional[kernels._GMVPArrays]:
         """Build the subtree over ``ids`` (their PATH rows in ``paths``)
         one tree level per pass (see :mod:`repro.indexes.levels`); adds
-        it to the node counters and returns its root."""
+        it to the node counters and returns its tables."""
         ids = np.asarray(ids, dtype=np.intp)
         if not ids.size:
             return None
         paths = np.asarray(paths, dtype=float)
-        plan, nodes = levels.build(
+        plan, built, leaves = levels.build(
             lambda zero: self._grow(ids, paths, level, depth, zero), self._rng
         )
+        nodes, vps, cuts, lo, hi = (np.concatenate(part) for part in zip(*built))
+        leaf_nodes, sizes, leaf_vps, leaf_ids, dists, leaf_paths = leaves
         v = self.v
-        internal = np.flatnonzero(plan.split & plan.live)
-        leaf_sizes = plan.size[~plan.split & plan.live]
-        self.node_count += len(internal) + len(leaf_sizes)
-        self.leaf_count += len(leaf_sizes)
-        self.internal_count += len(internal)
-        self.vantage_point_count += v * len(internal)
-        self.vantage_point_count += int(np.minimum(leaf_sizes, v).sum())
-        self.leaf_data_point_count += int(np.maximum(leaf_sizes - v, 0).sum())
+        leaf_total = plan.size[leaf_nodes]
+        self.node_count += len(nodes) + len(leaf_nodes)
+        self.leaf_count += len(leaf_nodes)
+        self.internal_count += len(nodes)
+        self.vantage_point_count += v * len(nodes)
+        self.vantage_point_count += int(np.minimum(leaf_total, v).sum())
+        self.leaf_data_point_count += int(np.maximum(leaf_total - v, 0).sum())
         self.height = max(self.height, int(plan.depth[plan.live].max()))
-        kids, fanout = plan.kids[internal].ravel().tolist(), self.m**v
-        for at, node in enumerate(internal.tolist()):
-            children = kids[at * fanout : (at + 1) * fanout]
-            nodes[node].children = [nodes.get(kid) for kid in children]
-        return nodes[0]
+        inner, kind, child, leaf_order, rows = levels.layout(
+            plan, nodes, leaf_nodes, sizes
+        )
+        present = (kind > 0)[..., None]
+        tables = kernels._GMVPArrays()
+        tables.vp_ids = vps[inner]
+        tables.cutoffs = cuts[inner]
+        tables.blo = np.where(present, lo[inner], -np.inf)
+        tables.bhi = np.where(present, hi[inner], np.inf)
+        tables.child_kind, tables.child_idx = kind, child
+        # int64/float64 throughout: the tables are written to stores as is.
+        tables.leaf_vp_ids = leaf_vps[leaf_order].astype(np.int64)
+        tables.leaf_offsets = levels.offsets(sizes[leaf_order]).astype(np.int64)
+        tables.leaf_ids = leaf_ids[rows].astype(np.int64)
+        tables.leaf_dists = dists[rows]
+        tables.leaf_paths = leaf_paths[rows]
+        tables.root_kind = kernels._INTERNAL if plan.split[0] else kernels._LEAF
+        tables.root_idx = 0
+        return tables
+
+    def _node_view(self, tables: kernels._GMVPArrays, level: int = 1) -> _Node:
+        """The node graph of ``tables`` with its root at ``level``.
+
+        Empty children get the shells :meth:`_shells` gives them (the
+        empty shell, or their region's); a leaf keeps the PATH prefix
+        of its level, ``min(p, level - 1)``, and a leaf without points
+        a distance row per vantage point after its first.
+        """
+        m, v, p = self.m, self.v, self.p
+        fanout = m**v
+        kind, child = tables.child_kind, tables.child_idx
+        present = (kind > 0)[..., None]
+        lo, hi = self._shells(
+            np.where(present, tables.blo, np.inf),
+            np.where(present, tables.bhi, -np.inf),
+            tables.cutoffs,
+        )
+        shells = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+        first = [(m**t - 1) // (m - 1) for t in range(v + 1)]
+        internals = []
+        for n, (vp_ids, rows) in enumerate(
+            zip(tables.vp_ids.tolist(), tables.cutoffs.tolist())
+        ):
+            cuts = [rows[first[t] : first[t + 1]] for t in range(v)]
+            bounds = [
+                shells[c * v : c * v + v] for c in range(n * fanout, (n + 1) * fanout)
+            ]
+            internals.append(GMVPInternalNode(vp_ids, cuts, bounds, None))
+        leaf = kind == kernels._LEAF
+        leaf_level = np.full(len(tables.leaf_offsets) - 1, level)
+        below = level + v * (kernels.depths(tables) + 1)
+        leaf_level[child[leaf]] = np.broadcast_to(below[:, None], kind.shape)[leaf]
+        at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
+        leaves = []
+        for vp_ids, a, b, path_len in zip(
+            tables.leaf_vp_ids.tolist(),
+            at,
+            at[1:],
+            np.minimum(p, leaf_level - 1).tolist(),
+        ):
+            vp_ids = [vp for vp in vp_ids if vp >= 0]
+            if b > a:
+                dists = tables.leaf_dists[a:b].T
+            else:
+                dists = np.zeros((max(len(vp_ids) - 1, 0), 0))
+            paths = tables.leaf_paths[a:b, :path_len]
+            leaves.append(GMVPLeafNode(vp_ids, ids[a:b], dists, paths, path_len))
+        return kernels.wire(tables, internals, leaves)
 
     def _plan(self, n: int, depth: int, zero: set) -> levels.Plan:
         """Count-only pass (paper section 4.2's shape).  A group of more
@@ -229,10 +297,11 @@ class GMVPTree(MetricIndex):
         )
 
     def _grow(self, ids, paths, level: int, depth: int, zero: set):
-        """The level passes: returns the plan and every node by preorder
-        index (internal nodes still without children).  Raises
-        :class:`~repro.indexes.levels.Replan` when a zero-diameter group
-        turns up after draws that depend on it."""
+        """The level passes: returns the plan, the internal nodes in
+        blocks of (preorder indices, vantage points, cutoffs, lower and
+        upper shells) and the leaves as :meth:`_grow_leaves` gives them.
+        Raises :class:`~repro.indexes.levels.Replan` when a zero-diameter
+        group turns up after draws that depend on it."""
         m, v, p, limit = self.m, self.v, self.p, self.k + self.v
         fanout = m**v
         plan = self._plan(len(ids), depth, zero)
@@ -241,17 +310,27 @@ class GMVPTree(MetricIndex):
         # PATH entries in place.
         paths = paths.copy()
         rows = np.arange(len(ids))
+        no_shells = np.zeros((0, fanout, v))
+        regions = (fanout - 1) // (m - 1)  # cutoff rows per node
+        built = [
+            (
+                np.zeros(0, dtype=np.intp),
+                np.zeros((0, v), dtype=np.intp),
+                np.zeros((0, regions, m - 1)),
+                no_shells,
+                no_shells,
+            )
+        ]
         if len(ids) <= limit:
             root = [(np.zeros(1, dtype=np.intp), np.array([len(ids)]), rows)]
-            return plan, self._grow_leaves(plan, root, ids, paths, base)
-        nodes: dict = {}
+            return plan, built, self._grow_leaves(plan, root, ids, paths, base)
         # Leaves to build, in blocks: (preorder indices, sizes, the
         # leaves' rows back to back).
         leaves: list = []
         # The groups of more than k + v points still to split.
         # Every zero-diameter group moves later draws: its leaf draws
         # again.
-        frontier = levels.Frontier(rows, limit)
+        frontier = levels.Frontier(rows, plan.need)
         while frontier.nodes.size:
             batch, b_rows, sizes = frontier.take()
             count = len(batch)
@@ -339,25 +418,13 @@ class GMVPTree(MetricIndex):
                 for t, col in enumerate(cols):
                     lo[filled, t] = np.minimum.reduceat(col, child_starts[filled])
                     hi[filled, t] = np.maximum.reduceat(col, child_starts[filled])
-                # Flat lists, sliced per node: no container per row.
-                pairs = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
-                rings = [cut.ravel().tolist() for cut in cutoffs]
-                vp_at = np.array(vps).T.ravel().tolist()
-                for b, node in enumerate(batch.tolist()):
-                    cuts = [
-                        [
-                            ring[r * (m - 1) : (r + 1) * (m - 1)]
-                            for r in range(b * m**t, (b + 1) * m**t)
-                        ]
-                        for t, ring in enumerate(rings)
-                    ]
-                    shells = [
-                        pairs[c * v : c * v + v]
-                        for c in range(b * fanout, (b + 1) * fanout)
-                    ]
-                    bounds = self._shells(shells, cuts)
-                    vp_ids = vp_at[b * v : b * v + v]
-                    nodes[node] = GMVPInternalNode(vp_ids, cuts, bounds, None)
+                cuts = np.concatenate(
+                    [cut.reshape(count, -1, m - 1) for cut in cutoffs], axis=1
+                )
+                lo, hi = self._shells(
+                    lo.reshape(count, fanout, v), hi.reshape(count, fanout, v), cuts
+                )
+                built.append((batch, np.stack(vps, axis=1), cuts, lo, hi))
                 child = plan.kids[batch].ravel()
                 inner = child_sizes > limit
                 small = filled & ~inner
@@ -373,12 +440,9 @@ class GMVPTree(MetricIndex):
             else:
                 empty = np.zeros(0, dtype=np.intp)
                 frontier.push(empty, empty, empty, np.zeros(0))
-        nodes.update(self._grow_leaves(plan, leaves, ids, paths, base))
-        return plan, nodes
+        return plan, built, self._grow_leaves(plan, leaves, ids, paths, base)
 
-    def _grow_leaves(
-        self, plan: levels.Plan, leaves: list, ids, paths, base: int
-    ) -> dict:
+    def _grow_leaves(self, plan: levels.Plan, leaves: list, ids, paths, base: int):
         """Build every leaf at once, one pass per vantage point: the
         first selector-chosen, each later one the point farthest from
         those chosen (max-min; at ``v = 2`` the paper's "farthest point
@@ -387,12 +451,15 @@ class GMVPTree(MetricIndex):
 
         ``leaves`` holds blocks of (preorder indices, sizes, rows) with
         rows indexing ``ids`` and ``paths``; a leaf at depth ``d`` sits
-        at level ``base + v * d``.
+        at level ``base + v * d``.  Returns per leaf its preorder index,
+        point count and ``(v,)`` vantage points (-1 past its count), and
+        per point, leaf after leaf, its id, ``(v,)`` distances to its
+        leaf's vantage points and ``(p,)`` PATH row, zero past its
+        leaf's ``min(p, level - 1)``.
         """
         v, p = self.v, self.p
         order, left, rows = (np.concatenate(part) for part in zip(*leaves))
         vps = np.full((len(order), v), -1, dtype=np.intp)
-        picked = np.zeros(len(order), dtype=np.intp)
         cols: list[np.ndarray] = []
         nearest = np.zeros(0)
         for t in range(v):
@@ -411,7 +478,6 @@ class GMVPTree(MetricIndex):
                 hit = np.flatnonzero(nearest == np.repeat(top, left[live]))
                 chosen = hit[np.searchsorted(hit, starts)]
             vps[live, t] = ids[rows[chosen]]
-            picked[live] += 1
             left[live] -= 1
             keep = np.ones(len(rows), dtype=bool)
             keep[chosen] = False
@@ -430,38 +496,19 @@ class GMVPTree(MetricIndex):
             )
             nearest = distances if t == 0 else np.minimum(nearest[keep], distances)
             cols.append(distances)
-        # A leaf has a distance row per vantage point chosen while points
-        # were left, so ``picked - 1`` rows once it ran out.
-        counts = np.where(left > 0, len(cols), np.maximum(picked - 1, 0)).tolist()
-        table = np.array(cols).reshape(len(cols), len(rows))
-        leaf_paths = paths[rows]
-        starts = (np.cumsum(left) - left).tolist()
-        path_lens = np.minimum(p, base + v * plan.depth[order] - 1).tolist()
-        ids_list = ids[rows].tolist()
-        vp_at = vps.ravel().tolist()
-        built = {}
-        for at, node, n, start, size, rows_i, path_len in zip(
-            range(0, len(vp_at), v),
-            order.tolist(),
-            picked.tolist(),
-            starts,
-            left.tolist(),
-            counts,
-            path_lens,
-        ):
-            built[node] = GMVPLeafNode(
-                vp_at[at : at + n],
-                ids_list[start : start + size],
-                table[:rows_i, start : start + size],
-                leaf_paths[start : start + size, :path_len],
-                path_len,
-            )
-        return built
+        dists = np.zeros((len(rows), v))
+        dists[:, : len(cols)] = np.array(cols).reshape(len(cols), len(rows)).T
+        path_lens = np.minimum(p, base + v * plan.depth[order] - 1)
+        kept = np.arange(p) < np.repeat(path_lens, left)[:, None]
+        return order, left, vps, ids[rows], dists, np.where(kept, paths[rows], 0.0)
 
-    def _shells(self, bounds, cutoffs):
-        """The shells the search prunes against: here, the per-child
-        ``(lo, hi)`` of every vantage point, the tightest exact choice."""
-        return bounds
+    def _shells(self, lo, hi, cutoffs):
+        """The shells the search prunes against, for a level of nodes:
+        ``lo``/``hi`` ``(nodes, m**v, v)`` hold each child's ``(lo,
+        hi)`` per vantage point (the empty shell ``(inf, -inf)`` for an
+        empty child), ``cutoffs`` the nodes' cutoff rows.  Here the
+        per-child shells themselves, the tightest exact choice."""
+        return lo, hi
 
     # ------------------------------------------------------------------
     # Range search (paper section 4.3)
@@ -503,8 +550,3 @@ class GMVPTree(MetricIndex):
         return kernels.approx_tree_knn(
             self, "gmvpt", query, k, epsilon=epsilon, obs=obs
         )[0]
-
-    @property
-    def root(self) -> _Node:
-        """The root node (read-only introspection for tests/persistence)."""
-        return self._root

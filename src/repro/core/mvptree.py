@@ -48,7 +48,7 @@ from repro._util import (
     gather,
     slack,
 )
-from repro.core.gmvptree import EMPTY_SHELL, GMVPLeafNode, GMVPTree
+from repro.core.gmvptree import GMVPLeafNode, GMVPTree
 from repro.indexes.base import Neighbor
 from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
@@ -114,43 +114,42 @@ class MVPTree(GMVPTree):
             objects, metric, m=m, v=2, k=k, p=p, selector=selector, rng=rng
         )
 
-    def _shells(self, bounds, cutoffs):
+    def _shells(self, lo, hi, cutoffs):
         """Widen every child's shell around vantage point ``t`` to its
         depth-``t`` region: the region's exact radii (``"tight"``) or
         the cutoff interval (``"cutoff"``; 0 and infinity at the ends).
 
         Empty children inside a non-empty region share the region's
         shell, so an insertion that later fills them stays inside it.
+        Widening widened shells changes nothing.
         """
         m, v = self.m, self.v
-        out = [list(child) for child in bounds]
+        count, fanout = lo.shape[:2]
+        lo, hi = lo.copy(), hi.copy()
+        first = 0  # vantage point t's first cutoff row
         for t in range(v):
+            rows = cutoffs[:, first : first + m**t]
+            first += m**t
             width = m ** (v - 1 - t)  # children per partition of vp t
             if width == 1 and self.bounds_mode == "tight":
                 continue  # a one-child region's radii are the child's own
-            for start in range(0, len(bounds), width):
-                members = [
-                    bounds[c][t]
-                    for c in range(start, start + width)
-                    if bounds[c][t] != EMPTY_SHELL
-                ]
-                if not members:
-                    continue
-                if self.bounds_mode == "cutoff":
-                    row = cutoffs[t][start // (width * m)]
-                    g = (start // width) % m
-                    shell = (
-                        0.0 if g == 0 else row[g - 1],
-                        row[g] if g < m - 1 else float("inf"),
-                    )
-                else:
-                    shell = (
-                        min(lo for lo, _ in members),
-                        max(hi for _, hi in members),
-                    )
-                for c in range(start, start + width):
-                    out[c][t] = shell
-        return out
+            parts = (count, fanout // width, width)
+            part_lo, part_hi = lo[..., t].reshape(parts), hi[..., t].reshape(parts)
+            filled = (part_lo <= part_hi).any(axis=2, keepdims=True)
+            if self.bounds_mode == "cutoff":
+                # Partition g of region r lies between its cutoffs.
+                end = (count, m**t, 1)
+                edges = np.concatenate(
+                    (np.zeros(end), rows, np.full(end, np.inf)), axis=2
+                )
+                shell_lo = edges[..., :-1].reshape(parts[:2] + (1,))
+                shell_hi = edges[..., 1:].reshape(parts[:2] + (1,))
+            else:
+                shell_lo = part_lo.min(axis=2, keepdims=True)
+                shell_hi = part_hi.max(axis=2, keepdims=True)
+            lo[..., t] = np.where(filled, shell_lo, part_lo).reshape(count, fanout)
+            hi[..., t] = np.where(filled, shell_hi, part_hi).reshape(count, fanout)
+        return lo, hi
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning)

@@ -44,12 +44,17 @@ Invariants:
   carry ``count > 1`` (the same aggregation
   :meth:`Observation.filter_points` uses).
 
-Tree structure is flattened into numpy arrays once per index and cached
-on the instance (``_kernel_cache``); mutating structures
-(:class:`~repro.core.dynamic.DynamicMVPTree`) reset the cache on every
-update.  Missing children carry ``(-inf, +inf)`` sentinel bounds so the
-vectorised comparisons never see them as prunable (and never produce
-``inf - inf`` NaNs); an existence mask excludes them from every count.
+The flat tables are the tree (``_kernel_cache``, :class:`TableTree`):
+the level-synchronous builds write them directly, and an ``.rsx`` store
+maps them back.  Node objects are a view made from the tables when
+something walks nodes (JSON persist, the verifiers, farthest and
+outside-range search).  Only trees that start from nodes -- a
+JSON-loaded tree, a :class:`~repro.core.dynamic.DynamicMVPTree` after an
+update -- are flattened into tables, once, on their first search; an
+update drops them.  Missing children carry ``(-inf, +inf)`` sentinel
+bounds so the vectorised comparisons never see them as prunable (and
+never produce ``inf - inf`` NaNs); an existence mask excludes them from
+every count.
 
 Leaves are point-major (:data:`GMVP_LEAF_TABLES`): a leaf's points are
 one run of rows, and each point's D_t row ``(v,)`` and PATH row
@@ -90,8 +95,8 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 #: ``child_kind`` codes in the flattened arrays.
 _NONE, _INTERNAL, _LEAF = 0, 1, 2
 
-#: Tables the frontier derives from a family's arrays on its first
-#: search and caches beside them (see :meth:`_Adapter.__init__`).
+#: Tables the frontier reads besides a family's own, derived where the
+#: tables are made (see :func:`derive`).
 _DERIVED = ("leaf_size", "leaf_width", "child_rows", "path_cols", "sizes")
 
 
@@ -118,18 +123,78 @@ def _segments(starts: np.ndarray, lens: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# vp-tree: flattened structure
+# The tables are the tree; nodes are a view
+# ----------------------------------------------------------------------
+
+
+class TableTree:
+    """A tree whose flat tables (``_kernel_cache``) are the tree.
+
+    ``_root`` is the node graph: a view made from the tables the first
+    time something reads it.  Assigning a node graph to ``_root`` makes
+    the tree start from nodes, flattened into tables on its next search.
+    A subclass names its view in ``_node_view(tables)``.
+    """
+
+    _kernel_cache = None
+    _nodes = None
+
+    @property
+    def _root(self):
+        if self._nodes is None and self._kernel_cache is not None:
+            self._nodes = self._node_view(self._kernel_cache)
+        return self._nodes
+
+    @_root.setter
+    def _root(self, node) -> None:
+        self._nodes, self._kernel_cache = node, None
+
+    @property
+    def root(self):
+        """The root node (read-only introspection for tests/persistence)."""
+        return self._root
+
+    def _plant(self, tables) -> None:
+        """Make freshly built tables the tree (``None``: the empty tree).
+        The tables go in first, so a concurrent search never finds
+        neither tables nor nodes."""
+        if tables is not None:
+            derive(tables)
+        self._kernel_cache, self._nodes = tables, None
+
+    def _is_empty(self) -> bool:
+        """Whether the tree holds nothing, without making the view."""
+        return self._nodes is None and self._kernel_cache is None
+
+
+def wire(tables, internals: list, leaves: list):
+    """Hang each of ``internals`` (internal nodes in slot order) from
+    the child tables, over ``leaves`` (leaves in slot order); returns
+    the root node."""
+    kinds = (None, internals, leaves)
+    for node, kids, slots in zip(
+        internals, tables.child_kind.tolist(), tables.child_idx.tolist()
+    ):
+        node.children = [kinds[k][c] if k else None for k, c in zip(kids, slots)]
+    return kinds[tables.root_kind][tables.root_idx]
+
+
+# ----------------------------------------------------------------------
+# vp-tree: flat tables
 # ----------------------------------------------------------------------
 
 
 class _VPArrays:
-    """Flat array view of a static vp-tree (built once, cached).
+    """Flat tables of a vp-tree.
 
     Leaves are offset-indexed flat tables (``leaf_offsets``,
     ``leaf_ids``) under the names of their ``.rsx`` sections.
+    ``cutoffs`` ``(internal, m - 1)`` is kept by a build for the node
+    view only; it is not a section.
     """
 
     __slots__ = (
+        "cutoffs",
         "vp_ids",
         "child_lo",
         "child_hi",
@@ -143,9 +208,11 @@ class _VPArrays:
     )
 
 
-def _vp_arrays(tree) -> _VPArrays:
+def _vp_arrays(tree) -> Optional[_VPArrays]:
+    """The tree's tables; flattens a tree that starts from nodes.
+    ``None`` for an empty tree."""
     cached = getattr(tree, "_kernel_cache", None)
-    if cached is not None:
+    if cached is not None or tree._root is None:
         return cached
     from repro.indexes.vptree import VPLeafNode
 
@@ -184,26 +251,31 @@ def _vp_arrays(tree) -> _VPArrays:
     arrays.leaf_offsets = _offsets([len(node.ids) for node in leaf_nodes])
     arrays.leaf_ids = _concat([node.ids for node in leaf_nodes], np.int64)
     arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
+    derive(arrays)
     tree._kernel_cache = arrays
     return arrays
 
 
 # ----------------------------------------------------------------------
-# multi-vantage tree (GMVPTree, MVPTree = v=2): flattened structure
+# multi-vantage tree (GMVPTree, MVPTree = v=2): flat tables
 # ----------------------------------------------------------------------
 
 
 class _GMVPArrays:
-    """Flat array view of a multi-vantage tree (built once, cached).
+    """Flat tables of a multi-vantage tree.
 
-    Internal nodes become ``(count, m**v[, v])`` tables.  Leaves become
+    Internal nodes are ``(count, m**v[, v])`` tables.  Leaves are
     point-major tables under the same names as the ``.rsx`` sections
     they are written to (:data:`GMVP_LEAF_TABLES`), so a store maps them
     back unchanged and a batch gathers every leaf's points with a
     handful of row gathers instead of a Python loop per leaf.
+    ``cutoffs`` ``(count, (m**v - 1) / (m - 1), m - 1)``, vantage point
+    ``t``'s ``m**t`` rows after those of the vantage points before it,
+    is kept by a build for the node view only; it is not a section.
     """
 
     __slots__ = (
+        "cutoffs",
         "vp_ids",
         "blo",
         "bhi",
@@ -242,9 +314,11 @@ GMVP_LEAF_TABLES = (
 )
 
 
-def _gmvp_arrays(tree) -> _GMVPArrays:
+def _gmvp_arrays(tree) -> Optional[_GMVPArrays]:
+    """The tree's tables; flattens a tree that starts from nodes.
+    ``None`` for an empty tree."""
     cached = getattr(tree, "_kernel_cache", None)
-    if cached is not None:
+    if cached is not None or tree._root is None:
         return cached
     from repro.core.gmvptree import GMVPLeafNode
 
@@ -296,8 +370,70 @@ def _gmvp_arrays(tree) -> _GMVPArrays:
             arrays.leaf_dists[rows] = np.asarray(node.dists).T
             arrays.leaf_paths[rows, : node.path_len] = node.paths
     arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
+    derive(arrays)
     tree._kernel_cache = arrays
     return arrays
+
+
+# ----------------------------------------------------------------------
+# Derived tables, made with a tree's tables
+# ----------------------------------------------------------------------
+
+
+def depths(arrays) -> np.ndarray:
+    """Every internal node's depth below the root (the root's is 0)."""
+    kind, slot = arrays.child_kind, arrays.child_idx
+    depth = np.zeros(kind.shape[0], dtype=np.intp)
+    root = [arrays.root_idx] if arrays.root_kind == _INTERNAL else []
+    nodes, level = np.array(root, dtype=np.intp), 0
+    while nodes.size:
+        depth[nodes] = level
+        nodes, level = slot[nodes][kind[nodes] == _INTERNAL], level + 1
+    return depth
+
+
+def derive(arrays) -> None:
+    """Add the tables of :data:`_DERIVED` to a tree's tables: per leaf
+    its point and vantage-point counts; one ready frontier row (kind,
+    slot, cost) per child, so an iteration copies rows instead of
+    filling columns; per internal node of a multi-vantage tree the query
+    PATH columns its distances fill; and the point count of every
+    subtree.  Called where tables are made, so a search never derives.
+    """
+    multi = isinstance(arrays, _GMVPArrays)
+    v = arrays.vp_ids.shape[1] if multi else 1
+    kind, slot = arrays.child_kind, arrays.child_idx
+    arrays.leaf_size = np.diff(arrays.leaf_offsets)
+    if multi:
+        arrays.leaf_width = np.count_nonzero(arrays.leaf_vp_ids >= 0, axis=1)
+    else:
+        arrays.leaf_width = np.zeros_like(arrays.leaf_size)
+    # Vantage points plus points per leaf (also its point count).
+    cost = arrays.leaf_width + arrays.leaf_size
+    depth = depths(arrays)
+    if multi:
+        # path_q[level + t - 1] = d(q, vp_t) while the PATH has room (a
+        # node at depth d sits at level 1 + v * d); the scratch column
+        # takes the rest.
+        p = arrays.leaf_paths.shape[1]
+        arrays.path_cols = 4 + np.minimum(v * depth[:, None] + np.arange(v), p)
+    leaf, inner = kind == _LEAF, kind == _INTERNAL
+    rows = np.zeros(kind.shape + (4,))
+    rows[..., _KIND] = kind
+    rows[..., _SLOT] = slot
+    rows[..., _COST] = np.where(inner, v, 0)
+    rows[leaf, _COST] = cost[slot[leaf]]
+    arrays.child_rows = rows
+    # Subtree point counts, deepest internal nodes first.
+    own = np.zeros(kind.shape, dtype=np.int64)
+    own[leaf] = cost[slot[leaf]]
+    sizes = v + own.sum(axis=1)
+    for level in range(int(depth.max(initial=-1)), -1, -1):
+        nodes = np.flatnonzero(depth == level)
+        kids = inner[nodes]
+        below = np.where(kids, sizes[np.where(kids, slot[nodes], 0)], 0)
+        sizes[nodes] += below.sum(axis=1)
+    arrays.sizes = (sizes, cost)
 
 
 # ----------------------------------------------------------------------
@@ -458,38 +594,13 @@ _LB, _KIND, _SLOT, _COST = range(4)
 
 class _Adapter:
     """What the frontier loop needs from a family: its vantage points,
-    child rows with their section 4.3 bounds, and leaf-point bounds.
-
-    The first search over a family's arrays derives the tables named in
-    :data:`_DERIVED` and caches them on the arrays: per-leaf point and
-    vantage-point counts, and one ready frontier row (kind, slot, cost)
-    per child, so an iteration copies rows instead of filling columns.
-    """
+    child rows with their section 4.3 bounds, and leaf-point bounds,
+    read from the family's tables and those :func:`derive` adds."""
 
     __slots__ = ("arrays", "v", "width")
 
     def __init__(self, arrays, v: int, width: int):
         self.arrays, self.v, self.width = arrays, v, width
-        if getattr(arrays, "child_rows", None) is None:
-            self._derive()
-
-    def _derive(self) -> None:
-        arrays = self.arrays
-        arrays.leaf_size = np.diff(arrays.leaf_offsets)
-        self._derive_family()
-        kind, slot = arrays.child_kind, arrays.child_idx
-        rows = np.zeros(kind.shape + (4,))
-        rows[..., _KIND] = kind
-        rows[..., _SLOT] = slot
-        rows[..., _COST] = np.where(kind == _INTERNAL, self.v, 0)
-        leaf = kind == _LEAF
-        rows[leaf, _COST] = self.leaf_costs()[slot[leaf]]
-        # Last: a concurrent search derives again until this is set.
-        arrays.child_rows = rows
-
-    def leaf_costs(self) -> np.ndarray:
-        """Vantage points plus points per leaf (also its point count)."""
-        return self.arrays.leaf_width + self.arrays.leaf_size
 
     def root(self) -> np.ndarray:
         arrays = self.arrays
@@ -497,7 +608,7 @@ class _Adapter:
         row[0, _KIND] = arrays.root_kind
         row[0, _SLOT] = arrays.root_idx
         if arrays.root_kind == _LEAF:
-            row[0, _COST] = self.leaf_costs()[arrays.root_idx]
+            row[0, _COST] = arrays.sizes[1][arrays.root_idx]
         else:
             row[0, _COST] = self.v
         return row
@@ -513,25 +624,6 @@ class _Adapter:
         rows[:, _LB] = bound.ravel().take(flat)
         return rows, flat
 
-    def subtree_sizes(self):
-        """``(internal, leaf)`` point counts per subtree, cached on the
-        arrays; children always sit at higher internal slots than
-        their parent."""
-        arrays = self.arrays
-        cached = getattr(arrays, "sizes", None)
-        if cached is not None:
-            return cached
-        leaf_sizes = self.leaf_costs()
-        internal_sizes = np.zeros(arrays.child_kind.shape[0], dtype=np.int64)
-        for n in range(internal_sizes.size - 1, -1, -1):
-            kind, slot = arrays.child_kind[n], arrays.child_idx[n]
-            internal_sizes[n] = (
-                self.v
-                + leaf_sizes[slot[kind == _LEAF]].sum()
-                + internal_sizes[slot[kind == _INTERNAL]].sum()
-            )
-        arrays.sizes = (internal_sizes, leaf_sizes)
-        return arrays.sizes
 
 
 class _VPApprox(_Adapter):
@@ -543,11 +635,8 @@ class _VPApprox(_Adapter):
 
     shell_kinds = point_kinds = (PRUNE_VP_SHELL,)
 
-    def __init__(self, tree):
-        super().__init__(_vp_arrays(tree), 1, 4)
-
-    def _derive_family(self) -> None:
-        self.arrays.leaf_width = np.zeros_like(self.arrays.leaf_size)
+    def __init__(self, tree, arrays):
+        super().__init__(arrays, 1, 4)
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
         return self.arrays.vp_ids[iidx], None
@@ -577,28 +666,12 @@ class _GMVPApprox(_Adapter):
 
     __slots__ = ("p", "shell_kinds", "point_kinds")
 
-    def __init__(self, tree):
+    def __init__(self, tree, arrays):
         self.p = tree.p
-        arrays = _gmvp_arrays(tree)
         v = int(arrays.vp_ids.shape[1])
         super().__init__(arrays, v, 5 + self.p)
         self.shell_kinds = tuple(map(vp_shell_kind, range(v)))
         self.point_kinds = (*map(leaf_dist_kind, range(v)), PRUNE_PATH_FILTER)
-
-    def _derive_family(self) -> None:
-        arrays, v = self.arrays, self.v
-        arrays.leaf_width = np.count_nonzero(arrays.leaf_vp_ids >= 0, axis=1)
-        # Internal nodes by level (root 1, children v further down).
-        level = np.zeros(arrays.vp_ids.shape[0], dtype=np.intp)
-        nodes = np.array([arrays.root_idx] if arrays.root_kind == _INTERNAL else [])
-        depth = 1
-        while nodes.size:
-            level[nodes] = depth
-            internal = arrays.child_kind[nodes] == _INTERNAL
-            nodes, depth = arrays.child_idx[nodes][internal], depth + v
-        # path_q[level + t - 1] = d(q, vp_t) while the PATH has room;
-        # the scratch column takes the rest.
-        arrays.path_cols = 4 + np.minimum(level[:, None] - 1 + np.arange(v), self.p)
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
         """Vantage points of internal nodes ``iidx`` (row by row), then
@@ -668,16 +741,21 @@ class _GMVPApprox(_Adapter):
         return arrays.leaf_ids[pos], lower, seg, lens, gap
 
 
-_APPROX_ADAPTERS = {"vpt": _VPApprox, "mvpt": _GMVPApprox, "gmvpt": _GMVPApprox}
+_APPROX_ADAPTERS = {
+    "vpt": (_VPApprox, _vp_arrays),
+    "mvpt": (_GMVPApprox, _gmvp_arrays),
+    "gmvpt": (_GMVPApprox, _gmvp_arrays),
+}
 
 
 def _approx_adapter(tree, family: str):
     """The family's adapter over ``tree``, or ``None`` for an empty tree."""
     try:
-        adapter = _APPROX_ADAPTERS[family]
+        adapter, tables = _APPROX_ADAPTERS[family]
     except KeyError:
         raise ValueError(f"no budgeted kernel for family {family!r}") from None
-    return None if tree._root is None else adapter(tree)
+    arrays = tables(tree)
+    return None if arrays is None else adapter(tree, arrays)
 
 
 def _book_by_bound(book, kinds, parts, count: int, limit: float) -> None:
@@ -865,7 +943,7 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             if is_points:
                 missed += n_in
             else:
-                internal_sizes, leaf_sizes = adapter.subtree_sizes()
+                internal_sizes, leaf_sizes = adapter.arrays.sizes
                 slot = rows[inside, _SLOT].astype(np.intp)
                 is_leaf = rows[inside, _KIND] == _LEAF
                 missed += int(leaf_sizes[slot[is_leaf]].sum())

@@ -19,14 +19,18 @@ group's own draws and its planned subtree's draws equal those of a leaf
 Otherwise every later draw does, so it must be found before any later
 draw is made.  Its points tie on their distance to every vantage point
 above it (by the triangle inequality), so a pending node is *crowded*
-when enough of its points tie on all those distances to form such a
-group, and a pass takes the pending nodes in preorder only up to the
-first crowded one.  Draws stop at that node,
-and a zero-diameter group there redraws from the rng state saved before
-its draws.  (Should a metric break the triangle inequality, the group
-may turn up after later draws were made; then the build starts over
-with the group marked, paying those distances twice.)  Without ties
-every level is one pass.
+when enough of its points tie on all those distances to fill the
+smallest group of its planned subtree that would move draws, and a pass
+takes the pending nodes in preorder only up to the first crowded one.
+Draws stop at that node, and a zero-diameter group there redraws from
+the rng state saved before its draws.  (Should a metric break the
+triangle inequality, the group may turn up after later draws were made;
+then the build starts over with the group marked, paying those
+distances twice.)  Without ties every level is one pass.
+
+The passes write the kernel's flat tables
+(:mod:`repro.indexes.kernels`), not nodes: :func:`layout` places what
+they built in the tables' slot order.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ class Plan:
     everywhere below a leaf); ``split[i]`` says whether node ``i``
     splits (a leaf or a zero-diameter group does not); ``live[i]``
     whether it is in the tree (not below a zero-diameter group).
+    ``need[i]`` is the size of the smallest group in node ``i``'s
+    planned subtree that would move later draws if it had zero
+    diameter (more than any group size when none would).
 
     A group of more than ``limit`` points splits unless it is in
     ``zero`` (preorder indices of zero-diameter groups found by an
@@ -130,6 +137,22 @@ class Plan:
         self.split = self.size > limit
         self.live = np.ones(count, dtype=bool)
         wanted = per_node >= 0
+        # A zero-diameter group moves later draws unless it draws what
+        # its planned subtree would: its own draws, and none below it.
+        drawn = offsets(wanted.sum(axis=1))
+        nodes = np.arange(count)
+        own = (drawn[1:] - drawn[:-1] == zero_draws) & (
+            per_node[:, :zero_draws] == self.size[:, None]
+        ).all(axis=1)
+        below = drawn[nodes + self.total] > drawn[nodes + 1]
+        moves = self.split & (~own | below)
+        self._moves = moves.tolist()
+        # The least size of such a group per subtree, bottom-up.
+        self.need = np.where(moves, self.size, n + 1)
+        for lvl in range(len(kids) - 2, -1, -1):
+            at, kid = pre[lvl], kids[lvl]
+            least = np.where(kid >= 0, self.need[pre[lvl + 1][kid]], n + 1)
+            self.need[at] = np.minimum(self.need[at], least.min(axis=1))
         # Flat lists, not one container per node: a build keeps them
         # alive throughout, and every container it keeps alive adds to
         # the garbage collector's work in the whole process.  Node i's
@@ -193,10 +216,7 @@ class Plan:
         if not self.split[node]:
             return  # marked by an earlier attempt
         end = node + int(self.total[node])
-        moves = (
-            self._sizes[self._at[node] : self._at[node + 1]] != self._zero(node)
-            or self._at[end] > self._at[node + 1]
-        )
+        moves = self._moves[node]
         if moves and (self._saved[0] != node or self._next != node + 1):
             raise Replan(node)
         self._flatten(node)
@@ -272,20 +292,21 @@ class Frontier:
     pass takes the groups up to the first crowded one, whose draws
     cannot move.
 
-    A group is crowded when more than ``crowd`` of its rows tie on their
-    distance to every vantage point above them, as the points of a
-    zero-diameter group that moves later draws would.  ``tie[row]``
-    labels the row's class of such rows within its group; it is -1 once
-    the row is in a class of at most ``crowd`` rows, which can never
-    hold such a group.
+    A group is crowded when at least ``need[node]`` (:attr:`Plan.need`)
+    of its rows tie on their distance to every vantage point above
+    them, as the points of a zero-diameter group in its subtree that
+    moves later draws would.  ``tie[row]`` labels the row's class of
+    such rows within its group; it is -1 once the row is in a class too
+    small for its group, which can never hold such a group: classes
+    only shrink on the way down, and ``need`` only grows.
     """
 
-    def __init__(self, rows: np.ndarray, crowd: int):
+    def __init__(self, rows: np.ndarray, need: np.ndarray):
         self.rows = rows
         self.nodes = np.zeros(1, dtype=np.intp)
         self.sizes = np.array([len(rows)])
         self.crowd = np.ones(1, dtype=bool)  # per group: crowded?
-        self.limit = crowd
+        self.need = need
         self.tie = np.zeros(int(rows.max()) + 1 if rows.size else 0, dtype=np.intp)
         self.taken = self.width = 0
 
@@ -306,13 +327,13 @@ class Frontier:
         group still pending.  ``values`` holds each row's distance to its
         parent's last vantage point, sorted within each group, and
         ``others`` its distances to the parent's other vantage points."""
-        tie, limit = self.tie, self.limit
+        tie, need = self.tie, self.need[nodes]
         group = np.repeat(np.arange(len(nodes)), sizes)
         # Runs of equal values sit together; only long ones can hold a
         # large class.
         first = run_starts(group, values)
         runs = np.diff(first, append=len(rows))
-        live = np.repeat(runs > limit, runs) & (tie[rows] >= 0)
+        live = np.repeat(runs >= need[group[first]], runs) & (tie[rows] >= 0)
         tie[rows[~live]] = -1
         at = np.flatnonzero(live)
         fresh = np.zeros(len(nodes), dtype=bool)
@@ -323,13 +344,52 @@ class Frontier:
             at = at[order]
             start = run_starts(run[order], *(key[order] for key in keys))
             count = np.diff(start, append=len(at))
-            big = count > limit
+            big = count >= need[group[at[start]]]
             tie[rows[at]] = np.repeat(np.where(big, np.arange(len(start)), -1), count)
             fresh[group[at[start[big]]]] = True
         self.rows = np.concatenate([rows, self.rows[self.width :]])
         self.nodes = np.concatenate([nodes, self.nodes[self.taken :]])
         self.sizes = np.concatenate([sizes, self.sizes[self.taken :]])
         self.crowd = np.concatenate([fresh, self.crowd[self.taken :]])
+
+
+def layout(plan: Plan, built: np.ndarray, leaves: np.ndarray, sizes: np.ndarray):
+    """Where the kernel tables put what the passes built.
+
+    A node's slot is its rank among the live nodes of its kind
+    (internal or leaf) in preorder with each node's children taken
+    last-first: the order the flatten of a node graph gives
+    (:func:`repro.indexes.kernels._vp_arrays`), so tables and store
+    bytes do not depend on how the tree was made.  That order is
+    postorder reversed, and a node's postorder rank is its preorder
+    rank plus its subtree's size, less its depth and one: the live
+    nodes up to its subtree's end, less its depth and one.
+
+    ``built`` holds the internal nodes' preorder indices in the order
+    the passes built them, ``leaves`` the leaves' and ``sizes`` their
+    point counts, in the order the passes built them, which is also the
+    order of their points, back to back.  Returns the built internal nodes' positions in slot order, the
+    ``(internal, fanout)`` child kind and slot tables (kinds as in the
+    kernel: 0 none, 1 internal, 2 leaf), the built leaves' positions in
+    slot order, and the points' positions in slot order.
+    """
+    live, split = plan.live, plan.split
+    before = offsets(live)  # live nodes before each preorder index
+    post = before[np.arange(len(live)) + plan.total] - plan.depth
+    slot = np.zeros(len(live), dtype=np.intp)
+    order = []
+    for ids in (built, leaves):
+        rank = np.argsort(-post[ids])
+        slot[ids[rank]] = np.arange(len(ids))
+        order.append(rank)
+    kids = plan.kids[built[order[0]]]
+    present = kids >= 0
+    kind = np.where(present, np.where(split[kids], 1, 2), 0).astype(np.int8)
+    child = np.where(present, slot[kids], 0)
+    starts = offsets(sizes)[:-1][order[1]]
+    count = sizes[order[1]]
+    rows = np.repeat(starts - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return order[0], kind, child, order[1], rows
 
 
 def build(grow, rng):

@@ -21,7 +21,9 @@ vantage-point draws are made in the recursive order as the passes reach
 them, and each level pass measures all of its nodes' groups against
 their vantage points in one segmented metric call and splits them with
 one sort (see :mod:`repro.indexes.levels`).  The tree is the one a node-at-a-time
-recursion builds, node for node.
+recursion builds, node for node.  The passes write the search kernel's
+flat tables (:mod:`repro.indexes.kernels`); the nodes below are a view
+made from them for the code that walks nodes.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class VPLeafNode:
         self.ids = ids
 
 
-class VPTree(MetricIndex):
+_Node = Union[VPInternalNode, VPLeafNode]
+
+
+class VPTree(kernels.TableTree, MetricIndex):
     """Vantage-point tree of order ``m``.
 
     Parameters
@@ -149,33 +154,60 @@ class VPTree(MetricIndex):
         self.leaf_count = 0
         self.vantage_point_count = 0
         self.height = 0
-        self._root = self._build(np.arange(len(objects)), depth=1)
-        self._kernel_cache = None  # flat arrays, built lazily on first search
+        self._plant(self._build(np.arange(len(objects)), depth=1))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _build(
-        self, ids: np.ndarray, depth: int
-    ) -> Union[VPInternalNode, VPLeafNode, None]:
+    def _build(self, ids: np.ndarray, depth: int) -> Optional[kernels._VPArrays]:
         """Partition ``ids`` (an integer array) into spherical shells,
         one tree level per pass (see :mod:`repro.indexes.levels`); adds
-        the subtree to the node counters and returns its root."""
+        the subtree to the node counters and returns its tables."""
         ids = np.asarray(ids, dtype=np.intp)
         if not ids.size:
             return None
-        plan, nodes = levels.build(lambda zero: self._grow(ids, depth, zero), self._rng)
-        internal = np.flatnonzero(plan.split & plan.live)
+        plan, built, leaves = levels.build(
+            lambda zero: self._grow(ids, depth, zero), self._rng
+        )
+        nodes, vps, cuts, lo, hi = (np.concatenate(part) for part in zip(*built))
+        leaf_nodes, sizes, leaf_ids = (np.concatenate(part) for part in zip(*leaves))
         live = int(plan.live.sum())
         self.node_count += live
-        self.leaf_count += live - len(internal)
-        self.vantage_point_count += len(internal)
+        self.leaf_count += live - len(nodes)
+        self.vantage_point_count += len(nodes)
         self.height = max(self.height, int(plan.depth[plan.live].max()))
-        kids, m = plan.kids[internal].ravel().tolist(), self.m
-        for at, node in enumerate(internal.tolist()):
-            nodes[node].children = [nodes.get(kid) for kid in kids[at * m : at * m + m]]
-        return nodes[0]
+        inner, kind, child, leaf_order, rows = levels.layout(
+            plan, nodes, leaf_nodes, sizes
+        )
+        tables = kernels._VPArrays()
+        tables.vp_ids = vps[inner]
+        tables.cutoffs = cuts[inner]
+        tables.child_kind, tables.child_idx = kind, child
+        tables.child_lo = np.where(kind > 0, lo[inner], -np.inf)
+        tables.child_hi = np.where(kind > 0, hi[inner], np.inf)
+        tables.leaf_offsets = levels.offsets(sizes[leaf_order]).astype(np.int64)
+        tables.leaf_ids = leaf_ids[rows].astype(np.int64)
+        tables.root_kind = kernels._INTERNAL if plan.split[0] else kernels._LEAF
+        tables.root_idx = 0
+        return tables
+
+    def _node_view(self, tables: kernels._VPArrays) -> _Node:
+        """The node graph of ``tables``: empty children get the empty
+        shell ``(inf, -inf)``."""
+        m, present = self.m, tables.child_kind > 0
+        lo = np.where(present, tables.child_lo, np.inf).ravel().tolist()
+        hi = np.where(present, tables.child_hi, -np.inf).ravel().tolist()
+        shells = list(zip(lo, hi))
+        at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
+        leaves = [VPLeafNode(ids[a:b]) for a, b in zip(at, at[1:])]
+        internals = [
+            VPInternalNode(vp_id, cuts, shells[n * m : n * m + m], None)
+            for n, (vp_id, cuts) in enumerate(
+                zip(tables.vp_ids.tolist(), tables.cutoffs.tolist())
+            )
+        ]
+        return kernels.wire(tables, internals, leaves)
 
     def _plan(self, n: int, depth: int, zero: set) -> levels.Plan:
         """Count-only pass: every group of more than ``leaf_capacity``
@@ -194,21 +226,23 @@ class VPTree(MetricIndex):
         )
 
     def _grow(self, ids: np.ndarray, depth: int, zero: set):
-        """The level passes: returns the plan and every node by preorder
-        index (internal nodes still without children).  Raises
+        """The level passes: returns the plan, the internal nodes in
+        blocks of (preorder indices, vantage points, cutoffs, lower and
+        upper shell radii) and the leaves in blocks of (preorder
+        indices, sizes, point ids back to back).  Raises
         :class:`~repro.indexes.levels.Replan` when a zero-diameter group
         turns up after draws that depend on it."""
         m, cap = self.m, self.leaf_capacity
         plan = self._plan(len(ids), depth, zero)
-        nodes: dict = {}
+        none = np.zeros(0, dtype=np.intp)
+        built = [(none, none, np.zeros((0, m - 1)), np.zeros((0, m)), np.zeros((0, m)))]
         if len(ids) <= cap:
-            nodes[0] = VPLeafNode(ids.tolist())
-            return plan, nodes
+            root = (np.zeros(1, dtype=np.intp), np.array([len(ids)]), ids)
+            return plan, built, [root]
+        leaves = []
         # The groups of more than leaf_capacity points still to split;
-        # their rows are point ids.  A zero-diameter group of up to
-        # m * cap + 1 points draws what its planned subtree would (one
-        # draw, leaf chunks), so only larger ties can move later draws.
-        frontier = levels.Frontier(ids, m * cap + 1)
+        # their rows are point ids.
+        frontier = levels.Frontier(ids, plan.need)
         while frontier.nodes.size:
             batch, rows, size = frontier.take()
             starts = levels.offsets(size)
@@ -231,10 +265,9 @@ class VPTree(MetricIndex):
                 # Zero-diameter groups (all points identical under the
                 # metric, by the triangle inequality): no shell can ever
                 # separate them, so each becomes one (oversized) leaf.
-                for b in np.flatnonzero(flat).tolist():
-                    plan.flatten(int(batch[b]))
-                    group = rows[starts[b] : starts[b + 1]]
-                    nodes[int(batch[b])] = VPLeafNode(group.tolist())
+                for node in batch[flat].tolist():
+                    plan.flatten(node)
+                leaves.append((batch[flat], size[flat], rows[np.repeat(flat, size)]))
                 row_live = np.repeat(~flat, size - 1)
                 batch, size, vp_rows = batch[~flat], size[~flat], vp_rows[~flat]
                 rest, distances = rest[row_live], distances[row_live]
@@ -258,26 +291,16 @@ class VPTree(MetricIndex):
                 # at the ends.  Exact, but looser than the true radii.
                 lo = np.where(chunk > 0, np.c_[np.zeros(count), cuts], lo)
                 hi = np.where(chunk > 0, np.c_[cuts, np.full(count, np.inf)], hi)
-            # Flat lists, sliced per node: no container per row.
-            cut_at = cuts.ravel().tolist()
-            shells = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
-            for b, (node, vp_id) in enumerate(
-                zip(batch.tolist(), rows[vp_rows].tolist())
-            ):
-                cut = cut_at[b * (m - 1) : (b + 1) * (m - 1)]
-                bounds = shells[b * m : b * m + m]
-                nodes[node] = VPInternalNode(vp_id, cut, bounds, None)
+            built.append((batch, rows[vp_rows], cuts, lo, hi))
             child = plan.kids[batch]
             inner = chunk > cap
             leaf = (chunk > 0) & ~inner
-            leaf_ids = rest[np.repeat(leaf.ravel(), chunk.ravel())].tolist()
-            start = 0
-            for node, n in zip(child[leaf].tolist(), chunk[leaf].tolist()):
-                nodes[node] = VPLeafNode(leaf_ids[start : start + n])
-                start += n
+            leaves.append(
+                (child[leaf], chunk[leaf], rest[np.repeat(leaf.ravel(), chunk.ravel())])
+            )
             descend = np.repeat(inner.ravel(), chunk.ravel())
             frontier.push(child[inner], chunk[inner], rest[descend], values[descend])
-        return plan, nodes
+        return plan, built, leaves
 
     # ------------------------------------------------------------------
     # Range search (paper section 3.3, generalised to m-way)
@@ -405,15 +428,6 @@ class VPTree(MetricIndex):
                 _collect_subtree_ids(child, out)
                 continue
             self._outside(child, query, radius, out)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def root(self):
-        """The root node (read-only introspection for tests/persistence)."""
-        return self._root
 
 
 def _collect_subtree_ids(node, out: list[int]) -> None:

@@ -609,17 +609,26 @@ class ShardManager(MetricIndex):
         )
 
     def _gather_locked(self, ids: Sequence[int]):  # guarded-by: _replicas_lock
-        """Rows for mixed base/tail gids (ndarray fast path when
-        everything predates the first insert)."""
+        """Rows for mixed base/tail gids.  Over an ndarray the base rows
+        are one ``take`` and the tail rows one block; a generic sequence
+        gets a list."""
         base_n = len(self._objects)
-        if not self._tail or all(i < base_n for i in ids):
-            return gather(self._objects, list(ids))
-        rows = [
-            self._objects[i] if i < base_n else self._tail[i - base_n]
-            for i in ids
-        ]
-        if isinstance(self._objects, np.ndarray):
-            return np.asarray(rows)
+        if not isinstance(self._objects, np.ndarray):
+            return [
+                self._objects[i] if i < base_n else self._tail[i - base_n]
+                for i in ids
+            ]
+        ids = np.asarray(ids, dtype=np.intp)
+        tail = ids >= base_n
+        if not tail.any():
+            return self._objects.take(ids, axis=0)
+        block = np.asarray([self._tail[i] for i in (ids[tail] - base_n).tolist()])
+        rows = np.empty(
+            (len(ids),) + block.shape[1:],
+            dtype=np.result_type(self._objects, block),
+        )
+        rows[~tail] = self._objects.take(ids[~tail], axis=0)
+        rows[tail] = block
         return rows
 
     def _absorb_locked(self, index, slot, gid: int, obj) -> bool:  # guarded-by: _replicas_lock

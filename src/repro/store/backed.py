@@ -36,11 +36,6 @@ from repro.obs.trace import TraceSink, make_observation
 from repro.store.delta import append_delta, read_deltas
 from repro.store.format import Store
 
-#: Non-None stand-in for ``tree._root`` — the kernels only ever check
-#: ``is None`` once a kernel cache exists.
-_MAPPED_ROOT = object()
-
-
 def _segments(store: Store, offsets_name: str, flat_name: str) -> list:
     offsets = store.section(offsets_name)
     flat = store.section(flat_name)
@@ -61,6 +56,7 @@ def _vp_cache(store: Store) -> kernels._VPArrays:
     arrays.leaf_ids = store.section("leaf_ids")
     arrays.root_kind = int(store.meta["tree"]["root_kind"])
     arrays.root_idx = int(store.meta["tree"]["root_idx"])
+    kernels.derive(arrays)
     return arrays
 
 
@@ -71,6 +67,7 @@ def _gmvp_cache(store: Store) -> kernels._GMVPArrays:
         setattr(arrays, name, store.section(name))
     arrays.root_kind = int(store.meta["tree"]["root_kind"])
     arrays.root_idx = int(store.meta["tree"]["root_idx"])
+    kernels.derive(arrays)
     return arrays
 
 
@@ -183,7 +180,6 @@ class StoreBackedIndex(MetricIndex):
                 if self.family == "mvpt":
                     self.bounds_mode = self.params["bounds"]
             self.m = self.params["m"]
-            self._root = _MAPPED_ROOT
         deltas = deltas or []
         if deltas:
             self._delta_ids = np.concatenate([ids for ids, _ in deltas])

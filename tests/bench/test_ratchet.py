@@ -59,10 +59,27 @@ class TestRerun:
             == payload["sequential_distance_calls"]
         )
 
+    def test_engine_overlaps_simulated_cost(self):
+        """The timing the pinned config relies on, over enough queries
+        to be stable: with a sleep per metric call, two workers overlap
+        the sleeps that one sequential loop pays back to back."""
+        result = run_throughput(
+            n=120, dim=4, n_shards=2, workers=2, n_queries=16, seed=2,
+            simulated_cost_s=5e-4, measure_latency=False,
+        )
+        assert result.results_identical
+        assert result.speedup > 1.2
+
 
 class TestRatchetMain:
+    """A replay of a 4-query batch repeats its answers and distance
+    counts exactly, but its timing moves by more than the allowed
+    fraction on a busy host; so the self-comparisons check the exact
+    replay, and a baseline that claims no throughput stands in for a
+    passing timing."""
+
     def test_passes_against_own_run(self, tmp_path, capsys):
-        path, _ = small_baseline(tmp_path)
+        path, _ = small_baseline(tmp_path, qps=0.0)
         assert ratchet_main(["--baseline", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -73,17 +90,33 @@ class TestRatchetMain:
         assert ratchet_main(["--baseline", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_fails_on_more_distance_calls(self, tmp_path, capsys):
+        path, payload = small_baseline(tmp_path, qps=0.0)
+        calls = payload["sequential_distance_calls"] - 1
+        path.write_text(json.dumps({**payload, "sequential_distance_calls": calls}))
+        assert ratchet_main(["--baseline", str(path)]) == 1
+        assert "(MORE)" in capsys.readouterr().out
+
     def test_json_verdict(self, tmp_path, capsys):
-        path, _ = small_baseline(tmp_path)
-        assert ratchet_main(["--baseline", str(path), "--json"]) == 0
+        path, payload = small_baseline(tmp_path)
+        code = ratchet_main(["--baseline", str(path), "--json"])
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["schema"] == "repro-bench-ratchet/v1"
-        assert verdict["passed"] is True
+        assert verdict["results_identical"] is True
+        assert (
+            verdict["current_distance_calls"]
+            == verdict["baseline_distance_calls"]
+            == payload["sequential_distance_calls"]
+        )
+        # Only the timing is left to decide the verdict.
+        timely = verdict["current_qps"] >= verdict["floor_qps"]
+        assert verdict["passed"] is timely
+        assert code == (0 if timely else 1)
         assert verdict["max_regression"] == DEFAULT_MAX_REGRESSION
         assert verdict["current"]["schema"] == SERVE_SCHEMA
 
     def test_write_emits_new_baseline(self, tmp_path):
-        path, _ = small_baseline(tmp_path)
+        path, _ = small_baseline(tmp_path, qps=0.0)
         out = tmp_path / "BENCH_new.json"
         assert (
             ratchet_main(["--baseline", str(path), "--write", str(out)]) == 0

@@ -9,6 +9,9 @@
   never changes what is paid.
 * The point-major leaf tables the multi-vantage kernels search match
   the tree's leaf nodes, in memory and mapped from a store.
+* The tables derived where a tree's tables are made equal those the
+  first search used to derive, and building, searching, storing and
+  reopening a tree makes no node object.
 """
 
 import numpy as np
@@ -24,8 +27,9 @@ from repro import (
 )
 from repro.approx import approx_knn_search, approx_range_search
 from repro.bench.digest import RecordingMetric
+from repro.core import gmvptree
 from repro.core.gmvptree import GMVPLeafNode
-from repro.indexes import kernels
+from repro.indexes import kernels, vptree
 from repro.metric import L2
 from repro.store import open_index, write_store
 
@@ -176,3 +180,107 @@ def test_store_leaf_tables_match_the_leaf_nodes(name, points, tmp_path):
         _check_leaf_tables(tree, index._kernel_cache)
     finally:
         index.close()
+
+
+def _parent_derived(arrays, v, p):
+    """The derived tables as the first search used to make them, one
+    internal node at a time: a reference for :func:`kernels.derive`."""
+    leaf_size = np.diff(arrays.leaf_offsets)
+    if v == 1:
+        leaf_width = np.zeros_like(leaf_size)
+        path_cols = None
+    else:
+        leaf_width = np.count_nonzero(arrays.leaf_vp_ids >= 0, axis=1)
+        level = np.zeros(arrays.vp_ids.shape[0], dtype=np.intp)
+        nodes = np.array([arrays.root_idx] if arrays.root_kind == 1 else [])
+        depth = 1
+        while nodes.size:
+            level[nodes] = depth
+            internal = arrays.child_kind[nodes] == 1
+            nodes, depth = arrays.child_idx[nodes][internal], depth + v
+        path_cols = 4 + np.minimum(level[:, None] - 1 + np.arange(v), p)
+    costs = leaf_width + leaf_size
+    kind, slot = arrays.child_kind, arrays.child_idx
+    rows = np.zeros(kind.shape + (4,))
+    rows[..., 1] = kind
+    rows[..., 2] = slot
+    rows[..., 3] = np.where(kind == 1, v, 0)
+    rows[kind == 2, 3] = costs[slot[kind == 2]]
+    internal_sizes = np.zeros(kind.shape[0], dtype=np.int64)
+    for n in range(internal_sizes.size - 1, -1, -1):
+        internal_sizes[n] = (
+            v
+            + costs[slot[n][kind[n] == 2]].sum()
+            + internal_sizes[slot[n][kind[n] == 1]].sum()
+        )
+    return {
+        "leaf_size": leaf_size,
+        "leaf_width": leaf_width,
+        "child_rows": rows,
+        "path_cols": path_cols,
+        "sizes": (internal_sizes, costs),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, stored",
+    [(name, False) for name in BUILDERS] + [(name, True) for name in STORABLE],
+)
+def test_derived_tables_match_the_first_search_derivation(
+    name, stored, points, tmp_path
+):
+    index = _index(name, stored, points, L2(), tmp_path)
+    arrays = (kernels._vp_arrays if name == "vpt" else kernels._gmvp_arrays)(index)
+    v = 1 if name == "vpt" else index.v
+    expected = _parent_derived(arrays, v, getattr(index, "p", 0))
+    for table, want in expected.items():
+        got = getattr(arrays, table, None)
+        if table == "sizes":
+            for part, part_want in zip(got, want):
+                np.testing.assert_array_equal(part, part_want)
+                assert part.dtype == part_want.dtype
+        elif want is None:
+            assert got is None, table
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=table)
+            assert got.dtype == want.dtype, table
+
+
+NODE_CLASSES = (
+    vptree.VPInternalNode,
+    vptree.VPLeafNode,
+    gmvptree.GMVPInternalNode,
+    gmvptree.GMVPLeafNode,
+)
+
+
+@pytest.mark.parametrize("name", STORABLE)
+def test_build_search_store_and_reopen_make_no_node(
+    name, points, queries, tmp_path, monkeypatch
+):
+    made = []
+    for cls in NODE_CLASSES:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    tree = BUILDERS[name](points, L2())
+    path = tmp_path / f"{name}.rsx"
+    for index in (tree, None):
+        if index is None:
+            write_store(tree, path)
+            index = open_index(path, L2())
+        for call in _calls(index).values():
+            for q in queries:
+                call(q, {})
+    assert tree._nodes is None and not made
+    # Something that walks nodes makes the view, once.
+    root = tree.root
+    assert made and tree._nodes is root
+    count = len(made)
+    assert tree.root is root and len(made) == count
+    index.close()
+

@@ -3,10 +3,13 @@ for node.
 
 ``_Recursive*`` below are the node-at-a-time builders the level passes
 replaced, kept verbatim as a reference (as the reference walk in
-``test_range_walk.py`` is for range search).  For every input the two
-builds must give the same persisted form, the same ``.rsx`` bytes, the
-same node counters and the same construction distance count, and must
-leave the rng in the same state.
+``test_range_walk.py`` is for range search).  A reference tree starts
+from its nodes, which are flattened into the kernel tables on demand;
+the level passes write the tables, and their nodes are a view.  For
+every input the two builds must give the same tables (derived ones
+included), the same persisted form (the view's against the reference
+nodes), the same ``.rsx`` bytes, the same node counters and the same
+construction distance count, and must leave the rng in the same state.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from repro import DynamicMVPTree, GMVPTree, MVPTree, QueryStats, VPTree
 from repro._util import gather
 from repro.core.gmvptree import EMPTY_SHELL, GMVPInternalNode, GMVPLeafNode
 from repro.datasets import synthetic_words, uniform_vectors
+from repro.indexes import kernels
 from repro.indexes.vptree import VPInternalNode, VPLeafNode
 from repro.metric import L2, CountingMetric, EditDistance, FunctionMetric
 from repro.persist import index_to_dict
@@ -285,23 +289,72 @@ class _RecursiveGMVP:
         self.internal_count += 1
         self.vantage_point_count += v
         return GMVPInternalNode(
-            vp_ids, cutoffs, self._shells(bounds, cutoffs), children
+            vp_ids, cutoffs, _region_shells(self, bounds, cutoffs), children
         )
 
 
-class RefVPTree(_RecursiveVP, VPTree):
+def _region_shells(tree, bounds, cutoffs):
+    """The shells of one node's children, as ``MVPTree`` widened them one
+    node at a time: each child's shell around vantage point ``t`` becomes
+    its depth-``t`` region's radii (``"tight"``) or cutoff interval
+    (``"cutoff"``); a ``GMVPTree`` keeps the per-child shells."""
+    if not isinstance(tree, MVPTree):
+        return bounds
+    m, v = tree.m, tree.v
+    out = [list(child) for child in bounds]
+    for t in range(v):
+        width = m ** (v - 1 - t)  # children per partition of vp t
+        if width == 1 and tree.bounds_mode == "tight":
+            continue  # a one-child region's radii are the child's own
+        for start in range(0, len(bounds), width):
+            members = [
+                bounds[c][t]
+                for c in range(start, start + width)
+                if bounds[c][t] != EMPTY_SHELL
+            ]
+            if not members:
+                continue
+            if tree.bounds_mode == "cutoff":
+                row = cutoffs[t][start // (width * m)]
+                g = (start // width) % m
+                shell = (
+                    0.0 if g == 0 else row[g - 1],
+                    row[g] if g < m - 1 else float("inf"),
+                )
+            else:
+                shell = (
+                    min(lo for lo, _ in members),
+                    max(hi for _, hi in members),
+                )
+            for c in range(start, start + width):
+                out[c][t] = shell
+    return out
+
+
+class _NodeFirst:
+    """The reference builds return nodes, so a reference tree starts
+    from nodes: its tables are flattened from them on demand."""
+
+    def _plant(self, root):
+        self._root = root
+
+    def _node_view(self, root, level=1):
+        return root
+
+
+class RefVPTree(_RecursiveVP, _NodeFirst, VPTree):
     pass
 
 
-class RefGMVPTree(_RecursiveGMVP, GMVPTree):
+class RefGMVPTree(_RecursiveGMVP, _NodeFirst, GMVPTree):
     pass
 
 
-class RefMVPTree(_RecursiveGMVP, MVPTree):
+class RefMVPTree(_RecursiveGMVP, _NodeFirst, MVPTree):
     pass
 
 
-class RefDynamicMVPTree(_RecursiveGMVP, DynamicMVPTree):
+class RefDynamicMVPTree(_RecursiveGMVP, _NodeFirst, DynamicMVPTree):
     pass
 
 
@@ -356,7 +409,30 @@ def _persisted(tree) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _tables(tree):
+    """The kernel tables of ``tree`` (flattened from a node-first tree)."""
+    vp = isinstance(tree, VPTree)
+    return (kernels._vp_arrays if vp else kernels._gmvp_arrays)(tree)
+
+
+def _assert_same_tables(arrays, expected):
+    for name in type(arrays).__slots__:
+        if name in ("cutoffs", "sizes"):
+            continue  # cutoffs: compared through the node view
+        got, want = getattr(arrays, name, None), getattr(expected, name, None)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        else:
+            assert got == want, name
+    for got, want in zip(arrays.sizes, expected.sizes):
+        np.testing.assert_array_equal(got, want)
+
+
 def _assert_same(tree, counting, ref, ref_counting, tmp_path=None):
+    if tree._kernel_cache is not None:
+        assert tree._nodes is None, "the build made nodes"
+    _assert_same_tables(_tables(tree), _tables(ref))
     assert _persisted(tree) == _persisted(ref)
     for name in COUNTERS:
         assert getattr(tree, name, None) == getattr(ref, name, None), name
@@ -511,3 +587,18 @@ def test_pairs_keep_one_pass_per_level(copies):
     assert metric.count == RefVPTree(
         _copies(1000, copies), CountingMetric(L2()), m=2, leaf_capacity=1, rng=1
     )._metric.count
+
+
+def test_copies_that_fill_no_moving_group_keep_one_pass_per_level():
+    """Five copies of every point crowd a pass only in subtrees with a
+    planned group of four or five points, the only zero-diameter groups
+    five copies could fill that move later draws; 800 points x 5 copies
+    plan none, so the build keeps one pass per level and pays what the
+    recursive build pays."""
+    metric = _PassCounting(L2())
+    tree = VPTree(_copies(800, 5), metric, m=2, leaf_capacity=1, rng=1)
+    assert metric.passes <= tree.height
+    assert metric.count == RefVPTree(
+        _copies(800, 5), CountingMetric(L2()), m=2, leaf_capacity=1, rng=1
+    )._metric.count
+

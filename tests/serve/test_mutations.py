@@ -218,3 +218,38 @@ class TestRecoverFromStores:
         assert errors == []
         for shard in range(3):
             assert manager.live_replicas(shard) == [0, 1]
+
+
+def _parent_gather(manager, ids):
+    """The per-row gather the block gather replaced, as a reference."""
+    base_n = len(manager._objects)
+    rows = [
+        manager._objects[i] if i < base_n else manager._tail[i - base_n]
+        for i in ids
+    ]
+    return np.asarray(rows) if isinstance(manager._objects, np.ndarray) else rows
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["ndarray", "list"])
+def test_gather_mixes_base_and_tail_rows_like_the_per_row_gather(as_list):
+    data = np.random.default_rng(4).random((60, 3))
+    objects = [row for row in data] if as_list else data
+    manager = ShardManager(objects, L2(), n_shards=2, backend="linear", rng=0)
+    for row in np.random.default_rng(5).random((7, 3)):
+        manager.insert(row)
+    ids = [61, 3, 66, 0, 59, 60, 62, 12, 65]
+    with manager._replicas_lock:
+        got = manager._gather_locked(ids)
+        want = _parent_gather(manager, ids)
+        base_only = manager._gather_locked([5, 1])
+    if as_list:
+        assert isinstance(got, list)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    else:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.asarray(base_only), data[[5, 1]])
+    gids, rows = manager.shard_dataset(1)
+    want = _parent_gather(manager, gids)
+    np.testing.assert_array_equal(np.asarray(rows), np.asarray(want))
+
