@@ -34,10 +34,7 @@ import numpy as np
 
 from repro._util import gather, slack
 from repro.core.dynamic import DynamicMVPTree
-from repro.core.gmvptree import GMVPTree
-from repro.core.mvptree import MVPTree
 from repro.indexes import kernels
-from repro.indexes.vptree import VPTree
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.kernels import ApproxOutcome, BudgetTracker
 from repro.indexes.laesa import LAESA
@@ -58,8 +55,6 @@ from repro.approx.report import (
 )
 
 _INF = float("inf")
-
-_TREE_FAMILIES = ("vpt", "mvpt", "gmvpt")
 
 
 def _validate(budget: Optional[int], epsilon: float) -> None:
@@ -321,65 +316,48 @@ def _laesa_knn(
 
 
 # ----------------------------------------------------------------------
-# Dynamic trees: budgeted kernel + tombstone filter
+# One in-memory index: its family's budgeted traversal
 # ----------------------------------------------------------------------
 
 
-def _dynamic_range(
-    tree: DynamicMVPTree, query, radius, *, epsilon, budget, obs
-) -> tuple[list[int], ApproxOutcome]:
-    hits, outcome = kernels.approx_tree_range(
-        tree, "mvpt", query, radius, epsilon=epsilon, budget=budget, obs=obs
-    )
-    return [i for i in hits if i not in tree._deleted], outcome
+def _base_range(index, query, radius, *, epsilon, budget, obs):
+    if isinstance(index, kernels.TableTree):
+        hits, outcome = kernels.approx_tree_range(
+            index, query, radius, epsilon=epsilon, budget=budget, obs=obs
+        )
+        if isinstance(index, DynamicMVPTree):
+            hits = [i for i in hits if i not in index._deleted]
+        return hits, outcome
+    if isinstance(index, LAESA):
+        return _laesa_range(
+            index, query, radius, epsilon=epsilon, budget=budget, obs=obs
+        )
+    return _scan_range(index, query, radius, budget=budget, obs=obs)
 
 
-def _dynamic_knn(
-    tree: DynamicMVPTree, query, k, *, epsilon, budget, obs
-) -> tuple[list[Neighbor], ApproxOutcome]:
-    # Over-fetch so tombstones cannot push live answers out, exactly
-    # like the exact dynamic search; the report's missed mass counts
-    # deleted points too, which only makes the bound more conservative.
-    fetch = min(len(tree._objects), k + len(tree._deleted))
-    raw, outcome = kernels.approx_tree_knn(
-        tree, "mvpt", query, fetch, epsilon=epsilon, budget=budget, obs=obs
-    )
-    live = [n for n in raw if n.id not in tree._deleted]
-    return live[:k], outcome
+def _base_knn(index, query, k, *, epsilon, budget, obs):
+    if isinstance(index, DynamicMVPTree):
+        # Over-fetch so tombstones cannot push live answers out, exactly
+        # like the exact dynamic search; the report's missed mass counts
+        # deleted points too, which only makes the bound more
+        # conservative.
+        fetch = min(len(index._objects), k + len(index._deleted))
+        raw, outcome = kernels.approx_tree_knn(
+            index, query, fetch, epsilon=epsilon, budget=budget, obs=obs
+        )
+        return [n for n in raw if n.id not in index._deleted][:k], outcome
+    if isinstance(index, kernels.TableTree):
+        return kernels.approx_tree_knn(
+            index, query, k, epsilon=epsilon, budget=budget, obs=obs
+        )
+    if isinstance(index, LAESA):
+        return _laesa_knn(index, query, k, epsilon=epsilon, budget=budget, obs=obs)
+    return _scan_knn(index, query, k, budget=budget, obs=obs)
 
 
 # ----------------------------------------------------------------------
 # Store-backed: base structure under budget, delta tail on what remains
 # ----------------------------------------------------------------------
-
-
-def _store_base_range(index, query, radius, *, epsilon, budget, stats, trace):
-    obs = make_observation(stats, trace)
-    if index._impl is not None:
-        if isinstance(index._impl, LAESA):
-            return _laesa_range(
-                index._impl, query, radius,
-                epsilon=epsilon, budget=budget, obs=obs,
-            )
-        return _scan_range(index._impl, query, radius, budget=budget, obs=obs)
-    return kernels.approx_tree_range(
-        index, index.family, query, radius,
-        epsilon=epsilon, budget=budget, obs=obs,
-    )
-
-
-def _store_base_knn(index, query, k, *, epsilon, budget, stats, trace):
-    obs = make_observation(stats, trace)
-    if index._impl is not None:
-        if isinstance(index._impl, LAESA):
-            return _laesa_knn(
-                index._impl, query, k, epsilon=epsilon, budget=budget, obs=obs
-            )
-        return _scan_knn(index._impl, query, k, budget=budget, obs=obs)
-    return kernels.approx_tree_knn(
-        index, index.family, query, k,
-        epsilon=epsilon, budget=budget, obs=obs,
-    )
 
 
 def _delta_scan(index, query, remaining, *, stats, trace):
@@ -402,9 +380,9 @@ def _delta_scan(index, query, remaining, *, stats, trace):
 
 
 def _store_range(index, query, radius, *, epsilon, budget, stats, trace):
-    hits, outcome = _store_base_range(
-        index, query, radius,
-        epsilon=epsilon, budget=budget, stats=stats, trace=trace,
+    hits, outcome = _base_range(
+        index._impl, query, radius,
+        epsilon=epsilon, budget=budget, obs=make_observation(stats, trace),
     )
     if index._delta_rows is None:
         return hits, outcome
@@ -428,9 +406,9 @@ def _store_range(index, query, radius, *, epsilon, budget, stats, trace):
 
 def _store_knn(index, query, k, *, epsilon, budget, stats, trace):
     base_n = len(index._objects)
-    base, outcome = _store_base_knn(
-        index, query, min(k, base_n),
-        epsilon=epsilon, budget=budget, stats=stats, trace=trace,
+    base, outcome = _base_knn(
+        index._impl, query, min(k, base_n),
+        epsilon=epsilon, budget=budget, obs=make_observation(stats, trace),
     )
     if index._delta_rows is None:
         return base, outcome
@@ -489,29 +467,9 @@ def approx_range_search(
             index, query, radius,
             epsilon=epsilon, budget=budget, stats=stats, trace=trace,
         )
-    elif isinstance(index, DynamicMVPTree):
-        hits, outcome = _dynamic_range(
-            index, query, radius, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
-    elif isinstance(index, (VPTree, MVPTree, GMVPTree)):
-        family = (
-            "vpt" if isinstance(index, VPTree)
-            else "mvpt" if isinstance(index, MVPTree)
-            else "gmvpt"
-        )
-        hits, outcome = kernels.approx_tree_range(
-            index, family, query, radius, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
-    elif isinstance(index, LAESA):
-        hits, outcome = _laesa_range(
-            index, query, radius, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
     else:
-        hits, outcome = _scan_range(
-            index, query, radius, budget=budget,
+        hits, outcome = _base_range(
+            index, query, radius, epsilon=epsilon, budget=budget,
             obs=make_observation(stats, trace),
         )
     return hits, build_report(
@@ -556,29 +514,9 @@ def approx_knn_search(
             index, query, k,
             epsilon=epsilon, budget=budget, stats=stats, trace=trace,
         )
-    elif isinstance(index, DynamicMVPTree):
-        results, outcome = _dynamic_knn(
-            index, query, k, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
-    elif isinstance(index, (VPTree, MVPTree, GMVPTree)):
-        family = (
-            "vpt" if isinstance(index, VPTree)
-            else "mvpt" if isinstance(index, MVPTree)
-            else "gmvpt"
-        )
-        results, outcome = kernels.approx_tree_knn(
-            index, family, query, k, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
-    elif isinstance(index, LAESA):
-        results, outcome = _laesa_knn(
-            index, query, k, epsilon=epsilon, budget=budget,
-            obs=make_observation(stats, trace),
-        )
     else:
-        results, outcome = _scan_knn(
-            index, query, k, budget=budget,
+        results, outcome = _base_knn(
+            index, query, k, epsilon=epsilon, budget=budget,
             obs=make_observation(stats, trace),
         )
     return results, build_report(

@@ -10,9 +10,12 @@ input and call of the mix (``knn k=…``, ``bknn b=… eps=…``, ``range``,
 
 Each input also gets one ``build`` line first.  For a tree it hashes
 the persisted form (:func:`repro.persist.index_to_dict` as sorted-key
-JSON), the node counters and the construction distance count; for a
-store-backed input, the bytes of its ``.rsx`` file.  Equal build lines
-mean two code versions build the same tree at the same cost.
+JSON), the node counters and the construction distance count; the
+persisted form is the tree codec's, so the line covers the tree's flat
+tables themselves, cutoffs included, with their dtypes and shapes.  For
+a store-backed input it hashes the bytes of its ``.rsx`` file, which
+hold the same tables.  Equal build lines mean two code versions build
+the same tree at the same cost.
 
 The hash covers, per query of that call and in order: the answer, every
 :class:`~repro.obs.QueryStats` field, the

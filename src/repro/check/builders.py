@@ -5,12 +5,14 @@ verify.  :func:`build_verification_indexes` constructs every class over
 tiny synthetic datasets (a few dozen points) so the full sweep stays
 fast while still exercising multi-level trees, the dynamic tree's
 tombstone/rebuild machinery, the transform filter, and a sharded
-serving deployment.
+serving deployment.  :func:`build_store_backed_indexes` reopens the
+families with a ``.rsx`` writer from their stores.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence, Union
 
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPTree
@@ -110,4 +112,23 @@ def build_verification_indexes(
             series, metric, DFTTransform(4)
         )
 
+    return indexes
+
+
+def build_store_backed_indexes(
+    directory: Union[str, Path], seed: int = 0, n: int = 48
+) -> dict[str, MetricIndex]:
+    """Return ``{"StoreBackedIndex[<family>]": index}``: one store-backed
+    index per family with a ``.rsx`` writer, the verification build of
+    its class written to ``directory`` and reopened.  Close each when
+    done."""
+    from repro.store import open_index, store_family, write_store
+    from repro.store.writer import FAMILY_CLASSES
+
+    names = [cls.__name__ for cls in FAMILY_CLASSES.values()]
+    indexes: dict[str, MetricIndex] = {}
+    for index in build_verification_indexes(seed=seed, n=n, only=names).values():
+        family = store_family(index)
+        path = write_store(index, Path(directory) / f"{family}.rsx")
+        indexes[f"StoreBackedIndex[{family}]"] = open_index(path, index.metric)
     return indexes

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -101,6 +102,16 @@ def run_invariants_command(
         # invariant runs as a scripted exercise alongside the indexes.
         if only is None or "CircuitBreaker" in only:
             extra["CircuitBreaker"] = verify_breaker_machine()
+        if only is None or "StoreBackedIndex" in only:
+            # Every family with a .rsx writer, verified as reopened from
+            # its store: the tables a store-backed index searches.
+            from repro.check.builders import build_store_backed_indexes
+
+            with tempfile.TemporaryDirectory() as workdir:
+                stored = build_store_backed_indexes(workdir, seed=seed, n=size)
+                for name, index in stored.items():
+                    with index:
+                        extra[name] = verify_structure(index)
         if only is None:
             # Persistence coverage: every verification class must have
             # an explicit PERSIST_COVERAGE entry ("supported" or a

@@ -55,6 +55,10 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
   memtable entries the base does not serve — equals the shard's live
   ids; replica inner structures are verified recursively.
 
+A :class:`~repro.store.backed.StoreBackedIndex` is verified as the index
+it holds over its mapped sections (``_impl``): a tree's node view is
+made from the store's own tables, cutoffs included.
+
 An oversized leaf is exempt from ``leaf-capacity`` when its points are
 a zero-diameter group (all at distance 0 from a representative — by
 the triangle inequality that makes every pairwise distance 0): the
@@ -80,6 +84,7 @@ from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPLeafNode, VPTree
 from repro.serve.sharding import ShardManager
+from repro.store.backed import StoreBackedIndex
 from repro.transforms.filter import TransformIndex
 
 #: Relative tolerance for comparing stored against recomputed distances.
@@ -1176,6 +1181,7 @@ def verify_breaker_machine() -> list[Violation]:
 #: Ordered (class, verifier) registry; subclasses must precede parents.
 VERIFIERS: list[tuple[type, Callable[[MetricIndex], list[Violation]]]] = [
     (ShardManager, verify_shard_manager),
+    (StoreBackedIndex, lambda index: verify_structure(index._impl)),
     (GMVPTree, verify_gmvptree),
     (VPTree, verify_vptree),
     (GHTree, verify_ghtree),

@@ -41,6 +41,7 @@ import numpy as np
 from repro._util import RngLike, gather
 from repro.core.gmvptree import GMVPLeafNode
 from repro.core.mvptree import MVPTree
+from repro.indexes import kernels
 from repro.indexes.base import Neighbor
 from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
@@ -79,6 +80,13 @@ class DynamicMVPTree(MVPTree):
 
     #: The first insert builds the root of an empty tree.
     _empty_ok = True
+
+    _PARAMS = {
+        **MVPTree._PARAMS,
+        "overflow_factor": "overflow_factor",
+        "rebuild_threshold": "rebuild_threshold",
+    }
+    _COUNTERS = MVPTree._COUNTERS + ("rebuild_count", "leaf_rebuild_count")
 
     def __init__(
         self,
@@ -228,6 +236,11 @@ class DynamicMVPTree(MVPTree):
                 child, idx, level + v, depth + 1, path_entries, ancestors
             )
         return node
+
+    def _flatten(self, root) -> kernels._GMVPArrays:
+        """The tables of the node graph an update left (see
+        :meth:`insert`)."""
+        return kernels._gmvp_arrays(self, root)
 
     @staticmethod
     def _route(distance: float, cutoffs: list[float]) -> int:

@@ -130,6 +130,17 @@ class GMVPTree(kernels.TableTree, MetricIndex):
     #: Subclasses that grow by insertion may start from no objects.
     _empty_ok = False
 
+    _TABLES = kernels._GMVPArrays
+    _PARAMS = {"m": "m", "v": "v", "k": "k", "p": "p"}
+    _COUNTERS = (
+        "node_count",
+        "leaf_count",
+        "internal_count",
+        "vantage_point_count",
+        "leaf_data_point_count",
+        "height",
+    )
+
     def __init__(
         self,
         objects: Sequence,
@@ -524,7 +535,7 @@ class GMVPTree(kernels.TableTree, MetricIndex):
     ) -> list[int]:
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
-        return kernels.approx_tree_range(self, "gmvpt", query, radius, obs=obs)[0]
+        return kernels.approx_tree_range(self, query, radius, obs=obs)[0]
 
     # ------------------------------------------------------------------
     # k-NN search
@@ -547,6 +558,4 @@ class GMVPTree(kernels.TableTree, MetricIndex):
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
-        return kernels.approx_tree_knn(
-            self, "gmvpt", query, k, epsilon=epsilon, obs=obs
-        )[0]
+        return kernels.approx_tree_knn(self, query, k, epsilon=epsilon, obs=obs)[0]

@@ -95,6 +95,8 @@ class MVPTree(GMVPTree):
     3
     """
 
+    _PARAMS = {**GMVPTree._PARAMS, "bounds": "bounds_mode"}
+
     def __init__(
         self,
         objects: Sequence,

@@ -45,18 +45,20 @@ Invariants:
   :meth:`Observation.filter_points` uses).
 
 The flat tables are the tree (``_kernel_cache``, :class:`TableTree`):
-the level-synchronous builds write them directly, and an ``.rsx`` store
-maps them back.  Node objects are a view made from the tables when
-something walks nodes (JSON persist, the verifiers, farthest and
-outside-range search).  Only trees that start from nodes -- a
-JSON-loaded tree, a :class:`~repro.core.dynamic.DynamicMVPTree` after an
-update -- are flattened into tables, once, on their first search; an
-update drops them.  Missing children carry ``(-inf, +inf)`` sentinel
-bounds so the vectorised comparisons never see them as prunable (and
-never produce ``inf - inf`` NaNs); an existence mask excludes them from
-every count.
+the level-synchronous builds write them directly, and one codec
+(:func:`encode`, :func:`decode`) maps them to named sections and back,
+for ``.rsx`` stores and JSON persist alike, so a decoded or mapped tree
+is the same class over the same tables.  Node objects are a view made
+from the tables when something walks nodes (the verifiers, farthest and
+outside-range search).  Only a
+:class:`~repro.core.dynamic.DynamicMVPTree` after an update starts from
+nodes; it is flattened into tables once, the next time they are read,
+and an update drops them.  Missing children carry ``(-inf, +inf)``
+sentinel bounds so the vectorised comparisons never see them as
+prunable (and never produce ``inf - inf`` NaNs); an existence mask
+excludes them from every count.
 
-Leaves are point-major (:data:`GMVP_LEAF_TABLES`): a leaf's points are
+Leaves are point-major (see :class:`_GMVPArrays`): a leaf's points are
 one run of rows, and each point's D_t row ``(v,)`` and PATH row
 ``(p,)``, zero past its leaf's length, share that row.  A batch of
 leaves is one :func:`_segments` call plus one row gather per table.  A
@@ -76,7 +78,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro._util import gather, slack
-from repro.indexes.base import Neighbor
+from repro.indexes.base import MetricIndex, Neighbor
 from repro.obs.stats import (
     PRUNE_BUDGET,
     PRUNE_KNN_RADIUS,
@@ -132,8 +134,11 @@ class TableTree:
 
     ``_root`` is the node graph: a view made from the tables the first
     time something reads it.  Assigning a node graph to ``_root`` makes
-    the tree start from nodes, flattened into tables on its next search.
-    A subclass names its view in ``_node_view(tables)``.
+    the tree start from nodes, flattened into tables by its
+    ``_flatten(root)`` the next time something reads them.  A subclass
+    names its view in ``_node_view(tables)``, its table class in
+    ``_TABLES``, and what the codec records besides the tables in
+    ``_PARAMS`` (meta key to attribute) and ``_COUNTERS``.
     """
 
     _kernel_cache = None
@@ -155,12 +160,20 @@ class TableTree:
         return self._root
 
     def _plant(self, tables) -> None:
-        """Make freshly built tables the tree (``None``: the empty tree).
-        The tables go in first, so a concurrent search never finds
-        neither tables nor nodes."""
+        """Make tables (built, decoded or mapped) the tree (``None``: the
+        empty tree).  The tables go in first, so a concurrent search
+        never finds neither tables nor nodes."""
         if tables is not None:
             derive(tables)
         self._kernel_cache, self._nodes = tables, None
+
+    def _tables(self):
+        """The tree's tables (``None``: the empty tree); a tree that
+        starts from nodes is flattened once."""
+        tables, nodes = self._kernel_cache, self._nodes
+        if tables is None and nodes is not None:
+            tables = self._kernel_cache = self._flatten(nodes)
+        return tables
 
     def _is_empty(self) -> bool:
         """Whether the tree holds nothing, without making the view."""
@@ -187,73 +200,23 @@ def wire(tables, internals: list, leaves: list):
 class _VPArrays:
     """Flat tables of a vp-tree.
 
-    Leaves are offset-indexed flat tables (``leaf_offsets``,
-    ``leaf_ids``) under the names of their ``.rsx`` sections.
-    ``cutoffs`` ``(internal, m - 1)`` is kept by a build for the node
-    view only; it is not a section.
+    Internal nodes are ``(count, m)`` tables (``cutoffs`` ``(count, m -
+    1)``); leaves are offset-indexed flat tables (``leaf_offsets``,
+    ``leaf_ids``).  :data:`SECTIONS` are what a codec writes.
     """
 
-    __slots__ = (
-        "cutoffs",
+    SECTIONS = (
         "vp_ids",
+        "cutoffs",
         "child_lo",
         "child_hi",
         "child_kind",
         "child_idx",
         "leaf_offsets",
         "leaf_ids",
-        "root_kind",
-        "root_idx",
-        *_DERIVED,
     )
 
-
-def _vp_arrays(tree) -> Optional[_VPArrays]:
-    """The tree's tables; flattens a tree that starts from nodes.
-    ``None`` for an empty tree."""
-    cached = getattr(tree, "_kernel_cache", None)
-    if cached is not None or tree._root is None:
-        return cached
-    from repro.indexes.vptree import VPLeafNode
-
-    m = tree.m
-    internal_nodes: list = []
-    leaf_nodes: list = []
-    slot_of: dict[int, tuple[int, int]] = {}
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, VPLeafNode):
-            slot_of[id(node)] = (_LEAF, len(leaf_nodes))
-            leaf_nodes.append(node)
-        else:
-            slot_of[id(node)] = (_INTERNAL, len(internal_nodes))
-            internal_nodes.append(node)
-            stack.extend(c for c in node.children if c is not None)
-
-    count = len(internal_nodes)
-    arrays = _VPArrays()
-    arrays.vp_ids = np.empty(count, dtype=np.intp)
-    arrays.child_lo = np.full((count, m), -np.inf)
-    arrays.child_hi = np.full((count, m), np.inf)
-    arrays.child_kind = np.zeros((count, m), dtype=np.int8)
-    arrays.child_idx = np.zeros((count, m), dtype=np.intp)
-    for n, node in enumerate(internal_nodes):
-        arrays.vp_ids[n] = node.vp_id
-        for c, (child, (lo, hi)) in enumerate(zip(node.children, node.bounds)):
-            if child is None:
-                continue
-            kind, pos = slot_of[id(child)]
-            arrays.child_kind[n, c] = kind
-            arrays.child_idx[n, c] = pos
-            arrays.child_lo[n, c] = lo
-            arrays.child_hi[n, c] = hi
-    arrays.leaf_offsets = _offsets([len(node.ids) for node in leaf_nodes])
-    arrays.leaf_ids = _concat([node.ids for node in leaf_nodes], np.int64)
-    arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
-    derive(arrays)
-    tree._kernel_cache = arrays
-    return arrays
+    __slots__ = (*SECTIONS, "root_kind", "root_idx", *_DERIVED)
 
 
 # ----------------------------------------------------------------------
@@ -264,19 +227,28 @@ def _vp_arrays(tree) -> Optional[_VPArrays]:
 class _GMVPArrays:
     """Flat tables of a multi-vantage tree.
 
-    Internal nodes are ``(count, m**v[, v])`` tables.  Leaves are
-    point-major tables under the same names as the ``.rsx`` sections
-    they are written to (:data:`GMVP_LEAF_TABLES`), so a store maps them
-    back unchanged and a batch gathers every leaf's points with a
-    handful of row gathers instead of a Python loop per leaf.
-    ``cutoffs`` ``(count, (m**v - 1) / (m - 1), m - 1)``, vantage point
-    ``t``'s ``m**t`` rows after those of the vantage points before it,
-    is kept by a build for the node view only; it is not a section.
+    Internal nodes are ``(count, m**v[, v])`` tables, and ``cutoffs``
+    ``(count, (m**v - 1) / (m - 1), m - 1)``: vantage point ``t``'s
+    ``m**t`` rows after those of the vantage points before it.  Leaves
+    are point-major, so a batch gathers every leaf's points with a
+    handful of row gathers instead of a Python loop per leaf:
+
+    * ``leaf_vp_ids`` ``(leaves, v)``: each leaf's vantage points, ``-1``
+      past its count (only a leaf without points has fewer than ``v``);
+    * ``leaf_offsets`` ``(leaves + 1,)`` and ``leaf_ids`` ``(N,)``: each
+      leaf's points, a contiguous run of rows;
+    * ``leaf_dists`` ``(N, v)``: row ``i`` holds point ``i``'s distances
+      to its leaf's vantage points (the paper's D1/D2 at ``v = 2``);
+    * ``leaf_paths`` ``(N, p)``: point ``i``'s PATH row, zero past its
+      leaf's ``path_len``.
+
+    All three point tables share the rows of ``leaf_ids``.
+    :data:`SECTIONS` are what a codec writes.
     """
 
-    __slots__ = (
-        "cutoffs",
+    SECTIONS = (
         "vp_ids",
+        "cutoffs",
         "blo",
         "bhi",
         "child_kind",
@@ -286,48 +258,24 @@ class _GMVPArrays:
         "leaf_ids",
         "leaf_dists",
         "leaf_paths",
-        "root_kind",
-        "root_idx",
-        *_DERIVED,
     )
 
-
-#: The leaf tables of :class:`_GMVPArrays`, which are also the ``.rsx``
-#: section names of the ``mvpt`` and ``gmvpt`` families:
-#:
-#: * ``leaf_vp_ids`` ``(leaves, v)``: each leaf's vantage points, ``-1``
-#:   past its count (only a leaf without points has fewer than ``v``);
-#: * ``leaf_offsets`` ``(leaves + 1,)`` and ``leaf_ids`` ``(N,)``: each
-#:   leaf's points, a contiguous run of rows;
-#: * ``leaf_dists`` ``(N, v)``: row ``i`` holds point ``i``'s distances
-#:   to its leaf's vantage points (the paper's D1/D2 at ``v = 2``);
-#: * ``leaf_paths`` ``(N, p)``: point ``i``'s PATH row, zero past its
-#:   leaf's ``path_len``.
-#:
-#: All three point tables share the rows of ``leaf_ids``.
-GMVP_LEAF_TABLES = (
-    "leaf_vp_ids",
-    "leaf_offsets",
-    "leaf_ids",
-    "leaf_dists",
-    "leaf_paths",
-)
+    __slots__ = (*SECTIONS, "root_kind", "root_idx", *_DERIVED)
 
 
-def _gmvp_arrays(tree) -> Optional[_GMVPArrays]:
-    """The tree's tables; flattens a tree that starts from nodes.
-    ``None`` for an empty tree."""
-    cached = getattr(tree, "_kernel_cache", None)
-    if cached is not None or tree._root is None:
-        return cached
+def _gmvp_arrays(tree, root) -> _GMVPArrays:
+    """The tables of a multi-vantage tree that starts from nodes (a
+    :class:`~repro.core.dynamic.DynamicMVPTree` after an update),
+    flattened from its root node.  Slot order is preorder with each
+    node's children taken last-first, the order the builds give."""
     from repro.core.gmvptree import GMVPLeafNode
 
-    v = tree.v
-    fanout = tree.m**v
+    m, v = tree.m, tree.v
+    fanout = m**v
     internal_nodes: list = []
     leaves: list = []
     slot_of: dict[int, tuple[int, int]] = {}
-    stack = [tree._root]
+    stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, GMVPLeafNode):
@@ -341,6 +289,10 @@ def _gmvp_arrays(tree) -> Optional[_GMVPArrays]:
     count = len(internal_nodes)
     arrays = _GMVPArrays()
     arrays.vp_ids = np.empty((count, v), dtype=np.intp)
+    arrays.cutoffs = np.array(
+        [[row for rows in node.cutoffs for row in rows] for node in internal_nodes],
+        dtype=np.float64,
+    ).reshape(count, (fanout - 1) // (m - 1), m - 1)
     arrays.blo = np.full((count, fanout, v), -np.inf)
     arrays.bhi = np.full((count, fanout, v), np.inf)
     arrays.child_kind = np.zeros((count, fanout), dtype=np.int8)
@@ -357,7 +309,7 @@ def _gmvp_arrays(tree) -> Optional[_GMVPArrays]:
                 if lo <= hi:
                     arrays.blo[n, c, t] = lo
                     arrays.bhi[n, c, t] = hi
-    # int64/float64 throughout: the tables are written to stores as is.
+    # int64/float64 throughout, as the builds make them.
     arrays.leaf_offsets = _offsets([len(n.ids) for n in leaves])
     arrays.leaf_ids = _concat([n.ids for n in leaves], np.int64)
     arrays.leaf_vp_ids = np.full((len(leaves), v), -1, dtype=np.int64)
@@ -369,10 +321,59 @@ def _gmvp_arrays(tree) -> Optional[_GMVPArrays]:
             rows = slice(start, start + len(node.ids))
             arrays.leaf_dists[rows] = np.asarray(node.dists).T
             arrays.leaf_paths[rows, : node.path_len] = node.paths
-    arrays.root_kind, arrays.root_idx = slot_of[id(tree._root)]
+    arrays.root_kind, arrays.root_idx = slot_of[id(root)]
     derive(arrays)
-    tree._kernel_cache = arrays
     return arrays
+
+
+# ----------------------------------------------------------------------
+# The codec: one layout for every container
+# ----------------------------------------------------------------------
+
+
+def encode(tree) -> tuple[dict, dict]:
+    """A tree as named sections plus meta: the one layout an ``.rsx``
+    store (:mod:`repro.store.writer`) and JSON persist
+    (:mod:`repro.persist.serialize`) both write.
+
+    The sections are the tables of ``SECTIONS``, as they are.  Meta
+    holds the root slot (``tree``; ``None`` for the empty tree), the
+    construction parameters (``params``) and the node counters
+    (``build_stats``).
+    """
+    tables = tree._tables()
+    meta = {
+        "params": {key: getattr(tree, name) for key, name in tree._PARAMS.items()},
+        "tree": None,
+        "build_stats": {name: getattr(tree, name) for name in tree._COUNTERS},
+    }
+    if tables is None:
+        return {}, meta
+    meta["tree"] = {"root_kind": int(tables.root_kind), "root_idx": int(tables.root_idx)}
+    return {name: getattr(tables, name) for name in tables.SECTIONS}, meta
+
+
+def decode(cls, objects, metric, sections, meta):
+    """The ``cls`` tree :func:`encode` gave ``sections`` and ``meta``
+    for, planted over ``objects``.  The sections become its tables as
+    they are, so mapped store sections stay views.  The tree searches;
+    it has no selector or rng to build with."""
+    tree = cls.__new__(cls)
+    MetricIndex.__init__(tree, objects, metric)
+    for key, name in cls._PARAMS.items():
+        setattr(tree, name, meta["params"][key])
+    for name in cls._COUNTERS:
+        setattr(tree, name, meta["build_stats"][name])
+    tree._selector = tree._rng = None
+    tables = None
+    if meta["tree"] is not None:
+        tables = cls._TABLES()
+        for name in tables.SECTIONS:
+            setattr(tables, name, sections[name])
+        tables.root_kind = int(meta["tree"]["root_kind"])
+        tables.root_idx = int(meta["tree"]["root_idx"])
+    tree._plant(tables)
+    return tree
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +636,7 @@ class _VPApprox(_Adapter):
 
     shell_kinds = point_kinds = (PRUNE_VP_SHELL,)
 
-    def __init__(self, tree, arrays):
+    def __init__(self, arrays):
         super().__init__(arrays, 1, 4)
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
@@ -666,8 +667,8 @@ class _GMVPApprox(_Adapter):
 
     __slots__ = ("p", "shell_kinds", "point_kinds")
 
-    def __init__(self, tree, arrays):
-        self.p = tree.p
+    def __init__(self, arrays):
+        self.p = int(arrays.leaf_paths.shape[1])
         v = int(arrays.vp_ids.shape[1])
         super().__init__(arrays, v, 5 + self.p)
         self.shell_kinds = tuple(map(vp_shell_kind, range(v)))
@@ -741,21 +742,13 @@ class _GMVPApprox(_Adapter):
         return arrays.leaf_ids[pos], lower, seg, lens, gap
 
 
-_APPROX_ADAPTERS = {
-    "vpt": (_VPApprox, _vp_arrays),
-    "mvpt": (_GMVPApprox, _gmvp_arrays),
-    "gmvpt": (_GMVPApprox, _gmvp_arrays),
-}
-
-
-def _approx_adapter(tree, family: str):
-    """The family's adapter over ``tree``, or ``None`` for an empty tree."""
-    try:
-        adapter, tables = _APPROX_ADAPTERS[family]
-    except KeyError:
-        raise ValueError(f"no budgeted kernel for family {family!r}") from None
-    arrays = tables(tree)
-    return None if arrays is None else adapter(tree, arrays)
+def _approx_adapter(tree):
+    """The frontier adapter over ``tree``'s tables, picked by their
+    class, or ``None`` for an empty tree."""
+    arrays = tree._tables()
+    if arrays is None:
+        return None
+    return (_VPApprox if isinstance(arrays, _VPArrays) else _GMVPApprox)(arrays)
 
 
 def _book_by_bound(book, kinds, parts, count: int, limit: float) -> None:
@@ -961,7 +954,6 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
 
 def approx_tree_knn(
     tree,
-    family: str,
     query,
     k: int,
     *,
@@ -976,7 +968,7 @@ def approx_tree_knn(
     is unique, so the answer does not depend on the batch schedule.
     Every prune is booked as ``knn-radius``.
     """
-    adapter = _approx_adapter(tree, family)
+    adapter = _approx_adapter(tree)
     if adapter is None:
         return [], _NO_OUTCOME
     return _frontier(
@@ -986,7 +978,6 @@ def approx_tree_knn(
 
 def approx_tree_range(
     tree,
-    family: str,
     query,
     radius: float,
     *,
@@ -1006,7 +997,7 @@ def approx_tree_range(
     points may have been skipped, and every prune is booked as
     ``lower-bound``.
     """
-    adapter = _approx_adapter(tree, family)
+    adapter = _approx_adapter(tree)
     if adapter is None:
         return [], _NO_OUTCOME
     return _frontier(

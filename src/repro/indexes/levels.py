@@ -359,8 +359,8 @@ def layout(plan: Plan, built: np.ndarray, leaves: np.ndarray, sizes: np.ndarray)
     A node's slot is its rank among the live nodes of its kind
     (internal or leaf) in preorder with each node's children taken
     last-first: the order the flatten of a node graph gives
-    (:func:`repro.indexes.kernels._vp_arrays`), so tables and store
-    bytes do not depend on how the tree was made.  That order is
+    (:func:`repro.indexes.kernels._gmvp_arrays`), so tables, store bytes
+    and persisted form do not depend on how the tree was made.  That order is
     postorder reversed, and a node's postorder rank is its preorder
     rank plus its subtree's size, less its depth and one: the live
     nodes up to its subtree's end, less its depth and one.

@@ -126,6 +126,10 @@ class VPTree(kernels.TableTree, MetricIndex):
     [7]
     """
 
+    _TABLES = kernels._VPArrays
+    _PARAMS = {"m": "m", "leaf_capacity": "leaf_capacity", "bounds": "bounds_mode"}
+    _COUNTERS = ("node_count", "leaf_count", "vantage_point_count", "height")
+
     def __init__(
         self,
         objects: Sequence,
@@ -316,7 +320,7 @@ class VPTree(kernels.TableTree, MetricIndex):
     ) -> list[int]:
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
-        return kernels.approx_tree_range(self, "vpt", query, radius, obs=obs)[0]
+        return kernels.approx_tree_range(self, query, radius, obs=obs)[0]
 
     # ------------------------------------------------------------------
     # k-nearest-neighbor search (best-first branch and bound, [Chi94])
@@ -339,9 +343,7 @@ class VPTree(kernels.TableTree, MetricIndex):
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
-        return kernels.approx_tree_knn(
-            self, "vpt", query, k, epsilon=epsilon, obs=obs
-        )[0]
+        return kernels.approx_tree_knn(self, query, k, epsilon=epsilon, obs=obs)[0]
 
     # ------------------------------------------------------------------
     # Farthest search (upper-bound pruning; paper section 2 lists

@@ -7,6 +7,15 @@ design is about preserving — but not the data objects or the metric.
 responsible for passing the same dataset (in the same order) and an
 equivalent metric, and :func:`index_from_dict` verifies the recorded
 dataset size as a cheap guard.
+
+A tree (``VPTree``, ``MVPTree``, ``GMVPTree``, ``DynamicMVPTree``) is
+written through the tree codec an ``.rsx`` store uses too
+(:func:`repro.indexes.kernels.encode`): its flat tables as named
+``sections``, each with its dtype, shape and flat values, plus the
+codec's ``params``, ``tree`` (root slot) and ``build_stats``.  Loading
+plants those tables in a tree of the same class, so a loaded tree
+searches exactly like the one saved.  Format 3; files of earlier
+formats are refused.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ import numpy as np
 
 from repro._util import gather
 from repro.core.dynamic import DynamicMVPTree
-from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode, GMVPTree
+from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
@@ -30,14 +40,19 @@ from repro.indexes.gnat import GNAT, GNATInternalNode, GNATLeafNode
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.selection import get_selector
-from repro.indexes.vptree import VPInternalNode, VPLeafNode, VPTree
+from repro.indexes.vptree import VPTree
 from repro.metric.base import Metric
 from repro.serve.sharding import SHARD_BACKENDS, ShardManager, _SlotState
 from repro.transforms.filter import TransformIndex
 from repro.transforms.fourier import DFTTransform
 from repro.transforms.subsequence import SubsequenceIndex
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+
+#: The tree families, each written through the tree codec
+#: (:func:`repro.indexes.kernels.encode`); subclasses before parents.
+_TREES = (DynamicMVPTree, MVPTree, GMVPTree, VPTree)
+_TREE_TYPES = {cls.__name__: cls for cls in _TREES}
 
 #: Serialisation coverage per index class, surfaced by ``repro-check
 #: invariants``.  Every class the verification builders construct MUST
@@ -71,80 +86,24 @@ PERSIST_COVERAGE: dict[str, str] = {
 # ----------------------------------------------------------------------
 
 
-def _encode_vp_node(node) -> Optional[dict]:
-    """Encode one vp node (recursive; depth <= tree height)."""
-    if node is None:
-        return None
-    if isinstance(node, VPLeafNode):
-        return {"leaf": True, "ids": list(node.ids)}
+def _encode_sections(sections: dict) -> dict:
+    """Each table as its dtype, shape and flat values, so empty tables
+    keep their shape and every table its dtype."""
     return {
-        "leaf": False,
-        "vp_id": node.vp_id,
-        "cutoffs": list(node.cutoffs),
-        "bounds": [list(b) for b in node.bounds],
-        "children": [_encode_vp_node(c) for c in node.children],
-    }
-
-
-def _decode_vp_node(data: Optional[dict]):
-    """Decode one vp node (recursive; depth <= tree height)."""
-    if data is None:
-        return None
-    if data["leaf"]:
-        return VPLeafNode(list(data["ids"]))
-    return VPInternalNode(
-        data["vp_id"],
-        list(data["cutoffs"]),
-        [tuple(b) for b in data["bounds"]],
-        [_decode_vp_node(c) for c in data["children"]],
-    )
-
-
-def _encode_gmvp_node(node) -> Optional[dict]:
-    """Encode one gmvp node (recursive; depth <= tree height)."""
-    if node is None:
-        return None
-    if isinstance(node, GMVPLeafNode):
-        return {
-            "leaf": True,
-            "vp_ids": list(node.vp_ids),
-            "ids": list(node.ids),
-            "dists": node.dists.tolist(),
-            "paths": node.paths.tolist(),
-            "path_len": node.path_len,
+        name: {
+            "dtype": table.dtype.str,
+            "shape": list(table.shape),
+            "data": table.ravel().tolist(),
         }
-    return {
-        "leaf": False,
-        "vp_ids": list(node.vp_ids),
-        "cutoffs": [[list(row) for row in level] for level in node.cutoffs],
-        "bounds": [[list(b) for b in row] for row in node.bounds],
-        "children": [_encode_gmvp_node(c) for c in node.children],
+        for name, table in sections.items()
     }
 
 
-def _decode_gmvp_node(data: Optional[dict]):
-    """Decode one gmvp node (recursive; depth <= tree height)."""
-    if data is None:
-        return None
-    if data["leaf"]:
-        path_len = data["path_len"]
-        n_points = len(data["ids"])
-        n_vps_with_rows = len(data["dists"])
-        dists = np.asarray(data["dists"], dtype=float).reshape(
-            n_vps_with_rows, n_points
-        )
-        paths = np.asarray(data["paths"], dtype=float).reshape(
-            n_points, path_len
-        )
-        return GMVPLeafNode(
-            list(data["vp_ids"]), list(data["ids"]), dists, paths, path_len
-        )
-    return GMVPInternalNode(
-        list(data["vp_ids"]),
-        [[list(row) for row in level] for level in data["cutoffs"]],
-        [[tuple(b) for b in row] for row in data["bounds"]],
-        [_decode_gmvp_node(c) for c in data["children"]],
-    )
+def _decode_sections(data: dict) -> dict:
+    return {
+        name: np.asarray(entry["data"], dtype=entry["dtype"]).reshape(entry["shape"])
+        for name, entry in data.items()
+    }
 
 
 def _encode_gh_node(node) -> Optional[dict]:
@@ -289,87 +248,21 @@ def index_to_dict(index: MetricIndex) -> dict:
                 for row in index.replicas
             ],
         }
-    if isinstance(index, VPTree):
-        return {
+    if isinstance(index, kernels.TableTree):
+        # The tree codec's sections and meta, as an .rsx store holds them.
+        cls = next(cls for cls in _TREES if isinstance(index, cls))
+        sections, meta = kernels.encode(index)
+        data = {
             "format": _FORMAT_VERSION,
-            "type": "VPTree",
+            "type": cls.__name__,
             "n_objects": len(index.objects),
-            "params": {
-                "m": index.m,
-                "leaf_capacity": index.leaf_capacity,
-                "bounds": index.bounds_mode,
-            },
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "vantage_point_count": index.vantage_point_count,
-                "height": index.height,
-            },
-            "root": _encode_vp_node(index.root),
+            **meta,
+            "sections": _encode_sections(sections),
         }
-    if isinstance(index, DynamicMVPTree):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "DynamicMVPTree",
-            "n_objects": len(index.objects),
-            "params": {
-                "m": index.m,
-                "k": index.k,
-                "p": index.p,
-                "overflow_factor": index.overflow_factor,
-                "rebuild_threshold": index.rebuild_threshold,
-            },
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "internal_count": index.internal_count,
-                "vantage_point_count": index.vantage_point_count,
-                "leaf_data_point_count": index.leaf_data_point_count,
-                "height": index.height,
-                "rebuild_count": index.rebuild_count,
-                "leaf_rebuild_count": index.leaf_rebuild_count,
-            },
-            "deleted": sorted(index._deleted),
-            "removed": sorted(index._removed),
-            "root": _encode_gmvp_node(index.root),
-        }
-    if isinstance(index, MVPTree):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "MVPTree",
-            "n_objects": len(index.objects),
-            "params": {
-                "m": index.m,
-                "k": index.k,
-                "p": index.p,
-                "bounds": index.bounds_mode,
-            },
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "internal_count": index.internal_count,
-                "vantage_point_count": index.vantage_point_count,
-                "leaf_data_point_count": index.leaf_data_point_count,
-                "height": index.height,
-            },
-            "root": _encode_gmvp_node(index.root),
-        }
-    if isinstance(index, GMVPTree):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "GMVPTree",
-            "n_objects": len(index.objects),
-            "params": {"m": index.m, "v": index.v, "k": index.k, "p": index.p},
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "internal_count": index.internal_count,
-                "vantage_point_count": index.vantage_point_count,
-                "leaf_data_point_count": index.leaf_data_point_count,
-                "height": index.height,
-            },
-            "root": _encode_gmvp_node(index.root),
-        }
+        if cls is DynamicMVPTree:
+            data["deleted"] = sorted(index._deleted)
+            data["removed"] = sorted(index._removed)
+        return data
     if isinstance(index, GHTree):
         return {
             "format": _FORMAT_VERSION,
@@ -482,7 +375,6 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         )
     kind = data["type"]
     params = data["params"]
-    stats = data["stats"]
 
     if kind == "ShardManager":
         manager = ShardManager.__new__(ShardManager)
@@ -588,55 +480,26 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
     if kind == "LinearScan":
         return LinearScan(objects, metric)
 
-    if kind == "VPTree":
-        index = VPTree.__new__(VPTree)
-        MetricIndex.__init__(index, objects, metric)
-        index.m = params["m"]
-        index.leaf_capacity = params["leaf_capacity"]
-        index.bounds_mode = params.get("bounds", "tight")
-        index._selector = None
-        index._rng = None
-        index._root = _decode_vp_node(data["root"])
-    elif kind == "MVPTree":
-        index = MVPTree.__new__(MVPTree)
-        MetricIndex.__init__(index, objects, metric)
-        index.m = params["m"]
-        index.v = 2
-        index.k = params["k"]
-        index.p = params["p"]
-        index.bounds_mode = params.get("bounds", "tight")
-        index._selector = None
-        index._rng = None
-        index._root = _decode_gmvp_node(data["root"])
-    elif kind == "DynamicMVPTree":
-        index = DynamicMVPTree.__new__(DynamicMVPTree)
-        # The dynamic tree owns a mutable object list.
-        MetricIndex.__init__(index, list(objects), metric)
-        index.m = params["m"]
-        index.v = 2
-        index.k = params["k"]
-        index.p = params["p"]
-        index.overflow_factor = params["overflow_factor"]
-        index.rebuild_threshold = params["rebuild_threshold"]
-        index.bounds_mode = params.get("bounds", "tight")
-        # A restored dynamic tree keeps accepting updates, so it needs a
-        # working selector and randomness source.
-        index._selector = get_selector("random")
-        index._rng = np.random.default_rng()
-        index._deleted = set(data["deleted"])
-        index._removed = set(data["removed"])
-        index._root = _decode_gmvp_node(data["root"])
-    elif kind == "GMVPTree":
-        index = GMVPTree.__new__(GMVPTree)
-        MetricIndex.__init__(index, objects, metric)
-        index.m = params["m"]
-        index.v = params["v"]
-        index.k = params["k"]
-        index.p = params["p"]
-        index._selector = None
-        index._rng = None
-        index._root = _decode_gmvp_node(data["root"])
-    elif kind == "GHTree":
+    if kind in _TREE_TYPES:
+        cls = _TREE_TYPES[kind]
+        dynamic = cls is DynamicMVPTree
+        index = kernels.decode(
+            cls,
+            # The dynamic tree owns a mutable object list.
+            list(objects) if dynamic else objects,
+            metric,
+            _decode_sections(data["sections"]),
+            data,
+        )
+        if dynamic:
+            # A restored dynamic tree keeps accepting updates, so it
+            # needs a working selector and randomness source.
+            index._selector = get_selector("random")
+            index._rng = np.random.default_rng()
+            index._deleted = set(data["deleted"])
+            index._removed = set(data["removed"])
+        return index
+    if kind == "GHTree":
         index = GHTree.__new__(GHTree)
         MetricIndex.__init__(index, objects, metric)
         index.leaf_capacity = params["leaf_capacity"]
@@ -683,7 +546,7 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
     else:
         raise ValueError(f"unknown index type {kind!r}")
 
-    for key, value in stats.items():
+    for key, value in data["stats"].items():
         setattr(index, key, value)
     return index
 

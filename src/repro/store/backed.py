@@ -1,15 +1,15 @@
 """Search ``.rsx`` stores in place: mmap views straight into the kernels.
 
 :class:`StoreBackedIndex` is a :class:`~repro.indexes.base.MetricIndex`
-whose node tables are zero-copy views over an open :class:`Store`.  For
-the tree families it rebuilds the exact flat-array kernel cache the
-in-memory trees feed to :mod:`repro.indexes.kernels` — same values,
-same leaf order, same root slot — so every search takes the identical
-code path and returns byte-identical ``(distance, id)`` answers with
-matching ``QueryStats`` and trace events.  For the table families
-(``linear``, ``laesa``) and for ``gnat`` (whose node graph is rebuilt
-from its flattened tables) it rehydrates the real index class around
-the mapped arrays and delegates.
+whose structure is the real index class over zero-copy views of an open
+:class:`Store`, held as ``_impl``, to which every search delegates.  A
+tree (``vpt``, ``mvpt``, ``gmvpt``) is decoded by the tree codec
+(:func:`repro.indexes.kernels.decode`) with the mapped sections as its
+tables — same values, same leaf order, same root slot — so every search
+takes the identical code path and returns byte-identical ``(distance,
+id)`` answers with matching ``QueryStats`` and trace events.  The table
+families (``linear``, ``laesa``) wrap the mapped arrays, and ``gnat``'s
+node graph is rebuilt from its flattened tables.
 
 Rows appended through :func:`repro.store.delta.append_delta` are
 searched too: the base structure answers over its own rows and the
@@ -35,6 +35,7 @@ from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceSink, make_observation
 from repro.store.delta import append_delta, read_deltas
 from repro.store.format import Store
+from repro.store.writer import FAMILY_CLASSES
 
 def _segments(store: Store, offsets_name: str, flat_name: str) -> list:
     offsets = store.section(offsets_name)
@@ -43,32 +44,6 @@ def _segments(store: Store, offsets_name: str, flat_name: str) -> list:
         flat[int(offsets[i]) : int(offsets[i + 1])]
         for i in range(len(offsets) - 1)
     ]
-
-
-def _vp_cache(store: Store) -> kernels._VPArrays:
-    arrays = kernels._VPArrays()
-    arrays.vp_ids = store.section("vp_ids")
-    arrays.child_lo = store.section("child_lo")
-    arrays.child_hi = store.section("child_hi")
-    arrays.child_kind = store.section("child_kind")
-    arrays.child_idx = store.section("child_idx")
-    arrays.leaf_offsets = store.section("leaf_offsets")
-    arrays.leaf_ids = store.section("leaf_ids")
-    arrays.root_kind = int(store.meta["tree"]["root_kind"])
-    arrays.root_idx = int(store.meta["tree"]["root_idx"])
-    kernels.derive(arrays)
-    return arrays
-
-
-def _gmvp_cache(store: Store) -> kernels._GMVPArrays:
-    arrays = kernels._GMVPArrays()
-    node_tables = ("vp_ids", "blo", "bhi", "child_kind", "child_idx")
-    for name in node_tables + kernels.GMVP_LEAF_TABLES:
-        setattr(arrays, name, store.section(name))
-    arrays.root_kind = int(store.meta["tree"]["root_kind"])
-    arrays.root_idx = int(store.meta["tree"]["root_idx"])
-    kernels.derive(arrays)
-    return arrays
 
 
 def _gnat_impl(store: Store, points, metric: Metric) -> GNAT:
@@ -148,14 +123,11 @@ class StoreBackedIndex(MetricIndex):
         self.path = store.path
         self.family = store.family
         self.params = dict(store.meta.get("params", {}))
-        for name, value in store.meta.get("build_stats", {}).items():
-            setattr(self, name, value)
         self._global_ids = (
             store.section("global_ids")
             if store.has_section("global_ids")
             else None
         )
-        self._impl: Optional[MetricIndex] = None
         if self.family == "linear":
             self._impl = LinearScan(points, metric)
         elif self.family == "gnat":
@@ -168,18 +140,9 @@ class StoreBackedIndex(MetricIndex):
             impl._table = store.section("table")
             self._impl = impl
         else:
-            if self.family == "vpt":
-                self._kernel_cache = _vp_cache(store)
-                self.leaf_capacity = self.params["leaf_capacity"]
-                self.bounds_mode = self.params["bounds"]
-            else:  # mvpt (v = 2, region shells) or gmvpt
-                self._kernel_cache = _gmvp_cache(store)
-                self.v = self.params["v"]
-                self.k = self.params["k"]
-                self.p = self.params["p"]
-                if self.family == "mvpt":
-                    self.bounds_mode = self.params["bounds"]
-            self.m = self.params["m"]
+            cls = FAMILY_CLASSES[self.family]
+            sections = {name: store.section(name) for name in cls._TABLES.SECTIONS}
+            self._impl = kernels.decode(cls, points, metric, sections, store.meta)
         deltas = deltas or []
         if deltas:
             self._delta_ids = np.concatenate([ids for ids, _ in deltas])
@@ -209,35 +172,18 @@ class StoreBackedIndex(MetricIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         return min(k, len(self))
 
-    def _base_range(self, query, radius: float, *, stats, trace) -> list[int]:
-        if self._impl is not None:
-            return self._impl.range_search(
-                query, radius, stats=stats, trace=trace
-            )
-        obs = make_observation(stats, trace)
-        return kernels.approx_tree_range(
-            self, self.family, query, radius, obs=obs
-        )[0]
-
     def _base_knn(
         self, query, k: int, epsilon: float, *, stats, trace
     ) -> list[Neighbor]:
-        if self._impl is not None:
-            if self.family == "gnat":
-                # GNAT's k-NN has no epsilon relaxation (matching the
-                # in-memory class, whose signature takes none).
-                if epsilon != 0.0:
-                    raise ValueError(
-                        "GNAT k-NN does not support epsilon approximation"
-                    )
-                return self._impl.knn_search(query, k, stats=stats, trace=trace)
-            return self._impl.knn_search(
-                query, k, epsilon, stats=stats, trace=trace
-            )
-        obs = make_observation(stats, trace)
-        return kernels.approx_tree_knn(
-            self, self.family, query, k, epsilon=epsilon, obs=obs
-        )[0]
+        if self.family == "gnat":
+            # GNAT's k-NN has no epsilon relaxation (matching the
+            # in-memory class, whose signature takes none).
+            if epsilon != 0.0:
+                raise ValueError(
+                    "GNAT k-NN does not support epsilon approximation"
+                )
+            return self._impl.knn_search(query, k, stats=stats, trace=trace)
+        return self._impl.knn_search(query, k, epsilon, stats=stats, trace=trace)
 
     def _delta_distances(self, query, *, stats, trace) -> np.ndarray:
         """One exact batched scan of the delta tail (observed like a
@@ -260,7 +206,7 @@ class StoreBackedIndex(MetricIndex):
         trace: Optional[TraceSink] = None,
     ) -> list[int]:
         radius = self.validate_radius(radius)
-        hits = self._base_range(query, radius, stats=stats, trace=trace)
+        hits = self._impl.range_search(query, radius, stats=stats, trace=trace)
         if self._delta_rows is None:
             return hits
         distances = self._delta_distances(query, stats=stats, trace=trace)

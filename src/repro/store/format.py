@@ -54,7 +54,7 @@ from typing import Optional, Union
 import numpy as np
 
 STORE_MAGIC = b"RSX\x01"
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 #: Index-family tag byte in the header (and ``family`` string in meta).
 FAMILY_TAGS = {"linear": 1, "vpt": 2, "mvpt": 3, "gmvpt": 4, "laesa": 5, "gnat": 6}

@@ -1,11 +1,12 @@
 """Serialise built indexes into ``.rsx`` stores.
 
-The node tables written here are exactly the flattened arrays the
-frontier kernels in :mod:`repro.indexes.kernels` search — vp ids,
-shell bounds, child kind/slot tables, and the multi-vantage leaves'
-precomputed D1/D2/PATH distance arrays — so a reopened store
-reconstructs the kernel cache by reshaping mmap views, with bit-exact
-values and therefore byte-identical answers and ``QueryStats``.
+A tree is written through the tree codec (:func:`repro.indexes.kernels.encode`,
+the one JSON persist uses too): its sections are the flat tables the
+frontier kernel searches — vp ids, cutoffs, shell bounds, child
+kind/slot tables, and the multi-vantage leaves' precomputed D1/D2/PATH
+distance arrays — so a reopened store plants mmap views of them in a
+tree of the same class, with bit-exact values and therefore
+byte-identical answers and ``QueryStats``.
 
 Writers exist for the static families — :class:`~repro.indexes.vptree.VPTree`,
 :class:`~repro.core.mvptree.MVPTree`, :class:`~repro.core.gmvptree.GMVPTree`,
@@ -38,6 +39,17 @@ from repro.store.atomic import atomic_write_bytes
 from repro.store.format import pack_store, points_digest
 
 
+#: ``family -> index class`` of every family with a writer.
+FAMILY_CLASSES = {
+    "vpt": VPTree,
+    "mvpt": MVPTree,
+    "gmvpt": GMVPTree,
+    "gnat": GNAT,
+    "laesa": LAESA,
+    "linear": LinearScan,
+}
+
+
 def store_family(index) -> str:
     """The ``.rsx`` family name for ``index`` (exact type match).
 
@@ -45,14 +57,7 @@ def store_family(index) -> str:
     family's node table does not represent (``DynamicMVPTree``'s
     in-place inserts being the canonical example).
     """
-    for cls, family in (
-        (VPTree, "vpt"),
-        (MVPTree, "mvpt"),
-        (GMVPTree, "gmvpt"),
-        (GNAT, "gnat"),
-        (LAESA, "laesa"),
-        (LinearScan, "linear"),
-    ):
+    for family, cls in FAMILY_CLASSES.items():
         if type(index) is cls:
             return family
     raise TypeError(
@@ -69,70 +74,6 @@ def _points_of(index) -> np.ndarray:
             "(discrete datasets are not storable)"
         )
     return np.ascontiguousarray(points, dtype=np.float64)
-
-
-def _vpt_payload(tree: VPTree):
-    arrays = kernels._vp_arrays(tree)
-    sections = {
-        "vp_ids": np.asarray(arrays.vp_ids, dtype=np.int64),
-        "child_lo": np.asarray(arrays.child_lo, dtype=np.float64),
-        "child_hi": np.asarray(arrays.child_hi, dtype=np.float64),
-        "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
-        "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-        "leaf_offsets": arrays.leaf_offsets,
-        "leaf_ids": arrays.leaf_ids,
-    }
-    tree_meta = {
-        "root_kind": int(arrays.root_kind),
-        "root_idx": int(arrays.root_idx),
-        "n_leaves": len(arrays.leaf_offsets) - 1,
-    }
-    params = {
-        "m": tree.m,
-        "leaf_capacity": tree.leaf_capacity,
-        "bounds": tree.bounds_mode,
-    }
-    build_stats = {
-        "node_count": tree.node_count,
-        "leaf_count": tree.leaf_count,
-        "vantage_point_count": tree.vantage_point_count,
-        "height": tree.height,
-    }
-    return sections, tree_meta, params, build_stats
-
-
-def _gmvpt_payload(tree: GMVPTree):
-    """Flat tables of a multi-vantage tree; an ``MVPTree`` (family
-    ``mvpt``) writes the same layout with ``v = 2`` and records its
-    ``bounds`` mode, its region-wide shells already in ``blo``/``bhi``."""
-    arrays = kernels._gmvp_arrays(tree)
-    sections = {
-        "vp_ids": np.asarray(arrays.vp_ids, dtype=np.int64),
-        "blo": np.asarray(arrays.blo, dtype=np.float64),
-        "bhi": np.asarray(arrays.bhi, dtype=np.float64),
-        "child_kind": np.asarray(arrays.child_kind, dtype=np.int8),
-        "child_idx": np.asarray(arrays.child_idx, dtype=np.int64),
-    }
-    sections.update(
-        (name, getattr(arrays, name)) for name in kernels.GMVP_LEAF_TABLES
-    )
-    tree_meta = {
-        "root_kind": int(arrays.root_kind),
-        "root_idx": int(arrays.root_idx),
-        "n_leaves": len(arrays.leaf_offsets) - 1,
-    }
-    params = {"m": tree.m, "v": tree.v, "k": tree.k, "p": tree.p}
-    if isinstance(tree, MVPTree):
-        params["bounds"] = tree.bounds_mode
-    build_stats = {
-        "node_count": tree.node_count,
-        "leaf_count": tree.leaf_count,
-        "internal_count": tree.internal_count,
-        "vantage_point_count": tree.vantage_point_count,
-        "leaf_data_point_count": tree.leaf_data_point_count,
-        "height": tree.height,
-    }
-    return sections, tree_meta, params, build_stats
 
 
 def _gnat_payload(index: GNAT):
@@ -199,25 +140,27 @@ def _gnat_payload(index: GNAT):
         "leaf_offsets": kernels._offsets([len(leaf.ids) for leaf in leaves]),
         "leaf_ids": kernels._concat([np.asarray(leaf.ids) for leaf in leaves], np.int64),
     }
-    tree_meta = {
-        "root_kind": int(root_kind),
-        "root_idx": int(root_idx),
-        "n_internal": len(internals),
-        "n_leaves": len(leaves),
+    meta = {
+        "tree": {
+            "root_kind": int(root_kind),
+            "root_idx": int(root_idx),
+            "n_internal": len(internals),
+            "n_leaves": len(leaves),
+        },
+        "params": {
+            "degree": index.degree,
+            "min_degree": index.min_degree,
+            "max_degree": index.max_degree,
+            "leaf_capacity": index.leaf_capacity,
+            "candidate_factor": index.candidate_factor,
+        },
+        "build_stats": {
+            "node_count": index.node_count,
+            "leaf_count": index.leaf_count,
+            "height": index.height,
+        },
     }
-    params = {
-        "degree": index.degree,
-        "min_degree": index.min_degree,
-        "max_degree": index.max_degree,
-        "leaf_capacity": index.leaf_capacity,
-        "candidate_factor": index.candidate_factor,
-    }
-    build_stats = {
-        "node_count": index.node_count,
-        "leaf_count": index.leaf_count,
-        "height": index.height,
-    }
-    return sections, tree_meta, params, build_stats
+    return sections, meta
 
 
 def _laesa_payload(index: LAESA):
@@ -225,17 +168,20 @@ def _laesa_payload(index: LAESA):
         "pivot_ids": np.asarray(index.pivot_ids, dtype=np.int64),
         "table": np.asarray(index.table, dtype=np.float64),
     }
-    return sections, {}, {"n_pivots": index.n_pivots}, {}
+    return sections, {"params": {"n_pivots": index.n_pivots}}
 
 
 def _linear_payload(index: LinearScan):
-    return {}, {}, {}, {}
+    return {}, {}
 
 
+#: ``family -> payload(index)``: the index's sections and its meta
+#: (``tree``, ``params``, ``build_stats``).  The trees write the tree
+#: codec's tables as they are.
 _PAYLOADS = {
-    "vpt": _vpt_payload,
-    "mvpt": _gmvpt_payload,
-    "gmvpt": _gmvpt_payload,
+    "vpt": kernels.encode,
+    "mvpt": kernels.encode,
+    "gmvpt": kernels.encode,
     "gnat": _gnat_payload,
     "laesa": _laesa_payload,
     "linear": _linear_payload,
@@ -251,7 +197,7 @@ def store_bytes(
     """The exact bytes :func:`write_store` writes for ``index``."""
     family = store_family(index)
     points = _points_of(index)
-    sections, tree_meta, params, build_stats = _PAYLOADS[family](index)
+    sections, family_meta = _PAYLOADS[family](index)
     all_sections = {"points": points, **sections}
     if global_ids is not None:
         global_ids = np.asarray(global_ids, dtype=np.int64)
@@ -264,9 +210,10 @@ def store_bytes(
     meta = {
         "n_objects": len(points),
         "dim": int(points.shape[1]),
-        "params": params,
-        "tree": tree_meta,
-        "build_stats": build_stats,
+        "params": {},
+        "tree": {},
+        "build_stats": {},
+        **family_meta,
         "source": {"digest": points_digest(points), "mtime": source_mtime},
     }
     return pack_store(family, meta, all_sections)

@@ -167,12 +167,8 @@ class TestFrontierOrdering:
     def tree(self, data):
         return VPTree(data, L2(), rng=np.random.default_rng(3))
 
-    def test_unknown_family_rejected(self, tree, query):
-        with pytest.raises(ValueError, match="no budgeted kernel"):
-            kernels.approx_tree_knn(tree, "bkt", query, K)
-
     def test_unlimited_knn_is_byte_identical_to_exact(self, tree, query):
-        neighbors, outcome = kernels.approx_tree_knn(tree, "vpt", query, K)
+        neighbors, outcome = kernels.approx_tree_knn(tree, query, K)
         assert outcome.possible_missed == 0
         assert np.isinf(outcome.min_missed_lb)
         assert not outcome.exhausted
@@ -181,14 +177,14 @@ class TestFrontierOrdering:
         ]
 
     def test_unlimited_range_is_byte_identical_to_exact(self, tree, query):
-        hits, outcome = kernels.approx_tree_range(tree, "vpt", query, RADIUS)
+        hits, outcome = kernels.approx_tree_range(tree, query, RADIUS)
         assert outcome.possible_missed == 0
         assert list(hits) == list(tree.range_search(query, RADIUS))
 
     def test_results_sorted_by_distance_then_id(self, tree, query):
         for budget in (8, 20, None):
             neighbors, _ = kernels.approx_tree_knn(
-                tree, "vpt", query, K, budget=budget
+                tree, query, K, budget=budget
             )
             keys = [(n.distance, n.id) for n in neighbors]
             assert keys == sorted(keys)
@@ -198,7 +194,7 @@ class TestFrontierOrdering:
         masses = []
         for budget in (0, 8, 24, 2 * N):
             _, outcome = kernels.approx_tree_knn(
-                tree, "vpt", query, K, budget=budget
+                tree, query, K, budget=budget
             )
             assert outcome.spent <= budget
             masses.append(outcome.possible_missed)
@@ -209,7 +205,7 @@ class TestFrontierOrdering:
         """No unscanned point may beat ``min_missed_lb``."""
         for budget in (4, 12, 30):
             neighbors, outcome = kernels.approx_tree_knn(
-                tree, "vpt", query, K, budget=budget
+                tree, query, K, budget=budget
             )
             if outcome.possible_missed == 0:
                 continue

@@ -28,7 +28,7 @@ class TestExitCodes:
         result = run_module("all")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "lint: 0 finding(s)" in result.stdout
-        assert "invariants: 0 violation(s) across 14 index(es)" in result.stdout
+        assert "invariants: 0 violation(s) across 20 index(es)" in result.stdout
         assert "persist coverage:" in result.stdout
         assert "StoreBackedIndex" in result.stdout
 

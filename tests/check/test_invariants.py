@@ -7,10 +7,14 @@ location that pinpoints the corrupted node.
 
 import pytest
 
-from repro.check.builders import build_verification_indexes
+from repro.check.builders import (
+    build_store_backed_indexes,
+    build_verification_indexes,
+)
 from repro.check.invariants import Violation, verify_structure
 from repro.core.gmvptree import GMVPLeafNode
 from repro.indexes.gnat import GNATLeafNode
+from repro.store import open_index, write_store
 
 ALL_CLASSES = [
     "LinearScan",
@@ -247,6 +251,41 @@ class TestCorruptions:
         reported = {v.invariant for v in violations}
         assert "id-partition" in reported
         assert any(str(dropped) in v.message for v in violations)
+
+
+class TestStoreBacked:
+    """A store-backed index verifies the index it decodes from its
+    mapped sections."""
+
+    def test_every_writer_family_verifies_clean(self, tmp_path):
+        stored = build_store_backed_indexes(tmp_path, seed=0, n=48)
+        assert len(stored) == 6
+        for name, index in stored.items():
+            with index:
+                assert verify_structure(index) == [], name
+
+    @pytest.mark.parametrize(
+        "name, invariant",
+        [
+            ("VPTree", "cutoff-monotone"),
+            ("MVPTree", "cutoff-monotone"),
+            # m = 2: one cutoff per row, so the row cannot go out of
+            # order; moving it below zero breaks its shells' interval.
+            ("GMVPTree", "bounds-cutoff-consistent"),
+        ],
+    )
+    def test_tampered_cutoffs_row_is_reported_from_the_store(
+        self, name, invariant, tmp_path
+    ):
+        index = fresh(name)
+        cutoffs = index._kernel_cache.cutoffs
+        row = cutoffs.reshape(-1, cutoffs.shape[-1])[0]
+        row[0] = -1.0 if row.size == 1 else row[-1] + 1.0
+        path = write_store(index, tmp_path / f"{name}.rsx")
+        with open_index(path, index.metric) as backed:
+            violations = verify_structure(backed)
+        assert invariant in {v.invariant for v in violations}
+        assert violations == verify_structure(index)
 
 
 class TestVerifierIsReadOnly:

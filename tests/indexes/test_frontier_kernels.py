@@ -164,7 +164,7 @@ def _check_leaf_tables(tree, arrays):
 @pytest.mark.parametrize("name", ["mvpt-tight", "mvpt-cutoff", "gmvpt-v3", "dynamic"])
 def test_leaf_tables_match_the_leaf_nodes(name, points):
     tree = BUILDERS[name](points, L2())
-    short_vps, short_paths = _check_leaf_tables(tree, kernels._gmvp_arrays(tree))
+    short_vps, short_paths = _check_leaf_tables(tree, tree._tables())
     assert short_paths, "no leaf with a PATH row shorter than p"
     if name == "dynamic":
         assert short_vps, "no leaf with fewer than v vantage points"
@@ -177,7 +177,7 @@ def test_store_leaf_tables_match_the_leaf_nodes(name, points, tmp_path):
     write_store(tree, path)
     index = open_index(path, L2())
     try:
-        _check_leaf_tables(tree, index._kernel_cache)
+        _check_leaf_tables(tree, index._impl._tables())
     finally:
         index.close()
 
@@ -230,7 +230,8 @@ def test_derived_tables_match_the_first_search_derivation(
     name, stored, points, tmp_path
 ):
     index = _index(name, stored, points, L2(), tmp_path)
-    arrays = (kernels._vp_arrays if name == "vpt" else kernels._gmvp_arrays)(index)
+    index = getattr(index, "_impl", index)
+    arrays = index._tables()
     v = 1 if name == "vpt" else index.v
     expected = _parent_derived(arrays, v, getattr(index, "p", 0))
     for table, want in expected.items():

@@ -4,12 +4,13 @@ for node.
 ``_Recursive*`` below are the node-at-a-time builders the level passes
 replaced, kept verbatim as a reference (as the reference walk in
 ``test_range_walk.py`` is for range search).  A reference tree starts
-from its nodes, which are flattened into the kernel tables on demand;
-the level passes write the tables, and their nodes are a view.  For
-every input the two builds must give the same tables (derived ones
-included), the same persisted form (the view's against the reference
-nodes), the same ``.rsx`` bytes, the same node counters and the same
-construction distance count, and must leave the rng in the same state.
+from its nodes, which are flattened into the kernel tables on demand
+(a vp-tree by the flatten kept here with the reference build); the
+level passes write the tables, and their nodes are a view.  For every
+input the two builds must give the same tables (derived ones and
+cutoffs included), the same persisted form and node view, the same
+``.rsx`` bytes, the same node counters and the same construction
+distance count, and must leave the rng in the same state.
 """
 
 import hashlib
@@ -129,6 +130,46 @@ class _RecursiveVP:
         self.node_count += 1
         self.vantage_point_count += 1
         return VPInternalNode(vp_id, cutoffs, bounds, children)
+
+    def _flatten(self, root) -> kernels._VPArrays:
+        """The tables of a reference node graph: slots in preorder with
+        each node's children taken last-first."""
+        m = self.m
+        internal_nodes: list = []
+        leaf_nodes: list = []
+        slot_of: dict[int, tuple[int, int]] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, VPLeafNode):
+                slot_of[id(node)] = (kernels._LEAF, len(leaf_nodes))
+                leaf_nodes.append(node)
+            else:
+                slot_of[id(node)] = (kernels._INTERNAL, len(internal_nodes))
+                internal_nodes.append(node)
+                stack.extend(c for c in node.children if c is not None)
+        count = len(internal_nodes)
+        arrays = kernels._VPArrays()
+        arrays.vp_ids = np.empty(count, dtype=np.intp)
+        arrays.cutoffs = np.array(
+            [node.cutoffs for node in internal_nodes], dtype=np.float64
+        ).reshape(count, m - 1)
+        arrays.child_lo = np.full((count, m), -np.inf)
+        arrays.child_hi = np.full((count, m), np.inf)
+        arrays.child_kind = np.zeros((count, m), dtype=np.int8)
+        arrays.child_idx = np.zeros((count, m), dtype=np.intp)
+        for n, node in enumerate(internal_nodes):
+            arrays.vp_ids[n] = node.vp_id
+            for c, (child, (lo, hi)) in enumerate(zip(node.children, node.bounds)):
+                if child is not None:
+                    kind, pos = slot_of[id(child)]
+                    arrays.child_kind[n, c], arrays.child_idx[n, c] = kind, pos
+                    arrays.child_lo[n, c], arrays.child_hi[n, c] = lo, hi
+        arrays.leaf_offsets = kernels._offsets([len(node.ids) for node in leaf_nodes])
+        arrays.leaf_ids = kernels._concat([node.ids for node in leaf_nodes], np.int64)
+        arrays.root_kind, arrays.root_idx = slot_of[id(root)]
+        kernels.derive(arrays)
+        return arrays
 
 
 class _RecursiveGMVP:
@@ -341,6 +382,9 @@ class _NodeFirst:
     def _node_view(self, root, level=1):
         return root
 
+    def _flatten(self, root):
+        return kernels._gmvp_arrays(self, root)
+
 
 class RefVPTree(_RecursiveVP, _NodeFirst, VPTree):
     pass
@@ -402,23 +446,51 @@ def _build(cls, data, metric, **params):
     return cls(data, counting, rng=np.random.default_rng(11), **params), counting
 
 
+def _node_form(node):
+    """A node graph as nested lists (recursive; depth <= tree height)."""
+    if node is None:
+        return None
+    if isinstance(node, VPLeafNode):
+        return {"ids": list(node.ids)}
+    if isinstance(node, VPInternalNode):
+        return {
+            "vp_id": node.vp_id,
+            "cutoffs": list(node.cutoffs),
+            "bounds": [list(b) for b in node.bounds],
+            "children": [_node_form(c) for c in node.children],
+        }
+    if isinstance(node, GMVPLeafNode):
+        return {
+            "vp_ids": list(node.vp_ids),
+            "ids": list(node.ids),
+            "dists": node.dists.tolist(),
+            "paths": node.paths.tolist(),
+            "path_len": node.path_len,
+        }
+    return {
+        "vp_ids": list(node.vp_ids),
+        "cutoffs": [[list(row) for row in level] for level in node.cutoffs],
+        "bounds": [[list(b) for b in row] for row in node.bounds],
+        "children": [_node_form(c) for c in node.children],
+    }
+
+
 def _persisted(tree) -> str:
-    """SHA-256 of the persisted form (a digest keeps failure reports
-    short)."""
-    text = json.dumps(index_to_dict(tree), sort_keys=True)
+    """SHA-256 of the persisted form and the node view (a digest keeps
+    failure reports short)."""
+    text = json.dumps([index_to_dict(tree), _node_form(tree.root)], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _tables(tree):
     """The kernel tables of ``tree`` (flattened from a node-first tree)."""
-    vp = isinstance(tree, VPTree)
-    return (kernels._vp_arrays if vp else kernels._gmvp_arrays)(tree)
+    return tree._tables()
 
 
 def _assert_same_tables(arrays, expected):
     for name in type(arrays).__slots__:
-        if name in ("cutoffs", "sizes"):
-            continue  # cutoffs: compared through the node view
+        if name == "sizes":
+            continue
         got, want = getattr(arrays, name, None), getattr(expected, name, None)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype, name

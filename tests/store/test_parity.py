@@ -7,11 +7,20 @@ from, for every supported family.  The store round-trips the exact
 float64 construction distances and the exact leaf order, so the kernel
 masks, prune decisions, and tie-breaks replay bit-for-bit — this suite
 is the executable form of that argument.
+
+A tree reaches both containers through one codec, so ``TestTreeCodec``
+holds every tree three ways -- in memory, loaded from JSON persist and
+opened from its ``.rsx`` -- and checks that they are one tree: the same
+tables, the same node view, the same answers and ``QueryStats``.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.approx import approx_knn_search
+from repro.bench.digest import FAMILIES as DIGEST_BUILDS
 from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
 from repro.indexes.gnat import GNAT
@@ -20,6 +29,7 @@ from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
 from repro.metric import L2
 from repro.obs.stats import QueryStats
+from repro.persist import index_from_dict, index_to_dict
 from repro.store import open_index, store_family, write_store
 
 N, DIM = 160, 8
@@ -169,3 +179,125 @@ class TestWriterValidation:
             original.range_search(queries[0], 0.5, trace=t1)
             backed.range_search(queries[0], 0.5, trace=t2)
             assert t2.events == t1.events
+
+
+#: The ``repro-bench digest`` tree builds, plus trees that are one leaf
+#: (no internal node, so every internal table is empty).
+CODEC_BUILDS = {
+    **DIGEST_BUILDS,
+    "vpt-one-leaf": lambda d, m: VPTree(d[:12], m, leaf_capacity=16, rng=1),
+    "mvpt-one-leaf": lambda d, m: MVPTree(d[:12], m, m=3, k=13, p=4, rng=1),
+}
+
+
+def _json_loaded(tree):
+    text = json.dumps(index_to_dict(tree))
+    return index_from_dict(json.loads(text), tree.objects, L2())
+
+
+def _node_form(node):
+    """A node graph as nested lists (recursive; depth <= tree height).
+    D_t and PATH blocks are compared flat: a leaf without points may
+    hold an empty block of either shape."""
+    if node is None:
+        return None
+    form = {"type": type(node).__name__}
+    for name in type(node).__slots__:
+        value = getattr(node, name)
+        if name == "children":
+            value = [_node_form(child) for child in value]
+        elif name in ("dists", "paths"):
+            value = np.asarray(value).ravel().tolist()
+        form[name] = value
+    return form
+
+
+@pytest.fixture(scope="module")
+def codec_data():
+    return np.random.default_rng(8).random((600, DIM))
+
+
+@pytest.fixture(scope="module", params=sorted(CODEC_BUILDS))
+def codec_trio(request, tmp_path_factory, codec_data):
+    """One tree in memory, loaded from JSON and opened from its
+    ``.rsx`` (``None`` for the dynamic tree, which has no writer)."""
+    tree = CODEC_BUILDS[request.param](codec_data, L2())
+    stored = None
+    if request.param != "dynamic-churn":
+        path = tmp_path_factory.mktemp("codec") / "tree.rsx"
+        stored = open_index(write_store(tree, path), L2())
+    yield tree, _json_loaded(tree), stored
+    if stored is not None:
+        stored.close()
+
+
+def _copies(trio):
+    tree, loaded, stored = trio
+    return [loaded] + ([] if stored is None else [stored._impl])
+
+
+class TestTreeCodec:
+    def test_every_table_is_equal(self, codec_trio):
+        tables = codec_trio[0]._tables()
+        names = type(tables).__slots__
+        for copy in _copies(codec_trio):
+            other = copy._tables()
+            assert type(other) is type(tables)
+            for name in names:
+                want, got = getattr(tables, name, None), getattr(other, name, None)
+                if name == "sizes":
+                    want, got = np.concatenate(want), np.concatenate(got)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, name
+                    assert got.shape == want.shape, name
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+                else:
+                    assert got == want, name
+
+    def test_root_views_are_equal(self, codec_trio):
+        want = _node_form(codec_trio[0].root)
+        for copy in _copies(codec_trio):
+            assert _node_form(copy.root) == want
+
+    def test_answers_and_stats_are_equal(self, codec_trio, queries):
+        tree, loaded, stored = codec_trio
+        indexes = [tree, loaded] + ([] if stored is None else [stored])
+        for query in queries:
+            calls = [
+                lambda i, s: i.range_search(query, 0.9, stats=s),
+                lambda i, s: i.knn_search(query, 10, stats=s),
+                lambda i, s: approx_knn_search(i, query, 10, budget=120, stats=s),
+            ]
+            for call in calls:
+                results = []
+                for index in indexes:
+                    stats = QueryStats()
+                    results.append((call(index, stats), stats.to_dict()))
+                assert all(result == results[0] for result in results[1:])
+
+    def test_stored_tree_maps_the_points(self, codec_trio):
+        stored = codec_trio[2]
+        if stored is None:
+            pytest.skip("the dynamic tree has no store writer")
+        points = stored.store.section("points")
+        assert np.shares_memory(stored._impl.objects, points)
+
+
+def test_json_loaded_dynamic_tree_takes_the_same_updates(codec_data, queries):
+    """A JSON-loaded ``DynamicMVPTree`` accepts the inserts and deletes
+    the original does (leaf rebuilds included) and answers the same
+    afterwards."""
+    original = CODEC_BUILDS["dynamic-churn"](codec_data, L2())
+    loaded = _json_loaded(original)
+    extra = np.random.default_rng(9).random((300, DIM))
+    for tree in (original, loaded):
+        for row in extra:
+            tree.insert(row)
+        for idx in range(1, len(tree.objects), 7):
+            if tree.is_live(idx):
+                tree.delete(idx)
+    assert loaded.removed_ids == original.removed_ids
+    assert loaded.leaf_rebuild_count > 0
+    for query in queries:
+        assert loaded.knn_search(query, 10) == original.knn_search(query, 10)
+        assert loaded.range_search(query, 0.9) == original.range_search(query, 0.9)
