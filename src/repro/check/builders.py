@@ -14,6 +14,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
@@ -30,6 +32,7 @@ from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
 from repro.metric.discrete import EditDistance
 from repro.metric.minkowski import L2
+from repro.serve.lifecycle import RebuildCoordinator
 from repro.serve.sharding import ShardManager
 from repro.transforms.filter import TransformIndex
 from repro.transforms.fourier import DFTTransform
@@ -93,8 +96,9 @@ def build_verification_indexes(
     if not skip("ShardManager"):
         # A sharded deployment with more shards than strictly needed,
         # so the verifier also sees small partitions — replicated, so
-        # replica placement coverage is exercised too.
-        indexes["ShardManager"] = ShardManager(
+        # replica placement coverage is exercised too — put through a
+        # seeded churn so it is verified in its mutated states.
+        manager = ShardManager(
             vectors,
             metric,
             n_shards=3,
@@ -102,6 +106,8 @@ def build_verification_indexes(
             replication_factor=2,
             rng=seed,
         )
+        _churn(manager, seed)
+        indexes["ShardManager"] = manager
 
     if not skip("BKTree"):
         words = synthetic_words(n, rng=seed)
@@ -113,6 +119,30 @@ def build_verification_indexes(
         )
 
     return indexes
+
+
+def _churn(manager: ShardManager, seed: int) -> None:
+    """Seeded mutations over every write path: inserts (memtable
+    rows); deletes of a base id, a memtable-only id and an id a split
+    left tombstoned in its old base; one split, one merge and one
+    rolling rebuild pass; then an insert and a delete left unfolded."""
+    rng = np.random.default_rng([seed, 1])
+    dim = manager.objects.shape[1]
+    inserted = [manager.insert(row) for row in rng.random((6, dim))]
+    live = manager.live_ids()
+    manager.delete(live[int(rng.integers(len(live) - len(inserted)))])
+    manager.delete(inserted[int(rng.integers(len(inserted)))])
+    new_shard = manager.split_shard(0)
+    moved = manager.shard_ids[new_shard]
+    manager.delete(moved[int(rng.integers(len(moved)))])
+    manager.merge_shards(new_shard, 0)
+    tombstoned = sorted(
+        set(manager.slot_state(0, 0)[1]) & set(manager.shard_ids[0])
+    )
+    manager.delete(tombstoned[int(rng.integers(len(tombstoned)))])
+    RebuildCoordinator(manager, rng=seed).run_once()
+    manager.insert(rng.random(dim))
+    manager.delete(manager.shard_ids[1][0])
 
 
 def build_store_backed_indexes(

@@ -44,11 +44,13 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
   dataset matches ``transform.transform`` and sampled transformed
   distances never exceed the true metric (section 3.1's contraction
   requirement, the exactness precondition of filter-and-refine).
-* ``shard-partition`` / ``shard-size`` / ``replica-coverage`` /
-  ``slot-consistency`` — a serving
+* ``shard-partition`` / ``shard-order`` / ``shard-size`` /
+  ``replica-coverage`` / ``slot-consistency`` — a serving
   :class:`~repro.serve.sharding.ShardManager`'s shards partition the
   *live* id-set exactly (disjoint, covering ``next_id`` minus the
-  deleted set, routing table agreeing), each built replica indexes
+  deleted set, routing table agreeing), every shard's live ids and
+  every slot's base ids are strictly increasing (deletes find their
+  id by binary search), each built replica indexes
   exactly its base assignment, every populated shard keeps at least
   one available slot (the precondition for exact failover), and every
   slot's servable set — base minus tombstones, unioned with the
@@ -127,6 +129,13 @@ def _nondecreasing(values) -> bool:
         values[i + 1] >= values[i] - _tol(values[i])
         for i in range(len(values) - 1)
     )
+
+
+def _first_disorder(ids) -> int:
+    """Position of the first id not greater than its predecessor, or
+    -1 when ``ids`` is strictly increasing."""
+    bad = np.flatnonzero(np.diff(np.asarray(ids, dtype=np.int64)) <= 0)
+    return int(bad[0]) + 1 if bad.size else -1
 
 
 def _cutoff_interval(cutoffs, i: int) -> tuple[float, float]:
@@ -940,6 +949,10 @@ def verify_shard_manager(manager) -> list[Violation]:
       single index's over the current live set: a duplicated gid could
       be reported twice, a missing gid never, a resurrected one wrongly.
       The gid→shard routing table must agree with the lists.
+    * ``shard-order`` — every shard's live ids and every slot's base
+      ids are strictly increasing: deletes locate a gid (and a
+      ``DynamicMVPTree`` slot its local position) by binary search, so
+      an out-of-order list would make them miss.
     * ``replica-coverage`` — the replica table has exactly
       ``replication_factor`` rows and every *populated* shard keeps at
       least one available slot (a live base index, or a base-less slot
@@ -1011,6 +1024,17 @@ def verify_shard_manager(manager) -> list[Violation]:
                 f"{misrouted[:10]}",
             )
         )
+    for shard, ids in enumerate(shard_ids):
+        pos = _first_disorder(ids)
+        if pos >= 0:
+            out.append(
+                Violation(
+                    "shard-order",
+                    f"shard[{shard}]",
+                    f"live ids not strictly increasing at position {pos}: "
+                    f"{ids[pos - 1]} then {ids[pos]}",
+                )
+            )
     factor = getattr(manager, "replication_factor", 1)
     rows = manager.replicas
     if len(rows) != factor:
@@ -1046,6 +1070,16 @@ def verify_shard_manager(manager) -> list[Violation]:
                 if len(rows) > 1
                 else f"shard[{shard}]"
             )
+            pos = _first_disorder(base_ids)
+            if pos >= 0:
+                out.append(
+                    Violation(
+                        "shard-order",
+                        location,
+                        f"base ids not strictly increasing at position "
+                        f"{pos}: {base_ids[pos - 1]} then {base_ids[pos]}",
+                    )
+                )
             if index is None and base_ids:
                 # A lost replica: its base is gone but its bookkeeping
                 # remains for recover() — nothing servable to check
@@ -1062,10 +1096,25 @@ def verify_shard_manager(manager) -> list[Violation]:
                 continue
             base_set = set(base_ids)
             # Tombstone-serving bases keep deleted points physically
-            # present; DynamicMVPTree removes them in place.
+            # present; DynamicMVPTree removes deleted points in place,
+            # but a split only tombstones the points it moves away.
             expected_len = len(base_ids)
             if isinstance(index, DynamicMVPTree):
-                expected_len -= len(dead & base_set)
+                removed = index.removed_ids
+                expected_len -= len(removed)
+                untracked = sorted(
+                    i for i in removed
+                    if i >= len(base_ids) or base_ids[i] not in dead
+                )
+                if untracked:
+                    out.append(
+                        Violation(
+                            "shard-size",
+                            location,
+                            f"dynamic base deleted local ids its slot does "
+                            f"not tombstone: {untracked[:5]}",
+                        )
+                    )
             if index is not None and len(index) != expected_len:
                 out.append(
                     Violation(

@@ -415,7 +415,7 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         }
         manager._removed = {int(gid) for gid in data.get("removed", [])}
         manager._memtables = [
-            [int(gid) for gid in mem]
+            dict.fromkeys(int(gid) for gid in mem)
             for mem in data.get("memtables", [[] for _ in range(n_shards)])
         ]
         manager._epochs = [

@@ -102,24 +102,17 @@ class RebuildCoordinator:
         cost k-NN over-fetch — both erode the base structure's pruning.
         A base-less slot (fresh split) shows up as churn 1.0.
         """
-        live = len(self.manager.shard_ids[shard])
-        if live == 0:
-            return 0.0
-        pending = len(self.manager.memtable(shard))
-        dead = 0
-        for replica in range(self.manager.replication_factor):
-            _ids, tombstones = self.manager.slot_state(shard, replica)
-            dead = max(dead, len(tombstones))
-        return (pending + dead) / live
+        live, pending, dead = self.manager.churn_counts(shard)
+        return (pending + dead) / live if live else 0.0
 
     def churned_shards(self) -> list[int]:
         """Shards whose churn crosses the rebuild threshold."""
         out = []
         for shard in range(self.manager.n_shards):
-            live = len(self.manager.shard_ids[shard])
-            pending = self.shard_churn(shard) * live
-            if pending >= self.min_churn and (
-                self.shard_churn(shard) >= self.churn_threshold
+            live, pending, dead = self.manager.churn_counts(shard)
+            churn = pending + dead
+            if live and churn >= self.min_churn and (
+                churn / live >= self.churn_threshold
             ):
                 out.append(shard)
         return out

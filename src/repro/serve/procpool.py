@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import Optional
 
@@ -97,12 +96,26 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _ping(delay_s: float) -> int:
-    """Worker warm-up task; the sleep keeps the worker busy long enough
-    that the next submission forks a fresh process instead of reusing
-    this one (``ProcessPoolExecutor`` only spawns when no worker is
-    idle)."""
-    time.sleep(delay_s)
+#: The pool's warm-up barrier, set in each worker by
+#: :func:`_init_worker` (``None`` in the parent).
+_WARM_BARRIER = None
+
+
+def _init_worker(barrier) -> None:
+    """Pool initializer: keep the ``max_workers``-party warm-up barrier.
+    It travels through ``initargs``, so it reaches workers under fork
+    and spawn alike."""
+    global _WARM_BARRIER
+    _WARM_BARRIER = barrier
+
+
+def _ping(timeout_s: float) -> int:
+    """Worker warm-up task: hold this worker until every worker holds a
+    ping, so no worker is idle while the pool is short of workers and
+    each submission starts a fresh one (``ProcessPoolExecutor`` only
+    spawns when no worker is idle).  A barrier that times out breaks
+    and fails every waiting ping; ``_warm`` never reads the results."""
+    _WARM_BARRIER.wait(timeout_s)
     return 0
 
 
@@ -228,7 +241,10 @@ class ProcessExecutor:
             _FORK_REGISTRY[self.token] = index
         context = multiprocessing.get_context(start_method)
         self._processes = ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context
+            max_workers=max_workers,
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=(context.Barrier(max_workers),),
         )
         self._warm(warm_timeout_s)
         self._threads = ThreadPoolExecutor(
@@ -238,23 +254,20 @@ class ProcessExecutor:
     def _warm(self, timeout_s: float) -> None:
         """Fork every worker now, while the parent is single-threaded.
 
-        ``ProcessPoolExecutor`` forks lazily — one worker per submission
-        that finds no idle worker — so a round of sleepy pings forks at
-        least one fresh worker per round.  Deadline-bounded: a slow
-        machine gets as many eager workers as the budget allows and
-        forks the rest lazily (losing the safety guarantee is still
-        better than hanging startup).
+        ``ProcessPoolExecutor`` may start workers lazily — one per
+        submission that finds no idle worker (spawn, and fork before
+        Python 3.11) — so one round of ``max_workers`` pings, each
+        waiting on a ``max_workers``-party barrier, keeps every worker
+        busy until all of them exist.  Deadline-bounded: on a slow
+        machine the barrier times out, the pool keeps the workers it
+        has and starts the rest lazily (losing the safety guarantee is
+        still better than hanging startup).
         """
-        deadline = time.monotonic() + timeout_s
-        while (
-            len(self._processes._processes) < self.max_workers
-            and time.monotonic() < deadline
-        ):
-            pings = [
-                self._processes.submit(_ping, 0.05)
-                for _ in range(self.max_workers)
-            ]
-            wait(pings)
+        pings = [
+            self._processes.submit(_ping, timeout_s)
+            for _ in range(self.max_workers)
+        ]
+        wait(pings, timeout=timeout_s)
 
     @property
     def n_live_workers(self) -> int:

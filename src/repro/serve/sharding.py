@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -79,7 +80,7 @@ from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
 from repro.indexes.ghtree import GHTree
 from repro.indexes.gnat import GNAT
-from repro.indexes.kernels import BudgetTracker
+from repro.indexes.kernels import BudgetTracker, _TopK
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
@@ -251,15 +252,28 @@ def merge_range(id_lists: Sequence[Sequence[int]]) -> list[int]:
     return merged
 
 
+def _position(ids: list[int], gid: int) -> int:
+    """Index of ``gid`` in the strictly increasing ``ids``: a binary
+    search, so a delete never scans a shard-sized list.  Raises
+    ``LookupError`` when ``gid`` is absent, which for a gid known to be
+    there means the list lost its order (the ``shard-order``
+    invariant)."""
+    pos = bisect_left(ids, gid)
+    if pos == len(ids) or ids[pos] != gid:
+        raise LookupError(f"id {gid} not found in an ordered id list")
+    return pos
+
+
 class _SlotState:
     """Bookkeeping for one replica slot's base index.
 
-    ``ids`` maps the base index's local ids to global ids.  It is
-    append-only while the slot lives (a swap installs a whole new
-    ``_SlotState``), so a search may keep reading it after the lock is
-    released.  ``id_set`` is its set view; ``dead`` holds global ids
-    tombstoned out of the base — deleted points, and points a split or
-    merge moved to another shard.
+    ``ids`` maps the base index's local ids to global ids, strictly
+    increasing (base ids come from a shard's sorted live list, inserts
+    append the newest gid).  It is append-only while the slot lives (a
+    swap installs a whole new ``_SlotState``), so a search may keep
+    reading it after the lock is released.  ``id_set`` is its set view;
+    ``dead`` holds global ids tombstoned out of the base — deleted
+    points, and points a split or merge moved to another shard.
     """
 
     __slots__ = ("ids", "id_set", "dead")
@@ -401,9 +415,11 @@ class ShardManager(MetricIndex):
         # Gids deleted from the deployment (never resurrected).
         self._removed: set[int] = set()  # guarded-by: _replicas_lock
         # _memtables[shard]: buffered gids at least one slot's base does
-        # not cover; unioned into every search via an exact flat scan.
-        self._memtables: list[list[int]] = [
-            [] for _ in range(n_shards)
+        # not cover, in arrival order (a dict keyed by gid, so a delete
+        # finds its entry without a scan); unioned into every search
+        # via an exact flat scan.
+        self._memtables: list[dict[int, None]] = [
+            {} for _ in range(n_shards)
         ]  # guarded-by: _replicas_lock
         # _epochs[shard]: bumped by every atomic base swap; a query that
         # reads one epoch's snapshot finishes entirely against it.
@@ -522,6 +538,16 @@ class ShardManager(MetricIndex):
         fallbacks) — a failing ``.rsx.delta`` file is an outage signal."""
         with self._replicas_lock:
             return self._ingest_failures
+
+    def churn_counts(self, shard: int) -> tuple[int, int, int]:
+        """``(live, memtable, worst-replica tombstones)`` sizes of one
+        shard, read under one lock hold without copying anything."""
+        with self._replicas_lock:
+            dead = max(
+                len(self._slots[r][shard].dead)
+                for r in range(self.replication_factor)
+            )
+            return len(self._shard_ids[shard]), len(self._memtables[shard]), dead
 
     def slot_state(self, shard: int, replica: int) -> tuple[list[int], set[int]]:
         """Copies of one slot's ``(base ids, tombstoned gids)``."""
@@ -674,9 +700,9 @@ class ShardManager(MetricIndex):
         self._replicas[replica][shard] = index
         self._slots[replica][shard] = slot
         mem = self._memtables[shard]
-        missing = live - slot.id_set - set(mem)
+        missing = live - slot.id_set - mem.keys()
         if missing:
-            mem.extend(sorted(missing))
+            mem.update(dict.fromkeys(sorted(missing)))
         self._epochs[shard] += 1
         self._prune_memtable_locked(shard)
 
@@ -687,13 +713,13 @@ class ShardManager(MetricIndex):
         if not mem:
             return
         slots = [self._slots[r][shard] for r in range(self.replication_factor)]
-        self._memtables[shard] = [
-            gid
+        self._memtables[shard] = {
+            gid: None
             for gid in mem
             if not all(
                 gid in slot.id_set and gid not in slot.dead for slot in slots
             )
-        ]
+        }
 
     # ------------------------------------------------------------------
     # Live mutation: streaming ingest and deletes
@@ -724,7 +750,7 @@ class ShardManager(MetricIndex):
                 ):
                     buffered = True
             if buffered:
-                self._memtables[shard].append(gid)
+                self._memtables[shard][gid] = None
         return gid
 
     def delete(self, gid: int) -> None:
@@ -740,18 +766,18 @@ class ShardManager(MetricIndex):
                 if gid in self._removed:
                     raise KeyError(f"id {gid} is already deleted")
                 raise KeyError(f"no live object with id {gid}")
-            shard = self._shard_of.pop(gid)
+            shard = self._shard_of[gid]
+            ids = self._shard_ids[shard]
+            del ids[_position(ids, gid)]
+            del self._shard_of[gid]
             self._removed.add(gid)
-            self._shard_ids[shard].remove(gid)
-            mem = self._memtables[shard]
-            if gid in mem:
-                mem.remove(gid)
+            self._memtables[shard].pop(gid, None)
             for r in range(self.replication_factor):
                 slot = self._slots[r][shard]
                 if gid in slot.id_set:
                     index = self._replicas[r][shard]
                     if isinstance(index, DynamicMVPTree):
-                        index.delete(slot.ids.index(gid))
+                        index.delete(_position(slot.ids, gid))
                     slot.dead.add(gid)
 
     # ------------------------------------------------------------------
@@ -900,12 +926,12 @@ class ShardManager(MetricIndex):
                 self._shard_of[gid] = new_shard
             moved_set = set(moved)
             old_mem = self._memtables[shard]
-            self._memtables[shard] = [
-                gid for gid in old_mem if gid not in moved_set
-            ]
+            self._memtables[shard] = {
+                gid: None for gid in old_mem if gid not in moved_set
+            }
             # The new shard starts base-less: every moved point is
             # served from its memtable until the first rebuild.
-            self._memtables.append(list(moved))
+            self._memtables.append(dict.fromkeys(moved))
             self._epochs[shard] += 1
             self._epochs.append(0)
             for r in range(self.replication_factor):
@@ -926,14 +952,12 @@ class ShardManager(MetricIndex):
             raise ValueError(f"cannot merge shard {src} into itself")
         with self._replicas_lock:
             moved = self._shard_ids[src]
-            mem = self._memtables[dst]
-            present = set(mem)
-            mem.extend(gid for gid in moved if gid not in present)
+            self._memtables[dst].update(dict.fromkeys(moved))
             self._shard_ids[dst] = sorted(self._shard_ids[dst] + moved)
             for gid in moved:
                 self._shard_of[gid] = dst
             self._shard_ids[src] = []
-            self._memtables[src] = []
+            self._memtables[src] = {}
             for r in range(self.replication_factor):
                 self._replicas[r][src] = None
                 self._slots[r][src] = _SlotState([])
@@ -1083,12 +1107,9 @@ class ShardManager(MetricIndex):
                 view.extra_rows, query.query, remaining, stats=stats, trace=trace
             )
             if knn:
-                mem = [
-                    Neighbor(d, int(gid))
-                    for d, gid in heapq.nsmallest(
-                        kk, zip(distances.tolist(), view.extra_ids)
-                    )
-                ]
+                top = _TopK(kk)
+                top.add(distances, np.asarray(view.extra_ids[:take], dtype=np.int64))
+                mem = top.answer()
             else:
                 mem = [
                     int(view.extra_ids[j])

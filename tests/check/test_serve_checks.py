@@ -71,6 +71,41 @@ class TestShardManagerInvariants:
         violations = verify_structure(manager)
         assert any(v.invariant == "shard-partition" for v in violations)
 
+    def test_swapped_live_ids_flag_shard_order(self, manager):
+        # Swapping two ids keeps the partition intact, but a delete's
+        # binary search over the list would miss them.
+        ids = manager.shard_ids[2]
+        ids[1], ids[3] = ids[3], ids[1]
+        violations = verify_structure(manager)
+        assert [(v.invariant, v.location) for v in violations] == [
+            ("shard-order", "shard[2]")
+        ]
+        assert f"position 2: {ids[1]} then {ids[2]}" in violations[0].message
+
+    def test_swapped_slot_ids_flag_shard_order(self):
+        data = np.random.default_rng(2).random((40, 5))
+        manager = ShardManager(
+            data, L2(), n_shards=2, backend="dynamic", rng=0,
+            replication_factor=2,
+        )
+        slot_ids = manager._slots[1][0].ids
+        slot_ids[0], slot_ids[-1] = slot_ids[-1], slot_ids[0]
+        violations = [
+            v for v in verify_structure(manager) if v.invariant == "shard-order"
+        ]
+        assert [v.location for v in violations] == ["shard[0]/replica[1]"]
+
+    def test_churned_registry_manager_verifies(self):
+        # The registry build is put through inserts, deletes, a split,
+        # a merge and a rebuild pass before it is verified.
+        manager = build_verification_indexes(seed=0, only=["ShardManager"])[
+            "ShardManager"
+        ]
+        assert manager.n_shards == 4
+        assert len(manager.removed_ids()) == 5
+        assert any(manager.memtable(s) for s in range(manager.n_shards))
+        assert verify_structure(manager) == []
+
     def test_live_set_drift_flags_slot_consistency(self, manager):
         # Moving a gid between shard lists keeps the partition intact
         # but leaves both shards' slots serving the wrong id-set: the

@@ -362,3 +362,32 @@ def test_process_pool_single_index_parity(uniform_data):
     )
     assert outcome.results[0].stats.to_dict() == stats.to_dict()
     assert outcome.results[1].neighbors == tree.knn_search(objects[4], 4)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_pool_starts_every_worker_up_front(start_method):
+    """Warm-up pings wait on a ``max_workers``-party barrier, so the pool
+    holds its full complement before the constructor returns — also
+    where workers start one per submission (spawn) — and before any
+    orchestration thread exists.  A barrier that never fills would
+    instead wait out the whole warm-up deadline."""
+    import time
+
+    from repro.serve import ProcessExecutor
+
+    store_mode = start_method == "spawn"
+    started = time.monotonic()
+    executor = ProcessExecutor(
+        None,
+        3,
+        warm_timeout_s=30.0,
+        store_paths={} if store_mode else None,
+        metric_spec="l2" if store_mode else None,
+        start_method=start_method,
+    )
+    try:
+        assert time.monotonic() - started < 15.0
+        assert executor.n_live_workers == 3
+        assert executor._threads._threads == set()
+    finally:
+        executor.shutdown()

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import LinearScan, Neighbor
+from repro.check.invariants import verify_shard_manager
 from repro.metric import L2
+from repro.persist.serialize import index_from_dict, index_to_dict
 from repro.serve import ShardManager
 from repro.store.sharded import save_shard_stores
 
@@ -132,6 +134,144 @@ class TestMemtableTieBreaks:
                 for n in oracle.knn_search(dup, k)
             ]
             assert manager.knn_search(dup, k) == want
+
+    def test_memtable_knn_matches_oracle_with_duplicates_everywhere(self, tracked):
+        # Several exact copies of two base points sit in the memtable
+        # (the top-k there is an argpartition + (distance, id) lexsort);
+        # every k, ties at the k-th distance included, must equal the
+        # oracle, on the exact and the certified tier alike.
+        manager, ledger = tracked
+        for source, copies in ((4, 5), (9, 3)):
+            for _ in range(copies):
+                row = np.array(ledger[source])
+                ledger[manager.insert(row)] = row
+        manager.delete(9)
+        del ledger[9]
+        gids, oracle = live_oracle(manager, ledger)
+        for query in (ledger[4], (ledger[4] + ledger[10]) / 2):
+            for k in (1, 3, 5, 6, 8, 12):
+                want = [
+                    Neighbor(n.distance, gids[n.id])
+                    for n in oracle.knn_search(query, k)
+                ]
+                assert manager.knn_search(query, k) == want
+                assert manager.approx_knn_search(query, k)[0] == want
+
+
+def _assert_deletes_stay_exact(manager, ledger, victims, queries):
+    """Delete each victim in turn; after every delete the answers must
+    equal the oracle over the live set and the structure must verify."""
+    for gid in victims:
+        manager.delete(gid)
+        del ledger[gid]
+        assert_exact(manager, ledger, queries)
+        assert verify_shard_manager(manager) == []
+
+
+def _first_middle_last(ids):
+    return [ids[0], ids[len(ids) // 2], ids[-1]]
+
+
+class TestDeletePositions:
+    """Deletes find their gid by binary search in the shard's ordered
+    live list (and a ``dynamic`` slot's local position the same way),
+    and memtable entries by key: every position, every place a gid can
+    live, and every topology must leave answers exact."""
+
+    @pytest.fixture(params=["vpt", "dynamic"])
+    def deployment(self, request, uniform_data):
+        objects = uniform_data[:60]
+        manager = ShardManager(
+            objects, L2(), n_shards=3, backend=request.param, rng=11,
+            replication_factor=2,
+        )
+        ledger = {gid: np.asarray(row) for gid, row in enumerate(objects)}
+        # Exact duplicates put tied distances into every k-NN check;
+        # on "vpt" they sit in the memtable, on "dynamic" the slots
+        # absorb them into their bases.
+        for source in (4, 4, 17):
+            row = np.array(ledger[source])
+            ledger[manager.insert(row)] = row
+        return manager, ledger
+
+    @staticmethod
+    def queries(ledger):
+        return [ledger[4], ledger[17], (ledger[4] + ledger[30]) / 2]
+
+    def test_every_position_across_split_and_merge(self, deployment):
+        manager, ledger = deployment
+        queries = self.queries(ledger)
+
+        def round_of_deletes(shard):
+            victims = _first_middle_last(manager.shard_ids[shard])
+            _assert_deletes_stay_exact(manager, ledger, victims, queries)
+            # A fresh insert: memtable-only on "vpt", absorbed into
+            # both dynamic slots (and deleted from them in place).
+            row = np.asarray(ledger[30]) + 0.01
+            gid = manager.insert(row)
+            ledger[gid] = row
+            _assert_deletes_stay_exact(manager, ledger, [gid], queries)
+
+        round_of_deletes(1)
+        new_shard = manager.split_shard(1)
+        round_of_deletes(1)
+        round_of_deletes(new_shard)
+        manager.merge_shards(new_shard, 2)
+        round_of_deletes(2)
+        assert manager.shard_ids[new_shard] == []
+
+    def test_memtable_only_gid(self, deployment):
+        manager, ledger = deployment
+        gid = manager.insert(np.asarray(ledger[8]) + 0.02)
+        ledger[gid] = np.asarray(ledger[8]) + 0.02
+        shard = gid % manager.n_shards
+        if manager.backend_name == "vpt":
+            assert manager.memtable(shard)[-1] == gid
+        _assert_deletes_stay_exact(manager, ledger, [gid], self.queries(ledger))
+        assert gid not in manager.memtable(shard)
+
+    def test_gid_tombstoned_in_one_replica(self, deployment):
+        # A split tombstones the moved ids out of shard 0's bases; a
+        # merge back routes them through shard 0's memtable; a fresh
+        # base for replica 0 alone leaves them tombstoned in replica 1.
+        manager, ledger = deployment
+        new_shard = manager.split_shard(0)
+        moved = list(manager.shard_ids[new_shard])
+        manager.merge_shards(new_shard, 0)
+        ids, rows = manager.shard_dataset(0)
+        fresh = manager._builder(rows, manager.metric, np.random.default_rng(1))
+        manager.swap_replica(0, 0, fresh, ids)
+        victim = moved[len(moved) // 2]
+        assert victim not in manager.slot_state(0, 0)[1]
+        assert victim in manager.slot_state(0, 1)[1]
+        assert victim in manager.memtable(0)
+        _assert_deletes_stay_exact(
+            manager, ledger, [victim, moved[0], moved[-1]], self.queries(ledger)
+        )
+
+    def test_key_errors_and_persisted_state_are_unchanged(self, deployment):
+        manager, ledger = deployment
+        new_shard = manager.split_shard(0)
+        victims = [
+            manager.shard_ids[0][0], manager.shard_ids[new_shard][-1], 62,
+        ]
+        for gid in victims:
+            manager.delete(gid)
+        for gid in victims:
+            with pytest.raises(KeyError, match="already deleted"):
+                manager.delete(gid)
+        for gid in (-1, manager.next_id(), 10_000):
+            with pytest.raises(KeyError, match="no live object"):
+                manager.delete(gid)
+        state = manager.mutation_state()
+        restored = index_from_dict(
+            index_to_dict(manager), manager.objects, manager.metric
+        )
+        assert restored.mutation_state() == state
+        assert restored.memtable(new_shard) == manager.memtable(new_shard)
+        restored.delete(manager.shard_ids[new_shard][0])
+        with pytest.raises(KeyError, match="already deleted"):
+            restored.delete(victims[0])
 
 
 class TestRecoverFromStores:
