@@ -969,10 +969,15 @@ def verify_shard_manager(manager) -> list[Violation]:
       one).
     * ``shard-size`` — a built replica indexes exactly its recorded
       base ids; a slot with no base ids must carry no index at all.
+    * ``replica-share`` — one base object may serve several slots only
+      when it is read-only (:meth:`ShardManager.absorbs_writes` is
+      false: an absorbing base would take each insert once per slot)
+      and only when those slots record the same base ids.
 
-    Each built replica's inner structure is then verified recursively
-    with its own class verifier (depth 1 — shards never nest), its
-    violations prefixed with the shard/replica location.
+    Each built base's inner structure is then verified recursively
+    with its own class verifier (depth 1 — shards never nest), once per
+    base object, its violations prefixed with the location of the
+    first slot holding it.
     """
     out: list[Violation] = []
     shard_ids = manager.shard_ids
@@ -1046,6 +1051,8 @@ def verify_shard_manager(manager) -> list[Violation]:
                 f"replication_factor is {factor}",
             )
         )
+    # id(base) -> (location, base ids) of the first slot holding it.
+    holders: dict[int, tuple[str, list[int]]] = {}
     for shard, ids in enumerate(shard_ids):
         live_set = set(ids)
         available = [
@@ -1078,6 +1085,30 @@ def verify_shard_manager(manager) -> list[Violation]:
                         location,
                         f"base ids not strictly increasing at position "
                         f"{pos}: {base_ids[pos - 1]} then {base_ids[pos]}",
+                    )
+                )
+            first = (
+                holders.setdefault(id(index), (location, base_ids))
+                if index is not None
+                else None
+            )
+            shared = first is not None and first[0] != location
+            if shared and ShardManager.absorbs_writes(index):
+                out.append(
+                    Violation(
+                        "replica-share",
+                        location,
+                        f"{type(index).__name__} updates in place but is "
+                        f"also held by {first[0]}",
+                    )
+                )
+            if shared and base_ids != first[1]:
+                out.append(
+                    Violation(
+                        "replica-share",
+                        location,
+                        f"shares its base with {first[0]} but their base "
+                        "ids differ",
                     )
                 )
             if index is None and base_ids:
@@ -1139,7 +1170,8 @@ def verify_shard_manager(manager) -> list[Violation]:
                         f"{extra[:5]}, unreachable: {lost[:5]})",
                     )
                 )
-            if index is None:
+            if index is None or shared:
+                # A shared base's structure is verified at its first slot.
                 continue
             for violation in verify_structure(index):
                 out.append(

@@ -226,7 +226,10 @@ def index_to_dict(index: MetricIndex) -> dict:
         # tail rows, removed ids, memtables, epochs, per-slot id and
         # tombstone tables) rides along so a churned manager
         # round-trips; serialise a quiescent manager — a concurrent
-        # mutation mid-encode is not supported.
+        # mutation mid-encode is not supported.  A base an earlier
+        # replica of the same shard already holds is written as
+        # {"replica_of": r} and restored as that same object.
+        rows = index.replicas
         return {
             "format": _FORMAT_VERSION,
             "type": "ShardManager",
@@ -242,10 +245,10 @@ def index_to_dict(index: MetricIndex) -> dict:
             **index.mutation_state(),
             "replicas": [
                 [
-                    index_to_dict(shard) if shard is not None else None
-                    for shard in row
+                    _encode_replica(rows, r, shard)
+                    for shard in range(len(row))
                 ]
-                for row in index.replicas
+                for r, row in enumerate(rows)
             ],
         }
     if isinstance(index, kernels.TableTree):
@@ -357,6 +360,19 @@ def index_to_dict(index: MetricIndex) -> dict:
     raise TypeError(f"cannot serialise index of type {type(index).__name__}")
 
 
+def _encode_replica(rows, replica: int, shard: int) -> Optional[dict]:
+    """One replica slot's entry: ``None`` when lost, a reference when an
+    earlier replica of the shard holds the same base, else the base.
+    Recursion depth is 1: the base is a plain index, never a manager."""
+    base = rows[replica][shard]
+    if base is None:
+        return None
+    for r in range(replica):
+        if rows[r][shard] is base:
+            return {"replica_of": r}
+    return index_to_dict(base)
+
+
 def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricIndex:
     """Reconstruct an index from :func:`index_to_dict` output.
 
@@ -437,17 +453,29 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         for row, slot_row in zip(rows, slot_rows):
             replica_row = []
             slot_list = []
-            for shard, slot_data in zip(row, slot_row):
-                slot = _SlotState(slot_data["ids"])
+            for shard, (entry, slot_data) in enumerate(zip(row, slot_row)):
+                if entry is not None and "replica_of" in entry:
+                    # The same base as an earlier replica: the same
+                    # object, and its id tables when they agree.
+                    first = manager._slots[entry["replica_of"]][shard]
+                    slot = (
+                        first.sibling()
+                        if slot_data["ids"] == first.ids
+                        else _SlotState(slot_data["ids"])
+                    )
+                    base = manager._replicas[entry["replica_of"]][shard]
+                else:
+                    slot = _SlotState(slot_data["ids"])
+                    base = (
+                        index_from_dict(
+                            entry, gather(objects_full, slot.ids), metric
+                        )
+                        if entry is not None
+                        else None
+                    )
                 slot.dead = {int(gid) for gid in slot_data["dead"]}
                 slot_list.append(slot)
-                replica_row.append(
-                    index_from_dict(
-                        shard, gather(objects_full, slot.ids), metric
-                    )
-                    if shard is not None
-                    else None
-                )
+                replica_row.append(base)
             manager._replicas.append(replica_row)
             manager._slots.append(slot_list)
         return manager

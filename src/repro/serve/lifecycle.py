@@ -11,7 +11,8 @@ live id-set with the manager's lock released, and swaps them in
 atomically via :meth:`~repro.serve.sharding.ShardManager.swap_replica` —
 rolling, replica-by-replica, so at every instant every shard keeps at
 least ``replication_factor - 1`` untouched replicas serving and no
-query ever observes a half-swapped epoch.
+query ever observes a half-swapped epoch.  A read-only base is built
+once per roll and swapped into every replica slot in turn.
 
 Zero-downtime contract.  A rebuild never blocks queries: dataset
 snapshots and swaps each hold ``_replicas_lock`` briefly, construction
@@ -122,23 +123,26 @@ class RebuildCoordinator:
     # ------------------------------------------------------------------
 
     def rebuild_shard(self, shard: int) -> list[int]:
-        """Rebuild every replica of one shard, one at a time.
+        """Rebuild one shard and swap it into every replica, one at a time.
 
-        Each roll re-snapshots the shard's live dataset (so mutations
-        landing mid-roll are folded into the later replicas' bases, and
-        reconciled into the earlier ones' tombstones/memtable at their
-        swap), builds the replacement with the lock released, and swaps
-        it in atomically.  Returns the epoch after each swap (empty for
-        an empty shard).
+        One snapshot of the shard's live dataset, one build with the lock
+        released, then one atomic :meth:`~ShardManager.swap_replica` per
+        replica slot; mutations landing mid-roll are reconciled into each
+        slot's tombstones/memtable at its swap.  A base that absorbs
+        writes (:meth:`~ShardManager.absorbs_writes`) cannot be shared,
+        so each of its slots re-snapshots and builds its own.  Returns
+        the epoch after each swap (empty for an empty shard).
         """
         manager = self.manager
         epochs: list[int] = []
+        index = None
         for replica in range(manager.replication_factor):
-            ids, rows = manager.shard_dataset(shard)
-            if not ids:
-                break
-            index = manager._builder(rows, manager.metric, self._rng)
-            epochs.append(manager.swap_replica(shard, replica, index, ids))
+            if index is None or manager.absorbs_writes(index):
+                snap = manager.snapshot_shard(shard)
+                if not snap.ids:
+                    break
+                index = manager._builder(snap.rows, manager.metric, self._rng)
+            epochs.append(manager.swap_replica(shard, replica, index, snap))
         return epochs
 
     # ------------------------------------------------------------------

@@ -18,14 +18,18 @@ smaller than any shard's local k-th, no qualifying neighbor can be
 missed — and ties at the k-th distance resolve by global id, matching
 the deterministic ``(distance, id)`` ordering every single index uses.
 
-With ``replication_factor=R`` every shard's point-set is indexed on
-``R`` structurally independent replicas (each drawing its own
-construction randomness), so the serving engine can fail a unit over to
-a surviving replica and still return an *exact, non-degraded* answer —
-redundancy buys fault tolerance without approximation (see
-``docs/resilience.md``).  Any replica of a shard answers a query
-identically up to the deterministic ``(distance, id)`` ordering, so
-failover is invisible in the results.
+With ``replication_factor=R`` every shard has ``R`` replica slots, so
+the serving engine can fail a unit over to a surviving slot and still
+return an *exact, non-degraded* answer — redundancy buys fault
+tolerance without approximation (see ``docs/resilience.md``).  A
+read-only base (every static tree, scan and table index) is built once
+per shard and shared by all of its slots; a base that absorbs writes in
+place (:meth:`ShardManager.absorbs_writes`) gets its own build per
+slot.  Replication therefore guards against the logical loss of a slot
+(a dropped replica, a refused store), not against a corrupt in-memory
+copy.  Any slot of a shard answers a query identically up to the
+deterministic ``(distance, id)`` ordering, so failover is invisible in
+the results.
 
 Live mutability (ROADMAP item 5).  :meth:`ShardManager.insert` and
 :meth:`ShardManager.delete` mutate the deployment in place: an insert
@@ -39,8 +43,8 @@ scan merged by ``(distance, id)``, mirroring how ``StoreBackedIndex``
 unions its delta rows).  A delete tombstones the point in every replica
 slot that covers it.  Background rebuilds
 (:class:`~repro.serve.lifecycle.RebuildCoordinator`) fold tombstones
-and memtables back into fresh base indexes replica-by-replica via
-:meth:`swap_replica`, which installs the new index atomically under
+and memtables back into a fresh base, swapped into the shard's slots
+one at a time via :meth:`swap_replica`, which installs it atomically under
 ``_replicas_lock`` and bumps the shard's epoch — in-flight queries
 finish against the detached old copy (never mutated once swapped out),
 so exactness holds throughout.  :meth:`split_shard` and
@@ -274,14 +278,64 @@ class _SlotState:
     reading it after the lock is released.  ``id_set`` is its set view;
     ``dead`` holds global ids tombstoned out of the base — deleted
     points, and points a split or merge moved to another shard.
+
+    Slots that share one read-only base share ``ids``/``id_set`` too
+    (only an absorbing base appends to them); each keeps its own
+    ``dead``.
     """
 
     __slots__ = ("ids", "id_set", "dead")
 
-    def __init__(self, ids: Sequence[int]):
-        self.ids: list[int] = [int(g) for g in ids]
-        self.id_set: set[int] = set(self.ids)
+    def __init__(self, ids: Sequence[int], id_set: Optional[set[int]] = None):
+        if id_set is None:
+            ids = [int(g) for g in ids]
+            id_set = set(ids)
+        self.ids: list[int] = ids
+        self.id_set: set[int] = id_set
         self.dead: set[int] = set()
+
+    def sibling(self) -> "_SlotState":
+        """A slot over the same base: shared id tables, own tombstones."""
+        return _SlotState(self.ids, self.id_set)
+
+
+class ShardSnapshot:
+    """One shard's live ``(ids, rows)``, taken for a replacement build.
+
+    :meth:`ShardManager.snapshot_shard` copies the id list under the
+    lock and gathers the rows outside it.  Passed to
+    :meth:`ShardManager.swap_replica` in place of a plain id list, it
+    lets every slot installing the same base share one set of id
+    tables, built once and outside the lock.
+    """
+
+    __slots__ = ("ids", "rows", "_slot")
+
+    def __init__(self, ids: list[int], rows):
+        self.ids = ids
+        self.rows = rows
+        self._slot = _SlotState(ids, set(ids))
+
+
+def _gather(objects, tail: Sequence, ids: Sequence[int]):
+    """Rows for mixed base/tail gids.  Over an ndarray the base rows
+    are one ``take`` and the tail rows one block; a generic sequence
+    gets a list."""
+    base_n = len(objects)
+    if not isinstance(objects, np.ndarray):
+        return [objects[i] if i < base_n else tail[i - base_n] for i in ids]
+    ids = np.asarray(ids, dtype=np.intp)
+    at_tail = ids >= base_n
+    if not at_tail.any():
+        return objects.take(ids, axis=0)
+    block = np.asarray([tail[i] for i in (ids[at_tail] - base_n).tolist()])
+    rows = np.empty(
+        (len(ids),) + block.shape[1:],
+        dtype=np.result_type(objects, block),
+    )
+    rows[~at_tail] = objects.take(ids[~at_tail], axis=0)
+    rows[at_tail] = block
+    return rows
 
 
 class _ShardView:
@@ -334,13 +388,15 @@ class ShardManager(MetricIndex):
         ``"round-robin"`` (default) or ``"contiguous"`` — see
         :func:`assign_shards`.
     replication_factor:
-        Copies of each shard's index (default 1 = no redundancy).  The
-        replicas are built over the same point-set but draw independent
-        construction randomness, so they are structurally distinct
-        while answering identically.  Replica 0 of every shard is built
-        first (in shard order), then replica 1, ... — with
-        ``replication_factor=1`` the build consumes the rng exactly as
-        unreplicated managers always have.
+        Replica slots per shard (default 1 = no redundancy).  Replica 0
+        of every shard is built first, in shard order, drawing from the
+        rng exactly as an unreplicated manager does.  Every further
+        slot serves that same base object when it is read-only; a base
+        that absorbs writes in place (:meth:`absorbs_writes`, e.g.
+        ``backend="dynamic"``) is built again for each slot, replica 1
+        of every shard next, then replica 2, ...  Replication protects
+        against losing a slot (:meth:`drop_replica`, a refused store),
+        not against a corrupt in-memory copy.
     rng:
         Seed or generator; builds draw from it in (replica, shard)
         order, so a seed makes the whole deployment reproducible.
@@ -425,19 +481,25 @@ class ShardManager(MetricIndex):
         # reads one epoch's snapshot finishes entirely against it.
         self._epochs: list[int] = [0] * n_shards  # guarded-by: _replicas_lock
         # _replicas[r][shard]: replica r's index for the shard (None for
-        # empty shards and for replicas lost to faults/corruption).
-        self._replicas: list[list[Optional[MetricIndex]]] = [
-            [
-                builder(gather(objects, ids), metric, generator) if ids else None
-                for ids in self._shard_ids
-            ]
-            for _ in range(replication_factor)
-        ]  # guarded-by: _replicas_lock
+        # empty shards and for replicas lost to faults/corruption); one
+        # object across the column when the base is read-only.
+        self._replicas: list[list[Optional[MetricIndex]]] = []  # guarded-by: _replicas_lock
         # _slots[r][shard]: local→global bookkeeping for that base.
-        self._slots: list[list[_SlotState]] = [
-            [_SlotState(ids) for ids in self._shard_ids]
-            for _ in range(replication_factor)
-        ]  # guarded-by: _replicas_lock
+        self._slots: list[list[_SlotState]] = []  # guarded-by: _replicas_lock
+        for r in range(replication_factor):
+            bases: list[Optional[MetricIndex]] = []
+            slots: list[_SlotState] = []
+            for shard, ids in enumerate(self._shard_ids):
+                if r and not self.absorbs_writes(self._replicas[0][shard]):
+                    bases.append(self._replicas[0][shard])
+                    slots.append(self._slots[0][shard].sibling())
+                    continue
+                bases.append(
+                    builder(gather(objects, ids), metric, generator) if ids else None
+                )
+                slots.append(_SlotState(ids))
+            self._replicas.append(bases)
+            self._slots.append(slots)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -555,11 +617,17 @@ class ShardManager(MetricIndex):
             slot = self._slots[replica][shard]
             return list(slot.ids), set(slot.dead)
 
-    def shard_dataset(self, shard: int) -> tuple[list[int], Sequence]:
-        """The shard's live ``(gids, rows)`` — a rebuild's input."""
+    def snapshot_shard(self, shard: int) -> ShardSnapshot:
+        """The shard's live ids and rows — a rebuild's input.
+
+        Only the id list is copied under the lock; the rows are
+        gathered after it is released (``objects`` never changes and
+        the tail only grows, so the copied ids stay readable).
+        """
         with self._replicas_lock:
             ids = list(self._shard_ids[shard])
-            return ids, self._gather_locked(ids)
+            tail = self._tail
+        return ShardSnapshot(ids, _gather(self._objects, tail, ids))
 
     def mutation_state(self) -> dict:
         """JSON-ready snapshot of the mutable state, under one lock hold.
@@ -634,28 +702,17 @@ class ShardManager(MetricIndex):
             f"(replication_factor={self.replication_factor})"
         )
 
-    def _gather_locked(self, ids: Sequence[int]):  # guarded-by: _replicas_lock
-        """Rows for mixed base/tail gids.  Over an ndarray the base rows
-        are one ``take`` and the tail rows one block; a generic sequence
-        gets a list."""
-        base_n = len(self._objects)
-        if not isinstance(self._objects, np.ndarray):
-            return [
-                self._objects[i] if i < base_n else self._tail[i - base_n]
-                for i in ids
-            ]
-        ids = np.asarray(ids, dtype=np.intp)
-        tail = ids >= base_n
-        if not tail.any():
-            return self._objects.take(ids, axis=0)
-        block = np.asarray([self._tail[i] for i in (ids[tail] - base_n).tolist()])
-        rows = np.empty(
-            (len(ids),) + block.shape[1:],
-            dtype=np.result_type(self._objects, block),
-        )
-        rows[~tail] = self._objects.take(ids[~tail], axis=0)
-        rows[tail] = block
-        return rows
+    @staticmethod
+    def absorbs_writes(index) -> bool:
+        """Does ``index`` take inserts and deletes in place?
+
+        True for exactly the bases :meth:`_absorb_locked` and
+        :meth:`delete` write into: a ``DynamicMVPTree`` and any index
+        with ``ingest`` (a store-backed index and its delta sidecar).
+        Such a base is built once per replica slot; any other base is
+        read-only once built, so every slot of its shard shares it.
+        """
+        return isinstance(index, DynamicMVPTree) or hasattr(index, "ingest")
 
     def _absorb_locked(self, index, slot, gid: int, obj) -> bool:  # guarded-by: _replicas_lock
         """Apply an insert to one slot's base in place, if it can.
@@ -686,25 +743,31 @@ class ShardManager(MetricIndex):
         slot.id_set.add(gid)
         return True
 
-    def _install_locked(self, shard: int, replica: int, index, base_ids):  # guarded-by: _replicas_lock
+    def _install_locked(self, shard: int, replica: int, index, slot):  # guarded-by: _replicas_lock
         """The swap core: install ``index`` as the slot's base.
 
-        Tombstones every base id no longer live (deleted while the
-        replacement was building), routes live ids the base doesn't
+        ``slot`` holds the base's id tables, built before the lock was
+        taken.  Tombstones every base id no longer live (deleted while
+        the replacement was building), routes live ids the base doesn't
         cover through the memtable, bumps the shard epoch, and prunes
         memtable entries every slot's base now covers.
+
+        Returns the detached ``(index, slot)``: the caller drops them
+        after releasing the lock, so freeing a shard-sized id table
+        never stalls the lock.
         """
+        mem = self._memtables[shard]
         live = set(self._shard_ids[shard])
-        slot = _SlotState(base_ids)
         slot.dead = slot.id_set - live
+        missing = live - slot.id_set - mem.keys()
+        detached = self._replicas[replica][shard], self._slots[replica][shard]
         self._replicas[replica][shard] = index
         self._slots[replica][shard] = slot
-        mem = self._memtables[shard]
-        missing = live - slot.id_set - mem.keys()
         if missing:
             mem.update(dict.fromkeys(sorted(missing)))
         self._epochs[shard] += 1
         self._prune_memtable_locked(shard)
+        return detached
 
     def _prune_memtable_locked(self, shard: int) -> None:  # guarded-by: _replicas_lock
         """Drop memtable gids every slot's base now actively serves
@@ -800,22 +863,53 @@ class ShardManager(MetricIndex):
         return dropped
 
     def swap_replica(
-        self, shard: int, replica: int, index: MetricIndex, base_ids: Sequence[int]
+        self,
+        shard: int,
+        replica: int,
+        index: MetricIndex,
+        base_ids: Union[Sequence[int], ShardSnapshot],
     ) -> int:
         """Atomically install a freshly built base for one replica slot.
 
-        ``base_ids`` maps the new index's local ids to global ids (the
-        live snapshot it was built from).  The swap happens entirely
-        under ``_replicas_lock``: tombstones for points deleted during
-        the build, memtable routing for points inserted during it, and
-        the epoch bump are one atomic step, so no query ever observes a
-        half-swapped shard.  Returns the shard's new epoch.  The old
-        base is simply detached — in-flight queries that snapshotted it
-        finish against the old epoch and stay exact.
+        ``base_ids`` maps the new index's local ids to global ids: the
+        live ids it was built from, or better the :class:`ShardSnapshot`
+        itself (:meth:`snapshot_shard`).  Given the snapshot, every slot
+        that installs the same read-only base shares its id tables.  The
+        id tables are built before the lock is taken; under it, tombstones
+        for points deleted during the build, memtable routing for points
+        inserted during it, and the epoch bump are one atomic step, so
+        no query ever observes a half-swapped shard.  Returns the
+        shard's new epoch.  The old base is simply detached — in-flight
+        queries that snapshotted it finish against the old epoch and
+        stay exact.
         """
+        return self._swap(shard, replica, index, base_ids)
+
+    def _swap(
+        self, shard: int, replica: int, index, base_ids, *, if_lost: bool = False
+    ) -> Optional[int]:
+        """:meth:`swap_replica`'s body; with ``if_lost`` it installs only
+        into a slot that is still lost, returning None otherwise.
+
+        The slot's id tables are built before the lock is taken.  A
+        read-only base installed from a snapshot shares the snapshot's
+        tables with every other slot that installs it; an absorbing base
+        appends to its tables, so it gets its own.
+        """
+        if not isinstance(base_ids, ShardSnapshot):
+            slot = _SlotState(base_ids)
+        elif self.absorbs_writes(index):
+            slot = _SlotState(list(base_ids.ids), set(base_ids._slot.id_set))
+        else:
+            slot = base_ids._slot.sibling()
         with self._replicas_lock:
-            self._install_locked(shard, replica, index, base_ids)
-            return self._epochs[shard]
+            if if_lost and self._replicas[replica][shard] is not None:
+                return None
+            # Held past the lock, so the old tables are freed outside it.
+            detached = self._install_locked(shard, replica, index, slot)
+            epoch = self._epochs[shard]
+        del detached
+        return epoch
 
     def recover(
         self,
@@ -844,13 +938,17 @@ class ShardManager(MetricIndex):
         through the memtable at swap time.  Raises ``TypeError`` only
         when a rebuild is actually needed on a manager restored from
         legacy serialised form without a known backend.
+
+        A shard whose lost slots need a rebuild is built once, and that
+        base installed in each of them — unless it absorbs writes, when
+        each slot gets its own build.
         """
         generator = as_rng(rng)
-        # Snapshot the lost slots and their shards' live datasets under
-        # the lock, build the replacement indexes with the lock
-        # *released* (construction pays the metric bill — holding the
-        # lock would stall every concurrent search), then swap each one
-        # in only if its slot is still lost.
+        # Find the lost slots under the lock, snapshot and build the
+        # replacement indexes with the lock *released* (construction
+        # pays the metric bill — holding the lock would stall every
+        # concurrent search), then swap each one in only if its slot is
+        # still lost.
         with self._replicas_lock:
             lost = [
                 (r, shard)
@@ -860,15 +958,12 @@ class ShardManager(MetricIndex):
                 and self._slots[r][shard].ids
                 and self._shard_ids[shard]
             ]
-            datasets: dict[int, tuple[list[int], Sequence]] = {}
-            for _r, shard in lost:
-                if shard not in datasets:
-                    ids = list(self._shard_ids[shard])
-                    datasets[shard] = (ids, self._gather_locked(ids))
+        snaps: dict[int, ShardSnapshot] = {}
+        built: dict[int, MetricIndex] = {}
         rebuilt: list[tuple[int, int]] = []
         for r, shard in lost:
             index: Optional[MetricIndex] = None
-            base_ids: Optional[list[int]] = None
+            base_ids: Union[list[int], ShardSnapshot, None] = None
             if stores is not None and (shard, r) in stores:
                 from repro.store import StoreCorrupt, open_index
 
@@ -888,13 +983,15 @@ class ShardManager(MetricIndex):
                         "(restored from a serialised form with a custom "
                         "backend?)"
                     )
-                ids, rows = datasets[shard]
-                index = self._builder(rows, self.metric, generator)
-                base_ids = list(ids)
-            with self._replicas_lock:
-                if self._replicas[r][shard] is None:
-                    self._install_locked(shard, r, index, base_ids)
-                    rebuilt.append((shard, r))
+                if shard not in snaps:
+                    snaps[shard] = self.snapshot_shard(shard)
+                base_ids = snaps[shard]
+                index = built.get(shard)
+                if index is None or self.absorbs_writes(index):
+                    index = self._builder(base_ids.rows, self.metric, generator)
+                    built[shard] = index
+            if self._swap(shard, r, index, base_ids, if_lost=True) is not None:
+                rebuilt.append((shard, r))
         return rebuilt
 
     # ------------------------------------------------------------------
@@ -997,7 +1094,7 @@ class ShardManager(MetricIndex):
                     for gid in mem
                     if gid not in id_set or gid in dead
                 ]
-            extra_rows = self._gather_locked(extra) if extra else None
+            extra_rows = _gather(self._objects, self._tail, extra) if extra else None
             return _ShardView(index, slot.ids, dead, len(live), extra, extra_rows)
 
     @staticmethod

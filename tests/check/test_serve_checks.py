@@ -95,6 +95,47 @@ class TestShardManagerInvariants:
         ]
         assert [v.location for v in violations] == ["shard[0]/replica[1]"]
 
+    def test_dynamic_tree_in_two_slots_flags_replica_share(self):
+        # An absorbing base in two slots would take every insert twice.
+        data = np.random.default_rng(2).random((40, 5))
+        manager = ShardManager(
+            data, L2(), n_shards=2, backend="dynamic", rng=0,
+            replication_factor=2,
+        )
+        manager.replicas[1][0] = manager.replicas[0][0]
+        violations = [
+            v for v in verify_structure(manager) if v.invariant == "replica-share"
+        ]
+        assert [v.location for v in violations] == ["shard[0]/replica[1]"]
+        assert "DynamicMVPTree updates in place" in violations[0].message
+
+    def test_shared_base_with_differing_ids_flags_replica_share(self):
+        data = np.random.default_rng(2).random((40, 5))
+        manager = ShardManager(
+            data, L2(), n_shards=2, backend="vpt", rng=0,
+            replication_factor=2,
+        )
+        assert verify_structure(manager) == []
+        # Replica 1 of shard 1 keeps the shared base but gets its own,
+        # different, id table.
+        slot = manager._slots[1][1]
+        slot.ids = list(slot.ids)
+        slot.ids[-1] += 1000
+        violations = [
+            v for v in verify_structure(manager) if v.invariant == "replica-share"
+        ]
+        assert [v.location for v in violations] == ["shard[1]/replica[1]"]
+        assert "base ids differ" in violations[0].message
+
+    def test_churned_registry_manager_shares_its_bases(self):
+        manager = build_verification_indexes(seed=0, only=["ShardManager"])[
+            "ShardManager"
+        ]
+        rows = manager.replicas
+        populated = [s for s in range(manager.n_shards) if rows[0][s] is not None]
+        assert populated
+        assert all(rows[1][s] is rows[0][s] for s in populated)
+
     def test_churned_registry_manager_verifies(self):
         # The registry build is put through inserts, deletes, a split,
         # a merge and a rebuild pass before it is verified.

@@ -18,6 +18,7 @@ from repro.check.invariants import verify_shard_manager
 from repro.metric import L2
 from repro.persist.serialize import index_from_dict, index_to_dict
 from repro.serve import ShardManager
+from repro.serve.sharding import _gather
 from repro.store.sharded import save_shard_stores
 
 
@@ -238,9 +239,9 @@ class TestDeletePositions:
         new_shard = manager.split_shard(0)
         moved = list(manager.shard_ids[new_shard])
         manager.merge_shards(new_shard, 0)
-        ids, rows = manager.shard_dataset(0)
-        fresh = manager._builder(rows, manager.metric, np.random.default_rng(1))
-        manager.swap_replica(0, 0, fresh, ids)
+        snap = manager.snapshot_shard(0)
+        fresh = manager._builder(snap.rows, manager.metric, np.random.default_rng(1))
+        manager.swap_replica(0, 0, fresh, snap.ids)
         victim = moved[len(moved) // 2]
         assert victim not in manager.slot_state(0, 0)[1]
         assert victim in manager.slot_state(0, 1)[1]
@@ -379,9 +380,9 @@ def test_gather_mixes_base_and_tail_rows_like_the_per_row_gather(as_list):
         manager.insert(row)
     ids = [61, 3, 66, 0, 59, 60, 62, 12, 65]
     with manager._replicas_lock:
-        got = manager._gather_locked(ids)
+        got = _gather(manager._objects, manager._tail, ids)
         want = _parent_gather(manager, ids)
-        base_only = manager._gather_locked([5, 1])
+        base_only = _gather(manager._objects, manager._tail, [5, 1])
     if as_list:
         assert isinstance(got, list)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -389,7 +390,7 @@ def test_gather_mixes_base_and_tail_rows_like_the_per_row_gather(as_list):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.asarray(base_only), data[[5, 1]])
-    gids, rows = manager.shard_dataset(1)
-    want = _parent_gather(manager, gids)
-    np.testing.assert_array_equal(np.asarray(rows), np.asarray(want))
+    snap = manager.snapshot_shard(1)
+    want = _parent_gather(manager, snap.ids)
+    np.testing.assert_array_equal(np.asarray(snap.rows), np.asarray(want))
 
