@@ -524,10 +524,20 @@ class ApproxOutcome(NamedTuple):
 _NO_OUTCOME = ApproxOutcome(0, False, 0, _INF)
 
 
+def top_k_order(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` least ``(distance, id)`` pairs, closest
+    first: an ``argpartition`` keeps every tie of the k-th distance and
+    a ``lexsort`` breaks them by id."""
+    if dist.size > k > 0:
+        keep = np.flatnonzero(dist <= dist[dist.argpartition(k - 1)[k - 1]])
+        return keep[np.lexsort((ids[keep], dist[keep]))[:k]]
+    return np.lexsort((ids, dist))[:k]
+
+
 class _TopK:
     """Running k-best set with exact ``(distance, id)`` tie-breaks, kept
-    as sorted numpy arrays.  The set depends on the merged values alone,
-    so batch order cannot change the answer."""
+    as sorted numpy arrays (:func:`top_k_order`).  The set depends on
+    the merged values alone, so batch order cannot change the answer."""
 
     __slots__ = ("k", "dist", "ids")
 
@@ -551,11 +561,7 @@ class _TopK:
             distances, ids = distances[near], ids[near]
         dist = np.concatenate((self.dist, distances))
         ids = np.concatenate((self.ids, ids))
-        if dist.size > k:
-            # Keep every tie of the k-th distance; the lexsort breaks them.
-            near = dist <= dist[dist.argpartition(k - 1)[k - 1]]
-            dist, ids = dist[near], ids[near]
-        order = np.lexsort((ids, dist))[:k]
+        order = top_k_order(dist, ids, k)
         self.dist, self.ids = dist[order], ids[order]
 
     def answer(self) -> list[Neighbor]:

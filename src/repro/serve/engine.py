@@ -5,14 +5,24 @@ The :class:`QueryEngine` turns a built index — a single
 :class:`~repro.serve.sharding.ShardManager` — into a serving surface:
 
 * a batch of range/k-NN queries executes over a pluggable worker pool
-  (:class:`ThreadedExecutor` by default — numpy ``batch_distance``
-  releases the GIL on real workloads, and expensive user metrics that
-  drop into C do too; :class:`SerialExecutor` gives a deterministic
-  in-thread baseline; :class:`~repro.serve.procpool.ProcessExecutor`
-  forks workers that inherit the index read-only, escaping the GIL for
-  python-heavy metrics — pass ``executor="process"``);
-* the unit of parallel work is one *(query, shard)* pair, so a single
-  query's shards also overlap;
+  (:class:`ThreadedExecutor` by default; :class:`SerialExecutor` gives
+  a deterministic in-thread baseline;
+  :class:`~repro.serve.procpool.ProcessExecutor` forks workers that
+  inherit the index read-only, escaping the GIL — pass
+  ``executor="process"``);
+* the unit of work is one *(query, shard)* pair.  Only the process
+  executor runs a single query's shards in parallel.  Under the GIL a
+  tree search is mostly Python and small numpy calls that hold it (on
+  concentrated data the search touches almost every point), so pool
+  threads splitting one query's shards only hand the GIL back and
+  forth.  With no deadline the caller therefore runs its own query: on
+  a :class:`ThreadedExecutor` the first query of a batch runs its
+  units on the calling thread, in shard order, and the pool runs the
+  rest of the batch.  On perfbench's ``churn-vpt`` (16-d uniform data,
+  two shards, single-query batches, 2 vCPUs) that took the median qps
+  from 149 to 192 and p95 latency from 9.1 to 6.8 ms against pool-run
+  units (``docs/serving.md``).  A batch with a deadline keeps every
+  unit on the pool, so the caller stays free to enforce the deadline;
 * every unit carries its own :class:`~repro.obs.QueryStats`; a query's
   stats are the merge of its units, and the batch's stats are the merge
   of its queries — so batch aggregation equals the per-query sum *by
@@ -177,7 +187,8 @@ class SerialExecutor:
 
     max_workers = 1
 
-    def submit(self, fn, *args) -> Future:
+    @staticmethod
+    def submit(fn, *args) -> Future:
         future: Future = Future()
         try:
             future.set_result(fn(*args))
@@ -192,10 +203,17 @@ class SerialExecutor:
 class ThreadedExecutor:
     """A thin wrapper over :class:`concurrent.futures.ThreadPoolExecutor`.
 
-    Threads fit this workload because the expensive inner loops —
-    numpy's vectorised ``batch_distance``, C-implemented user metrics —
-    release the GIL; pure-python metrics still overlap their waiting
-    time under fault/timeout scenarios.
+    Threads overlap the parts of a search that release the GIL: large
+    numpy ``batch_distance`` blocks, C-implemented user metrics, sleeps
+    and waits under fault/timeout scenarios.  A tree search on
+    concentrated data mostly holds the GIL, so threads add hand-offs
+    rather than parallelism there: on perfbench's ``churn-vpt`` a
+    deployment answered 149 queries/s with each query's two shard units
+    on two pool threads, and 192 with them run back to back on the
+    caller.
+    :meth:`QueryEngine.run_batch` therefore runs a no-deadline batch's
+    first query on the calling thread and gives the pool only the rest
+    of the batch.
     """
 
     def __init__(self, max_workers: int = 4):
@@ -290,8 +308,9 @@ class QueryEngine:
     executor:
         Worker pool: an executor object, or one of the names in
         :data:`EXECUTOR_KINDS` — ``"serial"`` (inline, deterministic),
-        ``"thread"`` (the default; fine while the metric releases the
-        GIL) or ``"process"`` (forked workers inheriting the index
+        ``"thread"`` (the default; with no deadline the caller runs a
+        batch's first query itself, see :meth:`run_batch`) or
+        ``"process"`` (forked workers inheriting the index
         read-only — see :mod:`repro.serve.procpool`; incompatible with
         ``distance_cache``).  Defaults to ``ThreadedExecutor(workers)``.
     workers:
@@ -458,7 +477,7 @@ class QueryEngine:
         self.approximate = approximate
 
     # ------------------------------------------------------------------
-    # Unit execution (runs on a worker thread)
+    # Unit execution (runs on a worker thread, or on the caller's)
     # ------------------------------------------------------------------
 
     def breaker(self, shard: int, replica: int) -> CircuitBreaker:
@@ -625,13 +644,16 @@ class QueryEngine:
         batch is throttled to what the pool can absorb instead of
         queueing unboundedly.
         """
+        return self._submit_units(qi, query, self.executor.submit)
+
+    def _submit_units(self, qi: int, query: Query, submit) -> list[Future]:
+        """One ``submit(self._run_unit, ...)`` per shard, in shard order,
+        each holding a ``max_pending`` permit that the unit releases."""
         futures: list[Future] = []
         for shard in self._shard_plan():
             self._pending.acquire()
             try:
-                futures.append(
-                    self.executor.submit(self._run_unit, qi, query, shard)
-                )
+                futures.append(submit(self._run_unit, qi, query, shard))
             except BaseException:  # pragma: no cover - submission failed
                 self._pending.release()
                 raise
@@ -736,7 +758,9 @@ class QueryEngine:
             else None
         )
         values = []
-        reports: list[ApproxReport] = []
+        # (report, stats) per answering unit; an exact unit's certificate
+        # is only built when the query needs a merged report.
+        unit_reports: list[tuple[Optional[ApproxReport], QueryStats]] = []
         missing_sizes: list[int] = []
 
         def note_outcome(shard: Optional[int], flag: str) -> None:
@@ -775,11 +799,7 @@ class QueryEngine:
                     result.shards_downgraded += 1
                     note_outcome(shard, SHARD_DOWNGRADED)
                     values.append(value)
-                    reports.append(
-                        report
-                        if report is not None
-                        else _exact_unit_report(query.kind, downgrade_stats)
-                    )
+                    unit_reports.append((report, downgrade_stats))
                     continue
                 result.shards_timed_out += 1
                 note_outcome(shard, SHARD_TIMEOUT)
@@ -791,11 +811,7 @@ class QueryEngine:
                 result.shards_ok += 1
                 note_outcome(shard, SHARD_OK)
                 values.append(outcome.value)
-                reports.append(
-                    outcome.report
-                    if outcome.report is not None
-                    else _exact_unit_report(query.kind, outcome.stats)
-                )
+                unit_reports.append((outcome.report, outcome.stats))
             else:
                 result.shards_failed += 1
                 note_outcome(shard, SHARD_FAILED)
@@ -810,6 +826,12 @@ class QueryEngine:
             # Shards that contributed nothing are honestly accounted as
             # fully unseen mass with a zero lower bound: the certificate
             # can only understate recall, never overstate it.
+            reports = [
+                report
+                if report is not None
+                else _exact_unit_report(query.kind, unit_stats)
+                for report, unit_stats in unit_reports
+            ]
             for size in missing_sizes:
                 reports.append(missing_shard_report(query.kind, size))
             target = (
@@ -847,22 +869,41 @@ class QueryEngine:
         ``timeout`` overrides the engine default for this batch.  The
         call never raises on shard failure or deadline — inspect
         ``degraded`` per result.
+
+        On a :class:`ThreadedExecutor` with no deadline the caller runs
+        its own query: the first uncached query's units run on the
+        calling thread, in shard order, once the rest of the batch is
+        queued on the pool.  Splitting one query's shards across pool
+        threads buys no parallelism under the GIL, only hand-offs.  A
+        batch with a deadline keeps every unit on the pool so the caller
+        stays free to enforce it.
         """
         deadline_s = self.timeout if timeout is None else timeout
         start = time.perf_counter()
         miss_stats: dict[int, QueryStats] = {}
         results: list[Optional[QueryResult]] = [None] * len(queries)
         submitted: list[tuple[int, Query, list[Future], Optional[float]]] = []
+        caller_runs = deadline_s is None and isinstance(
+            self.executor, ThreadedExecutor
+        )
+        own: Optional[tuple[int, Query]] = None
         for qi, query in enumerate(queries):
             cached = self._cached_result(qi, query, miss_stats)
             if cached is not None:
                 results[qi] = cached
+                continue
+            if caller_runs and own is None:
+                own = (qi, query)
                 continue
             futures = self.submit_query(qi, query)
             deadline = (
                 None if deadline_s is None else time.monotonic() + deadline_s
             )
             submitted.append((qi, query, futures, deadline))
+        if own is not None:
+            qi, query = own
+            futures = self._submit_units(qi, query, SerialExecutor.submit)
+            submitted.insert(0, (qi, query, futures, None))
         for qi, query, futures, deadline in submitted:
             results[qi] = self._gather(qi, query, futures, deadline, miss_stats)
         final = [result for result in results if result is not None]

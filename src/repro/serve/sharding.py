@@ -60,7 +60,6 @@ ingest, deletes, rolling rebuilds, and replica kills.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -84,7 +83,7 @@ from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
 from repro.indexes.ghtree import GHTree
 from repro.indexes.gnat import GNAT
-from repro.indexes.kernels import BudgetTracker, _TopK
+from repro.indexes.kernels import BudgetTracker, _TopK, top_k_order
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
@@ -236,15 +235,23 @@ class Query:
         return (self.kind, self.radius, self.k, self.budget, self.epsilon, base)
 
 
+def _nearest(neighbors: Sequence[Neighbor], k: int) -> list[Neighbor]:
+    """The ``k`` least of ``neighbors`` by ``(distance, id)``, closest
+    first: the kernel's selection (:func:`~repro.indexes.kernels.top_k_order`)
+    over their distances and ids, answered with the objects themselves."""
+    n = len(neighbors)
+    dist = np.fromiter((nb.distance for nb in neighbors), np.float64, n)
+    ids = np.fromiter((nb.id for nb in neighbors), np.int64, n)
+    return [neighbors[i] for i in top_k_order(dist, ids, k).tolist()]
+
+
 def merge_knn(candidates: Sequence[Sequence[Neighbor]], k: int) -> list[Neighbor]:
     """Global top-``k`` over per-shard candidate lists (closest first).
 
-    A heap-based selection over all candidates; :class:`Neighbor`
-    orders by ``(distance, id)``, so cross-shard ties at the k-th
-    distance resolve deterministically by global id — identical to a
-    single index over the union of the shards.
+    Ties at the k-th distance resolve by global id (:func:`_nearest`) —
+    identical to a single index over the union of the shards.
     """
-    return heapq.nsmallest(k, (n for shard in candidates for n in shard))
+    return _nearest([n for shard in candidates for n in shard], k)
 
 
 def merge_range(id_lists: Sequence[Sequence[int]]) -> list[int]:
@@ -1226,7 +1233,7 @@ class ShardManager(MetricIndex):
             if not knn:
                 found.sort()
         if knn:
-            found = heapq.nsmallest(kk, found)
+            found = _nearest(found, kk)
         self._record_ok(stats, shard)
         if not approximate:
             return found, None

@@ -214,6 +214,32 @@ class TestDegradation:
         assert result.shards_timed_out >= 1
         assert set(result.ids) <= set(range(len(data)))
 
+    def test_deadline_drops_a_stalled_first_shard(self, data):
+        # A deadline keeps every unit on the pool, so a stall in shard 0
+        # (the first unit a caller would run) cannot hold the batch past
+        # its deadline: shard 1 still answers.
+        manager = ShardManager(data, L2(), n_shards=2, backend="linear")
+        release = threading.Event()
+
+        def stall(qi, shard, attempt):
+            if shard == 0:
+                release.wait(timeout=5.0)
+
+        try:
+            with QueryEngine(
+                manager, workers=2, timeout=0.05, fault_hook=stall
+            ) as engine:
+                started = time.monotonic()
+                outcome = engine.run_batch([Query.range(data[0], 10.0)])
+                elapsed = time.monotonic() - started
+        finally:
+            release.set()
+        result = outcome.results[0]
+        assert elapsed < 2.0
+        assert result.degraded is True
+        assert (result.shards_timed_out, result.shards_ok) == (1, 1)
+        assert result.ids == sorted(manager.shard_ids[1])
+
     def test_no_timeout_waits_for_everything(self, data):
         manager = ShardManager(data, L2(), n_shards=2, backend="linear")
 
@@ -224,6 +250,78 @@ class TestDegradation:
             outcome = engine.run_batch([Query.range(data[0], 10.0)])
         assert outcome.results[0].degraded is False
         assert outcome.results[0].ids == list(range(len(data)))
+
+
+class TestDispatch:
+    """Where units run on a thread pool: with no deadline the caller
+    runs the first query's units itself, in shard order, and the pool
+    runs the rest of the batch."""
+
+    def test_single_query_runs_on_the_calling_thread(self, data):
+        manager = ShardManager(data, L2(), n_shards=3, backend="vpt", rng=0)
+        calls = []
+
+        def record(qi, shard, attempt):
+            calls.append((threading.get_ident(), shard))
+
+        query = Query.knn(data[3], 5)
+        with QueryEngine(
+            manager, executor=ThreadedExecutor(2), fault_hook=record
+        ) as engine:
+            outcome = engine.run_batch([query])
+        me = threading.get_ident()
+        assert calls == [(me, 0), (me, 1), (me, 2)]
+        assert_matches_oracle(
+            outcome.results[0], sequential_answers(data, [query])[0]
+        )
+
+    def test_batch_still_overlaps_units_on_the_pool(self, data, batch):
+        # The first two units to start must be running at the same time:
+        # they meet at a two-party barrier, which breaks (and is recorded)
+        # if the batch ran its units one after another.
+        manager = ShardManager(data, L2(), n_shards=2, backend="vpt", rng=0)
+        barrier = threading.Barrier(2, timeout=5.0)
+        lock = threading.Lock()
+        seen = {"calls": 0, "broken": 0, "threads": set()}
+
+        def meet(qi, shard, attempt):
+            with lock:
+                seen["calls"] += 1
+                first_two = seen["calls"] <= 2
+                seen["threads"].add(threading.get_ident())
+            if first_two:
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    with lock:
+                        seen["broken"] += 1
+
+        queries = (list(batch) * 2)[:16]
+        with QueryEngine(
+            manager, executor=ThreadedExecutor(2), fault_hook=meet
+        ) as engine:
+            outcome = engine.run_batch(queries)
+        assert seen["broken"] == 0
+        assert threading.get_ident() in seen["threads"]
+        assert len(seen["threads"]) == 3
+        for result, expected in zip(
+            outcome.results, sequential_answers(data, queries)
+        ):
+            assert_matches_oracle(result, expected)
+
+    def test_deadline_keeps_every_unit_on_the_pool(self, data):
+        manager = ShardManager(data, L2(), n_shards=2, backend="linear")
+        threads = set()
+
+        def record(qi, shard, attempt):
+            threads.add(threading.get_ident())
+
+        with QueryEngine(
+            manager, workers=2, timeout=5.0, fault_hook=record
+        ) as engine:
+            outcome = engine.run_batch([Query.range(data[0], 0.5)])
+        assert not outcome.results[0].degraded
+        assert threading.get_ident() not in threads
 
 
 class TestBackpressure:

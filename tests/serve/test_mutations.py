@@ -17,7 +17,7 @@ from repro import LinearScan, Neighbor
 from repro.check.invariants import verify_shard_manager
 from repro.metric import L2
 from repro.persist.serialize import index_from_dict, index_to_dict
-from repro.serve import ShardManager
+from repro.serve import Query, QueryEngine, ShardManager
 from repro.serve.sharding import _gather
 from repro.store.sharded import save_shard_stores
 
@@ -157,6 +157,38 @@ class TestMemtableTieBreaks:
                 ]
                 assert manager.knn_search(query, k) == want
                 assert manager.approx_knn_search(query, k)[0] == want
+
+    def test_duplicates_across_shards_and_memtables(self, uniform_data):
+        # Copies of one point in every shard's base and in memtables:
+        # both the base/memtable union and the cross-shard merge cut
+        # inside the tie at distance 0, on the manager and through the
+        # engine.
+        objects = np.array(uniform_data[:48])
+        objects[1:6] = objects[0]  # gid mod 3 places copies in every shard
+        manager = ShardManager(objects, L2(), n_shards=3, backend="vpt", rng=7)
+        ledger = {gid: np.asarray(row) for gid, row in enumerate(objects)}
+        for _ in range(4):
+            ledger[manager.insert(np.array(objects[0]))] = objects[0]
+        manager.delete(2)
+        del ledger[2]
+        copies = {0, 1, 3, 4, 5}
+        assert all(copies & set(ids) for ids in manager.shard_ids)
+        assert all(manager.memtable(shard) for shard in range(3))
+        gids, oracle = live_oracle(manager, ledger)
+        queries = [
+            Query.knn(q, k)
+            for q in (objects[0], (objects[0] + objects[7]) / 2)
+            for k in (1, 2, 5, 8, 9, 12)
+        ]
+        want = [
+            [Neighbor(n.distance, gids[n.id]) for n in oracle.knn_search(q.query, q.k)]
+            for q in queries
+        ]
+        assert [manager.knn_search(q.query, q.k) for q in queries] == want
+        for executor in ("serial", "thread"):
+            with QueryEngine(manager, executor=executor, workers=2) as engine:
+                results = engine.run_batch(queries).results
+            assert [r.neighbors for r in results] == want
 
 
 def _assert_deletes_stay_exact(manager, ledger, victims, queries):

@@ -63,6 +63,32 @@ class TestMergeFunctions:
         a = [Neighbor(0.2, 1), Neighbor(0.4, 0)]
         assert merge_knn([a], 10) == a
 
+    def test_merge_knn_equals_a_full_sort_under_heavy_ties(self):
+        # Few distinct distances, so most cuts fall inside a tie; the
+        # selection must equal sorting every (distance, id) pair.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            ids = rng.permutation(60)
+            lists, start = [], 0
+            for size in rng.integers(0, 15, size=4):
+                lists.append(sorted(
+                    Neighbor(float(rng.integers(0, 4)) / 2, int(i))
+                    for i in ids[start:start + size]
+                ))
+                start += size
+            everything = sorted(n for part in lists for n in part)
+            for k in (0, 1, 3, 7, len(everything), len(everything) + 5):
+                assert merge_knn(lists, k) == everything[:k]
+
+    def test_merge_knn_returns_the_candidate_objects(self):
+        # Integer distances (edit distance) stay integers.
+        a = [Neighbor(1, 3), Neighbor(2, 0)]
+        b = [Neighbor(1, 1)]
+        merged = merge_knn([a, b], 2)
+        assert merged == [Neighbor(1, 1), Neighbor(1, 3)]
+        assert merged[0] is b[0] and merged[1] is a[0]
+        assert all(type(n.distance) is int for n in merged)
+
 
 class TestShardManagerPartition:
     @pytest.mark.parametrize("assignment", ["round-robin", "contiguous"])
