@@ -17,6 +17,12 @@ a store-backed input it hashes the bytes of its ``.rsx`` file, which
 hold the same tables.  Equal build lines mean two code versions build
 the same tree at the same cost.
 
+The sharded inputs (:data:`SHARDED`) are sequential
+:class:`~repro.serve.ShardManager` deployments over one data set each,
+searched through the manager's own entry points with the same mix; their
+``build`` line hashes the persisted manager (every shard's tree and the
+id assignment).
+
 The hash covers, per query of that call and in order: the answer, every
 :class:`~repro.obs.QueryStats` field, the
 :class:`~repro.approx.ApproxReport` (budgeted calls), and the ordered
@@ -48,6 +54,7 @@ from repro.approx import approx_knn_search, approx_range_search
 from repro.datasets import clustered_vectors, uniform_vectors
 from repro.metric import L2, CountingMetric, Metric
 from repro.persist import index_to_dict
+from repro.serve import ShardManager
 from repro.store import open_index, write_store
 
 
@@ -76,6 +83,20 @@ STORED = {
     "store-vpt": "vpt-m2-leaf4",
     "store-mvpt": "mvpt-tight",
     "store-gmvpt": "gmvpt-v3",
+}
+
+
+def _sharded(backend: str, n_shards: int):
+    """A builder of a sequential ``ShardManager`` over ``n_shards``
+    round-robin shards of ``backend``."""
+    return lambda d, m: ShardManager(d, m, n_shards=n_shards, backend=backend, rng=1)
+
+
+#: Sharded inputs: ``name -> (data set, builder(points, metric))``.
+SHARDED = {
+    "shard2-vpt": ("uniform-10kx16", _sharded("vpt", 2)),
+    "shard2-mvpt": ("clustered-25kx20", _sharded("mvpt", 2)),
+    "shard4-mvpt": ("clustered-25kx20", _sharded("mvpt", 4)),
 }
 
 QUERIES = 5
@@ -216,6 +237,15 @@ def run_digest(workdir: Path):
             metric = RecordingMetric(points)
             counting = CountingMetric(metric)
             index = built[family] = builder(points, counting)
+            yield family, data_name, "build", digest_build(index, counting.count)
+            for label, digest in digest_index(index, metric, queries, radius):
+                yield family, data_name, label, digest
+        for family, (on, builder) in SHARDED.items():
+            if on != data_name:
+                continue
+            metric = RecordingMetric(points)
+            counting = CountingMetric(metric)
+            index = builder(points, counting)
             yield family, data_name, "build", digest_build(index, counting.count)
             for label, digest in digest_index(index, metric, queries, radius):
                 yield family, data_name, label, digest
