@@ -42,7 +42,7 @@ from repro._util import RngLike, gather
 from repro.core.gmvptree import GMVPLeafNode
 from repro.core.mvptree import MVPTree
 from repro.indexes import kernels
-from repro.indexes.base import Neighbor
+from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
 
@@ -411,6 +411,10 @@ class DynamicMVPTree(MVPTree):
         )
         live = [n for n in raw if n.id not in self._deleted]
         return live[:k]
+
+    #: Tombstones filter the answer after the search, so a round cannot
+    #: pause: a dynamic tree answers an exact k-NN over shards in one.
+    knn_round = MetricIndex.knn_round
 
     def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
         if k < 1:

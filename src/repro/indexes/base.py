@@ -155,6 +155,23 @@ class MetricIndex(ABC):
         ``trace`` observe the query as in :meth:`range_search`.
         """
 
+    def knn_round(
+        self,
+        query,
+        k: int,
+        *,
+        resume=None,
+        outside=None,
+        stats: Optional["QueryStats"] = None,
+        trace: Optional["TraceSink"] = None,
+    ) -> tuple[list[Neighbor], object]:
+        """One round of an exact k-NN over shards: the tree indexes pause
+        after a first round and resume with other shards' candidates
+        (:func:`repro.indexes.kernels.exact_knn_round`).  Any other index
+        answers in one round: its exact k-NN and ``None`` for the state.
+        """
+        return self.knn_search(query, k, stats=stats, trace=trace), None
+
     def nearest(self, query) -> Neighbor:
         """Convenience: the single nearest neighbor."""
         result = self.knn_search(query, 1)

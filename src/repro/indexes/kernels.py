@@ -88,7 +88,7 @@ from repro.obs.stats import (
     leaf_dist_kind,
     vp_shell_kind,
 )
-from repro.obs.trace import Observation
+from repro.obs.trace import Observation, make_observation
 
 _INF = float("inf")
 _EMPTY_IDS = np.empty(0, dtype=np.intp)
@@ -178,6 +178,12 @@ class TableTree:
     def _is_empty(self) -> bool:
         """Whether the tree holds nothing, without making the view."""
         return self._nodes is None and self._kernel_cache is None
+
+    def knn_round(self, query, k: int, *, resume=None, outside=None, stats=None, trace=None):
+        """One round of an exact k-NN that can pause (:func:`exact_knn_round`)."""
+        k = self.validate_k(k)
+        obs = make_observation(stats, trace)
+        return exact_knn_round(self, query, k, resume=resume, outside=outside, obs=obs)
 
 
 def wire(tables, internals: list, leaves: list):
@@ -524,6 +530,18 @@ class ApproxOutcome(NamedTuple):
 _NO_OUTCOME = ApproxOutcome(0, False, 0, _INF)
 
 
+class Paused(NamedTuple):
+    """An exact k-NN frontier stopped at an iteration boundary
+    (:func:`exact_knn_round`): the frontier rows still to expand, the k-best so
+    far and the distances paid.  Plain arrays and an int, so it pickles
+    and resumes in any process that holds the same tree."""
+
+    front: np.ndarray
+    dist: np.ndarray
+    ids: np.ndarray
+    spent: int
+
+
 def top_k_order(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Positions of the ``k`` least ``(distance, id)`` pairs, closest
     first: an ``argpartition`` keeps every tie of the k-th distance and
@@ -537,20 +555,43 @@ def top_k_order(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 class _TopK:
     """Running k-best set with exact ``(distance, id)`` tie-breaks, kept
     as sorted numpy arrays (:func:`top_k_order`).  The set depends on
-    the merged values alone, so batch order cannot change the answer."""
+    the merged values alone, so batch order cannot change the answer.
 
-    __slots__ = ("k", "dist", "ids")
+    ``outside`` holds the distances of candidates found elsewhere (other
+    shards of one exact k-NN): the threshold is then the k-th smallest
+    over the k-best and ``outside`` together, while the k-best itself
+    stays this search's own.
+    """
 
-    def __init__(self, k: int):
+    __slots__ = ("k", "dist", "ids", "outside", "bound")
+
+    def __init__(
+        self,
+        k: int,
+        outside: np.ndarray = _EMPTY_F64,
+        dist: np.ndarray = _EMPTY_F64,
+        ids: np.ndarray = _EMPTY_IDS,
+    ):
         self.k = k
-        self.dist = _EMPTY_F64
-        self.ids = _EMPTY_IDS
+        self.dist = dist
+        self.ids = ids
+        self.outside = outside
+        self.bound = _INF
+        self._rebound()
+
+    def _rebound(self) -> None:
+        dist, k = self.dist, self.k
+        if self.outside.size:
+            dist = np.concatenate((dist, self.outside))
+            if dist.size >= k:
+                dist.partition(k - 1)
+        self.bound = float(dist[k - 1]) if dist.size >= k else _INF
 
     def full(self) -> bool:
         return self.dist.size == self.k
 
     def threshold(self) -> float:
-        return float(self.dist[-1]) if self.dist.size == self.k else _INF
+        return self.bound
 
     def add(self, distances: np.ndarray, ids: np.ndarray) -> None:
         k = self.k
@@ -563,6 +604,7 @@ class _TopK:
         ids = np.concatenate((self.ids, ids))
         order = top_k_order(dist, ids, k)
         self.dist, self.ids = dist[order], ids[order]
+        self._rebound()
 
     def answer(self) -> list[Neighbor]:
         return [Neighbor(d, i) for d, i in zip(self.dist.tolist(), self.ids.tolist())]
@@ -771,13 +813,23 @@ def _book_by_bound(book, kinds, parts, count: int, limit: float) -> None:
             book(kind, n)
 
 
-def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind):
+def _frontier(
+    tree, adapter, query, sink, approximation, budget, obs, stale_kind,
+    pause=0, resume=None,
+):
     """The frontier loop (see the section comment above).
 
     ``sink`` is a :class:`_TopK` or :class:`_Hits`; returns its answer
     and the :class:`ApproxOutcome`.  ``stale_kind`` books every prune
     the threshold decides, except in an exact range search, which books
     each to its own bound.
+
+    An exact k-NN may also pause and resume (:func:`exact_knn_round`): with
+    ``pause`` set, the loop stops at the first iteration boundary with
+    that many distances paid and work left, and returns a
+    :class:`Paused` state in place of the outcome (and no answer: the
+    k-best so far is in the state); ``resume`` continues such a state
+    where it stopped, on the same schedule.
     """
     objects = tree._objects
     tracker = BudgetTracker(budget)
@@ -811,12 +863,17 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
         threshold = sink.threshold()
         return threshold + slack(threshold)
 
-    front = adapter.root()
+    if resume is None:
+        front = adapter.root()
+    else:
+        # A copy: expanding rows writes their PATH columns in place.
+        front = resume.front.copy()
+        tracker.spent = resume.spent
     dropped: list[np.ndarray] = []  # child rows the threshold dropped
     dropped_points: list[np.ndarray] = []  # their lower bounds
     stranded: list[np.ndarray] = []  # frontier rows the budget never opened
     stranded_points = _EMPTY_F64  # leaf points the budget never paid
-    cut = False
+    cut = paused = False
 
     while True:
         if whole:
@@ -833,6 +890,9 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             take = int(front[:admitted, _COST].cumsum().searchsorted(cap, "right"))
             take = min(admitted, max(1, take))
         if not take:
+            break
+        if pause and tracker.spent >= pause:
+            paused = True
             break
         batch, front = front[:take], front[take:]
 
@@ -927,7 +987,7 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
     limit = threshold + slack(threshold)
     missed = 0
     min_missed_lb = _INF
-    if not cut:
+    if not (cut or paused):
         dropped.append(front)
     groups = [(rows, False) for rows in dropped] + [(rows, True) for rows in stranded]
     groups += [(lower, False) for lower in dropped_points]
@@ -955,7 +1015,59 @@ def _frontier(tree, adapter, query, sink, approximation, budget, obs, stale_kind
             if n_in:
                 book(PRUNE_BUDGET if budget_cut else stale_kind, n_in)
 
+    if paused:
+        return [], Paused(front, sink.dist, sink.ids, tracker.spent)
     return sink.answer(), ApproxOutcome(tracker.spent, cut, missed, min_missed_lb)
+
+
+#: An exact k-NN's first round pauses at the first iteration boundary
+#: where it has paid ``PAUSE_PER_K * k`` distances.  Measured on the
+#: clustered ``mvpt`` shards (``docs/serving.md``): 64 saved the most
+#: distances per query against 16, 32 and 128.
+PAUSE_PER_K = 64
+
+
+def exact_knn_round(
+    tree,
+    query,
+    k: int,
+    *,
+    resume: Optional[Paused] = None,
+    outside: Optional[np.ndarray] = None,
+    obs: Optional[Observation] = None,
+) -> tuple[list[Neighbor], Optional[Paused]]:
+    """One round of an exact k-NN whose threshold other shards'
+    candidates can tighten (``docs/serving.md``).
+
+    With ``outside=None`` it is a first round: the exact frontier runs
+    to its first iteration boundary with ``PAUSE_PER_K * k`` distances
+    paid and returns ``[]`` and the :class:`Paused` state, whose
+    ``dist``/``ids`` are its k-best so far, or finishes before that and
+    returns its answer and ``None``.
+    Given ``outside``, the distances of candidates found elsewhere
+    (possibly none), it resumes ``resume`` (or starts from the root) and
+    runs to the end, pruning with the k-th smallest distance over its
+    own k-best and ``outside``.  A bound only ever drops what lies
+    definitely beyond it, so ties at it are paid, and the k-best stays
+    this search's own: every point closer than the k-th distance over
+    all shards is found.
+    """
+    adapter = _approx_adapter(tree)
+    if adapter is None:
+        return [], None
+    if resume is None:
+        sink = _TopK(k, _as_distances(outside))
+    else:
+        sink = _TopK(k, _as_distances(outside), resume.dist, resume.ids)
+    pause = PAUSE_PER_K * k if outside is None else 0
+    answer, state = _frontier(
+        tree, adapter, query, sink, 1.0, None, obs, PRUNE_KNN_RADIUS, pause, resume
+    )
+    return answer, state if pause and isinstance(state, Paused) else None
+
+
+def _as_distances(values) -> np.ndarray:
+    return _EMPTY_F64 if values is None else np.asarray(values, dtype=np.float64)
 
 
 def approx_tree_knn(

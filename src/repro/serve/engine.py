@@ -78,12 +78,14 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.serve.cache import DistanceCacheMetric, LRUCache
 from repro.serve.procpool import ProcessExecutor
 from repro.serve.sharding import (
+    PausedShard,
     Query,
     ReplicaUnavailable,
     ShardManager,
     merge_knn,
     merge_range,
     search,
+    second_round,
     unit_query,
 )
 
@@ -243,13 +245,34 @@ EXECUTOR_KINDS = ("serial", "thread", "process")
 
 @dataclass
 class _UnitOutcome:
-    """What one (query, shard) unit produced."""
+    """What one (query, shard) unit produced.  A first-round unit of a
+    two-round k-NN also returns its shard's ``paused`` state (``None``
+    once the shard finished) and the ``replica`` that answered, where
+    round two resumes."""
 
     ok: bool
     value: object = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: Optional[str] = None
     report: Optional[ApproxReport] = None
+    paused: Optional[PausedShard] = None
+    replica: Optional[int] = None
+
+
+@dataclass
+class _InFlight:
+    """One submitted query: its unit futures in shard order (a shard's
+    round-two unit replaces its first; ``None`` when round two never
+    ran) and the first-round outcomes of shards that went on to round
+    two, whose stats the result still merges."""
+
+    qi: int
+    query: Query
+    submit: Callable
+    futures: list
+    deadline: Optional[float]
+    rounds: bool
+    first: dict = field(default_factory=dict)
 
 
 def _exact_unit_report(kind: str, stats: QueryStats) -> ApproxReport:
@@ -539,22 +562,68 @@ class QueryEngine:
             return value, report
         return search(self.index, query, shard=shard, replica=replica, stats=stats)
 
-    def _unit_replicas(self, shard: Optional[int]) -> list[Optional[int]]:
+    def _round_unit(
+        self,
+        query: Query,
+        shard: int,
+        replica: Optional[int],
+        stats: QueryStats,
+        resume: Optional[PausedShard],
+    ):
+        """One round of a two-round k-NN on one shard
+        (:meth:`ShardManager.shard_round`), in a worker process when the
+        executor has them; returns ``(value, paused state)``."""
+        if isinstance(self.executor, ProcessExecutor):
+            value, remote_stats, state = self.executor.search_round(
+                query, shard, replica, resume
+            )
+            stats.merge(remote_stats)
+            return value, state
+        return self.index.shard_round(
+            shard, query, resume, replica=replica, stats=stats
+        )
+
+    def _two_rounds(self, query: Query) -> bool:
+        """Does ``query`` run as a two-round k-NN: an exact k-NN over a
+        manager with two or more shards?"""
+        return (
+            query.kind == "knn"
+            and not query.is_approximate
+            and isinstance(self.index, ShardManager)
+            and len(self._shard_plan()) > 1
+        )
+
+    def _unit_replicas(
+        self, shard: Optional[int], prefer: Optional[int] = None
+    ) -> list[Optional[int]]:
         """Failover candidates for a unit, preferred replica first.
 
         A replicated manager offers every replica number (dead ones are
-        filtered per round so a replica revived between rounds is used);
-        a plain index or unreplicated manager has the single ``None``
-        target, which resolves to "whatever can answer".
+        filtered per round so a replica revived between rounds is used),
+        ``prefer`` (where a paused shard resumes) first; a plain index
+        or unreplicated manager has the single ``None`` target, which
+        resolves to "whatever can answer".
         """
         index = self.index
         if shard is not None and isinstance(index, ShardManager):
             factor = index.replication_factor
             if factor > 1:
-                return list(range(factor))
+                order = list(range(factor))
+                if prefer is not None:
+                    order.remove(prefer)
+                    order.insert(0, prefer)
+                return order
         return [None]
 
-    def _run_unit(self, qi: int, query: Query, shard: Optional[int]) -> _UnitOutcome:
+    def _run_unit(
+        self,
+        qi: int,
+        query: Query,
+        shard: Optional[int],
+        rounds: bool = False,
+        resume: Optional[PausedShard] = None,
+        prefer: Optional[int] = None,
+    ) -> _UnitOutcome:
         """Execute one unit with failover and retry rounds; never raises.
 
         Each round walks the shard's replicas in order: lost replicas
@@ -569,8 +638,20 @@ class QueryEngine:
         computations really ran (and were charged to the wrapped
         CountingMetric), so dropping them would break the engine's
         stats-equals-counter identity.
+
+        With ``rounds`` the unit is one round of a two-round k-NN
+        (:meth:`_round_unit`): ``resume`` is ``None`` for round one and
+        the shard's paused state for round two, which tries ``prefer``,
+        the replica round one ran on, first.
         """
         stats = QueryStats()
+
+        def attempt_search(replica):
+            if rounds:
+                value, paused = self._round_unit(query, shard, replica, stats, resume)
+                return value, None, paused
+            return (*self._search_unit(query, shard, replica, stats), None)
+
         shard_no = shard if shard is not None else 0
         error: Optional[str] = None
         try:
@@ -583,7 +664,7 @@ class QueryEngine:
                     stats.backoff_total_s += delay
                     self._sleep(delay)
                 failed_this_round = 0
-                for replica in self._unit_replicas(shard):
+                for replica in self._unit_replicas(shard, prefer):
                     replica_no = replica if replica is not None else 0
                     if replica is not None and not self.index.slot_available(
                         shard_no, replica
@@ -600,13 +681,9 @@ class QueryEngine:
                         self._call_fault_hook(qi, shard_no, attempt, replica_no)
                         if self.distance_cache is not None:
                             with self.distance_cache.observe(stats):
-                                value, report = self._search_unit(
-                                    query, shard, replica, stats
-                                )
+                                value, report, paused = attempt_search(replica)
                         else:
-                            value, report = self._search_unit(
-                                query, shard, replica, stats
-                            )
+                            value, report, paused = attempt_search(replica)
                     except Exception as exc:
                         breaker.record_failure()
                         failed_this_round += 1
@@ -616,7 +693,8 @@ class QueryEngine:
                     if failed_this_round:
                         stats.failovers += 1
                     return _UnitOutcome(
-                        ok=True, value=value, stats=stats, report=report
+                        ok=True, value=value, stats=stats, report=report,
+                        paused=paused, replica=replica,
                     )
             if error is None:
                 error = (
@@ -637,7 +715,8 @@ class QueryEngine:
         return [None]
 
     def submit_query(self, qi: int, query: Query) -> list[Future]:
-        """Submit one query's units to the pool; returns their futures.
+        """Submit one query's units to the pool; returns their futures
+        (for a two-round k-NN, its first round's).
 
         Blocks while the in-flight unit budget (``max_pending``) is
         exhausted — the engine's backpressure: a caller pushing a huge
@@ -647,17 +726,66 @@ class QueryEngine:
         return self._submit_units(qi, query, self.executor.submit)
 
     def _submit_units(self, qi: int, query: Query, submit) -> list[Future]:
-        """One ``submit(self._run_unit, ...)`` per shard, in shard order,
-        each holding a ``max_pending`` permit that the unit releases."""
-        futures: list[Future] = []
-        for shard in self._shard_plan():
-            self._pending.acquire()
-            try:
-                futures.append(submit(self._run_unit, qi, query, shard))
-            except BaseException:  # pragma: no cover - submission failed
-                self._pending.release()
-                raise
-        return futures
+        """One ``submit(self._run_unit, ...)`` per shard, in shard order."""
+        rounds = self._two_rounds(query)
+        return [
+            self._submit(submit, qi, query, shard, rounds)
+            for shard in self._shard_plan()
+        ]
+
+    def _submit(self, submit, *args) -> Future:
+        """``submit(self._run_unit, *args)`` holding a ``max_pending``
+        permit that the unit releases."""
+        self._pending.acquire()
+        try:
+            return submit(self._run_unit, *args)
+        except BaseException:  # pragma: no cover - submission failed
+            self._pending.release()
+            raise
+
+    @staticmethod
+    def _wait(futures: Sequence[Optional[Future]], deadline: Optional[float]) -> set:
+        """Wait until every future is done or the deadline passes;
+        returns the futures still pending."""
+        pending = {f for f in futures if f is not None and not f.done()}
+        while pending:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                break
+            done, pending = wait(
+                pending, timeout=remaining, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                break  # timed out with units still outstanding
+        return pending
+
+    def _second_round(self, item: _InFlight) -> None:
+        """Submit round two of a two-round k-NN once its first round is
+        in: each paused shard resumes with the other shards' round-one
+        candidates (:func:`second_round`) on the replica that paused it.
+        A shard still paused when the deadline passes gets no round two
+        and counts as timed out."""
+        if not item.rounds:
+            return
+        pending = self._wait(item.futures, item.deadline)
+        outcomes = []
+        for future in item.futures:
+            outcome = None if future in pending else future.result()
+            outcomes.append(outcome if outcome is not None and outcome.ok else None)
+        states = second_round(
+            [None if o is None else o.value for o in outcomes],
+            [None if o is None else o.paused for o in outcomes],
+        )
+        late = bool(pending) or (
+            item.deadline is not None and time.monotonic() >= item.deadline
+        )
+        for shard, (outcome, state) in enumerate(zip(outcomes, states)):
+            if state is None:
+                continue
+            item.first[shard] = outcome
+            item.futures[shard] = None if late else self._submit(
+                item.submit, item.qi, item.query, shard, True, state, outcome.replica
+            )
 
     def _cached_result(
         self, qi: int, query: Query, miss_stats: dict[int, QueryStats]
@@ -722,35 +850,21 @@ class QueryEngine:
                 return self._search_unit(downgraded, shard, replica, stats)
         return self._search_unit(downgraded, shard, replica, stats)
 
-    def _gather(
-        self,
-        qi: int,
-        query: Query,
-        futures: list[Future],
-        deadline: Optional[float],
-        miss_stats: dict[int, QueryStats],
-    ) -> QueryResult:
+    def _gather(self, item: _InFlight, miss_stats: dict[int, QueryStats]) -> QueryResult:
         """Assemble one query's result from its unit futures.
 
         Waits until every unit finished or the deadline passed; late
         units are cancelled if still queued, abandoned if running (their
         worker finishes in the background — threads cannot be
-        preempted), and their answers are dropped either way.
+        preempted), and their answers are dropped either way.  A shard
+        that ran two rounds also merges its first round's stats.
         """
+        qi, query = item.qi, item.query
         result = QueryResult(index=qi, kind=query.kind, stats=QueryStats())
         missed = miss_stats.pop(qi, None)
         if missed is not None:
             result.stats.merge(missed)
-        pending = set(futures)
-        while pending:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                break
-            done, pending = wait(
-                pending, timeout=remaining, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                break  # timed out with units still outstanding
+        pending = self._wait(item.futures, item.deadline)
         plan = self._shard_plan()
         shard_sizes = (
             self.index.shard_sizes()
@@ -771,13 +885,16 @@ class QueryEngine:
             if shard is not None:
                 result.stats.record_shard_outcome(shard, flag)
 
-        for shard, future in zip(plan, futures):
+        for shard, future in zip(plan, item.futures):
             shard_no = shard if shard is not None else 0
             size = (
                 len(self.index) if shard_sizes is None else shard_sizes[shard]
             )
-            if future in pending:
-                if future.cancel():
+            first = item.first.get(shard)
+            if first is not None:
+                result.stats.merge(first.stats)
+            if future is None or future in pending:
+                if future is not None and future.cancel():
                     # A cancelled unit never runs, so _run_unit's finally
                     # can't release its backpressure permit — do it here.
                     self._pending.release()
@@ -877,12 +994,17 @@ class QueryEngine:
         threads buys no parallelism under the GIL, only hand-offs.  A
         batch with a deadline keeps every unit on the pool so the caller
         stays free to enforce it.
+
+        An exact k-NN over two or more shards runs in two rounds
+        (``docs/serving.md``): once a query's first-round units are in,
+        its paused shards resume as round-two units through the same
+        executor, within the same deadline.
         """
         deadline_s = self.timeout if timeout is None else timeout
         start = time.perf_counter()
         miss_stats: dict[int, QueryStats] = {}
         results: list[Optional[QueryResult]] = [None] * len(queries)
-        submitted: list[tuple[int, Query, list[Future], Optional[float]]] = []
+        submitted: list[_InFlight] = []
         caller_runs = deadline_s is None and isinstance(
             self.executor, ThreadedExecutor
         )
@@ -899,13 +1021,23 @@ class QueryEngine:
             deadline = (
                 None if deadline_s is None else time.monotonic() + deadline_s
             )
-            submitted.append((qi, query, futures, deadline))
+            submitted.append(
+                _InFlight(
+                    qi, query, self.executor.submit, futures, deadline,
+                    self._two_rounds(query),
+                )
+            )
         if own is not None:
             qi, query = own
-            futures = self._submit_units(qi, query, SerialExecutor.submit)
-            submitted.insert(0, (qi, query, futures, None))
-        for qi, query, futures, deadline in submitted:
-            results[qi] = self._gather(qi, query, futures, deadline, miss_stats)
+            submit = SerialExecutor.submit
+            futures = self._submit_units(qi, query, submit)
+            submitted.insert(
+                0, _InFlight(qi, query, submit, futures, None, self._two_rounds(query))
+            )
+        for item in submitted:
+            self._second_round(item)
+        for item in submitted:
+            results[item.qi] = self._gather(item, miss_stats)
         final = [result for result in results if result is not None]
         return BatchResult(
             results=final,

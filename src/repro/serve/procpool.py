@@ -78,9 +78,9 @@ from typing import Optional
 from repro.approx import ApproxReport
 from repro.indexes.base import MetricIndex
 from repro.obs.stats import QueryStats
-from repro.serve.sharding import Query, search
+from repro.serve.sharding import PausedShard, Query, search
 from repro.store.spec import MetricSpec
-from repro.store.worker import remote_store_search
+from repro.store.worker import remote_store_round, remote_store_search
 
 #: Indexes visible to fork workers, keyed by registration token.  Entries
 #: added *before* a pool forks are inherited copy-on-write by its
@@ -132,15 +132,39 @@ def _remote_search(
     failover logic unchanged.  ``query.budget`` arrives already split
     per shard by the engine.
     """
+    stats = QueryStats()
+    value, report = search(
+        _registered(token), query, shard=shard, replica=replica, stats=stats
+    )
+    return value, stats, report
+
+
+def _remote_round(
+    token: int,
+    query: Query,
+    shard: int,
+    replica: Optional[int],
+    resume: Optional[PausedShard],
+) -> tuple[object, QueryStats, Optional[PausedShard]]:
+    """One round of a two-round k-NN inside a worker
+    (:meth:`~repro.serve.sharding.ShardManager.shard_round`); the paused
+    state rides back with the value and the worker-side stats."""
+    stats = QueryStats()
+    value, state = _registered(token).shard_round(
+        shard, query, resume, replica=replica, stats=stats
+    )
+    return value, stats, state
+
+
+def _registered(token: int) -> MetricIndex:
+    """The index registered under ``token`` before this worker forked."""
     index = _FORK_REGISTRY.get(token)
     if index is None:
         raise RuntimeError(
             f"fork registry has no index for token {token}; the worker "
             "predates the registration (pool built before the index?)"
         )
-    stats = QueryStats()
-    value, report = search(index, query, shard=shard, replica=replica, stats=stats)
-    return value, stats, report
+    return index
 
 
 class ProcessExecutor:
@@ -306,6 +330,31 @@ class ProcessExecutor:
             return [], QueryStats(), None
         future = self._processes.submit(
             remote_store_search, path, self._metric_spec, query
+        )
+        return future.result()
+
+    def search_round(
+        self,
+        query: Query,
+        shard: int,
+        replica: Optional[int],
+        resume: Optional[PausedShard],
+    ) -> tuple[object, QueryStats, Optional[PausedShard]]:
+        """Dispatch one round of a two-round k-NN to a worker (see
+        :meth:`search`); returns ``(value, stats, paused state)``.  The
+        state pickles, so round two may run in any worker: one holding
+        the same shard resumes it, and a disk-backed worker that finds
+        the store file replaced searches it again from the root."""
+        if self._store_paths is None:
+            future = self._processes.submit(
+                _remote_round, self.token, query, shard, replica, resume
+            )
+            return future.result()
+        path = self._store_paths.get((shard, replica or 0))
+        if path is None:
+            return [], QueryStats(), None
+        future = self._processes.submit(
+            remote_store_round, path, self._metric_spec, query, resume
         )
         return future.result()
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
 from repro.indexes.ghtree import GHTree
 from repro.indexes.gnat import GNAT
-from repro.indexes.kernels import BudgetTracker, _TopK, top_k_order
+from repro.indexes.kernels import BudgetTracker, Paused, _TopK, top_k_order
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
@@ -350,23 +350,87 @@ class _ShardView:
 
     ``index`` may be ``None`` for a base-less slot (a shard created by
     a split, or one emptied into its memtable) — then every live point
-    is in ``extra_ids``/``extra_rows``, the memtable entries this slot's
-    base does not cover.
+    is in ``extra_ids`` (rows: :meth:`extra_rows`), the memtable entries
+    this slot's base does not cover.
     """
 
-    __slots__ = ("index", "ids", "dead", "n_live", "extra_ids", "extra_rows")
+    __slots__ = ("index", "ids", "dead", "n_live", "extra_ids", "source", "version")
 
-    def __init__(self, index, ids, dead, n_live, extra_ids, extra_rows):
+    def __init__(
+        self, index, ids, dead, n_live, extra_ids=(), source=None, version=()
+    ):
         self.index: Optional[MetricIndex] = index
         self.ids: Sequence[int] = ids
         self.dead: frozenset[int] = dead
         self.n_live: int = n_live
         self.extra_ids: Sequence[int] = extra_ids
-        self.extra_rows = extra_rows
+        # (dataset, tail) the memtable rows come from.
+        self.source = source
+        # (epoch, replica, base size) when the view was taken.
+        self.version = version
+
+    def extra_rows(self):
+        """The memtable entries' rows, gathered when a search scans
+        them, after the lock is released: the dataset never changes
+        and the tail only grows, so the snapshotted ids stay readable."""
+        return _gather(*self.source, self.extra_ids)
 
     @property
     def mutated(self) -> bool:
         return bool(self.dead or self.extra_ids)
+
+    @property
+    def stamp(self) -> tuple:
+        """What a paused search over this view ran on: the slot's
+        version, its tombstones and its memtable rows.  Plain ints, so
+        it compares equal in every process holding the same slot."""
+        dead = self.dead
+        return (*self.version, len(dead), hash(dead), tuple(self.extra_ids))
+
+
+class PausedShard(NamedTuple):
+    """One shard's exact k-NN between its two rounds (``docs/serving.md``).
+
+    ``frontier`` is the base tree's paused search
+    (:class:`~repro.indexes.kernels.Paused`); ``stamp`` names what it ran
+    over (:attr:`_ShardView.stamp`, or a store file's path and stat);
+    ``extra`` holds the memtable neighbours round one paid for, and
+    ``near`` the distances of the shard's live k-best so far, which the
+    other shards prune with.  ``outside``, set for round two by
+    :func:`second_round`, holds those of the other shards.  Everything
+    pickles, so a state travels to a process worker and back.
+    """
+
+    frontier: Paused
+    stamp: tuple
+    extra: list
+    near: np.ndarray
+    outside: Optional[np.ndarray] = None
+
+
+def second_round(
+    values: Sequence[Optional[Sequence[Neighbor]]],
+    paused: Sequence[Optional[PausedShard]],
+) -> list[Optional[PausedShard]]:
+    """Round-two states of an exact k-NN: each paused shard's state with
+    the other shards' round-one candidate distances as its ``outside``
+    (a paused shard's ``near``, a finished shard's answer, nothing from
+    a shard that gave none: ``None`` in ``values``); ``None`` for a
+    shard that finished."""
+    dists = [
+        state.near if state is not None
+        else None if not value
+        else np.fromiter((n.distance for n in value), np.float64, len(value))
+        for value, state in zip(values, paused)
+    ]
+    states: list[Optional[PausedShard]] = []
+    for shard, state in enumerate(paused):
+        if state is not None:
+            others = [d for t, d in enumerate(dists) if t != shard and d is not None]
+            outside = np.concatenate(others) if others else np.zeros(0)
+            state = state._replace(outside=outside)
+        states.append(state)
+    return states
 
 
 class ShardManager(MetricIndex):
@@ -684,7 +748,7 @@ class ShardManager(MetricIndex):
         return not self._slots[replica][shard].ids
 
     def _resolve_locked(self, shard: int, replica: Optional[int]):  # guarded-by: _replicas_lock
-        """The ``(index, slot)`` a shard search should run on.
+        """The ``(replica, index, slot)`` a shard search should run on.
 
         ``replica=None`` picks the first available slot (the sequential
         path); a specific replica must itself be available.  Raises
@@ -698,12 +762,12 @@ class ShardManager(MetricIndex):
                 raise ReplicaUnavailable(
                     f"shard {shard} replica {replica} is unavailable"
                 )
-            return index, slot
+            return replica, index, slot
         for r in range(self.replication_factor):
             index = self._replicas[r][shard]
             slot = self._slots[r][shard]
             if index is not None or not slot.ids:
-                return index, slot
+                return r, index, slot
         raise ReplicaUnavailable(
             f"shard {shard} has no live replica "
             f"(replication_factor={self.replication_factor})"
@@ -1075,9 +1139,10 @@ class ShardManager(MetricIndex):
     def _slot_snapshot(self, shard: int, replica: Optional[int]) -> _ShardView:
         """One consistent view of a shard for a search.
 
-        Resolves the serving slot, snapshots its tombstones, and gathers
-        rows for every memtable entry its base does not cover — all
-        under one lock hold.  The search itself runs outside the lock
+        Resolves the serving slot, snapshots its tombstones, and lists
+        every memtable entry its base does not cover — all under one
+        lock hold (their rows are gathered later, see
+        :meth:`_ShardView.extra_rows`).  The search itself runs outside the lock
         against the view: a swap only ever *detaches* the old base
         (never mutates it), so an in-flight query finishes exactly
         against the epoch it snapshotted.
@@ -1085,8 +1150,8 @@ class ShardManager(MetricIndex):
         with self._replicas_lock:
             live = self._shard_ids[shard]
             if not live:
-                return _ShardView(None, (), frozenset(), 0, (), None)
-            index, slot = self._resolve_locked(shard, replica)
+                return _ShardView(None, (), frozenset(), 0)
+            r, index, slot = self._resolve_locked(shard, replica)
             dead = frozenset(slot.dead)
             mem = self._memtables[shard]
             extra: list[int] = []
@@ -1101,8 +1166,11 @@ class ShardManager(MetricIndex):
                     for gid in mem
                     if gid not in id_set or gid in dead
                 ]
-            extra_rows = _gather(self._objects, self._tail, extra) if extra else None
-            return _ShardView(index, slot.ids, dead, len(live), extra, extra_rows)
+            version = (self._epochs[shard], r, len(slot.ids))
+            return _ShardView(
+                index, slot.ids, dead, len(live), extra,
+                (self._objects, self._tail), version,
+            )
 
     @staticmethod
     def _record_ok(stats: Optional[QueryStats], shard: int) -> None:
@@ -1208,7 +1276,7 @@ class ShardManager(MetricIndex):
                     remaining = max(0, remaining - report.spent)
         if view.extra_ids:
             distances, take, spent, missed = self._scan_memtable(
-                view.extra_rows, query.query, remaining, stats=stats, trace=trace
+                view.extra_rows(), query.query, remaining, stats=stats, trace=trace
             )
             if knn:
                 top = _TopK(kk)
@@ -1242,6 +1310,74 @@ class ShardManager(MetricIndex):
             epsilon=query.epsilon, target=kk if knn else None,
         )
 
+    def shard_round(
+        self,
+        shard: int,
+        query: Query,
+        resume: Optional[PausedShard] = None,
+        *,
+        replica: Optional[int] = None,
+        stats: Optional[QueryStats] = None,
+        trace: Optional[TraceSink] = None,
+    ) -> tuple[list[Neighbor], Optional[PausedShard]]:
+        """One round of an exact k-NN on one shard; returns ``(value,
+        state)``: the shard's live top-``k`` in global ids and ``None``
+        once it finished, or ``[]`` and its :class:`PausedShard`.
+
+        Round one (``resume=None``) searches the base with
+        ``MetricIndex.knn_round``, which a tree pauses at a fixed spend,
+        and scans the memtable in full.  Round two (``resume`` from
+        :func:`second_round`) continues the paused base search, pruning
+        with the k-th smallest distance over its own k-best, its
+        memtable neighbours and ``resume.outside``, so nothing is paid
+        twice.  If the slot changed between the rounds (another replica,
+        a swap, a write: the :attr:`_ShardView.stamp` differs), the shard
+        is searched again from the root with that threshold instead,
+        which is exact and counts as a retry.
+        """
+        view = self._slot_snapshot(shard, replica)
+        kk = min(query.k, view.n_live)
+        frontier = outside = None
+        extra: list[Neighbor] = []
+        if resume is not None:
+            outside = resume.outside
+            if resume.stamp == view.stamp:
+                frontier, extra = resume.frontier, resume.extra
+                outside = np.concatenate((outside, [n.distance for n in extra]))
+            elif stats is not None:
+                stats.retries += 1
+        found: list[Neighbor] = []
+        state = None
+        ids, dead = view.ids, view.dead
+        if view.index is not None and ids:
+            local, state = view.index.knn_round(
+                query.query, min(kk + len(dead), len(ids)),
+                resume=frontier, outside=outside, stats=stats, trace=trace,
+            )
+            found = [
+                Neighbor(n.distance, int(ids[n.id]))
+                for n in local
+                if ids[n.id] not in dead
+            ]
+        if frontier is None and view.extra_ids:
+            distances = self._scan_memtable(
+                view.extra_rows(), query.query, None, stats=stats, trace=trace
+            )[0]
+            top = _TopK(kk)
+            top.add(distances, np.asarray(view.extra_ids, dtype=np.int64))
+            extra = top.answer()
+        self._record_ok(stats, shard)
+        if state is not None:
+            # The live k-best so far, for the other shards to prune with.
+            near = state.dist
+            if dead:
+                near = near[[ids[i] not in dead for i in state.ids.tolist()]]
+            near = np.sort(np.concatenate((near, [n.distance for n in extra])))[:kk]
+            return [], PausedShard(state, view.stamp, extra, near)
+        if view.mutated:
+            found = _nearest(found + extra, kk)
+        return found, None
+
     def search(
         self,
         query: Query,
@@ -1254,7 +1390,9 @@ class ShardManager(MetricIndex):
 
         Each shard runs its deterministic slice of the budget
         (:func:`unit_query`), the same allowance the concurrent engine
-        hands it, so both paths answer identically.  Returns
+        hands it, so both paths answer identically.  An exact k-NN over
+        two or more shards runs in two rounds (:meth:`shard_round`,
+        :func:`second_round`), as the engine runs it.  Returns
         ``(value, report)`` like :meth:`shard_search`, the report being
         the exact cross-shard certificate merge.
         """
@@ -1266,6 +1404,8 @@ class ShardManager(MetricIndex):
         else:
             self.validate_radius(query.radius)
         n_shards = self.n_shards
+        if knn and not approximate and n_shards > 1:
+            return merge_knn(self._knn_rounds(query, n_shards, stats, trace), k), None
         values, reports = [], []
         for shard in range(n_shards):
             value, report = self.shard_search(
@@ -1281,6 +1421,22 @@ class ShardManager(MetricIndex):
             query.kind, reports, merged, budget=query.budget,
             epsilon=query.epsilon, target=k if knn else None,
         )
+
+    def _knn_rounds(self, query: Query, n_shards: int, stats, trace) -> list:
+        """Both rounds of an exact k-NN, shard after shard; returns each
+        shard's final candidates."""
+        rounds = [
+            self.shard_round(shard, query, stats=stats, trace=trace)
+            for shard in range(n_shards)
+        ]
+        values = [value for value, _ in rounds]
+        states = second_round(values, [state for _, state in rounds])
+        for shard, state in enumerate(states):
+            if state is not None:
+                values[shard] = self.shard_round(
+                    shard, query, state, stats=stats, trace=trace
+                )[0]
+        return values
 
     # Thin per-kind entry points over search()/shard_search(): the
     # MetricIndex interface, plus the names benchmark and test code call.

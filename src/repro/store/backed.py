@@ -249,6 +249,19 @@ class StoreBackedIndex(MetricIndex):
         merged.sort()
         return [Neighbor(d, i) for d, i in merged[:k]]
 
+    def knn_round(self, query, k: int, *, resume=None, outside=None, stats=None, trace=None):
+        """One round of an exact k-NN over shards: a tree store without
+        a delta tail pauses and resumes like the tree itself
+        (:func:`repro.indexes.kernels.exact_knn_round`); any other store
+        answers in one round."""
+        if self._delta_rows is None and isinstance(self._impl, kernels.TableTree):
+            return self._impl.knn_round(
+                query, k, resume=resume, outside=outside, stats=stats, trace=trace
+            )
+        return super().knn_round(
+            query, k, resume=resume, outside=outside, stats=stats, trace=trace
+        )
+
     # ------------------------------------------------------------------
     # Ids & lifecycle
     # ------------------------------------------------------------------

@@ -38,16 +38,22 @@ def open_worker_index(path: str, metric_spec: MetricSpec) -> StoreBackedIndex:
     rebuild is refused here (the exception travels to the parent's
     failover logic) rather than answering from bad bytes.
     """
+    return _open(path, metric_spec)[1]
+
+
+def _open(path: str, metric_spec: MetricSpec):
+    """``((mtime_ns, size), index)`` for ``path``: the stat the open
+    index was read at, and the index (:func:`open_worker_index`)."""
     stat = os.stat(path)
     key = (stat.st_mtime_ns, stat.st_size)
     cached = _STORE_CACHE.get(path)
     if cached is not None and cached[0] == key:
-        return cached[1]
+        return cached
     index = open_index(path, metric_from_spec(metric_spec))
     if cached is not None:
         cached[1].close()
     _STORE_CACHE[path] = (key, index)
-    return index
+    return key, index
 
 
 def remote_store_search(
@@ -70,6 +76,40 @@ def remote_store_search(
     local, report = search(index, query, stats=stats)
     if query.kind == "range":
         return index.to_global(local), stats, report
+    return _global_neighbors(index, local), stats, report
+
+
+def remote_store_round(
+    path: str, metric_spec: MetricSpec, query, resume
+) -> tuple[list[Neighbor], QueryStats, object]:
+    """One round of a two-round exact k-NN from the shard's store file
+    (:meth:`~repro.serve.sharding.ShardManager.shard_round` for a
+    store).  The paused state is stamped with the path and the stat the
+    index was read at; a round two that finds the file replaced
+    searches it again from the root with the round's threshold, which
+    is exact and counts as a retry.  Returns ``(value, stats, state)``.
+    """
+    from repro.serve.sharding import PausedShard
+
+    key, index = _open(path, metric_spec)
+    stamp = (path, *key)
+    stats = QueryStats()
+    frontier = outside = None
+    if resume is not None:
+        outside = resume.outside
+        if resume.stamp == stamp:
+            frontier = resume.frontier
+        else:
+            stats.retries += 1
+    local, state = index.knn_round(
+        query.query, query.k, resume=frontier, outside=outside, stats=stats
+    )
+    if state is not None:
+        state = PausedShard(state, stamp, [], state.dist)
+    return _global_neighbors(index, local), stats, state
+
+
+def _global_neighbors(index: StoreBackedIndex, local) -> list[Neighbor]:
+    """``local`` neighbours with the global ids the store records."""
     globals_ = index.to_global([n.id for n in local])
-    neighbors = [Neighbor(n.distance, g) for n, g in zip(local, globals_)]
-    return neighbors, stats, report
+    return [Neighbor(n.distance, g) for n, g in zip(local, globals_)]
