@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs.trace import Observation
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Neighbor:
     """A query answer: the object's id and its distance from the query.
 
