@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,6 +50,11 @@ class SimulatedCostMetric(Metric):
     amortise per-call overhead in real metrics too).  ``time.sleep``
     releases the GIL, so the simulated cost parallelises exactly like a
     C-implemented metric would.
+
+    ``peak`` is the most sleeps ever in flight at once: 1 when every
+    evaluation ran back to back, 2 or more once two threads overlapped
+    their costs.  Unlike a wall-clock speed-up it does not depend on
+    how busy the host is.
     """
 
     def __init__(self, inner: Metric, cost_s: float):
@@ -56,15 +62,28 @@ class SimulatedCostMetric(Metric):
             raise ValueError(f"cost_s must be >= 0, got {cost_s}")
         self.inner = inner
         self.cost_s = cost_s
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    def _sleep(self) -> None:
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(self.cost_s)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
     def distance(self, a, b) -> float:
         if self.cost_s:
-            time.sleep(self.cost_s)
+            self._sleep()
         return self.inner.distance(a, b)
 
     def batch_distance(self, xs: Sequence, y) -> np.ndarray:
         if self.cost_s:
-            time.sleep(self.cost_s)
+            self._sleep()
         return self.inner.batch_distance(xs, y)
 
 

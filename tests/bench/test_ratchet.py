@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.ratchet import (
@@ -10,7 +11,15 @@ from repro.bench.ratchet import (
     ratchet_main,
     rerun_baseline_config,
 )
-from repro.bench.throughput import SERVE_SCHEMA, run_throughput
+from repro.bench.throughput import (
+    SERVE_SCHEMA,
+    SimulatedCostMetric,
+    make_batch,
+    run_throughput,
+)
+from repro.datasets import uniform_vectors
+from repro.metric import L2
+from repro.serve import QueryEngine, ShardManager
 
 
 def small_baseline(tmp_path, **overrides):
@@ -60,15 +69,25 @@ class TestRerun:
         )
 
     def test_engine_overlaps_simulated_cost(self):
-        """The timing the pinned config relies on, over enough queries
-        to be stable: with a sleep per metric call, two workers overlap
-        the sleeps that one sequential loop pays back to back."""
-        result = run_throughput(
-            n=120, dim=4, n_shards=2, workers=2, n_queries=16, seed=2,
-            simulated_cost_s=5e-4, measure_latency=False,
-        )
-        assert result.results_identical
-        assert result.speedup > 1.2
+        """What the pinned config's speed-up rests on, without a clock:
+        with a sleep per metric call, the thread executor has two
+        sleeps in flight at once."""
+        assert _peak_sleeps("thread") >= 2
+
+    def test_serial_loop_sleeps_one_at_a_time(self):
+        assert _peak_sleeps("serial") == 1
+
+
+def _peak_sleeps(executor: str) -> int:
+    """The most simulated-cost sleeps in flight at once while a
+    two-worker engine answers a mixed batch."""
+    metric = SimulatedCostMetric(L2(), 5e-4)
+    data = uniform_vectors(120, dim=4, rng=2)
+    manager = ShardManager(data, metric, n_shards=2, backend="vpt", rng=2)
+    batch = make_batch(16, 4, 0.4, 5, np.random.default_rng(3))
+    with QueryEngine(manager, executor=executor, workers=2) as engine:
+        engine.run_batch(batch)
+    return metric.peak
 
 
 class TestRatchetMain:
