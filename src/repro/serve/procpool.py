@@ -22,7 +22,9 @@ throughput.  The :class:`ProcessExecutor` fixes that by running the
   :func:`repro.serve.sharding.search` an in-thread unit runs — crosses
   the process boundary, returning a picklable ``(value, QueryStats,
   ApproxReport | None)`` triple that the parent merges into the unit's
-  stats (the report is ``None`` on the exact tier).
+  stats (the report is ``None`` on the exact tier).  One round of a
+  two-round exact k-NN crosses the same way (:func:`_remote_round`),
+  its paused state riding back in place of the report.
 * **Parent-side replica state is authoritative.**  Workers never see
   replicas dropped *after* the fork (their copy-on-write snapshot still
   has them), which is safe precisely because the engine checks
@@ -318,20 +320,7 @@ class ProcessExecutor:
         store path; a slot with no file (empty shard, unsaved replica)
         answers empty without leaving the parent.
         """
-        if self._store_paths is None:
-            future = self._processes.submit(
-                _remote_search, self.token, query, shard, replica
-            )
-            return future.result()
-        path = self._store_paths.get((shard or 0, replica or 0))
-        if path is None:
-            # Nothing to search: exact-empty, so no report needed —
-            # the engine phrases it as a zero-mass certificate.
-            return [], QueryStats(), None
-        future = self._processes.submit(
-            remote_store_search, path, self._metric_spec, query
-        )
-        return future.result()
+        return self._dispatch(_remote_search, remote_store_search, query, shard, replica)
 
     def search_round(
         self,
@@ -345,16 +334,26 @@ class ProcessExecutor:
         state pickles, so round two may run in any worker: one holding
         the same shard resumes it, and a disk-backed worker that finds
         the store file replaced searches it again from the root."""
+        return self._dispatch(
+            _remote_round, remote_store_round, query, shard, replica, resume
+        )
+
+    def _dispatch(self, registered, stored, query, shard, replica, *rest):
+        """Run ``registered(token, query, shard, replica, *rest)`` in a
+        worker, or in disk-backed mode ``stored(path, metric spec,
+        query, *rest)`` on the ``(shard, replica)`` store."""
         if self._store_paths is None:
             future = self._processes.submit(
-                _remote_round, self.token, query, shard, replica, resume
+                registered, self.token, query, shard, replica, *rest
             )
             return future.result()
-        path = self._store_paths.get((shard, replica or 0))
+        path = self._store_paths.get((shard or 0, replica or 0))
         if path is None:
+            # Nothing to search: exact-empty, so no report needed —
+            # the engine phrases it as a zero-mass certificate.
             return [], QueryStats(), None
         future = self._processes.submit(
-            remote_store_round, path, self._metric_spec, query, resume
+            stored, path, self._metric_spec, query, *rest
         )
         return future.result()
 

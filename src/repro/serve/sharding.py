@@ -1370,10 +1370,11 @@ class ShardManager(MetricIndex):
         if state is not None:
             # The live k-best so far, for the other shards to prune with.
             near = state.dist
-            if dead:
-                near = near[[ids[i] not in dead for i in state.ids.tolist()]]
-            near = np.sort(np.concatenate((near, [n.distance for n in extra])))[:kk]
-            return [], PausedShard(state, view.stamp, extra, near)
+            if view.mutated:
+                if dead:
+                    near = near[[ids[i] not in dead for i in state.ids.tolist()]]
+                near = np.sort(np.concatenate((near, [n.distance for n in extra])))
+            return [], PausedShard(state, view.stamp, extra, near[:kk])
         if view.mutated:
             found = _nearest(found + extra, kk)
         return found, None
