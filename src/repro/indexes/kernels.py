@@ -1021,9 +1021,9 @@ def _frontier(
 
 
 #: An exact k-NN's first round pauses at the first iteration boundary
-#: where it has paid ``PAUSE_PER_K * k`` distances.  Measured on the
-#: clustered ``mvpt`` shards (``docs/serving.md``): 64 saved the most
-#: distances per query against 16, 32 and 128.
+#: where it has paid ``PAUSE_PER_K * k`` distances.  In a sweep of 8 to
+#: 256 on the clustered ``mvpt`` shards (``docs/serving.md``), 64 paid
+#: the fewest distances per query over 2 and 4 shards together.
 PAUSE_PER_K = 64
 
 
@@ -1063,7 +1063,7 @@ def exact_knn_round(
     answer, state = _frontier(
         tree, adapter, query, sink, 1.0, None, obs, PRUNE_KNN_RADIUS, pause, resume
     )
-    return answer, state if pause and isinstance(state, Paused) else None
+    return answer, state if isinstance(state, Paused) else None
 
 
 def _as_distances(values) -> np.ndarray:
