@@ -179,7 +179,9 @@ class TableTree:
         """Whether the tree holds nothing, without making the view."""
         return self._nodes is None and self._kernel_cache is None
 
-    def knn_round(self, query, k: int, *, resume=None, outside=None, stats=None, trace=None):
+    def knn_round(
+        self, query, k: int, *, resume=None, outside=None, stats=None, trace=None
+    ):
         """One round of an exact k-NN that can pause (:func:`exact_knn_round`)."""
         k = self.validate_k(k)
         obs = make_observation(stats, trace)

@@ -78,12 +78,14 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.serve.cache import DistanceCacheMetric, LRUCache
 from repro.serve.procpool import ProcessExecutor
 from repro.serve.sharding import (
+    ROUND_ONE,
     PausedShard,
     Query,
     ReplicaUnavailable,
     ShardManager,
     merge_knn,
     merge_range,
+    pruned_too_far,
     search,
     second_round,
     unit_query,
@@ -245,26 +247,25 @@ EXECUTOR_KINDS = ("serial", "thread", "process")
 
 @dataclass
 class _UnitOutcome:
-    """What one (query, shard) unit produced.  A first-round unit of a
-    two-round k-NN also returns its shard's ``paused`` state (``None``
-    once the shard finished) and the ``replica`` that answered, where
-    round two resumes."""
+    """What one (query, shard) unit produced, and the ``replica`` that
+    answered.  A unit of a two-round k-NN carries its round's outcome
+    in ``report`` (:meth:`ShardManager.shard_search`): round one's
+    paused state, round two's threshold."""
 
     ok: bool
     value: object = None
     stats: QueryStats = field(default_factory=QueryStats)
     error: Optional[str] = None
-    report: Optional[ApproxReport] = None
-    paused: Optional[PausedShard] = None
+    report: object = None
     replica: Optional[int] = None
 
 
 @dataclass
 class _InFlight:
     """One submitted query: its unit futures in shard order (a shard's
-    round-two unit replaces its first; ``None`` when round two never
-    ran) and the first-round outcomes of shards that went on to round
-    two, whose stats the result still merges."""
+    round-two unit replaces its first, a rerun its second; ``None`` when
+    round two never ran) and, per shard, the stats of the units that
+    were replaced, which the result still merges."""
 
     qi: int
     query: Query
@@ -272,7 +273,7 @@ class _InFlight:
     futures: list
     deadline: Optional[float]
     rounds: bool
-    first: dict = field(default_factory=dict)
+    earlier: dict = field(default_factory=dict)
 
 
 def _exact_unit_report(kind: str, stats: QueryStats) -> ApproxReport:
@@ -536,6 +537,7 @@ class QueryEngine:
         shard: Optional[int],
         replica: Optional[int],
         stats: QueryStats,
+        resume: Optional[PausedShard] = None,
     ):
         """One replica's (or the whole single index's) answer for a query.
 
@@ -544,7 +546,8 @@ class QueryEngine:
         *local* frame: spent/missed mass for this shard only) on the
         approximate tier.  A shard unit runs its slice of the budget —
         the same split :meth:`ShardManager.search` uses, so engine
-        answers match the sequential path exactly.
+        answers match the sequential path exactly.  ``resume`` runs one
+        round of a two-round k-NN, the report being the round's outcome.
         """
         if shard is not None:
             query = unit_query(query, shard, self.index.n_shards)
@@ -556,31 +559,13 @@ class QueryEngine:
             # the parent CountingMetric delta (the worker charged its
             # own forked copy).
             value, remote_stats, report = self.executor.search(
-                query, shard, replica
-            )
-            stats.merge(remote_stats)
-            return value, report
-        return search(self.index, query, shard=shard, replica=replica, stats=stats)
-
-    def _round_unit(
-        self,
-        query: Query,
-        shard: int,
-        replica: Optional[int],
-        stats: QueryStats,
-        resume: Optional[PausedShard],
-    ):
-        """One round of a two-round k-NN on one shard
-        (:meth:`ShardManager.shard_round`), in a worker process when the
-        executor has them; returns ``(value, paused state)``."""
-        if isinstance(self.executor, ProcessExecutor):
-            value, remote_stats, state = self.executor.search_round(
                 query, shard, replica, resume
             )
             stats.merge(remote_stats)
-            return value, state
-        return self.index.shard_round(
-            shard, query, resume, replica=replica, stats=stats
+            return value, report
+        return search(
+            self.index, query, shard=shard, replica=replica, stats=stats,
+            resume=resume,
         )
 
     def _two_rounds(self, query: Query) -> bool:
@@ -620,7 +605,6 @@ class QueryEngine:
         qi: int,
         query: Query,
         shard: Optional[int],
-        rounds: bool = False,
         resume: Optional[PausedShard] = None,
         prefer: Optional[int] = None,
     ) -> _UnitOutcome:
@@ -639,19 +623,12 @@ class QueryEngine:
         CountingMetric), so dropping them would break the engine's
         stats-equals-counter identity.
 
-        With ``rounds`` the unit is one round of a two-round k-NN
-        (:meth:`_round_unit`): ``resume`` is ``None`` for round one and
-        the shard's paused state for round two, which tries ``prefer``,
-        the replica round one ran on, first.
+        With ``resume`` the unit is one round of a two-round k-NN:
+        :data:`~repro.serve.sharding.ROUND_ONE`, or the shard's paused
+        state for round two, which tries ``prefer``, the replica round
+        one ran on, first.
         """
         stats = QueryStats()
-
-        def attempt_search(replica):
-            if rounds:
-                value, paused = self._round_unit(query, shard, replica, stats, resume)
-                return value, None, paused
-            return (*self._search_unit(query, shard, replica, stats), None)
-
         shard_no = shard if shard is not None else 0
         error: Optional[str] = None
         try:
@@ -681,9 +658,13 @@ class QueryEngine:
                         self._call_fault_hook(qi, shard_no, attempt, replica_no)
                         if self.distance_cache is not None:
                             with self.distance_cache.observe(stats):
-                                value, report, paused = attempt_search(replica)
+                                value, report = self._search_unit(
+                                    query, shard, replica, stats, resume
+                                )
                         else:
-                            value, report, paused = attempt_search(replica)
+                            value, report = self._search_unit(
+                                query, shard, replica, stats, resume
+                            )
                     except Exception as exc:
                         breaker.record_failure()
                         failed_this_round += 1
@@ -694,7 +675,7 @@ class QueryEngine:
                         stats.failovers += 1
                     return _UnitOutcome(
                         ok=True, value=value, stats=stats, report=report,
-                        paused=paused, replica=replica,
+                        replica=replica,
                     )
             if error is None:
                 error = (
@@ -727,9 +708,9 @@ class QueryEngine:
 
     def _submit_units(self, qi: int, query: Query, submit) -> list[Future]:
         """One ``submit(self._run_unit, ...)`` per shard, in shard order."""
-        rounds = self._two_rounds(query)
+        resume = ROUND_ONE if self._two_rounds(query) else None
         return [
-            self._submit(submit, qi, query, shard, rounds)
+            self._submit(submit, qi, query, shard, resume)
             for shard in self._shard_plan()
         ]
 
@@ -774,7 +755,7 @@ class QueryEngine:
             outcomes.append(outcome if outcome is not None and outcome.ok else None)
         states = second_round(
             [None if o is None else o.value for o in outcomes],
-            [None if o is None else o.paused for o in outcomes],
+            [None if o is None else o.report for o in outcomes],
         )
         late = bool(pending) or (
             item.deadline is not None and time.monotonic() >= item.deadline
@@ -782,10 +763,36 @@ class QueryEngine:
         for shard, (outcome, state) in enumerate(zip(outcomes, states)):
             if state is None:
                 continue
-            item.first[shard] = outcome
+            item.earlier[shard] = outcome.stats
             item.futures[shard] = None if late else self._submit(
-                item.submit, item.qi, item.query, shard, True, state, outcome.replica
+                item.submit, item.qi, item.query, shard, state, outcome.replica
             )
+
+    def _rerun_pruned(self, item: _InFlight, pending: set) -> None:
+        """After round two: if a shard pruned too far
+        (:func:`pruned_too_far`, a candidate deleted between the rounds),
+        run every shard that pruned with outside candidates again in one
+        round, on the calling thread; each rerun counts a retry."""
+        answered = {}
+        for shard, future in enumerate(item.futures):
+            if future is not None and future not in pending:
+                outcome = future.result()
+                if outcome.ok:
+                    answered[shard] = outcome
+        bounds = {
+            shard: outcome.report
+            for shard, outcome in answered.items()
+            if shard in item.earlier and outcome.report is not None
+        }
+        k = min(item.query.k, len(self.index))
+        values = [outcome.value for outcome in answered.values()]
+        if not pruned_too_far(values, list(bounds.values()), k):
+            return
+        for shard in bounds:
+            item.earlier[shard].merge(answered[shard].stats)
+            rerun = self._submit(SerialExecutor.submit, item.qi, item.query, shard)
+            rerun.result().stats.retries += 1
+            item.futures[shard] = rerun
 
     def _cached_result(
         self, qi: int, query: Query, miss_stats: dict[int, QueryStats]
@@ -850,14 +857,17 @@ class QueryEngine:
                 return self._search_unit(downgraded, shard, replica, stats)
         return self._search_unit(downgraded, shard, replica, stats)
 
-    def _gather(self, item: _InFlight, miss_stats: dict[int, QueryStats]) -> QueryResult:
+    def _gather(
+        self, item: _InFlight, miss_stats: dict[int, QueryStats]
+    ) -> QueryResult:
         """Assemble one query's result from its unit futures.
 
         Waits until every unit finished or the deadline passed; late
         units are cancelled if still queued, abandoned if running (their
         worker finishes in the background — threads cannot be
         preempted), and their answers are dropped either way.  A shard
-        that ran two rounds also merges its first round's stats.
+        that ran two rounds (or a rerun) also merges its earlier units'
+        stats.
         """
         qi, query = item.qi, item.query
         result = QueryResult(index=qi, kind=query.kind, stats=QueryStats())
@@ -865,6 +875,8 @@ class QueryEngine:
         if missed is not None:
             result.stats.merge(missed)
         pending = self._wait(item.futures, item.deadline)
+        if item.rounds:
+            self._rerun_pruned(item, pending)
         plan = self._shard_plan()
         shard_sizes = (
             self.index.shard_sizes()
@@ -890,9 +902,9 @@ class QueryEngine:
             size = (
                 len(self.index) if shard_sizes is None else shard_sizes[shard]
             )
-            first = item.first.get(shard)
-            if first is not None:
-                result.stats.merge(first.stats)
+            earlier = item.earlier.get(shard)
+            if earlier is not None:
+                result.stats.merge(earlier)
             if future is None or future in pending:
                 if future is not None and future.cancel():
                     # A cancelled unit never runs, so _run_unit's finally
@@ -928,7 +940,9 @@ class QueryEngine:
                 result.shards_ok += 1
                 note_outcome(shard, SHARD_OK)
                 values.append(outcome.value)
-                unit_reports.append((outcome.report, outcome.stats))
+                # A round's outcome is no certificate: the exact unit's.
+                report = None if item.rounds else outcome.report
+                unit_reports.append((report, outcome.stats))
             else:
                 result.shards_failed += 1
                 note_outcome(shard, SHARD_FAILED)

@@ -23,8 +23,8 @@ throughput.  The :class:`ProcessExecutor` fixes that by running the
   the process boundary, returning a picklable ``(value, QueryStats,
   ApproxReport | None)`` triple that the parent merges into the unit's
   stats (the report is ``None`` on the exact tier).  One round of a
-  two-round exact k-NN crosses the same way (:func:`_remote_round`),
-  its paused state riding back in place of the report.
+  two-round exact k-NN crosses the same way, its paused state riding
+  there and back (``resume`` out, the report slot back).
 * **Parent-side replica state is authoritative.**  Workers never see
   replicas dropped *after* the fork (their copy-on-write snapshot still
   has them), which is safe precisely because the engine checks
@@ -77,12 +77,11 @@ import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import Optional
 
-from repro.approx import ApproxReport
 from repro.indexes.base import MetricIndex
 from repro.obs.stats import QueryStats
 from repro.serve.sharding import PausedShard, Query, search
 from repro.store.spec import MetricSpec
-from repro.store.worker import remote_store_round, remote_store_search
+from repro.store.worker import remote_store_search
 
 #: Indexes visible to fork workers, keyed by registration token.  Entries
 #: added *before* a pool forks are inherited copy-on-write by its
@@ -122,8 +121,12 @@ def _ping(timeout_s: float) -> int:
 
 
 def _remote_search(
-    token: int, query: Query, shard: Optional[int], replica: Optional[int]
-) -> tuple[object, QueryStats, Optional[ApproxReport]]:
+    token: int,
+    query: Query,
+    shard: Optional[int],
+    replica: Optional[int],
+    resume: Optional[PausedShard] = None,
+) -> tuple[object, QueryStats, object]:
     """Run one unit's search inside a worker; the picklable leaf call.
 
     Looks the index up in the fork-inherited registry, answers with
@@ -132,41 +135,19 @@ def _remote_search(
     unit's stats) and the unit-local report (``None`` on the exact
     tier).  Exceptions propagate through the future into the parent's
     failover logic unchanged.  ``query.budget`` arrives already split
-    per shard by the engine.
+    per shard by the engine; ``resume`` is a two-round k-NN's state.
     """
-    stats = QueryStats()
-    value, report = search(
-        _registered(token), query, shard=shard, replica=replica, stats=stats
-    )
-    return value, stats, report
-
-
-def _remote_round(
-    token: int,
-    query: Query,
-    shard: int,
-    replica: Optional[int],
-    resume: Optional[PausedShard],
-) -> tuple[object, QueryStats, Optional[PausedShard]]:
-    """One round of a two-round k-NN inside a worker
-    (:meth:`~repro.serve.sharding.ShardManager.shard_round`); the paused
-    state rides back with the value and the worker-side stats."""
-    stats = QueryStats()
-    value, state = _registered(token).shard_round(
-        shard, query, resume, replica=replica, stats=stats
-    )
-    return value, stats, state
-
-
-def _registered(token: int) -> MetricIndex:
-    """The index registered under ``token`` before this worker forked."""
     index = _FORK_REGISTRY.get(token)
     if index is None:
         raise RuntimeError(
             f"fork registry has no index for token {token}; the worker "
             "predates the registration (pool built before the index?)"
         )
-    return index
+    stats = QueryStats()
+    value, report = search(
+        index, query, shard=shard, replica=replica, stats=stats, resume=resume
+    )
+    return value, stats, report
 
 
 class ProcessExecutor:
@@ -305,8 +286,12 @@ class ProcessExecutor:
         return self._threads.submit(fn, *args)
 
     def search(
-        self, query: Query, shard: Optional[int], replica: Optional[int]
-    ) -> tuple[object, QueryStats, Optional[ApproxReport]]:
+        self,
+        query: Query,
+        shard: Optional[int],
+        replica: Optional[int],
+        resume: Optional[PausedShard] = None,
+    ) -> tuple[object, QueryStats, object]:
         """Dispatch one unit to a worker process and await its answer.
 
         Called by the engine's ``_search_unit`` from an orchestration
@@ -314,37 +299,17 @@ class ProcessExecutor:
         breaker/failover path exactly like an in-thread failure.
         Returns ``(value, stats, report)``; ``report`` is the unit's
         :class:`~repro.approx.ApproxReport` on the approximate tier,
-        else ``None``.
+        else ``None``; with ``resume`` it is the round's outcome
+        (:func:`repro.serve.sharding.search`).  A paused state pickles,
+        so round two may run in any worker.
 
         In disk-backed mode the unit's ``(shard, replica)`` selects a
         store path; a slot with no file (empty shard, unsaved replica)
         answers empty without leaving the parent.
         """
-        return self._dispatch(_remote_search, remote_store_search, query, shard, replica)
-
-    def search_round(
-        self,
-        query: Query,
-        shard: int,
-        replica: Optional[int],
-        resume: Optional[PausedShard],
-    ) -> tuple[object, QueryStats, Optional[PausedShard]]:
-        """Dispatch one round of a two-round k-NN to a worker (see
-        :meth:`search`); returns ``(value, stats, paused state)``.  The
-        state pickles, so round two may run in any worker: one holding
-        the same shard resumes it, and a disk-backed worker that finds
-        the store file replaced searches it again from the root."""
-        return self._dispatch(
-            _remote_round, remote_store_round, query, shard, replica, resume
-        )
-
-    def _dispatch(self, registered, stored, query, shard, replica, *rest):
-        """Run ``registered(token, query, shard, replica, *rest)`` in a
-        worker, or in disk-backed mode ``stored(path, metric spec,
-        query, *rest)`` on the ``(shard, replica)`` store."""
         if self._store_paths is None:
             future = self._processes.submit(
-                registered, self.token, query, shard, replica, *rest
+                _remote_search, self.token, query, shard, replica, resume
             )
             return future.result()
         path = self._store_paths.get((shard or 0, replica or 0))
@@ -353,7 +318,7 @@ class ProcessExecutor:
             # the engine phrases it as a zero-mass certificate.
             return [], QueryStats(), None
         future = self._processes.submit(
-            stored, path, self._metric_spec, query, *rest
+            remote_store_search, path, self._metric_spec, query, resume
         )
         return future.result()
 

@@ -127,6 +127,7 @@ SHARD_BACKENDS: dict[str, ShardBuilder] = {
 }
 
 _ASSIGNMENTS = ("round-robin", "contiguous")
+_EMPTY = np.zeros(0)
 
 
 class ReplicaUnavailable(RuntimeError):
@@ -288,10 +289,12 @@ class _SlotState:
 
     Slots that share one read-only base share ``ids``/``id_set`` too
     (only an absorbing base appends to them); each keeps its own
-    ``dead``.
+    ``dead``.  ``writes`` counts the inserts and deletes that reached
+    the slot's shard since the slot was installed: with the shard epoch
+    it names the slot's live set exactly (:attr:`_ShardView.stamp`).
     """
 
-    __slots__ = ("ids", "id_set", "dead")
+    __slots__ = ("ids", "id_set", "dead", "writes")
 
     def __init__(self, ids: Sequence[int], id_set: Optional[set[int]] = None):
         if id_set is None:
@@ -300,6 +303,7 @@ class _SlotState:
         self.ids: list[int] = ids
         self.id_set: set[int] = id_set
         self.dead: set[int] = set()
+        self.writes = 0
 
     def sibling(self) -> "_SlotState":
         """A slot over the same base: shared id tables, own tombstones."""
@@ -354,10 +358,10 @@ class _ShardView:
     this slot's base does not cover.
     """
 
-    __slots__ = ("index", "ids", "dead", "n_live", "extra_ids", "source", "version")
+    __slots__ = ("index", "ids", "dead", "n_live", "extra_ids", "source", "stamp")
 
     def __init__(
-        self, index, ids, dead, n_live, extra_ids=(), source=None, version=()
+        self, index, ids, dead, n_live, extra_ids=(), source=None, stamp=()
     ):
         self.index: Optional[MetricIndex] = index
         self.ids: Sequence[int] = ids
@@ -366,8 +370,10 @@ class _ShardView:
         self.extra_ids: Sequence[int] = extra_ids
         # (dataset, tail) the memtable rows come from.
         self.source = source
-        # (epoch, replica, base size) when the view was taken.
-        self.version = version
+        # What a paused search over this view ran on: the shard epoch,
+        # the replica and the slot's write count.  Plain ints, so it
+        # compares equal in every process holding the same slot.
+        self.stamp: tuple = stamp
 
     def extra_rows(self):
         """The memtable entries' rows, gathered when a search scans
@@ -379,21 +385,13 @@ class _ShardView:
     def mutated(self) -> bool:
         return bool(self.dead or self.extra_ids)
 
-    @property
-    def stamp(self) -> tuple:
-        """What a paused search over this view ran on: the slot's
-        version, its tombstones and its memtable rows.  Plain ints, so
-        it compares equal in every process holding the same slot."""
-        dead = self.dead
-        return (*self.version, len(dead), hash(dead), tuple(self.extra_ids))
-
 
 class PausedShard(NamedTuple):
     """One shard's exact k-NN between its two rounds (``docs/serving.md``).
 
-    ``frontier`` is the base tree's paused search
+    ``frontier`` is the base's paused search
     (:class:`~repro.indexes.kernels.Paused`); ``stamp`` names what it ran
-    over (:attr:`_ShardView.stamp`, or a store file's path and stat);
+    over (:attr:`_ShardView.stamp`, or a store's payload digest);
     ``extra`` holds the memtable neighbours round one paid for, and
     ``near`` the distances of the shard's live k-best so far, which the
     other shards prune with.  ``outside``, set for round two by
@@ -401,11 +399,15 @@ class PausedShard(NamedTuple):
     pickles, so a state travels to a process worker and back.
     """
 
-    frontier: Paused
+    frontier: Optional[Paused]
     stamp: tuple
     extra: list
     near: np.ndarray
     outside: Optional[np.ndarray] = None
+
+
+#: The ``resume`` of a round-one unit: nothing paid yet, no candidates.
+ROUND_ONE = PausedShard(None, (), [], _EMPTY)
 
 
 def second_round(
@@ -431,6 +433,27 @@ def second_round(
             state = state._replace(outside=outside)
         states.append(state)
     return states
+
+
+def pruned_too_far(
+    values: Sequence[Sequence[Neighbor]], bounds: Sequence[Optional[float]], k: int
+) -> bool:
+    """Could a round two have pruned a point of the answer?
+
+    ``bounds`` are the thresholds the round-two shards pruned with
+    (``None`` for one that took no outside candidates): every point a
+    shard pruned lies beyond its bound.  The merge of ``values`` is the
+    exact answer when it holds ``k`` neighbours and its k-th distance
+    is within every bound.  That always holds when the candidates the
+    bounds came from are still in the answers; a write between the
+    rounds can take one away (a published candidate deleted), and then
+    the shards that pruned must run again without outside candidates.
+    """
+    limits = [bound for bound in bounds if bound is not None]
+    if not limits:
+        return False
+    merged = merge_knn(values, k)
+    return len(merged) < k or merged[-1].distance > min(limits)
 
 
 class ShardManager(MetricIndex):
@@ -879,6 +902,7 @@ class ShardManager(MetricIndex):
             for r in range(self.replication_factor):
                 index = self._replicas[r][shard]
                 slot = self._slots[r][shard]
+                slot.writes += 1
                 if index is None or not self._absorb_locked(
                     index, slot, gid, obj
                 ):
@@ -908,6 +932,7 @@ class ShardManager(MetricIndex):
             self._memtables[shard].pop(gid, None)
             for r in range(self.replication_factor):
                 slot = self._slots[r][shard]
+                slot.writes += 1
                 if gid in slot.id_set:
                     index = self._replicas[r][shard]
                     if isinstance(index, DynamicMVPTree):
@@ -1166,10 +1191,9 @@ class ShardManager(MetricIndex):
                     for gid in mem
                     if gid not in id_set or gid in dead
                 ]
-            version = (self._epochs[shard], r, len(slot.ids))
             return _ShardView(
                 index, slot.ids, dead, len(live), extra,
-                (self._objects, self._tail), version,
+                (self._objects, self._tail), (self._epochs[shard], r, slot.writes),
             )
 
     @staticmethod
@@ -1220,6 +1244,7 @@ class ShardManager(MetricIndex):
         stats: Optional[QueryStats] = None,
         trace: Optional[TraceSink] = None,
         approximate: Optional[bool] = None,
+        resume: Optional[PausedShard] = None,
     ):
         """Answer ``query`` on one shard; returns ``(value, report)``.
 
@@ -1244,21 +1269,54 @@ class ShardManager(MetricIndex):
         the memtable is scanned with whatever budget the base left, and
         the union merges by ``(distance, global id)`` — exact over the
         shard's live id-set, with certificates merged the same way.
+
+        ``resume`` makes an exact k-NN one round of two
+        (``docs/serving.md``), the report slot carrying the round's
+        outcome.  :data:`ROUND_ONE` runs the base search to its pause
+        (``MetricIndex.knn_round``) and returns ``[]`` and the shard's
+        :class:`PausedShard`, or the answer and ``None`` if it finished
+        first.  A state from :func:`second_round` resumes the paused
+        search, pruning with the k-th smallest distance over its own
+        k-best, its memtable neighbours and ``resume.outside``, so
+        nothing is paid twice, and reports that threshold for
+        :func:`pruned_too_far` (``None`` when no outside candidate took
+        part).  If the slot changed between the rounds (another replica,
+        a swap, a write: the :attr:`_ShardView.stamp` differs), the
+        shard is searched again from the root instead, which counts as
+        a retry.
         """
         if approximate is None:
             approximate = query.is_approximate
         knn = query.kind == "knn"
         view = self._slot_snapshot(shard, replica)
         kk = min(query.k, view.n_live) if knn else 0
+        frontier = outside = mem = None
+        if resume is not None and resume.outside is not None:
+            # Outside candidates bound a shard holding at least k live
+            # points: with fewer, all of them may belong in the answer.
+            outside = resume.outside if kk == query.k else _EMPTY
+            if resume.stamp == view.stamp:
+                frontier, mem = resume.frontier, resume.extra
+                outside = np.concatenate((outside, [n.distance for n in mem]))
+            elif stats is not None:
+                stats.retries += 1
         found: list = []
         reports = []
         remaining = query.budget
-        if view.index is not None and view.ids:
-            param = min(kk + len(view.dead), len(view.ids)) if knn else query.radius
-            local, report = _base_search(
-                view.index, query, param, approximate, stats=stats, trace=trace
-            )
-            ids, dead = view.ids, view.dead
+        state = local = None
+        ids, dead = view.ids, view.dead
+        if view.index is not None and ids:
+            param = min(kk + len(dead), len(ids)) if knn else query.radius
+            if resume is None:
+                local, report = _base_search(
+                    view.index, query, param, approximate, stats=stats, trace=trace
+                )
+            else:
+                local, state = view.index.knn_round(
+                    query.query, param, resume=frontier, outside=outside,
+                    stats=stats, trace=trace,
+                )
+                report = None
             if knn:
                 found = [
                     Neighbor(n.distance, int(ids[n.id]))
@@ -1267,14 +1325,14 @@ class ShardManager(MetricIndex):
                 ]
             else:
                 found = [gid for gid in (ids[i] for i in local) if gid not in dead]
-            if not view.mutated:
+            if not view.mutated and resume is None:
                 self._record_ok(stats, shard)
                 return found, report
             if report is not None:
                 reports.append(report)
                 if remaining is not None:
                     remaining = max(0, remaining - report.spent)
-        if view.extra_ids:
+        if view.extra_ids and mem is None:
             distances, take, spent, missed = self._scan_memtable(
                 view.extra_rows(), query.query, remaining, stats=stats, trace=trace
             )
@@ -1297,87 +1355,33 @@ class ShardManager(MetricIndex):
                         target=min(kk, len(view.extra_ids)) if knn else None,
                     )
                 )
+        self._record_ok(stats, shard)
+        if state is not None:
+            # Paused: the live k-best so far, for the other shards to
+            # prune with.
+            near = state.dist
+            if dead:
+                near = near[[ids[i] not in dead for i in state.ids.tolist()]]
+            if mem:
+                near = np.sort(np.concatenate((near, [n.distance for n in mem])))
+            return [], PausedShard(state, view.stamp, mem or [], near[:kk])
+        if view.extra_ids:
             found.extend(mem)
             if not knn:
                 found.sort()
-        if knn:
+        if knn and view.mutated:
             found = _nearest(found, kk)
-        self._record_ok(stats, shard)
+        if resume is not None:
+            applied = local is not None and kk == query.k and resume.outside is not None
+            if applied and resume.outside.size:
+                return found, _round_bound(local, outside, param)
+            return found, None
         if not approximate:
             return found, None
         return found, merge_reports(
             query.kind, reports, found, budget=query.budget,
             epsilon=query.epsilon, target=kk if knn else None,
         )
-
-    def shard_round(
-        self,
-        shard: int,
-        query: Query,
-        resume: Optional[PausedShard] = None,
-        *,
-        replica: Optional[int] = None,
-        stats: Optional[QueryStats] = None,
-        trace: Optional[TraceSink] = None,
-    ) -> tuple[list[Neighbor], Optional[PausedShard]]:
-        """One round of an exact k-NN on one shard; returns ``(value,
-        state)``: the shard's live top-``k`` in global ids and ``None``
-        once it finished, or ``[]`` and its :class:`PausedShard`.
-
-        Round one (``resume=None``) searches the base with
-        ``MetricIndex.knn_round``, which a tree pauses at a fixed spend,
-        and scans the memtable in full.  Round two (``resume`` from
-        :func:`second_round`) continues the paused base search, pruning
-        with the k-th smallest distance over its own k-best, its
-        memtable neighbours and ``resume.outside``, so nothing is paid
-        twice.  If the slot changed between the rounds (another replica,
-        a swap, a write: the :attr:`_ShardView.stamp` differs), the shard
-        is searched again from the root with that threshold instead,
-        which is exact and counts as a retry.
-        """
-        view = self._slot_snapshot(shard, replica)
-        kk = min(query.k, view.n_live)
-        frontier = outside = None
-        extra: list[Neighbor] = []
-        if resume is not None:
-            outside = resume.outside
-            if resume.stamp == view.stamp:
-                frontier, extra = resume.frontier, resume.extra
-                outside = np.concatenate((outside, [n.distance for n in extra]))
-            elif stats is not None:
-                stats.retries += 1
-        found: list[Neighbor] = []
-        state = None
-        ids, dead = view.ids, view.dead
-        if view.index is not None and ids:
-            local, state = view.index.knn_round(
-                query.query, min(kk + len(dead), len(ids)),
-                resume=frontier, outside=outside, stats=stats, trace=trace,
-            )
-            found = [
-                Neighbor(n.distance, int(ids[n.id]))
-                for n in local
-                if ids[n.id] not in dead
-            ]
-        if frontier is None and view.extra_ids:
-            distances = self._scan_memtable(
-                view.extra_rows(), query.query, None, stats=stats, trace=trace
-            )[0]
-            top = _TopK(kk)
-            top.add(distances, np.asarray(view.extra_ids, dtype=np.int64))
-            extra = top.answer()
-        self._record_ok(stats, shard)
-        if state is not None:
-            # The live k-best so far, for the other shards to prune with.
-            near = state.dist
-            if view.mutated:
-                if dead:
-                    near = near[[ids[i] not in dead for i in state.ids.tolist()]]
-                near = np.sort(np.concatenate((near, [n.distance for n in extra])))
-            return [], PausedShard(state, view.stamp, extra, near[:kk])
-        if view.mutated:
-            found = _nearest(found + extra, kk)
-        return found, None
 
     def search(
         self,
@@ -1392,10 +1396,10 @@ class ShardManager(MetricIndex):
         Each shard runs its deterministic slice of the budget
         (:func:`unit_query`), the same allowance the concurrent engine
         hands it, so both paths answer identically.  An exact k-NN over
-        two or more shards runs in two rounds (:meth:`shard_round`,
-        :func:`second_round`), as the engine runs it.  Returns
-        ``(value, report)`` like :meth:`shard_search`, the report being
-        the exact cross-shard certificate merge.
+        two or more shards runs in two rounds (:meth:`_knn_rounds`), as
+        the engine runs it.  Returns ``(value, report)`` like
+        :meth:`shard_search`, the report being the exact cross-shard
+        certificate merge.
         """
         if approximate is None:
             approximate = query.is_approximate
@@ -1406,7 +1410,7 @@ class ShardManager(MetricIndex):
             self.validate_radius(query.radius)
         n_shards = self.n_shards
         if knn and not approximate and n_shards > 1:
-            return merge_knn(self._knn_rounds(query, n_shards, stats, trace), k), None
+            return self._knn_rounds(query, k, stats, trace), None
         values, reports = [], []
         for shard in range(n_shards):
             value, report = self.shard_search(
@@ -1423,21 +1427,31 @@ class ShardManager(MetricIndex):
             epsilon=query.epsilon, target=k if knn else None,
         )
 
-    def _knn_rounds(self, query: Query, n_shards: int, stats, trace) -> list:
-        """Both rounds of an exact k-NN, shard after shard; returns each
-        shard's final candidates."""
+    def _knn_rounds(self, query: Query, k: int, stats, trace) -> list[Neighbor]:
+        """Both rounds of an exact k-NN, shard after shard, merged.  If a
+        round two pruned too far (:func:`pruned_too_far`), every shard
+        that pruned with outside candidates runs again in one round, each
+        rerun counting a retry."""
         rounds = [
-            self.shard_round(shard, query, stats=stats, trace=trace)
-            for shard in range(n_shards)
+            self.shard_search(shard, query, stats=stats, trace=trace, resume=ROUND_ONE)
+            for shard in range(self.n_shards)
         ]
         values = [value for value, _ in rounds]
-        states = second_round(values, [state for _, state in rounds])
-        for shard, state in enumerate(states):
+        bounds: dict[int, Optional[float]] = {}
+        for shard, state in enumerate(second_round(values, [s for _, s in rounds])):
             if state is not None:
-                values[shard] = self.shard_round(
-                    shard, query, state, stats=stats, trace=trace
-                )[0]
-        return values
+                values[shard], bounds[shard] = self.shard_search(
+                    shard, query, stats=stats, trace=trace, resume=state
+                )
+        if pruned_too_far(values, list(bounds.values()), k):
+            for shard, bound in bounds.items():
+                if bound is not None:
+                    if stats is not None:
+                        stats.retries += 1
+                    values[shard] = self.shard_search(
+                        shard, query, stats=stats, trace=trace
+                    )[0]
+        return merge_knn(values, k)
 
     # Thin per-kind entry points over search()/shard_search(): the
     # MetricIndex interface, plus the names benchmark and test code call.
@@ -1503,6 +1517,42 @@ def _base_search(index, query: Query, param, approximate: bool, *, stats, trace)
     return fn(query.query, param, stats=stats, trace=trace), None
 
 
+def _round_bound(local, outside: np.ndarray, k: int) -> Optional[float]:
+    """The threshold a finished round two pruned with: the ``k``-th
+    smallest over its final k-best ``local`` and ``outside``."""
+    dist = np.concatenate(
+        (np.fromiter((n.distance for n in local), np.float64, len(local)), outside)
+    )
+    return float(np.partition(dist, k - 1)[k - 1]) if dist.size >= k else None
+
+
+def _index_round(
+    index: MetricIndex, query: Query, resume: PausedShard, *, stats, trace
+):
+    """One round of an exact k-NN on a whole plain index (a disk
+    worker's shard store), as :meth:`ShardManager.shard_search` runs one
+    on a shard.  The stamp is the store's payload digest, which names
+    its tree exactly; an index without one is taken to be the same
+    index in both rounds."""
+    stamp = (getattr(index, "digest", None),)
+    frontier = outside = None
+    k = query.k
+    if resume.outside is not None:
+        outside = resume.outside if len(index) >= k else _EMPTY
+        if resume.stamp == stamp:
+            frontier = resume.frontier
+        elif stats is not None:
+            stats.retries += 1
+    local, state = index.knn_round(
+        query.query, k, resume=frontier, outside=outside, stats=stats, trace=trace
+    )
+    if state is not None:
+        return [], PausedShard(state, stamp, [], state.dist)
+    if outside is None or not outside.size:
+        return local, None
+    return local, _round_bound(local, outside, k)
+
+
 def search(
     index: MetricIndex,
     query: Query,
@@ -1511,18 +1561,23 @@ def search(
     replica: Optional[int] = None,
     stats: Optional[QueryStats] = None,
     trace: Optional[TraceSink] = None,
+    resume: Optional[PausedShard] = None,
 ):
     """Answer one :class:`Query` unit: ``shard`` of a :class:`ShardManager`
     (see :meth:`ShardManager.shard_search`), or a whole plain index.
 
     The one search entry the engine, process workers and disk workers
     share; returns ``(value, report)`` with ``report`` ``None`` on the
-    exact tier.
+    exact tier.  ``resume`` runs one round of a two-round exact k-NN,
+    whose outcome rides in the report slot (see
+    :meth:`ShardManager.shard_search`).
     """
     if shard is not None and isinstance(index, ShardManager):
         return index.shard_search(
-            shard, query, replica=replica, stats=stats, trace=trace
+            shard, query, replica=replica, stats=stats, trace=trace, resume=resume
         )
+    if resume is not None:
+        return _index_round(index, query, resume, stats=stats, trace=trace)
     param = query.k if query.kind == "knn" else query.radius
     return _base_search(
         index, query, param, query.is_approximate, stats=stats, trace=trace

@@ -155,6 +155,12 @@ class StoreBackedIndex(MetricIndex):
     # Search (kernel parity over the base, exact scan over the deltas)
     # ------------------------------------------------------------------
 
+    @property
+    def digest(self) -> bytes:
+        """The store's payload digest: two indexes with the same one
+        search the same tree (a paused k-NN round resumes on either)."""
+        return self.store.digest
+
     def __len__(self) -> int:
         n = len(self._objects)
         if self._delta_rows is not None:
@@ -249,7 +255,9 @@ class StoreBackedIndex(MetricIndex):
         merged.sort()
         return [Neighbor(d, i) for d, i in merged[:k]]
 
-    def knn_round(self, query, k: int, *, resume=None, outside=None, stats=None, trace=None):
+    def knn_round(
+        self, query, k: int, *, resume=None, outside=None, stats=None, trace=None
+    ):
         """One round of an exact k-NN over shards: a tree store without
         a delta tail pauses and resumes like the tree itself
         (:func:`repro.indexes.kernels.exact_knn_round`); any other store

@@ -346,6 +346,12 @@ class Store:
         self._views[name] = view
         return view
 
+    @property
+    def digest(self) -> bytes:
+        """The payload's SHA-256 as the header records it: names the
+        stored structure exactly (:meth:`verify` checks it)."""
+        return self._digest
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

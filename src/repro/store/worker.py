@@ -9,7 +9,7 @@ not one copy-on-write heap per process), and lets a worker pick up a
 rebuilt shard simply by reopening the path.
 
 The per-process cache below is keyed by path and invalidated by the
-file's ``(mtime_ns, size)``: when the parent atomically replaces a
+file's ``(inode, mtime_ns, size)``: when the parent atomically replaces a
 shard store (rebuild, compaction), the next search in every worker sees
 the changed stat and reopens — no re-fork, no coordination.  The cache
 is a plain module-level dict of *lazily opened* handles; nothing is
@@ -26,9 +26,9 @@ from repro.obs.stats import QueryStats
 from repro.store.backed import StoreBackedIndex, open_index
 from repro.store.spec import MetricSpec, metric_from_spec
 
-#: path -> ((mtime_ns, size), open index).  Populated per process on
-#: first use; never at import time.
-_STORE_CACHE: dict[str, tuple[tuple[int, int], StoreBackedIndex]] = {}
+#: path -> ((inode, mtime_ns, size), open index).  Populated per
+#: process on first use; never at import time.
+_STORE_CACHE: dict[str, tuple[tuple[int, int, int], StoreBackedIndex]] = {}
 
 
 def open_worker_index(path: str, metric_spec: MetricSpec) -> StoreBackedIndex:
@@ -36,28 +36,24 @@ def open_worker_index(path: str, metric_spec: MetricSpec) -> StoreBackedIndex:
 
     Every open verifies the payload digest, so a torn or corrupt
     rebuild is refused here (the exception travels to the parent's
-    failover logic) rather than answering from bad bytes.
+    failover logic) rather than answering from bad bytes.  An atomic
+    replace gives the path a new inode, so a rewrite is seen even when
+    its mtime and size match the old file's.
     """
-    return _open(path, metric_spec)[1]
-
-
-def _open(path: str, metric_spec: MetricSpec):
-    """``((mtime_ns, size), index)`` for ``path``: the stat the open
-    index was read at, and the index (:func:`open_worker_index`)."""
     stat = os.stat(path)
-    key = (stat.st_mtime_ns, stat.st_size)
+    key = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
     cached = _STORE_CACHE.get(path)
     if cached is not None and cached[0] == key:
-        return cached
+        return cached[1]
     index = open_index(path, metric_from_spec(metric_spec))
     if cached is not None:
         cached[1].close()
     _STORE_CACHE[path] = (key, index)
-    return key, index
+    return index
 
 
 def remote_store_search(
-    path: str, metric_spec: MetricSpec, query
+    path: str, metric_spec: MetricSpec, query, resume=None
 ) -> tuple[object, QueryStats, object]:
     """Answer one (query, shard) unit from the shard's store file.
 
@@ -67,49 +63,18 @@ def remote_store_search(
     shard), then maps the store's local ids to the *global* ids
     recorded in it.  Returns ``(value, stats, report)``: the worker-side
     :class:`QueryStats` ride back for the parent to merge, and
-    ``report`` is ``None`` on the exact tier.
+    ``report`` is ``None`` on the exact tier.  ``resume`` runs one round
+    of a two-round exact k-NN, its outcome in the report slot; a paused
+    state is stamped with the store's payload digest, so a round two
+    that finds the file rebuilt searches it again from the root.
     """
     from repro.serve.sharding import search
 
     index = open_worker_index(path, metric_spec)
     stats = QueryStats()
-    local, report = search(index, query, stats=stats)
+    local, report = search(index, query, stats=stats, resume=resume)
     if query.kind == "range":
         return index.to_global(local), stats, report
-    return _global_neighbors(index, local), stats, report
-
-
-def remote_store_round(
-    path: str, metric_spec: MetricSpec, query, resume
-) -> tuple[list[Neighbor], QueryStats, object]:
-    """One round of a two-round exact k-NN from the shard's store file
-    (:meth:`~repro.serve.sharding.ShardManager.shard_round` for a
-    store).  The paused state is stamped with the path and the stat the
-    index was read at; a round two that finds the file replaced
-    searches it again from the root with the round's threshold, which
-    is exact and counts as a retry.  Returns ``(value, stats, state)``.
-    """
-    from repro.serve.sharding import PausedShard
-
-    key, index = _open(path, metric_spec)
-    stamp = (path, *key)
-    stats = QueryStats()
-    frontier = outside = None
-    if resume is not None:
-        outside = resume.outside
-        if resume.stamp == stamp:
-            frontier = resume.frontier
-        else:
-            stats.retries += 1
-    local, state = index.knn_round(
-        query.query, query.k, resume=frontier, outside=outside, stats=stats
-    )
-    if state is not None:
-        state = PausedShard(state, stamp, [], state.dist)
-    return _global_neighbors(index, local), stats, state
-
-
-def _global_neighbors(index: StoreBackedIndex, local) -> list[Neighbor]:
-    """``local`` neighbours with the global ids the store records."""
     globals_ = index.to_global([n.id for n in local])
-    return [Neighbor(n.distance, g) for n, g in zip(local, globals_)]
+    neighbors = [Neighbor(n.distance, g) for n, g in zip(local, globals_)]
+    return neighbors, stats, report

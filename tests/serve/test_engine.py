@@ -332,13 +332,13 @@ class TestBackpressure:
         live = {"now": 0, "peak": 0}
         inner = engine._search_unit
 
-        def tracked(query, shard, replica, stats):
+        def tracked(query, shard, replica, stats, *rest):
             with lock:
                 live["now"] += 1
                 live["peak"] = max(live["peak"], live["now"])
             try:
                 time.sleep(0.002)
-                return inner(query, shard, replica, stats)
+                return inner(query, shard, replica, stats, *rest)
             finally:
                 with lock:
                     live["now"] -= 1

@@ -13,8 +13,9 @@ and theirs.  The load-bearing properties:
 * every executor (serial, thread on the caller, thread pool with a
   deadline, process registry and store modes) returns the same answers
   and the same ``QueryStats`` as the sequential manager;
-* a deadline between the rounds, a replica dropped between them and a
-  store file replaced between them all stay exact or degrade honestly.
+* a deadline between the rounds, a replica dropped between them, a
+  store file replaced between them and a published candidate deleted
+  between them all stay exact or degrade honestly.
 """
 
 import threading
@@ -36,9 +37,9 @@ from repro.serve import (
     ThreadedExecutor,
     fork_available,
 )
-from repro.serve.sharding import second_round
+from repro.serve.sharding import ROUND_ONE, PausedShard, second_round
 from repro.store import save_shard_stores, write_store
-from repro.store.worker import remote_store_round
+from repro.store.worker import remote_store_search
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process executor requires fork"
@@ -75,8 +76,13 @@ def _one_round_calls(manager, query) -> int:
     return stats.distance_calls
 
 
+def _round(manager, shard, query, resume=ROUND_ONE, **kwargs):
+    """One round of ``query`` on one shard: ``(value, outcome)``."""
+    return manager.shard_search(shard, query, resume=resume, **kwargs)
+
+
 def _paused(manager, query) -> list:
-    return [manager.shard_round(s, query)[1] for s in range(manager.n_shards)]
+    return [_round(manager, s, query)[1] for s in range(manager.n_shards)]
 
 
 class TestRounds:
@@ -122,11 +128,11 @@ class TestRounds:
             near = [QueryStats(), QueryStats()]
             values = []
             for shard in range(2):
-                value, _ = manager.shard_round(shard, query, stats=near[shard])
+                value, _ = _round(manager, shard, query, stats=near[shard])
                 values.append(value)
             for shard, state in enumerate(second_round(values, states)):
-                values[shard] = manager.shard_round(
-                    shard, query, state, stats=near[shard]
+                values[shard] = _round(
+                    manager, shard, query, state, stats=near[shard]
                 )[0]
             alone = [QueryStats(), QueryStats()]
             for shard in range(2):
@@ -141,7 +147,7 @@ class TestRounds:
     def test_two_rounds_pay_fewer_distances(self, data, queries):
         for n_shards in (2, 4):
             manager = ShardManager(data, L2(), n_shards=n_shards, backend="mvpt", rng=3)
-            two = sum(stats.distance_calls for _, stats in _sequential(manager, queries))
+            two = sum(s.distance_calls for _, s in _sequential(manager, queries))
             one = sum(_one_round_calls(manager, query) for query in queries)
             assert two < one
 
@@ -371,15 +377,15 @@ class TestBetweenRounds:
         )
         oracle = LinearScan(data, L2())
         query = Query.knn(data[40] + 0.02, 3)
-        values, states = zip(*(manager.shard_round(s, query) for s in range(2)))
+        values, states = zip(*(_round(manager, s, query) for s in range(2)))
         assert all(states)
         resumed = second_round(list(values), list(states))
         dropped = manager.drop_replica(0, 0)
         try:
             stats = QueryStats()
             final = [
-                manager.shard_round(0, query, resumed[0], stats=stats)[0],
-                manager.shard_round(1, query, resumed[1])[0],
+                _round(manager, 0, query, resumed[0], stats=stats)[0],
+                _round(manager, 1, query, resumed[1])[0],
             ]
         finally:
             manager.replicas[0][0] = dropped
@@ -415,24 +421,26 @@ class TestBetweenRounds:
         manager = ShardManager(data, L2(), n_shards=2, backend="mvpt", rng=3)
         paths = save_shard_stores(manager, tmp_path)
         query = Query.knn(data[60] + 0.02, 3)
-        first = [remote_store_round(str(paths[(s, 0)]), "l2", query, None) for s in range(2)]
+        first = [
+            remote_store_search(str(paths[(s, 0)]), "l2", query, ROUND_ONE)
+            for s in range(2)
+        ]
         values = [value for value, _, _ in first]
         states = [state for _, _, state in first]
         assert all(states)
         resumed = second_round(values, states)
         # A rebuilt shard 0: the same points in a different tree.
         rebuilt = ShardManager(data, L2(), n_shards=2, backend="mvpt", rng=9)
-        time.sleep(0.01)
         write_store(
             rebuilt.shards[0], paths[(0, 0)],
             global_ids=np.asarray(manager.shard_ids[0], dtype=np.int64),
         )
         final = []
         for shard in range(2):
-            value, stats, state = remote_store_round(
+            value, stats, outcome = remote_store_search(
                 str(paths[(shard, 0)]), "l2", query, resumed[shard]
             )
-            assert state is None
+            assert not isinstance(outcome, PausedShard)
             assert stats.retries == (1 if shard == 0 else 0)
             final.append(value)
         merged = sorted(n for value in final for n in value)[: query.k]
@@ -450,7 +458,6 @@ class TestBetweenRounds:
             if shard == 0:
                 calls[0] += 1
                 if calls[0] == 2:
-                    time.sleep(0.01)
                     write_store(
                         rebuilt.shards[0], paths[(0, 0)],
                         global_ids=np.asarray(manager.shard_ids[0], dtype=np.int64),
@@ -464,3 +471,136 @@ class TestBetweenRounds:
         assert calls[0] == 2
         assert result.stats.retries == 1
         assert result.neighbors == LinearScan(data, L2()).knn_search(query.query, 3)
+
+    def test_store_rewritten_with_the_same_tree_resumes(self, data, tmp_path):
+        """The stamp is the store's payload digest: a file replaced by
+        the same tree (a new inode, maybe the same mtime) still resumes,
+        paying no distance twice."""
+        manager = ShardManager(data, L2(), n_shards=2, backend="mvpt", rng=3)
+        paths = save_shard_stores(manager, tmp_path)
+        query = Query.knn(data[60] + 0.02, 3)
+        first = [
+            remote_store_search(str(paths[(s, 0)]), "l2", query, ROUND_ONE)
+            for s in range(2)
+        ]
+        resumed = second_round([v for v, _, _ in first], [o for _, _, o in first])
+        assert resumed[0] is not None
+        write_store(
+            manager.shards[0], paths[(0, 0)],
+            global_ids=np.asarray(manager.shard_ids[0], dtype=np.int64),
+        )
+        _, stats, _ = remote_store_search(str(paths[(0, 0)]), "l2", query, resumed[0])
+        assert stats.retries == 0
+
+
+def _shells(seed: int, n: int = 1000, dim: int = 8) -> np.ndarray:
+    """Two contiguous shards of points on shells around the origin.
+
+    Shard 0 holds one point at distance 1.0 (row 0) and ``n - 1`` at
+    2 to 3; shard 1 one point at 1.5 (row ``n``) and the rest at 1.6 to
+    3.  A 1-NN at the origin pauses both shards, shard 0 having paid
+    its 1.0 point; for the seeds below shard 1 has not yet paid its 1.5
+    point, so round two prunes it with shard 0's 1.0.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for near, lo in ((1.0, 2.0), (1.5, 1.6)):
+        unit = rng.normal(size=(n, dim))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        shell = unit * rng.uniform(lo, 3.0, size=(n, 1))
+        shell[0] = unit[0] * near
+        rows.append(shell)
+    return np.vstack(rows)
+
+
+def _delete_between_rounds(monkeypatch, manager, gid: int) -> list:
+    """Make the candidate exchange delete ``gid`` once, after round one."""
+    paused: list = []
+
+    def exchange(values, states):
+        if not paused:
+            paused.extend(states)
+            manager.delete(gid)
+        return second_round(values, states)
+
+    monkeypatch.setattr("repro.serve.sharding.second_round", exchange)
+    monkeypatch.setattr("repro.serve.engine.second_round", exchange)
+    return paused
+
+
+def _live_answer(manager, data, query) -> list[tuple[float, int]]:
+    live = np.array(manager.live_ids())
+    oracle = LinearScan(data[live], L2())
+    return [
+        (n.distance, int(live[n.id])) for n in oracle.knn_search(query.query, query.k)
+    ]
+
+
+SHELL_SEEDS = [2, 4, 7, 9]
+
+
+class TestWritesBetweenRounds:
+    """A delete between the rounds takes away a candidate the other
+    shards prune with: shard 0's 1.0 point is deleted after round one,
+    shard 1 resumes on its unchanged slot and prunes with 1.0, missing
+    its 1.5 point, and shard 0 runs again without the 1.0 point.  The
+    merge then finds its k-th distance past shard 1's threshold and
+    runs shard 1 again in one round."""
+
+    def _deployment(self, seed):
+        data = _shells(seed)
+        manager = ShardManager(
+            data, L2(), n_shards=2, backend="mvpt", assignment="contiguous", rng=3
+        )
+        return data, manager, Query.knn(np.zeros(data.shape[1]), 1)
+
+    @pytest.mark.parametrize("seed", SHELL_SEEDS)
+    def test_sequential_manager(self, monkeypatch, seed):
+        data, manager, query = self._deployment(seed)
+        paused = _delete_between_rounds(monkeypatch, manager, 0)
+        stats = QueryStats()
+        got = manager.knn_search(query.query, query.k, stats=stats)
+        assert all(state is not None for state in paused)
+        assert paused[0].near[0] < 1.1 and paused[1].near[0] > 1.55
+        assert [(n.distance, n.id) for n in got] == _live_answer(manager, data, query)
+        assert got[0].id == len(data) // 2
+        # Shard 0's stale stamp; then both shards pruned with outside
+        # candidates, and both run again.
+        assert stats.retries == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "thread-deadline"])
+    @pytest.mark.parametrize("seed", SHELL_SEEDS[:2])
+    def test_engine(self, monkeypatch, executor, seed):
+        data, manager, query = self._deployment(seed)
+        want_stats = QueryStats()
+        _delete_between_rounds(monkeypatch, manager, 0)
+        want = manager.knn_search(query.query, query.k, stats=want_stats)
+        data, manager, query = self._deployment(seed)  # the same, unwritten
+        _delete_between_rounds(monkeypatch, manager, 0)
+        timeout = 30.0 if executor == "thread-deadline" else None
+        kind = "serial" if executor == "serial" else "thread"
+        with QueryEngine(manager, executor=kind, workers=2, timeout=timeout) as engine:
+            result = engine.run_batch([query]).results[0]
+        assert not result.degraded
+        assert result.neighbors == want
+        assert [(n.distance, n.id) for n in want] == _live_answer(manager, data, query)
+        assert result.stats.to_dict() == want_stats.to_dict()
+
+    def test_every_write_changes_the_stamp(self, data):
+        """The stamp names the slot's live set exactly: the epoch, the
+        replica and a count of the writes that reached the shard."""
+        manager = ShardManager(
+            data, L2(), n_shards=2, backend="mvpt", replication_factor=2, rng=3
+        )
+        query = Query.knn(data[40] + 0.02, 3)
+        stamps = [_round(manager, 0, query)[1].stamp]
+        manager.delete(manager.shard_ids[0][7])
+        stamps.append(_round(manager, 0, query)[1].stamp)
+        gid = manager.insert(data[5] + 0.5)
+        assert gid % 2 == 0  # it lands in shard 0
+        stamps.append(_round(manager, 0, query)[1].stamp)
+        stamps.append(_round(manager, 0, query, replica=1)[1].stamp)
+        manager.delete(manager.shard_ids[1][3])  # another shard: no change
+        stamps.append(_round(manager, 0, query)[1].stamp)
+        assert len(set(stamps)) == 4
+        assert stamps[-1] == stamps[2]
