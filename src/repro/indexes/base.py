@@ -162,6 +162,7 @@ class MetricIndex(ABC):
         *,
         resume=None,
         outside=None,
+        pause_k: Optional[int] = None,
         stats: Optional["QueryStats"] = None,
         trace: Optional["TraceSink"] = None,
     ) -> tuple[list[Neighbor], object]:

@@ -180,12 +180,15 @@ class TableTree:
         return self._nodes is None and self._kernel_cache is None
 
     def knn_round(
-        self, query, k: int, *, resume=None, outside=None, stats=None, trace=None
+        self, query, k: int, *, resume=None, outside=None, pause_k=None,
+        stats=None, trace=None,
     ):
         """One round of an exact k-NN that can pause (:func:`exact_knn_round`)."""
         k = self.validate_k(k)
         obs = make_observation(stats, trace)
-        return exact_knn_round(self, query, k, resume=resume, outside=outside, obs=obs)
+        return exact_knn_round(
+            self, query, k, resume=resume, outside=outside, pause_k=pause_k, obs=obs
+        )
 
 
 def wire(tables, internals: list, leaves: list):
@@ -894,8 +897,10 @@ def _frontier(
         if not take:
             break
         if pause and tracker.spent >= pause:
-            paused = True
-            break
+            if _worth_pausing(front, sink.threshold()):
+                paused = True
+                break
+            pause = 0  # this search runs to its end in this round
         batch, front = front[:take], front[take:]
 
         is_leaf = batch[:, _KIND] == _LEAF
@@ -1029,6 +1034,29 @@ def _frontier(
 PAUSE_PER_K = 64
 
 
+#: A search at that boundary pauses only if at least ``1 / PAUSE_SHARE``
+#: of its frontier's cost has lower bounds above ``PAUSE_EDGE`` times its
+#: own k-th distance, and otherwise runs to its end in round one.  The
+#: other shards' k-th distance is rarely more than 20% below a shard's
+#: own, so a bound from them prunes little else; and where the data is
+#: concentrated (16-d uniform) almost no lower bound comes near the
+#: k-th distance at all.  In a sweep on the clustered ``mvpt`` and
+#: uniform ``vpt`` shards (``docs/serving.md``), 0.85 and 32 paused
+#: every clustered shard the rounds pay off on and no uniform one.
+PAUSE_EDGE = 0.85
+PAUSE_SHARE = 32
+
+
+def _worth_pausing(front: np.ndarray, threshold: float) -> bool:
+    """Could a bound a little below ``threshold`` prune much of
+    ``front``?  Yes while the k-best is not yet full: any bound would."""
+    if threshold == _INF:
+        return True
+    cost = front[:, _COST]
+    edge = cost[front[:, _LB] > PAUSE_EDGE * threshold].sum()
+    return edge * PAUSE_SHARE >= cost.sum()
+
+
 def exact_knn_round(
     tree,
     query,
@@ -1036,16 +1064,19 @@ def exact_knn_round(
     *,
     resume: Optional[Paused] = None,
     outside: Optional[np.ndarray] = None,
+    pause_k: Optional[int] = None,
     obs: Optional[Observation] = None,
 ) -> tuple[list[Neighbor], Optional[Paused]]:
     """One round of an exact k-NN whose threshold other shards'
     candidates can tighten (``docs/serving.md``).
 
     With ``outside=None`` it is a first round: the exact frontier runs
-    to its first iteration boundary with ``PAUSE_PER_K * k`` distances
-    paid and returns ``[]`` and the :class:`Paused` state, whose
-    ``dist``/``ids`` are its k-best so far, or finishes before that and
-    returns its answer and ``None``.
+    to its first iteration boundary with ``PAUSE_PER_K * pause_k``
+    distances paid (``pause_k`` defaults to ``k``; a shard that
+    over-fetches past its tombstones passes its live ``k``) and, if
+    :func:`_worth_pausing` there, returns ``[]`` and the :class:`Paused`
+    state, whose ``dist``/``ids`` are its k-best so far; otherwise it
+    finishes and returns its answer and ``None``.
     Given ``outside``, the distances of candidates found elsewhere
     (possibly none), it resumes ``resume`` (or starts from the root) and
     runs to the end, pruning with the k-th smallest distance over its
@@ -1061,7 +1092,7 @@ def exact_knn_round(
         sink = _TopK(k, _as_distances(outside))
     else:
         sink = _TopK(k, _as_distances(outside), resume.dist, resume.ids)
-    pause = PAUSE_PER_K * k if outside is None else 0
+    pause = PAUSE_PER_K * (pause_k or k) if outside is None else 0
     answer, state = _frontier(
         tree, adapter, query, sink, 1.0, None, obs, PRUNE_KNN_RADIUS, pause, resume
     )

@@ -1314,7 +1314,7 @@ class ShardManager(MetricIndex):
             else:
                 local, state = view.index.knn_round(
                     query.query, param, resume=frontier, outside=outside,
-                    stats=stats, trace=trace,
+                    pause_k=kk, stats=stats, trace=trace,
                 )
                 report = None
             if knn:

@@ -256,7 +256,8 @@ class StoreBackedIndex(MetricIndex):
         return [Neighbor(d, i) for d, i in merged[:k]]
 
     def knn_round(
-        self, query, k: int, *, resume=None, outside=None, stats=None, trace=None
+        self, query, k: int, *, resume=None, outside=None, pause_k=None,
+        stats=None, trace=None,
     ):
         """One round of an exact k-NN over shards: a tree store without
         a delta tail pauses and resumes like the tree itself
@@ -264,11 +265,10 @@ class StoreBackedIndex(MetricIndex):
         answers in one round."""
         if self._delta_rows is None and isinstance(self._impl, kernels.TableTree):
             return self._impl.knn_round(
-                query, k, resume=resume, outside=outside, stats=stats, trace=trace
+                query, k, resume=resume, outside=outside, pause_k=pause_k,
+                stats=stats, trace=trace,
             )
-        return super().knn_round(
-            query, k, resume=resume, outside=outside, stats=stats, trace=trace
-        )
+        return super().knn_round(query, k, stats=stats, trace=trace)
 
     # ------------------------------------------------------------------
     # Ids & lifecycle
