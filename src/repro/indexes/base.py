@@ -42,6 +42,12 @@ class Neighbor:
     distance: float
     id: int
 
+    def __reduce__(self):
+        # The slotted dataclass's own state hooks run in Python; a
+        # constructor call pickles answer lists several times faster
+        # (process workers send one back with every unit).
+        return (Neighbor, (self.distance, self.id))
+
 
 class MetricIndex(ABC):
     """Base class for distance-based indexes over a fixed dataset.

@@ -74,7 +74,9 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+import queue
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Optional
 
 from repro.indexes.base import MetricIndex
@@ -97,27 +99,118 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: The pool's warm-up barrier, set in each worker by
-#: :func:`_init_worker` (``None`` in the parent).
-_WARM_BARRIER = None
+def _serve(conn) -> None:
+    """A worker's loop: report ready, then run each ``(fn, args)`` the
+    parent sends and send back ``(True, result)`` or ``(False,
+    exception)``; ``None`` or a closed pipe ends it."""
+    conn.send(None)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # repro-check: ignore[RC008] parent gone
+            return
+        if message is None:
+            return
+        fn, args = message
+        try:
+            reply = (True, fn(*args))
+        except BaseException as exc:  # repro-check: ignore[RC008] sent on
+            reply = (False, exc)  # to the parent's failover
+        try:
+            conn.send(reply)
+        except Exception as exc:  # repro-check: ignore[RC008] sent on
+            # An answer or error that does not pickle.
+            conn.send((False, RuntimeError(f"worker reply failed: {exc!r}")))
 
 
-def _init_worker(barrier) -> None:
-    """Pool initializer: keep the ``max_workers``-party warm-up barrier.
-    It travels through ``initargs``, so it reaches workers under fork
-    and spawn alike."""
-    global _WARM_BARRIER
-    _WARM_BARRIER = barrier
+class WorkerDied(RuntimeError):
+    """A worker process exited while it held a unit, or none is left."""
 
 
-def _ping(timeout_s: float) -> int:
-    """Worker warm-up task: hold this worker until every worker holds a
-    ping, so no worker is idle while the pool is short of workers and
-    each submission starts a fresh one (``ProcessPoolExecutor`` only
-    spawns when no worker is idle).  A barrier that times out breaks
-    and fails every waiting ping; ``_warm`` never reads the results."""
-    _WARM_BARRIER.wait(timeout_s)
-    return 0
+class _Workers:
+    """Worker processes, each behind its own pipe.
+
+    The calling thread sends the call down an idle worker's pipe and
+    blocks on the answer, so a unit crosses two process hops and no
+    parent-side thread in between (``ProcessPoolExecutor`` adds a
+    manager and a feeder thread to every call).  Every worker starts in
+    ``__init__``.  A worker that dies fails the unit it held and leaves
+    the pool; the rest keep serving.
+    """
+
+    def __init__(self, n: int, context, ready_timeout_s: float):
+        self._idle: queue.SimpleQueue = queue.SimpleQueue()
+        self.processes: dict = {}  # parent pipe end -> its process
+        self._booting: set = set()  # pipes whose ready message is unread
+        self._closed = False
+        for _ in range(n):
+            parent_end, child_end = context.Pipe()
+            process = context.Process(target=_serve, args=(child_end,), daemon=True)
+            process.start()
+            child_end.close()
+            self.processes[parent_end] = process
+        deadline = time.monotonic() + ready_timeout_s
+        for conn in self.processes:
+            # A worker that is not ready in time answers its first unit
+            # late; its ready message is read then.
+            if conn.poll(max(0.0, deadline - time.monotonic())):
+                conn.recv()
+            else:
+                self._booting.add(conn)
+            self._idle.put(conn)
+
+    def call(self, fn, *args):
+        """``fn(*args)`` in an idle worker; re-raises the worker's error."""
+        conn = self._take()
+        try:
+            if conn in self._booting:
+                self._booting.discard(conn)
+                conn.recv()
+            conn.send((fn, args))
+            ok, value = conn.recv()
+        except (EOFError, OSError) as exc:
+            self.processes.pop(conn, None)
+            conn.close()
+            raise WorkerDied(f"worker process exited mid-unit: {exc!r}") from exc
+        if self._closed:
+            conn.send(None)
+            conn.close()
+        else:
+            self._idle.put(conn)
+        if ok:
+            return value
+        raise value
+
+    def _take(self):
+        """An idle worker's pipe, waiting while every worker is busy."""
+        while True:
+            try:
+                return self._idle.get(timeout=0.5)
+            except queue.Empty:
+                if not self.processes:
+                    raise WorkerDied("no worker process is left") from None
+
+    def shutdown(self, wait: bool) -> None:
+        """Stop the idle workers (a busy one stops when its unit is
+        done and its pipe is closed) and, with ``wait``, join them."""
+        self._closed = True
+        processes = list(self.processes.values())
+        while True:
+            try:
+                conn = self._idle.get_nowait()
+            except queue.Empty:  # repro-check: ignore[RC008] drained
+                break
+            try:
+                conn.send(None)
+            except OSError:  # repro-check: ignore[RC008] worker already gone
+                pass
+            conn.close()
+        self.processes.clear()
+        for process in processes:
+            if wait:
+                process.join(timeout=5.0)
+                if process.is_alive():
+                    process.terminate()
 
 
 def _remote_search(
@@ -160,13 +253,10 @@ class ProcessExecutor:
     search through :meth:`search`, which blocks the orchestration
     thread on the forked worker's answer.
 
-    The thread pool holds ``2 * max_workers`` orchestrators.  A blocked
-    orchestrator holds one unit, so with one thread per worker at most
-    ``max_workers`` units ever reached the process pool: a worker that
-    finished a unit idled until a parent thread woke, collected the
-    answer and picked up the next unit.  With two per worker, each
-    worker has one unit running and the next already pickled in the
-    pool's call queue.
+    The thread pool holds ``2 * max_workers`` orchestrators, so the
+    next unit is already orchestrated (breaker, fault hook) and waiting
+    for the first idle worker when one frees.  An orchestrator talks to
+    its worker over that worker's own pipe (:class:`_Workers`).
 
     Parameters
     ----------
@@ -178,9 +268,11 @@ class ProcessExecutor:
         Worker process count (twice as many orchestration threads are
         created, see above).
     warm_timeout_s:
-        How long ``__init__`` may spend forking the full complement of
-        workers up front.  Eager forking is a *fork-safety* measure,
-        not an optimisation — see the module docstring.
+        How long ``__init__`` may wait for every worker to report ready
+        (a spawned worker boots an interpreter first).  Every worker is
+        started before it returns either way: eager forking is a
+        *fork-safety* measure, not an optimisation — see the module
+        docstring.
     store_paths:
         ``{(shard, replica): path}`` of ``.rsx`` stores (as produced by
         :func:`repro.store.sharded.save_shard_stores`) switching the
@@ -247,39 +339,16 @@ class ProcessExecutor:
             # registry entries that existed when they forked.
             _FORK_REGISTRY[self.token] = index
         context = multiprocessing.get_context(start_method)
-        self._processes = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(context.Barrier(max_workers),),
-        )
-        self._warm(warm_timeout_s)
+        # Every worker forks here, while the parent is single-threaded.
+        self._workers = _Workers(max_workers, context, warm_timeout_s)
         self._threads = ThreadPoolExecutor(
             max_workers=2 * max_workers, thread_name_prefix="repro-serve-orch"
         )
 
-    def _warm(self, timeout_s: float) -> None:
-        """Fork every worker now, while the parent is single-threaded.
-
-        ``ProcessPoolExecutor`` may start workers lazily — one per
-        submission that finds no idle worker (spawn, and fork before
-        Python 3.11) — so one round of ``max_workers`` pings, each
-        waiting on a ``max_workers``-party barrier, keeps every worker
-        busy until all of them exist.  Deadline-bounded: on a slow
-        machine the barrier times out, the pool keeps the workers it
-        has and starts the rest lazily (losing the safety guarantee is
-        still better than hanging startup).
-        """
-        pings = [
-            self._processes.submit(_ping, timeout_s)
-            for _ in range(self.max_workers)
-        ]
-        wait(pings, timeout=timeout_s)
-
     @property
     def n_live_workers(self) -> int:
-        """Forked worker processes currently in the pool."""
-        return len(self._processes._processes)
+        """Worker processes currently in the pool."""
+        return sum(p.is_alive() for p in list(self._workers.processes.values()))
 
     def submit(self, fn, *args) -> Future:
         """Run unit orchestration on a parent-side thread (engine API)."""
@@ -308,21 +377,19 @@ class ProcessExecutor:
         answers empty without leaving the parent.
         """
         if self._store_paths is None:
-            future = self._processes.submit(
+            return self._workers.call(
                 _remote_search, self.token, query, shard, replica, resume
             )
-            return future.result()
         path = self._store_paths.get((shard or 0, replica or 0))
         if path is None:
             # Nothing to search: exact-empty, so no report needed —
             # the engine phrases it as a zero-mass certificate.
             return [], QueryStats(), None
-        future = self._processes.submit(
+        return self._workers.call(
             remote_store_search, path, self._metric_spec, query, resume
         )
-        return future.result()
 
     def shutdown(self, wait: bool = True) -> None:
         self._threads.shutdown(wait=wait)
-        self._processes.shutdown(wait=wait)
+        self._workers.shutdown(wait=wait)
         _FORK_REGISTRY.pop(self.token, None)
