@@ -74,9 +74,10 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import queue
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from multiprocessing.connection import wait as mp_wait
 from typing import Optional
 
 from repro.indexes.base import MetricIndex
@@ -99,118 +100,149 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _serve(conn) -> None:
-    """A worker's loop: report ready, then run each ``(fn, args)`` the
-    parent sends and send back ``(True, result)`` or ``(False,
-    exception)``; ``None`` or a closed pipe ends it."""
-    conn.send(None)
+def _serve(requests, read_lock, replies, write_lock) -> None:
+    """A worker's loop: report ready, then take the next ``(id, fn,
+    args)`` off the shared request pipe, run it, and send back ``(id,
+    True, result)`` or ``(id, False, exception)``; ``None`` or a closed
+    pipe ends it."""
+    with write_lock:
+        replies.send((None, True, None))
     while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # repro-check: ignore[RC008] parent gone
-            return
+        with read_lock:
+            try:
+                message = requests.recv()
+            except (EOFError, OSError):  # repro-check: ignore[RC008] parent gone
+                return
         if message is None:
             return
-        fn, args = message
+        call_id, fn, args = message
         try:
-            reply = (True, fn(*args))
+            reply = (call_id, True, fn(*args))
         except BaseException as exc:  # repro-check: ignore[RC008] sent on
-            reply = (False, exc)  # to the parent's failover
-        try:
-            conn.send(reply)
-        except Exception as exc:  # repro-check: ignore[RC008] sent on
-            # An answer or error that does not pickle.
-            conn.send((False, RuntimeError(f"worker reply failed: {exc!r}")))
+            reply = (call_id, False, exc)  # to the parent's failover
+        with write_lock:
+            try:
+                replies.send(reply)
+            except Exception as exc:  # repro-check: ignore[RC008] sent on
+                # An answer or error that does not pickle.
+                failure = RuntimeError(f"worker reply failed: {exc!r}")
+                replies.send((call_id, False, failure))
 
 
 class WorkerDied(RuntimeError):
-    """A worker process exited while it held a unit, or none is left."""
+    """A worker process exited: the pool fails every unit from then on."""
 
 
 class _Workers:
-    """Worker processes, each behind its own pipe.
+    """Worker processes sharing one request pipe and one reply pipe.
 
-    The calling thread sends the call down an idle worker's pipe and
-    blocks on the answer, so a unit crosses two process hops and no
-    parent-side thread in between (``ProcessPoolExecutor`` adds a
-    manager and a feeder thread to every call).  Every worker starts in
-    ``__init__``.  A worker that dies fails the unit it held and leaves
-    the pool; the rest keep serving.
+    A calling thread writes its call to the request pipe itself, and the
+    first free worker takes it, so every worker has its next unit
+    waiting while it runs one.  One parent thread reads the replies and
+    completes each caller's future.  That leaves two parent-side thread
+    hand-offs per unit, where ``ProcessPoolExecutor`` has four (its
+    manager thread on the way out and back, its feeder thread, the
+    caller).  Every worker starts in ``__init__``, before the reader
+    thread.  A worker that exits breaks the pool, as it breaks a
+    ``ProcessPoolExecutor``: every unit in flight or to come fails with
+    :class:`WorkerDied`, and the engine fails them over.
     """
 
     def __init__(self, n: int, context, ready_timeout_s: float):
-        self._idle: queue.SimpleQueue = queue.SimpleQueue()
-        self.processes: dict = {}  # parent pipe end -> its process
-        self._booting: set = set()  # pipes whose ready message is unread
-        self._closed = False
-        for _ in range(n):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(target=_serve, args=(child_end,), daemon=True)
+        requests_out, self._requests = context.Pipe(duplex=False)
+        self._replies, replies_in = context.Pipe(duplex=False)
+        read_lock, write_lock = context.Lock(), context.Lock()
+        self.processes = [
+            context.Process(
+                target=_serve,
+                args=(requests_out, read_lock, replies_in, write_lock),
+                daemon=True,
+            )
+            for _ in range(n)
+        ]
+        for process in self.processes:
             process.start()
-            child_end.close()
-            self.processes[parent_end] = process
+        requests_out.close()
+        replies_in.close()
+        # Ready messages; a worker not ready in time sends its own later.
         deadline = time.monotonic() + ready_timeout_s
-        for conn in self.processes:
-            # A worker that is not ready in time answers its first unit
-            # late; its ready message is read then.
-            if conn.poll(max(0.0, deadline - time.monotonic())):
-                conn.recv()
-            else:
-                self._booting.add(conn)
-            self._idle.put(conn)
+        for _ in range(n):
+            if not self._replies.poll(max(0.0, deadline - time.monotonic())):
+                break
+            self._replies.recv()
+        self._send_lock = threading.Lock()
+        self._futures: dict[int, Future] = {}
+        self._ids = itertools.count()
+        self._broken = False
+        self._closing = False
+        self._reader = threading.Thread(
+            target=self._read, name="repro-serve-replies", daemon=True
+        )
+        self._reader.start()
 
     def call(self, fn, *args):
-        """``fn(*args)`` in an idle worker; re-raises the worker's error."""
-        conn = self._take()
-        try:
-            if conn in self._booting:
-                self._booting.discard(conn)
-                conn.recv()
-            conn.send((fn, args))
-            ok, value = conn.recv()
-        except (EOFError, OSError) as exc:
-            self.processes.pop(conn, None)
-            conn.close()
-            raise WorkerDied(f"worker process exited mid-unit: {exc!r}") from exc
-        if self._closed:
-            conn.send(None)
-            conn.close()
-        else:
-            self._idle.put(conn)
-        if ok:
-            return value
-        raise value
+        """``fn(*args)`` in the first free worker; re-raises its error."""
+        future: Future = Future()
+        call_id = next(self._ids)
+        self._futures[call_id] = future
+        if self._broken:
+            self._futures.pop(call_id, None)
+            raise WorkerDied("a worker process exited; the pool is broken")
+        with self._send_lock:
+            self._requests.send((call_id, fn, args))
+        return future.result()
 
-    def _take(self):
-        """An idle worker's pipe, waiting while every worker is busy."""
+    def _read(self) -> None:
+        """Complete each reply's future.  A worker that exits outside a
+        shutdown breaks the pool; once every worker has exited the reply
+        pipe ends, and whatever is still waiting fails."""
+        sentinels = [process.sentinel for process in self.processes]
         while True:
-            try:
-                return self._idle.get(timeout=0.5)
-            except queue.Empty:
-                if not self.processes:
-                    raise WorkerDied("no worker process is left") from None
+            ready = mp_wait([self._replies, *sentinels])
+            if self._replies in ready:
+                try:
+                    call_id, ok, value = self._replies.recv()
+                except (EOFError, OSError):  # repro-check: ignore[RC008] all exited
+                    self._fail_all()
+                    return
+                future = self._futures.pop(call_id, None)
+                if future is None:
+                    continue  # a late ready message, or a failed unit's
+                if ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(value)
+                continue
+            sentinels = [s for s in sentinels if s not in ready]
+            if not self._closing:
+                self._fail_all()
+
+    def _fail_all(self) -> None:
+        self._broken = True
+        for call_id in list(self._futures):
+            future = self._futures.pop(call_id, None)
+            if future is not None:
+                future.set_exception(WorkerDied("a worker process exited"))
 
     def shutdown(self, wait: bool) -> None:
-        """Stop the idle workers (a busy one stops when its unit is
-        done and its pipe is closed) and, with ``wait``, join them."""
-        self._closed = True
-        processes = list(self.processes.values())
-        while True:
-            try:
-                conn = self._idle.get_nowait()
-            except queue.Empty:  # repro-check: ignore[RC008] drained
-                break
-            try:
-                conn.send(None)
-            except OSError:  # repro-check: ignore[RC008] worker already gone
-                pass
-            conn.close()
-        self.processes.clear()
-        for process in processes:
-            if wait:
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
+        """Stop every worker; with ``wait``, join them and the reader."""
+        self._closing = True
+        with self._send_lock:
+            for _ in self.processes:
+                try:
+                    self._requests.send(None)
+                except OSError:  # repro-check: ignore[RC008] workers gone
+                    break
+        if not wait:
+            return
+        for process in self.processes:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
+        self._reader.join(timeout=5.0)
+        self._requests.close()
+        self._replies.close()
 
 
 def _remote_search(
@@ -348,7 +380,7 @@ class ProcessExecutor:
     @property
     def n_live_workers(self) -> int:
         """Worker processes currently in the pool."""
-        return sum(p.is_alive() for p in list(self._workers.processes.values()))
+        return sum(process.is_alive() for process in self._workers.processes)
 
     def submit(self, fn, *args) -> Future:
         """Run unit orchestration on a parent-side thread (engine API)."""

@@ -1,12 +1,13 @@
-"""The process executor's workers: one pipe per worker process.
+"""The process executor's workers: one shared request pipe, one reply pipe.
 
-A unit's call goes down an idle worker's pipe and its answer (or
-error) comes back on it; a worker that dies fails the unit it held and
-leaves the pool while the others keep serving.
+A unit's call is written to the request pipe, the first free worker
+runs it, and its answer (or error) comes back through the reply pipe to
+the caller's future; a worker that dies breaks the pool.
 """
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -46,7 +47,7 @@ def executor():
 def test_calls_run_in_the_workers(executor):
     pids = {executor._workers.call(_pid) for _ in range(20)}
     assert os.getpid() not in pids
-    assert 1 <= len(pids) <= 2
+    assert pids <= {p.pid for p in executor._workers.processes}
     assert executor.n_live_workers == 2
 
 
@@ -59,20 +60,39 @@ def test_a_worker_error_re_raises_in_the_parent(executor):
     assert executor._workers.call(_pid) != os.getpid()
 
 
-def test_a_dead_worker_fails_its_unit_and_leaves_the_pool(executor):
+def test_a_dead_worker_breaks_the_pool(executor):
+    """As with ``ProcessPoolExecutor``: the unit a dead worker held fails,
+    and so does every unit after it, each with ``WorkerDied``, which the
+    engine fails over like any unit error."""
     with pytest.raises(WorkerDied):
         executor._workers.call(_exit, 3)
-    assert executor.n_live_workers == 1
-    assert len({executor._workers.call(_pid) for _ in range(6)}) == 1
     with pytest.raises(WorkerDied):
-        executor._workers.call(_exit, 3)
-    with pytest.raises(WorkerDied, match="no worker process is left"):
         executor._workers.call(_pid)
+    # The exit closes the worker's pipes a moment before it can be reaped.
+    deadline = time.monotonic() + 5.0
+    while executor.n_live_workers != 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert executor.n_live_workers == 1
+
+
+def test_queued_units_wait_for_the_first_free_worker(executor):
+    """More units than workers: every unit is answered, by either worker."""
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(executor._workers.call(_pid)))
+        for _ in range(8)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert len(results) == 8
+    assert os.getpid() not in results
 
 
 def test_shutdown_stops_every_worker():
     pool = ProcessExecutor(None, 2)
-    processes = list(pool._workers.processes.values())
+    processes = list(pool._workers.processes)
     pool.shutdown()
     assert not any(process.is_alive() for process in processes)
     assert pool.n_live_workers == 0
