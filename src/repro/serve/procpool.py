@@ -50,9 +50,10 @@ Consequences callers must accept:
   index, then the pool; rebuild the pool after bulk updates.
 
 Fork safety: every worker is forked eagerly in ``__init__`` — before
-the orchestration thread pool exists and before any query runs — so no
-worker can inherit a lock some other parent thread happens to hold
-mid-operation (the classic fork-after-threads deadlock).  Modules
+the reply reader and the orchestration thread pool exist and before any
+query runs — so no worker can inherit a lock some other parent thread
+happens to hold mid-operation (the classic fork-after-threads
+deadlock).  Modules
 imported by fork workers must not hold module-level locks, open file
 handles, or thread pools; the RC009 lint rule enforces this.
 
