@@ -8,6 +8,12 @@ input and call of the mix (``knn k=…``, ``bknn b=… eps=…``, ``range``,
 
     <family> <data set> <call> <sha256>
 
+Every tree input (:data:`FAMILIES` and :data:`STORED`) also runs the
+section-2 query variants, ``farthest k=…`` and ``outside r=…``.  They
+take no ``QueryStats``, so their lines also print the total distance
+count over the queries, ``<sha256> dist=<count>``, and read
+``unsupported`` for a family without the query.
+
 Each input also gets one ``build`` line first.  For a tree it hashes
 the persisted form (:func:`repro.persist.index_to_dict` as sorted-key
 JSON), the node counters and the construction distance count; the
@@ -104,6 +110,7 @@ EXACT_K = (1, 10, 110)
 BUDGETS = (100, 1000)
 EPSILONS = (0.0, 0.5)
 RANGE_BUDGET = 300
+FARTHEST_K = 10
 
 
 def datasets() -> dict:
@@ -135,7 +142,9 @@ class RecordingMetric(Metric):
             self.seen.extend(self.ids[row.tobytes()] for row in matrix)
 
     def distance(self, a, b) -> float:
-        self._record([a])
+        # Either side may be the data point (the other is the query).
+        known = np.asarray(a, dtype=np.float64).tobytes() in self.ids
+        self._record([a if known else b])
         return self.inner.distance(a, b)
 
     def batch_distance(self, xs: Sequence, y) -> np.ndarray:
@@ -178,31 +187,65 @@ def _calls(index, radius: float):
     return calls
 
 
+def _variants(index, radius: float):
+    """The section-2 query variants of a tree input, as :func:`_calls`
+    gives the mix."""
+    return [
+        (
+            f"farthest k={FARTHEST_K}",
+            lambda q, s: (index.farthest_search(q, FARTHEST_K), None),
+        ),
+        (
+            f"outside r={radius}",
+            lambda q, s: (index.outside_range_search(q, radius), None),
+        ),
+    ]
+
+
+def _digest_call(metric: RecordingMetric, queries, label: str, call):
+    """SHA-256 of one call over ``queries`` and the distances it paid."""
+    sha = hashlib.sha256()
+    paid = 0
+    for q in queries:
+        stats = QueryStats()
+        metric.seen = []
+        metric.recording = True
+        try:
+            answer, report = call(q, stats)
+        finally:
+            metric.recording = False
+        paid += len(metric.seen)
+        record = {
+            "call": label,
+            "answer": [
+                [float(n.distance), int(n.id)] if hasattr(n, "id") else int(n)
+                for n in answer
+            ],
+            "stats": stats.to_dict(),
+            "report": None if report is None else report.to_dict(),
+            "evaluated": metric.seen,
+        }
+        sha.update(json.dumps(record, sort_keys=True).encode())
+    return sha.hexdigest(), paid
+
+
 def digest_index(index, metric: RecordingMetric, queries, radius: float):
     """Yield ``(call label, SHA-256)`` for each call of the pinned query
     mix against ``index``."""
     for label, call in _calls(index, radius):
-        sha = hashlib.sha256()
-        for q in queries:
-            stats = QueryStats()
-            metric.seen = []
-            metric.recording = True
-            try:
-                answer, report = call(q, stats)
-            finally:
-                metric.recording = False
-            record = {
-                "call": label,
-                "answer": [
-                    [float(n.distance), int(n.id)] if hasattr(n, "id") else int(n)
-                    for n in answer
-                ],
-                "stats": stats.to_dict(),
-                "report": None if report is None else report.to_dict(),
-                "evaluated": metric.seen,
-            }
-            sha.update(json.dumps(record, sort_keys=True).encode())
-        yield label, sha.hexdigest()
+        yield label, _digest_call(metric, queries, label, call)[0]
+
+
+def digest_variants(index, metric: RecordingMetric, queries, radius: float):
+    """Yield ``(call label, "<SHA-256> dist=<count>")`` for each query
+    variant against ``index``, or ``unsupported``."""
+    for label, call in _variants(index, radius):
+        try:
+            sha, paid = _digest_call(metric, queries, label, call)
+        except NotImplementedError:
+            yield label, "unsupported"
+        else:
+            yield label, f"{sha} dist={paid}"
 
 
 #: Node counters a ``build`` line covers (``None`` where a family has none).
@@ -240,6 +283,8 @@ def run_digest(workdir: Path):
             yield family, data_name, "build", digest_build(index, counting.count)
             for label, digest in digest_index(index, metric, queries, radius):
                 yield family, data_name, label, digest
+            for label, digest in digest_variants(index, metric, queries, radius):
+                yield family, data_name, label, digest
         for family, (on, builder) in SHARDED.items():
             if on != data_name:
                 continue
@@ -258,6 +303,8 @@ def run_digest(workdir: Path):
             index = open_index(path, metric)
             try:
                 for label, digest in digest_index(index, metric, queries, radius):
+                    yield family, data_name, label, digest
+                for label, digest in digest_variants(index, metric, queries, radius):
                     yield family, data_name, label, digest
             finally:
                 index.close()

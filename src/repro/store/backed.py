@@ -255,6 +255,27 @@ class StoreBackedIndex(MetricIndex):
         merged.sort()
         return [Neighbor(d, i) for d, i in merged[:k]]
 
+    def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
+        k = self.validate_k(k)
+        found = self._impl.farthest_search(query, min(k, len(self._objects)))
+        if self._delta_rows is None:
+            return found
+        distances = self._delta_distances(query, stats=None, trace=None)
+        base_n = len(self._objects)
+        merged = [(-n.distance, n.id) for n in found]
+        merged.extend((-float(d), base_n + j) for j, d in enumerate(distances))
+        merged.sort()
+        return [Neighbor(-d, i) for d, i in merged[:k]]
+
+    def outside_range_search(self, query, radius: float) -> list[int]:
+        radius = self.validate_radius(radius)
+        out = self._impl.outside_range_search(query, radius)
+        if self._delta_rows is not None:
+            distances = self._delta_distances(query, stats=None, trace=None)
+            base_n = len(self._objects)
+            out.extend(base_n + int(j) for j in np.nonzero(distances > radius)[0])
+        return out
+
     def knn_round(
         self, query, k: int, *, resume=None, outside=None, pause_k=None,
         stats=None, trace=None,
