@@ -16,12 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.gmvptree import GMVPLeafNode, GMVPTree
+from repro.core.gmvptree import GMVPTree
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
 from repro.indexes.ghtree import GHLeafNode, GHTree
 from repro.indexes.gnat import GNAT, GNATLeafNode
-from repro.indexes.vptree import VPLeafNode, VPTree
+from repro.indexes.vptree import VPTree
 
 
 @dataclass
@@ -107,10 +108,8 @@ def analyze(index: MetricIndex) -> TreeReport:
     dynamic variant, gh-tree, GNAT, BK-tree).
     """
     report = TreeReport(type(index).__name__, len(index.objects))
-    if isinstance(index, GMVPTree):  # MVPTree and DynamicMVPTree too
-        _walk_gmvp(index.root, 1, report)
-    elif isinstance(index, VPTree):
-        _walk_vp(index.root, 1, report)
+    if isinstance(index, (GMVPTree, VPTree)):  # MVPTree and DynamicMVPTree too
+        _walk_tables(index, report)
     elif isinstance(index, GHTree):
         _walk_gh(index.root, 1, report)
     elif isinstance(index, GNAT):
@@ -133,37 +132,37 @@ def _leaf(report: TreeReport, size: int, depth: int) -> None:
     report.height = max(report.height, depth)
 
 
-def _walk_gmvp(node, depth: int, report: TreeReport) -> None:
-    """Accumulate multi-vantage tree stats (recursive; depth <= tree
-    height); D1/D2 (``dists``) and PATH rows are its stored distances."""
-    if node is None:
+def _walk_tables(index, report: TreeReport) -> None:
+    """Accumulate vp-tree or multi-vantage tree stats from the flat
+    tables, nodes in depth-first child order.  A multi-vantage leaf
+    point's stored distances are its D_t row (``v`` entries) and its
+    PATH prefix (``min(p, vantage points above it)`` entries)."""
+    tables = index._tables()
+    if tables is None:
         return
-    if isinstance(node, GMVPLeafNode):
-        _leaf(report, len(node.ids), depth)
-        report.vantage_point_count += len(node.vp_ids)
-        report.precomputed_distances += node.dists.size + node.paths.size
-        return
-    report.node_count += 1
-    report.internal_count += 1
-    report.vantage_point_count += len(node.vp_ids)
-    report.height = max(report.height, depth)
-    for child in node.children:
-        _walk_gmvp(child, depth + 1, report)
-
-
-def _walk_vp(node, depth: int, report: TreeReport) -> None:
-    """Accumulate vp-tree stats (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, VPLeafNode):
-        _leaf(report, len(node.ids), depth)
-        return
-    report.node_count += 1
-    report.internal_count += 1
-    report.vantage_point_count += 1
-    report.height = max(report.height, depth)
-    for child in node.children:
-        _walk_vp(child, depth + 1, report)
+    multi = isinstance(index, GMVPTree)
+    v = index.v if multi else 1
+    stack = [(int(tables.root_kind), int(tables.root_idx), 1)]
+    while stack:
+        kind, slot, depth = stack.pop()
+        report.height = max(report.height, depth)
+        if kind == kernels._LEAF:
+            size = int(tables.leaf_offsets[slot + 1] - tables.leaf_offsets[slot])
+            _leaf(report, size, depth)
+            if multi:
+                vps = int(np.count_nonzero(tables.leaf_vp_ids[slot] >= 0))
+                report.vantage_point_count += vps
+                path_len = min(index.p, v * (depth - 1))
+                report.precomputed_distances += size * (v + path_len)
+            continue
+        report.node_count += 1
+        report.internal_count += 1
+        report.vantage_point_count += v
+        kids = tables.child_kind[slot].nonzero()[0][::-1]
+        kinds, slots = tables.child_kind[slot, kids], tables.child_idx[slot, kids]
+        stack.extend(
+            (int(kind), int(idx), depth + 1) for kind, idx in zip(kinds, slots)
+        )
 
 
 def _walk_gh(node, depth: int, report: TreeReport) -> None:

@@ -15,8 +15,8 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
 * ``m1-shape`` / ``m2-shape`` — M1 has ``m - 1`` entries, M2 is
   ``m x (m - 1)`` (a ``v``-vantage node keeps ``m**t`` such rows for
   its t-th vantage point), children/bounds have the advertised fanout.
-* ``bounds-order`` — every stored shell satisfies ``0 <= lo <= hi``
-  (the ``(inf, -inf)`` empty-partition sentinel is exempt).
+* ``bounds-order`` — every present child's shell satisfies
+  ``0 <= lo <= hi``.
 * ``bounds-cutoff-consistent`` — shell radii fall inside the cutoff
   interval their partition claims (section 4.3 prunes against both).
 * ``partition-membership`` — every point under a child really lies
@@ -57,9 +57,12 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
   memtable entries the base does not serve — equals the shard's live
   ids; replica inner structures are verified recursively.
 
-A :class:`~repro.store.backed.StoreBackedIndex` is verified as the index
-it holds over its mapped sections (``_impl``): a tree's node view is
-made from the store's own tables, cutoffs included.
+The trees are verified from their flat tables, their only
+representation, so a built, JSON-loaded, insert-patched or store-backed
+tree takes the same path.  A
+:class:`~repro.store.backed.StoreBackedIndex` is verified as the index
+it holds over its mapped sections (``_impl``): the store's own tables,
+cutoffs included.
 
 An oversized leaf is exempt from ``leaf-capacity`` when its points are
 a zero-diameter group (all at distance 0 from a representative — by
@@ -76,23 +79,22 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.dynamic import DynamicMVPTree
-from repro.core.gmvptree import GMVPLeafNode, GMVPTree
+from repro.core.gmvptree import GMVPTree
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
+from repro.indexes import kernels
 from repro.indexes.ghtree import GHLeafNode, GHTree
 from repro.indexes.gnat import GNAT, GNATLeafNode
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
-from repro.indexes.vptree import VPLeafNode, VPTree
+from repro.indexes.vptree import VPTree
 from repro.serve.sharding import ShardManager
 from repro.store.backed import StoreBackedIndex
 from repro.transforms.filter import TransformIndex
 
 #: Relative tolerance for comparing stored against recomputed distances.
 _REL_TOL = 1e-9
-
-_EMPTY_BOUND_LO = float("inf")
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,6 @@ def _close(a: float, b: float) -> bool:
 
 def _within(value: float, lo: float, hi: float) -> bool:
     return lo - _tol(lo, value) <= value <= hi + _tol(hi, value)
-
-
-def _is_empty_bound(bound) -> bool:
-    lo, hi = bound
-    return lo == _EMPTY_BOUND_LO and hi == float("-inf")
 
 
 def _nondecreasing(values) -> bool:
@@ -189,38 +186,106 @@ def _check_id_partition(
 
 
 # ----------------------------------------------------------------------
-# Multi-vantage trees (GMVPTree, MVPTree = v=2, DynamicMVPTree)
+# Table trees: VPTree, and GMVPTree (MVPTree = v=2, DynamicMVPTree)
 # ----------------------------------------------------------------------
+#
+# The verifier reads the flat tables (repro.indexes.kernels), the trees'
+# only representation, so one path covers built, decoded, store-backed
+# and insert-patched trees of both families.  A walk from the root slot
+# visits every reachable node once; a location is the child path from
+# the root.
 
 
-def _gmvp_subtree_ids(node) -> Iterator[int]:
-    """Yield every id under ``node`` (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    yield from node.vp_ids
-    if isinstance(node, GMVPLeafNode):
-        yield from node.ids
-        return
-    for child in node.children:
-        yield from _gmvp_subtree_ids(child)
+def _check_table_shapes(tables, shapes: dict, out: list[Violation]) -> bool:
+    """``shapes`` maps a table to its ``(invariant, expected shape)``;
+    reports every mismatch at the root and returns whether all match."""
+    ok = True
+    for name, (invariant, want) in shapes.items():
+        got = getattr(tables, name).shape
+        if got != want:
+            ok = False
+            out.append(
+                Violation(invariant, "root", f"{name} has shape {got}, expected {want}")
+            )
+    return ok
 
 
-def verify_gmvptree(index: GMVPTree) -> list[Violation]:
-    """Check GMVPTree / MVPTree / DynamicMVPTree invariants (sections
-    4.1-4.3, for any number ``v`` of vantage points per node)."""
+def _reached_twice(
+    reached: set, key: tuple, loc: str, out: list[Violation]
+) -> bool:
+    """Whether a node was reached before (the child tables do not make
+    a tree); the first visit adds it to ``reached``."""
+    if key in reached:
+        out.append(Violation("id-partition", loc, f"node {key} is reached twice"))
+        return True
+    reached.add(key)
+    return False
+
+
+def _check_shell(lo, hi, cutoffs, g: int, name: str, loc: str, out) -> bool:
+    """``bounds-order`` and ``bounds-cutoff-consistent`` for one present
+    child's shell; False when the shell is unusable for membership
+    checks."""
+    if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
+        out.append(
+            Violation(
+                "bounds-order",
+                loc,
+                f"{name}=({lo:.6g}, {hi:.6g}) violates 0 <= lo <= hi",
+            )
+        )
+        return False
+    c_lo, c_hi = _cutoff_interval(cutoffs, g)
+    if not (_within(lo, c_lo, c_hi) and _within(hi, c_lo, c_hi)):
+        out.append(
+            Violation(
+                "bounds-cutoff-consistent",
+                loc,
+                f"{name}=({lo:.6g}, {hi:.6g}) outside cutoff interval "
+                f"({c_lo:.6g}, {c_hi:.6g})",
+            )
+        )
+    return True
+
+
+def _check_members(dist, objects, members, vp_id, lo, hi, label, loc, out) -> None:
+    """``partition-membership``: every id in ``members`` lies inside the
+    shell ``(lo, hi)`` around ``vp_id``."""
+    for idx in members:
+        d = dist(objects[idx], objects[vp_id])
+        if not _within(d, lo, hi):
+            out.append(
+                Violation(
+                    "partition-membership",
+                    loc,
+                    f"point {idx}: d(x, {label})={d:.6g} outside "
+                    f"({lo:.6g}, {hi:.6g})",
+                )
+            )
+
+
+def _leaf_rows(tables, slot: int) -> slice:
+    return slice(int(tables.leaf_offsets[slot]), int(tables.leaf_offsets[slot + 1]))
+
+
+def verify_table_tree(index) -> list[Violation]:
+    """Check a vp-tree's (section 3.3) or multi-vantage tree's (sections
+    4.1-4.3, any number ``v`` of vantage points per node) invariants
+    from its tables.  A vp-tree node is read as one vantage point, with
+    no leaf vantage points, D_t or PATH rows."""
     out: list[Violation] = []
     dist = index._metric.distance
     objects = index._objects
-    m, v = index.m, index.v
+    multi = isinstance(index, GMVPTree)
+    m, v, p = index.m, (index.v if multi else 1), (index.p if multi else 0)
+    fanout = m**v
+    expected = set(range(len(objects)))
+    leaf_cap = index.k if multi else index.leaf_capacity
     if isinstance(index, DynamicMVPTree):
-        expected = set(range(len(objects))) - (
-            index.removed_ids - index.tombstone_ids
-        )
+        expected -= index.removed_ids - index.tombstone_ids
         leaf_cap = int(index.overflow_factor * index.k)
-    else:
-        expected = set(range(len(objects)))
-        leaf_cap = index.k
-    if index.root is None:
+    tables = index._tables()
+    if tables is None:
         if expected:
             out.append(
                 Violation(
@@ -228,54 +293,57 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                 )
             )
         return out
+    count, points = len(tables.vp_ids), len(tables.leaf_ids)
+    if multi:
+        shapes = {
+            # M1 is vantage point 0's single cutoff row; M2 and beyond follow.
+            "vp_ids": ("m1-shape", (count, v)),
+            "cutoffs": ("m2-shape", (count, (fanout - 1) // (m - 1), m - 1)),
+            "blo": ("m2-shape", (count, fanout, v)),
+            "bhi": ("m2-shape", (count, fanout, v)),
+            "child_kind": ("m2-shape", (count, fanout)),
+            "child_idx": ("m2-shape", (count, fanout)),
+            "leaf_vp_ids": ("leaf-distance", (len(tables.leaf_offsets) - 1, v)),
+            "leaf_dists": ("leaf-distance", (points, v)),
+            "leaf_paths": ("path-shape", (points, p)),
+        }
+    else:
+        shapes = {
+            name: ("m1-shape", shape)
+            for name, shape in (
+                ("vp_ids", (count,)),
+                ("cutoffs", (count, m - 1)),
+                ("child_lo", (count, m)),
+                ("child_hi", (count, m)),
+                ("child_kind", (count, m)),
+                ("child_idx", (count, m)),
+            )
+        }
+    if not _check_table_shapes(tables, shapes, out):
+        return out  # indexed checks would be meaningless
+    if multi:
+        vp_table, cut_table = tables.vp_ids, tables.cutoffs
+        lo_table, hi_table = tables.blo, tables.bhi
+    else:
+        vp_table, cut_table = tables.vp_ids[:, None], tables.cutoffs[:, None]
+        lo_table, hi_table = tables.child_lo[..., None], tables.child_hi[..., None]
+    first = [(m**t - 1) // (m - 1) for t in range(v)]  # cutoff rows per vp
     seen: list[int] = []
+    reached: set = set()
 
-    def visit(node, loc: str, ancestors: list[int]) -> None:
-        """Recursive structural walk (depth bounded by tree height)."""
-        seen.extend(node.vp_ids)
-        if isinstance(node, GMVPLeafNode):
-            _visit_leaf(node, loc, ancestors)
-            return
-
-        if len(node.vp_ids) != v:
-            out.append(
-                Violation(
-                    "m1-shape",
-                    loc,
-                    f"internal node has {len(node.vp_ids)} vantage points, "
-                    f"expected {v}",
-                )
-            )
-        cutoff_shapes = [len(node.cutoffs) == v] + [
-            len(rows) == m**t and all(len(row) == m - 1 for row in rows)
-            for t, rows in enumerate(node.cutoffs)
-        ]
-        if not all(cutoff_shapes):
-            # M1 is vantage point 0's single row; M2 and beyond follow.
-            m1_ok = len(cutoff_shapes) > 1 and cutoff_shapes[1]
-            out.append(
-                Violation(
-                    "m2-shape" if m1_ok else "m1-shape",
-                    loc,
-                    f"cutoffs are not {v} levels of m**t rows of {m - 1} "
-                    "entries",
-                )
-            )
-            return  # subsequent indexed checks would be meaningless
-        if len(node.children) != m**v or len(node.bounds) != m**v or any(
-            len(row) != v for row in node.bounds
-        ):
-            out.append(
-                Violation(
-                    "m2-shape",
-                    loc,
-                    f"children/bounds fanout inconsistent with m**v={m**v}",
-                )
-            )
-            return
-
-        for t, rows in enumerate(node.cutoffs):
-            for r, row in enumerate(rows):
+    def visit(kind: int, slot: int, loc: str, ancestors: list[int]) -> list[int]:
+        """Check the subtree at ``(kind, slot)`` and return its ids
+        (recursive; depth bounded by tree height)."""
+        if _reached_twice(reached, (kind, slot), loc, out):
+            return []
+        if kind == kernels._LEAF:
+            return visit_leaf(slot, loc, ancestors)
+        vps = vp_table[slot].tolist()
+        seen.extend(vps)
+        cutoffs = cut_table[slot]
+        for t in range(v):
+            for r in range(m**t):
+                row = cutoffs[first[t] + r].tolist()
                 if not _nondecreasing(row):
                     out.append(
                         Violation(
@@ -284,265 +352,97 @@ def verify_gmvptree(index: GMVPTree) -> list[Violation]:
                             f"cutoffs[{t}][{r}] not non-decreasing: {row}",
                         )
                     )
-
-        for c, child in enumerate(node.children):
+        ids = list(vps)
+        for c in range(fanout):
+            child_kind = int(tables.child_kind[slot, c])
+            if not child_kind:
+                continue
+            child_loc = f"{loc}.children[{c}]"
+            below = visit(
+                child_kind, int(tables.child_idx[slot, c]), child_loc, ancestors + vps
+            )
             for t in range(v):
                 width = m ** (v - 1 - t)
-                row = node.cutoffs[t][c // (width * m)]
-                if not _check_shell(
-                    node.bounds[c][t], child, row, c // width % m,
-                    f"bounds[{c}][{t}]", loc,
-                ):
-                    continue
-                if child is None:
-                    continue
-                lo, hi = node.bounds[c][t]
-                for idx in _gmvp_subtree_ids(child):
-                    d = dist(objects[idx], objects[node.vp_ids[t]])
-                    if not _within(d, lo, hi):
-                        out.append(
-                            Violation(
-                                "partition-membership",
-                                f"{loc}.children[{c}]",
-                                f"point {idx}: d(x, vp{t + 1})={d:.6g} outside "
-                                f"bounds[{c}][{t}]=({lo:.6g}, {hi:.6g})",
-                            )
-                        )
-
-        child_ancestors = ancestors + list(node.vp_ids)
-        for c, child in enumerate(node.children):
-            if child is not None:
-                visit(child, f"{loc}.children[{c}]", child_ancestors)
-
-    def _check_shell(bound, child, cutoffs, g: int, name: str, loc: str) -> bool:
-        """``bounds-order`` and ``bounds-cutoff-consistent`` for one
-        shell; False when the shell is unusable for membership checks."""
-        if _is_empty_bound(bound):
-            if child is not None:
-                out.append(
-                    Violation(
-                        "bounds-order",
-                        loc,
-                        f"{name} is the empty sentinel but the child is "
-                        "non-empty",
+                lo, hi = float(lo_table[slot, c, t]), float(hi_table[slot, c, t])
+                row = cutoffs[first[t] + c // (width * m)]
+                name = f"bounds[{c}][{t}]"
+                if _check_shell(lo, hi, row, c // width % m, name, loc, out):
+                    label = f"vp{t + 1}"
+                    _check_members(
+                        dist, objects, below, vps[t], lo, hi, label, child_loc, out
                     )
-                )
-            return False
-        lo, hi = bound
-        if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
-            out.append(
-                Violation(
-                    "bounds-order",
-                    loc,
-                    f"{name}=({lo:.6g}, {hi:.6g}) violates 0 <= lo <= hi",
-                )
-            )
-            return False
-        c_lo, c_hi = _cutoff_interval(cutoffs, g)
-        if not (_within(lo, c_lo, c_hi) and _within(hi, c_lo, c_hi)):
-            out.append(
-                Violation(
-                    "bounds-cutoff-consistent",
-                    loc,
-                    f"{name}=({lo:.6g}, {hi:.6g}) outside cutoff interval "
-                    f"({c_lo:.6g}, {c_hi:.6g})",
-                )
-            )
-        return True
+            ids += below
+        return ids
 
-    def _visit_leaf(node: GMVPLeafNode, loc: str, ancestors: list[int]) -> None:
-        seen.extend(node.ids)
-        if not len(node.ids):
-            return
-        if len(node.vp_ids) != v:
+    def visit_leaf(slot: int, loc: str, ancestors: list[int]) -> list[int]:
+        rows = _leaf_rows(tables, slot)
+        ids = tables.leaf_ids[rows].tolist()
+        vp_ids = []
+        if multi:
+            vp_ids = [vp for vp in tables.leaf_vp_ids[slot].tolist() if vp >= 0]
+        seen.extend(vp_ids + ids)
+        if not ids:
+            return vp_ids
+        if multi and len(vp_ids) != v:
             out.append(
                 Violation(
                     "leaf-distance",
                     loc,
-                    f"leaf has data points but {len(node.vp_ids)} of {v} "
-                    "vantage points",
+                    f"leaf has data points but {len(vp_ids)} of {v} vantage points",
                 )
             )
-            return
-        if len(node.ids) > leaf_cap and not _zero_diameter(
-            dist, objects, node.ids
-        ):
+            return vp_ids + ids
+        if len(ids) > leaf_cap and not _zero_diameter(dist, objects, ids):
             out.append(
                 Violation(
                     "leaf-capacity",
                     loc,
-                    f"leaf holds {len(node.ids)} points > capacity {leaf_cap}",
+                    f"leaf holds {len(ids)} points > capacity {leaf_cap}",
                 )
             )
-        if node.dists.shape != (v, len(node.ids)):
-            out.append(
-                Violation(
-                    "leaf-distance",
-                    loc,
-                    f"dists shape {node.dists.shape}, expected "
-                    f"({v}, {len(node.ids)})",
-                )
-            )
-            return
-        expected_path_len = min(index.p, len(ancestors))
-        if node.path_len != expected_path_len or node.paths.shape != (
-            len(node.ids),
-            node.path_len,
-        ):
+        if not multi:
+            return ids
+        dists, paths = tables.leaf_dists[rows], tables.leaf_paths[rows]
+        path_len = min(p, len(ancestors))
+        if np.any(paths[:, path_len:]):
             out.append(
                 Violation(
                     "path-shape",
                     loc,
-                    f"paths shape {node.paths.shape} / path_len "
-                    f"{node.path_len}, expected ({len(node.ids)}, "
-                    f"{expected_path_len})",
+                    f"PATH rows hold entries past their {path_len} kept ones",
                 )
             )
-            return
-        for t, vp_id in enumerate(node.vp_ids):
-            for i, idx in enumerate(node.ids):
+        for t, vp_id in enumerate(vp_ids):
+            for i, idx in enumerate(ids):
                 d = dist(objects[idx], objects[vp_id])
-                if not _close(float(node.dists[t, i]), d):
+                if not _close(float(dists[i, t]), d):
                     out.append(
                         Violation(
                             "leaf-distance",
                             loc,
                             f"D{t + 1}[{i}] (point {idx}, vp {vp_id}) = "
-                            f"{float(node.dists[t, i]):.6g}, recomputed {d:.6g}",
+                            f"{float(dists[i, t]):.6g}, recomputed {d:.6g}",
                         )
                     )
-        for i, idx in enumerate(node.ids):
-            for s in range(node.path_len):
+        for i, idx in enumerate(ids):
+            for s in range(path_len):
                 expected_d = dist(objects[idx], objects[ancestors[s]])
-                if not _close(float(node.paths[i, s]), expected_d):
+                if not _close(float(paths[i, s]), expected_d):
                     out.append(
                         Violation(
                             "path-consistency",
                             loc,
                             f"PATH[{i}, {s}] (point {idx}, ancestor vp "
-                            f"{ancestors[s]}) = {float(node.paths[i, s]):.6g}, "
+                            f"{ancestors[s]}) = {float(paths[i, s]):.6g}, "
                             f"recomputed {expected_d:.6g}",
                         )
                     )
+        return vp_ids + ids
 
-    visit(index.root, "root", [])
-    _check_id_partition(seen, expected, out, "multi-vantage tree")
-    return out
-
-
-# ----------------------------------------------------------------------
-# VPTree
-# ----------------------------------------------------------------------
-
-
-def _vp_subtree_ids(node) -> Iterator[int]:
-    """Yield every id under ``node`` (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, VPLeafNode):
-        yield from node.ids
-        return
-    yield node.vp_id
-    for child in node.children:
-        yield from _vp_subtree_ids(child)
-
-
-def verify_vptree(index: VPTree) -> list[Violation]:
-    """Check VPTree invariants (spherical-cut shells, section 3.3)."""
-    out: list[Violation] = []
-    dist = index._metric.distance
-    objects = index._objects
-    m = index.m
-    seen: list[int] = []
-
-    def visit(node, loc: str) -> None:
-        """Recursive structural walk (depth bounded by tree height)."""
-        if isinstance(node, VPLeafNode):
-            seen.extend(node.ids)
-            if len(node.ids) > index.leaf_capacity and not _zero_diameter(
-                dist, objects, node.ids
-            ):
-                out.append(
-                    Violation(
-                        "leaf-capacity",
-                        loc,
-                        f"leaf holds {len(node.ids)} points > capacity "
-                        f"{index.leaf_capacity}",
-                    )
-                )
-            return
-        seen.append(node.vp_id)
-        if (
-            len(node.cutoffs) != m - 1
-            or len(node.bounds) != m
-            or len(node.children) != m
-        ):
-            out.append(
-                Violation(
-                    "m1-shape",
-                    loc,
-                    f"cutoffs/bounds/children fanout inconsistent with m={m}",
-                )
-            )
-            return
-        if not _nondecreasing(node.cutoffs):
-            out.append(
-                Violation(
-                    "cutoff-monotone",
-                    loc,
-                    f"cutoffs not non-decreasing: {node.cutoffs}",
-                )
-            )
-        for i in range(m):
-            child = node.children[i]
-            lo, hi = node.bounds[i]
-            if child is None:
-                continue
-            if _is_empty_bound(node.bounds[i]):
-                out.append(
-                    Violation(
-                        "bounds-order",
-                        loc,
-                        f"bounds[{i}] is the empty sentinel but the child "
-                        "is non-empty",
-                    )
-                )
-                continue
-            if not (0.0 <= lo + _tol(lo) and lo <= hi + _tol(hi, lo)):
-                out.append(
-                    Violation(
-                        "bounds-order",
-                        loc,
-                        f"bounds[{i}]=({lo:.6g}, {hi:.6g}) violates 0 <= lo <= hi",
-                    )
-                )
-                continue
-            c_lo, c_hi = _cutoff_interval(node.cutoffs, i)
-            if not (_within(lo, c_lo, c_hi) and _within(hi, c_lo, c_hi)):
-                out.append(
-                    Violation(
-                        "bounds-cutoff-consistent",
-                        loc,
-                        f"bounds[{i}]=({lo:.6g}, {hi:.6g}) outside cutoff "
-                        f"interval ({c_lo:.6g}, {c_hi:.6g})",
-                    )
-                )
-            child_loc = f"{loc}.children[{i}]"
-            for idx in _vp_subtree_ids(child):
-                d = dist(objects[idx], objects[node.vp_id])
-                if not _within(d, lo, hi):
-                    out.append(
-                        Violation(
-                            "partition-membership",
-                            child_loc,
-                            f"point {idx}: d(x, vp)={d:.6g} outside "
-                            f"bounds[{i}]=({lo:.6g}, {hi:.6g})",
-                        )
-                    )
-            visit(child, child_loc)
-
-    visit(index.root, "root")
-    _check_id_partition(seen, set(range(len(objects))), out, "vp-tree")
+    visit(int(tables.root_kind), int(tables.root_idx), "root", [])
+    _check_id_partition(
+        seen, expected, out, "multi-vantage tree" if multi else "vp-tree"
+    )
     return out
 
 
@@ -1263,8 +1163,8 @@ def verify_breaker_machine() -> list[Violation]:
 VERIFIERS: list[tuple[type, Callable[[MetricIndex], list[Violation]]]] = [
     (ShardManager, verify_shard_manager),
     (StoreBackedIndex, lambda index: verify_structure(index._impl)),
-    (GMVPTree, verify_gmvptree),
-    (VPTree, verify_vptree),
+    (GMVPTree, verify_table_tree),
+    (VPTree, verify_table_tree),
     (GHTree, verify_ghtree),
     (GNAT, verify_gnat),
     (BKTree, verify_bktree),

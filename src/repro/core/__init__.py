@@ -13,7 +13,7 @@ An mvp-tree (section 4 of the paper) differs from a vp-tree in two ways:
    PATH array) are retained from construction and used at query time to
    filter points *without computing any new distance*.
 
-One build, node layout and set of search kernels serve both:
+One build, table layout and set of search kernels serve both:
 :class:`GMVPTree` keeps ``v >= 2`` vantage points per node (the
 paper's "more than 2 vantage points" remark, section 4.2) and
 :class:`MVPTree` is its ``v = 2`` case with the paper's region-wide
@@ -21,13 +21,11 @@ shells.  :class:`DynamicMVPTree` adds insertion and deletion.
 """
 
 from repro.core.dynamic import DynamicMVPTree
-from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode, GMVPTree
+from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
 
 __all__ = [
     "MVPTree",
     "DynamicMVPTree",
     "GMVPTree",
-    "GMVPInternalNode",
-    "GMVPLeafNode",
 ]

@@ -17,7 +17,13 @@ that later metric-indexing systems adopted:
   stays exact, and appends to the destination leaf.  A leaf that
   overflows past ``overflow_factor * k`` is locally rebuilt into a
   proper mvp-subtree using the static construction algorithm — the
-  restructuring stays confined to one bucket.
+  restructuring stays confined to one bucket.  The insert patches a
+  copy of the flat tables (:mod:`repro.indexes.kernels`) — one leaf
+  row in, an empty child turned into a new leaf row, or the rebuilt
+  subtree's tables spliced in after the others — and swaps it in with
+  one assignment, so a concurrent search sees the tree before or after
+  the insert, never between.  :meth:`DynamicMVPTree.rebuild` lays the
+  tables out in preorder again.
 * **Deletion** is by tombstone: the object stays in the tree as a
   routing entry (its distances are still valid) but is filtered from
   every answer.  When tombstones exceed ``rebuild_threshold`` of the
@@ -39,7 +45,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from repro._util import RngLike, gather
-from repro.core.gmvptree import GMVPLeafNode
 from repro.core.mvptree import MVPTree
 from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
@@ -165,161 +170,164 @@ class DynamicMVPTree(MVPTree):
         """Index a new object; returns its id (stable forever)."""
         self._objects.append(obj)
         idx = len(self._objects) - 1
-        if self._is_empty():
+        tables = self._tables()
+        if tables is None:
             paths = np.full((1, self.p), np.nan)
             self._plant(self._build([idx], paths, level=1, depth=1))
-            return idx
-        # Shell expansion and leaf appends mutate the node graph in
-        # place: the tree starts from nodes from now on, and its tables
-        # go before the first change.
-        root = self._root
-        self._kernel_cache = None
-        self._root = self._insert_into(
-            root, idx, level=1, depth=1, path_entries=[], ancestors=[]
-        )
+        else:
+            self._plant(self._insert_into(tables, idx))
         return idx
 
-    def _insert_into(
-        self,
-        node,
-        idx: int,
-        level: int,
-        depth: int,
-        path_entries: list[float],
-        ancestors: list[int],
-    ):
-        """Insert ``idx`` under ``node``; returns the (possibly new) node.
+    def _insert_into(self, tables, idx: int) -> kernels._GMVPArrays:
+        """The tables with ``idx`` inserted.  The patch writes new arrays
+        (unchanged ones are shared), so the live tables never change and
+        :meth:`insert` swaps the result in with one assignment."""
+        m, v, p = self.m, self.v, self.p
+        objects = self._objects
+        obj = objects[idx]
+        new = kernels._GMVPArrays()
+        for name in new.SECTIONS:
+            setattr(new, name, getattr(tables, name))
+        new.root_kind, new.root_idx = tables.root_kind, tables.root_idx
+        new.blo, new.bhi = tables.blo.copy(), tables.bhi.copy()
+        first = [(m**t - 1) // (m - 1) for t in range(v)]  # cutoff rows
+        kind, slot, parent = tables.root_kind, tables.root_idx, None
+        level = depth = 1
+        path: list[float] = []  # the new point's PATH entries
+        ancestors: list[int] = []  # the vantage points above it
+        while kind == kernels._INTERNAL:
+            node = slot
+            vps = tables.vp_ids[node].tolist()
+            ds = [self._dist(None, obj, objects[vp]) for vp in vps]
+            path = (path + ds)[:p]
+            ancestors += vps
+            # Route digit by digit through the cutoffs, then widen every
+            # traversed region's shells so pruning stays exact for the
+            # new point (missing children keep their sentinels).
+            child = 0
+            for t, d in enumerate(ds):
+                row = tables.cutoffs[node, first[t] + child]
+                child = child * m + int(row.searchsorted(d))
+            for t, d in enumerate(ds):
+                width = m ** (v - 1 - t)
+                region = slice(child // width * width, (child // width + 1) * width)
+                new.blo[node, region, t] = np.minimum(new.blo[node, region, t], d)
+                new.bhi[node, region, t] = np.maximum(new.bhi[node, region, t], d)
+            parent = (node, child)
+            kind = tables.child_kind[node, child]
+            slot = int(tables.child_idx[node, child])
+            level, depth = level + v, depth + 1
 
-        Recursive descent; depth is bounded by the tree height.
-        """
-        obj = self._objects[idx]
-        d_first = self._dist(None, obj, self._objects[node.vp_ids[0]])
-
-        if isinstance(node, GMVPLeafNode):
-            return self._insert_into_leaf(
-                node, idx, d_first, level, depth, path_entries, ancestors
-            )
-
-        ds = [d_first] + [
-            self._dist(None, obj, self._objects[vp]) for vp in node.vp_ids[1:]
-        ]
-        path_entries.extend(d for t, d in enumerate(ds) if level + t <= self.p)
-        ancestors.extend(node.vp_ids)
-
-        # Route digit by digit through the cutoffs, then expand every
-        # traversed region's shell so triangle-inequality pruning
-        # remains exact for the inserted point.
-        m, v = self.m, self.v
-        slot = 0
-        for t, d in enumerate(ds):
-            slot = slot * m + self._route(d, node.cutoffs[t][slot])
-        for t, d in enumerate(ds):
-            width = m ** (v - 1 - t)
-            start = slot // width * width
-            for c in range(start, start + width):
-                lo, hi = node.bounds[c][t]
-                node.bounds[c][t] = (min(lo, d), max(hi, d))
-
-        child = node.children[slot]
-        if child is None:
-            leaf_level = level + v
-            path_len = min(self.p, leaf_level - 1)
+        if kind == kernels._NONE:
+            # An empty child becomes a leaf holding only the new point, as
+            # a vantage point, with the shell a filled child gets.
+            node, child = parent
+            new.leaf_vp_ids = np.vstack(
+                (tables.leaf_vp_ids, [[idx] + [-1] * (v - 1)])
+            ).astype(np.int64)
+            new.leaf_offsets = np.append(tables.leaf_offsets, tables.leaf_offsets[-1])
+            new.child_kind = tables.child_kind.copy()
+            new.child_idx = tables.child_idx.copy()
+            new.child_kind[node, child] = kernels._LEAF
+            new.child_idx[node, child] = len(tables.leaf_offsets) - 1
+            present = (new.child_kind[node] > 0)[:, None]
+            lo = np.where(present, new.blo[node], np.inf)
+            hi = np.where(present, new.bhi[node], -np.inf)
+            lo[child] = hi[child] = ds
+            lo, hi = self._shells(lo[None], hi[None], tables.cutoffs[node][None])
+            new.blo[node, child], new.bhi[node, child] = lo[0, child], hi[0, child]
             self.node_count += 1
             self.leaf_count += 1
             self.vantage_point_count += 1
-            self.height = max(self.height, depth + 1)
-            node.children[slot] = GMVPLeafNode(
-                [idx], [], np.empty((0, 0)), np.empty((0, path_len)), path_len
-            )
-        else:
-            node.children[slot] = self._insert_into(
-                child, idx, level + v, depth + 1, path_entries, ancestors
-            )
-        return node
+            self.height = max(self.height, depth)
+            return new
 
-    def _flatten(self, root) -> kernels._GMVPArrays:
-        """The tables of the node graph an update left (see
-        :meth:`insert`)."""
-        return kernels._gmvp_arrays(self, root)
-
-    @staticmethod
-    def _route(distance: float, cutoffs: list[float]) -> int:
-        """Pick the partition whose cutoff band contains ``distance``."""
-        for i, cutoff in enumerate(cutoffs):
-            if distance <= cutoff:
-                return i
-        return len(cutoffs)  # the outermost partition
-
-    def _insert_into_leaf(
-        self,
-        leaf: GMVPLeafNode,
-        idx: int,
-        d_first: float,
-        level: int,
-        depth: int,
-        path_entries: list[float],
-        ancestors: list[int],
-    ):
-        if len(leaf.vp_ids) < self.v:
+        vps = tables.leaf_vp_ids[slot, : tables.leaf_width[slot]].tolist()
+        column = [self._dist(None, obj, objects[vps[0]])]
+        if len(vps) < v:
             # A leaf without data points: the newcomer becomes its next
             # vantage point (with two objects it is trivially the
             # farthest from the first, matching static construction).
-            leaf.vp_ids.append(idx)
+            new.leaf_vp_ids = tables.leaf_vp_ids.copy()
+            new.leaf_vp_ids[slot, len(vps)] = idx
             self.vantage_point_count += 1
-            return leaf
-
-        obj = self._objects[idx]
-        column = [d_first] + [
-            self._dist(None, obj, self._objects[vp]) for vp in leaf.vp_ids[1:]
-        ]
-        n_prev = len(leaf.ids)
-        leaf.ids.append(idx)
-        leaf.dists = np.hstack(
-            [
-                leaf.dists.reshape(len(leaf.vp_ids), n_prev),
-                np.asarray(column, dtype=float).reshape(-1, 1),
-            ]
-        )
-        row = np.asarray(path_entries[: leaf.path_len], dtype=float)
-        # reshape with an explicit row count: (-1, 0) is invalid when
-        # path_len == 0 (a leaf directly under the root keeps no PATH).
-        previous = leaf.paths.reshape(n_prev, leaf.path_len)
-        leaf.paths = np.vstack([previous, row.reshape(1, leaf.path_len)])
+            return new
+        column += [self._dist(None, obj, objects[vp]) for vp in vps[1:]]
+        row = tables.leaf_offsets[slot + 1]
+        path_row = np.zeros(p)
+        path_row[: len(path)] = path
+        new.leaf_ids = np.insert(tables.leaf_ids, row, idx)
+        new.leaf_dists = np.insert(tables.leaf_dists, row, column, axis=0)
+        new.leaf_paths = np.insert(tables.leaf_paths, row, path_row, axis=0)
+        new.leaf_offsets = tables.leaf_offsets.copy()
+        new.leaf_offsets[slot + 1 :] += 1
         self.leaf_data_point_count += 1
+        if tables.leaf_size[slot] + 1 > self.overflow_factor * self.k:
+            return self._rebuild_leaf(new, slot, vps, parent, (level, depth), ancestors)
+        return new
 
-        if len(leaf.ids) > self.overflow_factor * self.k:
-            return self._rebuild_leaf(leaf, level, depth, ancestors)
-        return leaf
-
-    def _rebuild_leaf(
-        self, leaf: GMVPLeafNode, level: int, depth: int, ancestors: list[int]
-    ):
-        """Rebuild an overflowing leaf into a proper mvp-subtree."""
+    def _rebuild_leaf(self, tables, slot: int, vps: list, parent, at, ancestors):
+        """``tables`` with the overflowing leaf ``slot`` (vantage points
+        ``vps``, under child ``parent``, at ``(level, depth)``) rebuilt
+        into a proper mvp-subtree: the leaf's rows go, later leaf slots
+        move down one, and the subtree's rows follow the others."""
         self.leaf_rebuild_count += 1
-        vp_count = len(leaf.vp_ids)
-        member_ids = list(leaf.vp_ids) + list(leaf.ids)
+        level, depth = at
+        rows = slice(tables.leaf_offsets[slot], tables.leaf_offsets[slot + 1])
+        ids = tables.leaf_ids[rows].tolist()
 
         # Per-member PATH prefixes: the stored rows for data points, and
         # freshly computed ancestor distances for the vantage points
         # (the static leaf never needed to keep theirs).
-        path_len = leaf.path_len
-        paths = np.full((len(member_ids), self.p), np.nan)
-        for vp_row, vp_id in enumerate(leaf.vp_ids):
+        path_len = min(self.p, level - 1)
+        paths = np.full((len(vps) + len(ids), self.p), np.nan)
+        for vp_row, vp_id in enumerate(vps):
             if path_len:
                 paths[vp_row, :path_len] = self._batch_dist(
                     None,
                     gather(self._objects, ancestors[:path_len]),
                     self._objects[vp_id],
                 )
-        if leaf.ids:
-            paths[vp_count:, :path_len] = leaf.paths
+        paths[len(vps) :, :path_len] = tables.leaf_paths[rows, :path_len]
 
         # Retire the old leaf's accounting; _build re-counts the subtree.
         self.node_count -= 1
         self.leaf_count -= 1
-        self.vantage_point_count -= vp_count
-        self.leaf_data_point_count -= len(leaf.ids)
-        return self._node_view(self._build(member_ids, paths, level, depth), level)
+        self.vantage_point_count -= len(vps)
+        self.leaf_data_point_count -= len(ids)
+        sub = self._build(vps + ids, paths, level, depth)
+
+        count, leaves = len(tables.vp_ids), len(tables.leaf_offsets) - 2
+        out = kernels._GMVPArrays()
+        for name in ("vp_ids", "cutoffs", "blo", "bhi"):
+            both = (getattr(tables, name), getattr(sub, name))
+            setattr(out, name, np.concatenate(both))
+        kind, child = tables.child_kind, tables.child_idx.copy()
+        child[(kind == kernels._LEAF) & (child > slot)] -= 1
+        base = np.select(
+            [sub.child_kind == kernels._INTERNAL, sub.child_kind == kernels._LEAF],
+            [count, leaves],
+        )
+        out.child_kind = np.concatenate((kind, sub.child_kind))
+        out.child_idx = np.concatenate((child, sub.child_idx + base))
+        out.leaf_vp_ids = np.concatenate(
+            (np.delete(tables.leaf_vp_ids, slot, axis=0), sub.leaf_vp_ids)
+        )
+        sizes = np.delete(np.diff(tables.leaf_offsets), slot)
+        out.leaf_offsets = kernels._offsets(
+            np.concatenate((sizes, np.diff(sub.leaf_offsets))).tolist()
+        )
+        for name in ("leaf_ids", "leaf_dists", "leaf_paths"):
+            kept = np.delete(getattr(tables, name), rows, axis=0)
+            setattr(out, name, np.concatenate((kept, getattr(sub, name))))
+        inner = sub.root_kind == kernels._INTERNAL
+        root = (sub.root_kind, sub.root_idx + (count if inner else leaves))
+        if parent is None:
+            out.root_kind, out.root_idx = root
+        else:
+            out.root_kind, out.root_idx = tables.root_kind, tables.root_idx
+            out.child_kind[parent], out.child_idx[parent] = root
+        return out
 
     # ------------------------------------------------------------------
     # Deletion
@@ -374,7 +382,7 @@ class DynamicMVPTree(MVPTree):
         trace: Optional["TraceSink"] = None,
     ) -> list[int]:
         radius = self.validate_radius(radius)
-        if self._is_empty():
+        if self._tables() is None:
             return []
         hits = super().range_search(query, radius, stats=stats, trace=trace)
         if not self._deleted:
@@ -383,7 +391,7 @@ class DynamicMVPTree(MVPTree):
 
     def outside_range_search(self, query, radius: float) -> list[int]:
         radius = self.validate_radius(radius)
-        if self._is_empty():
+        if self._tables() is None:
             return []
         hits = super().outside_range_search(query, radius)
         if not self._deleted:
@@ -401,7 +409,7 @@ class DynamicMVPTree(MVPTree):
     ) -> list[Neighbor]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self._is_empty():
+        if self._tables() is None:
             return []
         # Over-fetch by the tombstone count so k live answers survive
         # the filter (bounded by the rebuild threshold).
@@ -419,7 +427,7 @@ class DynamicMVPTree(MVPTree):
     def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if self._is_empty():
+        if self._tables() is None:
             return []
         fetch = min(len(self._objects), k + len(self._deleted))
         raw = super().farthest_search(query, fetch)

@@ -29,15 +29,20 @@ of its internal nodes against their ``t``-th vantage points in one
 segmented metric call per ``t``, and one last set of ``v`` passes
 builds every leaf of the tree at once.  The tree is the one a node-at-a-time recursion
 builds, node for node.  The passes write the search kernel's flat
-tables (:mod:`repro.indexes.kernels`); the nodes below are a view made
-from them for the code that walks nodes.
+tables (:class:`~repro.indexes.kernels._GMVPArrays`), which are the
+tree.
 
 Every internal node records, per vantage point ``t``, the ``m - 1``
-cutoffs of each of the ``m**t`` regions it refines (the paper's M1 and
-M2 arrays at ``v = 2``) and a per-child shell ``bounds[c][t]``.  The
-search kernels prune against ``bounds`` only; which shells they hold is
-the class's choice (:meth:`GMVPTree._shells`), made for a whole level
-of nodes at once.
+cutoffs of each of the ``m**t`` regions it refines (``cutoffs`` row
+``(m**t - 1) / (m - 1) + r`` splits region ``r``; the paper's M1 and M2
+arrays at ``v = 2``) and a per-child shell ``blo``/``bhi[c, t]`` around
+vantage point ``t``, child ``c`` enumerating the nested partition in
+lexicographic digit order.  Each leaf point keeps its distances to its
+leaf's vantage points (``leaf_dists``, the paper's D1/D2) and to the
+first ``min(p, level - 1)`` vantage points above it (``leaf_paths``,
+the PATH array).  The search kernels prune against the shells only;
+which shells they hold is the class's choice (:meth:`GMVPTree._shells`),
+made for a whole level of nodes at once.
 """
 
 from __future__ import annotations
@@ -53,54 +58,6 @@ from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
 from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceSink, make_observation
-
-#: Shell of an empty partition: no distance can fall inside it.
-EMPTY_SHELL = (float("inf"), float("-inf"))
-
-
-class GMVPInternalNode:
-    """``v`` vantage points, ``m**v`` children, cutoffs and shells.
-
-    ``cutoffs[t]`` holds ``m**t`` rows of ``m - 1`` boundary distances:
-    row ``r`` splits region ``r`` (the children whose first ``t``
-    digits spell ``r``) by distance to ``vp_ids[t]``.  At ``v = 2``,
-    ``cutoffs[0][0]`` is the paper's M1 and ``cutoffs[1][i]`` its
-    ``M2[i]``.  ``bounds[c][t] = (lo, hi)`` brackets ``d(x, vp_t)`` for
-    every ``x`` in child ``c``; child indices enumerate the nested
-    partition in lexicographic digit order (first vantage point = most
-    significant digit).  Empty children are ``None``.
-    """
-
-    __slots__ = ("vp_ids", "cutoffs", "bounds", "children")
-
-    def __init__(self, vp_ids, cutoffs, bounds, children):
-        self.vp_ids = vp_ids
-        self.cutoffs = cutoffs
-        self.bounds = bounds
-        self.children = children
-
-
-class GMVPLeafNode:
-    """Up to ``v`` vantage points and a bucket with per-vp distances.
-
-    ``dists[t][i]`` is the construction-time distance from bucket point
-    ``i`` to the leaf's t-th vantage point (the paper's D1/D2 arrays at
-    ``v = 2``); ``paths[i, s]`` is point ``i``'s distance to the s-th
-    vantage point on the root path (the paper's PATH array), of which
-    ``path_len = min(p, vantage points above this leaf)`` are kept.
-    """
-
-    __slots__ = ("vp_ids", "ids", "dists", "paths", "path_len")
-
-    def __init__(self, vp_ids, ids, dists, paths, path_len):
-        self.vp_ids = vp_ids
-        self.ids = ids
-        self.dists = dists
-        self.paths = paths
-        self.path_len = path_len
-
-
-_Node = Union[GMVPInternalNode, GMVPLeafNode, None]
 
 
 class GMVPTree(kernels.TableTree, MetricIndex):
@@ -229,55 +186,6 @@ class GMVPTree(kernels.TableTree, MetricIndex):
         tables.root_kind = kernels._INTERNAL if plan.split[0] else kernels._LEAF
         tables.root_idx = 0
         return tables
-
-    def _node_view(self, tables: kernels._GMVPArrays, level: int = 1) -> _Node:
-        """The node graph of ``tables`` with its root at ``level``.
-
-        Empty children get the shells :meth:`_shells` gives them (the
-        empty shell, or their region's); a leaf keeps the PATH prefix
-        of its level, ``min(p, level - 1)``, and a leaf without points
-        a distance row per vantage point after its first.
-        """
-        m, v, p = self.m, self.v, self.p
-        fanout = m**v
-        kind, child = tables.child_kind, tables.child_idx
-        present = (kind > 0)[..., None]
-        lo, hi = self._shells(
-            np.where(present, tables.blo, np.inf),
-            np.where(present, tables.bhi, -np.inf),
-            tables.cutoffs,
-        )
-        shells = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
-        first = [(m**t - 1) // (m - 1) for t in range(v + 1)]
-        internals = []
-        for n, (vp_ids, rows) in enumerate(
-            zip(tables.vp_ids.tolist(), tables.cutoffs.tolist())
-        ):
-            cuts = [rows[first[t] : first[t + 1]] for t in range(v)]
-            bounds = [
-                shells[c * v : c * v + v] for c in range(n * fanout, (n + 1) * fanout)
-            ]
-            internals.append(GMVPInternalNode(vp_ids, cuts, bounds, None))
-        leaf = kind == kernels._LEAF
-        leaf_level = np.full(len(tables.leaf_offsets) - 1, level)
-        below = level + v * (kernels.depths(tables) + 1)
-        leaf_level[child[leaf]] = np.broadcast_to(below[:, None], kind.shape)[leaf]
-        at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
-        leaves = []
-        for vp_ids, a, b, path_len in zip(
-            tables.leaf_vp_ids.tolist(),
-            at,
-            at[1:],
-            np.minimum(p, leaf_level - 1).tolist(),
-        ):
-            vp_ids = [vp for vp in vp_ids if vp >= 0]
-            if b > a:
-                dists = tables.leaf_dists[a:b].T
-            else:
-                dists = np.zeros((max(len(vp_ids) - 1, 0), 0))
-            paths = tables.leaf_paths[a:b, :path_len]
-            leaves.append(GMVPLeafNode(vp_ids, ids[a:b], dists, paths, path_len))
-        return kernels.wire(tables, internals, leaves)
 
     def _plan(self, n: int, depth: int, zero: set) -> levels.Plan:
         """Count-only pass (paper section 4.2's shape).  A group of more

@@ -35,21 +35,12 @@ the same seed, whose per-child shells admit a subset of the children.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Sequence, Union
 
 import numpy as np
 
-from repro._util import (
-    RngLike,
-    definitely_greater,
-    definitely_less,
-    gather,
-    slack,
-)
-from repro.core.gmvptree import GMVPLeafNode, GMVPTree
-from repro.indexes.base import Neighbor
+from repro._util import RngLike
+from repro.core.gmvptree import GMVPTree
 from repro.indexes.selection import VantagePointSelector
 from repro.metric.base import Metric
 
@@ -152,161 +143,3 @@ class MVPTree(GMVPTree):
             lo[..., t] = np.where(filled, shell_lo, part_lo).reshape(count, fanout)
             hi[..., t] = np.where(filled, shell_hi, part_hi).reshape(count, fanout)
         return lo, hi
-
-    # ------------------------------------------------------------------
-    # Farthest search (upper-bound pruning)
-    # ------------------------------------------------------------------
-
-    def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
-        k = self.validate_k(k)
-        best: list[tuple[float, int]] = []  # min-heap of the k farthest
-
-        def consider(distance: float, idx: int) -> None:
-            item = (distance, -idx)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
-
-        def threshold() -> float:
-            return best[0][0] if len(best) == k else float("-inf")
-
-        counter = itertools.count()
-        frontier = [(float("-inf"), next(counter), self._root, (), 1)]
-        while frontier:
-            neg_upper, __, node, path_q, level = heapq.heappop(frontier)
-            if node is None or definitely_less(-neg_upper, threshold()):
-                continue
-            dq = []
-            for vp_id in node.vp_ids:
-                dq.append(self._dist(None, query, self._objects[vp_id]))
-                consider(dq[-1], vp_id)
-
-            if isinstance(node, GMVPLeafNode):
-                self._farthest_scan_leaf(
-                    node, query, np.asarray(dq), path_q, consider, threshold
-                )
-                continue
-
-            child_path = path_q + tuple(
-                d for t, d in enumerate(dq) if level + t <= self.p
-            )
-            for child, shells in zip(node.children, node.bounds):
-                if child is None:
-                    continue
-                upper = min(d + hi for d, (__, hi) in zip(dq, shells))
-                if not definitely_less(upper, threshold()):
-                    heapq.heappush(
-                        frontier,
-                        (-upper, next(counter), child, child_path, level + self.v),
-                    )
-
-        return sorted(
-            (Neighbor(d, -i) for d, i in best), key=lambda n: (-n.distance, n.id)
-        )
-
-    def _farthest_scan_leaf(
-        self, node: GMVPLeafNode, query, dq, path_q, consider, threshold
-    ) -> None:
-        if not len(node.ids):
-            return
-        upper = np.min(node.dists + dq[:, None], axis=0)
-        if node.path_len:
-            path_arr = np.asarray(path_q[: node.path_len])
-            upper = np.minimum(upper, np.min(node.paths + path_arr, axis=1))
-        for pos in np.argsort(-upper, kind="stable"):
-            if definitely_less(float(upper[pos]), threshold()):
-                break
-            distance = self._dist(None, query, self._objects[node.ids[pos]])
-            consider(float(distance), node.ids[pos])
-
-    # ------------------------------------------------------------------
-    # Outside-range search (the complement query of paper section 2)
-    # ------------------------------------------------------------------
-
-    def outside_range_search(self, query, radius: float) -> list[int]:
-        radius = self.validate_radius(radius)
-        out: list[int] = []
-        path_q = np.full(self.p, np.nan)
-        if self._root is not None:
-            self._outside(self._root, query, radius, path_q, 1, out)
-        out.sort()
-        return out
-
-    def _outside(
-        self,
-        node,
-        query,
-        radius: float,
-        path_q: np.ndarray,
-        level: int,
-        out: list[int],
-    ) -> None:
-        """Recursive outside-range walk (depth bounded by tree height)."""
-        dq = np.asarray(
-            [self._dist(None, query, self._objects[vp]) for vp in node.vp_ids]
-        )
-        out.extend(vp for vp, d in zip(node.vp_ids, dq) if d > radius)
-
-        if isinstance(node, GMVPLeafNode):
-            if not len(node.ids):
-                return
-            # Precomputed distances give both bounds per point: accept
-            # provably-outside points and drop provably-inside points
-            # without computing anything; compute only the borderline.
-            lower = np.max(np.abs(node.dists - dq[:, None]), axis=0)
-            upper = np.min(node.dists + dq[:, None], axis=0)
-            if node.path_len:
-                window = path_q[: node.path_len]
-                lower = np.maximum(
-                    lower, np.max(np.abs(node.paths - window), axis=1, initial=0.0)
-                )
-                upper = np.minimum(upper, np.min(node.paths + window, axis=1))
-            accept = lower > radius + slack(radius)
-            reject = upper < radius - slack(radius)
-            out.extend(node.ids[i] for i in np.nonzero(accept)[0])
-            borderline = [
-                node.ids[i] for i in np.nonzero(~(accept | reject))[0]
-            ]
-            if borderline:
-                distances = self._batch_dist(
-                    None, gather(self._objects, borderline), query
-                )
-                out.extend(
-                    idx
-                    for idx, distance in zip(borderline, distances)
-                    if distance > radius
-                )
-            return
-
-        for t, d in enumerate(dq):
-            if level + t <= self.p:
-                path_q[level + t - 1] = d
-        for child, shells in zip(node.children, node.bounds):
-            if child is None:
-                continue
-            upper = min(d + hi for d, (__, hi) in zip(dq, shells))
-            lower = max(
-                max(d - hi, lo - d) for d, (lo, hi) in zip(dq, shells)
-            )
-            if definitely_less(upper, radius):
-                continue  # provably entirely inside the ball
-            if definitely_greater(max(lower, 0.0), radius):
-                _collect_subtree_ids(child, out)
-                continue
-            self._outside(child, query, radius, path_q, level + self.v, out)
-
-
-def _collect_subtree_ids(node, out: list[int]) -> None:
-    """Append every id stored under ``node`` (no distance computations).
-
-    Recursive; depth is bounded by the tree height.
-    """
-    if node is None:
-        return
-    out.extend(node.vp_ids)
-    if isinstance(node, GMVPLeafNode):
-        out.extend(node.ids)
-        return
-    for child in node.children:
-        _collect_subtree_ids(child, out)

@@ -44,19 +44,15 @@ Invariants:
   carry ``count > 1`` (the same aggregation
   :meth:`Observation.filter_points` uses).
 
-The flat tables are the tree (``_kernel_cache``, :class:`TableTree`):
-the level-synchronous builds write them directly, and one codec
-(:func:`encode`, :func:`decode`) maps them to named sections and back,
-for ``.rsx`` stores and JSON persist alike, so a decoded or mapped tree
-is the same class over the same tables.  Node objects are a view made
-from the tables when something walks nodes (the verifiers, farthest and
-outside-range search).  Only a
-:class:`~repro.core.dynamic.DynamicMVPTree` after an update starts from
-nodes; it is flattened into tables once, the next time they are read,
-and an update drops them.  Missing children carry ``(-inf, +inf)``
-sentinel bounds so the vectorised comparisons never see them as
-prunable (and never produce ``inf - inf`` NaNs); an existence mask
-excludes them from every count.
+The flat tables are the tree (``_kernel_cache``, :class:`TableTree`),
+its only representation: the level-synchronous builds write them, a
+:class:`~repro.core.dynamic.DynamicMVPTree` insert patches a copy and
+swaps it in, and one codec (:func:`encode`, :func:`decode`) maps them to
+named sections and back, for ``.rsx`` stores and JSON persist alike, so
+a decoded or mapped tree is the same class over the same tables.
+Missing children carry ``(-inf, +inf)`` sentinel bounds so the
+vectorised comparisons never see them as prunable (and never produce
+``inf - inf`` NaNs); an existence mask excludes them from every count.
 
 Leaves are point-major (see :class:`_GMVPArrays`): a leaf's points are
 one run of rows, and each point's D_t row ``(v,)`` and PATH row
@@ -73,6 +69,8 @@ their ``np.*`` wrappers.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -97,9 +95,9 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 #: ``child_kind`` codes in the flattened arrays.
 _NONE, _INTERNAL, _LEAF = 0, 1, 2
 
-#: Tables the frontier reads besides a family's own, derived where the
+#: Tables the searches read besides a family's own, derived where the
 #: tables are made (see :func:`derive`).
-_DERIVED = ("leaf_size", "leaf_width", "child_rows", "path_cols", "sizes")
+_DERIVED = ("leaf_size", "leaf_width", "child_rows", "path_cols", "sizes", "runs")
 
 
 def _offsets(counts: list[int]) -> np.ndarray:
@@ -125,59 +123,31 @@ def _segments(starts: np.ndarray, lens: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# The tables are the tree; nodes are a view
+# The tables are the tree
 # ----------------------------------------------------------------------
 
 
 class TableTree:
     """A tree whose flat tables (``_kernel_cache``) are the tree.
 
-    ``_root`` is the node graph: a view made from the tables the first
-    time something reads it.  Assigning a node graph to ``_root`` makes
-    the tree start from nodes, flattened into tables by its
-    ``_flatten(root)`` the next time something reads them.  A subclass
-    names its view in ``_node_view(tables)``, its table class in
-    ``_TABLES``, and what the codec records besides the tables in
-    ``_PARAMS`` (meta key to attribute) and ``_COUNTERS``.
+    A subclass names its table class in ``_TABLES``, and what the codec
+    records besides the tables in ``_PARAMS`` (meta key to attribute)
+    and ``_COUNTERS``.
     """
 
     _kernel_cache = None
-    _nodes = None
-
-    @property
-    def _root(self):
-        if self._nodes is None and self._kernel_cache is not None:
-            self._nodes = self._node_view(self._kernel_cache)
-        return self._nodes
-
-    @_root.setter
-    def _root(self, node) -> None:
-        self._nodes, self._kernel_cache = node, None
-
-    @property
-    def root(self):
-        """The root node (read-only introspection for tests/persistence)."""
-        return self._root
 
     def _plant(self, tables) -> None:
-        """Make tables (built, decoded or mapped) the tree (``None``: the
-        empty tree).  The tables go in first, so a concurrent search
-        never finds neither tables nor nodes."""
+        """Make tables (built, decoded, mapped or patched) the tree
+        (``None``: the empty tree), in one assignment, so a concurrent
+        search sees either the old tables or the new ones."""
         if tables is not None:
             derive(tables)
-        self._kernel_cache, self._nodes = tables, None
+        self._kernel_cache = tables
 
     def _tables(self):
-        """The tree's tables (``None``: the empty tree); a tree that
-        starts from nodes is flattened once."""
-        tables, nodes = self._kernel_cache, self._nodes
-        if tables is None and nodes is not None:
-            tables = self._kernel_cache = self._flatten(nodes)
-        return tables
-
-    def _is_empty(self) -> bool:
-        """Whether the tree holds nothing, without making the view."""
-        return self._nodes is None and self._kernel_cache is None
+        """The tree's tables (``None``: the empty tree)."""
+        return self._kernel_cache
 
     def knn_round(
         self, query, k: int, *, resume=None, outside=None, pause_k=None,
@@ -190,17 +160,13 @@ class TableTree:
             self, query, k, resume=resume, outside=outside, pause_k=pause_k, obs=obs
         )
 
+    def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
+        """The ``k`` farthest objects, farthest first (:func:`farthest`)."""
+        return farthest(self, query, self.validate_k(k))
 
-def wire(tables, internals: list, leaves: list):
-    """Hang each of ``internals`` (internal nodes in slot order) from
-    the child tables, over ``leaves`` (leaves in slot order); returns
-    the root node."""
-    kinds = (None, internals, leaves)
-    for node, kids, slots in zip(
-        internals, tables.child_kind.tolist(), tables.child_idx.tolist()
-    ):
-        node.children = [kinds[k][c] if k else None for k, c in zip(kids, slots)]
-    return kinds[tables.root_kind][tables.root_idx]
+    def outside_range_search(self, query, radius: float) -> list[int]:
+        """Ids farther than ``radius`` from ``query`` (:func:`outside_range`)."""
+        return outside_range(self, query, self.validate_radius(radius))
 
 
 # ----------------------------------------------------------------------
@@ -272,69 +238,6 @@ class _GMVPArrays:
     )
 
     __slots__ = (*SECTIONS, "root_kind", "root_idx", *_DERIVED)
-
-
-def _gmvp_arrays(tree, root) -> _GMVPArrays:
-    """The tables of a multi-vantage tree that starts from nodes (a
-    :class:`~repro.core.dynamic.DynamicMVPTree` after an update),
-    flattened from its root node.  Slot order is preorder with each
-    node's children taken last-first, the order the builds give."""
-    from repro.core.gmvptree import GMVPLeafNode
-
-    m, v = tree.m, tree.v
-    fanout = m**v
-    internal_nodes: list = []
-    leaves: list = []
-    slot_of: dict[int, tuple[int, int]] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, GMVPLeafNode):
-            slot_of[id(node)] = (_LEAF, len(leaves))
-            leaves.append(node)
-        else:
-            slot_of[id(node)] = (_INTERNAL, len(internal_nodes))
-            internal_nodes.append(node)
-            stack.extend(c for c in node.children if c is not None)
-
-    count = len(internal_nodes)
-    arrays = _GMVPArrays()
-    arrays.vp_ids = np.empty((count, v), dtype=np.intp)
-    arrays.cutoffs = np.array(
-        [[row for rows in node.cutoffs for row in rows] for node in internal_nodes],
-        dtype=np.float64,
-    ).reshape(count, (fanout - 1) // (m - 1), m - 1)
-    arrays.blo = np.full((count, fanout, v), -np.inf)
-    arrays.bhi = np.full((count, fanout, v), np.inf)
-    arrays.child_kind = np.zeros((count, fanout), dtype=np.int8)
-    arrays.child_idx = np.zeros((count, fanout), dtype=np.intp)
-    for n, node in enumerate(internal_nodes):
-        arrays.vp_ids[n] = node.vp_ids
-        for c, (child, child_bounds) in enumerate(zip(node.children, node.bounds)):
-            if child is None:
-                continue
-            kind, pos = slot_of[id(child)]
-            arrays.child_kind[n, c] = kind
-            arrays.child_idx[n, c] = pos
-            for t, (lo, hi) in enumerate(child_bounds):
-                if lo <= hi:
-                    arrays.blo[n, c, t] = lo
-                    arrays.bhi[n, c, t] = hi
-    # int64/float64 throughout, as the builds make them.
-    arrays.leaf_offsets = _offsets([len(n.ids) for n in leaves])
-    arrays.leaf_ids = _concat([n.ids for n in leaves], np.int64)
-    arrays.leaf_vp_ids = np.full((len(leaves), v), -1, dtype=np.int64)
-    arrays.leaf_dists = np.zeros((arrays.leaf_ids.size, v))
-    arrays.leaf_paths = np.zeros((arrays.leaf_ids.size, tree.p))
-    for n, (node, start) in enumerate(zip(leaves, arrays.leaf_offsets.tolist())):
-        arrays.leaf_vp_ids[n, : len(node.vp_ids)] = node.vp_ids
-        if node.ids:
-            rows = slice(start, start + len(node.ids))
-            arrays.leaf_dists[rows] = np.asarray(node.dists).T
-            arrays.leaf_paths[rows, : node.path_len] = node.paths
-    arrays.root_kind, arrays.root_idx = slot_of[id(root)]
-    derive(arrays)
-    return arrays
 
 
 # ----------------------------------------------------------------------
@@ -409,8 +312,9 @@ def derive(arrays) -> None:
     its point and vantage-point counts; one ready frontier row (kind,
     slot, cost) per child, so an iteration copies rows instead of
     filling columns; per internal node of a multi-vantage tree the query
-    PATH columns its distances fill; and the point count of every
-    subtree.  Called where tables are made, so a search never derives.
+    PATH columns its distances fill; the point count of every subtree;
+    and where a subtree's slots are runs, the runs.  Called where tables
+    are made, so a search never derives.
     """
     multi = isinstance(arrays, _GMVPArrays)
     v = arrays.vp_ids.shape[1] if multi else 1
@@ -436,16 +340,32 @@ def derive(arrays) -> None:
     rows[..., _COST] = np.where(inner, v, 0)
     rows[leaf, _COST] = cost[slot[leaf]]
     arrays.child_rows = rows
-    # Subtree point counts, deepest internal nodes first.
+    # Per subtree, deepest internal nodes first: its point count, its
+    # internal and leaf counts, and its lowest and highest internal and
+    # leaf slots (the lowest negated, so one max takes both ends).
     own = np.zeros(kind.shape, dtype=np.int64)
     own[leaf] = cost[slot[leaf]]
-    sizes = v + own.sum(axis=1)
+    node = np.arange(kind.shape[0])
+    far = np.iinfo(np.int64).max
+    counts = np.stack((v + own.sum(axis=1), np.ones_like(node), leaf.sum(axis=1)), 1)
+    ends = np.stack(
+        (-node, node, np.where(leaf, -slot, -far).max(axis=1, initial=-far),
+         np.where(leaf, slot, -far).max(axis=1, initial=-far)), 1,
+    )
     for level in range(int(depth.max(initial=-1)), -1, -1):
         nodes = np.flatnonzero(depth == level)
-        kids = inner[nodes]
-        below = np.where(kids, sizes[np.where(kids, slot[nodes], 0)], 0)
-        sizes[nodes] += below.sum(axis=1)
-    arrays.sizes = (sizes, cost)
+        kids = inner[nodes][..., None]
+        below = np.where(kids[..., 0], slot[nodes], 0)
+        counts[nodes] += np.where(kids, counts[below], 0).sum(axis=1)
+        ends[nodes] = np.maximum(ends[nodes], np.where(kids, ends[below], -far).max(axis=1))
+    arrays.sizes = (counts[:, 0].copy(), cost)
+    # Where a subtree's internal and leaf slots are runs from its own
+    # slot (a build's preorder; a patch may break it), its ids are
+    # slices: internal count (-1 where they are not), first leaf, leaves.
+    n_int, n_leaf = counts[:, 1], counts[:, 2]
+    run = (-ends[:, 0] == node) & (ends[:, 1] - node + 1 == n_int)
+    run &= (n_leaf == 0) | (ends[:, 3] + ends[:, 2] + 1 == n_leaf)
+    arrays.runs = (np.where(run, n_int, -1), -ends[:, 2], n_leaf)
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +571,7 @@ class _Adapter:
     child rows with their section 4.3 bounds, and leaf-point bounds,
     read from the family's tables and those :func:`derive` adds."""
 
-    __slots__ = ("arrays", "v", "width")
+    __slots__ = ("arrays", "v", "width", "lo", "hi")
 
     def __init__(self, arrays, v: int, width: int):
         self.arrays, self.v, self.width = arrays, v, width
@@ -691,6 +611,8 @@ class _VPApprox(_Adapter):
 
     def __init__(self, arrays):
         super().__init__(arrays, 1, 4)
+        # The shells as ``(count, m, 1)`` views, one vantage point each.
+        self.lo, self.hi = arrays.child_lo[..., None], arrays.child_hi[..., None]
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
         return self.arrays.vp_ids[iidx], None
@@ -726,6 +648,7 @@ class _GMVPApprox(_Adapter):
         super().__init__(arrays, v, 5 + self.p)
         self.shell_kinds = tuple(map(vp_shell_kind, range(v)))
         self.point_kinds = (*map(leaf_dist_kind, range(v)), PRUNE_PATH_FILTER)
+        self.lo, self.hi = arrays.blo, arrays.bhi
 
     def vantage(self, iidx: np.ndarray, lidx: np.ndarray):
         """Vantage points of internal nodes ``iidx`` (row by row), then
@@ -793,6 +716,26 @@ class _GMVPApprox(_Adapter):
         gap = np.abs(gap, out=gap)
         lower = np.maximum(gap.max(axis=0), leaves[:, _LB][seg])
         return arrays.leaf_ids[pos], lower, seg, lens, gap
+
+    def leaf(self, slot: int, dq: np.ndarray, path: np.ndarray):
+        """The points of leaf ``slot`` and their lower and upper bounds
+        from the D_t rows (``dq``: the paid leaf vantage distances) and
+        the PATH prefix the query's ``path`` fills."""
+        arrays = self.arrays
+        rows = slice(arrays.leaf_offsets[slot], arrays.leaf_offsets[slot + 1])
+        # A leaf with points has all v vantage points; one without has
+        # no D_t rows to compare.
+        dists = arrays.leaf_dists[rows, : dq.size]
+        paths = arrays.leaf_paths[rows, : path.size]
+        lower = np.maximum(
+            np.abs(dists - dq).max(axis=1, initial=0.0),
+            np.abs(paths - path).max(axis=1, initial=0.0),
+        )
+        upper = np.minimum(
+            (dists + dq).min(axis=1, initial=_INF),
+            (paths + path).min(axis=1, initial=_INF),
+        )
+        return arrays.leaf_ids[rows], (lower, upper)
 
 
 def _approx_adapter(tree):
@@ -1154,3 +1097,178 @@ def approx_tree_range(
     return _frontier(
         tree, adapter, query, _Hits(radius), 1.0 + epsilon, budget, obs, PRUNE_LOWER_BOUND
     )
+
+
+# ----------------------------------------------------------------------
+# Farthest and outside-range search: both bounds per entry
+# ----------------------------------------------------------------------
+#
+# The section-2 query variants walk the same tables through the same
+# adapters, one entry at a time.  An entry is ``(lower, upper, kind,
+# slot, path)``: bounds on the distance from the query to everything
+# under it, and the query's PATH row so far.  A child's bounds come from
+# its shells around the parent's vantage points, a leaf point's from its
+# D_t and PATH rows, and each is clipped to its parent's, so they only
+# tighten on the way down.
+
+#: Entry kind of one leaf point, whose slot is its id.
+_POINT = 3
+
+
+def _open(tree, adapter, query, entry):
+    """Pay the vantage points of an internal or leaf ``entry``; returns
+    their ids and distances and the entries below it (children, or
+    ``_POINT`` entries).  Nodes are small, so this works on Python
+    scalars; a leaf's point bounds are one vectorised step."""
+    lower, upper, kind, slot, path = entry
+    arrays, objects = adapter.arrays, tree._objects
+    multi = isinstance(adapter, _GMVPApprox)
+    if kind == _INTERNAL:
+        vps = arrays.vp_ids[slot : slot + 1].ravel().tolist()
+    elif multi:
+        vps = arrays.leaf_vp_ids[slot, : arrays.leaf_width[slot]].tolist()
+    else:
+        # A vp-tree leaf's points have no bounds of their own, so
+        # opening the leaf pays them, like a node's vantage points.
+        at = arrays.leaf_offsets
+        vps = arrays.leaf_ids[at[slot] : at[slot + 1]].tolist()
+    dq = [tree._dist(None, query, objects[vp]) for vp in vps]
+    if kind == _LEAF and not multi:
+        return vps, dq, []
+    if kind == _LEAF:
+        ids, (los, his) = adapter.leaf(slot, np.array(dq), path)
+        los, his = np.maximum(los, lower), np.minimum(his, upper)
+        below = [
+            (lo, hi, _POINT, i, None)
+            for lo, hi, i in zip(los.tolist(), his.tolist(), ids.tolist())
+        ]
+        return vps, dq, below
+    if path is not None:
+        path = np.concatenate((path, dq))[: arrays.leaf_paths.shape[1]]
+    below = []
+    shells = zip(
+        arrays.child_kind[slot].tolist(),
+        arrays.child_idx[slot].tolist(),
+        adapter.lo[slot].tolist(),
+        adapter.hi[slot].tolist(),
+    )
+    for child_kind, child, lo, hi in shells:
+        if child_kind:
+            low, high = lower, upper
+            for d, g, h in zip(dq, lo, hi):
+                low, high = max(low, d - h, g - d), min(high, d + h)
+            below.append((low, high, child_kind, child, path))
+    return vps, dq, below
+
+
+def _root_entry(adapter):
+    """The root entry: no bounds yet, an empty query PATH row."""
+    arrays = adapter.arrays
+    path = _EMPTY_F64 if isinstance(adapter, _GMVPApprox) else None
+    return (0.0, _INF, int(arrays.root_kind), int(arrays.root_idx), path)
+
+
+def farthest(tree, query, k: int) -> list[Neighbor]:
+    """The ``k`` farthest objects, farthest first (ties by id), by
+    best-first search on the upper bound ``d + hi``: the entry with the
+    largest upper bound opens next, a leaf's points join the frontier
+    one by one, and an entry whose bound is definitely below the k-th
+    farthest distance so far ends the search."""
+    adapter = _approx_adapter(tree)
+    if adapter is None:
+        return []
+    best: list[tuple[float, int]] = []  # min-heap of the k farthest
+
+    def consider(distance: float, idx: int) -> None:
+        item = (distance, -idx)
+        if len(best) < k:
+            heapq.heappush(best, item)
+        elif item > best[0]:
+            heapq.heapreplace(best, item)
+
+    def floor() -> float:
+        """Upper bounds definitely below this prune (the k-th farthest
+        distance so far, less :func:`slack`)."""
+        if len(best) < k:
+            return -_INF
+        return best[0][0] - slack(best[0][0])
+
+    seq = itertools.count()
+    front = [(-_INF, next(seq), _root_entry(adapter))]
+    while front:
+        neg_upper, __, entry = heapq.heappop(front)
+        if -neg_upper < floor():
+            break  # every entry left is bounded below it too
+        if entry[2] == _POINT:
+            idx = entry[3]
+            consider(float(tree._dist(None, query, tree._objects[idx])), idx)
+            continue
+        vps, dq, below = _open(tree, adapter, query, entry)
+        for idx, distance in zip(vps, dq):
+            consider(distance, idx)
+        cut = floor()
+        for child in below:
+            if child[1] >= cut:
+                heapq.heappush(front, (-child[1], next(seq), child))
+    return [Neighbor(d, -i) for d, i in sorted(best, reverse=True)]
+
+
+def outside_range(tree, query, radius: float) -> list[int]:
+    """Ids of every object farther than ``radius`` from ``query``,
+    sorted.  An entry whose upper bound is definitely inside the ball is
+    dropped, and one whose lower bound is definitely outside it reports
+    its subtree from the child tables, paying no distance."""
+    adapter = _approx_adapter(tree)
+    if adapter is None:
+        return []
+    # Bounds definitely inside and definitely outside the ball.
+    inside, outside = radius - slack(radius), radius + slack(radius)
+    out: list[int] = []
+    stack = [_root_entry(adapter)]
+    while stack:
+        entry = stack.pop()
+        lower, upper, kind, slot, __ = entry
+        if upper < inside:
+            continue
+        if lower > outside:
+            out += _subtree_ids(adapter.arrays, kind, slot)
+            continue
+        if kind == _POINT:
+            if tree._dist(None, query, tree._objects[slot]) > radius:
+                out.append(slot)
+            continue
+        vps, dq, below = _open(tree, adapter, query, entry)
+        out += [vp for vp, d in zip(vps, dq) if d > radius]
+        stack.extend(below)
+    return sorted(out)
+
+
+def _subtree_ids(arrays, kind: int, slot: int) -> list[int]:
+    """Every id under one entry: slices of the tables where the subtree
+    is a run of slots (``runs``), else read from the child tables."""
+    multi = isinstance(arrays, _GMVPArrays)
+    at = arrays.leaf_offsets
+    if kind == _INTERNAL and arrays.runs[0][slot] > 0:
+        n_int, first, n_leaf = (int(part[slot]) for part in arrays.runs)
+        ids = arrays.vp_ids[slot : slot + n_int].ravel().tolist()
+        if n_leaf:
+            if multi:
+                vps = arrays.leaf_vp_ids[first : first + n_leaf]
+                ids += vps[vps >= 0].tolist()
+            ids += arrays.leaf_ids[at[first] : at[first + n_leaf]].tolist()
+        return ids
+    ids = []
+    stack = [(kind, slot)]
+    while stack:
+        kind, slot = stack.pop()
+        if kind == _POINT:
+            ids.append(slot)
+        elif kind == _LEAF:
+            if multi:
+                ids += [vp for vp in arrays.leaf_vp_ids[slot].tolist() if vp >= 0]
+            ids += arrays.leaf_ids[at[slot] : at[slot + 1]].tolist()
+        else:
+            ids += arrays.vp_ids[slot : slot + 1].ravel().tolist()
+            kids = zip(arrays.child_kind[slot].tolist(), arrays.child_idx[slot].tolist())
+            stack += [(k, c) for k, c in kids if k]
+    return ids

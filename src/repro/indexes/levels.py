@@ -173,7 +173,7 @@ class Plan:
         self._saved = (-1, None)  # the last node asked for, and the rng before it
         for node in sorted(zero):
             if self.live[node]:
-                self._flatten(node)
+                self._collapse(node)
 
     def draws(self, nodes, t: int = 0) -> list:
         """Draw ``t`` (``-1``: the last) of every node, in the order
@@ -219,7 +219,7 @@ class Plan:
         moves = self._moves[node]
         if moves and (self._saved[0] != node or self._next != node + 1):
             raise Replan(node)
-        self._flatten(node)
+        self._collapse(node)
         if moves:
             self._rng.bit_generator.state = self._saved[1]
             del self._made[self._start[node] :]
@@ -231,7 +231,7 @@ class Plan:
     def _zero(self, node: int) -> list:
         return [int(self.size[node])] * self._zero_draws
 
-    def _flatten(self, node: int) -> None:
+    def _collapse(self, node: int) -> None:
         self.split[node] = False
         self._step[node] = int(self.total[node])
         self._zero_sizes[node] = self._zero(node)
@@ -358,9 +358,9 @@ def layout(plan: Plan, built: np.ndarray, leaves: np.ndarray, sizes: np.ndarray)
 
     A node's slot is its rank among the live nodes of its kind
     (internal or leaf) in preorder with each node's children taken
-    last-first: the order the flatten of a node graph gives
-    (:func:`repro.indexes.kernels._gmvp_arrays`), so tables, store bytes
-    and persisted form do not depend on how the tree was made.  That order is
+    last-first: the order a stack walk of a node graph gives, so tables,
+    store bytes and persisted form do not depend on how the tree was
+    made.  That order is
     postorder reversed, and a node's postorder rank is its preorder
     rank plus its subtree's size, less its depth and one: the live
     nodes up to its subtree's end, less its depth and one.

@@ -22,69 +22,23 @@ them, and each level pass measures all of its nodes' groups against
 their vantage points in one segmented metric call and splits them with
 one sort (see :mod:`repro.indexes.levels`).  The tree is the one a node-at-a-time
 recursion builds, node for node.  The passes write the search kernel's
-flat tables (:mod:`repro.indexes.kernels`); the nodes below are a view
-made from them for the code that walks nodes.
+flat tables (:mod:`repro.indexes.kernels`), which are the tree: every
+search, the verifier and the structural analysis read them.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro._util import (
-    RngLike,
-    as_rng,
-    check_non_empty,
-    definitely_greater,
-    definitely_less,
-    gather,
-)
+from repro._util import RngLike, as_rng, check_non_empty, gather
 from repro.indexes import kernels, levels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.indexes.selection import VantagePointSelector, get_selector
 from repro.metric.base import Metric
 from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceSink, make_observation
-
-
-class VPInternalNode:
-    """Internal node: one vantage point and ``m`` spherical-shell children.
-
-    ``cutoffs`` holds the ``m - 1`` boundary distances used to split the
-    sorted distance list (the paper's "cutoff values"); ``bounds[i]``
-    holds the exact inner and outer radii of child ``i``'s shell, which
-    is what search prunes against.
-    """
-
-    __slots__ = ("vp_id", "cutoffs", "bounds", "children")
-
-    def __init__(
-        self,
-        vp_id: int,
-        cutoffs: list[float],
-        bounds: list[tuple[float, float]],
-        children: list[Union["VPInternalNode", "VPLeafNode", None]],
-    ):
-        self.vp_id = vp_id
-        self.cutoffs = cutoffs
-        self.bounds = bounds
-        self.children = children
-
-
-class VPLeafNode:
-    """Leaf node: a bucket of data point ids (no precomputed distances —
-    that refinement is exactly what the mvp-tree adds)."""
-
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: list[int]):
-        self.ids = ids
-
-
-_Node = Union[VPInternalNode, VPLeafNode]
 
 
 class VPTree(kernels.TableTree, MetricIndex):
@@ -195,23 +149,6 @@ class VPTree(kernels.TableTree, MetricIndex):
         tables.root_kind = kernels._INTERNAL if plan.split[0] else kernels._LEAF
         tables.root_idx = 0
         return tables
-
-    def _node_view(self, tables: kernels._VPArrays) -> _Node:
-        """The node graph of ``tables``: empty children get the empty
-        shell ``(inf, -inf)``."""
-        m, present = self.m, tables.child_kind > 0
-        lo = np.where(present, tables.child_lo, np.inf).ravel().tolist()
-        hi = np.where(present, tables.child_hi, -np.inf).ravel().tolist()
-        shells = list(zip(lo, hi))
-        at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
-        leaves = [VPLeafNode(ids[a:b]) for a, b in zip(at, at[1:])]
-        internals = [
-            VPInternalNode(vp_id, cuts, shells[n * m : n * m + m], None)
-            for n, (vp_id, cuts) in enumerate(
-                zip(tables.vp_ids.tolist(), tables.cutoffs.tolist())
-            )
-        ]
-        return kernels.wire(tables, internals, leaves)
 
     def _plan(self, n: int, depth: int, zero: set) -> levels.Plan:
         """Count-only pass: every group of more than ``leaf_capacity``
@@ -344,104 +281,3 @@ class VPTree(kernels.TableTree, MetricIndex):
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         obs = make_observation(stats, trace)
         return kernels.approx_tree_knn(self, query, k, epsilon=epsilon, obs=obs)[0]
-
-    # ------------------------------------------------------------------
-    # Farthest search (upper-bound pruning; paper section 2 lists
-    # farthest queries among the similarity-query variants)
-    # ------------------------------------------------------------------
-
-    def farthest_search(self, query, k: int = 1) -> list[Neighbor]:
-        k = self.validate_k(k)
-        best: list[tuple[float, int]] = []  # min-heap of k farthest
-
-        def consider(distance: float, idx: int) -> None:
-            item = (distance, -idx)
-            if len(best) < k:
-                heapq.heappush(best, item)
-            elif item > best[0]:
-                heapq.heapreplace(best, item)
-
-        def threshold() -> float:
-            return best[0][0] if len(best) == k else float("-inf")
-
-        counter = itertools.count()
-        frontier: list[tuple[float, int, object]] = [
-            (float("-inf"), next(counter), self._root)
-        ]
-        while frontier:
-            neg_upper, __, node = heapq.heappop(frontier)
-            if node is None or definitely_less(-neg_upper, threshold()):
-                continue
-            if isinstance(node, VPLeafNode):
-                distances = self._batch_dist(
-                    None, gather(self._objects, node.ids), query
-                )
-                for idx, distance in zip(node.ids, distances):
-                    consider(float(distance), idx)
-                continue
-            dq = self._dist(None, query, self._objects[node.vp_id])
-            consider(dq, node.vp_id)
-            for child, (lo, hi) in zip(node.children, node.bounds):
-                if child is None:
-                    continue
-                child_upper = dq + hi
-                if not definitely_less(child_upper, threshold()):
-                    heapq.heappush(frontier, (-child_upper, next(counter), child))
-
-        return sorted(
-            (Neighbor(d, -i) for d, i in best),
-            key=lambda n: (-n.distance, n.id),
-        )
-
-    # ------------------------------------------------------------------
-    # Outside-range search (the complement query of paper section 2)
-    # ------------------------------------------------------------------
-
-    def outside_range_search(self, query, radius: float) -> list[int]:
-        radius = self.validate_radius(radius)
-        out: list[int] = []
-        self._outside(self._root, query, radius, out)
-        out.sort()
-        return out
-
-    def _outside(self, node, query, radius: float, out: list[int]) -> None:
-        """Recursive outside-range walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, VPLeafNode):
-            distances = self._batch_dist(None, gather(self._objects, node.ids), query)
-            out.extend(
-                idx for idx, distance in zip(node.ids, distances) if distance > radius
-            )
-            return
-        dq = self._dist(None, query, self._objects[node.vp_id])
-        if dq > radius:
-            out.append(node.vp_id)
-        for child, (lo, hi) in zip(node.children, node.bounds):
-            if child is None:
-                continue
-            upper = dq + hi
-            lower = max(dq - hi, lo - dq, 0.0)
-            if definitely_less(upper, radius):
-                continue  # the whole shell is provably inside the ball
-            if definitely_greater(lower, radius):
-                # The whole shell is provably outside: report the
-                # subtree without a single distance computation.
-                _collect_subtree_ids(child, out)
-                continue
-            self._outside(child, query, radius, out)
-
-
-def _collect_subtree_ids(node, out: list[int]) -> None:
-    """Append every id stored under ``node`` (no distance computations).
-
-    Recursive; depth is bounded by the tree height.
-    """
-    if node is None:
-        return
-    if isinstance(node, VPLeafNode):
-        out.extend(node.ids)
-        return
-    out.append(node.vp_id)
-    for child in node.children:
-        _collect_subtree_ids(child, out)

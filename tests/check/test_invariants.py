@@ -1,10 +1,12 @@
 """Structural verifier tests: clean builds pass, seeded corruptions fail.
 
-Every corruption spec mutates exactly one field of a built index and
-asserts the verifier reports exactly that invariant class, with a
-location that pinpoints the corrupted node.
+Every corruption spec mutates exactly one field of a built index (for
+the trees, one of their flat tables) and asserts the verifier reports
+exactly that invariant class, with a location that pinpoints the
+corrupted node.
 """
 
+import numpy as np
 import pytest
 
 from repro.check.builders import (
@@ -12,7 +14,6 @@ from repro.check.builders import (
     build_verification_indexes,
 )
 from repro.check.invariants import Violation, verify_structure
-from repro.core.gmvptree import GMVPLeafNode
 from repro.indexes.gnat import GNATLeafNode
 from repro.store import open_index, write_store
 
@@ -57,74 +58,83 @@ class TestCleanBuilds:
         assert v.format() == "leaf-distance @ root.children[3]: boom"
 
 
-def first_gmvp_leaf(node):
-    """Depth-first search for a non-empty gmvp leaf (depth <= height)."""
-    if isinstance(node, GMVPLeafNode):
-        return node if node.ids else None
-    for child in node.children:
-        if child is not None:
-            leaf = first_gmvp_leaf(child)
-            if leaf is not None:
-                return leaf
-    return None
+def tables(index):
+    return index._kernel_cache
+
+
+def first_gmvp_leaf(index):
+    """Row range of the first leaf with data points below the root (so
+    it keeps a PATH prefix)."""
+    t = tables(index)
+    kids = t.child_kind[t.root_idx]
+    for kind, slot in zip(kids.tolist(), t.child_idx[t.root_idx].tolist()):
+        if kind == 2 and t.leaf_offsets[slot + 1] > t.leaf_offsets[slot]:
+            return slice(t.leaf_offsets[slot], t.leaf_offsets[slot + 1])
+    raise AssertionError("no leaf with data points under the root")
 
 
 first_mvp_leaf = first_gmvp_leaf  # MVPTree is GMVPTree(v=2)
 
 
 def corrupt_mvp_cutoff(index):
-    m1 = index.root.cutoffs[0][0]
+    m1 = tables(index).cutoffs[tables(index).root_idx, 0]
     m1[0] = m1[-1] + 1.0
 
 
 def corrupt_mvp_m2_cell(index):
-    row = index.root.cutoffs[1][0]
+    row = tables(index).cutoffs[tables(index).root_idx, 1]
     row[0] = row[-1] + 1.0
 
 
 def corrupt_mvp_leaf_d1(index):
-    first_mvp_leaf(index.root).dists[0, 0] += 0.25
+    rows = first_mvp_leaf(index)
+    tables(index).leaf_dists[rows.start, 0] += 0.25
 
 
 def corrupt_mvp_leaf_d2(index):
-    first_mvp_leaf(index.root).dists[1, -1] -= 0.25
+    rows = first_mvp_leaf(index)
+    tables(index).leaf_dists[rows.stop - 1, 1] -= 0.25
 
 
 def corrupt_mvp_path_cell(index):
-    leaf = first_mvp_leaf(index.root)
-    assert leaf.path_len > 0
-    leaf.paths[0, 0] += 0.5
+    rows = first_mvp_leaf(index)
+    assert index.p > 0
+    tables(index).leaf_paths[rows.start, 0] += 0.5
 
 
 def corrupt_mvp_path_shape(index):
-    leaf = first_mvp_leaf(index.root)
-    assert leaf.path_len > 0
-    leaf.paths = leaf.paths[:, :-1]
+    assert index.p > 0
+    tables(index).leaf_paths = tables(index).leaf_paths[:, :-1]
 
 
 def corrupt_mvp_bounds(index):
     """Move one first-level region's vp1 shell (shared by its m
     children) past every member."""
-    m = index.m
-    for c, shells in enumerate(index.root.bounds):
-        lo, hi = shells[0]
-        if lo != float("inf"):
-            region = c // m * m
-            for child in range(region, region + m):
-                index.root.bounds[child][0] = (hi + 1.0, hi + 2.0)
+    m, t = index.m, tables(index)
+    root = t.root_idx
+    for c, kind in enumerate(t.child_kind[root].tolist()):
+        if kind:
+            hi = t.bhi[root, c, 0]
+            region = slice(c // m * m, c // m * m + m)
+            present = t.child_kind[root, region] > 0
+            t.blo[root, region, 0] = np.where(present, hi + 1.0, -np.inf)
+            t.bhi[root, region, 0] = np.where(present, hi + 2.0, np.inf)
             return
     raise AssertionError("no non-empty vp1 shell")
 
 
 def corrupt_vp_cutoff(index):
-    index.root.cutoffs[0] = index.root.cutoffs[-1] + 1.0
+    cutoffs = tables(index).cutoffs[tables(index).root_idx]
+    cutoffs[0] = cutoffs[-1] + 1.0
 
 
 def corrupt_vp_bounds(index):
-    for i, bound in enumerate(index.root.bounds):
-        lo, hi = bound
-        if lo != float("inf") and index.root.children[i] is not None:
-            index.root.bounds[i] = (hi + 1.0, hi + 2.0)
+    t = tables(index)
+    root = t.root_idx
+    for i, kind in enumerate(t.child_kind[root].tolist()):
+        if kind:
+            hi = t.child_hi[root, i]
+            t.child_lo[root, i], t.child_hi[root, i] = hi + 1.0, hi + 2.0
             return
     raise AssertionError("no non-empty bounds entry")
 
@@ -181,15 +191,17 @@ def corrupt_transform_row(index):
 
 
 def corrupt_gmvp_leaf_dist(index):
-    leaf = first_gmvp_leaf(index.root)
-    leaf.dists[0, 0] += 0.25
+    rows = first_gmvp_leaf(index)
+    tables(index).leaf_dists[rows.start, 0] += 0.25
 
 
 def corrupt_gmvp_bound(index):
-    for c, child in enumerate(index.root.children):
-        if child is not None:
-            lo, hi = index.root.bounds[c][0]
-            index.root.bounds[c][0] = (hi + 1.0, hi + 2.0)
+    t = tables(index)
+    root = t.root_idx
+    for c, kind in enumerate(t.child_kind[root].tolist()):
+        if kind:
+            hi = t.bhi[root, c, 0]
+            t.blo[root, c, 0], t.bhi[root, c, 0] = hi + 1.0, hi + 2.0
             return
     raise AssertionError("no non-empty child")
 
@@ -243,10 +255,13 @@ class TestCorruptions:
 
     def test_missing_id_detected(self):
         index = fresh("MVPTree")
-        leaf = first_mvp_leaf(index.root)
-        dropped = leaf.ids.pop()
-        leaf.dists = leaf.dists[:, :-1]
-        leaf.paths = leaf.paths[:-1]
+        t = tables(index)
+        row = first_mvp_leaf(index).stop - 1
+        dropped = int(t.leaf_ids[row])
+        t.leaf_ids = np.delete(t.leaf_ids, row)
+        t.leaf_dists = np.delete(t.leaf_dists, row, axis=0)
+        t.leaf_paths = np.delete(t.leaf_paths, row, axis=0)
+        t.leaf_offsets[t.leaf_offsets > row] -= 1
         violations = verify_structure(index)
         reported = {v.invariant for v in violations}
         assert "id-partition" in reported

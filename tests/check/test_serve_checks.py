@@ -212,8 +212,9 @@ class TestShardManagerInvariants:
     def test_inner_shard_corruption_is_located(self, manager):
         # Corrupt shard 2's vp-tree cutoff; the violation must surface
         # through the manager with the shard-qualified location.
-        shard = manager.shards[2]
-        shard.root.cutoffs[0] = shard.root.cutoffs[-1] + 1.0
+        tables = manager.shards[2]._kernel_cache
+        cutoffs = tables.cutoffs[tables.root_idx]
+        cutoffs[0] = cutoffs[-1] + 1.0
         violations = verify_structure(manager)
         assert violations
         assert all(v.location.startswith("shard[2]/") for v in violations)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import DynamicMVPTree, LinearScan
-from repro.core.gmvptree import GMVPLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GMVPLeafNode, root_node
 
 
 def live_oracle(tree, data, metric):
@@ -25,7 +25,7 @@ class TestConstruction:
     def test_starts_empty(self, l2):
         tree = DynamicMVPTree([], l2, rng=0)
         assert len(tree) == 0
-        assert tree.root is None
+        assert root_node(tree) is None
 
     def test_requires_metric(self):
         with pytest.raises(TypeError, match="metric"):
@@ -115,7 +115,7 @@ class TestInsert:
             for child in node.children:
                 walk(child, extended)
 
-        walk(tree.root, [])
+        walk(root_node(tree), [])
 
     def test_leaf_overflow_triggers_local_rebuild(self, l2):
         rng = np.random.default_rng(4)
@@ -132,7 +132,7 @@ class TestInsert:
                 return len(node.ids)
             return max(max_leaf(child) for child in node.children)
 
-        assert max_leaf(tree.root) <= tree.overflow_factor * tree.k
+        assert max_leaf(root_node(tree)) <= tree.overflow_factor * tree.k
 
     def test_mixed_bulk_and_incremental(self, uniform_data, l2):
         half = len(uniform_data) // 2

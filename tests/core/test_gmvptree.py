@@ -5,8 +5,8 @@ import pytest
 
 from repro import GMVPTree, LinearScan, MVPTree, QueryStats
 from repro.check.invariants import verify_structure
-from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GMVPInternalNode, GMVPLeafNode, root_node
 
 
 @pytest.fixture(params=[(2, 2, 4, 2), (2, 3, 10, 6), (3, 2, 9, 5), (2, 4, 20, 8)],
@@ -55,7 +55,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(uniform_data)))
 
     def test_internal_fanout_is_m_pow_v(self, tree):
@@ -69,7 +69,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_accounting_identity(self, tree, uniform_data):
         assert (
@@ -96,7 +96,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_bounds_cover_subtree_members(self, uniform_data, l2):
         tree = GMVPTree(uniform_data, l2, m=2, v=2, k=8, p=4, rng=2)
@@ -111,7 +111,7 @@ class TestStructureInvariants:
             for child in node.children:
                 members(child, out)
 
-        root = tree.root
+        root = root_node(tree)
         assert isinstance(root, GMVPInternalNode)
         for child, child_bounds in zip(root.children, root.bounds):
             subtree: list[int] = []
@@ -139,7 +139,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child, ancestors + list(node.vp_ids))
 
-        walk(tree.root, [])
+        walk(root_node(tree), [])
 
 
 class TestSearch:
@@ -217,7 +217,7 @@ class TestVersusClassic:
         for name in ("node_count", "leaf_count", "vantage_point_count", "height"):
             assert getattr(gmvp, name) == getattr(mvp, name)
         internal = 0
-        for g, c in _pairs(gmvp.root, mvp.root):
+        for g, c in _pairs(root_node(gmvp), root_node(mvp)):
             assert g.vp_ids == c.vp_ids
             if isinstance(g, GMVPLeafNode):
                 assert g.ids == c.ids and g.path_len == c.path_len

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import MVPTree
-from repro.core.gmvptree import GMVPInternalNode, GMVPLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GMVPInternalNode, GMVPLeafNode, root_node
 
 
 @pytest.fixture(
@@ -81,7 +81,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(uniform_data)))
 
     def test_internal_fanout_is_m_squared(self, tree):
@@ -101,7 +101,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_leaf_capacity_respected(self, tree):
         def walk(node):
@@ -113,7 +113,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_leaf_d1_d2_are_true_distances(self, uniform_data, l2):
         tree = MVPTree(uniform_data, l2, m=2, k=10, p=3, rng=4)
@@ -134,7 +134,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_leaf_vp2_is_farthest_from_vp1(self, uniform_data, l2):
         # Paper step 2.4: "Let Sv2 be the farthest point from Sv1 in S."
@@ -152,7 +152,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_paths_are_true_ancestor_distances(self, uniform_data, l2):
         tree = MVPTree(uniform_data, l2, m=2, k=6, p=4, rng=4)
@@ -174,7 +174,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child, extended)
 
-        walk(tree.root, [])
+        walk(root_node(tree), [])
 
     def test_no_nan_in_paths(self, tree):
         def walk(node):
@@ -186,7 +186,7 @@ class TestStructureInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_second_level_partition_bounds_correct(self, uniform_data, l2):
         tree = MVPTree(uniform_data, l2, m=3, k=9, p=5, rng=4)
@@ -201,7 +201,7 @@ class TestStructureInvariants:
             for child in node.children:
                 leaf_members(child, out)
 
-        root = tree.root
+        root = root_node(tree)
         assert isinstance(root, GMVPInternalNode)
         vp1 = uniform_data[root.vp_ids[0]]
         vp2 = uniform_data[root.vp_ids[1]]

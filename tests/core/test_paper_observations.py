@@ -21,8 +21,8 @@ import pytest
 
 from repro import MVPTree, VPTree
 from repro.datasets import uniform_vectors
-from repro.indexes.vptree import VPInternalNode
 from repro.metric import L2
+from tests.nodeview import VPInternalNode, root_node
 
 
 class TestThinShellObservation:
@@ -39,7 +39,7 @@ class TestThinShellObservation:
         # relative to their radii.
         data = uniform_vectors(2000, dim=50, rng=0)
         tree = VPTree(data, L2(), m=3, rng=1)
-        root = tree.root
+        root = root_node(tree)
         assert isinstance(root, VPInternalNode)
         # Middle shell: thickness relative to its outer radius.
         lo, hi = root.bounds[1]
@@ -50,7 +50,7 @@ class TestThinShellObservation:
         # The contrast case: in 2 dimensions the shells are fat.
         data = uniform_vectors(2000, dim=2, rng=0)
         tree = VPTree(data, L2(), m=3, rng=1)
-        lo, hi = tree.root.bounds[1]
+        lo, hi = root_node(tree).bounds[1]
         assert (hi - lo) / hi > 0.2
 
     def test_thin_shells_force_multi_branch_descent(self):
@@ -59,7 +59,7 @@ class TestThinShellObservation:
         # shells, so search descends into several branches.
         data = uniform_vectors(2000, dim=50, rng=0)
         tree = VPTree(data, L2(), m=3, rng=1)
-        root = tree.root
+        root = root_node(tree)
         query = np.random.default_rng(2).random(50)
         dq = L2().distance(query, data[root.vp_id])
         radius = 0.5
@@ -79,7 +79,7 @@ class TestOutsideVantagePointObservation:
         # regions.
         data = uniform_vectors(1000, dim=10, rng=3)
         tree = MVPTree(data, L2(), m=3, k=9, p=0, rng=4)
-        root = tree.root
+        root = root_node(tree)
         populated = 0
         for i in range(tree.m):
             spans = [
@@ -97,7 +97,7 @@ class TestOutsideVantagePointObservation:
     def test_vp2_is_inside_the_outermost_cut_of_vp1(self):
         data = uniform_vectors(1000, dim=10, rng=5)
         tree = MVPTree(data, L2(), m=3, k=9, p=0, rng=6)
-        root = tree.root
+        root = root_node(tree)
         vp1_id, vp2_id = root.vp_ids
         d_vp2_vp1 = L2().distance(data[vp2_id], data[vp1_id])
         # vp2 was drawn from the farthest cut: at least the innermost
@@ -116,7 +116,7 @@ class TestPathFilterObservation:
         metric = L2()
         tree = MVPTree(data, metric, m=2, k=8, p=4, rng=8)
 
-        from repro.core.gmvptree import GMVPLeafNode
+        from tests.nodeview import GMVPLeafNode
 
         def walk(node, ancestors):
             if node is None:
@@ -133,4 +133,4 @@ class TestPathFilterObservation:
             for child in node.children:
                 walk(child, ancestors + list(node.vp_ids))
 
-        walk(tree.root, [])
+        walk(root_node(tree), [])

@@ -2,14 +2,15 @@
 
 * outside-range search ("objects that are farther than a given range
   from a query object can also be asked") — linear scan, vp-tree,
-  mvp-tree, distance matrix.
+  mvp-tree, multi-vantage tree, distance matrix; and farthest search
+  on the multi-vantage tree.
 * (1+epsilon)-approximate k-NN on the trees.
 """
 
 import numpy as np
 import pytest
 
-from repro import DistanceMatrixIndex, LinearScan, MVPTree, VPTree
+from repro import DistanceMatrixIndex, GMVPTree, LinearScan, MVPTree, VPTree
 from repro.metric import L2, CountingMetric
 
 
@@ -57,6 +58,25 @@ class TestOutsideRangeSearch:
         for query in queries[:4]:
             assert tree.outside_range_search(query, radius) == (
                 oracle.outside_range_search(query, radius)
+            )
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 0.7, 1.2, 10.0])
+    def test_gmvptree(self, data, oracle, queries, radius):
+        tree = GMVPTree(data, L2(), m=2, v=3, k=8, p=5, rng=0)
+        for query in queries[:4]:
+            assert tree.outside_range_search(query, radius) == (
+                oracle.outside_range_search(query, radius)
+            )
+
+    @pytest.mark.parametrize("k", [1, 7, 400])
+    def test_gmvptree_farthest(self, data, oracle, queries, k):
+        tree = GMVPTree(data, L2(), m=2, v=3, k=8, p=5, rng=0)
+        for query in queries[:4]:
+            got = tree.farthest_search(query, k)
+            want = oracle.farthest_search(query, k)
+            assert [n.id for n in got] == [n.id for n in want]
+            np.testing.assert_allclose(
+                [n.distance for n in got], [n.distance for n in want]
             )
 
     @pytest.mark.parametrize("radius", [0.0, 0.5, 1.2])

@@ -27,11 +27,10 @@ from repro import (
 )
 from repro.approx import approx_knn_search, approx_range_search
 from repro.bench.digest import RecordingMetric
-from repro.core import gmvptree
-from repro.core.gmvptree import GMVPLeafNode
-from repro.indexes import kernels, vptree
+from repro.indexes import kernels
 from repro.metric import L2
 from repro.store import open_index, write_store
+from tests.nodeview import GMVPLeafNode, root_node
 
 
 def _dynamic(points, metric):
@@ -119,7 +118,7 @@ def test_observation_does_not_change_the_evaluation(
 
 def _leaves_with_levels(tree):
     """Every leaf node with its level (root 1, then ``v`` per level)."""
-    stack = [(tree._root, 1)]
+    stack = [(root_node(tree), 1)]
     while stack:
         node, level = stack.pop()
         if isinstance(node, GMVPLeafNode):
@@ -247,27 +246,10 @@ def test_derived_tables_match_the_first_search_derivation(
             assert got.dtype == want.dtype, table
 
 
-NODE_CLASSES = (
-    vptree.VPInternalNode,
-    vptree.VPLeafNode,
-    gmvptree.GMVPInternalNode,
-    gmvptree.GMVPLeafNode,
-)
-
-
 @pytest.mark.parametrize("name", STORABLE)
-def test_build_search_store_and_reopen_make_no_node(
-    name, points, queries, tmp_path, monkeypatch
-):
-    made = []
-    for cls in NODE_CLASSES:
-        init = cls.__init__
-
-        def counted(self, *args, _init=init, **kwargs):
-            made.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
+def test_build_search_store_and_reopen_make_no_node(name, points, queries, tmp_path):
+    """The tables are the tree: a build, its searches, a store and a
+    reopened tree hold their tables and nothing else."""
     tree = BUILDERS[name](points, L2())
     path = tmp_path / f"{name}.rsx"
     for index in (tree, None):
@@ -277,11 +259,8 @@ def test_build_search_store_and_reopen_make_no_node(
         for call in _calls(index).values():
             for q in queries:
                 call(q, {})
-    assert tree._nodes is None and not made
-    # Something that walks nodes makes the view, once.
-    root = tree.root
-    assert made and tree._nodes is root
-    count = len(made)
-    assert tree.root is root and len(made) == count
+    for held in (tree, index._impl):
+        assert not {"_nodes", "_root", "root"} & set(dir(held))
+        assert isinstance(held._tables(), (kernels._VPArrays, kernels._GMVPArrays))
     index.close()
 

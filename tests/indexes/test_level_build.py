@@ -4,13 +4,15 @@ for node.
 ``_Recursive*`` below are the node-at-a-time builders the level passes
 replaced, kept verbatim as a reference (as the reference walk in
 ``test_range_walk.py`` is for range search).  A reference tree starts
-from its nodes, which are flattened into the kernel tables on demand
-(a vp-tree by the flatten kept here with the reference build); the
-level passes write the tables, and their nodes are a view.  For every
-input the two builds must give the same tables (derived ones and
-cutoffs included), the same persisted form and node view, the same
-``.rsx`` bytes, the same node counters and the same construction
-distance count, and must leave the rng in the same state.
+from its nodes, which the flattens kept here with the reference builds
+turn into kernel tables on demand; the level passes write the tables,
+the trees' only form.  For every input the two builds must give the
+same tables (derived ones and cutoffs included), the same persisted
+form, the same nodes (the reference's own against the test node view
+of the level build's tables), the same ``.rsx`` bytes, the same node
+counters and the same construction distance count, and must leave the
+rng in the same state.  The reference dynamic tree keeps the
+node-at-a-time insert the table patch replaced.
 """
 
 import hashlib
@@ -22,13 +24,19 @@ import pytest
 
 from repro import DynamicMVPTree, GMVPTree, MVPTree, QueryStats, VPTree
 from repro._util import gather
-from repro.core.gmvptree import EMPTY_SHELL, GMVPInternalNode, GMVPLeafNode
 from repro.datasets import synthetic_words, uniform_vectors
 from repro.indexes import kernels
-from repro.indexes.vptree import VPInternalNode, VPLeafNode
 from repro.metric import L2, CountingMetric, EditDistance, FunctionMetric
 from repro.persist import index_to_dict
 from repro.store import write_store
+from tests.nodeview import (
+    EMPTY_SHELL,
+    GMVPInternalNode,
+    GMVPLeafNode,
+    VPInternalNode,
+    VPLeafNode,
+    root_node,
+)
 
 COUNTERS = (
     "node_count",
@@ -372,18 +380,185 @@ def _region_shells(tree, bounds, cutoffs):
     return out
 
 
+def _gmvp_flatten(tree, root) -> kernels._GMVPArrays:
+    """The tables of a reference multi-vantage node graph: slots in
+    preorder with each node's children taken last-first."""
+    m, v = tree.m, tree.v
+    fanout = m**v
+    internal_nodes: list = []
+    leaves: list = []
+    slot_of: dict[int, tuple[int, int]] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, GMVPLeafNode):
+            slot_of[id(node)] = (kernels._LEAF, len(leaves))
+            leaves.append(node)
+        else:
+            slot_of[id(node)] = (kernels._INTERNAL, len(internal_nodes))
+            internal_nodes.append(node)
+            stack.extend(c for c in node.children if c is not None)
+    count = len(internal_nodes)
+    arrays = kernels._GMVPArrays()
+    arrays.vp_ids = np.empty((count, v), dtype=np.intp)
+    arrays.cutoffs = np.array(
+        [[row for rows in node.cutoffs for row in rows] for node in internal_nodes],
+        dtype=np.float64,
+    ).reshape(count, (fanout - 1) // (m - 1), m - 1)
+    arrays.blo = np.full((count, fanout, v), -np.inf)
+    arrays.bhi = np.full((count, fanout, v), np.inf)
+    arrays.child_kind = np.zeros((count, fanout), dtype=np.int8)
+    arrays.child_idx = np.zeros((count, fanout), dtype=np.intp)
+    for n, node in enumerate(internal_nodes):
+        arrays.vp_ids[n] = node.vp_ids
+        for c, (child, child_bounds) in enumerate(zip(node.children, node.bounds)):
+            if child is None:
+                continue
+            arrays.child_kind[n, c], arrays.child_idx[n, c] = slot_of[id(child)]
+            for t, (lo, hi) in enumerate(child_bounds):
+                arrays.blo[n, c, t], arrays.bhi[n, c, t] = lo, hi
+    arrays.leaf_offsets = kernels._offsets([len(n.ids) for n in leaves])
+    arrays.leaf_ids = kernels._concat([n.ids for n in leaves], np.int64)
+    arrays.leaf_vp_ids = np.full((len(leaves), v), -1, dtype=np.int64)
+    arrays.leaf_dists = np.zeros((arrays.leaf_ids.size, v))
+    arrays.leaf_paths = np.zeros((arrays.leaf_ids.size, tree.p))
+    for n, (node, start) in enumerate(zip(leaves, arrays.leaf_offsets.tolist())):
+        arrays.leaf_vp_ids[n, : len(node.vp_ids)] = node.vp_ids
+        if node.ids:
+            rows = slice(start, start + len(node.ids))
+            arrays.leaf_dists[rows] = np.asarray(node.dists).T
+            arrays.leaf_paths[rows, : node.path_len] = node.paths
+    arrays.root_kind, arrays.root_idx = slot_of[id(root)]
+    kernels.derive(arrays)
+    return arrays
+
+
 class _NodeFirst:
     """The reference builds return nodes, so a reference tree starts
-    from nodes: its tables are flattened from them on demand."""
+    from nodes (``_ref_root``): its tables are flattened from them when
+    something reads them, and dropped when the nodes change."""
+
+    _ref_root = None
+    _ref_tables = None
 
     def _plant(self, root):
-        self._root = root
+        self._ref_root, self._ref_tables = root, None
 
-    def _node_view(self, root, level=1):
-        return root
+    def _tables(self):
+        if self._ref_tables is None and self._ref_root is not None:
+            self._ref_tables = self._flatten(self._ref_root)
+        return self._ref_tables
 
     def _flatten(self, root):
-        return kernels._gmvp_arrays(self, root)
+        return _gmvp_flatten(self, root)
+
+
+class _NodeInsert:
+    """The node-at-a-time insert: route by the cutoffs, widen the shells
+    on the path, append to the leaf, and rebuild a leaf that overflows
+    into a subtree."""
+
+    def insert(self, obj) -> int:
+        self._objects.append(obj)
+        idx = len(self._objects) - 1
+        if self._ref_root is None:
+            paths = np.full((1, self.p), np.nan)
+            self._plant(self._build([idx], paths, level=1, depth=1))
+            return idx
+        self._plant(
+            self._insert_into(self._ref_root, idx, 1, 1, path_entries=[], ancestors=[])
+        )
+        return idx
+
+    def _insert_into(self, node, idx, level, depth, path_entries, ancestors):
+        """Recursive descent; depth is bounded by the tree height."""
+        obj = self._objects[idx]
+        d_first = self._dist(None, obj, self._objects[node.vp_ids[0]])
+        if isinstance(node, GMVPLeafNode):
+            return self._insert_into_leaf(
+                node, idx, d_first, level, depth, path_entries, ancestors
+            )
+        ds = [d_first] + [
+            self._dist(None, obj, self._objects[vp]) for vp in node.vp_ids[1:]
+        ]
+        path_entries.extend(d for t, d in enumerate(ds) if level + t <= self.p)
+        ancestors.extend(node.vp_ids)
+        m, v = self.m, self.v
+        slot = 0
+        for t, d in enumerate(ds):
+            cutoffs = node.cutoffs[t][slot]
+            slot = slot * m + next(
+                (i for i, c in enumerate(cutoffs) if d <= c), len(cutoffs)
+            )
+        for t, d in enumerate(ds):
+            width = m ** (v - 1 - t)
+            start = slot // width * width
+            for c in range(start, start + width):
+                lo, hi = node.bounds[c][t]
+                node.bounds[c][t] = (min(lo, d), max(hi, d))
+        child = node.children[slot]
+        if child is None:
+            path_len = min(self.p, level + v - 1)
+            self.node_count += 1
+            self.leaf_count += 1
+            self.vantage_point_count += 1
+            self.height = max(self.height, depth + 1)
+            node.children[slot] = GMVPLeafNode(
+                [idx], [], np.empty((0, 0)), np.empty((0, path_len)), path_len
+            )
+        else:
+            node.children[slot] = self._insert_into(
+                child, idx, level + v, depth + 1, path_entries, ancestors
+            )
+        return node
+
+    def _insert_into_leaf(
+        self, leaf, idx, d_first, level, depth, path_entries, ancestors
+    ):
+        if len(leaf.vp_ids) < self.v:
+            leaf.vp_ids.append(idx)
+            self.vantage_point_count += 1
+            return leaf
+        obj = self._objects[idx]
+        column = [d_first] + [
+            self._dist(None, obj, self._objects[vp]) for vp in leaf.vp_ids[1:]
+        ]
+        n_prev = len(leaf.ids)
+        leaf.ids.append(idx)
+        leaf.dists = np.hstack(
+            [
+                leaf.dists.reshape(len(leaf.vp_ids), n_prev),
+                np.asarray(column, dtype=float).reshape(-1, 1),
+            ]
+        )
+        row = np.asarray(path_entries[: leaf.path_len], dtype=float)
+        previous = leaf.paths.reshape(n_prev, leaf.path_len)
+        leaf.paths = np.vstack([previous, row.reshape(1, leaf.path_len)])
+        self.leaf_data_point_count += 1
+        if len(leaf.ids) > self.overflow_factor * self.k:
+            return self._rebuild_leaf(leaf, level, depth, ancestors)
+        return leaf
+
+    def _rebuild_leaf(self, leaf, level, depth, ancestors):
+        self.leaf_rebuild_count += 1
+        vp_count = len(leaf.vp_ids)
+        member_ids = list(leaf.vp_ids) + list(leaf.ids)
+        path_len = leaf.path_len
+        paths = np.full((len(member_ids), self.p), np.nan)
+        for vp_row, vp_id in enumerate(leaf.vp_ids):
+            if path_len:
+                paths[vp_row, :path_len] = self._batch_dist(
+                    None,
+                    gather(self._objects, ancestors[:path_len]),
+                    self._objects[vp_id],
+                )
+        if leaf.ids:
+            paths[vp_count:, :path_len] = leaf.paths
+        self.node_count -= 1
+        self.leaf_count -= 1
+        self.vantage_point_count -= vp_count
+        self.leaf_data_point_count -= len(leaf.ids)
+        return self._build(member_ids, paths, level, depth)
 
 
 class RefVPTree(_RecursiveVP, _NodeFirst, VPTree):
@@ -398,7 +573,7 @@ class RefMVPTree(_RecursiveGMVP, _NodeFirst, MVPTree):
     pass
 
 
-class RefDynamicMVPTree(_RecursiveGMVP, _NodeFirst, DynamicMVPTree):
+class RefDynamicMVPTree(_NodeInsert, _RecursiveGMVP, _NodeFirst, DynamicMVPTree):
     pass
 
 
@@ -476,35 +651,29 @@ def _node_form(node):
 
 
 def _persisted(tree) -> str:
-    """SHA-256 of the persisted form and the node view (a digest keeps
-    failure reports short)."""
-    text = json.dumps([index_to_dict(tree), _node_form(tree.root)], sort_keys=True)
+    """SHA-256 of the persisted form and the nodes, a reference tree's
+    own or the view of a level build's tables (a digest keeps failure
+    reports short)."""
+    nodes = tree._ref_root if isinstance(tree, _NodeFirst) else root_node(tree)
+    text = json.dumps([index_to_dict(tree), _node_form(nodes)], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _tables(tree):
-    """The kernel tables of ``tree`` (flattened from a node-first tree)."""
-    return tree._tables()
 
 
 def _assert_same_tables(arrays, expected):
     for name in type(arrays).__slots__:
-        if name == "sizes":
-            continue
         got, want = getattr(arrays, name, None), getattr(expected, name, None)
-        if isinstance(want, np.ndarray):
+        if isinstance(want, tuple):
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part, err_msg=name)
+        elif isinstance(want, np.ndarray):
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
         else:
             assert got == want, name
-    for got, want in zip(arrays.sizes, expected.sizes):
-        np.testing.assert_array_equal(got, want)
 
 
 def _assert_same(tree, counting, ref, ref_counting, tmp_path=None):
-    if tree._kernel_cache is not None:
-        assert tree._nodes is None, "the build made nodes"
-    _assert_same_tables(_tables(tree), _tables(ref))
+    _assert_same_tables(tree._tables(), ref._tables())
     assert _persisted(tree) == _persisted(ref)
     for name in COUNTERS:
         assert getattr(tree, name, None) == getattr(ref, name, None), name
@@ -514,6 +683,7 @@ def _assert_same(tree, counting, ref, ref_counting, tmp_path=None):
         # The store writer takes exact family types only.
         plain = object.__new__(type(tree))
         plain.__dict__.update(ref.__dict__)
+        plain._kernel_cache = ref._tables()
         write_store(tree, tmp_path / "level.rsx")
         write_store(plain, tmp_path / "recursive.rsx")
         stored = (tmp_path / "level.rsx").read_bytes()

@@ -16,8 +16,6 @@ import pytest
 
 from repro import DynamicMVPTree, GMVPTree, MVPTree, QueryStats, VPTree
 from repro._util import slack
-from repro.core.gmvptree import GMVPLeafNode
-from repro.indexes.vptree import VPLeafNode
 from repro.metric import L2
 from repro.obs.stats import (
     PRUNE_PATH_FILTER,
@@ -26,6 +24,7 @@ from repro.obs.stats import (
     vp_shell_kind,
 )
 from repro.store import open_index, write_store
+from tests.nodeview import GMVPLeafNode, VPLeafNode, root_node
 
 RADII = (0.15, 0.3, 0.6)
 
@@ -126,9 +125,9 @@ def walk(tree, query, radius):
     """The reference answer and stats of ``tree.range_search``."""
     w = _Walk(tree, query, radius)
     if isinstance(tree, VPTree):
-        w.vp(tree._root)
-    elif tree._root is not None:
-        w.gmvp(tree._root, [], tree.p)
+        w.vp(root_node(tree))
+    elif root_node(tree) is not None:
+        w.gmvp(root_node(tree), [], tree.p)
     hits, stats = w.result()
     if isinstance(tree, DynamicMVPTree):
         hits = [i for i in hits if i not in tree.tombstone_ids]

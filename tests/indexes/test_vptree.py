@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import LinearScan, VPTree
-from repro.indexes.vptree import VPInternalNode, VPLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import VPInternalNode, VPLeafNode, root_node
 
 
 @pytest.fixture(params=[2, 3, 5], ids=["m2", "m3", "m5"])
@@ -44,7 +44,7 @@ class TestConstruction:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(uniform_data)))
 
     def test_cost_is_n_log_n_order(self, uniform_data):
@@ -88,7 +88,7 @@ class TestConstruction:
                 return len(node.ids)
             return max(max_leaf(child) for child in node.children)
 
-        assert 0 < max_leaf(tree.root) <= 8
+        assert 0 < max_leaf(root_node(tree)) <= 8
 
     def test_bigger_leaves_make_shorter_trees(self, uniform_data, l2):
         small = VPTree(uniform_data, l2, m=2, leaf_capacity=1, rng=1)
@@ -110,7 +110,7 @@ class TestConstruction:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_selector_strategies_all_build_correct_trees(
         self, uniform_data, l2, vector_queries
@@ -224,7 +224,7 @@ class TestFarthestSearch:
 
 class TestNodeStructure:
     def test_root_is_internal_for_nontrivial_data(self, tree):
-        assert isinstance(tree.root, VPInternalNode)
+        assert isinstance(root_node(tree), VPInternalNode)
 
     def test_internal_nodes_have_m_children(self, tree):
         def walk(node):
@@ -236,7 +236,7 @@ class TestNodeStructure:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     def test_cutoffs_nondecreasing(self, tree):
         def walk(node):
@@ -246,4 +246,4 @@ class TestNodeStructure:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))

@@ -59,7 +59,7 @@ class TestRoundTrips:
     def test_mvptree_path_arrays_survive(self, data):
         # The serialised form must preserve the precomputed PATH
         # distances exactly, since they drive leaf filtering.
-        from repro.core.gmvptree import GMVPLeafNode
+        from tests.nodeview import GMVPLeafNode, root_node
 
         metric = L2()
         original = MVPTree(data, metric, m=2, k=6, p=3, rng=1)
@@ -76,8 +76,8 @@ class TestRoundTrips:
 
         original_leaves: list = []
         restored_leaves: list = []
-        leaves(original.root, original_leaves)
-        leaves(restored.root, restored_leaves)
+        leaves(root_node(original), original_leaves)
+        leaves(root_node(restored), restored_leaves)
         assert len(original_leaves) == len(restored_leaves)
         for a, b in zip(original_leaves, restored_leaves):
             assert a.ids == b.ids

@@ -34,11 +34,11 @@ from repro import (
     TransformIndex,
     VPTree,
 )
-from repro.core.gmvptree import GMVPLeafNode
 from repro.metric import L2, CountingMetric, EditDistance
 from repro.metric.base import Metric
 from repro.store import open_index, write_store
 from repro.transforms import DFTTransform
+from tests.nodeview import GMVPLeafNode, root_node
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -234,7 +234,7 @@ class TestShellPruneAccounting:
         return np.random.default_rng(11).random((1500, 5))
 
     def check(self, index, tree, probe, data):
-        internal = _internal_nodes(tree.root)
+        internal = _internal_nodes(root_node(tree))
         queries = list(data[:4]) + list(np.random.default_rng(12).random((2, 5)))
         for query in queries:
             for radius in (0.1, 0.25):

@@ -12,9 +12,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro import MVPTree, VPTree
-from repro.core.gmvptree import GMVPLeafNode
-from repro.indexes.vptree import VPLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GMVPLeafNode, VPLeafNode, root_node
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -52,7 +51,7 @@ class TestMVPTreeInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(data)))
 
     @given(data=datasets(), params=mvp_params(), seed=st.integers(0, 2**10))
@@ -97,7 +96,7 @@ class TestMVPTreeInvariants:
                         metric.distance(data[idx], data[vp_id])
                     )
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     @given(data=datasets(max_n=40), params=mvp_params(),
            radius=st.floats(0, 20), seed=st.integers(0, 2**10))
@@ -127,7 +126,7 @@ class TestVPTreeInvariants:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(data)))
 
     @given(data=datasets(), m=st.integers(2, 5), seed=st.integers(0, 2**10))
@@ -157,7 +156,7 @@ class TestVPTreeInvariants:
                     assert lo - 1e-9 <= distance <= hi + 1e-9
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
 
     @given(data=datasets(max_n=40), m=st.integers(2, 4),
            radius=st.floats(0, 20), seed=st.integers(0, 2**10))

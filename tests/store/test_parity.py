@@ -31,6 +31,7 @@ from repro.metric import L2
 from repro.obs.stats import QueryStats
 from repro.persist import index_from_dict, index_to_dict
 from repro.store import open_index, store_family, write_store
+from tests.nodeview import root_node
 
 N, DIM = 160, 8
 RADII = [0.15, 0.45, 0.9]
@@ -255,9 +256,9 @@ class TestTreeCodec:
                     assert got == want, name
 
     def test_root_views_are_equal(self, codec_trio):
-        want = _node_form(codec_trio[0].root)
+        want = _node_form(root_node(codec_trio[0]))
         for copy in _copies(codec_trio):
-            assert _node_form(copy.root) == want
+            assert _node_form(root_node(copy)) == want
 
     def test_answers_and_stats_are_equal(self, codec_trio, queries):
         tree, loaded, stored = codec_trio
