@@ -80,10 +80,10 @@ import numpy as np
 
 from repro.core.dynamic import DynamicMVPTree
 from repro.core.gmvptree import GMVPTree
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
-from repro.indexes import kernels
 from repro.indexes.ghtree import GHLeafNode, GHTree
 from repro.indexes.gnat import GNAT, GNATLeafNode
 from repro.indexes.laesa import LAESA

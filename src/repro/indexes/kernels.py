@@ -312,9 +312,10 @@ def derive(arrays) -> None:
     its point and vantage-point counts; one ready frontier row (kind,
     slot, cost) per child, so an iteration copies rows instead of
     filling columns; per internal node of a multi-vantage tree the query
-    PATH columns its distances fill; the point count of every subtree;
-    and where a subtree's slots are runs, the runs.  Called where tables
-    are made, so a search never derives.
+    PATH columns its distances fill; and the point count of every
+    subtree.  Called where tables are made, so a search never derives
+    (``runs``, which only outside-range search reads, is made there on
+    first use: :func:`_runs`).
     """
     multi = isinstance(arrays, _GMVPArrays)
     v = arrays.vp_ids.shape[1] if multi else 1
@@ -340,32 +341,51 @@ def derive(arrays) -> None:
     rows[..., _COST] = np.where(inner, v, 0)
     rows[leaf, _COST] = cost[slot[leaf]]
     arrays.child_rows = rows
-    # Per subtree, deepest internal nodes first: its point count, its
-    # internal and leaf counts, and its lowest and highest internal and
-    # leaf slots (the lowest negated, so one max takes both ends).
+    # Subtree point counts, deepest internal nodes first.
     own = np.zeros(kind.shape, dtype=np.int64)
     own[leaf] = cost[slot[leaf]]
-    node = np.arange(kind.shape[0])
-    far = np.iinfo(np.int64).max
-    counts = np.stack((v + own.sum(axis=1), np.ones_like(node), leaf.sum(axis=1)), 1)
-    ends = np.stack(
-        (-node, node, np.where(leaf, -slot, -far).max(axis=1, initial=-far),
-         np.where(leaf, slot, -far).max(axis=1, initial=-far)), 1,
-    )
+    sizes = v + own.sum(axis=1)
     for level in range(int(depth.max(initial=-1)), -1, -1):
         nodes = np.flatnonzero(depth == level)
-        kids = inner[nodes][..., None]
-        below = np.where(kids[..., 0], slot[nodes], 0)
-        counts[nodes] += np.where(kids, counts[below], 0).sum(axis=1)
-        ends[nodes] = np.maximum(ends[nodes], np.where(kids, ends[below], -far).max(axis=1))
-    arrays.sizes = (counts[:, 0].copy(), cost)
-    # Where a subtree's internal and leaf slots are runs from its own
-    # slot (a build's preorder; a patch may break it), its ids are
-    # slices: internal count (-1 where they are not), first leaf, leaves.
-    n_int, n_leaf = counts[:, 1], counts[:, 2]
+        kids = inner[nodes]
+        below = np.where(kids, sizes[np.where(kids, slot[nodes], 0)], 0)
+        sizes[nodes] += below.sum(axis=1)
+    arrays.sizes = (sizes, cost)
+    arrays.runs = None
+
+
+def _runs(arrays):
+    """Per internal node, where its subtree's internal and leaf slots
+    are runs from its own slot (a build's preorder; a patch may break
+    it), so its ids are slices: its internal count (-1 where they are
+    not), its first leaf slot and its leaf count.  Made by the first
+    outside-range search over the tables, which keep it."""
+    if arrays.runs is not None:
+        return arrays.runs
+    kind, slot = arrays.child_kind, arrays.child_idx
+    leaf, inner = kind == _LEAF, kind == _INTERNAL
+    depth = depths(arrays)
+    # Per subtree, deepest internal nodes first: its internal and leaf
+    # counts and its lowest and highest internal and leaf slots (the
+    # lowest negated, so one max takes both ends).
+    node = np.arange(kind.shape[0])
+    far = np.iinfo(np.int64).max
+    counts = np.stack((np.ones_like(node), leaf.sum(axis=1)), 1)
+    lowest = np.where(leaf, -slot, -far).max(axis=1, initial=-far)
+    highest = np.where(leaf, slot, -far).max(axis=1, initial=-far)
+    ends = np.stack((-node, node, lowest, highest), 1)
+    for level in range(int(depth.max(initial=-1)), -1, -1):
+        nodes = np.flatnonzero(depth == level)
+        for c in range(kind.shape[1]):  # each parent once per position
+            has = nodes[inner[nodes, c]]
+            below = slot[has, c]
+            counts[has] += counts[below]
+            ends[has] = np.maximum(ends[has], ends[below])
+    n_int, n_leaf = counts[:, 0], counts[:, 1]
     run = (-ends[:, 0] == node) & (ends[:, 1] - node + 1 == n_int)
     run &= (n_leaf == 0) | (ends[:, 3] + ends[:, 2] + 1 == n_leaf)
     arrays.runs = (np.where(run, n_int, -1), -ends[:, 2], n_leaf)
+    return arrays.runs
 
 
 # ----------------------------------------------------------------------
@@ -1248,7 +1268,7 @@ def _subtree_ids(arrays, kind: int, slot: int) -> list[int]:
     is a run of slots (``runs``), else read from the child tables."""
     multi = isinstance(arrays, _GMVPArrays)
     at = arrays.leaf_offsets
-    if kind == _INTERNAL and arrays.runs[0][slot] > 0:
+    if kind == _INTERNAL and _runs(arrays)[0][slot] > 0:
         n_int, first, n_leaf = (int(part[slot]) for part in arrays.runs)
         ids = arrays.vp_ids[slot : slot + n_int].ravel().tolist()
         if n_leaf:
@@ -1265,10 +1285,12 @@ def _subtree_ids(arrays, kind: int, slot: int) -> list[int]:
             ids.append(slot)
         elif kind == _LEAF:
             if multi:
-                ids += [vp for vp in arrays.leaf_vp_ids[slot].tolist() if vp >= 0]
+                vps = arrays.leaf_vp_ids[slot].tolist()
+                ids += [vp for vp in vps if vp >= 0]
             ids += arrays.leaf_ids[at[slot] : at[slot + 1]].tolist()
         else:
             ids += arrays.vp_ids[slot : slot + 1].ravel().tolist()
-            kids = zip(arrays.child_kind[slot].tolist(), arrays.child_idx[slot].tolist())
-            stack += [(k, c) for k, c in kids if k]
+            kinds = arrays.child_kind[slot].tolist()
+            slots = arrays.child_idx[slot].tolist()
+            stack += [(k, c) for k, c in zip(kinds, slots) if k]
     return ids

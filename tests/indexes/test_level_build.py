@@ -316,7 +316,7 @@ class _RecursiveGMVP:
 
         # Per-child shells and children.
         bounds: list[list[tuple[float, float]]] = []
-        children: list[_Node] = []
+        children: list = []
         for group in groups:
             if group.size:
                 member_rows = [row[group] for row in dist_matrix]
