@@ -55,7 +55,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import DynamicMVPTree, GMVPTree, MVPTree, QueryStats, VPTree
+from repro import (
+    GNAT,
+    LAESA,
+    DynamicMVPTree,
+    GHTree,
+    GMVPTree,
+    MVPTree,
+    QueryStats,
+    VPTree,
+)
 from repro.approx import approx_knn_search, approx_range_search
 from repro.datasets import clustered_vectors, uniform_vectors
 from repro.metric import L2, CountingMetric, Metric
@@ -83,12 +92,17 @@ FAMILIES = {
     "mvpt-cutoff": lambda d, m: MVPTree(d, m, m=3, k=13, p=4, bounds="cutoff", rng=1),
     "gmvpt-v3": lambda d, m: GMVPTree(d, m, m=2, v=3, k=8, p=4, rng=1),
     "dynamic-churn": _dynamic,
+    "gnat": lambda d, m: GNAT(d, m, rng=1),
+    "ght": lambda d, m: GHTree(d, m, rng=1),
+    "laesa": lambda d, m: LAESA(d, m, rng=1),
 }
 #: Store-backed inputs: each reopens the named build from its ``.rsx``.
 STORED = {
     "store-vpt": "vpt-m2-leaf4",
     "store-mvpt": "mvpt-tight",
     "store-gmvpt": "gmvpt-v3",
+    "store-gnat": "gnat",
+    "store-laesa": "laesa",
 }
 
 

@@ -185,7 +185,11 @@ class TestWriterValidation:
 #: The ``repro-bench digest`` tree builds, plus trees that are one leaf
 #: (no internal node, so every internal table is empty).
 CODEC_BUILDS = {
-    **DIGEST_BUILDS,
+    **{
+        name: builder
+        for name, builder in DIGEST_BUILDS.items()
+        if name not in ("gnat", "ght", "laesa")
+    },
     "vpt-one-leaf": lambda d, m: VPTree(d[:12], m, leaf_capacity=16, rng=1),
     "mvpt-one-leaf": lambda d, m: MVPTree(d[:12], m, m=3, k=13, p=4, rng=1),
 }
