@@ -20,9 +20,8 @@ from repro.core.gmvptree import GMVPTree
 from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
-from repro.indexes.ghtree import GHLeafNode, GHTree
-from repro.indexes.gnat import GNAT, GNATLeafNode
-from repro.indexes.vptree import VPTree
+from repro.indexes.ghtree import GHTree
+from repro.indexes.gnat import GNAT
 
 
 @dataclass
@@ -108,12 +107,8 @@ def analyze(index: MetricIndex) -> TreeReport:
     dynamic variant, gh-tree, GNAT, BK-tree).
     """
     report = TreeReport(type(index).__name__, len(index.objects))
-    if isinstance(index, (GMVPTree, VPTree)):  # MVPTree and DynamicMVPTree too
+    if isinstance(index, kernels.TableIndex) and index._TABLES.ROOT:
         _walk_tables(index, report)
-    elif isinstance(index, GHTree):
-        _walk_gh(index.root, 1, report)
-    elif isinstance(index, GNAT):
-        _walk_gnat(index.root, 1, report)
     elif isinstance(index, BKTree):
         _walk_bk(index.root, 1, report)
     else:
@@ -133,18 +128,19 @@ def _leaf(report: TreeReport, size: int, depth: int) -> None:
 
 
 def _walk_tables(index, report: TreeReport) -> None:
-    """Accumulate vp-tree or multi-vantage tree stats from the flat
-    tables, nodes in depth-first child order.  A multi-vantage leaf
-    point's stored distances are its D_t row (``v`` entries) and its
-    PATH prefix (``min(p, vantage points above it)`` entries)."""
+    """Accumulate a tree's stats from its flat tables, nodes in
+    depth-first child order.  An internal node's vantage or routing
+    points are its vantage points (``v`` of a multi-vantage node), its
+    two gh-tree pivots or its GNAT split points; a GNAT node stores its
+    ``2 d**2`` range table.  A multi-vantage leaf point's stored
+    distances are its D_t row (``v`` entries) and its PATH prefix
+    (``min(p, vantage points above it)`` entries)."""
     tables = index._tables()
     if tables is None:
         return
-    multi = isinstance(index, GMVPTree)
-    v = index.v if multi else 1
-    stack = [(int(tables.root_kind), int(tables.root_idx), 1)]
-    while stack:
-        kind, slot, depth = stack.pop()
+    multi, gnat = isinstance(index, GMVPTree), isinstance(index, GNAT)
+    routing = index.v if multi else 2 if isinstance(index, GHTree) else 1
+    for kind, slot, depth in kernels.preorder(tables):
         report.height = max(report.height, depth)
         if kind == kernels._LEAF:
             size = int(tables.leaf_offsets[slot + 1] - tables.leaf_offsets[slot])
@@ -152,49 +148,17 @@ def _walk_tables(index, report: TreeReport) -> None:
             if multi:
                 vps = int(np.count_nonzero(tables.leaf_vp_ids[slot] >= 0))
                 report.vantage_point_count += vps
-                path_len = min(index.p, v * (depth - 1))
-                report.precomputed_distances += size * (v + path_len)
+                path_len = min(index.p, routing * (depth - 1))
+                report.precomputed_distances += size * (routing + path_len)
             continue
         report.node_count += 1
         report.internal_count += 1
-        report.vantage_point_count += v
-        kids = tables.child_kind[slot].nonzero()[0][::-1]
-        kinds, slots = tables.child_kind[slot, kids], tables.child_idx[slot, kids]
-        stack.extend(
-            (int(kind), int(idx), depth + 1) for kind, idx in zip(kinds, slots)
-        )
-
-
-def _walk_gh(node, depth: int, report: TreeReport) -> None:
-    """Accumulate gh-tree stats (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, GHLeafNode):
-        _leaf(report, len(node.ids), depth)
-        return
-    report.node_count += 1
-    report.internal_count += 1
-    report.vantage_point_count += 2
-    report.height = max(report.height, depth)
-    _walk_gh(node.left, depth + 1, report)
-    _walk_gh(node.right, depth + 1, report)
-
-
-def _walk_gnat(node, depth: int, report: TreeReport) -> None:
-    """Accumulate GNAT stats (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, GNATLeafNode):
-        _leaf(report, len(node.ids), depth)
-        return
-    report.node_count += 1
-    report.internal_count += 1
-    report.vantage_point_count += len(node.split_ids)
-    degree = len(node.split_ids)
-    report.precomputed_distances += 2 * degree * degree  # the range table
-    report.height = max(report.height, depth)
-    for child in node.children:
-        _walk_gnat(child, depth + 1, report)
+        if gnat:
+            degree = int(tables.node_degree[slot])
+            report.vantage_point_count += degree
+            report.precomputed_distances += 2 * degree * degree
+        else:
+            report.vantage_point_count += routing
 
 
 def _walk_bk(node: Optional[BKNode], depth: int, report: TreeReport) -> None:

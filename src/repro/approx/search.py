@@ -163,7 +163,7 @@ def _laesa_pivot_pass(laesa: LAESA, query, tracker, obs):
             dtype=np.float64,
         )
         tracker.charge(paid)
-        bounds = np.abs(laesa._table[:, :paid] - pivot_distances).max(axis=1)
+        bounds = np.abs(laesa.table[:, :paid] - pivot_distances).max(axis=1)
         is_pivot[np.asarray(prefix, dtype=np.intp)] = True
     else:
         prefix = []

@@ -102,6 +102,7 @@ STORED = {
     "store-mvpt": "mvpt-tight",
     "store-gmvpt": "gmvpt-v3",
     "store-gnat": "gnat",
+    "store-ght": "ght",
     "store-laesa": "laesa",
 }
 

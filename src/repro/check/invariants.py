@@ -57,9 +57,9 @@ Invariants checked (paper sections 4.2/4.3 where applicable):
   memtable entries the base does not serve — equals the shard's live
   ids; replica inner structures are verified recursively.
 
-The trees are verified from their flat tables, their only
+The trees (and LAESA) are verified from their flat tables, their only
 representation, so a built, JSON-loaded, insert-patched or store-backed
-tree takes the same path.  A
+index takes the same path.  A
 :class:`~repro.store.backed.StoreBackedIndex` is verified as the index
 it holds over its mapped sections (``_impl``): the store's own tables,
 cutoffs included.
@@ -84,8 +84,8 @@ from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
-from repro.indexes.ghtree import GHLeafNode, GHTree
-from repro.indexes.gnat import GNAT, GNATLeafNode
+from repro.indexes.ghtree import GHTree
+from repro.indexes.gnat import GNAT
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.vptree import VPTree
@@ -264,6 +264,17 @@ def _check_members(dist, objects, members, vp_id, lo, hi, label, loc, out) -> No
             )
 
 
+def _check_leaf_capacity(dist, objects, ids, capacity, loc, out) -> None:
+    if len(ids) > capacity and not _zero_diameter(dist, objects, ids):
+        out.append(
+            Violation(
+                "leaf-capacity",
+                loc,
+                f"leaf holds {len(ids)} points > capacity {capacity}",
+            )
+        )
+
+
 def _leaf_rows(tables, slot: int) -> slice:
     return slice(int(tables.leaf_offsets[slot]), int(tables.leaf_offsets[slot + 1]))
 
@@ -392,14 +403,7 @@ def verify_table_tree(index) -> list[Violation]:
                 )
             )
             return vp_ids + ids
-        if len(ids) > leaf_cap and not _zero_diameter(dist, objects, ids):
-            out.append(
-                Violation(
-                    "leaf-capacity",
-                    loc,
-                    f"leaf holds {len(ids)} points > capacity {leaf_cap}",
-                )
-            )
+        _check_leaf_capacity(dist, objects, ids, leaf_cap, loc, out)
         if not multi:
             return ids
         dists, paths = tables.leaf_dists[rows], tables.leaf_paths[rows]
@@ -447,21 +451,8 @@ def verify_table_tree(index) -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# GHTree
+# GHTree and GNAT, from their tables
 # ----------------------------------------------------------------------
-
-
-def _gh_subtree_ids(node) -> Iterator[int]:
-    """Yield every id under ``node`` (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, GHLeafNode):
-        yield from node.ids
-        return
-    yield node.p1_id
-    yield node.p2_id
-    yield from _gh_subtree_ids(node.left)
-    yield from _gh_subtree_ids(node.right)
 
 
 def verify_ghtree(index: GHTree) -> list[Violation]:
@@ -469,37 +460,42 @@ def verify_ghtree(index: GHTree) -> list[Violation]:
     out: list[Violation] = []
     dist = index._metric.distance
     objects = index._objects
+    tables = index._tables()
+    count = len(tables.pivot_ids)
+    shapes = {
+        name: ("m1-shape", (count, 2))
+        for name in ("pivot_ids", "radii", "child_kind", "child_idx")
+    }
+    if not _check_table_shapes(tables, shapes, out):
+        return out
+    capacity = max(index.leaf_capacity, 1)
     seen: list[int] = []
+    reached: set = set()
 
-    def visit(node, loc: str) -> None:
-        """Recursive structural walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, GHLeafNode):
-            seen.extend(node.ids)
-            if len(node.ids) > max(
-                index.leaf_capacity, 1
-            ) and not _zero_diameter(dist, objects, node.ids):
-                out.append(
-                    Violation(
-                        "leaf-capacity",
-                        loc,
-                        f"leaf holds {len(node.ids)} points > capacity "
-                        f"{max(index.leaf_capacity, 1)}",
-                    )
-                )
-            return
-        seen.append(node.p1_id)
-        seen.append(node.p2_id)
-        sides = (
-            ("left", node.left, node.p1_id, node.p2_id, node.r1),
-            ("right", node.right, node.p2_id, node.p1_id, node.r2),
-        )
-        for name, child, near_id, far_id, radius in sides:
+    def visit(kind: int, slot: int, loc: str) -> list[int]:
+        """Check the subtree at ``(kind, slot)`` and return its ids
+        (recursive; depth bounded by tree height)."""
+        if _reached_twice(reached, (kind, slot), loc, out):
+            return []
+        if kind == kernels._LEAF:
+            ids = tables.leaf_ids[_leaf_rows(tables, slot)].tolist()
+            seen.extend(ids)
+            _check_leaf_capacity(dist, objects, ids, capacity, loc, out)
+            return ids
+        pivots = tables.pivot_ids[slot].tolist()
+        seen.extend(pivots)
+        ids = list(pivots)
+        for side, name in enumerate(("left", "right")):
+            child_kind = int(tables.child_kind[slot, side])
+            if not child_kind:
+                continue
             child_loc = f"{loc}.{name}"
-            for idx in _gh_subtree_ids(child):
-                d_near = dist(objects[idx], objects[near_id])
-                d_far = dist(objects[idx], objects[far_id])
+            below = visit(child_kind, int(tables.child_idx[slot, side]), child_loc)
+            near, far = objects[pivots[side]], objects[pivots[1 - side]]
+            radius = float(tables.radii[slot, side])
+            for idx in below:
+                d_near = dist(objects[idx], near)
+                d_far = dist(objects[idx], far)
                 if d_near > d_far + _tol(d_near, d_far):
                     out.append(
                         Violation(
@@ -518,28 +514,33 @@ def verify_ghtree(index: GHTree) -> list[Violation]:
                             f"covering radius {radius:.6g}",
                         )
                     )
-            visit(child, child_loc)
+            ids += below
+        return ids
 
-    visit(index.root, "root")
+    visit(int(tables.root_kind), int(tables.root_idx), "root")
     _check_id_partition(seen, set(range(len(objects))), out, "gh-tree")
     return out
 
 
-# ----------------------------------------------------------------------
-# GNAT
-# ----------------------------------------------------------------------
-
-
-def _gnat_subtree_ids(node) -> Iterator[int]:
-    """Yield every id under ``node`` (recursive; depth <= tree height)."""
-    if node is None:
-        return
-    if isinstance(node, GNATLeafNode):
-        yield from node.ids
-        return
-    yield from node.split_ids
-    for child in node.children:
-        yield from _gnat_subtree_ids(child)
+def _gnat_layout(tables) -> str:
+    """What is wrong with a GNAT's ragged table layout ('' if nothing):
+    per internal node ``d`` split points and children and ``d**2``
+    range cells."""
+    degree = tables.node_degree
+    runs = (
+        ("split_offsets", degree, ("split_ids", "child_kind", "child_idx")),
+        ("range_offsets", degree * degree, ("range_lo", "range_hi")),
+    )
+    for offsets_name, sizes, flat_names in runs:
+        offsets = getattr(tables, offsets_name)
+        if offsets.shape != (len(degree) + 1,) or offsets[0] != 0:
+            return f"{offsets_name} has shape {offsets.shape}"
+        if not np.array_equal(np.diff(offsets), sizes):
+            return f"{offsets_name} runs disagree with node_degree"
+        for name in flat_names:
+            if getattr(tables, name).shape != (offsets[-1],):
+                return f"{name} has shape {getattr(tables, name).shape}"
+    return ""
 
 
 def verify_gnat(index: GNAT) -> list[Violation]:
@@ -547,48 +548,41 @@ def verify_gnat(index: GNAT) -> list[Violation]:
     out: list[Violation] = []
     dist = index._metric.distance
     objects = index._objects
+    tables = index._tables()
+    problem = _gnat_layout(tables)
+    if problem:
+        out.append(Violation("m1-shape", "root", problem))
+        return out  # indexed checks would be meaningless
     seen: list[int] = []
+    reached: set = set()
 
-    def visit(node, loc: str) -> None:
-        """Recursive structural walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, GNATLeafNode):
-            seen.extend(node.ids)
-            if len(node.ids) > index.leaf_capacity and not _zero_diameter(
-                dist, objects, node.ids
-            ):
-                out.append(
-                    Violation(
-                        "leaf-capacity",
-                        loc,
-                        f"leaf holds {len(node.ids)} points > capacity "
-                        f"{index.leaf_capacity}",
-                    )
-                )
-            return
-        seen.extend(node.split_ids)
-        degree = len(node.split_ids)
-        if len(node.children) != degree or len(node.ranges) != degree or any(
-            len(row) != degree for row in node.ranges
-        ):
-            out.append(
-                Violation(
-                    "m1-shape",
-                    loc,
-                    f"ranges/children fanout inconsistent with degree={degree}",
-                )
-            )
-            return
-        members = [list(_gnat_subtree_ids(child)) for child in node.children]
+    def visit(kind: int, slot: int, loc: str) -> list[int]:
+        """Check the subtree at ``(kind, slot)`` and return its ids
+        (recursive; depth bounded by tree height)."""
+        if _reached_twice(reached, (kind, slot), loc, out):
+            return []
+        if kind == kernels._LEAF:
+            ids = tables.leaf_ids[_leaf_rows(tables, slot)].tolist()
+            seen.extend(ids)
+            _check_leaf_capacity(dist, objects, ids, index.leaf_capacity, loc, out)
+            return ids
+        start, stop = tables.split_offsets[slot : slot + 2].tolist()
+        split_ids = tables.split_ids[start:stop].tolist()
+        seen.extend(split_ids)
+        degree = len(split_ids)
+        kinds, slots = kernels.children(tables, slot)
+        members = [
+            visit(child_kind, child, f"{loc}.children[{j}]") if child_kind else []
+            for j, (child_kind, child) in enumerate(zip(kinds.tolist(), slots.tolist()))
+        ]
         for j in range(degree):
             child_loc = f"{loc}.children[{j}]"
             for idx in members[j]:
-                d_own = dist(objects[idx], objects[node.split_ids[j]])
+                d_own = dist(objects[idx], objects[split_ids[j]])
                 for i in range(degree):
                     if i == j:
                         continue
-                    d_other = dist(objects[idx], objects[node.split_ids[i]])
+                    d_other = dist(objects[idx], objects[split_ids[i]])
                     if d_own > d_other + _tol(d_own, d_other):
                         out.append(
                             Violation(
@@ -599,9 +593,13 @@ def verify_gnat(index: GNAT) -> list[Violation]:
                                 f"({d_own:.6g} > {d_other:.6g})",
                             )
                         )
+        at = int(tables.range_offsets[slot])
+        cells = slice(at, at + degree * degree)
+        lo_table = tables.range_lo[cells].reshape(degree, degree).tolist()
+        hi_table = tables.range_hi[cells].reshape(degree, degree).tolist()
         for i in range(degree):
             for j in range(degree):
-                lo, hi = node.ranges[i][j]
+                lo, hi = lo_table[i][j], hi_table[i][j]
                 if lo > hi + _tol(lo, hi):
                     out.append(
                         Violation(
@@ -613,9 +611,8 @@ def verify_gnat(index: GNAT) -> list[Violation]:
                     continue
                 # The table must bracket split_j itself and every member
                 # of dataset j (the [Bri95] contract the search relies on).
-                covered = [node.split_ids[j]] + members[j]
-                for idx in covered:
-                    d = dist(objects[node.split_ids[i]], objects[idx])
+                for idx in [split_ids[j]] + members[j]:
+                    d = dist(objects[split_ids[i]], objects[idx])
                     if not _within(d, lo, hi):
                         out.append(
                             Violation(
@@ -625,10 +622,9 @@ def verify_gnat(index: GNAT) -> list[Violation]:
                                 f"ranges[{i}][{j}]=({lo:.6g}, {hi:.6g})",
                             )
                         )
-        for j, child in enumerate(node.children):
-            visit(child, f"{loc}.children[{j}]")
+        return split_ids + [idx for ids in members for idx in ids]
 
-    visit(index.root, "root")
+    visit(int(tables.root_kind), int(tables.root_idx), "root")
     _check_id_partition(seen, set(range(len(objects))), out, "gnat")
     return out
 

@@ -52,7 +52,7 @@ INDEX_NAMES = (
 _VECTOR_METRICS = ("l1", "l2", "linf")
 
 #: Shard backends the sharded cases rotate through (vector-capable).
-_SHARD_CASE_BACKENDS = ("linear", "vpt", "mvpt", "laesa", "gnat")
+_SHARD_CASE_BACKENDS = ("linear", "vpt", "mvpt", "laesa", "gnat", "ght")
 
 
 class ScaledMetric(Metric):
@@ -347,7 +347,7 @@ def _index_config(
 
 
 #: Families with a store writer: eligible for ``store_backed`` cases.
-STORE_FAMILIES = ("linear", "vpt", "mvpt", "gmvpt", "laesa", "gnat")
+STORE_FAMILIES = ("linear", "vpt", "mvpt", "gmvpt", "laesa", "gnat", "ght")
 
 
 def _maybe_approx(

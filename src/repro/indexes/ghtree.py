@@ -15,6 +15,9 @@ Pruning uses two exact rules:
   also records the maximum distance of its points from its own pivot,
   so the subtree is skipped when the query ball misses that covering
   ball entirely.
+
+The tree is its flat tables (:class:`_GHArrays`), which the searches
+walk node at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro._util import (
     gather,
     slack,
 )
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.metric.base import Metric
 from repro.obs.stats import (
@@ -43,31 +47,33 @@ from repro.obs.stats import (
 )
 from repro.obs.trace import Observation, TraceSink, make_observation
 
-
-class GHInternalNode:
-    """Two pivots, two children, and each child's covering radius."""
-
-    __slots__ = ("p1_id", "p2_id", "r1", "r2", "left", "right")
-
-    def __init__(self, p1_id, p2_id, r1, r2, left, right):
-        self.p1_id = p1_id
-        self.p2_id = p2_id
-        self.r1 = r1
-        self.r2 = r2
-        self.left = left
-        self.right = right
+_NONE, _INTERNAL, _LEAF = kernels._NONE, kernels._INTERNAL, kernels._LEAF
 
 
-class GHLeafNode:
-    """Bucket of data point ids."""
+class _GHArrays:
+    """Flat tables of a gh-tree, internal nodes and leaves each numbered
+    in preorder.  Internal nodes are ``(count, 2)`` tables: the two
+    pivots (``pivot_ids``), each side's covering radius around its own
+    pivot (``radii``) and each side's child as ``(kind, slot)``
+    (``child_kind``/``child_idx``); side 0 holds the points closer to
+    pivot 0.  Leaves are ``leaf_offsets``/``leaf_ids`` runs.
+    :data:`SECTIONS` are what a codec writes.
+    """
 
-    __slots__ = ("ids",)
+    SECTIONS = (
+        "pivot_ids",
+        "radii",
+        "child_kind",
+        "child_idx",
+        "leaf_offsets",
+        "leaf_ids",
+    )
+    ROOT = ("root_kind", "root_idx")
 
-    def __init__(self, ids: list[int]):
-        self.ids = ids
+    __slots__ = (*SECTIONS, *ROOT)
 
 
-class GHTree(MetricIndex):
+class GHTree(kernels.TableIndex, MetricIndex):
     """Generalized hyperplane tree.
 
     Parameters
@@ -85,6 +91,10 @@ class GHTree(MetricIndex):
     rng:
         Seed or generator.
     """
+
+    _TABLES = _GHArrays
+    _PARAMS = {"leaf_capacity": "leaf_capacity", "pivots": "pivots"}
+    _COUNTERS = ("node_count", "leaf_count", "height")
 
     def __init__(
         self,
@@ -107,26 +117,42 @@ class GHTree(MetricIndex):
         self.node_count = 0
         self.leaf_count = 0
         self.height = 0
-        self._root = self._build(list(range(len(objects))), depth=1)
+        nodes: list = []
+        leaves: list = []
+        root = self._build(list(range(len(objects))), 1, nodes, leaves)
+        tables = _GHArrays()
+        columns = zip(*nodes) if nodes else ((),) * 4
+        for name, column, dtype in zip(
+            ("pivot_ids", "radii", "child_kind", "child_idx"),
+            columns,
+            (np.int64, np.float64, np.int8, np.int64),
+        ):
+            setattr(tables, name, np.asarray(column, dtype).reshape(-1, 2))
+        tables.leaf_offsets = kernels._offsets([len(ids) for ids in leaves])
+        tables.leaf_ids = kernels._concat(leaves, np.int64)
+        tables.root_kind, tables.root_idx = root
+        self._plant(tables)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _build(self, ids: list[int], depth: int):
-        """Recursively split ``ids`` at the generalized hyperplane.
+    def _build(self, ids: list[int], depth: int, nodes: list, leaves: list):
+        """Recursively split ``ids`` at the generalized hyperplane,
+        numbering internal nodes (``nodes``: pivots, radii, child kinds
+        and slots) and leaves (``leaves``: ids) in preorder; returns the
+        subtree's ``(kind, slot)``, ``(0, -1)`` when ``ids`` is empty.
 
         Recursion depth is bounded by the tree height (each child is
         strictly smaller than its parent), so the default interpreter
         stack suffices.
         """
         if not ids:
-            return None
+            return _NONE, -1
         self.height = max(self.height, depth)
         self.node_count += 1
         if len(ids) <= max(self.leaf_capacity, 1) or len(ids) < 2:
-            self.leaf_count += 1
-            return GHLeafNode(list(ids))
+            return self._leaf(ids, leaves)
 
         p1_id = ids[int(self._rng.integers(len(ids)))]
         rest = [i for i in ids if i != p1_id]
@@ -138,8 +164,7 @@ class GHTree(MetricIndex):
             # split puts the whole group on p1's side and removes only
             # two pivots per level, recursing ~n/2 deep.  Fall back to
             # an (oversized) leaf.
-            self.leaf_count += 1
-            return GHLeafNode(list(ids))
+            return self._leaf(ids, leaves)
         if self.pivots == "farthest":
             p2_pos = int(np.argmax(d_p1))
         else:
@@ -163,18 +188,31 @@ class GHTree(MetricIndex):
         r1 = float(d_p1[closer_to_p1].max()) if left_ids else 0.0
         r2 = float(d_p2[~closer_to_p1].max()) if right_ids else 0.0
 
-        return GHInternalNode(
-            p1_id,
-            p2_id,
-            r1,
-            r2,
-            self._build(left_ids, depth + 1),
-            self._build(right_ids, depth + 1),
-        )
+        slot = len(nodes)
+        nodes.append(None)  # preorder: the node before its children
+        left = self._build(left_ids, depth + 1, nodes, leaves)
+        right = self._build(right_ids, depth + 1, nodes, leaves)
+        nodes[slot] = ((p1_id, p2_id), (r1, r2), *zip(left, right))
+        return _INTERNAL, slot
+
+    def _leaf(self, ids: list[int], leaves: list) -> tuple[int, int]:
+        self.leaf_count += 1
+        leaves.append(list(ids))
+        return _LEAF, len(leaves) - 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _node(self, tables, slot: int):
+        """Internal node ``slot``'s pivots and their covering radii."""
+        pivots, radii = tables.pivot_ids, tables.radii
+        return (
+            pivots.item(slot, 0),
+            pivots.item(slot, 1),
+            radii.item(slot, 0),
+            radii.item(slot, 1),
+        )
 
     def range_search(
         self,
@@ -187,58 +225,50 @@ class GHTree(MetricIndex):
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
         out: list[int] = []
-        self._range(self._root, query, radius, out, obs)
+        tables = self._tables()
+        self._range(tables, tables.root_kind, tables.root_idx, query, radius, out, obs)
         out.sort()
         return out
 
     def _range(
         self,
-        node,
+        tables,
+        kind: int,
+        slot: int,
         query,
         radius: float,
         out: list[int],
         obs: Optional[Observation] = None,
     ) -> None:
         """Recursive range-search walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, GHLeafNode):
-            if obs is not None:
-                obs.enter_leaf(len(node.ids))
-                obs.leaf_scan(len(node.ids), len(node.ids))
-            if node.ids:
-                distances = self._batch_dist(
-                    obs, gather(self._objects, node.ids), query
-                )
-                out.extend(
-                    idx
-                    for idx, distance in zip(node.ids, distances)
-                    if distance <= radius
-                )
+        if kind == _LEAF:
+            ids, distances = kernels.scan_leaf(self, tables, slot, query, obs)
+            out.extend(i for i, d in zip(ids, distances) if d <= radius)
             return
         if obs is not None:
             obs.enter_internal()
-        d1 = self._dist(obs, query, self._objects[node.p1_id])
-        d2 = self._dist(obs, query, self._objects[node.p2_id])
+        p1, p2, r1, r2 = self._node(tables, slot)
+        d1 = self._dist(obs, query, self._objects[p1])
+        d2 = self._dist(obs, query, self._objects[p2])
         if d1 <= radius:
-            out.append(node.p1_id)
+            out.append(p1)
         if d2 <= radius:
-            out.append(node.p2_id)
+            out.append(p2)
         # Hyperplane rule + covering-ball rule, both exact (with
         # epsilon slack so float noise never drops a true answer).
-        for d_near, d_far, r_near, child in (
-            (d1, d2, node.r1, node.left),
-            (d2, d1, node.r2, node.right),
-        ):
+        for d_near, d_far, r_near, side in ((d1, d2, r1, 0), (d2, d1, r2, 1)):
+            kind = tables.child_kind.item(slot, side)
             if d_near - d_far > 2 * radius + slack(radius):
-                if obs is not None and child is not None:
+                if obs is not None and kind:
                     obs.prune(PRUNE_HYPERPLANE)
                 continue
             if d_near - radius > r_near + slack(r_near):
-                if obs is not None and child is not None:
+                if obs is not None and kind:
                     obs.prune(PRUNE_COVERING_RADIUS)
                 continue
-            self._range(child, query, radius, out, obs)
+            if kind:
+                child = tables.child_idx.item(slot, side)
+                self._range(tables, kind, child, query, radius, out, obs)
 
     def knn_search(
         self,
@@ -250,6 +280,7 @@ class GHTree(MetricIndex):
     ) -> list[Neighbor]:
         k = self.validate_k(k)
         obs = make_observation(stats, trace)
+        tables = self._tables()
         best: list[tuple[float, int]] = []
 
         def consider(distance: float, idx: int) -> None:
@@ -263,40 +294,36 @@ class GHTree(MetricIndex):
             return -best[0][0] if len(best) == k else float("inf")
 
         counter = itertools.count()
-        frontier: list[tuple[float, int, object]] = [(0.0, next(counter), self._root)]
+        frontier = [(0.0, next(counter), tables.root_kind, tables.root_idx)]
         while frontier:
-            lower_bound, __, node = heapq.heappop(frontier)
-            if node is None or definitely_greater(lower_bound, threshold()):
-                if obs is not None and node is not None:
+            lower_bound, __, kind, slot = heapq.heappop(frontier)
+            if definitely_greater(lower_bound, threshold()):
+                if obs is not None:
                     obs.prune(PRUNE_KNN_RADIUS)
                 continue
-            if isinstance(node, GHLeafNode):
-                if obs is not None:
-                    obs.enter_leaf(len(node.ids))
-                    obs.leaf_scan(len(node.ids), len(node.ids))
-                if node.ids:
-                    distances = self._batch_dist(
-                        obs, gather(self._objects, node.ids), query
-                    )
-                    for idx, distance in zip(node.ids, distances):
-                        consider(float(distance), idx)
+            if kind == _LEAF:
+                ids, distances = kernels.scan_leaf(self, tables, slot, query, obs)
+                for idx, distance in zip(ids, distances):
+                    consider(distance, idx)
                 continue
             if obs is not None:
                 obs.enter_internal()
-            d1 = self._dist(obs, query, self._objects[node.p1_id])
-            d2 = self._dist(obs, query, self._objects[node.p2_id])
-            consider(d1, node.p1_id)
-            consider(d2, node.p2_id)
-            left_bound = max(lower_bound, (d1 - d2) / 2.0, d1 - node.r1, 0.0)
-            right_bound = max(lower_bound, (d2 - d1) / 2.0, d2 - node.r2, 0.0)
-            for child, child_bound, hyper_bound, cover_bound in (
-                (node.left, left_bound, (d1 - d2) / 2.0, d1 - node.r1),
-                (node.right, right_bound, (d2 - d1) / 2.0, d2 - node.r2),
+            p1, p2, r1, r2 = self._node(tables, slot)
+            d1 = self._dist(obs, query, self._objects[p1])
+            d2 = self._dist(obs, query, self._objects[p2])
+            consider(d1, p1)
+            consider(d2, p2)
+            for side, hyper_bound, cover_bound in (
+                (0, (d1 - d2) / 2.0, d1 - r1),
+                (1, (d2 - d1) / 2.0, d2 - r2),
             ):
-                if child is None:
+                kind = tables.child_kind.item(slot, side)
+                if not kind:
                     continue
+                child_bound = max(lower_bound, hyper_bound, cover_bound, 0.0)
                 if not definitely_greater(child_bound, threshold()):
-                    heapq.heappush(frontier, (child_bound, next(counter), child))
+                    child = tables.child_idx.item(slot, side)
+                    heapq.heappush(frontier, (child_bound, next(counter), kind, child))
                 elif obs is not None:
                     # Attribute the skip to whichever bound is decisive.
                     if definitely_greater(hyper_bound, threshold()):
@@ -309,8 +336,3 @@ class GHTree(MetricIndex):
         return sorted(
             (Neighbor(-d, -i) for d, i in best), key=lambda n: (n.distance, n.id)
         )
-
-    @property
-    def root(self):
-        """The root node (read-only introspection)."""
-        return self._root

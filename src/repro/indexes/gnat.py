@@ -13,7 +13,8 @@ recounts: "the preprocessing step of GNAT is more expensive than the
 vp-tree, but its search algorithm makes less distance computations".
 
 Split-point counts adapt to dataset cardinality between ``min_degree``
-and ``max_degree``, as in [Bri95].
+and ``max_degree``, as in [Bri95].  The tree is its flat tables
+(:class:`_GNATArrays`), which the searches walk node at a time.
 """
 
 from __future__ import annotations
@@ -25,46 +26,56 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro._util import (
+    PRUNE_EPSILON,
     RngLike,
     as_rng,
     check_non_empty,
     definitely_greater,
-    definitely_less,
     gather,
 )
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.metric.base import Metric
 from repro.obs.stats import PRUNE_KNN_RADIUS, PRUNE_RANGE_TABLE, QueryStats
-from repro.obs.trace import Observation, TraceSink, make_observation
+from repro.obs.trace import TraceSink, make_observation
+
+_NONE, _INTERNAL, _LEAF = kernels._NONE, kernels._INTERNAL, kernels._LEAF
 
 
-class GNATInternalNode:
-    """Split points, their children, and the pairwise range table.
+class _GNATArrays:
+    """Flat tables of a GNAT, internal nodes and leaves each numbered in
+    preorder.
 
-    ``ranges[i][j] = (lo, hi)`` covers ``d(split_i, x)`` for every ``x``
-    in dataset ``j`` *including split_j itself* — so eliminating ``j``
-    also certifies that split_j is out of range and its distance need
-    never be computed.
+    Internal node ``n`` has ``node_degree[n]`` split points, a run of
+    ``split_ids`` from ``split_offsets[n]``; per split point its child
+    as ``(kind, slot)``, the same run of ``child_kind``/``child_idx``;
+    and its ``d x d`` range table row-major, a run of
+    ``range_lo``/``range_hi`` from ``range_offsets[n]``.  Cell ``(i, j)``
+    covers ``d(split_i, x)`` for every ``x`` in dataset ``j`` *including
+    split_j itself*, so eliminating ``j`` also certifies that split_j is
+    out of range and its distance need never be computed.  Leaves are
+    ``leaf_offsets``/``leaf_ids`` runs.  :data:`SECTIONS` are what a
+    codec writes.
     """
 
-    __slots__ = ("split_ids", "ranges", "children")
+    SECTIONS = (
+        "node_degree",
+        "split_offsets",
+        "split_ids",
+        "range_offsets",
+        "range_lo",
+        "range_hi",
+        "child_kind",
+        "child_idx",
+        "leaf_offsets",
+        "leaf_ids",
+    )
+    ROOT = ("root_kind", "root_idx")
 
-    def __init__(self, split_ids, ranges, children):
-        self.split_ids = split_ids
-        self.ranges = ranges
-        self.children = children
+    __slots__ = (*SECTIONS, *ROOT)
 
 
-class GNATLeafNode:
-    """Bucket of data point ids."""
-
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: list[int]):
-        self.ids = ids
-
-
-class GNAT(MetricIndex):
+class GNAT(kernels.TableIndex, MetricIndex):
     """Geometric near-neighbor access tree.
 
     Parameters
@@ -83,6 +94,19 @@ class GNAT(MetricIndex):
     rng:
         Seed or generator.
     """
+
+    _TABLES = _GNATArrays
+    _PARAMS = {
+        name: name
+        for name in (
+            "degree",
+            "min_degree",
+            "max_degree",
+            "leaf_capacity",
+            "candidate_factor",
+        )
+    }
+    _COUNTERS = ("node_count", "leaf_count", "height")
 
     def __init__(
         self,
@@ -117,7 +141,27 @@ class GNAT(MetricIndex):
         self.node_count = 0
         self.leaf_count = 0
         self.height = 0
-        self._root = self._build(list(range(len(objects))), degree, depth=1)
+        nodes: list = []
+        leaves: list = []
+        root = self._build(list(range(len(objects))), degree, 1, nodes, leaves)
+        splits, lo, hi, kinds, slots = zip(*nodes) if nodes else ((),) * 5
+        degrees = [len(ids) for ids in splits]
+        tables = _GNATArrays()
+        tables.node_degree = np.asarray(degrees, dtype=np.int64)
+        tables.split_offsets = kernels._offsets(degrees)
+        tables.range_offsets = kernels._offsets([d * d for d in degrees])
+        tables.leaf_offsets = kernels._offsets([len(ids) for ids in leaves])
+        for name, runs, dtype in (
+            ("split_ids", splits, np.int64),
+            ("range_lo", lo, np.float64),
+            ("range_hi", hi, np.float64),
+            ("child_kind", kinds, np.int8),
+            ("child_idx", slots, np.int64),
+            ("leaf_ids", leaves, np.int64),
+        ):
+            setattr(tables, name, kernels._concat(list(runs), dtype))
+        tables.root_kind, tables.root_idx = root
+        self._plant(tables)
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,20 +194,23 @@ class GNAT(MetricIndex):
                 min_dist = np.minimum(min_dist, newest_dist)
         return chosen
 
-    def _build(self, ids: list[int], degree: int, depth: int):
-        """Recursively build the Voronoi-style decomposition.
+    def _build(self, ids: list[int], degree: int, depth: int, nodes, leaves):
+        """Recursively build the Voronoi-style decomposition, numbering
+        internal nodes (``nodes``: split ids, range table ``lo`` and
+        ``hi``, child kinds, child slots) and leaves (``leaves``: ids)
+        in preorder; returns the subtree's ``(kind, slot)``, ``(0, -1)``
+        when ``ids`` is empty.
 
         Recursion depth is bounded by the tree height (every child
         dataset is strictly smaller), so the default interpreter stack
         suffices.
         """
         if not ids:
-            return None
+            return _NONE, -1
         self.height = max(self.height, depth)
         self.node_count += 1
         if len(ids) <= self.leaf_capacity:
-            self.leaf_count += 1
-            return GNATLeafNode(list(ids))
+            return self._leaf(ids, leaves)
 
         degree = max(self.min_degree, min(degree, self.max_degree, len(ids)))
         split_ids = self._choose_split_points(ids, degree)
@@ -196,48 +243,65 @@ class GNAT(MetricIndex):
             # sends every point to split 0 and the quadratic degree
             # growth turns the tree into a degenerate chain.  Fall back
             # to an (oversized) leaf.
-            self.leaf_count += 1
-            return GNATLeafNode(list(ids))
+            return self._leaf(ids, leaves)
 
         # Pairwise split-point distances seed the range table so that
-        # ranges[i][j] covers split_j itself.
+        # cell (i, j) covers split_j itself.
         split_objects = gather(self._objects, split_ids)
-        split_dist = np.zeros((actual_degree, actual_degree))
+        lo = np.zeros((actual_degree, actual_degree))
         for i in range(actual_degree):
             for j in range(i + 1, actual_degree):
                 d = self._dist(None, split_objects[i], split_objects[j])
-                split_dist[i, j] = split_dist[j, i] = d
+                lo[i, j] = lo[j, i] = d
+        hi = lo.copy()
+        members = [np.flatnonzero(assignment == j) for j in range(actual_degree)]
+        for j, positions in enumerate(members):
+            if positions.size:
+                member_dist = dist[:, positions]
+                lo[:, j] = np.minimum(lo[:, j], member_dist.min(axis=1))
+                hi[:, j] = np.maximum(hi[:, j], member_dist.max(axis=1))
 
-        ranges: list[list[tuple[float, float]]] = []
-        children = []
-        member_lists: list[list[int]] = [[] for __ in range(actual_degree)]
-        for pos, j in enumerate(assignment):
-            member_lists[int(j)].append(pos)
-
-        for i in range(actual_degree):
-            row: list[tuple[float, float]] = []
-            for j in range(actual_degree):
-                lo = hi = split_dist[i, j]
-                if member_lists[j]:
-                    member_dist = dist[i, member_lists[j]]
-                    lo = min(lo, float(member_dist.min()))
-                    hi = max(hi, float(member_dist.max()))
-                row.append((lo, hi))
-            ranges.append(row)
-
+        slot = len(nodes)
+        nodes.append(None)  # preorder: the node before its children
         total = max(len(rest), 1)
-        for j in range(actual_degree):
-            child_ids = [rest[pos] for pos in member_lists[j]]
+        children = []
+        for positions in members:
+            child_ids = [rest[pos] for pos in positions.tolist()]
             child_degree = int(
                 round(actual_degree * actual_degree * len(child_ids) / total)
             )
-            children.append(self._build(child_ids, child_degree, depth + 1))
+            children.append(
+                self._build(child_ids, child_degree, depth + 1, nodes, leaves)
+            )
+        nodes[slot] = (split_ids, lo, hi, *zip(*children))
+        return _INTERNAL, slot
 
-        return GNATInternalNode(split_ids, ranges, children)
+    def _leaf(self, ids: list[int], leaves: list) -> tuple[int, int]:
+        self.leaf_count += 1
+        leaves.append(list(ids))
+        return _LEAF, len(leaves) - 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _node(self, tables, slot: int):
+        """Internal node ``slot``'s split ids, child kinds and slots,
+        and a function from split ``i`` to its range table row (``lo``
+        and ``hi`` lists)."""
+        start, stop = tables.split_offsets[slot : slot + 2].tolist()
+        at, degree = int(tables.range_offsets[slot]), stop - start
+
+        def row(i: int):
+            cells = slice(at + i * degree, at + (i + 1) * degree)
+            return tables.range_lo[cells].tolist(), tables.range_hi[cells].tolist()
+
+        return (
+            tables.split_ids[start:stop].tolist(),
+            tables.child_kind[start:stop].tolist(),
+            tables.child_idx[start:stop].tolist(),
+            row,
+        )
 
     def range_search(
         self,
@@ -247,63 +311,53 @@ class GNAT(MetricIndex):
         stats: Optional[QueryStats] = None,
         trace: Optional[TraceSink] = None,
     ) -> list[int]:
+        """Depth-first, children in split order.  At a node the split
+        points are paid in order, and each distance eliminates, through
+        its range table row, every dataset whose range cannot meet ``[d
+        - r, d + r]``: that dataset's own split point is never paid."""
         radius = self.validate_radius(radius)
         obs = make_observation(stats, trace)
+        tables = self._tables()
         out: list[int] = []
-        self._range(self._root, query, radius, out, obs)
+        stack = [(tables.root_kind, tables.root_idx)]
+        while stack:
+            kind, slot = stack.pop()
+            if kind == _LEAF:
+                ids, distances = kernels.scan_leaf(self, tables, slot, query, obs)
+                out.extend(i for i, d in zip(ids, distances) if d <= radius)
+                continue
+            if obs is not None:
+                obs.enter_internal()
+            split_ids, kinds, slots, row = self._node(tables, slot)
+            degree = len(split_ids)
+            alive = [True] * degree
+            for i, split in enumerate(split_ids):
+                if not alive[i]:
+                    continue
+                di = self._dist(obs, query, self._objects[split])
+                if di <= radius:
+                    out.append(split)
+                below, above = di - radius, di + radius
+                lo, hi = row(i)
+                for j in range(degree):
+                    if j == i or not alive[j]:
+                        continue
+                    low, high = lo[j], hi[j]
+                    # definitely_greater(d - r, high) or
+                    # definitely_less(d + r, low), inlined.
+                    if below > high + PRUNE_EPSILON * (
+                        1.0 + abs(high)
+                    ) or above < low - PRUNE_EPSILON * (1.0 + abs(low)):
+                        # Dataset j is eliminated by the range table
+                        # alone: its split-point distance is never paid.
+                        alive[j] = False
+                        if obs is not None:
+                            obs.prune(PRUNE_RANGE_TABLE)
+            for j in range(degree - 1, -1, -1):
+                if alive[j] and kinds[j]:
+                    stack.append((kinds[j], slots[j]))
         out.sort()
         return out
-
-    def _range(
-        self,
-        node,
-        query,
-        radius: float,
-        out: list[int],
-        obs: Optional[Observation] = None,
-    ) -> None:
-        """Recursive range-search walk (depth bounded by tree height)."""
-        if node is None:
-            return
-        if isinstance(node, GNATLeafNode):
-            if obs is not None:
-                obs.enter_leaf(len(node.ids))
-                obs.leaf_scan(len(node.ids), len(node.ids))
-            if node.ids:
-                distances = self._batch_dist(
-                    obs, gather(self._objects, node.ids), query
-                )
-                out.extend(
-                    idx
-                    for idx, distance in zip(node.ids, distances)
-                    if distance <= radius
-                )
-            return
-        if obs is not None:
-            obs.enter_internal()
-        degree = len(node.split_ids)
-        alive = [True] * degree
-        for i in range(degree):
-            if not alive[i]:
-                continue
-            di = self._dist(obs, query, self._objects[node.split_ids[i]])
-            if di <= radius:
-                out.append(node.split_ids[i])
-            for j in range(degree):
-                if j == i or not alive[j]:
-                    continue
-                lo, hi = node.ranges[i][j]
-                if definitely_greater(di - radius, hi) or definitely_less(
-                    di + radius, lo
-                ):
-                    # Dataset j is eliminated by the range table alone —
-                    # its own split-point distance is never computed.
-                    alive[j] = False
-                    if obs is not None:
-                        obs.prune(PRUNE_RANGE_TABLE)
-        for j in range(degree):
-            if alive[j]:
-                self._range(node.children[j], query, radius, out, obs)
 
     def knn_search(
         self,
@@ -313,8 +367,14 @@ class GNAT(MetricIndex):
         stats: Optional[QueryStats] = None,
         trace: Optional[TraceSink] = None,
     ) -> list[Neighbor]:
+        """Best-first over ``(lower bound, insertion order)``.  At a node
+        the split points are paid in order, each raising every other
+        dataset's bound through its range table row, and a dataset whose
+        bound already exceeds the k-th distance has its split point
+        skipped."""
         k = self.validate_k(k)
         obs = make_observation(stats, trace)
+        tables = self._tables()
         best: list[tuple[float, int]] = []
 
         def consider(distance: float, idx: int) -> None:
@@ -328,53 +388,47 @@ class GNAT(MetricIndex):
             return -best[0][0] if len(best) == k else float("inf")
 
         counter = itertools.count()
-        frontier: list[tuple[float, int, object]] = [(0.0, next(counter), self._root)]
+        frontier = [(0.0, next(counter), tables.root_kind, tables.root_idx)]
         while frontier:
-            lower_bound, __, node = heapq.heappop(frontier)
-            if node is None or definitely_greater(lower_bound, threshold()):
-                if obs is not None and node is not None:
+            lower_bound, __, kind, slot = heapq.heappop(frontier)
+            if definitely_greater(lower_bound, threshold()):
+                if obs is not None:
                     obs.prune(PRUNE_KNN_RADIUS)
                 continue
-            if isinstance(node, GNATLeafNode):
-                if obs is not None:
-                    obs.enter_leaf(len(node.ids))
-                    obs.leaf_scan(len(node.ids), len(node.ids))
-                if node.ids:
-                    distances = self._batch_dist(
-                        obs, gather(self._objects, node.ids), query
-                    )
-                    for idx, distance in zip(node.ids, distances):
-                        consider(float(distance), idx)
+            if kind == _LEAF:
+                ids, distances = kernels.scan_leaf(self, tables, slot, query, obs)
+                for idx, distance in zip(ids, distances):
+                    consider(distance, idx)
                 continue
             if obs is not None:
                 obs.enter_internal()
-            degree = len(node.split_ids)
-            child_bounds = np.full(degree, lower_bound)
-            for i in range(degree):
-                if definitely_greater(float(child_bounds[i]), threshold()):
+            split_ids, kinds, slots, row = self._node(tables, slot)
+            degree = len(split_ids)
+            bounds = [lower_bound] * degree
+            for i, split in enumerate(split_ids):
+                if definitely_greater(bounds[i], threshold()):
                     # Dataset i is already proven farther than the kth
                     # best; skip the split-point distance entirely (the
                     # range table covers split_i too).
                     continue
-                di = self._dist(obs, query, self._objects[node.split_ids[i]])
-                consider(di, node.split_ids[i])
+                di = self._dist(obs, query, self._objects[split])
+                consider(di, split)
+                lo, hi = row(i)
                 for j in range(degree):
-                    if j == i:
-                        continue
-                    lo, hi = node.ranges[i][j]
-                    child_bounds[j] = max(child_bounds[j], di - hi, lo - di)
-            for j, bound in enumerate(child_bounds):
-                if node.children[j] is None:
+                    if j != i:
+                        bounds[j] = max(bounds[j], di - hi[j], lo[j] - di)
+            for j, bound in enumerate(bounds):
+                if not kinds[j]:
                     continue
-                if not definitely_greater(float(bound), threshold()):
+                if not definitely_greater(bound, threshold()):
                     heapq.heappush(
-                        frontier, (float(bound), next(counter), node.children[j])
+                        frontier, (bound, next(counter), kinds[j], slots[j])
                     )
                 elif obs is not None:
                     # The range table raised the bound past the kth-best
                     # radius; if it never rose, the radius shrank on its
                     # own (inherited bound no longer clears it).
-                    if float(bound) > lower_bound:
+                    if bound > lower_bound:
                         obs.prune(PRUNE_RANGE_TABLE)
                     else:
                         obs.prune(PRUNE_KNN_RADIUS)
@@ -382,8 +436,3 @@ class GNAT(MetricIndex):
         return sorted(
             (Neighbor(-d, -i) for d, i in best), key=lambda n: (n.distance, n.id)
         )
-
-    @property
-    def root(self):
-        """The root node (read-only introspection)."""
-        return self._root

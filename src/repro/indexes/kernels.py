@@ -49,7 +49,10 @@ its only representation: the level-synchronous builds write them, a
 :class:`~repro.core.dynamic.DynamicMVPTree` insert patches a copy and
 swaps it in, and one codec (:func:`encode`, :func:`decode`) maps them to
 named sections and back, for ``.rsx`` stores and JSON persist alike, so
-a decoded or mapped tree is the same class over the same tables.
+a decoded or mapped tree is the same class over the same tables.  The
+codec's contract is :class:`TableIndex`, which GNAT, the gh-tree and
+LAESA extend too: their tables are also their only form, but they
+search them node at a time rather than on the frontier.
 Missing children carry ``(-inf, +inf)`` sentinel bounds so the
 vectorised comparisons never see them as prunable (and never produce
 ``inf - inf`` NaNs); an existence mask excludes them from every count.
@@ -127,27 +130,51 @@ def _segments(starts: np.ndarray, lens: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-class TableTree:
-    """A tree whose flat tables (``_kernel_cache``) are the tree.
+class TableIndex:
+    """An index whose flat tables (``_kernel_cache``) are the index: the
+    contract of the one codec (:func:`encode`, :func:`decode`).
 
-    A subclass names its table class in ``_TABLES``, and what the codec
-    records besides the tables in ``_PARAMS`` (meta key to attribute)
-    and ``_COUNTERS``.
+    A subclass names its table class in ``_TABLES``, whose ``SECTIONS``
+    are what a codec writes and whose ``ROOT`` names the root slot
+    (empty for an index without one), and what the codec records
+    besides the tables in ``_PARAMS`` (meta key to attribute) and
+    ``_COUNTERS``.
     """
 
     _kernel_cache = None
 
     def _plant(self, tables) -> None:
-        """Make tables (built, decoded, mapped or patched) the tree
-        (``None``: the empty tree), in one assignment, so a concurrent
-        search sees either the old tables or the new ones."""
-        if tables is not None:
-            derive(tables)
+        """Make tables (built, decoded or mapped) the index (``None``:
+        the empty tree), in one assignment, so a concurrent search sees
+        either the old tables or the new ones."""
         self._kernel_cache = tables
 
     def _tables(self):
-        """The tree's tables (``None``: the empty tree)."""
+        """The index's tables (``None``: the empty tree)."""
         return self._kernel_cache
+
+
+def scan_leaf(index, tables, slot: int, query, obs):
+    """Leaf ``slot``'s ids and their distances to ``query``, as lists,
+    paid in one batch and observed as one leaf scan."""
+    offsets = tables.leaf_offsets
+    ids = tables.leaf_ids[offsets.item(slot) : offsets.item(slot + 1)]
+    if obs is not None:
+        obs.enter_leaf(ids.size)
+        obs.leaf_scan(ids.size, ids.size)
+    distances = index._batch_dist(obs, gather(index._objects, ids), query)
+    return ids.tolist(), np.asarray(distances, dtype=np.float64).tolist()
+
+
+class TableTree(TableIndex):
+    """A tree the frontier searches (:func:`_frontier`): planting its
+    tables also derives the ones its searches read (:func:`derive`),
+    whether they were built, decoded, mapped or patched."""
+
+    def _plant(self, tables) -> None:
+        if tables is not None:
+            derive(tables)
+        self._kernel_cache = tables
 
     def knn_round(
         self, query, k: int, *, resume=None, outside=None, pause_k=None,
@@ -192,8 +219,9 @@ class _VPArrays:
         "leaf_offsets",
         "leaf_ids",
     )
+    ROOT = ("root_kind", "root_idx")
 
-    __slots__ = (*SECTIONS, "root_kind", "root_idx", *_DERIVED)
+    __slots__ = (*SECTIONS, *ROOT, *_DERIVED)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +264,9 @@ class _GMVPArrays:
         "leaf_dists",
         "leaf_paths",
     )
+    ROOT = ("root_kind", "root_idx")
 
-    __slots__ = (*SECTIONS, "root_kind", "root_idx", *_DERIVED)
+    __slots__ = (*SECTIONS, *ROOT, *_DERIVED)
 
 
 # ----------------------------------------------------------------------
@@ -245,49 +274,74 @@ class _GMVPArrays:
 # ----------------------------------------------------------------------
 
 
-def encode(tree) -> tuple[dict, dict]:
-    """A tree as named sections plus meta: the one layout an ``.rsx``
-    store (:mod:`repro.store.writer`) and JSON persist
+def encode(index) -> tuple[dict, dict]:
+    """A table index as named sections plus meta: the one layout an
+    ``.rsx`` store (:mod:`repro.store.writer`) and JSON persist
     (:mod:`repro.persist.serialize`) both write.
 
     The sections are the tables of ``SECTIONS``, as they are.  Meta
-    holds the root slot (``tree``; ``None`` for the empty tree), the
-    construction parameters (``params``) and the node counters
-    (``build_stats``).
+    holds the root slot (``tree``: the ``ROOT`` entries, ``None`` for
+    the empty tree), the construction parameters (``params``) and the
+    node counters (``build_stats``).
     """
-    tables = tree._tables()
+    tables = index._tables()
     meta = {
-        "params": {key: getattr(tree, name) for key, name in tree._PARAMS.items()},
+        "params": {key: getattr(index, name) for key, name in index._PARAMS.items()},
         "tree": None,
-        "build_stats": {name: getattr(tree, name) for name in tree._COUNTERS},
+        "build_stats": {name: getattr(index, name) for name in index._COUNTERS},
     }
     if tables is None:
         return {}, meta
-    meta["tree"] = {"root_kind": int(tables.root_kind), "root_idx": int(tables.root_idx)}
+    meta["tree"] = {name: int(getattr(tables, name)) for name in tables.ROOT}
     return {name: getattr(tables, name) for name in tables.SECTIONS}, meta
 
 
 def decode(cls, objects, metric, sections, meta):
-    """The ``cls`` tree :func:`encode` gave ``sections`` and ``meta``
+    """The ``cls`` index :func:`encode` gave ``sections`` and ``meta``
     for, planted over ``objects``.  The sections become its tables as
-    they are, so mapped store sections stay views.  The tree searches;
+    they are, so mapped store sections stay views.  The index searches;
     it has no selector or rng to build with."""
-    tree = cls.__new__(cls)
-    MetricIndex.__init__(tree, objects, metric)
+    index = cls.__new__(cls)
+    MetricIndex.__init__(index, objects, metric)
     for key, name in cls._PARAMS.items():
-        setattr(tree, name, meta["params"][key])
+        setattr(index, name, meta["params"][key])
     for name in cls._COUNTERS:
-        setattr(tree, name, meta["build_stats"][name])
-    tree._selector = tree._rng = None
+        setattr(index, name, meta["build_stats"][name])
+    index._selector = index._rng = None
     tables = None
     if meta["tree"] is not None:
         tables = cls._TABLES()
         for name in tables.SECTIONS:
             setattr(tables, name, sections[name])
-        tables.root_kind = int(meta["tree"]["root_kind"])
-        tables.root_idx = int(meta["tree"]["root_idx"])
-    tree._plant(tables)
-    return tree
+        for name in tables.ROOT:
+            setattr(tables, name, int(meta["tree"][name]))
+    index._plant(tables)
+    return index
+
+
+def children(tables, slot: int):
+    """Internal node ``slot``'s child kinds and slots in child order:
+    its row of ``child_kind``/``child_idx``, or a GNAT's run of them
+    (one child per split point, from ``split_offsets``)."""
+    offsets = getattr(tables, "split_offsets", None)
+    if offsets is None:
+        return tables.child_kind[slot], tables.child_idx[slot]
+    at = slice(offsets[slot], offsets[slot + 1])
+    return tables.child_kind[at], tables.child_idx[at]
+
+
+def preorder(tables):
+    """Yield ``(kind, slot, depth)`` for every node reachable from a
+    tree's root, depth first in child order (the root's depth is 1)."""
+    stack = [(int(tables.root_kind), int(tables.root_idx), 1)]
+    while stack:
+        kind, slot, depth = stack.pop()
+        yield kind, slot, depth
+        if kind == _INTERNAL:
+            kinds, slots = children(tables, slot)
+            kids = kinds.nonzero()[0][::-1]
+            below = [depth + 1] * kids.size
+            stack.extend(zip(kinds[kids].tolist(), slots[kids].tolist(), below))
 
 
 # ----------------------------------------------------------------------

@@ -36,13 +36,24 @@ from repro._util import (
     gather,
     slack,
 )
+from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
 from repro.metric.base import Metric
 from repro.obs.stats import PRUNE_KNN_RADIUS, PRUNE_PIVOT_FILTER, QueryStats
 from repro.obs.trace import TraceSink, make_observation
 
 
-class LAESA(MetricIndex):
+class _LAESATables:
+    """The pivots (``pivot_ids``) and the ``n x n_pivots`` distance
+    ``table``; no root.  :data:`SECTIONS` are what a codec writes."""
+
+    SECTIONS = ("pivot_ids", "table")
+    ROOT = ()
+
+    __slots__ = SECTIONS
+
+
+class LAESA(kernels.TableIndex, MetricIndex):
     """Pivot-table index (Linear AESA).
 
     Parameters
@@ -63,6 +74,10 @@ class LAESA(MetricIndex):
     >>> index.nearest(data[11]).id
     11
     """
+
+    _TABLES = _LAESATables
+    _PARAMS = {"n_pivots": "n_pivots"}
+    _COUNTERS = ()
 
     def __init__(
         self,
@@ -94,21 +109,26 @@ class LAESA(MetricIndex):
             table[:, column] = self._batch_dist(None, objects, objects[next_pivot])
             np.minimum(min_to_chosen, table[:, column], out=min_to_chosen)
 
-        self.pivot_ids = pivot_ids
-        self._table = table
+        tables = _LAESATables()
+        tables.pivot_ids = np.asarray(pivot_ids, dtype=np.int64)
+        tables.table = table
+        self._plant(tables)
+
+    @property
+    def pivot_ids(self) -> list[int]:
+        """The pivots, one per table column."""
+        return self._tables().pivot_ids.tolist()
 
     @property
     def table(self) -> np.ndarray:
         """The n x n_pivots pivot-distance table (read-only use)."""
-        return self._table
+        return self._tables().table
 
     def _pivot_distances(self, query, obs=None) -> np.ndarray:
         """Distances from ``query`` to every pivot (``n_pivots`` evaluations),
         paid as one batched call through the counting gateway."""
-        return np.asarray(
-            self._batch_dist(obs, gather(self._objects, self.pivot_ids), query),
-            dtype=np.float64,
-        )
+        pivots = gather(self._objects, self._tables().pivot_ids)
+        return np.asarray(self._batch_dist(obs, pivots, query), dtype=np.float64)
 
     def _lower_bounds(self, query, obs=None) -> np.ndarray:
         """max-over-pivots triangle lower bounds on d(q, x) for all x.
@@ -116,7 +136,7 @@ class LAESA(MetricIndex):
         Costs exactly ``n_pivots`` metric evaluations.
         """
         pivot_distances = self._pivot_distances(query, obs)
-        return np.abs(self._table - pivot_distances).max(axis=1)
+        return np.abs(self.table - pivot_distances).max(axis=1)
 
     # ------------------------------------------------------------------
     # Queries
@@ -205,8 +225,8 @@ class LAESA(MetricIndex):
     def outside_range_search(self, query, radius: float) -> list[int]:
         radius = self.validate_radius(radius)
         pivot_distances = self._pivot_distances(query)
-        lower = np.abs(self._table - pivot_distances).max(axis=1)
-        upper = (self._table + pivot_distances).min(axis=1)
+        lower = np.abs(self.table - pivot_distances).max(axis=1)
+        upper = (self.table + pivot_distances).min(axis=1)
 
         accepted = lower > radius + slack(radius)
         rejected = upper <= radius - slack(radius)

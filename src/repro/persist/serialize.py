@@ -8,13 +8,14 @@ responsible for passing the same dataset (in the same order) and an
 equivalent metric, and :func:`index_from_dict` verifies the recorded
 dataset size as a cheap guard.
 
-A tree (``VPTree``, ``MVPTree``, ``GMVPTree``, ``DynamicMVPTree``) is
-written through the tree codec an ``.rsx`` store uses too
+Every table index (``VPTree``, ``MVPTree``, ``GMVPTree``,
+``DynamicMVPTree``, ``GNAT``, ``GHTree``, ``LAESA``) is written through
+the one codec an ``.rsx`` store uses too
 (:func:`repro.indexes.kernels.encode`): its flat tables as named
 ``sections``, each with its dtype, shape and flat values, plus the
 codec's ``params``, ``tree`` (root slot) and ``build_stats``.  Loading
-plants those tables in a tree of the same class, so a loaded tree
-searches exactly like the one saved.  Format 3; files of earlier
+plants those tables in an index of the same class, so a loaded index
+searches exactly like the one saved.  Format 4; files of earlier
 formats are refused.
 """
 
@@ -35,8 +36,8 @@ from repro.indexes import kernels
 from repro.indexes.base import MetricIndex
 from repro.indexes.bktree import BKNode, BKTree
 from repro.indexes.distance_matrix import DistanceMatrixIndex
-from repro.indexes.ghtree import GHInternalNode, GHLeafNode, GHTree
-from repro.indexes.gnat import GNAT, GNATInternalNode, GNATLeafNode
+from repro.indexes.ghtree import GHTree
+from repro.indexes.gnat import GNAT
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.indexes.selection import get_selector
@@ -47,12 +48,12 @@ from repro.transforms.filter import TransformIndex
 from repro.transforms.fourier import DFTTransform
 from repro.transforms.subsequence import SubsequenceIndex
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
-#: The tree families, each written through the tree codec
+#: The table indexes, each written through the one codec
 #: (:func:`repro.indexes.kernels.encode`); subclasses before parents.
-_TREES = (DynamicMVPTree, MVPTree, GMVPTree, VPTree)
-_TREE_TYPES = {cls.__name__: cls for cls in _TREES}
+_TABLED = (DynamicMVPTree, MVPTree, GMVPTree, VPTree, GNAT, GHTree, LAESA)
+_TABLED_TYPES = {cls.__name__: cls for cls in _TABLED}
 
 #: Serialisation coverage per index class, surfaced by ``repro-check
 #: invariants``.  Every class the verification builders construct MUST
@@ -104,66 +105,6 @@ def _decode_sections(data: dict) -> dict:
         name: np.asarray(entry["data"], dtype=entry["dtype"]).reshape(entry["shape"])
         for name, entry in data.items()
     }
-
-
-def _encode_gh_node(node) -> Optional[dict]:
-    """Encode one gh node (recursive; depth <= tree height)."""
-    if node is None:
-        return None
-    if isinstance(node, GHLeafNode):
-        return {"leaf": True, "ids": list(node.ids)}
-    return {
-        "leaf": False,
-        "p1_id": node.p1_id,
-        "p2_id": node.p2_id,
-        "r1": node.r1,
-        "r2": node.r2,
-        "left": _encode_gh_node(node.left),
-        "right": _encode_gh_node(node.right),
-    }
-
-
-def _decode_gh_node(data: Optional[dict]):
-    """Decode one gh node (recursive; depth <= tree height)."""
-    if data is None:
-        return None
-    if data["leaf"]:
-        return GHLeafNode(list(data["ids"]))
-    return GHInternalNode(
-        data["p1_id"],
-        data["p2_id"],
-        data["r1"],
-        data["r2"],
-        _decode_gh_node(data["left"]),
-        _decode_gh_node(data["right"]),
-    )
-
-
-def _encode_gnat_node(node) -> Optional[dict]:
-    """Encode one gnat node (recursive; depth <= tree height)."""
-    if node is None:
-        return None
-    if isinstance(node, GNATLeafNode):
-        return {"leaf": True, "ids": list(node.ids)}
-    return {
-        "leaf": False,
-        "split_ids": list(node.split_ids),
-        "ranges": [[list(r) for r in row] for row in node.ranges],
-        "children": [_encode_gnat_node(c) for c in node.children],
-    }
-
-
-def _decode_gnat_node(data: Optional[dict]):
-    """Decode one gnat node (recursive; depth <= tree height)."""
-    if data is None:
-        return None
-    if data["leaf"]:
-        return GNATLeafNode(list(data["ids"]))
-    return GNATInternalNode(
-        list(data["split_ids"]),
-        [[tuple(r) for r in row] for row in data["ranges"]],
-        [_decode_gnat_node(c) for c in data["children"]],
-    )
 
 
 def _encode_bk_node(node: Optional[BKNode]) -> Optional[dict]:
@@ -251,9 +192,9 @@ def index_to_dict(index: MetricIndex) -> dict:
                 for r, row in enumerate(rows)
             ],
         }
-    if isinstance(index, kernels.TableTree):
-        # The tree codec's sections and meta, as an .rsx store holds them.
-        cls = next(cls for cls in _TREES if isinstance(index, cls))
+    if isinstance(index, kernels.TableIndex):
+        # The codec's sections and meta, as an .rsx store holds them.
+        cls = next(cls for cls in _TABLED if isinstance(index, cls))
         sections, meta = kernels.encode(index)
         data = {
             "format": _FORMAT_VERSION,
@@ -266,38 +207,6 @@ def index_to_dict(index: MetricIndex) -> dict:
             data["deleted"] = sorted(index._deleted)
             data["removed"] = sorted(index._removed)
         return data
-    if isinstance(index, GHTree):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "GHTree",
-            "n_objects": len(index.objects),
-            "params": {"leaf_capacity": index.leaf_capacity, "pivots": index.pivots},
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "height": index.height,
-            },
-            "root": _encode_gh_node(index.root),
-        }
-    if isinstance(index, GNAT):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "GNAT",
-            "n_objects": len(index.objects),
-            "params": {
-                "degree": index.degree,
-                "min_degree": index.min_degree,
-                "max_degree": index.max_degree,
-                "leaf_capacity": index.leaf_capacity,
-                "candidate_factor": index.candidate_factor,
-            },
-            "stats": {
-                "node_count": index.node_count,
-                "leaf_count": index.leaf_count,
-                "height": index.height,
-            },
-            "root": _encode_gnat_node(index.root),
-        }
     if isinstance(index, BKTree):
         return {
             "format": _FORMAT_VERSION,
@@ -315,16 +224,6 @@ def index_to_dict(index: MetricIndex) -> dict:
             "params": {},
             "stats": {},
             "root": None,
-        }
-    if isinstance(index, LAESA):
-        return {
-            "format": _FORMAT_VERSION,
-            "type": "LAESA",
-            "n_objects": len(index.objects),
-            "params": {"n_pivots": index.n_pivots},
-            "stats": {},
-            "pivot_ids": list(index.pivot_ids),
-            "table": index.table.tolist(),
         }
     if isinstance(index, DistanceMatrixIndex):
         return {
@@ -397,7 +296,7 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         MetricIndex.__init__(manager, objects, metric)
         manager.assignment = params["assignment"]
         manager.backend_name = params["backend"]
-        manager.replication_factor = params.get("replication_factor", 1)
+        manager.replication_factor = params["replication_factor"]
         manager.store_refusal_count = 0
         # Custom-builder managers serialise backend=None; they restore
         # fine but cannot recover() lost replicas.
@@ -412,10 +311,9 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         manager._shard_ids = [
             [int(gid) for gid in ids] for ids in data["shard_ids"]
         ]
-        n_shards = len(manager._shard_ids)
-        # Mutable state (absent in pre-mutability files: no tail, no
-        # removals, empty memtables, epoch 0 everywhere).
-        tail = data.get("tail", [])
+        # Mutable state: inserted tail rows, removed ids, memtables,
+        # epochs, and per slot its base ids and tombstones.
+        tail = data["tail"]
         if isinstance(objects, np.ndarray):
             manager._tail = [np.asarray(row) for row in tail]
             objects_full = (
@@ -429,25 +327,12 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
             for shard, ids in enumerate(manager._shard_ids)
             for gid in ids
         }
-        manager._removed = {int(gid) for gid in data.get("removed", [])}
+        manager._removed = {int(gid) for gid in data["removed"]}
         manager._memtables = [
-            dict.fromkeys(int(gid) for gid in mem)
-            for mem in data.get("memtables", [[] for _ in range(n_shards)])
+            dict.fromkeys(int(gid) for gid in mem) for mem in data["memtables"]
         ]
-        manager._epochs = [
-            int(e) for e in data.get("epochs", [0] * n_shards)
-        ]
-        # Pre-replication files carry a flat "shards" list — load it as
-        # the sole replica row.
-        rows = data["replicas"] if "replicas" in data else [data["shards"]]
-        slot_rows = data.get("slots")
-        if slot_rows is None:
-            # Legacy file: every slot's base covered exactly the
-            # shard's (then-immutable) id list.
-            slot_rows = [
-                [{"ids": ids, "dead": []} for ids in manager._shard_ids]
-                for _ in rows
-            ]
+        manager._epochs = [int(e) for e in data["epochs"]]
+        rows, slot_rows = data["replicas"], data["slots"]
         manager._replicas = []
         manager._slots = []
         for row, slot_row in zip(rows, slot_rows):
@@ -508,8 +393,8 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
     if kind == "LinearScan":
         return LinearScan(objects, metric)
 
-    if kind in _TREE_TYPES:
-        cls = _TREE_TYPES[kind]
+    if kind in _TABLED_TYPES:
+        cls = _TABLED_TYPES[kind]
         dynamic = cls is DynamicMVPTree
         index = kernels.decode(
             cls,
@@ -527,33 +412,11 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
             index._deleted = set(data["deleted"])
             index._removed = set(data["removed"])
         return index
-    if kind == "GHTree":
-        index = GHTree.__new__(GHTree)
-        MetricIndex.__init__(index, objects, metric)
-        index.leaf_capacity = params["leaf_capacity"]
-        index.pivots = params["pivots"]
-        index._rng = None
-        index._root = _decode_gh_node(data["root"])
-    elif kind == "GNAT":
-        index = GNAT.__new__(GNAT)
-        MetricIndex.__init__(index, objects, metric)
-        for key, value in params.items():
-            setattr(index, key, value)
-        index._rng = None
-        index._root = _decode_gnat_node(data["root"])
-    elif kind == "BKTree":
+    if kind == "BKTree":
         index = BKTree.__new__(BKTree)
         MetricIndex.__init__(index, objects, metric)
         index._size = data["n_objects"]
         index._root = _decode_bk_node(data["root"])
-    elif kind == "LAESA":
-        index = LAESA.__new__(LAESA)
-        MetricIndex.__init__(index, objects, metric)
-        index.n_pivots = params["n_pivots"]
-        index.pivot_ids = [int(i) for i in data["pivot_ids"]]
-        index._table = np.asarray(data["table"], dtype=float).reshape(
-            len(objects), index.n_pivots
-        )
     elif kind == "TransformIndex":
         if params.get("transform") != "dft":
             raise ValueError(

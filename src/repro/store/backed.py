@@ -3,13 +3,11 @@
 :class:`StoreBackedIndex` is a :class:`~repro.indexes.base.MetricIndex`
 whose structure is the real index class over zero-copy views of an open
 :class:`Store`, held as ``_impl``, to which every search delegates.  A
-tree (``vpt``, ``mvpt``, ``gmvpt``) is decoded by the tree codec
+table index (every family but ``linear``) is decoded by the one codec
 (:func:`repro.indexes.kernels.decode`) with the mapped sections as its
 tables — same values, same leaf order, same root slot — so every search
 takes the identical code path and returns byte-identical ``(distance,
-id)`` answers with matching ``QueryStats`` and trace events.  The table
-families (``linear``, ``laesa``) wrap the mapped arrays, and ``gnat``'s
-node graph is rebuilt from its flattened tables.
+id)`` answers with matching ``QueryStats`` and trace events.
 
 Rows appended through :func:`repro.store.delta.append_delta` are
 searched too: the base structure answers over its own rows and the
@@ -27,8 +25,6 @@ import numpy as np
 
 from repro.indexes import kernels
 from repro.indexes.base import MetricIndex, Neighbor
-from repro.indexes.gnat import GNAT, GNATInternalNode, GNATLeafNode
-from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
 from repro.metric.base import Metric
 from repro.obs.stats import QueryStats
@@ -36,70 +32,6 @@ from repro.obs.trace import TraceSink, make_observation
 from repro.store.delta import append_delta, read_deltas
 from repro.store.format import Store
 from repro.store.writer import FAMILY_CLASSES
-
-def _segments(store: Store, offsets_name: str, flat_name: str) -> list:
-    offsets = store.section(offsets_name)
-    flat = store.section(flat_name)
-    return [
-        flat[int(offsets[i]) : int(offsets[i + 1])]
-        for i in range(len(offsets) - 1)
-    ]
-
-
-def _gnat_impl(store: Store, points, metric: Metric) -> GNAT:
-    """Rebuild the real GNAT node graph from its flattened tables.
-
-    Node objects are reconstructed with plain python ints/tuples —
-    GNAT's search appends ``split_ids`` entries straight into results,
-    so anything else would break byte-for-byte answer parity with the
-    in-memory tree.
-    """
-    leaves = [
-        GNATLeafNode([int(i) for i in ids])
-        for ids in _segments(store, "leaf_offsets", "leaf_ids")
-    ]
-    degrees = store.section("node_degree")
-    split_ids = _segments(store, "split_offsets", "split_ids")
-    kinds = _segments(store, "split_offsets", "child_kind")
-    idxs = _segments(store, "split_offsets", "child_idx")
-    lo = _segments(store, "range_offsets", "range_lo")
-    hi = _segments(store, "range_offsets", "range_hi")
-    internals = []
-    for i in range(len(degrees)):
-        d = int(degrees[i])
-        ranges = [
-            [
-                (float(lo[i][r * d + c]), float(hi[i][r * d + c]))
-                for c in range(d)
-            ]
-            for r in range(d)
-        ]
-        internals.append(
-            GNATInternalNode(
-                [int(s) for s in split_ids[i]], ranges, [None] * d
-            )
-        )
-    for node, node_kinds, node_idxs in zip(internals, kinds, idxs):
-        node.children = [
-            None
-            if int(kind) == 0
-            else (internals if int(kind) == 1 else leaves)[int(idx)]
-            for kind, idx in zip(node_kinds, node_idxs)
-        ]
-    impl = GNAT.__new__(GNAT)
-    MetricIndex.__init__(impl, points, metric)
-    params = store.meta.get("params", {})
-    impl.degree = int(params["degree"])
-    impl.min_degree = int(params["min_degree"])
-    impl.max_degree = int(params["max_degree"])
-    impl.leaf_capacity = int(params["leaf_capacity"])
-    impl.candidate_factor = int(params["candidate_factor"])
-    for name, value in store.meta.get("build_stats", {}).items():
-        setattr(impl, name, value)
-    tree = store.meta["tree"]
-    nodes = internals if int(tree["root_kind"]) == 1 else leaves
-    impl._root = nodes[int(tree["root_idx"])]
-    return impl
 
 
 class StoreBackedIndex(MetricIndex):
@@ -128,19 +60,10 @@ class StoreBackedIndex(MetricIndex):
             if store.has_section("global_ids")
             else None
         )
-        if self.family == "linear":
+        cls = FAMILY_CLASSES[self.family]
+        if cls is LinearScan:
             self._impl = LinearScan(points, metric)
-        elif self.family == "gnat":
-            self._impl = _gnat_impl(store, points, metric)
-        elif self.family == "laesa":
-            impl = LAESA.__new__(LAESA)
-            MetricIndex.__init__(impl, points, metric)
-            impl.n_pivots = int(self.params["n_pivots"])
-            impl.pivot_ids = [int(i) for i in store.section("pivot_ids")]
-            impl._table = store.section("table")
-            self._impl = impl
         else:
-            cls = FAMILY_CLASSES[self.family]
             sections = {name: store.section(name) for name in cls._TABLES.SECTIONS}
             self._impl = kernels.decode(cls, points, metric, sections, store.meta)
         deltas = deltas or []
@@ -181,12 +104,13 @@ class StoreBackedIndex(MetricIndex):
     def _base_knn(
         self, query, k: int, epsilon: float, *, stats, trace
     ) -> list[Neighbor]:
-        if self.family == "gnat":
-            # GNAT's k-NN has no epsilon relaxation (matching the
-            # in-memory class, whose signature takes none).
+        if self.family in ("gnat", "ght"):
+            # GNAT's and the gh-tree's k-NN have no epsilon relaxation
+            # (matching the in-memory classes, whose signatures take none).
             if epsilon != 0.0:
                 raise ValueError(
-                    "GNAT k-NN does not support epsilon approximation"
+                    f"{type(self._impl).__name__} k-NN does not support "
+                    "epsilon approximation"
                 )
             return self._impl.knn_search(query, k, stats=stats, trace=trace)
         return self._impl.knn_search(query, k, epsilon, stats=stats, trace=trace)

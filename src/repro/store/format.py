@@ -57,7 +57,7 @@ STORE_MAGIC = b"RSX\x01"
 STORE_VERSION = 4
 
 #: Index-family tag byte in the header (and ``family`` string in meta).
-FAMILY_TAGS = {"linear": 1, "vpt": 2, "mvpt": 3, "gmvpt": 4, "laesa": 5, "gnat": 6}
+FAMILY_TAGS = dict(linear=1, vpt=2, mvpt=3, gmvpt=4, laesa=5, gnat=6, ght=7)
 TAG_FAMILIES = {tag: name for name, tag in FAMILY_TAGS.items()}
 
 #: magic, version, family tag, flags, payload_len, meta_off, meta_len.

@@ -14,7 +14,7 @@ from repro.check.builders import (
     build_verification_indexes,
 )
 from repro.check.invariants import Violation, verify_structure
-from repro.indexes.gnat import GNATLeafNode
+from repro.indexes import kernels
 from repro.store import open_index, write_store
 
 ALL_CLASSES = [
@@ -140,31 +140,64 @@ def corrupt_vp_bounds(index):
 
 
 def corrupt_gh_radius(index):
-    index.root.r1 = 0.0
+    tables(index).radii[tables(index).root_idx, 0] = 0.0
+
+
+def corrupt_gh_swap_pivots(index):
+    t = tables(index)
+    t.pivot_ids[t.root_idx] = t.pivot_ids[t.root_idx, ::-1].copy()
+
+
+def overfill_leaf(index):
+    """Give a leaf the points of the next leaf too, past capacity."""
+    t = tables(index)
+    sizes = np.diff(t.leaf_offsets)
+    pair = np.flatnonzero(sizes[:-1] + sizes[1:] > index.leaf_capacity)[0]
+    t.leaf_offsets[pair + 1] = t.leaf_offsets[pair + 2]
+
+
+def duplicate_leaf_id(index):
+    t = tables(index)
+    t.leaf_ids[1] = t.leaf_ids[0]
+
+
+def root_cell(index, i: int, j: int) -> int:
+    """Position of GNAT range cell ``(i, j)`` of the root in the flat
+    range tables."""
+    t = tables(index)
+    degree = int(t.node_degree[t.root_idx])
+    return int(t.range_offsets[t.root_idx]) + i * degree + j
 
 
 def corrupt_gnat_range(index):
-    lo, hi = index.root.ranges[0][1]
-    index.root.ranges[0][1] = (lo, lo)
+    cell = root_cell(index, 0, 1)
+    tables(index).range_hi[cell] = tables(index).range_lo[cell]
+
+
+def corrupt_gnat_bounds_order(index):
+    cell = root_cell(index, 0, 1)
+    tables(index).range_lo[cell] = tables(index).range_hi[cell] + 1.0
+
+
+def corrupt_gnat_degree(index):
+    tables(index).node_degree[tables(index).root_idx] += 1
 
 
 def corrupt_gnat_swap_members(index):
-    """Move one leaf point from child 0's subtree into child 1's."""
-    def find_leaf(node):
-        """DFS for a non-empty GNAT leaf (depth <= tree height)."""
-        if isinstance(node, GNATLeafNode):
-            return node if node.ids else None
-        for child in node.children:
-            if child is not None:
-                found = find_leaf(child)
-                if found is not None:
-                    return found
-        return None
+    """Swap a leaf point under the root's child 0 with one under its
+    child 1."""
+    t = tables(index)
 
-    source = find_leaf(index.root.children[0])
-    target = find_leaf(index.root.children[1])
-    assert source is not None and target is not None
-    target.ids.append(source.ids.pop())
+    def first_point(kind, slot):
+        while kind == kernels._INTERNAL:
+            kinds, slots = kernels.children(t, slot)
+            present = kinds.nonzero()[0][0]
+            kind, slot = int(kinds[present]), int(slots[present])
+        return int(t.leaf_offsets[slot])
+
+    kinds, slots = kernels.children(t, t.root_idx)
+    a, b = (first_point(int(kinds[c]), int(slots[c])) for c in (0, 1))
+    t.leaf_ids[[a, b]] = t.leaf_ids[[b, a]]
 
 
 def corrupt_bk_edge(index):
@@ -220,8 +253,15 @@ CORRUPTIONS = [
     ("VPTree", corrupt_vp_cutoff, "cutoff-monotone", "root"),
     ("VPTree", corrupt_vp_bounds, "partition-membership", "root"),
     ("GHTree", corrupt_gh_radius, "gh-covering-radius", "root.left"),
+    ("GHTree", corrupt_gh_swap_pivots, "gh-membership", "root.left"),
+    ("GHTree", overfill_leaf, "leaf-capacity", "root"),
+    ("GHTree", duplicate_leaf_id, "id-partition", "root"),
     ("GNAT", corrupt_gnat_range, "gnat-range-bracket", "root"),
     ("GNAT", corrupt_gnat_swap_members, "gnat-voronoi", "root.children"),
+    ("GNAT", corrupt_gnat_bounds_order, "bounds-order", "root"),
+    ("GNAT", corrupt_gnat_degree, "m1-shape", "root"),
+    ("GNAT", overfill_leaf, "leaf-capacity", "root"),
+    ("GNAT", duplicate_leaf_id, "id-partition", "root"),
     ("BKTree", corrupt_bk_edge, "bk-edge-exact", "root.children"),
     ("LAESA", corrupt_laesa_cell, "table-truth", "table[3, 2]"),
     ("DistanceMatrixIndex", corrupt_matrix_symmetry, "matrix-symmetry", "matrix[1, 2]"),
@@ -274,7 +314,7 @@ class TestStoreBacked:
 
     def test_every_writer_family_verifies_clean(self, tmp_path):
         stored = build_store_backed_indexes(tmp_path, seed=0, n=48)
-        assert len(stored) == 6
+        assert len(stored) == 7
         for name, index in stored.items():
             with index:
                 assert verify_structure(index) == [], name
@@ -296,6 +336,25 @@ class TestStoreBacked:
         cutoffs = index._kernel_cache.cutoffs
         row = cutoffs.reshape(-1, cutoffs.shape[-1])[0]
         row[0] = -1.0 if row.size == 1 else row[-1] + 1.0
+        path = write_store(index, tmp_path / f"{name}.rsx")
+        with open_index(path, index.metric) as backed:
+            violations = verify_structure(backed)
+        assert invariant in {v.invariant for v in violations}
+        assert violations == verify_structure(index)
+
+    @pytest.mark.parametrize(
+        "name, mutate, invariant",
+        [
+            ("GNAT", corrupt_gnat_range, "gnat-range-bracket"),
+            ("GHTree", corrupt_gh_radius, "gh-covering-radius"),
+            ("LAESA", corrupt_laesa_cell, "table-truth"),
+        ],
+    )
+    def test_tampered_table_is_reported_from_the_store(
+        self, name, mutate, invariant, tmp_path
+    ):
+        index = fresh(name)
+        mutate(index)
         path = write_store(index, tmp_path / f"{name}.rsx")
         with open_index(path, index.metric) as backed:
             violations = verify_structure(backed)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import GHTree, LinearScan
-from repro.indexes.ghtree import GHLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GHLeafNode, root_node
 
 
 @pytest.fixture(params=["random", "farthest"])
@@ -49,12 +49,12 @@ class TestConstruction:
             walk(node.left)
             walk(node.right)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(uniform_data)))
 
     def test_points_assigned_to_closer_pivot(self, uniform_data, l2):
         tree = GHTree(uniform_data, l2, leaf_capacity=50, rng=0)
-        root = tree.root
+        root = root_node(tree)
 
         def collect(node, out):
             if node is None:
@@ -81,7 +81,7 @@ class TestConstruction:
 
     def test_covering_radii_are_correct(self, uniform_data, l2):
         tree = GHTree(uniform_data, l2, leaf_capacity=50, rng=0)
-        root = tree.root
+        root = root_node(tree)
 
         def collect(node, out):
             if node is None:

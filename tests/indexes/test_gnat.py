@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import GNAT, LinearScan, VPTree
-from repro.indexes.gnat import GNATInternalNode, GNATLeafNode
 from repro.metric import L2, CountingMetric
+from tests.nodeview import GNATInternalNode, GNATLeafNode, root_node
 
 
 @pytest.fixture(params=[4, 8], ids=["deg4", "deg8"])
@@ -51,12 +51,12 @@ class TestConstruction:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))
         assert sorted(seen) == list(range(len(uniform_data)))
 
     def test_range_tables_cover_members(self, uniform_data, l2):
         tree = GNAT(uniform_data, l2, degree=4, leaf_capacity=200, rng=0)
-        root = tree.root
+        root = root_node(tree)
         assert isinstance(root, GNATInternalNode)
         degree = len(root.split_ids)
 
@@ -148,4 +148,4 @@ class TestAdaptiveDegree:
             for child in node.children:
                 walk(child)
 
-        walk(tree.root)
+        walk(root_node(tree))

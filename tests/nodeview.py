@@ -3,6 +3,9 @@
 The trees keep only their tables (:mod:`repro.indexes.kernels`).  Tests
 that state an invariant node by node, or walk a tree the way a
 reference algorithm does, read the nodes :func:`root_node` makes from them:
+GNAT nodes carry ``split_ids``, ``ranges[i][j] = (lo, hi)`` and
+``children``; gh-tree nodes their pivots ``p1_id``/``p2_id``, covering
+radii ``r1``/``r2`` and ``left``/``right``; the leaves of both ``ids``.
 vp-tree nodes carry one vantage point, shells ``bounds[i] = (lo, hi)``
 and ``children``; multi-vantage nodes carry ``v`` vantage points,
 ``cutoffs[t]`` (``m**t`` rows of ``m - 1``), ``bounds[c][t]`` and
@@ -16,6 +19,8 @@ Missing children are ``None``; their shells are the ones the class's
 import numpy as np
 
 from repro.indexes import kernels
+from repro.indexes.ghtree import _GHArrays
+from repro.indexes.gnat import _GNATArrays
 
 #: Shell of an empty partition: no distance can fall inside it.
 EMPTY_SHELL = (float("inf"), float("-inf"))
@@ -59,16 +64,89 @@ class GMVPLeafNode:
         self.path_len = path_len
 
 
+class GNATInternalNode:
+    __slots__ = ("split_ids", "ranges", "children")
+
+    def __init__(self, split_ids, ranges, children):
+        self.split_ids = split_ids
+        self.ranges = ranges
+        self.children = children
+
+
+class GNATLeafNode:
+    __slots__ = ("ids",)
+
+    def __init__(self, ids):
+        self.ids = ids
+
+
+class GHInternalNode:
+    __slots__ = ("p1_id", "p2_id", "r1", "r2", "left", "right")
+
+    def __init__(self, p1_id, p2_id, r1, r2):
+        self.p1_id, self.p2_id, self.r1, self.r2 = p1_id, p2_id, r1, r2
+        self.left = self.right = None
+
+
+class GHLeafNode:
+    __slots__ = ("ids",)
+
+    def __init__(self, ids):
+        self.ids = ids
+
+
 def root_node(tree):
-    """The root node of ``tree`` (a vp-tree or multi-vantage tree, or
-    a store-backed one), or ``None`` for the empty tree."""
+    """The root node of ``tree`` (a vp-tree, multi-vantage tree, GNAT
+    or gh-tree, or a store-backed one), or ``None`` for the empty
+    tree."""
     tree = getattr(tree, "_impl", tree)
     tables = tree._tables()
     if tables is None:
         return None
     if isinstance(tables, kernels._VPArrays):
         return _vp_root(tree, tables)
+    if isinstance(tables, _GNATArrays):
+        return _gnat_root(tables)
+    if isinstance(tables, _GHArrays):
+        return _gh_root(tables)
     return _gmvp_root(tree, tables)
+
+
+def _leaves(tables, leaf_class) -> list:
+    at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
+    return [leaf_class(ids[a:b]) for a, b in zip(at, at[1:])]
+
+
+def _gnat_root(tables):
+    internals = []
+    for n, degree in enumerate(tables.node_degree.tolist()):
+        at = tables.split_offsets[n]
+        cells = slice(tables.range_offsets[n], tables.range_offsets[n + 1])
+        lo = tables.range_lo[cells].reshape(degree, degree).tolist()
+        hi = tables.range_hi[cells].reshape(degree, degree).tolist()
+        ranges = [list(zip(lo_row, hi_row)) for lo_row, hi_row in zip(lo, hi)]
+        split_ids = tables.split_ids[at : at + degree].tolist()
+        internals.append(GNATInternalNode(split_ids, ranges, None))
+    kinds = (None, internals, _leaves(tables, GNATLeafNode))
+    for n, node in enumerate(internals):
+        kids, slots = (part.tolist() for part in kernels.children(tables, n))
+        node.children = [kinds[k][c] if k else None for k, c in zip(kids, slots)]
+    return kinds[tables.root_kind][tables.root_idx]
+
+
+def _gh_root(tables):
+    internals = [
+        GHInternalNode(p1, p2, r1, r2)
+        for (p1, p2), (r1, r2) in zip(tables.pivot_ids.tolist(), tables.radii.tolist())
+    ]
+    kinds = (None, internals, _leaves(tables, GHLeafNode))
+    for node, kids, slots in zip(
+        internals, tables.child_kind.tolist(), tables.child_idx.tolist()
+    ):
+        node.left, node.right = (
+            kinds[k][c] if k else None for k, c in zip(kids, slots)
+        )
+    return kinds[tables.root_kind][tables.root_idx]
 
 
 def _wire(tables, internals: list, leaves: list):
@@ -87,8 +165,7 @@ def _vp_root(tree, tables):
     lo = np.where(present, tables.child_lo, np.inf).ravel().tolist()
     hi = np.where(present, tables.child_hi, -np.inf).ravel().tolist()
     shells = list(zip(lo, hi))
-    at, ids = tables.leaf_offsets.tolist(), tables.leaf_ids.tolist()
-    leaves = [VPLeafNode(ids[a:b]) for a, b in zip(at, at[1:])]
+    leaves = _leaves(tables, VPLeafNode)
     internals = [
         VPInternalNode(vp_id, cuts, shells[n * m : n * m + m], None)
         for n, (vp_id, cuts) in enumerate(

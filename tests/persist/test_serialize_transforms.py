@@ -124,7 +124,7 @@ class TestPersistCoverage:
         built = build_verification_indexes(seed=0, n=24)
         for name, index in built.items():
             if PERSIST_COVERAGE[name] == "supported":
-                assert index_to_dict(index)["format"] == 3
+                assert index_to_dict(index)["format"] == 4
 
     def test_store_backed_entry_is_explicit(self):
         assert PERSIST_COVERAGE["StoreBackedIndex"].startswith("unsupported")

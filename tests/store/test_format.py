@@ -108,28 +108,42 @@ class TestTruncationMatrix:
         )
 
 
+@pytest.fixture(scope="module")
+def gnat_blob(data, tmp_path_factory):
+    from repro.indexes.gnat import GNAT
+
+    path = tmp_path_factory.mktemp("fmt-gnat") / "good.rsx"
+    write_store(GNAT(data, L2(), degree=3, leaf_capacity=4, rng=2), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def ght_blob(data, tmp_path_factory):
+    from repro.indexes.ghtree import GHTree
+
+    path = tmp_path_factory.mktemp("fmt-ght") / "good.rsx"
+    write_store(GHTree(data, L2(), leaf_capacity=2, rng=2), path)
+    return path.read_bytes()
+
+
 class TestGNATCorruptionMatrix:
-    """The newest family rides the same refusal matrix as the rest."""
+    """The table families ride the same refusal matrix as the rest."""
 
-    @pytest.fixture(scope="class")
-    def gnat_blob(self, data, tmp_path_factory):
-        from repro.indexes.gnat import GNAT
+    @pytest.fixture
+    def blob(self, gnat_blob):
+        return gnat_blob
 
-        path = tmp_path_factory.mktemp("fmt-gnat") / "good.rsx"
-        write_store(GNAT(data, L2(), degree=3, leaf_capacity=4, rng=2), path)
-        return path.read_bytes()
-
-    def test_good_gnat_store_verifies(self, tmp_path, gnat_blob):
-        store = reopen(tmp_path, gnat_blob)
+    def test_good_gnat_store_verifies(self, tmp_path, blob):
+        store = reopen(tmp_path, blob)
         assert store.n_objects == 60
         store.close()
 
-    def test_every_truncation_prefix_refused(self, tmp_path, gnat_blob):
-        total = len(gnat_blob)
+    def test_every_truncation_prefix_refused(self, tmp_path, blob):
+        total = len(blob)
         lengths = set(range(0, total, 97)) | set(range(max(0, total - 8), total))
         for length in sorted(lengths):
             with pytest.raises(StoreCorrupt) as excinfo:
-                reopen(tmp_path, gnat_blob[:length])
+                reopen(tmp_path, blob[:length])
             assert excinfo.value.reason in (
                 "no-header",
                 "bad-length",
@@ -137,17 +151,29 @@ class TestGNATCorruptionMatrix:
                 "bad-digest",
             ), f"prefix {length}: unexpected tag {excinfo.value.reason}"
 
-    def test_bit_flip_under_digest_refused(self, tmp_path, gnat_blob):
-        blob = bytearray(gnat_blob)
+    def test_bit_flip_under_digest_refused(self, tmp_path, blob):
+        blob = bytearray(blob)
         blob[-3] ^= 0x10
         assert refusal(tmp_path, bytes(blob)) == "bad-digest"
 
-    def test_stale_digest(self, tmp_path, gnat_blob, data):
+    def test_stale_digest(self, tmp_path, blob, data):
         changed = np.array(data)
         changed[0, 0] += 1.0
-        assert refusal(
-            tmp_path, gnat_blob, source_points=changed
-        ) == "stale-digest"
+        assert refusal(tmp_path, blob, source_points=changed) == "stale-digest"
+
+
+class TestGHTCorruptionMatrix(TestGNATCorruptionMatrix):
+    @pytest.fixture
+    def blob(self, ght_blob):
+        return ght_blob
+
+    test_good_gnat_store_verifies = None
+
+    def test_good_ght_store_verifies(self, tmp_path, blob):
+        store = reopen(tmp_path, blob)
+        assert store.family == "ght"
+        assert store.n_objects == 60
+        store.close()
 
 
 class TestDigest:

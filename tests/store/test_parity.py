@@ -23,6 +23,7 @@ from repro.approx import approx_knn_search
 from repro.bench.digest import FAMILIES as DIGEST_BUILDS
 from repro.core.gmvptree import GMVPTree
 from repro.core.mvptree import MVPTree
+from repro.indexes.ghtree import GHTree
 from repro.indexes.gnat import GNAT
 from repro.indexes.laesa import LAESA
 from repro.indexes.linear import LinearScan
@@ -64,10 +65,12 @@ def build(family, data):
         return LAESA(data, metric, n_pivots=6, rng=rng)
     if family == "gnat":
         return GNAT(data, metric, degree=4, leaf_capacity=4, rng=rng)
+    if family == "ght":
+        return GHTree(data, metric, leaf_capacity=2, rng=rng)
     raise AssertionError(family)
 
 
-FAMILIES = ["linear", "vpt", "mvpt", "gmvpt", "laesa", "gnat"]
+FAMILIES = ["linear", "vpt", "mvpt", "gmvpt", "laesa", "gnat", "ght"]
 
 
 @pytest.fixture(scope="module", params=FAMILIES)
@@ -146,6 +149,14 @@ class TestApproximateKnnParity:
             with pytest.raises(ValueError, match="epsilon"):
                 backed.knn_search(data[0], 3, epsilon=0.5)
 
+    def test_ght_epsilon_rejected(self, data, tmp_path):
+        # Nor has the gh-tree's.
+        path = tmp_path / "ght.rsx"
+        write_store(build("ght", data), path)
+        with open_index(path, L2()) as backed:
+            with pytest.raises(ValueError, match="epsilon"):
+                backed.knn_search(data[0], 3, epsilon=0.5)
+
 
 class TestDeterministicBytes:
     def test_same_index_same_bytes(self, data, tmp_path):
@@ -185,11 +196,7 @@ class TestWriterValidation:
 #: The ``repro-bench digest`` tree builds, plus trees that are one leaf
 #: (no internal node, so every internal table is empty).
 CODEC_BUILDS = {
-    **{
-        name: builder
-        for name, builder in DIGEST_BUILDS.items()
-        if name not in ("gnat", "ght", "laesa")
-    },
+    **DIGEST_BUILDS,
     "vpt-one-leaf": lambda d, m: VPTree(d[:12], m, leaf_capacity=16, rng=1),
     "mvpt-one-leaf": lambda d, m: MVPTree(d[:12], m, m=3, k=13, p=4, rng=1),
 }
@@ -211,6 +218,8 @@ def _node_form(node):
         value = getattr(node, name)
         if name == "children":
             value = [_node_form(child) for child in value]
+        elif name in ("left", "right"):
+            value = _node_form(value)
         elif name in ("dists", "paths"):
             value = np.asarray(value).ravel().tolist()
         form[name] = value
@@ -260,6 +269,8 @@ class TestTreeCodec:
                     assert got == want, name
 
     def test_root_views_are_equal(self, codec_trio):
+        if not codec_trio[0]._TABLES.ROOT:
+            pytest.skip("LAESA's table has no nodes")
         want = _node_form(root_node(codec_trio[0]))
         for copy in _copies(codec_trio):
             assert _node_form(root_node(copy)) == want
@@ -286,6 +297,19 @@ class TestTreeCodec:
             pytest.skip("the dynamic tree has no store writer")
         points = stored.store.section("points")
         assert np.shares_memory(stored._impl.objects, points)
+
+    def test_stored_tables_are_the_mapped_sections(self, codec_trio):
+        """Opening a store plants its mapped sections as they are: no
+        table is copied and nothing is rebuilt."""
+        stored = codec_trio[2]
+        if stored is None:
+            pytest.skip("the dynamic tree has no store writer")
+        tables = stored._impl._tables()
+        for name in tables.SECTIONS:
+            table, section = getattr(tables, name), stored.store.section(name)
+            assert table.size == section.size == 0 or np.shares_memory(
+                table, section
+            ), name
 
 
 def test_json_loaded_dynamic_tree_takes_the_same_updates(codec_data, queries):
